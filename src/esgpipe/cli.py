@@ -39,6 +39,7 @@ import hashlib
 import json
 import logging
 import os
+import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -314,6 +315,13 @@ def kb_cache_path(config: RunConfig, doc_path: Path, embedder_name: str, mode: s
     return config.output_dir / "kb_cache" / name
 
 
+def _kb_cache_file(
+    config: RunConfig, doc_path: Path, providers: ProviderSet, pcfg: PipelineConfig
+) -> Path:
+    mode = "structured" if pcfg.arm.use_structured_preprocessing else "naive"
+    return kb_cache_path(config, doc_path, providers.embedder.name, mode)
+
+
 def build_or_load_kb(
     doc: docmodel.StructuredDocument,
     doc_path: Path,
@@ -321,8 +329,7 @@ def build_or_load_kb(
     pcfg: PipelineConfig,
     config: RunConfig,
 ) -> kbmod.KnowledgeBase:
-    mode = "structured" if pcfg.arm.use_structured_preprocessing else "naive"
-    cache = kb_cache_path(config, doc_path, providers.embedder.name, mode)
+    cache = _kb_cache_file(config, doc_path, providers, pcfg)
     if cache.exists():
         try:
             return kbmod.load(cache)
@@ -440,9 +447,10 @@ def cmd_build_kb(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for doc in docs:
         built = build_or_load_kb(doc, paths[doc.doc_id], providers, pcfg, config)
+        # the cache file already holds the saved, byte-reproducible form
         target = out_dir / f"{doc.doc_id}.kb.json"
         tmp = target.with_name(target.name + ".tmp")
-        kbmod.save(built, tmp)
+        shutil.copyfile(_kb_cache_file(config, paths[doc.doc_id], providers, pcfg), tmp)
         os.replace(tmp, target)
         print(f"{doc.doc_id}: {built.counts()}")
     for msg in skipped:
@@ -621,7 +629,14 @@ def _run_ablation_command(
     records_sink: dict[str, list[agent.ExtractionRecord]] = {}
     base_cfg = pipeline_config(config, DEFAULT_ARM)
     reports = evaluation.run_ablation(
-        docs, registry, labels, arms, providers, base_cfg, records_sink=records_sink
+        docs,
+        registry,
+        labels,
+        arms,
+        providers,
+        base_cfg,
+        records_sink=records_sink,
+        rel_tol=config.rel_tol,
     )
 
     outputs: dict[str, str] = {}

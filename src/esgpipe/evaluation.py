@@ -341,6 +341,7 @@ def run_ablation(
     base_cfg: PipelineConfig | None = None,
     records_sink: dict[str, list[ExtractionRecord]] | None = None,
     kb_cache: dict[tuple[str, str], KnowledgeBase] | None = None,
+    rel_tol: float | None = None,
 ) -> list[EvaluationReport]:
     """Run each arm over the corpus; one aggregate report per arm.
 
@@ -348,7 +349,8 @@ def run_ablation(
     errors list and excluded from its means; other documents and arms
     proceed. `records_sink`, when given, receives config_id -> all
     records. `kb_cache` deduplicates KB builds across arms that share
-    preprocessing (keyed by doc_id + preprocessing mode).
+    preprocessing (keyed by doc_id + preprocessing mode). `rel_tol` is
+    the relative tolerance for value matches (None: exact).
     """
     base_cfg = base_cfg or PipelineConfig()
     missing = [d.doc_id for d in docs if d.doc_id not in labels_by_doc]
@@ -382,6 +384,7 @@ def run_ablation(
                         config_id=arm.config_id,
                         provider_name=providers.chat.name,
                         aliases=aliases,
+                        rel_tol=rel_tol,
                     )
                 )
             except PipelineError as exc:

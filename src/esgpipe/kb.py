@@ -26,6 +26,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -60,9 +61,36 @@ class Entry:
     source: Source
     doc_id: str
     payload_text: str
-    vector: list[float]
+    vector: Sequence[float]  # a row of its partition's matrix in KBs from build/load
     anchor: str
     summary: str | None = None
+
+
+@dataclass(frozen=True)
+class Partition:
+    """One source's entries with the arrays exact search runs on."""
+
+    entries: list[Entry]
+    matrix: np.ndarray  # float64 (n, dim); row j is entries[j].vector
+    norms: np.ndarray  # L2 norm of each row
+    rank: np.ndarray  # position of each row's entry_id in string order
+
+
+def _partition(entries: list[Entry], dim: int) -> Partition:
+    matrix = np.array([e.vector for e in entries], dtype=np.float64).reshape(len(entries), dim)
+    by_id = sorted(range(len(entries)), key=lambda j: entries[j].entry_id)
+    rank = np.empty(len(entries), dtype=np.intp)
+    rank[by_id] = np.arange(len(entries))
+    return Partition(entries, matrix, np.linalg.norm(matrix, axis=1), rank)
+
+
+def _adopt_rows(kb: KnowledgeBase) -> KnowledgeBase:
+    """Points each entry's vector at its partition row, so the float
+    lists the KB was made from can be freed."""
+    for part in kb._partitions.values():
+        for entry, row in zip(part.entries, part.matrix):
+            entry.vector = row
+    return kb
 
 
 @dataclass
@@ -73,9 +101,7 @@ class KnowledgeBase:
     entries: list[Entry]
     table_texts: dict[str, str] = field(default_factory=dict)
     summary_fallbacks: int = 0
-    _matrices: dict[Source, tuple[list[Entry], np.ndarray, np.ndarray]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    _partitions: dict[Source, Partition] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -88,6 +114,10 @@ class KnowledgeBase:
                     f"entry {e.entry_id!r} vector has dim {len(e.vector)}, "
                     f"KB dim is {self.dim}"
                 )
+        self._partitions = {
+            source: _partition([e for e in self.entries if e.source is source], self.dim)
+            for source in Source
+        }
 
     def counts(self) -> dict[str, int]:
         out = {s.value: 0 for s in Source}
@@ -95,19 +125,8 @@ class KnowledgeBase:
             out[e.source.value] += 1
         return out
 
-    def partition(self, source: Source) -> tuple[list[Entry], np.ndarray, np.ndarray]:
-        """(entries, matrix, norms) for one source, cached."""
-        cached = self._matrices.get(source)
-        if cached is None:
-            entries = [e for e in self.entries if e.source is source]
-            if entries:
-                matrix = np.array([e.vector for e in entries], dtype=np.float64)
-            else:
-                matrix = np.zeros((0, self.dim), dtype=np.float64)
-            norms = np.linalg.norm(matrix, axis=1)
-            cached = (entries, matrix, norms)
-            self._matrices[source] = cached
-        return cached
+    def partition(self, source: Source) -> Partition:
+        return self._partitions[source]
 
     def table_text(self, table_id: str) -> str:
         try:
@@ -356,7 +375,7 @@ def build(
         summary_fallbacks=fallbacks,
     )
     logger.info("built KB for %s: %s", doc.doc_id, kb.counts())
-    return kb
+    return _adopt_rows(kb)
 
 
 def flatten_document(doc: StructuredDocument) -> str:
@@ -392,7 +411,7 @@ def build_naive(
         entries=entries,
     )
     logger.info("built naive KB for %s: %d chunks", doc.doc_id, len(entries))
-    return kb
+    return _adopt_rows(kb)
 
 
 def save(kb: KnowledgeBase, path: str | Path) -> None:
@@ -419,10 +438,15 @@ def save(kb: KnowledgeBase, path: str | Path) -> None:
             for e in kb.entries
         ],
     }
-    Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
+    text = json.dumps(payload, ensure_ascii=False, separators=(",", ":"), default=_row_list)
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def _row_list(obj: object) -> list[float]:
+    """JSON form of an entry vector held as a matrix row."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def load(path: str | Path) -> KnowledgeBase:
@@ -446,12 +470,12 @@ def load(path: str | Path) -> KnowledgeBase:
                 doc_id=e["doc_id"],
                 payload_text=e["payload_text"],
                 summary=e["summary"],
-                vector=[float(v) for v in e["vector"]],
+                vector=e["vector"],
                 anchor=e["anchor"],
             )
             for e in data["entries"]
         ]
-        return KnowledgeBase(
+        kb = KnowledgeBase(
             scope=data["scope"],
             provider_name=data["provider_name"],
             dim=int(data["dim"]),
@@ -461,6 +485,7 @@ def load(path: str | Path) -> KnowledgeBase:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise KnowledgeBaseError(f"{path}: malformed KB entry: {exc}") from exc
+    return _adopt_rows(kb)
 
 
 def verify_anchors(kb: KnowledgeBase, doc: StructuredDocument) -> None:

@@ -16,11 +16,13 @@ call time; requests never log the token.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
 import os
 import re
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -132,16 +134,29 @@ class LeadSentenceSummarizer(SummaryProvider):
         return " ".join(sentences[: self.n])
 
 
+def _token_set(text: str) -> frozenset[str]:
+    return frozenset(tokenize(text))
+
+
 class JaccardReranker(Reranker):
-    """Offline rerank fallback: token-set Jaccard overlap."""
+    """Offline rerank fallback: token-set Jaccard overlap.
+
+    The same evidence payloads come back for many indicators, so each
+    instance keeps the token sets of recent texts (an LRU of
+    `TOKEN_CACHE_SIZE`, safe to share between threads).
+    """
 
     name = "jaccard"
+    TOKEN_CACHE_SIZE = 4096
+
+    def __init__(self) -> None:
+        self._tokens = functools.lru_cache(maxsize=self.TOKEN_CACHE_SIZE)(_token_set)
 
     def score(self, query: str, candidates: Sequence[str]) -> list[float]:
-        q = set(tokenize(query))
+        q = self._tokens(query)
         scores = []
         for cand in candidates:
-            c = set(tokenize(cand))
+            c = self._tokens(cand)
             union = q | c
             scores.append(len(q & c) / len(union) if union else 0.0)
         return scores
@@ -220,16 +235,30 @@ def _bearer_headers(token_env: str) -> dict[str, str]:
 
 @dataclass
 class HttpEndpoint:
+    """One provider URL. Each calling thread keeps its own
+    `requests.Session`, so its calls reuse a kept-alive connection; a
+    thread's session is dropped with the thread."""
+
     url: str
     timeout: float = 30.0
     retries: int = 2
     token_env: str = DEFAULT_TOKEN_ENV
+    _local: threading.local = field(
+        default_factory=threading.local, init=False, repr=False, compare=False
+    )
+
+    def _session(self) -> requests.Session:
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+        return session
 
     def post(self, payload: dict) -> dict:
+        session = self._session()
         last: Exception | None = None
         for _ in range(self.retries + 1):
             try:
-                resp = requests.post(
+                resp = session.post(
                     self.url,
                     json=payload,
                     timeout=self.timeout,

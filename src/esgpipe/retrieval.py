@@ -98,6 +98,22 @@ def _resolve_payload(entry: Entry, kb: KnowledgeBase) -> str:
     return entry.payload_text
 
 
+def _top_k(row: np.ndarray, rank: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k best entries of one row by (-similarity, entry_id).
+
+    Selection keeps every entry tied with the k-th best value, so the
+    rank tie-break decides among them exactly as a full sort would.
+    """
+    n = row.shape[0]
+    if k < n:
+        kth = np.partition(row, n - k)[n - k]
+        candidates = np.flatnonzero(row >= kth)
+    else:
+        candidates = np.arange(n)
+    order = np.lexsort((rank[candidates], -row[candidates]))
+    return candidates[order[:k]]
+
+
 def search(kb: KnowledgeBase, query: Query, k: int = DEFAULT_TOP_K) -> list[ScoredHit]:
     """Exact top-k per source partition, union over query vectors.
 
@@ -117,27 +133,21 @@ def search(kb: KnowledgeBase, query: Query, k: int = DEFAULT_TOP_K) -> list[Scor
 
     hits: list[ScoredHit] = []
     for source in Source:
-        entries, matrix, enorms = kb.partition(source)
-        if not entries:
+        part = kb.partition(source)
+        if not part.entries:
             continue
         # sims[i][j] = cosine(query i, entry j); zero norms pinned to -1
-        raw = qm @ matrix.T
-        denom = np.outer(qnorms, enorms)
+        raw = qm @ part.matrix.T
+        denom = np.outer(qnorms, part.norms)
         with np.errstate(divide="ignore", invalid="ignore"):
             sims = np.where(denom > 0, raw / np.where(denom > 0, denom, 1.0), -1.0)
         sims = np.clip(sims, -1.0, 1.0)
 
         best = sims.max(axis=0)
-        selected: set[int] = set()
-        for qi in range(sims.shape[0]):
-            row = sims[qi]
-            order = sorted(
-                range(len(entries)), key=lambda j: (-row[j], entries[j].entry_id)
-            )
-            selected.update(order[: min(k, len(entries))])
-        ranked = sorted(selected, key=lambda j: (-best[j], entries[j].entry_id))
-        for j in ranked:
-            entry = entries[j]
+        selected = np.unique(np.concatenate([_top_k(row, part.rank, k) for row in sims]))
+        ranked = selected[np.lexsort((part.rank[selected], -best[selected]))]
+        for j in ranked.tolist():
+            entry = part.entries[j]
             hits.append(
                 ScoredHit(
                     entry_id=entry.entry_id,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import shutil
+from decimal import Decimal
 
 import pytest
 import yaml
@@ -217,6 +218,27 @@ def test_ablate_shows_arm_ordering(workspace, capsys):
     assert knowledge == (1.0, 1.0)
     assert bench[0] < enhanced[0] <= knowledge[0]
     assert bench[1] < enhanced[1] < knowledge[1]
+
+
+def test_ablate_honours_value_match_rel_tol(workspace, capsys):
+    # two documents; every value label sits 0.1% above the reported value
+    for path in (workspace / "corpus").iterdir():
+        if path.name not in ("doc00.json", "doc01.json"):
+            path.unlink()
+    labels_path = workspace / "labels.jsonl"
+    rows = [json.loads(line) for line in labels_path.read_text(encoding="utf-8").splitlines()]
+    for row in rows:
+        for label in row["value_labels"]:
+            label["value"] = str(Decimal(str(label["value"])) * Decimal("1.001"))
+    labels_path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    report = workspace / "out" / "report-enhanced_rag_knowledge.json"
+
+    assert main(["ablate", "--config", _config_path(workspace)]) == EXIT_OK
+    assert json.loads(report.read_text(encoding="utf-8"))["acc_de"] < 1.0
+
+    cfg = _rewrite_config(workspace, lambda raw: raw.update(value_match_rel_tol=0.005))
+    assert main(["ablate", "--config", cfg]) == EXIT_OK
+    assert json.loads(report.read_text(encoding="utf-8"))["acc_de"] == 1.0
 
 
 # -------------------------------------------------------------------- analyze

@@ -236,6 +236,38 @@ def test_save_load_round_trip_bytes(corpus_docs, embedder, tmp_path):
     assert again.table_texts == kb.table_texts
 
 
+def test_load_keeps_vectors_and_builds_partitions_once(
+    corpus_docs, embedder, tmp_path, monkeypatch
+):
+    import json
+
+    from esgpipe import kb as kbmod
+    from esgpipe.retrieval import Query, search
+
+    path = tmp_path / "kb.json"
+    save(build(corpus_docs[0], embedder), path)
+    saved = [e["vector"] for e in json.loads(path.read_text())["entries"]]
+
+    built = []
+
+    def counting(entries, dim):
+        built.append(len(entries))
+        return original(entries, dim)
+
+    original = kbmod._partition
+    monkeypatch.setattr(kbmod, "_partition", counting)
+    kb = load(path)
+    assert [list(e.vector) for e in kb.entries] == saved
+    assert len(built) == len(Source)
+    parts = {s: kb.partition(s) for s in Source}
+    query = Query(indicator_id="q", query_texts=["q"], vectors=[saved[0]])
+    for _ in range(3):
+        search(kb, query, 5)
+    assert len(built) == len(Source)
+    assert all(kb.partition(s) is parts[s] for s in Source)
+    assert sum(len(p.entries) for p in parts.values()) == len(kb.entries)
+
+
 def test_load_rejects_wrong_version(corpus_docs, embedder, tmp_path):
     import json
 

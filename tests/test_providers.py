@@ -171,6 +171,7 @@ class _Handler(BaseHTTPRequestHandler):
             "path": self.path,
             "auth": self.headers.get("Authorization"),
             "payload": payload,
+            "client_port": self.client_address[1],
         })
         status, body = self.server.responder(self.path, payload)
         raw = body if isinstance(body, bytes) else json.dumps(body).encode()
@@ -198,6 +199,79 @@ def http_server():
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+
+class _KeepAliveHandler(_Handler):
+    protocol_version = "HTTP/1.1"  # the connection stays open between requests
+
+
+def test_http_endpoint_reuses_one_connection_per_thread():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler)
+    server.calls = []
+    server.responder = lambda p, body: (200, {"ok": True})
+    serving = threading.Thread(target=server.serve_forever, daemon=True)
+    serving.start()
+    endpoint = HttpEndpoint(f"http://127.0.0.1:{server.server_address[1]}/x", retries=0)
+
+    def calls(name):
+        for _ in range(4):
+            assert endpoint.post({"thread": name}) == {"ok": True}
+        endpoint._session().close()
+
+    try:
+        workers = [threading.Thread(target=calls, args=(f"w{n}",)) for n in range(3)]
+        for w in workers:
+            w.start()
+        calls("main")
+        for w in workers:
+            w.join(timeout=10)
+        assert not any(w.is_alive() for w in workers)
+    finally:
+        server.shutdown()
+        server.server_close()
+        serving.join(timeout=5)
+    ports: dict[str, set[int]] = {}
+    for call in server.calls:
+        ports.setdefault(call["payload"]["thread"], set()).add(call["client_port"])
+    assert len(server.calls) == 16
+    assert all(len(p) == 1 for p in ports.values()), ports
+    assert len(set.union(*ports.values())) == 4
+
+
+def test_jaccard_token_cache_is_thread_safe():
+    import sys
+
+    class SmallCache(JaccardReranker):
+        TOKEN_CACHE_SIZE = 8  # far fewer slots than texts: constant eviction
+
+    texts = [f"shared words {n} w{n % 5} v{n % 3}" for n in range(40)]
+
+    def jaccard(q, c):
+        qs, cs = set(tokenize(q)), set(tokenize(c))
+        return len(qs & cs) / len(qs | cs)
+
+    want = {q: [jaccard(q, c) for c in texts] for q in texts[:6]}
+    reranker = SmallCache()
+    wrong = []
+
+    def score():
+        for _ in range(20):
+            for q, expected in want.items():
+                if reranker.score(q, texts) != expected:
+                    wrong.append(q)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=score) for _ in range(6)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert wrong == []
 
 
 def test_http_embedder_contract(http_server):

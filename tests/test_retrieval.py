@@ -175,6 +175,64 @@ def test_search_respects_per_source_k():
     assert sum(1 for h in hits if h.source is Source.OUTLINE) == 1
 
 
+def _reordered_kb(vectors, sources):
+    """Entries t9995, t9996, ...: past t9999 the ids sort before the
+    first ones ("t10000" < "t9995"), so string order differs from
+    insertion order."""
+    entries = [
+        Entry(
+            entry_id=f"t{9995 + n}", source=source, doc_id="d",
+            payload_text=f"p{n}", vector=list(vec), anchor=f"flat:{n}",
+        )
+        for n, (vec, source) in enumerate(zip(vectors, sources))
+    ]
+    return KnowledgeBase(scope="d", provider_name="t", dim=len(vectors[0]), entries=entries)
+
+
+def _assert_matches_oracle(kb, query, k):
+    got = [(round(h.similarity, 10), h.entry_id) for h in search(kb, query, k)]
+    want = [(round(s, 10), eid) for s, eid in oracle_search(kb, query, k)]
+    assert got == want, f"k={k}"
+
+
+def test_search_heavy_ties_follow_entry_id_order():
+    rng = random.Random(11)
+    dim = 8
+    distinct = [[rng.uniform(-1, 1) for _ in range(dim)] for _ in range(3)]
+    distinct.append([0.0] * dim)
+    vectors = [distinct[n % len(distinct)] for n in range(24)]
+    sources = [Source.TEXT if n % 3 else Source.OUTLINE for n in range(24)]
+    kb = _reordered_kb(vectors, sources)
+    query = Query(
+        indicator_id="q", query_texts=["a", "b", "zero"],
+        vectors=[distinct[0], distinct[2], [0.0] * dim],
+    )
+    for k in range(1, 20):
+        _assert_matches_oracle(kb, query, k)
+
+
+def test_search_k_at_least_partition_size():
+    rng = random.Random(12)
+    vectors = [[rng.uniform(-1, 1) for _ in range(DIM)] for _ in range(12)]
+    kb = _reordered_kb(vectors, [Source.TEXT] * 7 + [Source.OUTLINE] * 5)
+    query = random_query(rng, 2)
+    for k in (5, 7, 8, 50):
+        _assert_matches_oracle(kb, query, k)
+    assert len(search(kb, query, 7)) == 12
+
+
+def test_search_single_entry_partition():
+    rng = random.Random(13)
+    vectors = [[rng.uniform(-1, 1) for _ in range(DIM)] for _ in range(8)]
+    kb = _reordered_kb(vectors, [Source.TEXT] * 7 + [Source.OUTLINE])
+    query = random_query(rng, 3)
+    for k in (1, 2, 6):
+        _assert_matches_oracle(kb, query, k)
+        assert [h.entry_id for h in search(kb, query, k) if h.source is Source.OUTLINE] == [
+            "t10002"
+        ]
+
+
 def test_search_rejects_bad_inputs():
     rng = random.Random(1)
     kb = random_kb(rng, 5)
