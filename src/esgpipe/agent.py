@@ -32,6 +32,7 @@ from .retrieval import (
     DEFAULT_TOP_K,
     NO_EVIDENCE_SENTINEL,
     EvidenceBundle,
+    Query,
     assemble_evidence,
     build_query,
     rerank,
@@ -432,29 +433,34 @@ class ExtractConfig:
     generation_params: dict = field(default_factory=lambda: {"temperature": 0.0})
 
 
-def extract_indicator(
-    doc_id: str,
+def retrieve_evidence(
     spec: IndicatorSpec,
     kb: KnowledgeBase,
-    registry: MetadataRegistry,
+    query: Query,
     providers: ProviderSet,
-    cfg: ExtractConfig | None = None,
-) -> list[ExtractionRecord]:
-    """Retrieval -> prompt -> provider -> parse for one indicator.
-
-    Transport failures retry with exponential backoff; exhausting the
-    retries yields a provider-failed non-disclosure record rather than
-    an exception. Only misconfiguration (a missing provider) aborts.
-    """
-    if providers.chat is None or providers.embedder is None:
-        raise ConfigError("extraction requires chat and embedding providers")
-    cfg = cfg or ExtractConfig()
-
-    query = build_query(spec, registry, providers.embedder, cfg.use_search_terms)
+    cfg: ExtractConfig,
+) -> EvidenceBundle:
+    """Search, optional rerank, and budgeted assembly for one indicator."""
     hits = search(kb, query, cfg.top_k)
     if cfg.use_rerank:
         hits = rerank(hits, query.query_texts[0], providers.reranker, cfg.rerank_m)
-    evidence = assemble_evidence(hits, cfg.budget_chars, indicator_id=spec.id)
+    return assemble_evidence(hits, cfg.budget_chars, indicator_id=spec.id)
+
+
+def answer_indicator(
+    doc_id: str,
+    spec: IndicatorSpec,
+    evidence: EvidenceBundle,
+    registry: MetadataRegistry,
+    providers: ProviderSet,
+    cfg: ExtractConfig,
+) -> list[ExtractionRecord]:
+    """Prompt -> provider -> parse for one indicator's evidence.
+
+    Transport failures retry with exponential backoff; exhausting the
+    retries yields a provider-failed non-disclosure record rather than
+    an exception.
+    """
     prompt = build_prompt(
         spec, evidence, registry, knowledge_enabled=cfg.knowledge_enabled, doc_id=doc_id
     )
@@ -494,3 +500,24 @@ def extract_indicator(
     records = parse_reply(reply, spec, doc_id=doc_id)
     records.sort(key=lambda r: r.topic)
     return records
+
+
+def extract_indicator(
+    doc_id: str,
+    spec: IndicatorSpec,
+    kb: KnowledgeBase,
+    registry: MetadataRegistry,
+    providers: ProviderSet,
+    cfg: ExtractConfig | None = None,
+) -> list[ExtractionRecord]:
+    """Retrieval -> prompt -> provider -> parse for one indicator.
+
+    Chat failures degrade to a flagged record (see `answer_indicator`);
+    only misconfiguration (a missing provider) aborts.
+    """
+    if providers.chat is None or providers.embedder is None:
+        raise ConfigError("extraction requires chat and embedding providers")
+    cfg = cfg or ExtractConfig()
+    query = build_query(spec, registry, providers.embedder, cfg.use_search_terms)
+    evidence = retrieve_evidence(spec, kb, query, providers, cfg)
+    return answer_indicator(doc_id, spec, evidence, registry, providers, cfg)

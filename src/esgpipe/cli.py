@@ -41,7 +41,6 @@ import logging
 import os
 import shutil
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -66,7 +65,7 @@ from .pipeline import (
     PipelineConfig,
     ablation_arm,
     build_document_kb,
-    extract_document,
+    run_corpus,
 )
 from .providers import (
     HashEmbedder,
@@ -120,6 +119,7 @@ class RunConfig:
     budget_chars: int
     max_chars: int
     naive_chunk_chars: int
+    summary_sentences: int
     providers_cfg: dict
     snapshot: dict = field(default_factory=dict)
 
@@ -198,11 +198,14 @@ def load_run_config(path: str | Path) -> RunConfig:
         naive_chunk_chars=int(
             chunking.get("naive_chunk_chars", kbmod.DEFAULT_NAIVE_CHUNK_CHARS)
         ),
+        summary_sentences=int(providers_cfg.get("summary", {}).get("sentences", 2)),
         providers_cfg=providers_cfg,
         snapshot=raw,
     )
     if config.jobs < 1:
         raise ConfigError(f"config {path}: jobs must be >= 1")
+    if config.summary_sentences < 1:
+        raise ConfigError(f"config {path}: providers.summary.sentences must be >= 1")
     return config
 
 
@@ -217,7 +220,6 @@ def build_providers(config: RunConfig) -> ProviderSet:
     emb_cfg = config.providers_cfg.get("embedding", {})
     chat_cfg = config.providers_cfg.get("chat", {})
     rerank_cfg = config.providers_cfg.get("rerank", {})
-    summary_cfg = config.providers_cfg.get("summary", {})
 
     def endpoint(cfg: dict) -> HttpEndpoint:
         return HttpEndpoint(
@@ -241,7 +243,7 @@ def build_providers(config: RunConfig) -> ProviderSet:
             logger.warning("no mock replies configured; chat will refuse everything")
             chat = MockChatProvider([])
         reranker = JaccardReranker()
-    summarizer = LeadSentenceSummarizer(int(summary_cfg.get("sentences", 2)))
+    summarizer = LeadSentenceSummarizer(config.summary_sentences)
     return ProviderSet(embedder=embedder, chat=chat, reranker=reranker, summarizer=summarizer)
 
 
@@ -253,7 +255,9 @@ def pipeline_config(config: RunConfig, arm_id: str) -> PipelineConfig:
             rerank_m=config.rerank_m,
             budget_chars=config.budget_chars,
         ),
-        kb_build=kbmod.BuildConfig(max_chars=config.max_chars),
+        kb_build=kbmod.BuildConfig(
+            max_chars=config.max_chars, summary_sentences=config.summary_sentences
+        ),
         naive_chunk_chars=config.naive_chunk_chars,
     )
 
@@ -285,33 +289,15 @@ def corpus_files(config: RunConfig) -> list[Path]:
     )
 
 
-def ingest_corpus(
-    files: Sequence[Path],
-) -> tuple[list[docmodel.StructuredDocument], list[str]]:
-    """Ingest every file; returns (documents, skip messages)."""
-    docs = []
-    skipped = []
-    for path in files:
-        try:
-            docs.append(docmodel.ingest(path))
-        except DocumentError as exc:
-            logger.warning("skipping %s: %s", path, exc)
-            skipped.append(f"{path.name}: {exc}")
-    docs.sort(key=lambda d: d.doc_id)
-    seen: dict[str, str] = {}
-    for d in docs:
-        if d.doc_id in seen:
-            raise DocumentError(
-                f"duplicate doc_id {d.doc_id!r} in corpus"
-            )
-        seen[d.doc_id] = d.doc_id
-    return docs, skipped
-
-
 def kb_cache_path(config: RunConfig, doc_path: Path, embedder_name: str, mode: str) -> Path:
-    chunk_param = config.max_chars if mode == "structured" else config.naive_chunk_chars
+    """One file per (document bytes, embedder, mode, the mode's build
+    parameters): chunk size, plus summary length for structured KBs."""
+    if mode == "structured":
+        params = f"{config.max_chars}-s{config.summary_sentences}"
+    else:
+        params = str(config.naive_chunk_chars)
     digest = sha256_file(doc_path)[:16]
-    name = f"{digest}-{embedder_name}-{mode}-{chunk_param}.json"
+    name = f"{digest}-{embedder_name}-{mode}-{params}.json"
     return config.output_dir / "kb_cache" / name
 
 
@@ -374,7 +360,7 @@ def _print_plan(title: str, items: dict[str, object]) -> None:
         print(f"  {key}: {value}")
 
 
-def _extract_all(
+def _extract_records(
     docs: Sequence[docmodel.StructuredDocument],
     doc_paths: dict[str, Path],
     registry: metadata.MetadataRegistry,
@@ -382,25 +368,30 @@ def _extract_all(
     pcfg: PipelineConfig,
     config: RunConfig,
 ) -> list[agent.ExtractionRecord]:
-    """Per-document extraction with a bounded worker pool; output order
-    is by doc_id regardless of scheduling."""
+    """`pcfg.arm` over the corpus, KBs through the disk cache; the first
+    document that fails aborts the run with its error."""
 
-    def one(doc: docmodel.StructuredDocument) -> list[agent.ExtractionRecord]:
-        built = build_or_load_kb(doc, doc_paths[doc.doc_id], providers, pcfg, config)
-        return extract_document(doc, registry, built, providers, pcfg)
+    def source_kb(
+        doc: docmodel.StructuredDocument, kb_cfg: PipelineConfig
+    ) -> kbmod.KnowledgeBase:
+        return build_or_load_kb(doc, doc_paths[doc.doc_id], providers, kb_cfg, config)
 
-    results: dict[str, list[agent.ExtractionRecord]] = {}
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            for doc, records in zip(docs, pool.map(one, docs)):
-                results[doc.doc_id] = records
-    else:
-        for doc in docs:
-            results[doc.doc_id] = one(doc)
     out: list[agent.ExtractionRecord] = []
-    for doc_id in sorted(results):
-        out.extend(results[doc_id])
+    arm_id = pcfg.arm.config_id
+    for result in run_corpus(
+        docs, registry, providers, pcfg, [pcfg.arm], jobs=config.jobs, source_kb=source_kb
+    ):
+        if result.errors:
+            raise result.errors[arm_id]
+        out.extend(result.records[arm_id])
     return out
+
+
+def _write_records_atomic(records: Sequence[agent.ExtractionRecord], path: Path) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    agent.write_records(records, tmp)
+    os.replace(tmp, path)
 
 
 # --- subcommands ---
@@ -408,11 +399,11 @@ def _extract_all(
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
-    files = corpus_files(config)
     if args.dry_run:
+        files = corpus_files(config)
         _print_plan("ingest", {"corpus_dir": config.corpus_dir, "files": len(files)})
         return EXIT_OK
-    docs, skipped = ingest_corpus(files)
+    docs, _paths, skipped = _load_corpus_with_paths(config)
     out_dir = config.output_dir / "structured"
     for doc in docs:
         write_text_atomic(out_dir / f"{doc.doc_id}.json", docmodel.serialize(doc))
@@ -461,6 +452,8 @@ def cmd_build_kb(args: argparse.Namespace) -> int:
 def _load_corpus_with_paths(
     config: RunConfig,
 ) -> tuple[list[docmodel.StructuredDocument], dict[str, Path], list[str]]:
+    """Ingest every corpus file: (documents by doc_id, doc_id -> source
+    path, skip messages). A duplicate doc_id is an input error."""
     files = corpus_files(config)
     docs = []
     paths: dict[str, Path] = {}
@@ -503,13 +496,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if not docs:
         print("error: no documents ingested", file=sys.stderr)
         return EXIT_INPUT
-    records = _extract_all(docs, paths, registry, providers, pcfg, config)
+    records = _extract_records(docs, paths, registry, providers, pcfg, config)
 
     records_path = config.output_dir / "records.jsonl"
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    tmp = records_path.with_name(records_path.name + ".tmp")
-    agent.write_records(records, tmp)
-    os.replace(tmp, records_path)
+    _write_records_atomic(records, records_path)
 
     inputs = {str(p): sha256_file(p) for p in paths.values()}
     registry_path = config.registry_path or metadata.bundled_registry_path()
@@ -570,7 +560,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if not docs:
             print("error: no documents ingested", file=sys.stderr)
             return EXIT_INPUT
-        records = _extract_all(docs, paths, registry, providers, pcfg, config)
+        records = _extract_records(docs, paths, registry, providers, pcfg, config)
+        _write_records_atomic(records, config.output_dir / "records.jsonl")
         provider_name = providers.chat.name
 
     by_doc: dict[str, list[agent.ExtractionRecord]] = {}
@@ -637,15 +628,13 @@ def _run_ablation_command(
         base_cfg,
         records_sink=records_sink,
         rel_tol=config.rel_tol,
+        jobs=config.jobs,
     )
 
     outputs: dict[str, str] = {}
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     for arm in arms:
         rec_path = config.output_dir / f"records-{arm.config_id}.jsonl"
-        tmp = rec_path.with_name(rec_path.name + ".tmp")
-        agent.write_records(records_sink.get(arm.config_id, []), tmp)
-        os.replace(tmp, rec_path)
+        _write_records_atomic(records_sink.get(arm.config_id, []), rec_path)
         outputs[str(rec_path)] = sha256_file(rec_path)
     for report in reports:
         path = config.output_dir / f"report-{report.config_id}.json"

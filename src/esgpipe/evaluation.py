@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from importlib import resources
 from pathlib import Path
@@ -30,14 +30,8 @@ from typing import Sequence
 from .agent import ExtractionRecord
 from .docmodel import StructuredDocument
 from .errors import EvaluationError, PipelineError
-from .kb import KnowledgeBase
 from .metadata import MetadataRegistry
-from .pipeline import (
-    AblationConfig,
-    PipelineConfig,
-    build_document_kb,
-    extract_document,
-)
+from .pipeline import AblationConfig, PipelineConfig, run_corpus
 from .providers import ProviderSet
 
 logger = logging.getLogger(__name__)
@@ -192,7 +186,10 @@ def disclosed_recall(
     """Agreement restricted to indicators labeled disclosed (the prose
     reading of the coverage metric); None when nothing is labeled
     disclosed."""
-    rows = dc_rows(labels, records, registry)
+    return _recall_from_dc(dc_rows(labels, records, registry))
+
+
+def _recall_from_dc(rows: Sequence[dict]) -> float | None:
     disclosed = [r for r in rows if r["labeled"]]
     if not disclosed:
         return None
@@ -298,7 +295,7 @@ def evaluate_document(
         provider_name=provider_name,
         acc_dc=sum(r["match"] for r in dc) / len(dc),
         acc_de=(sum(r["match"] for r in de) / len(de)) if de else None,
-        disclosed_recall=disclosed_recall(labels, records, registry),
+        disclosed_recall=_recall_from_dc(dc),
         n_mq=len(dc),
         n_v=len(de),
         dc_table=dc,
@@ -340,65 +337,62 @@ def run_ablation(
     providers: ProviderSet,
     base_cfg: PipelineConfig | None = None,
     records_sink: dict[str, list[ExtractionRecord]] | None = None,
-    kb_cache: dict[tuple[str, str], KnowledgeBase] | None = None,
     rel_tol: float | None = None,
+    jobs: int = 1,
 ) -> list[EvaluationReport]:
     """Run each arm over the corpus; one aggregate report per arm.
 
     A document failing inside one arm is reported in that report's
     errors list and excluded from its means; other documents and arms
     proceed. `records_sink`, when given, receives config_id -> all
-    records. `kb_cache` deduplicates KB builds across arms that share
-    preprocessing (keyed by doc_id + preprocessing mode). `rel_tol` is
-    the relative tolerance for value matches (None: exact).
+    records. KBs are built in memory, once per document and
+    preprocessing mode. `rel_tol` is the relative tolerance for value
+    matches (None: exact); `jobs` is the number of extraction threads.
     """
     base_cfg = base_cfg or PipelineConfig()
     missing = [d.doc_id for d in docs if d.doc_id not in labels_by_doc]
     if missing:
         raise EvaluationError(f"no labels for documents: {missing}")
-    if kb_cache is None:
-        kb_cache = {}
+
+    aliases = UnitAliases.bundled()
+    doc_reports: dict[str, list[EvaluationReport]] = {a.config_id: [] for a in configs}
+    errors: dict[str, list[str]] = {a.config_id: [] for a in configs}
+    arm_records: dict[str, list[ExtractionRecord]] = {a.config_id: [] for a in configs}
+    for result in run_corpus(docs, registry, providers, base_cfg, configs, jobs=jobs):
+        for arm in configs:
+            failure = result.errors.get(arm.config_id)
+            if failure is None:
+                records = result.records[arm.config_id]
+                arm_records[arm.config_id].extend(records)
+                try:
+                    doc_reports[arm.config_id].append(
+                        evaluate_document(
+                            labels_by_doc[result.doc_id],
+                            records,
+                            registry,
+                            config_id=arm.config_id,
+                            provider_name=providers.chat.name,
+                            aliases=aliases,
+                            rel_tol=rel_tol,
+                        )
+                    )
+                except PipelineError as exc:
+                    failure = exc
+            if failure is not None:
+                logger.error("arm %s failed on %s: %s", arm.config_id, result.doc_id, failure)
+                errors[arm.config_id].append(f"{result.doc_id}: {failure}")
 
     reports: list[EvaluationReport] = []
-    aliases = UnitAliases.bundled()
     for arm in configs:
-        cfg = replace(base_cfg, arm=arm)
-        doc_reports: list[EvaluationReport] = []
-        errors: list[str] = []
-        arm_records: list[ExtractionRecord] = []
-        for doc in docs:
-            mode = "structured" if arm.use_structured_preprocessing else "naive"
-            try:
-                cache_key = (doc.doc_id, mode)
-                kb = kb_cache.get(cache_key)
-                if kb is None:
-                    kb = build_document_kb(doc, providers, cfg)
-                    kb_cache[cache_key] = kb
-                records = extract_document(doc, registry, kb, providers, cfg)
-                arm_records.extend(records)
-                doc_reports.append(
-                    evaluate_document(
-                        labels_by_doc[doc.doc_id],
-                        records,
-                        registry,
-                        config_id=arm.config_id,
-                        provider_name=providers.chat.name,
-                        aliases=aliases,
-                        rel_tol=rel_tol,
-                    )
-                )
-            except PipelineError as exc:
-                logger.error("arm %s failed on %s: %s", arm.config_id, doc.doc_id, exc)
-                errors.append(f"{doc.doc_id}: {exc}")
         if records_sink is not None:
-            records_sink[arm.config_id] = arm_records
-        if doc_reports:
+            records_sink[arm.config_id] = arm_records[arm.config_id]
+        if doc_reports[arm.config_id]:
             reports.append(
                 aggregate_reports(
-                    doc_reports,
+                    doc_reports[arm.config_id],
                     config_id=arm.config_id,
                     provider_name=providers.chat.name,
-                    errors=errors,
+                    errors=errors[arm.config_id],
                 )
             )
         else:
@@ -412,7 +406,7 @@ def run_ablation(
                     disclosed_recall=None,
                     n_mq=0,
                     n_v=0,
-                    errors=errors,
+                    errors=errors[arm.config_id],
                 )
             )
     return reports

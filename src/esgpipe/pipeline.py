@@ -1,4 +1,4 @@
-"""Per-document pipeline orchestration shared by the evaluator and CLI.
+"""Corpus orchestration shared by the evaluator and CLI.
 
 The three ablation arms differ along three independent switches:
 
@@ -8,16 +8,29 @@ The three ablation arms differ along three independent switches:
 - enhanced retrieval: search-term query expansion plus reranking,
   versus a question-only query with no rerank;
 - knowledge injection: the indicator definition in the prompt, or not.
+
+`run_corpus` is the one runner behind `extract`, `evaluate` and
+`ablate`. It plans once per run: every query is embedded in a single
+call (query text depends on the indicator and the search-term switch,
+never on the document), and arms with the same KB mode and retrieval
+switches form one retrieval group, so they share each search, rerank
+and evidence bundle; only the prompt, chat call and parse run per arm.
+It then executes document by document: source the document's KBs, fan
+its (indicator x group) work over one pool of `jobs` threads, and drop
+the KBs and evidence before the next document.
 """
 
 from __future__ import annotations
 
 import logging
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, Sequence
 
-from .agent import ExtractConfig, ExtractionRecord, extract_indicator
+from .agent import ExtractConfig, ExtractionRecord, answer_indicator, retrieve_evidence
 from .docmodel import StructuredDocument
-from .errors import ConfigError
+from .errors import ConfigError, PipelineError
 from .kb import (
     DEFAULT_NAIVE_CHUNK_CHARS,
     BuildConfig,
@@ -25,8 +38,9 @@ from .kb import (
     build,
     build_naive,
 )
-from .metadata import MetadataRegistry
+from .metadata import IndicatorSpec, MetadataRegistry
 from .providers import ProviderSet
+from .retrieval import Query, build_queries
 
 logger = logging.getLogger(__name__)
 
@@ -87,6 +101,165 @@ def build_document_kb(
     return build_naive(doc, providers.embedder, cfg.naive_chunk_chars)
 
 
+# (document, config whose arm selects the KB mode) -> that document's KB
+KbSource = Callable[[StructuredDocument, PipelineConfig], KnowledgeBase]
+
+
+@dataclass(frozen=True)
+class RetrievalGroup:
+    """Arms with the same KB mode and retrieval switches: one search,
+    rerank and evidence bundle per indicator serves all of them."""
+
+    kb_cfg: PipelineConfig  # its arm selects the KB mode
+    arms: tuple[tuple[AblationConfig, ExtractConfig], ...]  # (arm, effective config)
+
+    @property
+    def structured(self) -> bool:
+        return self.kb_cfg.arm.use_structured_preprocessing
+
+    @property
+    def retrieval(self) -> ExtractConfig:
+        """Retrieval settings, equal in every arm of the group."""
+        return self.arms[0][1]
+
+
+@dataclass
+class CorpusPlan:
+    groups: list[RetrievalGroup]
+    queries: dict[tuple[str, bool], Query]  # (indicator id, use_search_terms) -> query
+
+
+@dataclass
+class DocumentResult:
+    """One document's outcome per arm id: its records sorted by
+    (indicator_id, topic), or the error that stopped the arm there."""
+
+    doc_id: str
+    records: dict[str, list[ExtractionRecord]] = field(default_factory=dict)
+    errors: dict[str, PipelineError] = field(default_factory=dict)
+
+    def fail(self, group: RetrievalGroup, error: PipelineError) -> None:
+        for arm, _eff in group.arms:
+            self.errors[arm.config_id] = error
+
+
+def plan_corpus(
+    registry: MetadataRegistry,
+    providers: ProviderSet,
+    cfg: PipelineConfig,
+    arms: Sequence[AblationConfig],
+) -> CorpusPlan:
+    """Group the arms and embed every query they need in one call."""
+    if providers.chat is None or providers.embedder is None:
+        raise ConfigError("extraction requires chat and embedding providers")
+    grouped: dict[tuple[bool, bool, bool], list[tuple[AblationConfig, ExtractConfig]]] = {}
+    for arm in arms:
+        eff = replace(cfg, arm=arm).effective_extract()
+        key = (arm.use_structured_preprocessing, eff.use_search_terms, eff.use_rerank)
+        grouped.setdefault(key, []).append((arm, eff))
+    groups = [
+        RetrievalGroup(replace(cfg, arm=members[0][0]), tuple(members))
+        for members in grouped.values()
+    ]
+    switches = sorted({g.retrieval.use_search_terms for g in groups})
+    queries = build_queries(registry.indicators, registry, providers.embedder, switches)
+    return CorpusPlan(groups, queries)
+
+
+def _extract_group(
+    doc_id: str,
+    group: RetrievalGroup,
+    kb: KnowledgeBase,
+    spec: IndicatorSpec,
+    plan: CorpusPlan,
+    registry: MetadataRegistry,
+    providers: ProviderSet,
+) -> list[list[ExtractionRecord]] | PipelineError:
+    """One indicator for every arm of a group: the records per arm, in
+    the group's arm order, or the error that stopped retrieval."""
+    try:
+        query = plan.queries[(spec.id, group.retrieval.use_search_terms)]
+        evidence = retrieve_evidence(spec, kb, query, providers, group.retrieval)
+        return [
+            answer_indicator(doc_id, spec, evidence, registry, providers, eff)
+            for _arm, eff in group.arms
+        ]
+    except PipelineError as exc:
+        return exc
+
+
+def _run_document(
+    doc: StructuredDocument,
+    plan: CorpusPlan,
+    registry: MetadataRegistry,
+    providers: ProviderSet,
+    source_kb: KbSource,
+    map_fn: Callable,
+) -> DocumentResult:
+    result = DocumentResult(doc.doc_id)
+    kbs: dict[bool, KnowledgeBase | PipelineError] = {}
+    live: list[tuple[RetrievalGroup, KnowledgeBase]] = []
+    for group in plan.groups:
+        if group.structured not in kbs:
+            try:
+                kbs[group.structured] = source_kb(doc, group.kb_cfg)
+            except PipelineError as exc:
+                kbs[group.structured] = exc
+        kb = kbs[group.structured]
+        if isinstance(kb, PipelineError):
+            result.fail(group, kb)
+        else:
+            live.append((group, kb))
+
+    specs = registry.indicators
+    tasks = [(group, kb, spec) for group, kb in live for spec in specs]
+    outcomes = list(
+        map_fn(lambda task: _extract_group(doc.doc_id, *task, plan, registry, providers), tasks)
+    )
+    for n, (group, _kb) in enumerate(live):
+        per_spec = outcomes[n * len(specs) : (n + 1) * len(specs)]
+        error = next((o for o in per_spec if isinstance(o, PipelineError)), None)
+        if error is not None:
+            result.fail(group, error)
+            continue
+        for i, (arm, _eff) in enumerate(group.arms):
+            records = [r for per_arm in per_spec for r in per_arm[i]]
+            records.sort(key=lambda r: (r.indicator_id, r.topic))
+            result.records[arm.config_id] = records
+    return result
+
+
+def run_corpus(
+    docs: Sequence[StructuredDocument],
+    registry: MetadataRegistry,
+    providers: ProviderSet,
+    cfg: PipelineConfig,
+    arms: Sequence[AblationConfig],
+    jobs: int = 1,
+    source_kb: KbSource | None = None,
+) -> Iterator[DocumentResult]:
+    """Extract every registry indicator for every arm, one result per
+    document in `docs` order.
+
+    `source_kb` supplies a document's KB for a mode (default: build it
+    in memory). A PipelineError while sourcing a KB or retrieving
+    evidence fails the arms that depend on it for that document only;
+    a failing query-plan `embed` raises before any document runs.
+    """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    plan = plan_corpus(registry, providers, cfg, arms)
+    if source_kb is None:
+
+        def source_kb(doc: StructuredDocument, kb_cfg: PipelineConfig) -> KnowledgeBase:
+            return build_document_kb(doc, providers, kb_cfg)
+
+    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        map_fn = pool.map if pool is not None else map
+        for doc in docs:
+            yield _run_document(doc, plan, registry, providers, source_kb, map_fn)
+
+
 def extract_document(
     doc: StructuredDocument,
     registry: MetadataRegistry,
@@ -94,16 +267,12 @@ def extract_document(
     providers: ProviderSet,
     cfg: PipelineConfig,
 ) -> list[ExtractionRecord]:
-    """Extract every registry indicator from one document.
+    """Extract every registry indicator from one document with `cfg.arm`.
 
     Output is sorted by (indicator_id, topic) so record files are
     stable regardless of execution order.
     """
-    extract_cfg = cfg.effective_extract()
-    records: list[ExtractionRecord] = []
-    for spec in registry.indicators:
-        records.extend(
-            extract_indicator(doc.doc_id, spec, kb, registry, providers, extract_cfg)
-        )
-    records.sort(key=lambda r: (r.indicator_id, r.topic))
-    return records
+    (result,) = run_corpus([doc], registry, providers, cfg, [cfg.arm], source_kb=lambda d, c: kb)
+    if result.errors:
+        raise result.errors[cfg.arm.config_id]
+    return result.records[cfg.arm.config_id]

@@ -64,6 +64,16 @@ class EvidenceBundle:
     truncated: bool = False
 
 
+def query_texts(
+    spec: IndicatorSpec, registry: MetadataRegistry, use_search_terms: bool = True
+) -> list[str]:
+    """The rendered question, then each search term (when enabled)."""
+    texts = [render_question(spec, registry)]
+    if use_search_terms:
+        texts.extend(spec.search_terms)
+    return texts
+
+
 def build_query(
     spec: IndicatorSpec,
     registry: MetadataRegistry,
@@ -71,10 +81,36 @@ def build_query(
     use_search_terms: bool = True,
 ) -> Query:
     """Question vector plus one vector per search term (when enabled)."""
-    texts = [render_question(spec, registry)]
-    if use_search_terms:
-        texts.extend(spec.search_terms)
+    texts = query_texts(spec, registry, use_search_terms)
     return Query(indicator_id=spec.id, query_texts=texts, vectors=embedder.embed(texts))
+
+
+def build_queries(
+    specs: Sequence[IndicatorSpec],
+    registry: MetadataRegistry,
+    embedder: EmbeddingProvider,
+    search_term_switches: Sequence[bool],
+) -> dict[tuple[str, bool], Query]:
+    """Queries keyed by (indicator id, use_search_terms), every switch in
+    `search_term_switches` for every spec, from one `embed` call over
+    the distinct query texts. Each query equals `build_query`'s."""
+    texts = {
+        (spec.id, switch): query_texts(spec, registry, switch)
+        for switch in search_term_switches
+        for spec in specs
+    }
+    distinct = list(dict.fromkeys(t for ts in texts.values() for t in ts))
+    vectors = embedder.embed(distinct) if distinct else []
+    if len(vectors) != len(distinct):
+        raise ProviderError(
+            f"embedder {embedder.name!r} returned {len(vectors)} vectors "
+            f"for {len(distinct)} texts"
+        )
+    by_text = dict(zip(distinct, vectors))
+    return {
+        key: Query(indicator_id=key[0], query_texts=ts, vectors=[by_text[t] for t in ts])
+        for key, ts in texts.items()
+    }
 
 
 def cosine(a: Sequence[float], b: Sequence[float]) -> float:

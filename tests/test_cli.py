@@ -322,3 +322,94 @@ def test_online_provider_unreachable_is_exit_3(workspace, capsys):
     code = main(["extract", "--config", cfg])
     assert code == EXIT_PROVIDER
     assert "provider unreachable" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ jobs and caching
+
+
+def _keep_docs(ws, names):
+    for path in (ws / "corpus").iterdir():
+        if path.name not in names:
+            path.unlink()
+
+
+def _outputs(out_dir):
+    return {
+        p.name: p.read_bytes()
+        for pattern in ("records*.jsonl", "report*.json")
+        for p in out_dir.glob(pattern)
+    }
+
+
+@pytest.mark.parametrize("command", ["extract", "ablate"])
+def test_jobs_do_not_change_outputs(workspace, capsys, command):
+    _keep_docs(workspace, {"doc00.json", "doc01.json", "doc02.json"})
+    outputs = {}
+    for jobs in (1, 3):
+        cfg = _rewrite_config(
+            workspace, lambda raw: raw.update(jobs=jobs, output_dir=f"out-{jobs}")
+        )
+        assert main([command, "--config", cfg]) == EXIT_OK
+        outputs[jobs] = _outputs(workspace / f"out-{jobs}")
+    assert outputs[1] and outputs[1] == outputs[3]
+
+
+def test_failing_query_embed_makes_ablate_exit_3(workspace, capsys, monkeypatch):
+    from esgpipe.errors import ProviderError
+    from esgpipe.providers import HashEmbedder
+
+    def refuse(self, texts):
+        raise ProviderError("embedding endpoint down")
+
+    monkeypatch.setattr(HashEmbedder, "embed", refuse)
+    assert main(["ablate", "--config", _config_path(workspace)]) == EXIT_PROVIDER
+    assert "provider unreachable" in capsys.readouterr().err
+    assert not list((workspace / "out").glob("records-*.jsonl"))
+
+
+def test_fresh_evaluate_writes_its_records(workspace, capsys):
+    cfg = _config_path(workspace)
+    assert main(["evaluate", "--arm", "enhanced_rag_knowledge", "--config", cfg]) == EXIT_OK
+    written = (workspace / "out" / "records.jsonl").read_bytes()
+    report = json.loads((workspace / "out" / "report.json").read_text(encoding="utf-8"))
+    assert report["provider_name"] == "mock-chat"
+    (workspace / "out" / "records.jsonl").unlink()
+    assert main(["extract", "--config", cfg]) == EXIT_OK
+    assert (workspace / "out" / "records.jsonl").read_bytes() == written
+
+
+def test_summary_sentences_reach_the_kb_and_its_cache_key(workspace, capsys):
+    _keep_docs(workspace, {"doc00.json"})
+
+    def summaries(out):
+        kb = json.loads((workspace / out / "kb" / "doc00.kb.json").read_text(encoding="utf-8"))
+        return [e["summary"] for e in kb["entries"] if e["summary"]]
+
+    def set_sentences(n):
+        def mutate(raw):
+            raw["output_dir"] = f"out-{n}"
+            if n is not None:
+                raw["providers"]["summary"] = {"kind": "offline", "sentences": n}
+        return _rewrite_config(workspace, mutate)
+
+    assert main(["build-kb", "--config", set_sentences(None)]) == EXIT_OK
+    assert main(["build-kb", "--config", set_sentences(2)]) == EXIT_OK
+    default = (workspace / "out-None" / "kb" / "doc00.kb.json").read_bytes()
+    assert (workspace / "out-2" / "kb" / "doc00.kb.json").read_bytes() == default
+
+    # one sentence, built into the same output dir as a two-sentence KB
+    cfg = set_sentences(1)
+    shutil.copytree(workspace / "out-2", workspace / "out-1")
+    assert main(["build-kb", "--config", cfg]) == EXIT_OK
+    one, two = summaries("out-1"), summaries("out-2")
+    assert len(one) == len(two) and one != two
+    assert all(len(a) <= len(b) for a, b in zip(one, two))
+    assert len(list((workspace / "out-1" / "kb_cache").iterdir())) == 2
+
+
+def test_summary_sentences_must_be_positive(workspace, capsys):
+    cfg = _rewrite_config(
+        workspace, lambda raw: raw["providers"].update(summary={"sentences": 0})
+    )
+    assert main(["build-kb", "--config", cfg]) == EXIT_CONFIG
+    assert "sentences" in capsys.readouterr().err

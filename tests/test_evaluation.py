@@ -533,3 +533,17 @@ def test_run_ablation_zero_successes_yields_empty_report(registry, corpus_docs,
     assert report.acc_de is None
     assert report.n_mq == 0
     assert report.errors
+
+
+def test_evaluate_document_validates_labels_once(registry, corpus_labels, monkeypatch):
+    from esgpipe import evaluation
+
+    calls = []
+    real = evaluation.validate_label_set
+    monkeypatch.setattr(
+        evaluation, "validate_label_set", lambda *a: calls.append(1) or real(*a)
+    )
+    labels = corpus_labels["doc00"]
+    report = evaluate_document(labels, [], registry)
+    assert len(calls) == 1
+    assert report.disclosed_recall == disclosed_recall(labels, [], registry)

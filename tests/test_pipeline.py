@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from esgpipe import agent
 from esgpipe.errors import ConfigError
+from esgpipe.evaluation import run_ablation
 from esgpipe.kb import Source
 from esgpipe.pipeline import (
     ABLATION_ARMS,
@@ -14,7 +18,13 @@ from esgpipe.pipeline import (
     ablation_arm,
     build_document_kb,
     extract_document,
+    plan_corpus,
+    run_corpus,
 )
+from esgpipe.providers import HashEmbedder
+from esgpipe.retrieval import build_query
+
+ALL_ARMS = [ABLATION_ARMS[a] for a in ("benchmark", "enhanced_rag", "enhanced_rag_knowledge")]
 
 
 def test_arm_switch_matrix():
@@ -88,3 +98,93 @@ def test_extract_document_covers_registry_sorted(registry, corpus_docs,
 def test_ablation_config_is_hashable():
     arm = AblationConfig("x", True, False, True)
     assert {arm: 1}[arm] == 1
+
+
+# ------------------------------------------------------------- corpus runner
+
+
+class _CountingEmbedder(HashEmbedder):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def embed(self, texts):
+        self.calls += 1
+        return super().embed(texts)
+
+
+def test_one_query_embed_per_run_plus_one_per_kb(registry, corpus_docs, corpus_labels,
+                                                  offline_providers):
+    docs = corpus_docs[:3]
+    embedder = _CountingEmbedder()
+    providers = dataclasses.replace(offline_providers, embedder=embedder)
+    run_ablation(docs, registry, corpus_labels, ALL_ARMS, providers)
+    assert embedder.calls == 1 + len(docs) * 2  # a naive and a structured KB per doc
+
+    embedder.calls = 0
+    cfg = PipelineConfig(arm=ABLATION_ARMS["enhanced_rag"])
+    results = list(run_corpus(docs, registry, providers, cfg, [cfg.arm], jobs=2))
+    assert [r.doc_id for r in results] == [d.doc_id for d in docs]
+    assert embedder.calls == 1 + len(docs)
+
+
+def test_arms_with_equal_retrieval_share_search_and_rerank(
+    registry, corpus_docs, corpus_labels, offline_providers, monkeypatch
+):
+    counts = {"search": 0, "rerank": 0}
+
+    def counted(name):
+        real = getattr(agent, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(agent, name, counted(name))
+    docs = corpus_docs[:2]
+    run_ablation(docs, registry, corpus_labels, ALL_ARMS, offline_providers, jobs=2)
+    n = len(registry.indicators)
+    assert counts == {"search": len(docs) * n * 2, "rerank": len(docs) * n}
+
+
+def test_plan_groups_arms_and_matches_build_query(registry, offline_providers):
+    plan = plan_corpus(registry, offline_providers, PipelineConfig(), ALL_ARMS)
+    assert [[arm.config_id for arm, _eff in g.arms] for g in plan.groups] == [
+        ["benchmark"],
+        ["enhanced_rag", "enhanced_rag_knowledge"],
+    ]
+    assert len(plan.queries) == 2 * len(registry.indicators)
+    for spec in registry.indicators[:5]:
+        for switch in (False, True):
+            want = build_query(spec, registry, offline_providers.embedder, switch)
+            assert plan.queries[(spec.id, switch)] == want
+
+
+def test_run_corpus_rejects_zero_jobs(registry, corpus_docs, offline_providers):
+    with pytest.raises(ConfigError, match="jobs"):
+        list(run_corpus(corpus_docs[:1], registry, offline_providers,
+                        PipelineConfig(), ALL_ARMS, jobs=0))
+
+
+def test_run_corpus_threads_match_serial_run(registry, corpus_docs, offline_providers):
+    import sys
+
+    docs = corpus_docs[:2]
+    cfg = PipelineConfig()
+
+    def run(jobs):
+        return [(r.doc_id, r.records, r.errors)
+                for r in run_corpus(docs, registry, offline_providers, cfg, ALL_ARMS, jobs=jobs)]
+
+    serial = run(1)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run(6)
+    finally:
+        sys.setswitchinterval(old)
+    assert threaded == serial
+    assert all(set(records) == {a.config_id for a in ALL_ARMS} for _d, records, _e in serial)
