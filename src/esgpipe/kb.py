@@ -16,14 +16,23 @@ single Text partition with no summaries, no outline and no table index.
 
 The KB persists to a single JSON file with a version header; loading a
 mismatched version or provider dimension fails rather than guessing.
+In version 2 the entries carry no vectors. One `"vectors"` block holds
+them all as a CSR matrix (compressed sparse rows) over `entries` in file
+order, in three base64 fields: `indptr` (`<i4`, entries + 1 row
+offsets starting at 0), then per row its strictly increasing column
+`indices` (`<i4`) and their `values` (`<f8`). A value is stored when its
+bit pattern is not all zero, so -0.0, NaN and subnormals round-trip bit
+for bit. A file of another version is rejected, and the KB cache then
+rebuilds it.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -42,7 +51,7 @@ from .providers import (
 logger = logging.getLogger(__name__)
 
 KB_FORMAT = "esg_kb"
-KB_VERSION = 1
+KB_VERSION = 2
 
 DEFAULT_CHUNK_CHARS = 1200
 DEFAULT_NAIVE_CHUNK_CHARS = 400
@@ -76,12 +85,25 @@ class Partition:
     rank: np.ndarray  # position of each row's entry_id in string order
 
 
-def _partition(entries: list[Entry], dim: int) -> Partition:
-    matrix = np.array([e.vector for e in entries], dtype=np.float64).reshape(len(entries), dim)
+def _partition(entries: list[Entry], matrix: np.ndarray) -> Partition:
     by_id = sorted(range(len(entries)), key=lambda j: entries[j].entry_id)
     rank = np.empty(len(entries), dtype=np.intp)
     rank[by_id] = np.arange(len(entries))
     return Partition(entries, matrix, np.linalg.norm(matrix, axis=1), rank)
+
+
+def _rows_by_source(entries: Sequence[Entry]) -> dict[Source, list[int]]:
+    rows: dict[Source, list[int]] = {source: [] for source in Source}
+    for i, e in enumerate(entries):
+        rows[e.source].append(i)
+    return rows
+
+
+def _take_rows(matrix: np.ndarray, rows: list[int]) -> np.ndarray:
+    """matrix[rows] for increasing rows; a view when they are one run."""
+    if rows and rows[-1] - rows[0] == len(rows) - 1:
+        return matrix[rows[0] : rows[-1] + 1]
+    return matrix[rows]
 
 
 def _adopt_rows(kb: KnowledgeBase) -> KnowledgeBase:
@@ -101,21 +123,32 @@ class KnowledgeBase:
     entries: list[Entry]
     table_texts: dict[str, str] = field(default_factory=dict)
     summary_fallbacks: int = 0
+    # float64 (entries, dim), row i is entries[i]'s vector; stacked from
+    # the entry vectors when not given
+    matrix: InitVar[np.ndarray | None] = None
     _partitions: dict[Source, Partition] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, matrix: np.ndarray | None) -> None:
         seen: set[str] = set()
         for e in self.entries:
             if e.entry_id in seen:
                 raise KnowledgeBaseError(f"duplicate entry_id {e.entry_id!r}")
             seen.add(e.entry_id)
-            if len(e.vector) != self.dim:
+            if matrix is None and len(e.vector) != self.dim:
                 raise KnowledgeBaseError(
                     f"entry {e.entry_id!r} vector has dim {len(e.vector)}, "
                     f"KB dim is {self.dim}"
                 )
+        shape = (len(self.entries), self.dim)
+        if matrix is None:
+            matrix = np.array([e.vector for e in self.entries], dtype=np.float64).reshape(shape)
+        elif matrix.shape != shape:
+            raise KnowledgeBaseError(f"vector matrix has shape {matrix.shape}, expected {shape}")
+        rows = _rows_by_source(self.entries)
         self._partitions = {
-            source: _partition([e for e in self.entries if e.source is source], self.dim)
+            source: _partition(
+                [self.entries[i] for i in rows[source]], _take_rows(matrix, rows[source])
+            )
             for source in Source
         }
 
@@ -414,6 +447,52 @@ def build_naive(
     return _adopt_rows(kb)
 
 
+def _encode_vectors(kb: KnowledgeBase) -> dict[str, str]:
+    """The KB's vectors as the base64 CSR block over `kb.entries` in
+    order, read from the partition matrices (no dense copy of the KB)."""
+    rows, cols, values = [], [], []
+    for source, file_rows in _rows_by_source(kb.entries).items():
+        matrix = kb.partition(source).matrix
+        r, c = np.nonzero(matrix.view(np.uint64))  # bit pattern, so -0.0 counts
+        rows.append(np.asarray(file_rows, dtype=np.intp)[r])
+        cols.append(c)
+        values.append(matrix[r, c])
+    row = np.concatenate(rows)
+    order = np.argsort(row, kind="stable")  # partition rows keep file order
+    indptr = np.zeros(len(kb.entries) + 1, dtype="<i4")
+    np.cumsum(np.bincount(row, minlength=len(kb.entries)), out=indptr[1:])
+    arrays = {
+        "indptr": indptr,
+        "indices": np.concatenate(cols)[order].astype("<i4"),
+        "values": np.concatenate(values)[order].astype("<f8"),
+    }
+    return {name: base64.b64encode(a).decode("ascii") for name, a in arrays.items()}
+
+
+def _decode_vectors(block: dict, n: int, dim: int) -> np.ndarray:
+    """The float64 (n, dim) matrix of a base64 CSR block; raises
+    KnowledgeBaseError, ValueError, TypeError or KeyError when malformed."""
+    indptr, indices, values = (
+        np.frombuffer(base64.b64decode(block[name], validate=True), dtype=dtype)
+        for name, dtype in (("indptr", "<i4"), ("indices", "<i4"), ("values", "<f8"))
+    )
+    if indptr.shape != (n + 1,) or indptr[0] != 0 or (np.diff(indptr) < 0).any():
+        raise KnowledgeBaseError(f"indptr is not {n + 1} non-decreasing offsets from 0")
+    if not indptr[-1] == len(indices) == len(values):
+        raise KnowledgeBaseError(
+            f"indptr ends at {indptr[-1]} for {len(indices)} indices "
+            f"and {len(values)} values"
+        )
+    row = np.repeat(np.arange(n), np.diff(indptr))
+    if len(indices) and (indices.min() < 0 or indices.max() >= dim):
+        raise KnowledgeBaseError(f"column index outside [0, {dim})")
+    if ((np.diff(indices) <= 0) & (np.diff(row) == 0)).any():
+        raise KnowledgeBaseError("column indices not strictly increasing within a row")
+    matrix = np.zeros((n, dim), dtype=np.float64)
+    matrix[row, indices] = values
+    return matrix
+
+
 def save(kb: KnowledgeBase, path: str | Path) -> None:
     """Write the single-file KB format (byte-reproducible)."""
     payload = {
@@ -432,21 +511,14 @@ def save(kb: KnowledgeBase, path: str | Path) -> None:
                 "doc_id": e.doc_id,
                 "payload_text": e.payload_text,
                 "summary": e.summary,
-                "vector": e.vector,
                 "anchor": e.anchor,
             }
             for e in kb.entries
         ],
+        "vectors": _encode_vectors(kb),
     }
-    text = json.dumps(payload, ensure_ascii=False, separators=(",", ":"), default=_row_list)
+    text = json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
     Path(path).write_text(text + "\n", encoding="utf-8")
-
-
-def _row_list(obj: object) -> list[float]:
-    """JSON form of an entry vector held as a matrix row."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def load(path: str | Path) -> KnowledgeBase:
@@ -463,6 +535,11 @@ def load(path: str | Path) -> KnowledgeBase:
             f"(expected {KB_VERSION})"
         )
     try:
+        dim = int(data["dim"])
+        matrix = _decode_vectors(data["vectors"], len(data["entries"]), dim)
+    except (KeyError, TypeError, ValueError, KnowledgeBaseError) as exc:
+        raise KnowledgeBaseError(f"{path}: malformed vector block: {exc}") from exc
+    try:
         entries = [
             Entry(
                 entry_id=e["entry_id"],
@@ -470,18 +547,19 @@ def load(path: str | Path) -> KnowledgeBase:
                 doc_id=e["doc_id"],
                 payload_text=e["payload_text"],
                 summary=e["summary"],
-                vector=e["vector"],
+                vector=row,
                 anchor=e["anchor"],
             )
-            for e in data["entries"]
+            for e, row in zip(data["entries"], matrix)
         ]
         kb = KnowledgeBase(
             scope=data["scope"],
             provider_name=data["provider_name"],
-            dim=int(data["dim"]),
+            dim=dim,
             entries=entries,
             table_texts=dict(data["table_texts"]),
             summary_fallbacks=int(data.get("summary_fallbacks", 0)),
+            matrix=matrix,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise KnowledgeBaseError(f"{path}: malformed KB entry: {exc}") from exc

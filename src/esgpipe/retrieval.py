@@ -36,7 +36,7 @@ NO_EVIDENCE_SENTINEL = "NO EVIDENCE FOUND"
 class Query:
     indicator_id: str
     query_texts: list[str]
-    vectors: list[list[float]]
+    vectors: Sequence[Sequence[float]]  # rows of the plan's matrix in `build_queries`
 
     def __post_init__(self) -> None:
         if len(self.vectors) != len(self.query_texts):
@@ -106,9 +106,13 @@ def build_queries(
             f"embedder {embedder.name!r} returned {len(vectors)} vectors "
             f"for {len(distinct)} texts"
         )
-    by_text = dict(zip(distinct, vectors))
+    try:
+        matrix = np.array(vectors, dtype=np.float64)
+    except ValueError as exc:
+        raise ProviderError(f"embedder {embedder.name!r} returned vectors of unequal dim") from exc
+    row = dict(zip(distinct, matrix))
     return {
-        key: Query(indicator_id=key[0], query_texts=ts, vectors=[by_text[t] for t in ts])
+        key: Query(indicator_id=key[0], query_texts=ts, vectors=[row[t] for t in ts])
         for key, ts in texts.items()
     }
 
@@ -159,12 +163,12 @@ def search(kb: KnowledgeBase, query: Query, k: int = DEFAULT_TOP_K) -> list[Scor
     """
     if k < 1:
         raise RetrievalError(f"k must be >= 1, got {k}")
-    for vec in query.vectors:
-        if len(vec) != kb.dim:
-            raise RetrievalError(
-                f"query vector dim {len(vec)} does not match KB dim {kb.dim}"
-            )
-    qm = np.asarray(query.vectors, dtype=np.float64)
+    try:
+        qm = np.asarray(query.vectors, dtype=np.float64)
+    except ValueError as exc:
+        raise RetrievalError(f"query vectors of unequal dim: {exc}") from exc
+    if qm.ndim != 2 or qm.shape[1] != kb.dim:
+        raise RetrievalError(f"query vectors of shape {qm.shape} do not match KB dim {kb.dim}")
     qnorms = np.linalg.norm(qm, axis=1)
 
     hits: list[ScoredHit] = []

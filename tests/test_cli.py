@@ -413,3 +413,48 @@ def test_summary_sentences_must_be_positive(workspace, capsys):
     )
     assert main(["build-kb", "--config", cfg]) == EXIT_CONFIG
     assert "sentences" in capsys.readouterr().err
+
+
+def _write_v1_kb(path):
+    """Rewrite a KB file in the version-1 layout: a float list per entry."""
+    from esgpipe import kb as kbmod
+
+    kb = kbmod.load(path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    del data["vectors"]
+    data["version"] = 1
+    data["entries"] = [
+        {**{k: v for k, v in raw.items() if k != "anchor"},
+         "vector": entry.vector.tolist(), "anchor": raw["anchor"]}
+        for entry, raw in zip(kb.entries, data["entries"])
+    ]
+    path.write_text(json.dumps(data, ensure_ascii=False, separators=(",", ":")) + "\n",
+                    encoding="utf-8")
+
+
+def test_v1_kb_cache_is_rebuilt_once(workspace, capsys, caplog):
+    _keep_docs(workspace, {"doc00.json", "doc01.json"})
+    cfg = _config_path(workspace)
+    out = workspace / "out"
+    assert main(["extract", "--config", cfg]) == EXIT_OK
+    fresh_records = (out / "records.jsonl").read_bytes()
+    caches = sorted((out / "kb_cache").glob("*.json"))
+    fresh = {p.name: p.read_bytes() for p in caches}
+    assert len(caches) == 2
+    for path in caches:
+        _write_v1_kb(path)
+
+    def stale_warnings():
+        warnings = [r for r in caplog.records if "stale KB cache" in r.getMessage()]
+        caplog.clear()
+        return warnings
+
+    for expected in (2, 0):
+        (out / "records.jsonl").unlink()
+        with caplog.at_level("WARNING", logger="esgpipe.cli"):
+            assert main(["extract", "--config", cfg]) == EXIT_OK
+        warnings = stale_warnings()
+        assert len(warnings) == expected
+        assert all("KB version 1 not supported" in r.getMessage() for r in warnings)
+        assert {p.name: p.read_bytes() for p in caches} == fresh
+        assert (out / "records.jsonl").read_bytes() == fresh_records

@@ -1,7 +1,10 @@
 """Knowledge base construction: chunking, keywords, persistence, anchors."""
 
+import base64
+import json
 import random
 
+import numpy as np
 import pytest
 
 from esgpipe.docmodel import (
@@ -14,7 +17,9 @@ from esgpipe.docmodel import (
 from esgpipe.errors import KnowledgeBaseError, ProviderError
 from esgpipe.kb import (
     BuildConfig,
+    Entry,
     KB_VERSION,
+    KnowledgeBase,
     Source,
     build,
     build_naive,
@@ -239,28 +244,30 @@ def test_save_load_round_trip_bytes(corpus_docs, embedder, tmp_path):
 def test_load_keeps_vectors_and_builds_partitions_once(
     corpus_docs, embedder, tmp_path, monkeypatch
 ):
-    import json
-
     from esgpipe import kb as kbmod
     from esgpipe.retrieval import Query, search
 
     path = tmp_path / "kb.json"
-    save(build(corpus_docs[0], embedder), path)
-    saved = [e["vector"] for e in json.loads(path.read_text())["entries"]]
+    original_kb = build(corpus_docs[0], embedder)
+    save(original_kb, path)
+    saved = [np.asarray(e.vector).tobytes() for e in original_kb.entries]
 
     built = []
 
-    def counting(entries, dim):
+    def counting(entries, matrix):
         built.append(len(entries))
-        return original(entries, dim)
+        return original(entries, matrix)
 
     original = kbmod._partition
     monkeypatch.setattr(kbmod, "_partition", counting)
     kb = load(path)
-    assert [list(e.vector) for e in kb.entries] == saved
+    assert [e.vector.tobytes() for e in kb.entries] == saved
+    # every vector is a row view of the one matrix the file decodes into
+    assert len({id(e.vector.base) for e in kb.entries}) == 1
     assert len(built) == len(Source)
     parts = {s: kb.partition(s) for s in Source}
-    query = Query(indicator_id="q", query_texts=["q"], vectors=[saved[0]])
+    assert all(p.matrix.base is kb.entries[0].vector.base for p in parts.values())
+    query = Query(indicator_id="q", query_texts=["q"], vectors=[list(original_kb.entries[0].vector)])
     for _ in range(3):
         search(kb, query, 5)
     assert len(built) == len(Source)
@@ -268,9 +275,108 @@ def test_load_keeps_vectors_and_builds_partitions_once(
     assert sum(len(p.entries) for p in parts.values()) == len(kb.entries)
 
 
-def test_load_rejects_wrong_version(corpus_docs, embedder, tmp_path):
-    import json
+def _special_kb(dim, rng):
+    """Entries with interleaved sources whose vectors mix random bit
+    patterns (negatives, NaNs, subnormals) with zeros, -0.0 and all-zero
+    rows."""
+    sources = list(Source)
+    special = [-0.0, float("nan"), 5e-324, -2.5e-310, float("inf"), -1.5]
+    entries = []
+    for i in range(40):
+        bits = rng.integers(0, 2**64, size=dim, dtype=np.uint64)
+        vec = bits.view(np.float64).copy()
+        vec[rng.random(dim) < 0.7] = 0.0
+        if i % 5 == 0:
+            vec[:] = 0.0
+        elif i % 5 == 1:
+            vec[rng.integers(dim)] = special[i % len(special)]
+        entries.append(
+            Entry(
+                entry_id=f"e{i:03d}", source=sources[i % 3], doc_id="d",
+                payload_text=f"p{i}", vector=list(vec), anchor="flat:0",
+            )
+        )
+    return KnowledgeBase(scope="d", provider_name="p", dim=dim, entries=entries)
 
+
+@pytest.mark.parametrize("dim", [1, 3, 64])
+def test_vectors_round_trip_bit_for_bit(tmp_path, dim):
+    with np.errstate(all="ignore"):  # row norms of random bit patterns overflow
+        kb = _special_kb(dim, np.random.default_rng(dim))
+    want = [np.asarray(e.vector, dtype=np.float64).tobytes() for e in kb.entries]
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    save(kb, p1)
+    with np.errstate(all="ignore"):
+        again = load(p1)
+    assert [e.vector.tobytes() for e in again.entries] == want
+    assert [e.source for e in again.entries] == [e.source for e in kb.entries]
+    for source in Source:
+        assert again.partition(source).matrix.tobytes() == kb.partition(source).matrix.tobytes()
+    save(again, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_v2_file_stores_only_nonzero_bit_patterns(tmp_path):
+    entries = [
+        Entry(entry_id=f"e{i}", source=Source.TEXT, doc_id="d", payload_text="p",
+              vector=vec, anchor="flat:0")
+        for i, vec in enumerate([[0.0, -0.0, 2.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    ]
+    path = tmp_path / "kb.json"
+    save(KnowledgeBase(scope="d", provider_name="p", dim=3, entries=entries), path)
+    data = json.loads(path.read_text())
+    assert data["version"] == 2
+    assert all("vector" not in e for e in data["entries"])
+    block = {k: base64.b64decode(v) for k, v in data["vectors"].items()}
+    assert np.frombuffer(block["indptr"], "<i4").tolist() == [0, 2, 2, 3]
+    assert np.frombuffer(block["indices"], "<i4").tolist() == [1, 2, 0]
+    assert np.frombuffer(block["values"], "<f8").tobytes() == np.array([-0.0, 2.0, 1.0]).tobytes()
+
+
+def _b64(values, dtype="<i4"):
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _i4(block, name):
+    return np.frombuffer(base64.b64decode(block[name]), "<i4").tolist()
+
+
+MALFORMED_BLOCKS = {
+    "invalid base64 characters": lambda b, dim: {**b, "indices": "*" + b["indices"]},
+    "invalid base64 padding": lambda b, dim: {**b, "values": b["values"][:-1]},
+    "not a string": lambda b, dim: {**b, "indptr": 12},
+    "ragged byte length": lambda b, dim: {**b, "values": _b64([0] * 7, "u1")},
+    "indptr too short": lambda b, dim: {**b, "indptr": _b64(_i4(b, "indptr")[:-1])},
+    "indptr too long": lambda b, dim: {**b, "indptr": _b64(_i4(b, "indptr") + [_i4(b, "indptr")[-1]])},
+    "indptr not from 0": lambda b, dim: {**b, "indptr": _b64([1] + _i4(b, "indptr")[1:])},
+    "indptr decreasing": lambda b, dim: {**b, "indptr": _b64([0, 5, 3] + _i4(b, "indptr")[3:])},
+    "indptr past indices": lambda b, dim: {**b, "indices": _b64(_i4(b, "indices")[:-1])},
+    "indptr past values": lambda b, dim: {
+        **b, "values": base64.b64encode(base64.b64decode(b["values"])[:-8]).decode("ascii")
+    },
+    "index equal to dim": lambda b, dim: {**b, "indices": _b64(_i4(b, "indices")[:-1] + [dim])},
+    "negative index": lambda b, dim: {**b, "indices": _b64([-1] + _i4(b, "indices")[1:])},
+    "repeated index in a row": lambda b, dim: {
+        **b, "indices": _b64(_i4(b, "indices")[1:2] + _i4(b, "indices")[1:])
+    },
+    "missing field": lambda b, dim: {k: v for k, v in b.items() if k != "values"},
+    "not an object": lambda b, dim: [b["indptr"], b["indices"], b["values"]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BLOCKS))
+def test_load_rejects_malformed_vector_block(corpus_docs, embedder, tmp_path, case):
+    path = tmp_path / "kb.json"
+    save(build_naive(corpus_docs[0], embedder), path)
+    data = json.loads(path.read_text())
+    assert _i4(data["vectors"], "indptr")[1] >= 2  # the row-0 edits need two indices
+    data["vectors"] = MALFORMED_BLOCKS[case](data["vectors"], data["dim"])
+    path.write_text(json.dumps(data))
+    with pytest.raises(KnowledgeBaseError, match="malformed"):
+        load(path)
+
+
+def test_load_rejects_wrong_version(corpus_docs, embedder, tmp_path):
     kb = build_naive(corpus_docs[0], embedder)
     path = tmp_path / "kb.json"
     save(kb, path)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from esgpipe import agent
@@ -160,7 +161,14 @@ def test_plan_groups_arms_and_matches_build_query(registry, offline_providers):
     for spec in registry.indicators[:5]:
         for switch in (False, True):
             want = build_query(spec, registry, offline_providers.embedder, switch)
-            assert plan.queries[(spec.id, switch)] == want
+            got = plan.queries[(spec.id, switch)]
+            assert (got.indicator_id, got.query_texts) == (want.indicator_id, want.query_texts)
+            assert np.array_equal(got.vectors, want.vectors)
+    # the plan holds its distinct query vectors as rows of one matrix
+    rows = [v for q in plan.queries.values() for v in q.vectors]
+    assert all(isinstance(v, np.ndarray) and v.base is rows[0].base for v in rows)
+    distinct = {t for q in plan.queries.values() for t in q.query_texts}
+    assert rows[0].base.shape == (len(distinct), offline_providers.embedder.dim)
 
 
 def test_run_corpus_rejects_zero_jobs(registry, corpus_docs, offline_providers):

@@ -242,6 +242,10 @@ def test_search_rejects_bad_inputs():
     bad = Query(indicator_id="q", query_texts=["q"], vectors=[[1.0, 0.0]])
     with pytest.raises(RetrievalError, match="dim"):
         search(kb, bad, 3)
+    ragged = Query(indicator_id="q", query_texts=["a", "b"],
+                   vectors=[list(query.vectors[0]), [1.0, 0.0]])
+    with pytest.raises(RetrievalError, match="dim"):
+        search(kb, ragged, 3)
 
 
 def test_table_keyword_hits_resolve_to_full_table(registry, corpus_docs, offline_providers):
