@@ -33,6 +33,7 @@ from .retrieval import (
     NO_EVIDENCE_SENTINEL,
     EvidenceBundle,
     Query,
+    ScoredHit,
     assemble_evidence,
     build_query,
     rerank,
@@ -433,15 +434,14 @@ class ExtractConfig:
     generation_params: dict = field(default_factory=lambda: {"temperature": 0.0})
 
 
-def retrieve_evidence(
+def evidence_from_hits(
     spec: IndicatorSpec,
-    kb: KnowledgeBase,
     query: Query,
+    hits: list[ScoredHit],
     providers: ProviderSet,
     cfg: ExtractConfig,
 ) -> EvidenceBundle:
-    """Search, optional rerank, and budgeted assembly for one indicator."""
-    hits = search(kb, query, cfg.top_k)
+    """Optional rerank and budgeted assembly of one indicator's search hits."""
     if cfg.use_rerank:
         hits = rerank(hits, query.query_texts[0], providers.reranker, cfg.rerank_m)
     return assemble_evidence(hits, cfg.budget_chars, indicator_id=spec.id)
@@ -519,5 +519,5 @@ def extract_indicator(
         raise ConfigError("extraction requires chat and embedding providers")
     cfg = cfg or ExtractConfig()
     query = build_query(spec, registry, providers.embedder, cfg.use_search_terms)
-    evidence = retrieve_evidence(spec, kb, query, providers, cfg)
+    evidence = evidence_from_hits(spec, query, search(kb, query, cfg.top_k), providers, cfg)
     return answer_indicator(doc_id, spec, evidence, registry, providers, cfg)

@@ -29,7 +29,8 @@ Config file shape (all keys optional unless a command needs them)::
 
 Relative paths resolve against the config file's directory. In offline
 mode no provider may carry a url; in online mode embedding and chat
-must.
+must. An unknown key, also under `retrieval` or `chunking`, and a
+number below its minimum are rejected at load.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from typing import Sequence
 import yaml
 
 from . import __version__, agent, analytics, docmodel, evaluation, kb as kbmod, metadata
+from . import retrieval as retrievalmod
 from .errors import (
     AnalyticsError,
     ConfigError,
@@ -124,6 +126,17 @@ class RunConfig:
     snapshot: dict = field(default_factory=dict)
 
 
+def _section(raw: dict, name: str, keys: set[str], path: Path) -> dict:
+    """The `name` mapping of a config, with no key outside `keys`."""
+    section = raw.get(name) or {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"config {path}: {name} must be a mapping")
+    unknown = set(section) - keys
+    if unknown:
+        raise ConfigError(f"config {path}: unknown {name} keys {sorted(unknown)}")
+    return section
+
+
 def _resolve(base: Path, value: object) -> Path:
     p = Path(str(value))
     return p if p.is_absolute() else (base / p)
@@ -149,8 +162,8 @@ def load_run_config(path: str | Path) -> RunConfig:
     mode = str(raw.get("mode", "offline"))
     if mode not in {"offline", "online"}:
         raise ConfigError(f"config {path}: mode must be offline or online, got {mode!r}")
-    retrieval = dict(raw.get("retrieval") or {})
-    chunking = dict(raw.get("chunking") or {})
+    retrieval = _section(raw, "retrieval", {"k", "m", "budget_chars"}, path)
+    chunking = _section(raw, "chunking", {"max_chars", "naive_chunk_chars"}, path)
     providers_cfg = {
         name: dict(cfg or {})
         for name, cfg in (raw.get("providers") or {}).items()
@@ -181,31 +194,42 @@ def load_run_config(path: str | Path) -> RunConfig:
         )
 
     rel_tol = raw.get("value_match_rel_tol")
-    config = RunConfig(
-        base_dir=base,
-        registry_path=_resolve(base, raw["registry"]) if raw.get("registry") else None,
-        corpus_dir=_resolve(base, raw["corpus_dir"]) if raw.get("corpus_dir") else None,
-        output_dir=_resolve(base, raw.get("output_dir", "out")),
-        mode=mode,
-        arm=arm,
-        labels_path=_resolve(base, raw["labels"]) if raw.get("labels") else None,
-        jobs=int(raw.get("jobs", 1)),
-        rel_tol=None if rel_tol is None else float(rel_tol),
-        retrieval_k=int(retrieval.get("k", 5)),
-        rerank_m=int(retrieval.get("m", 10)),
-        budget_chars=int(retrieval.get("budget_chars", 6000)),
-        max_chars=int(chunking.get("max_chars", kbmod.DEFAULT_CHUNK_CHARS)),
-        naive_chunk_chars=int(
-            chunking.get("naive_chunk_chars", kbmod.DEFAULT_NAIVE_CHUNK_CHARS)
-        ),
-        summary_sentences=int(providers_cfg.get("summary", {}).get("sentences", 2)),
-        providers_cfg=providers_cfg,
-        snapshot=raw,
-    )
-    if config.jobs < 1:
-        raise ConfigError(f"config {path}: jobs must be >= 1")
-    if config.summary_sentences < 1:
-        raise ConfigError(f"config {path}: providers.summary.sentences must be >= 1")
+    try:
+        config = RunConfig(
+            base_dir=base,
+            registry_path=_resolve(base, raw["registry"]) if raw.get("registry") else None,
+            corpus_dir=_resolve(base, raw["corpus_dir"]) if raw.get("corpus_dir") else None,
+            output_dir=_resolve(base, raw.get("output_dir", "out")),
+            mode=mode,
+            arm=arm,
+            labels_path=_resolve(base, raw["labels"]) if raw.get("labels") else None,
+            jobs=int(raw.get("jobs", 1)),
+            rel_tol=None if rel_tol is None else float(rel_tol),
+            retrieval_k=int(retrieval.get("k", retrievalmod.DEFAULT_TOP_K)),
+            rerank_m=int(retrieval.get("m", retrievalmod.DEFAULT_RERANK_M)),
+            budget_chars=int(retrieval.get("budget_chars", retrievalmod.DEFAULT_BUDGET_CHARS)),
+            max_chars=int(chunking.get("max_chars", kbmod.DEFAULT_CHUNK_CHARS)),
+            naive_chunk_chars=int(
+                chunking.get("naive_chunk_chars", kbmod.DEFAULT_NAIVE_CHUNK_CHARS)
+            ),
+            summary_sentences=int(providers_cfg.get("summary", {}).get("sentences", 2)),
+            providers_cfg=providers_cfg,
+            snapshot=raw,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config {path}: malformed number: {exc}") from exc
+    minimums = {
+        "jobs": (config.jobs, 1),
+        "retrieval.k": (config.retrieval_k, 1),
+        "retrieval.m": (config.rerank_m, 0),
+        "retrieval.budget_chars": (config.budget_chars, retrievalmod.MIN_BUDGET_CHARS),
+        "chunking.max_chars": (config.max_chars, kbmod.MIN_CHUNK_CHARS),
+        "chunking.naive_chunk_chars": (config.naive_chunk_chars, 1),
+        "providers.summary.sentences": (config.summary_sentences, 1),
+    }
+    for name, (value, least) in minimums.items():
+        if value < least:
+            raise ConfigError(f"config {path}: {name} must be >= {least}, got {value}")
     return config
 
 

@@ -82,14 +82,10 @@ class Partition:
     entries: list[Entry]
     matrix: np.ndarray  # float64 (n, dim); row j is entries[j].vector
     norms: np.ndarray  # L2 norm of each row
-    rank: np.ndarray  # position of each row's entry_id in string order
 
 
 def _partition(entries: list[Entry], matrix: np.ndarray) -> Partition:
-    by_id = sorted(range(len(entries)), key=lambda j: entries[j].entry_id)
-    rank = np.empty(len(entries), dtype=np.intp)
-    rank[by_id] = np.arange(len(entries))
-    return Partition(entries, matrix, np.linalg.norm(matrix, axis=1), rank)
+    return Partition(entries, matrix, np.linalg.norm(matrix, axis=1))
 
 
 def _rows_by_source(entries: Sequence[Entry]) -> dict[Source, list[int]]:
@@ -127,6 +123,7 @@ class KnowledgeBase:
     # the entry vectors when not given
     matrix: InitVar[np.ndarray | None] = None
     _partitions: dict[Source, Partition] = field(init=False, repr=False, compare=False)
+    _id_ranks: dict[Source, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, matrix: np.ndarray | None) -> None:
         seen: set[str] = set()
@@ -151,6 +148,10 @@ class KnowledgeBase:
             )
             for source in Source
         }
+        by_id = sorted(range(len(self.entries)), key=lambda i: self.entries[i].entry_id)
+        rank = np.empty(len(self.entries), dtype=np.intp)
+        rank[by_id] = np.arange(len(self.entries))
+        self._id_ranks = {source: rank[rows[source]] for source in Source}
 
     def counts(self) -> dict[str, int]:
         out = {s.value: 0 for s in Source}
@@ -160,6 +161,11 @@ class KnowledgeBase:
 
     def partition(self, source: Source) -> Partition:
         return self._partitions[source]
+
+    def id_rank(self, source: Source) -> np.ndarray:
+        """Position of the entry_id of each row of `source`'s partition in
+        the string order of all the KB's entry_ids."""
+        return self._id_ranks[source]
 
     def table_text(self, table_id: str) -> str:
         try:

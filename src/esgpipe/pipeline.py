@@ -15,9 +15,11 @@ call (query text depends on the indicator and the search-term switch,
 never on the document), and arms with the same KB mode and retrieval
 switches form one retrieval group, so they share each search, rerank
 and evidence bundle; only the prompt, chat call and parse run per arm.
-It then executes document by document: source the document's KBs, fan
-its (indicator x group) work over one pool of `jobs` threads, and drop
-the KBs and evidence before the next document.
+It then executes document by document: source the document's KBs, run
+one `search_many` per group over all its indicators' queries, fan the
+(indicator x group) rerank, evidence, prompt, chat and parse work over
+one pool of `jobs` threads, and drop the KBs and evidence before the
+next document.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
+from itertools import repeat
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Sequence
 
-from .agent import ExtractConfig, ExtractionRecord, answer_indicator, retrieve_evidence
+from .agent import ExtractConfig, ExtractionRecord, answer_indicator, evidence_from_hits
 from .docmodel import StructuredDocument
 from .errors import ConfigError, PipelineError
 from .kb import (
@@ -40,7 +43,7 @@ from .kb import (
 )
 from .metadata import IndicatorSpec, MetadataRegistry
 from .providers import ProviderSet
-from .retrieval import Query, build_queries
+from .retrieval import Query, ScoredHit, build_queries, search_many
 
 logger = logging.getLogger(__name__)
 
@@ -169,17 +172,17 @@ def plan_corpus(
 def _extract_group(
     doc_id: str,
     group: RetrievalGroup,
-    kb: KnowledgeBase,
     spec: IndicatorSpec,
-    plan: CorpusPlan,
+    query: Query,
+    hits: list[ScoredHit],
     registry: MetadataRegistry,
     providers: ProviderSet,
 ) -> list[list[ExtractionRecord]] | PipelineError:
-    """One indicator for every arm of a group: the records per arm, in
-    the group's arm order, or the error that stopped retrieval."""
+    """One indicator for every arm of a group, from its search hits: the
+    records per arm, in the group's arm order, or the error that
+    stopped retrieval."""
     try:
-        query = plan.queries[(spec.id, group.retrieval.use_search_terms)]
-        evidence = retrieve_evidence(spec, kb, query, providers, group.retrieval)
+        evidence = evidence_from_hits(spec, query, hits, providers, group.retrieval)
         return [
             answer_indicator(doc_id, spec, evidence, registry, providers, eff)
             for _arm, eff in group.arms
@@ -197,8 +200,10 @@ def _run_document(
     map_fn: Callable,
 ) -> DocumentResult:
     result = DocumentResult(doc.doc_id)
+    specs = registry.indicators
     kbs: dict[bool, KnowledgeBase | PipelineError] = {}
-    live: list[tuple[RetrievalGroup, KnowledgeBase]] = []
+    live: list[RetrievalGroup] = []
+    tasks = []
     for group in plan.groups:
         if group.structured not in kbs:
             try:
@@ -206,17 +211,22 @@ def _run_document(
             except PipelineError as exc:
                 kbs[group.structured] = exc
         kb = kbs[group.structured]
-        if isinstance(kb, PipelineError):
-            result.fail(group, kb)
-        else:
-            live.append((group, kb))
-
-    specs = registry.indicators
-    tasks = [(group, kb, spec) for group, kb in live for spec in specs]
+        error = kb if isinstance(kb, PipelineError) else None
+        if error is None:
+            queries = [plan.queries[(spec.id, group.retrieval.use_search_terms)] for spec in specs]
+            try:
+                hits = search_many(kb, queries, group.retrieval.top_k)
+            except PipelineError as exc:
+                error = exc
+        if error is not None:
+            result.fail(group, error)
+            continue
+        live.append(group)
+        tasks.extend(zip(repeat(group), specs, queries, hits))
     outcomes = list(
-        map_fn(lambda task: _extract_group(doc.doc_id, *task, plan, registry, providers), tasks)
+        map_fn(lambda task: _extract_group(doc.doc_id, *task, registry, providers), tasks)
     )
-    for n, (group, _kb) in enumerate(live):
+    for n, group in enumerate(live):
         per_spec = outcomes[n * len(specs) : (n + 1) * len(specs)]
         error = next((o for o in per_spec if isinstance(o, PipelineError)), None)
         if error is not None:

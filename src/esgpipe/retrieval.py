@@ -7,6 +7,16 @@ query vectors (the rendered question plus each search term). Table
 keyword hits resolve to the full rendered table; text hits resolve to
 the chunk prefixed by its summary when one exists. Everything here is
 deterministic: ties break on entry_id.
+
+`search_many` serves a batch of queries against one KB (the runner
+passes every indicator's query for a document and retrieval group) and
+`search` is a batch of one. Per partition, each query's vectors are
+multiplied with the partition matrix on their own; normalising, the
+top-k selection, the union and the ranking then run once over the
+stacked rows of all queries. The matmul stays per query because one
+stacked matmul takes another BLAS path whose floats differ in the last
+bits, and mathematically tied cosines would then fall on different
+sides of each other.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ProviderError, RetrievalError
-from .kb import Entry, KnowledgeBase, Source
+from .kb import Entry, KnowledgeBase, Partition, Source
 from .metadata import IndicatorSpec, MetadataRegistry, render_question
 from .providers import EmbeddingProvider, JaccardReranker, Reranker
 
@@ -138,20 +148,115 @@ def _resolve_payload(entry: Entry, kb: KnowledgeBase) -> str:
     return entry.payload_text
 
 
-def _top_k(row: np.ndarray, rank: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k best entries of one row by (-similarity, entry_id).
+def _query_matrix(kb: KnowledgeBase, query: Query) -> np.ndarray:
+    """A query's vectors as a float64 (vectors, dim) matrix."""
+    try:
+        qm = np.asarray(query.vectors, dtype=np.float64)
+    except ValueError as exc:
+        raise RetrievalError(f"query vectors of unequal dim: {exc}") from exc
+    if qm.ndim != 2 or qm.shape[1] != kb.dim:
+        raise RetrievalError(f"query vectors of shape {qm.shape} do not match KB dim {kb.dim}")
+    if qm.shape[0] == 0:
+        raise RetrievalError(f"query for {query.indicator_id!r} has no vectors")
+    return qm
 
-    Selection keeps every entry tied with the k-th best value, so the
-    rank tie-break decides among them exactly as a full sort would.
+
+def _select(
+    part: Partition,
+    rank: np.ndarray,
+    qms: list[np.ndarray],
+    qnorms: np.ndarray,
+    starts: np.ndarray,
+    k: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One partition's hits for every query: (query, row, best cosine)
+    for each selected pair, ordered by query then row.
+
+    Stacks the similarities of all query vectors, one row per vector,
+    as (vectors, entries); zero norms are pinned to -1. Each vector
+    keeps its k best entries by (-similarity, entry_id), counting every
+    entry tied with the k-th best value as a candidate so that the rank
+    tie-break decides among them exactly as a full sort would.
     """
-    n = row.shape[0]
+    n = len(part.entries)
+    sims = np.empty((len(qnorms), n))
+    for qm, start in zip(qms, starts.tolist()):
+        sims[start : start + len(qm)] = qm @ part.matrix.T
+    denom = np.outer(qnorms, part.norms)
+    unmatched = ~(denom > 0)
+    np.copyto(denom, 1.0, where=unmatched)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(sims, denom, out=sims)
+    del denom
+    np.copyto(sims, -1.0, where=unmatched)
+    del unmatched
+    np.clip(sims, -1.0, 1.0, out=sims)
+
     if k < n:
-        kth = np.partition(row, n - k)[n - k]
-        candidates = np.flatnonzero(row >= kth)
+        kth = np.partition(sims, n - k, axis=1)[:, n - k]
+        rows, cols = np.nonzero(sims >= kth[:, None])
+        per_row = np.bincount(rows, minlength=len(sims))
+        if per_row.max() > k:  # ties at the k-th value: keep the first k by rank
+            order = np.lexsort((rank[cols], -sims[rows, cols], rows))
+            rows, cols = rows[order], cols[order]
+            first = np.cumsum(per_row) - per_row
+            keep = np.arange(len(rows)) - first[rows] < k
+            rows, cols = rows[keep], cols[keep]
     else:
-        candidates = np.arange(n)
-    order = np.lexsort((rank[candidates], -row[candidates]))
-    return candidates[order[:k]]
+        rows, cols = np.divmod(np.arange(len(sims) * n), n)
+
+    sizes = np.diff(starts, append=len(sims))  # vectors per query
+    pairs = np.unique(np.repeat(np.arange(len(starts)), sizes)[rows] * n + cols)
+    queries, cols = np.divmod(pairs, n)
+    # best cosine of each pair: the max over its query's rows in that column
+    counts = sizes[queries]
+    first = np.cumsum(counts) - counts
+    pair_rows = np.repeat(starts[queries] - first, counts) + np.arange(counts.sum())
+    best = np.maximum.reduceat(sims[pair_rows, np.repeat(cols, counts)], first)
+    return queries, cols, best
+
+
+def search_many(
+    kb: KnowledgeBase, queries: Sequence[Query], k: int = DEFAULT_TOP_K
+) -> list[list[ScoredHit]]:
+    """`search` for each query, in one pass per source partition (see
+    the module docstring): one list of hits per query, in order, each
+    ordered by (-similarity, entry_id). `k` and every query are checked
+    before any is searched."""
+    if k < 1:
+        raise RetrievalError(f"k must be >= 1, got {k}")
+    qms = [_query_matrix(kb, q) for q in queries]
+    if not qms:
+        return []
+    qnorms = np.concatenate([np.linalg.norm(qm, axis=1) for qm in qms])
+    starts = np.cumsum([0] + [len(qm) for qm in qms[:-1]])
+
+    parts = [kb.partition(source) for source in Source]
+    columns = []  # per non-empty partition: (query, partition, row, similarity, rank)
+    for p, (part, source) in enumerate(zip(parts, Source)):
+        if part.entries:
+            rank = kb.id_rank(source)
+            qs, rows, sims = _select(part, rank, qms, qnorms, starts, k)
+            columns.append((qs, np.full(len(rows), p), rows, sims, rank[rows]))
+    hits: list[list[ScoredHit]] = [[] for _ in qms]
+    if not columns:
+        return hits
+    qs, ps, rows, sims, rank = (np.concatenate(column) for column in zip(*columns))
+    order = np.lexsort((rank, -sims, qs))
+    for q, p, row, sim in zip(
+        qs[order].tolist(), ps[order].tolist(), rows[order].tolist(), sims[order].tolist()
+    ):
+        entry = parts[p].entries[row]
+        hits[q].append(
+            ScoredHit(
+                entry_id=entry.entry_id,
+                source=entry.source,
+                similarity=sim,
+                resolved_payload=_resolve_payload(entry, kb),
+                anchor=entry.anchor,
+            )
+        )
+    return hits
 
 
 def search(kb: KnowledgeBase, query: Query, k: int = DEFAULT_TOP_K) -> list[ScoredHit]:
@@ -161,44 +266,7 @@ def search(kb: KnowledgeBase, query: Query, k: int = DEFAULT_TOP_K) -> list[Scor
     is treated as -1 rather than raising, so a tokenless chunk simply
     loses every comparison.
     """
-    if k < 1:
-        raise RetrievalError(f"k must be >= 1, got {k}")
-    try:
-        qm = np.asarray(query.vectors, dtype=np.float64)
-    except ValueError as exc:
-        raise RetrievalError(f"query vectors of unequal dim: {exc}") from exc
-    if qm.ndim != 2 or qm.shape[1] != kb.dim:
-        raise RetrievalError(f"query vectors of shape {qm.shape} do not match KB dim {kb.dim}")
-    qnorms = np.linalg.norm(qm, axis=1)
-
-    hits: list[ScoredHit] = []
-    for source in Source:
-        part = kb.partition(source)
-        if not part.entries:
-            continue
-        # sims[i][j] = cosine(query i, entry j); zero norms pinned to -1
-        raw = qm @ part.matrix.T
-        denom = np.outer(qnorms, part.norms)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sims = np.where(denom > 0, raw / np.where(denom > 0, denom, 1.0), -1.0)
-        sims = np.clip(sims, -1.0, 1.0)
-
-        best = sims.max(axis=0)
-        selected = np.unique(np.concatenate([_top_k(row, part.rank, k) for row in sims]))
-        ranked = selected[np.lexsort((part.rank[selected], -best[selected]))]
-        for j in ranked.tolist():
-            entry = part.entries[j]
-            hits.append(
-                ScoredHit(
-                    entry_id=entry.entry_id,
-                    source=source,
-                    similarity=float(best[j]),
-                    resolved_payload=_resolve_payload(entry, kb),
-                    anchor=entry.anchor,
-                )
-            )
-    hits.sort(key=lambda h: (-h.similarity, h.entry_id))
-    return hits
+    return search_many(kb, [query], k)[0]
 
 
 def rerank(

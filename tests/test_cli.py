@@ -279,6 +279,42 @@ def test_unknown_config_key_rejected(workspace, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, key, value, minimum",
+    [
+        ("retrieval", "k", 0, "retrieval.k must be >= 1"),
+        ("retrieval", "m", -1, "retrieval.m must be >= 0"),
+        ("retrieval", "budget_chars", 100, "retrieval.budget_chars must be >= 500"),
+        ("chunking", "max_chars", 50, "chunking.max_chars must be >= 200"),
+        ("chunking", "naive_chunk_chars", 0, "chunking.naive_chunk_chars must be >= 1"),
+    ],
+)
+def test_out_of_range_retrieval_and_chunking_rejected(
+    workspace, capsys, section, key, value, minimum
+):
+    cfg = _rewrite_config(workspace, lambda raw: raw.setdefault(section, {}).update({key: value}))
+    assert main(["ablate", "--config", cfg]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert minimum in captured.err
+    assert not (workspace / "out").exists() and "arm failed" not in captured.err
+
+
+def test_non_numeric_setting_rejected(workspace, capsys):
+    cfg = _rewrite_config(workspace, lambda raw: raw.update(retrieval={"k": "five"}))
+    assert main(["ablate", "--config", cfg]) == EXIT_CONFIG
+    assert "malformed number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["retrieval", "chunking"])
+def test_unknown_retrieval_and_chunking_keys_rejected(workspace, capsys, section):
+    cfg = _rewrite_config(workspace, lambda raw: raw.update({section: {"topk": 3}}))
+    assert main(["ablate", "--config", cfg]) == EXIT_CONFIG
+    assert f"unknown {section} keys ['topk']" in capsys.readouterr().err
+    cfg = _rewrite_config(workspace, lambda raw: raw.update({section: [3]}))
+    assert main(["ablate", "--config", cfg]) == EXIT_CONFIG
+    assert f"{section} must be a mapping" in capsys.readouterr().err
+
+
 def test_offline_mode_forbids_provider_urls(workspace, capsys):
     cfg = _rewrite_config(
         workspace,

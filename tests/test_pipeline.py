@@ -7,8 +7,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from esgpipe import agent
-from esgpipe.errors import ConfigError
+from esgpipe import agent, pipeline
+from esgpipe.errors import ConfigError, RetrievalError
 from esgpipe.evaluation import run_ablation
 from esgpipe.kb import Source
 from esgpipe.pipeline import (
@@ -23,7 +23,7 @@ from esgpipe.pipeline import (
     run_corpus,
 )
 from esgpipe.providers import HashEmbedder
-from esgpipe.retrieval import build_query
+from esgpipe.retrieval import build_query, search
 
 ALL_ARMS = [ABLATION_ARMS[a] for a in ("benchmark", "enhanced_rag", "enhanced_rag_knowledge")]
 
@@ -132,23 +132,69 @@ def test_one_query_embed_per_run_plus_one_per_kb(registry, corpus_docs, corpus_l
 def test_arms_with_equal_retrieval_share_search_and_rerank(
     registry, corpus_docs, corpus_labels, offline_providers, monkeypatch
 ):
-    counts = {"search": 0, "rerank": 0}
+    counts = {"search_many": 0, "queries": 0, "rerank": 0}
+    real_search_many = pipeline.search_many
+    real_rerank = agent.rerank
 
-    def counted(name):
-        real = getattr(agent, name)
+    def search_many(kb, queries, k):
+        counts["search_many"] += 1
+        counts["queries"] += len(queries)
+        return real_search_many(kb, queries, k)
 
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return real(*args, **kwargs)
+    def rerank(*args, **kwargs):
+        counts["rerank"] += 1
+        return real_rerank(*args, **kwargs)
 
-        return wrapper
-
-    for name in counts:
-        monkeypatch.setattr(agent, name, counted(name))
+    monkeypatch.setattr(pipeline, "search_many", search_many)
+    monkeypatch.setattr(agent, "rerank", rerank)
     docs = corpus_docs[:2]
     run_ablation(docs, registry, corpus_labels, ALL_ARMS, offline_providers, jobs=2)
     n = len(registry.indicators)
-    assert counts == {"search": len(docs) * n * 2, "rerank": len(docs) * n}
+    # two retrieval groups: one batched search each per document
+    assert counts == {
+        "search_many": len(docs) * 2,
+        "queries": len(docs) * n * 2,
+        "rerank": len(docs) * n,
+    }
+
+
+def test_bad_query_mid_batch_fails_only_its_group_without_chat(
+    registry, corpus_docs, offline_providers, monkeypatch
+):
+    bad_id = registry.indicators[len(registry.indicators) // 2].id
+    real_build_queries = pipeline.build_queries
+
+    def build_queries(*args):
+        queries = real_build_queries(*args)
+        good = queries[(bad_id, False)]  # the benchmark arm's query
+        queries[(bad_id, False)] = dataclasses.replace(good, vectors=[[1.0, 0.0]])
+        return queries
+
+    chats = []
+    real_complete = offline_providers.chat.complete
+
+    def complete(prompt, params):
+        chats.append(prompt)
+        return real_complete(prompt, params)
+
+    monkeypatch.setattr(pipeline, "build_queries", build_queries)
+    monkeypatch.setattr(offline_providers.chat, "complete", complete)
+    docs = corpus_docs[:2]
+    results = list(run_corpus(docs, registry, offline_providers, PipelineConfig(), ALL_ARMS,
+                              jobs=2))
+    bad = dataclasses.replace(
+        build_query(registry.indicator(bad_id), registry, offline_providers.embedder, False),
+        vectors=[[1.0, 0.0]],
+    )
+    with pytest.raises(RetrievalError) as expected:
+        naive = PipelineConfig(arm=ABLATION_ARMS["benchmark"])
+        search(build_document_kb(docs[0], offline_providers, naive), bad, 5)
+    for result in results:
+        assert {arm: str(e) for arm, e in result.errors.items()} == {
+            "benchmark": str(expected.value)
+        }
+        assert sorted(result.records) == ["enhanced_rag", "enhanced_rag_knowledge"]
+    assert len(chats) == len(docs) * len(registry.indicators) * 2
 
 
 def test_plan_groups_arms_and_matches_build_query(registry, offline_providers):

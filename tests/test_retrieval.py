@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from esgpipe.errors import ProviderError, RetrievalError
@@ -13,10 +14,12 @@ from esgpipe.retrieval import (
     Query,
     ScoredHit,
     assemble_evidence,
+    build_queries,
     build_query,
     cosine,
     rerank,
     search,
+    search_many,
 )
 
 DIM = 256
@@ -246,6 +249,153 @@ def test_search_rejects_bad_inputs():
                    vectors=[list(query.vectors[0]), [1.0, 0.0]])
     with pytest.raises(RetrievalError, match="dim"):
         search(kb, ragged, 3)
+
+
+# --- batched search vs a per-query numpy reference, bit for bit ---
+
+
+def reference_search(kb, query, k):
+    """Per query: per-partition matmul, per-row lexsort on (-cosine,
+    entry_id), union, ranked by best cosine then entry_id; hits as
+    (entry_id, source, resolved payload, similarity hex)."""
+    found = []
+    for source in Source:
+        entries = [e for e in kb.entries if e.source is source]
+        if not entries:
+            continue
+        ids = np.array([e.entry_id for e in entries])
+        sims = reference_sims(query, entries)
+        chosen = set()
+        for row in sims:
+            chosen.update(np.lexsort((ids, -row))[:k].tolist())
+        best = sims.max(axis=0)
+        found.extend((entries[j], float(best[j])) for j in chosen)
+    found.sort(key=lambda pair: (-pair[1], pair[0].entry_id))
+    return [(e.entry_id, e.source, reference_payload(kb, e), sim.hex()) for e, sim in found]
+
+
+def reference_sims(query, entries):
+    """cosine(query vector i, entry j), with -1 where a norm is zero."""
+    q = np.asarray(query.vectors, dtype=np.float64)
+    m = np.array([e.vector for e in entries], dtype=np.float64)
+    denom = np.outer(np.linalg.norm(q, axis=1), np.linalg.norm(m, axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sims = np.where(denom > 0, (q @ m.T) / np.where(denom > 0, denom, 1.0), -1.0)
+    return np.clip(sims, -1.0, 1.0)
+
+
+def reference_payload(kb, entry):
+    if entry.source is Source.TABLE_KEYWORD:
+        return kb.table_texts[entry.anchor.split(":", 1)[1]]
+    if entry.source is Source.TEXT and entry.summary:
+        return "[Summary] " + entry.summary + "\n" + entry.payload_text
+    return entry.payload_text
+
+
+def _assert_batch_matches_reference(kb, queries, k):
+    got = search_many(kb, queries, k)
+    assert len(got) == len(queries)
+    for n, (hits, query) in enumerate(zip(got, queries)):
+        want = reference_search(kb, query, k)
+        have = [(h.entry_id, h.source, h.resolved_payload, h.similarity.hex()) for h in hits]
+        assert have == want, f"query {n} of {len(queries)}, k={k}"
+
+
+def integer_kb(rng, n_entries, dim):
+    """Sparse small-integer vectors, so exact ties are common; some
+    all-zero rows; ids in random string order; summaries and tables
+    so every payload kind resolves."""
+    entries, table_texts = [], {}
+    for n in range(n_entries):
+        source = rng.choice(list(Source))
+        vec = [float(rng.choice((-2, -1, 1, 2))) if rng.random() < 0.4 else 0.0
+               for _ in range(dim)]
+        if rng.random() < 0.1:
+            vec = [0.0] * dim
+        anchor = f"flat:{n}"
+        if source is Source.TABLE_KEYWORD:
+            anchor = f"table:t{n % 3}"
+            table_texts[f"t{n % 3}"] = f"table {n % 3}"
+        entries.append(Entry(
+            entry_id=f"x{rng.randrange(1000)}-{n}", source=source, doc_id="d",
+            payload_text=f"payload {n}", vector=vec, anchor=anchor,
+            summary=f"summary {n}" if rng.random() < 0.5 else None,
+        ))
+    return KnowledgeBase(scope="d", provider_name="t", dim=dim, entries=entries,
+                         table_texts=table_texts)
+
+
+def integer_queries(rng, dim):
+    """1-8 queries of 1-6 vectors each; some vectors all zero."""
+    queries = []
+    for n in range(rng.randint(1, 8)):
+        count = rng.randint(1, 6)
+        vectors = [
+            [0.0] * dim if rng.random() < 0.1 else
+            [float(rng.choice((-2, -1, 0, 0, 1, 2))) for _ in range(dim)]
+            for _ in range(count)
+        ]
+        queries.append(Query(f"q{n}", [f"t{i}" for i in range(count)], vectors))
+    return queries
+
+
+def test_search_many_matches_reference_on_integer_kbs():
+    rng = random.Random(2024)
+    seen = {"single": 0, "k_covers_partition": 0, "tie_at_kth": 0, "zero_row": 0}
+    for _ in range(250):
+        dim = rng.choice((2, 3, 5, 8))
+        kb = integer_kb(rng, rng.randint(1, 30), dim)
+        queries = integer_queries(rng, dim)
+        k = rng.choice((1, 2, 3, 5, 40))
+        _assert_batch_matches_reference(kb, queries, k)
+        parts = [kb.partition(s) for s in Source if kb.partition(s).entries]
+        seen["single"] += any(len(p.entries) == 1 for p in parts)
+        seen["k_covers_partition"] += any(len(p.entries) <= k for p in parts)
+        seen["zero_row"] += any(not p.norms.all() for p in parts)
+        for part in parts:
+            if len(part.entries) > k:
+                sims = np.vstack([reference_sims(q, part.entries) for q in queries])
+                kth = -np.sort(-sims, axis=1)[:, k - 1:k]
+                seen["tie_at_kth"] += bool(((sims == kth).sum(axis=1) > 1).any())
+    # the inputs exercise what the selection must get right
+    assert all(count >= 10 for count in seen.values()), seen
+
+
+def test_search_many_matches_reference_on_fixture_kbs(corpus_docs, registry, offline_providers):
+    from esgpipe.kb import build, build_naive
+
+    emb = offline_providers.embedder
+    plan = build_queries(registry.indicators, registry, emb, [False, True])
+    for doc in corpus_docs[:2]:
+        for kb in (build(doc, emb), build_naive(doc, emb)):
+            for switch in (False, True):
+                queries = [plan[(spec.id, switch)] for spec in registry.indicators]
+                for k in (1, 5, 20):
+                    _assert_batch_matches_reference(kb, queries, k)
+
+
+def test_search_is_a_batch_of_one():
+    rng = random.Random(3)
+    kb = integer_kb(rng, 25, 4)
+    queries = integer_queries(rng, 4)
+    assert search_many(kb, [], 5) == []
+    assert search_many(kb, queries, 3) == [search(kb, q, 3) for q in queries]
+
+
+def test_search_many_rejects_a_bad_query_mid_batch():
+    rng = random.Random(4)
+    kb = random_kb(rng, 12)
+    good = random_query(rng, 2)
+    bad = Query(indicator_id="bad", query_texts=["q"], vectors=[[1.0, 0.0]])
+    with pytest.raises(RetrievalError) as single:
+        search(kb, bad, 3)
+    with pytest.raises(RetrievalError) as batched:
+        search_many(kb, [good, bad, good], 3)
+    assert str(batched.value) == str(single.value)
+    with pytest.raises(RetrievalError, match="k must be >= 1"):
+        search_many(kb, [good, bad], 0)
+    with pytest.raises(RetrievalError, match="k must be >= 1"):
+        search_many(kb, [], 0)
 
 
 def test_table_keyword_hits_resolve_to_full_table(registry, corpus_docs, offline_providers):
