@@ -9,6 +9,13 @@ touches nothing.
 Exit codes: 0 success (data-level failures are summarized as warnings),
 1 configuration error, 2 input parse error, 3 provider unreachable.
 
+The corpus is read in path order, one document at a time, and each file
+is hashed once per command. build-kb, extract and a fresh single-arm
+evaluate source each document's KB through `out/kb_cache/`: a hit takes
+the doc_id from the cached KB and never parses the file, a miss parses,
+builds and caches it. ingest, ablate and analyze parse every file, as
+they need the document itself. Records are written in doc_id order.
+
 Config file shape (all keys optional unless a command needs them)::
 
     registry: path            # default: the bundled registry
@@ -45,7 +52,7 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import yaml
 
@@ -313,39 +320,37 @@ def corpus_files(config: RunConfig) -> list[Path]:
     )
 
 
-def kb_cache_path(config: RunConfig, doc_path: Path, embedder_name: str, mode: str) -> Path:
-    """One file per (document bytes, embedder, mode, the mode's build
-    parameters): chunk size, plus summary length for structured KBs."""
-    if mode == "structured":
-        params = f"{config.max_chars}-s{config.summary_sentences}"
+def kb_cache_path(
+    config: RunConfig, sha256: str, providers: ProviderSet, pcfg: PipelineConfig
+) -> Path:
+    """One file per (document bytes, given by their sha256; embedder;
+    mode; the mode's build parameters: chunk size, plus summary length
+    for structured KBs)."""
+    if pcfg.arm.use_structured_preprocessing:
+        mode, params = "structured", f"{config.max_chars}-s{config.summary_sentences}"
     else:
-        params = str(config.naive_chunk_chars)
-    digest = sha256_file(doc_path)[:16]
-    name = f"{digest}-{embedder_name}-{mode}-{params}.json"
+        mode, params = "naive", str(config.naive_chunk_chars)
+    name = f"{sha256[:16]}-{providers.embedder.name}-{mode}-{params}.json"
     return config.output_dir / "kb_cache" / name
 
 
-def _kb_cache_file(
-    config: RunConfig, doc_path: Path, providers: ProviderSet, pcfg: PipelineConfig
-) -> Path:
-    mode = "structured" if pcfg.arm.use_structured_preprocessing else "naive"
-    return kb_cache_path(config, doc_path, providers.embedder.name, mode)
-
-
 def build_or_load_kb(
-    doc: docmodel.StructuredDocument,
-    doc_path: Path,
+    load_doc: Callable[[], docmodel.StructuredDocument],
+    sha256: str,
     providers: ProviderSet,
     pcfg: PipelineConfig,
     config: RunConfig,
 ) -> kbmod.KnowledgeBase:
-    cache = _kb_cache_file(config, doc_path, providers, pcfg)
+    """The KB of the corpus file whose bytes hash to `sha256`: loaded
+    from `kb_cache/`, or, on a miss or a stale file, built from
+    `load_doc()` and cached. Only a miss parses the document."""
+    cache = kb_cache_path(config, sha256, providers, pcfg)
     if cache.exists():
         try:
             return kbmod.load(cache)
         except KnowledgeBaseError as exc:
             logger.warning("stale KB cache %s: %s; rebuilding", cache.name, exc)
-    built = build_document_kb(doc, providers, pcfg)
+    built = build_document_kb(load_doc(), providers, pcfg)
     cache.parent.mkdir(parents=True, exist_ok=True)
     tmp = cache.with_name(cache.name + ".tmp")
     kbmod.save(built, tmp)
@@ -384,31 +389,138 @@ def _print_plan(title: str, items: dict[str, object]) -> None:
         print(f"  {key}: {value}")
 
 
+def _fingerprint(path: Path) -> tuple[str, str | None]:
+    """A corpus file's sha256 and the doc_id its name gives it, if any
+    (`docmodel.name_doc_id`); its bytes are dropped on return."""
+    data = path.read_bytes()
+    text = data.decode("utf-8", errors="replace")
+    return hashlib.sha256(data).hexdigest(), docmodel.name_doc_id(path, text)
+
+
+class _Unparsed(Exception):
+    """A corpus file that `docmodel.ingest` rejects; the run skips it."""
+
+
+@dataclass
+class CorpusDocument:
+    """One corpus file that gave a document. `doc` is set when the file
+    was parsed for its own sake, `kb` when its KB was sourced; a KB from
+    the cache leaves `doc` None, as the file was never parsed."""
+
+    path: Path
+    sha256: str
+    doc_id: str | None = None
+    doc: docmodel.StructuredDocument | None = None
+    kb: kbmod.KnowledgeBase | None = None
+
+
+class Corpus:
+    """The corpus files of one command, read in path order, one document
+    at a time, each file hashed once. A file that does not parse is
+    skipped, with one message in `skipped`; a doc_id seen before raises
+    DocumentError before its document is used. `inputs` maps the path of
+    each file that gave a document, in path order, to its sha256."""
+
+    def __init__(self, config: RunConfig) -> None:
+        self.config = config
+        self.skipped: list[str] = []
+        self.inputs: dict[str, str] = {}
+
+    def documents(self) -> list[docmodel.StructuredDocument]:
+        """Every document, parsed, in doc_id order."""
+        return sorted((item.doc for item in self._read(None)), key=lambda d: d.doc_id)
+
+    def sourced(self, providers: ProviderSet, pcfg: PipelineConfig) -> Iterator[CorpusDocument]:
+        """Each document with its `pcfg` KB from `build_or_load_kb`, so
+        only a cache miss parses the file. A hit takes the doc_id from
+        the file name, as `ingest` would, or else from the KB's scope."""
+        return self._read((providers, pcfg))
+
+    def _read(
+        self, kb_source: tuple[ProviderSet, PipelineConfig] | None
+    ) -> Iterator[CorpusDocument]:
+        seen: set[str] = set()
+
+        def claim(item: CorpusDocument, doc_id: str) -> None:
+            if doc_id in seen:
+                raise DocumentError(f"duplicate doc_id {doc_id!r} in corpus")
+            seen.add(doc_id)
+            item.doc_id = doc_id
+
+        for path in corpus_files(self.config):
+            try:
+                sha256, named = _fingerprint(path)
+            except OSError as exc:
+                self._skip(path, DocumentError(f"cannot read {path}: {exc}"))
+                continue
+            item = CorpusDocument(path, sha256)
+
+            def ingest(item: CorpusDocument = item) -> docmodel.StructuredDocument:
+                try:
+                    doc = docmodel.ingest(item.path)
+                except DocumentError as exc:
+                    raise _Unparsed(exc) from exc
+                claim(item, doc.doc_id)
+                return doc
+
+            try:
+                if kb_source is None:
+                    item.doc = ingest()
+                else:
+                    item.kb = build_or_load_kb(ingest, item.sha256, *kb_source, self.config)
+            except _Unparsed as exc:
+                self._skip(path, exc)
+                continue
+            if item.doc_id is None:  # the KB came from the cache
+                claim(item, named or item.kb.scope)
+            self.inputs[str(path)] = item.sha256
+            yield item
+
+    def _skip(self, path: Path, exc: Exception) -> None:
+        logger.warning("skipping %s: %s", path, exc)
+        self.skipped.append(f"{path.name}: {exc}")
+
+
+def _take_kb(item: CorpusDocument, _cfg: PipelineConfig) -> kbmod.KnowledgeBase:
+    """The KB sourced with `item`, handed over once, so that it is freed
+    with the runner's other state for that document."""
+    kb, item.kb = item.kb, None
+    return kb
+
+
 def _extract_records(
-    docs: Sequence[docmodel.StructuredDocument],
-    doc_paths: dict[str, Path],
+    corpus: Corpus,
     registry: metadata.MetadataRegistry,
     providers: ProviderSet,
     pcfg: PipelineConfig,
     config: RunConfig,
 ) -> list[agent.ExtractionRecord]:
-    """`pcfg.arm` over the corpus, KBs through the disk cache; the first
-    document that fails aborts the run with its error."""
-
-    def source_kb(
-        doc: docmodel.StructuredDocument, kb_cfg: PipelineConfig
-    ) -> kbmod.KnowledgeBase:
-        return build_or_load_kb(doc, doc_paths[doc.doc_id], providers, kb_cfg, config)
-
-    out: list[agent.ExtractionRecord] = []
+    """`pcfg.arm` over the corpus, each KB sourced through the disk cache
+    as its document comes up, in path order (`agent.write_records` puts
+    the records in doc_id order). The first document that fails aborts
+    the run with its error."""
     arm_id = pcfg.arm.config_id
+    records: list[agent.ExtractionRecord] = []
     for result in run_corpus(
-        docs, registry, providers, pcfg, [pcfg.arm], jobs=config.jobs, source_kb=source_kb
+        corpus.sourced(providers, pcfg),
+        registry,
+        providers,
+        pcfg,
+        [pcfg.arm],
+        jobs=config.jobs,
+        source_kb=_take_kb,
     ):
         if result.errors:
             raise result.errors[arm_id]
-        out.extend(result.records[arm_id])
-    return out
+        records.extend(result.records[arm_id])
+    return records
+
+
+def _print_skipped(skipped: Sequence[str]) -> None:
+    for msg in skipped:
+        print(f"skipped {msg}")
+    if skipped:
+        print(f"warnings: {len(skipped)} document(s) skipped")
 
 
 def _write_records_atomic(records: Sequence[agent.ExtractionRecord], path: Path) -> None:
@@ -427,12 +539,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         files = corpus_files(config)
         _print_plan("ingest", {"corpus_dir": config.corpus_dir, "files": len(files)})
         return EXIT_OK
-    docs, _paths, skipped = _load_corpus_with_paths(config)
+    corpus = Corpus(config)
+    docs = corpus.documents()
     out_dir = config.output_dir / "structured"
     for doc in docs:
         write_text_atomic(out_dir / f"{doc.doc_id}.json", docmodel.serialize(doc))
     print(f"ingested {len(docs)} documents into {out_dir}")
-    for msg in skipped:
+    for msg in corpus.skipped:
         print(f"skipped {msg}")
     if not docs:
         print("error: no documents ingested", file=sys.stderr)
@@ -457,44 +570,19 @@ def cmd_build_kb(args: argparse.Namespace) -> int:
             },
         )
         return EXIT_OK
-    docs, paths, skipped = _load_corpus_with_paths(config)
+    corpus = Corpus(config)
     out_dir = config.output_dir / "kb"
     out_dir.mkdir(parents=True, exist_ok=True)
-    for doc in docs:
-        built = build_or_load_kb(doc, paths[doc.doc_id], providers, pcfg, config)
+    for item in corpus.sourced(providers, pcfg):
         # the cache file already holds the saved, byte-reproducible form
-        target = out_dir / f"{doc.doc_id}.kb.json"
+        target = out_dir / f"{item.doc_id}.kb.json"
         tmp = target.with_name(target.name + ".tmp")
-        shutil.copyfile(_kb_cache_file(config, paths[doc.doc_id], providers, pcfg), tmp)
+        shutil.copyfile(kb_cache_path(config, item.sha256, providers, pcfg), tmp)
         os.replace(tmp, target)
-        print(f"{doc.doc_id}: {built.counts()}")
-    for msg in skipped:
+        print(f"{item.doc_id}: {item.kb.counts()}")
+    for msg in corpus.skipped:
         print(f"skipped {msg}")
-    return EXIT_OK if docs else EXIT_INPUT
-
-
-def _load_corpus_with_paths(
-    config: RunConfig,
-) -> tuple[list[docmodel.StructuredDocument], dict[str, Path], list[str]]:
-    """Ingest every corpus file: (documents by doc_id, doc_id -> source
-    path, skip messages). A duplicate doc_id is an input error."""
-    files = corpus_files(config)
-    docs = []
-    paths: dict[str, Path] = {}
-    skipped = []
-    for path in files:
-        try:
-            doc = docmodel.ingest(path)
-        except DocumentError as exc:
-            logger.warning("skipping %s: %s", path, exc)
-            skipped.append(f"{path.name}: {exc}")
-            continue
-        if doc.doc_id in paths:
-            raise DocumentError(f"duplicate doc_id {doc.doc_id!r} in corpus")
-        docs.append(doc)
-        paths[doc.doc_id] = path
-    docs.sort(key=lambda d: d.doc_id)
-    return docs, paths, skipped
+    return EXIT_OK if corpus.inputs else EXIT_INPUT
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
@@ -516,18 +604,17 @@ def cmd_extract(args: argparse.Namespace) -> int:
         )
         return EXIT_OK
     started = _utc_now()
-    docs, paths, skipped = _load_corpus_with_paths(config)
-    if not docs:
+    corpus = Corpus(config)
+    records = _extract_records(corpus, registry, providers, pcfg, config)
+    if not corpus.inputs:
         print("error: no documents ingested", file=sys.stderr)
         return EXIT_INPUT
-    records = _extract_records(docs, paths, registry, providers, pcfg, config)
 
     records_path = config.output_dir / "records.jsonl"
     _write_records_atomic(records, records_path)
 
-    inputs = {str(p): sha256_file(p) for p in paths.values()}
     registry_path = config.registry_path or metadata.bundled_registry_path()
-    inputs[str(registry_path)] = sha256_file(Path(registry_path))
+    inputs = {**corpus.inputs, str(registry_path): sha256_file(Path(registry_path))}
     manifest = build_manifest(
         config,
         providers,
@@ -539,11 +626,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     write_text_atomic(
         config.output_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n"
     )
-    print(f"wrote {len(records)} records for {len(docs)} documents to {records_path}")
-    for msg in skipped:
-        print(f"skipped {msg}")
-    if skipped:
-        print(f"warnings: {len(skipped)} document(s) skipped")
+    print(f"wrote {len(records)} records for {len(corpus.inputs)} documents to {records_path}")
+    _print_skipped(corpus.skipped)
     return EXIT_OK
 
 
@@ -574,19 +658,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     labels = evaluation.load_labels(labels_file, registry)
 
     records_path = Path(args.records) if args.records else config.output_dir / "records.jsonl"
+    skipped: list[str] = []
     if records_path.exists():
         records = agent.load_records(records_path)
         provider_name = "recorded"
     else:
         providers = build_providers(config)
         pcfg = pipeline_config(config, arm_id)
-        docs, paths, _skipped = _load_corpus_with_paths(config)
-        if not docs:
+        corpus = Corpus(config)
+        records = _extract_records(corpus, registry, providers, pcfg, config)
+        if not corpus.inputs:
             print("error: no documents ingested", file=sys.stderr)
             return EXIT_INPUT
-        records = _extract_records(docs, paths, registry, providers, pcfg, config)
         _write_records_atomic(records, config.output_dir / "records.jsonl")
         provider_name = providers.chat.name
+        skipped = corpus.skipped
 
     by_doc: dict[str, list[agent.ExtractionRecord]] = {}
     for r in records:
@@ -615,6 +701,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     table = evaluation.comparison_table([aggregate])
     write_text_atomic(config.output_dir / "report.txt", table + "\n")
     print(table)
+    _print_skipped(skipped)
     return EXIT_OK
 
 
@@ -635,7 +722,8 @@ def _run_ablation_command(
     started = _utc_now()
     labels = evaluation.load_labels(labels_file, registry)
     providers = build_providers(config)
-    docs, paths, skipped = _load_corpus_with_paths(config)
+    corpus = Corpus(config)
+    docs = corpus.documents()
     if not docs:
         print("error: no documents ingested", file=sys.stderr)
         return EXIT_INPUT
@@ -667,8 +755,7 @@ def _run_ablation_command(
 
     table = evaluation.comparison_table(reports)
     write_text_atomic(config.output_dir / "comparison.txt", table + "\n")
-    inputs = {str(p): sha256_file(p) for p in paths.values()}
-    inputs[str(labels_file)] = sha256_file(labels_file)
+    inputs = {**corpus.inputs, str(labels_file): sha256_file(labels_file)}
     manifest = build_manifest(config, providers, inputs, outputs, started, "all")
     write_text_atomic(config.output_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
@@ -676,7 +763,7 @@ def _run_ablation_command(
     for report in reports:
         for err in report.errors:
             print(f"warning [{report.config_id}]: {err}")
-    for msg in skipped:
+    for msg in corpus.skipped:
         print(f"skipped {msg}")
     return EXIT_OK
 
@@ -697,7 +784,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not records_path.exists():
         raise ConfigError(f"records file not found: {records_path} (run extract first)")
     records = agent.load_records(records_path)
-    docs, _paths, _skipped = _load_corpus_with_paths(config)
+    docs = Corpus(config).documents()
 
     overall = analytics.disclosure_stats(records, registry, "overall")
     by_industry = analytics.disclosure_stats(records, registry, "by-industry", docs)

@@ -626,6 +626,12 @@ def _parse_markdown(text: str, doc_id: str) -> StructuredDocument:
     return doc
 
 
+def name_doc_id(path: str | Path, text: str) -> str | None:
+    """The doc_id `ingest` gives a file from its name: markdown and plain
+    text carry none of their own. None for JSON, which declares its own."""
+    return None if text.lstrip().startswith("{") else Path(path).stem
+
+
 def ingest(path: str | Path) -> StructuredDocument:
     """Read one document file in any supported shape (see module doc)."""
     path = Path(path)
@@ -636,20 +642,20 @@ def ingest(path: str | Path) -> StructuredDocument:
     if not text.strip():
         raise DocumentError(f"{path}: empty document")
 
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise DocumentError(f"{path}: expected a JSON object")
-        if data.get("format") == STRUCTURED_FORMAT:
-            return _parse_structured_json(data, path)
-        if "elements" in data:
-            return _parse_layout_json(data, path)
-        raise DocumentError(
-            f"{path}: JSON is neither a layout-element file (no 'elements') nor a "
-            f"structured document (no 'format')"
-        )
-    return _parse_markdown(text, doc_id=path.stem)
+    named = name_doc_id(path, text)
+    if named is not None:
+        return _parse_markdown(text, doc_id=named)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DocumentError(f"{path}: expected a JSON object")
+    if data.get("format") == STRUCTURED_FORMAT:
+        return _parse_structured_json(data, path)
+    if "elements" in data:
+        return _parse_layout_json(data, path)
+    raise DocumentError(
+        f"{path}: JSON is neither a layout-element file (no 'elements') nor a "
+        f"structured document (no 'format')"
+    )

@@ -15,11 +15,11 @@ call (query text depends on the indicator and the search-term switch,
 never on the document), and arms with the same KB mode and retrieval
 switches form one retrieval group, so they share each search, rerank
 and evidence bundle; only the prompt, chat call and parse run per arm.
-It then executes document by document: source the document's KBs, run
-one `search_many` per group over all its indicators' queries, fan the
-(indicator x group) rerank, evidence, prompt, chat and parse work over
-one pool of `jobs` threads, and drop the KBs and evidence before the
-next document.
+It then executes document by document, as the documents come: source
+the document's KBs, run one `search_many` per group over all its
+indicators' queries, fan the (indicator x group) rerank, evidence,
+prompt, chat and parse work over one pool of `jobs` threads, and drop
+the KBs and evidence before the next document.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from itertools import repeat
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .agent import ExtractConfig, ExtractionRecord, answer_indicator, evidence_from_hits
 from .docmodel import StructuredDocument
@@ -104,8 +104,9 @@ def build_document_kb(
     return build_naive(doc, providers.embedder, cfg.naive_chunk_chars)
 
 
-# (document, config whose arm selects the KB mode) -> that document's KB
-KbSource = Callable[[StructuredDocument, PipelineConfig], KnowledgeBase]
+# (document, config whose arm selects the KB mode) -> that document's KB;
+# the document is whatever the runner was given: anything with a doc_id
+KbSource = Callable[[Any, PipelineConfig], KnowledgeBase]
 
 
 @dataclass(frozen=True)
@@ -192,7 +193,7 @@ def _extract_group(
 
 
 def _run_document(
-    doc: StructuredDocument,
+    doc: Any,
     plan: CorpusPlan,
     registry: MetadataRegistry,
     providers: ProviderSet,
@@ -240,7 +241,7 @@ def _run_document(
 
 
 def run_corpus(
-    docs: Sequence[StructuredDocument],
+    docs: Iterable[Any],
     registry: MetadataRegistry,
     providers: ProviderSet,
     cfg: PipelineConfig,
@@ -249,16 +250,19 @@ def run_corpus(
     source_kb: KbSource | None = None,
 ) -> Iterator[DocumentResult]:
     """Extract every registry indicator for every arm, one result per
-    document in `docs` order.
+    document in `docs` order. `docs` may be a lazy iterable; each item
+    only needs a `doc_id` and to be what `source_kb` takes.
 
-    `source_kb` supplies a document's KB for a mode (default: build it
-    in memory). A PipelineError while sourcing a KB or retrieving
-    evidence fails the arms that depend on it for that document only;
-    a failing query-plan `embed` raises before any document runs.
+    `source_kb` supplies a document's KB for a mode (default: build a
+    StructuredDocument's in memory). A PipelineError while sourcing a KB
+    or retrieving evidence fails the arms that depend on it for that
+    document only. The run is planned when the first document arrives,
+    so an empty `docs` calls no provider; a failing query-plan `embed`
+    raises before any document runs.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    plan = plan_corpus(registry, providers, cfg, arms)
+    plan: CorpusPlan | None = None
     if source_kb is None:
 
         def source_kb(doc: StructuredDocument, kb_cfg: PipelineConfig) -> KnowledgeBase:
@@ -267,6 +271,8 @@ def run_corpus(
     with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         map_fn = pool.map if pool is not None else map
         for doc in docs:
+            if plan is None:
+                plan = plan_corpus(registry, providers, cfg, arms)
             yield _run_document(doc, plan, registry, providers, source_kb, map_fn)
 
 

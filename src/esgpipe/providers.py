@@ -254,9 +254,12 @@ class HttpEndpoint:
         return session
 
     def post(self, payload: dict) -> dict:
+        """The reply's JSON object. A connection error, a timeout, a 5xx,
+        408 or 429 is retried up to `retries` times; any other failure,
+        such as a 401 or a reply that is not a JSON object, is not."""
         session = self._session()
-        last: Exception | None = None
-        for _ in range(self.retries + 1):
+        retries = self.retries
+        while True:
             try:
                 resp = session.post(
                     self.url,
@@ -265,10 +268,32 @@ class HttpEndpoint:
                     headers=_bearer_headers(self.token_env),
                 )
                 resp.raise_for_status()
-                return resp.json()
+                data = resp.json()
             except (requests.RequestException, ValueError) as exc:
-                last = exc
-        raise ProviderError(f"provider at {self.url} unreachable: {last}") from last
+                if retries > 0 and _transient(exc):
+                    retries -= 1
+                    continue
+                raise ProviderError(f"provider at {self.url} unreachable: {exc}") from exc
+            if not isinstance(data, dict):
+                raise ProviderError(f"provider at {self.url} replied with a non-object")
+            return data
+
+
+def _transient(exc: Exception) -> bool:
+    """Whether a failed request may succeed if sent again."""
+    if isinstance(exc, (requests.ConnectionError, requests.Timeout)):
+        return True
+    if isinstance(exc, requests.HTTPError) and exc.response is not None:
+        status = exc.response.status_code
+        return status >= 500 or status in (408, 429)
+    return False
+
+
+def _floats(values: list, what: str) -> list[float]:
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ProviderError(f"{what} provider returned a non-number: {exc}") from exc
 
 
 class HttpEmbedder(EmbeddingProvider):
@@ -287,11 +312,13 @@ class HttpEmbedder(EmbeddingProvider):
             )
         out = []
         for vec in vectors:
+            if not isinstance(vec, list):
+                raise ProviderError(f"embedding provider returned {vec!r} as a vector")
             if len(vec) != self.dim:
                 raise ProviderError(
                     f"embedding provider returned dim {len(vec)}, expected {self.dim}"
                 )
-            out.append([float(v) for v in vec])
+            out.append(_floats(vec, "embedding"))
         return out
 
 
@@ -305,7 +332,7 @@ class HttpReranker(Reranker):
         scores = data.get("scores")
         if not isinstance(scores, list) or len(scores) != len(candidates):
             raise ProviderError("rerank provider returned a malformed score list")
-        return [float(s) for s in scores]
+        return _floats(scores, "rerank")
 
 
 class HttpChatProvider(ChatProvider):

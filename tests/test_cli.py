@@ -494,3 +494,211 @@ def test_v1_kb_cache_is_rebuilt_once(workspace, capsys, caplog):
         assert all("KB version 1 not supported" in r.getMessage() for r in warnings)
         assert {p.name: p.read_bytes() for p in caches} == fresh
         assert (out / "records.jsonl").read_bytes() == fresh_records
+
+
+# ---------------------------------------------------------------- lazy corpus
+
+
+@pytest.fixture()
+def ingested(monkeypatch):
+    """The names of the files `docmodel.ingest` parses, in call order."""
+    from esgpipe import docmodel
+
+    names = []
+    real = docmodel.ingest
+
+    def counting(path):
+        names.append(path.name)
+        return real(path)
+
+    monkeypatch.setattr(docmodel, "ingest", counting)
+    return names
+
+
+def _files(out_dir):
+    return {
+        str(p.relative_to(out_dir)): p.read_bytes()
+        for p in sorted(out_dir.rglob("*"))
+        if p.is_file() and p.name != "manifest.json"
+    }
+
+
+@pytest.mark.parametrize(
+    "command", [["extract"], ["evaluate", "--arm", "enhanced_rag_knowledge"], ["build-kb"]]
+)
+def test_warm_cache_parses_no_document(workspace, capsys, ingested, command):
+    _keep_docs(workspace, {"doc00.json", "doc01.json", "doc02.json"})
+    cfg = _config_path(workspace)
+    out = workspace / "out"
+    outputs, calls = [], []
+    for _run in ("cold", "warm"):
+        (out / "records.jsonl").unlink(missing_ok=True)
+        ingested.clear()
+        assert main([*command, "--config", cfg]) == EXIT_OK
+        calls.append(sorted(ingested))
+        outputs.append(_files(out))
+    assert calls == [["doc00.json", "doc01.json", "doc02.json"], []]
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_records_come_in_doc_id_order_whatever_the_file_names(workspace, capsys, ingested):
+    _keep_docs(workspace, {"doc00.json", "doc01.json", "doc02.json"})
+    cfg = _config_path(workspace)
+    out = workspace / "out"
+    assert main(["extract", "--config", cfg]) == EXIT_OK
+    want = (out / "records.jsonl").read_bytes()
+    corpus = workspace / "corpus"
+    for old, new in (("doc00.json", "c.json"), ("doc01.json", "a.json"), ("doc02.json", "b.json")):
+        (corpus / old).rename(corpus / new)
+    for cold in (False, True):
+        if cold:
+            shutil.rmtree(out / "kb_cache")
+        (out / "records.jsonl").unlink()
+        ingested.clear()
+        assert main(["extract", "--config", cfg]) == EXIT_OK
+        assert ingested == (["a.json", "b.json", "c.json"] if cold else [])
+        assert (out / "records.jsonl").read_bytes() == want
+
+
+def test_duplicate_doc_id_on_a_warm_cache_stops_before_extracting_it(
+    workspace, capsys, ingested, monkeypatch
+):
+    from esgpipe.providers import MockChatProvider
+
+    _keep_docs(workspace, {"doc00.json", "doc01.json"})
+    cfg = _config_path(workspace)
+    out = workspace / "out"
+    assert main(["extract", "--config", cfg]) == EXIT_OK
+    capsys.readouterr()
+    corpus = workspace / "corpus"
+    shutil.copyfile(corpus / "doc00.json", corpus / "doc00b.json")
+    (out / "records.jsonl").unlink()
+    ingested.clear()
+    asked = set()
+    real_complete = MockChatProvider.complete
+
+    def complete(self, prompt, params):
+        asked.add(prompt.doc_id)
+        return real_complete(self, prompt, params)
+
+    monkeypatch.setattr(MockChatProvider, "complete", complete)
+    assert main(["extract", "--config", cfg]) == EXIT_INPUT
+    assert "duplicate doc_id 'doc00'" in capsys.readouterr().err
+    assert ingested == []
+    assert asked == {"doc00"}  # doc00b.json and the later doc01.json never ran
+    assert not (out / "records.jsonl").exists()
+
+
+def test_corrupt_kb_cache_falls_back_to_parsing_once(workspace, capsys, caplog, ingested):
+    _keep_docs(workspace, {"doc00.json", "doc01.json"})
+    cfg = _config_path(workspace)
+    out = workspace / "out"
+    assert main(["extract", "--config", cfg]) == EXIT_OK
+    records = (out / "records.jsonl").read_bytes()
+    caches = sorted((out / "kb_cache").glob("*.json"))
+    fresh = {p.name: p.read_bytes() for p in caches}
+    caches[0].write_text('{"format": "esgpipe-kb", "trunc', encoding="utf-8")
+    (out / "records.jsonl").unlink()
+    ingested.clear()
+    with caplog.at_level("WARNING", logger="esgpipe.cli"):
+        assert main(["extract", "--config", cfg]) == EXIT_OK
+    stale = [r for r in caplog.records if "stale KB cache" in r.getMessage()]
+    assert len(stale) == 1 and caches[0].name in stale[0].getMessage()
+    assert len(ingested) == 1
+    assert {p.name: p.read_bytes() for p in caches} == fresh
+    assert (out / "records.jsonl").read_bytes() == records
+
+
+def test_broken_files_are_skipped_in_path_order_on_a_warm_run(workspace, capsys, ingested):
+    _keep_docs(workspace, {"doc00.json", "doc01.json"})
+    corpus = workspace / "corpus"
+    (corpus / "a-broken.json").write_text("{", encoding="utf-8")
+    (corpus / "z-empty.md").write_text("  \n", encoding="utf-8")
+    cfg = _config_path(workspace)
+    for _run in ("cold", "warm"):
+        (workspace / "out" / "records.jsonl").unlink(missing_ok=True)
+        ingested.clear()
+        assert main(["extract", "--config", cfg]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("wrote 140 records for 2 documents")
+        assert [line.split(":")[0] for line in lines[1:]] == [
+            "skipped a-broken.json", "skipped z-empty.md", "warnings"
+        ]
+        assert lines[-1] == "warnings: 2 document(s) skipped"
+    assert ingested == ["a-broken.json", "z-empty.md"]
+
+
+def test_fresh_evaluate_reports_skipped_documents(workspace, capsys):
+    _keep_docs(workspace, {"doc00.json"})
+    (workspace / "corpus" / "broken.json").write_text("{", encoding="utf-8")
+    cfg = _config_path(workspace)
+    assert main(["evaluate", "--arm", "enhanced_rag_knowledge", "--config", cfg]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "skipped broken.json: " in out
+    assert out.rstrip().endswith("warnings: 1 document(s) skipped")
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_corpus_without_documents_exits_2_before_any_provider_call(
+    workspace, capsys, monkeypatch, broken
+):
+    from esgpipe.providers import HashEmbedder
+
+    embeds = []
+    monkeypatch.setattr(HashEmbedder, "embed", lambda self, texts: embeds.append(texts))
+    _keep_docs(workspace, set())
+    if broken:
+        (workspace / "corpus" / "broken.json").write_text("{", encoding="utf-8")
+    cfg = _config_path(workspace)
+    for command in (["extract"], ["evaluate", "--arm", "enhanced_rag_knowledge"]):
+        assert main([*command, "--config", cfg]) == EXIT_INPUT
+        assert "no documents ingested" in capsys.readouterr().err
+    assert main(["build-kb", "--config", cfg]) == EXIT_INPUT
+    assert embeds == []
+
+
+def test_warm_cache_takes_a_markdown_doc_id_from_its_file_name(workspace, capsys, ingested):
+    _keep_docs(workspace, set())
+    corpus = workspace / "corpus"
+    (corpus / "alpha.md").write_text(
+        "# Emissions\n\nScope 1 emissions were 1,200 tCO2e in the year.\n", encoding="utf-8"
+    )
+    cfg = _config_path(workspace)
+    out = workspace / "out"
+    assert main(["extract", "--config", cfg]) == EXIT_OK
+    # same bytes under a new name: the cache hits, but the doc_id is the new name
+    (corpus / "alpha.md").rename(corpus / "beta.md")
+    warm = []
+    for cold in (False, True):
+        if cold:
+            shutil.rmtree(out / "kb_cache")
+        (out / "records.jsonl").unlink()
+        ingested.clear()
+        assert main(["extract", "--config", cfg]) == EXIT_OK
+        assert ingested == (["beta.md"] if cold else [])
+        warm.append((out / "records.jsonl").read_bytes())
+    lines = warm[0].decode("utf-8").splitlines()
+    assert {json.loads(line)["doc_id"] for line in lines} == {"beta"}
+    assert warm[0] == warm[1]
+
+
+def test_manifest_inputs_reuse_the_corpus_digests(workspace, capsys, monkeypatch):
+    import hashlib
+
+    from esgpipe import cli
+
+    _keep_docs(workspace, {"doc00.json", "doc01.json"})
+    hashed = []
+    real = cli.sha256_file
+    monkeypatch.setattr(cli, "sha256_file", lambda path: hashed.append(path) or real(path))
+    cfg = _config_path(workspace)
+    assert main(["build-kb", "--config", cfg]) == EXIT_OK
+    assert main(["extract", "--config", cfg]) == EXIT_OK
+    corpus = workspace / "corpus"
+    assert not [p for p in hashed if p.parent == corpus]  # the loader hashed them already
+    manifest = json.loads((workspace / "out" / "manifest.json").read_text(encoding="utf-8"))
+    inputs = {k: v for k, v in manifest["inputs_sha256"].items() if k.startswith(str(corpus))}
+    assert inputs == {
+        str(corpus / name): hashlib.sha256((corpus / name).read_bytes()).hexdigest()
+        for name in ("doc00.json", "doc01.json")
+    }

@@ -371,3 +371,80 @@ def test_http_chat_contract(http_server):
     server.responder = lambda p, body: (200, {"content": None})
     with pytest.raises(ProviderError, match="no 'content'"):
         chat.complete(prompt, {})
+
+
+
+def test_malformed_replies_are_provider_errors(http_server):
+    # each once raised a TypeError, ValueError or AttributeError instead
+    server, base = http_server
+    emb = HttpEmbedder(HttpEndpoint(f"{base}/embed", retries=2), dim=2)
+    reranker = HttpReranker(HttpEndpoint(f"{base}/rerank", retries=2))
+    chat = HttpChatProvider(HttpEndpoint(f"{base}/chat", retries=2))
+    cases = [
+        (lambda: emb.embed(["a", "b"]), {"vectors": [1, 2]}, "as a vector"),
+        (lambda: emb.embed(["a", "b"]), {"vectors": [["a", 0.0], [0.0, 1.0]]}, "non-number"),
+        (lambda: emb.embed(["a", "b"]), {"vectors": [[None, 0.0], [0.0, 1.0]]}, "non-number"),
+        (lambda: emb.embed(["a", "b"]), [[1.0, 0.0], [0.0, 1.0]], "non-object"),
+        (lambda: reranker.score("q", ["c1", "c2"]), {"scores": ["x", 0.5]}, "non-number"),
+        (lambda: reranker.score("q", ["c1", "c2"]), [0.2, 0.5], "non-object"),
+        (lambda: chat.complete(_prompt("d", "i"), {}), ["hello"], "non-object"),
+    ]
+    for call, body, match in cases:
+        server.calls.clear()
+        server.responder = lambda p, payload: (200, body)
+        with pytest.raises(ProviderError, match=match):
+            call()
+        assert len(server.calls) == 1, body  # a malformed reply is not resent
+
+
+def test_http_endpoint_retries_only_transient_failures(http_server):
+    server, base = http_server
+    endpoint = HttpEndpoint(f"{base}/x", retries=2)
+    for status, posts in ((400, 1), (401, 1), (403, 1), (404, 1), (408, 3), (429, 3),
+                          (500, 3), (503, 3)):
+        server.calls.clear()
+        server.responder = lambda p, payload: (status, {"error": "no"})
+        with pytest.raises(ProviderError, match=str(status)):
+            endpoint.post({})
+        assert len(server.calls) == posts, status
+
+
+def test_http_endpoint_retries_a_refused_connection():
+    import socket
+
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]  # closed again before the requests
+    endpoint = HttpEndpoint(f"http://127.0.0.1:{port}/x", retries=2, timeout=2)
+    session = endpoint._session()
+    real_post = session.post
+    attempts = []
+
+    def counting_post(*args, **kwargs):
+        attempts.append(1)
+        return real_post(*args, **kwargs)
+
+    session.post = counting_post
+    with pytest.raises(ProviderError, match="unreachable"):
+        endpoint.post({})
+    assert len(attempts) == 3
+
+
+def test_chat_401_costs_one_post_per_agent_attempt(http_server, monkeypatch):
+    from esgpipe import metadata
+    from esgpipe.agent import FLAG_PROVIDER_FAILED, ExtractConfig, answer_indicator
+    from esgpipe.providers import ProviderSet
+    from esgpipe.retrieval import assemble_evidence
+
+    server, base = http_server
+    server.responder = lambda p, payload: (401, {"error": "bad token"})
+    monkeypatch.setattr("esgpipe.agent.time.sleep", lambda s: None)
+    registry = metadata.load_registry(metadata.bundled_registry_path())
+    spec = registry.indicators[0]
+    providers = ProviderSet(
+        embedder=HashEmbedder(), chat=HttpChatProvider(HttpEndpoint(f"{base}/chat", retries=2))
+    )
+    evidence = assemble_evidence([], 6000, indicator_id=spec.id)
+    records = answer_indicator("d", spec, evidence, registry, providers, ExtractConfig(retries=2))
+    assert [r.flags for r in records] == [[FLAG_PROVIDER_FAILED]]
+    assert len(server.calls) == 3  # the agent's 3 attempts, none resent by the endpoint
