@@ -11,10 +11,16 @@ Exit codes: 0 success (data-level failures are summarized as warnings),
 
 The corpus is read in path order, one document at a time, and each file
 is hashed once per command. build-kb, extract and a fresh single-arm
-evaluate source each document's KB through `out/kb_cache/`: a hit takes
-the doc_id from the cached KB and never parses the file, a miss parses,
-builds and caches it. ingest, ablate and analyze parse every file, as
-they need the document itself. Records are written in doc_id order.
+evaluate source each document's KB through `out/kb_cache/`, keyed by the
+file's bytes and, for markdown and plain text, by the name that gives
+their doc_id: a hit takes the doc_id from the cached KB and never parses
+the file, a miss parses, builds and caches it. ingest, ablate and
+analyze parse every file, as they need the document itself.
+
+extract and a fresh single-arm evaluate share `extract_arm`, which writes
+`records.jsonl`, in doc_id order, and `manifest.json`. evaluate and
+ablate score each arm with `evaluation.evaluate_arm`. Every output file
+is written to a `.tmp` sibling and renamed into place (`write_atomic`).
 
 Config file shape (all keys optional unless a command needs them)::
 
@@ -51,6 +57,7 @@ import shutil
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -293,10 +300,16 @@ def pipeline_config(config: RunConfig, arm_id: str) -> PipelineConfig:
     )
 
 
-def write_text_atomic(path: Path, text: str) -> None:
+def write_atomic(path: Path, write: str | Callable[[Path], object]) -> None:
+    """Write `path` whole or not at all: `write`, the text or a function
+    that writes the path it is given, fills a `.tmp` sibling, which then
+    replaces `path`."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    if isinstance(write, str):
+        tmp.write_text(write, encoding="utf-8")
+    else:
+        write(tmp)
     os.replace(tmp, path)
 
 
@@ -321,62 +334,60 @@ def corpus_files(config: RunConfig) -> list[Path]:
 
 
 def kb_cache_path(
-    config: RunConfig, sha256: str, providers: ProviderSet, pcfg: PipelineConfig
+    config: RunConfig, key: str, providers: ProviderSet, pcfg: PipelineConfig
 ) -> Path:
-    """One file per (document bytes, given by their sha256; embedder;
-    mode; the mode's build parameters: chunk size, plus summary length
-    for structured KBs)."""
+    """One file per (document, given by its cache key from `_fingerprint`;
+    embedder; mode; the mode's build parameters: chunk size, plus summary
+    length for structured KBs)."""
     if pcfg.arm.use_structured_preprocessing:
         mode, params = "structured", f"{config.max_chars}-s{config.summary_sentences}"
     else:
         mode, params = "naive", str(config.naive_chunk_chars)
-    name = f"{sha256[:16]}-{providers.embedder.name}-{mode}-{params}.json"
+    name = f"{key[:16]}-{providers.embedder.name}-{mode}-{params}.json"
     return config.output_dir / "kb_cache" / name
 
 
 def build_or_load_kb(
     load_doc: Callable[[], docmodel.StructuredDocument],
-    sha256: str,
+    key: str,
     providers: ProviderSet,
     pcfg: PipelineConfig,
     config: RunConfig,
 ) -> kbmod.KnowledgeBase:
-    """The KB of the corpus file whose bytes hash to `sha256`: loaded
-    from `kb_cache/`, or, on a miss or a stale file, built from
-    `load_doc()` and cached. Only a miss parses the document."""
-    cache = kb_cache_path(config, sha256, providers, pcfg)
+    """The KB of the corpus file with cache key `key`: loaded from
+    `kb_cache/`, or, on a miss or a stale file, built from `load_doc()`
+    and cached. Only a miss parses the document."""
+    cache = kb_cache_path(config, key, providers, pcfg)
     if cache.exists():
         try:
             return kbmod.load(cache)
         except KnowledgeBaseError as exc:
             logger.warning("stale KB cache %s: %s; rebuilding", cache.name, exc)
     built = build_document_kb(load_doc(), providers, pcfg)
-    cache.parent.mkdir(parents=True, exist_ok=True)
-    tmp = cache.with_name(cache.name + ".tmp")
-    kbmod.save(built, tmp)
-    os.replace(tmp, cache)
+    write_atomic(cache, partial(kbmod.save, built))
     return built
 
 
-def build_manifest(
+def write_manifest(
     config: RunConfig,
-    providers: ProviderSet | None,
+    providers: ProviderSet,
     inputs: dict[str, str],
     outputs: dict[str, str],
     started: str,
     arm: str,
-) -> dict:
-    return {
+) -> None:
+    manifest = {
         "tool_version": __version__,
         "started_utc": started,
         "finished_utc": _utc_now(),
         "arm": arm,
         "mode": config.mode,
-        "providers": providers.names() if providers else {},
+        "providers": providers.names(),
         "config": config.snapshot,
         "inputs_sha256": inputs,
         "outputs_sha256": outputs,
     }
+    write_atomic(config.output_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 def _utc_now() -> str:
@@ -389,12 +400,17 @@ def _print_plan(title: str, items: dict[str, object]) -> None:
         print(f"  {key}: {value}")
 
 
-def _fingerprint(path: Path) -> tuple[str, str | None]:
-    """A corpus file's sha256 and the doc_id its name gives it, if any
-    (`docmodel.name_doc_id`); its bytes are dropped on return."""
+def _fingerprint(path: Path) -> tuple[str, str]:
+    """A corpus file's sha256 and its KB cache key: the sha256 itself for
+    JSON, which declares its doc_id; for markdown and plain text, whose
+    doc_id is the file name (`docmodel.name_doc_id`), a hash of both. The
+    bytes are dropped on return."""
     data = path.read_bytes()
-    text = data.decode("utf-8", errors="replace")
-    return hashlib.sha256(data).hexdigest(), docmodel.name_doc_id(path, text)
+    sha256 = hashlib.sha256(data).hexdigest()
+    named = docmodel.name_doc_id(path, data.decode("utf-8", errors="replace"))
+    if named is None:
+        return sha256, sha256
+    return sha256, hashlib.sha256(os.fsencode(f"{sha256}/{named}")).hexdigest()
 
 
 class _Unparsed(Exception):
@@ -409,6 +425,7 @@ class CorpusDocument:
 
     path: Path
     sha256: str
+    key: str  # of its KB in the cache: see `_fingerprint`
     doc_id: str | None = None
     doc: docmodel.StructuredDocument | None = None
     kb: kbmod.KnowledgeBase | None = None
@@ -433,7 +450,7 @@ class Corpus:
     def sourced(self, providers: ProviderSet, pcfg: PipelineConfig) -> Iterator[CorpusDocument]:
         """Each document with its `pcfg` KB from `build_or_load_kb`, so
         only a cache miss parses the file. A hit takes the doc_id from
-        the file name, as `ingest` would, or else from the KB's scope."""
+        the KB's scope."""
         return self._read((providers, pcfg))
 
     def _read(
@@ -449,11 +466,10 @@ class Corpus:
 
         for path in corpus_files(self.config):
             try:
-                sha256, named = _fingerprint(path)
+                item = CorpusDocument(path, *_fingerprint(path))
             except OSError as exc:
                 self._skip(path, DocumentError(f"cannot read {path}: {exc}"))
                 continue
-            item = CorpusDocument(path, sha256)
 
             def ingest(item: CorpusDocument = item) -> docmodel.StructuredDocument:
                 try:
@@ -467,12 +483,12 @@ class Corpus:
                 if kb_source is None:
                     item.doc = ingest()
                 else:
-                    item.kb = build_or_load_kb(ingest, item.sha256, *kb_source, self.config)
+                    item.kb = build_or_load_kb(ingest, item.key, *kb_source, self.config)
             except _Unparsed as exc:
                 self._skip(path, exc)
                 continue
             if item.doc_id is None:  # the KB came from the cache
-                claim(item, named or item.kb.scope)
+                claim(item, item.kb.scope)
             self.inputs[str(path)] = item.sha256
             yield item
 
@@ -488,18 +504,20 @@ def _take_kb(item: CorpusDocument, _cfg: PipelineConfig) -> kbmod.KnowledgeBase:
     return kb
 
 
-def _extract_records(
-    corpus: Corpus,
+def extract_arm(
+    config: RunConfig,
     registry: metadata.MetadataRegistry,
     providers: ProviderSet,
-    pcfg: PipelineConfig,
-    config: RunConfig,
-) -> list[agent.ExtractionRecord]:
-    """`pcfg.arm` over the corpus, each KB sourced through the disk cache
-    as its document comes up, in path order (`agent.write_records` puts
-    the records in doc_id order). The first document that fails aborts
-    the run with its error."""
-    arm_id = pcfg.arm.config_id
+    arm_id: str,
+) -> tuple[list[agent.ExtractionRecord], Corpus]:
+    """`arm_id` over the corpus, for `extract` and a fresh single-arm
+    `evaluate`: each KB is sourced through the disk cache as its document
+    comes up, in path order, and the first document that fails aborts the
+    run with its error. Writes `records.jsonl`, in doc_id order, and its
+    manifest; returns the records and the corpus read."""
+    started = _utc_now()
+    pcfg = pipeline_config(config, arm_id)
+    corpus = Corpus(config)
     records: list[agent.ExtractionRecord] = []
     for result in run_corpus(
         corpus.sourced(providers, pcfg),
@@ -513,7 +531,19 @@ def _extract_records(
         if result.errors:
             raise result.errors[arm_id]
         records.extend(result.records[arm_id])
-    return records
+    _require_documents(corpus)
+    records_path = config.output_dir / "records.jsonl"
+    write_atomic(records_path, partial(agent.write_records, records))
+    registry_path = config.registry_path or metadata.bundled_registry_path()
+    inputs = {**corpus.inputs, str(registry_path): sha256_file(Path(registry_path))}
+    outputs = {str(records_path): sha256_file(records_path)}
+    write_manifest(config, providers, inputs, outputs, started, arm_id)
+    return records, corpus
+
+
+def _require_documents(corpus: Corpus) -> None:
+    if not corpus.inputs:
+        raise DocumentError("no documents ingested")
 
 
 def _print_skipped(skipped: Sequence[str]) -> None:
@@ -523,11 +553,16 @@ def _print_skipped(skipped: Sequence[str]) -> None:
         print(f"warnings: {len(skipped)} document(s) skipped")
 
 
-def _write_records_atomic(records: Sequence[agent.ExtractionRecord], path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    agent.write_records(records, tmp)
-    os.replace(tmp, path)
+def _write_reports(
+    reports: Sequence[evaluation.EvaluationReport], paths: Sequence[Path], table_path: Path
+) -> None:
+    """Each report's JSON at its path, then the arms' comparison table at
+    `table_path` and on stdout."""
+    for report, path in zip(reports, paths):
+        write_atomic(path, json.dumps(evaluation.report_to_json(report), indent=2) + "\n")
+    table = evaluation.comparison_table(reports)
+    write_atomic(table_path, table + "\n")
+    print(table)
 
 
 # --- subcommands ---
@@ -543,13 +578,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     docs = corpus.documents()
     out_dir = config.output_dir / "structured"
     for doc in docs:
-        write_text_atomic(out_dir / f"{doc.doc_id}.json", docmodel.serialize(doc))
+        write_atomic(out_dir / f"{doc.doc_id}.json", docmodel.serialize(doc))
     print(f"ingested {len(docs)} documents into {out_dir}")
-    for msg in corpus.skipped:
-        print(f"skipped {msg}")
-    if not docs:
-        print("error: no documents ingested", file=sys.stderr)
-        return EXIT_INPUT
+    _print_skipped(corpus.skipped)
+    _require_documents(corpus)
     return EXIT_OK
 
 
@@ -571,18 +603,16 @@ def cmd_build_kb(args: argparse.Namespace) -> int:
         )
         return EXIT_OK
     corpus = Corpus(config)
-    out_dir = config.output_dir / "kb"
-    out_dir.mkdir(parents=True, exist_ok=True)
     for item in corpus.sourced(providers, pcfg):
         # the cache file already holds the saved, byte-reproducible form
-        target = out_dir / f"{item.doc_id}.kb.json"
-        tmp = target.with_name(target.name + ".tmp")
-        shutil.copyfile(kb_cache_path(config, item.sha256, providers, pcfg), tmp)
-        os.replace(tmp, target)
+        cached = kb_cache_path(config, item.key, providers, pcfg)
+        write_atomic(
+            config.output_dir / "kb" / f"{item.doc_id}.kb.json", partial(shutil.copyfile, cached)
+        )
         print(f"{item.doc_id}: {item.kb.counts()}")
-    for msg in corpus.skipped:
-        print(f"skipped {msg}")
-    return EXIT_OK if corpus.inputs else EXIT_INPUT
+    _print_skipped(corpus.skipped)
+    _require_documents(corpus)
+    return EXIT_OK
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
@@ -590,7 +620,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     arm_id = args.arm or (DEFAULT_ARM if config.arm == "all" else config.arm)
     registry = load_registry_for(config)
     providers = build_providers(config)
-    pcfg = pipeline_config(config, arm_id)
+    records_path = config.output_dir / "records.jsonl"
     if args.dry_run:
         _print_plan(
             "extract",
@@ -599,33 +629,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 "arm": arm_id,
                 "mode": config.mode,
                 "providers": providers.names(),
-                "output": config.output_dir / "records.jsonl",
+                "output": records_path,
             },
         )
         return EXIT_OK
-    started = _utc_now()
-    corpus = Corpus(config)
-    records = _extract_records(corpus, registry, providers, pcfg, config)
-    if not corpus.inputs:
-        print("error: no documents ingested", file=sys.stderr)
-        return EXIT_INPUT
-
-    records_path = config.output_dir / "records.jsonl"
-    _write_records_atomic(records, records_path)
-
-    registry_path = config.registry_path or metadata.bundled_registry_path()
-    inputs = {**corpus.inputs, str(registry_path): sha256_file(Path(registry_path))}
-    manifest = build_manifest(
-        config,
-        providers,
-        inputs,
-        {str(records_path): sha256_file(records_path)},
-        started,
-        arm_id,
-    )
-    write_text_atomic(
-        config.output_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n"
-    )
+    records, corpus = extract_arm(config, registry, providers, arm_id)
     print(f"wrote {len(records)} records for {len(corpus.inputs)} documents to {records_path}")
     _print_skipped(corpus.skipped)
     return EXIT_OK
@@ -661,16 +669,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     skipped: list[str] = []
     if records_path.exists():
         records = agent.load_records(records_path)
+        if not records:
+            raise EvaluationError(f"no records to evaluate in {records_path}")
         provider_name = "recorded"
     else:
         providers = build_providers(config)
-        pcfg = pipeline_config(config, arm_id)
-        corpus = Corpus(config)
-        records = _extract_records(corpus, registry, providers, pcfg, config)
-        if not corpus.inputs:
-            print("error: no documents ingested", file=sys.stderr)
-            return EXIT_INPUT
-        _write_records_atomic(records, config.output_dir / "records.jsonl")
+        records, corpus = extract_arm(config, registry, providers, arm_id)
         provider_name = providers.chat.name
         skipped = corpus.skipped
 
@@ -680,27 +684,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     missing = sorted(set(by_doc) - set(labels))
     if missing:
         raise EvaluationError(f"records reference documents without labels: {missing}")
-
-    aliases = evaluation.UnitAliases.bundled()
-    doc_reports = [
-        evaluation.evaluate_document(
-            labels[doc_id],
-            by_doc[doc_id],
-            registry,
-            config_id=arm_id,
-            provider_name=provider_name,
-            aliases=aliases,
-            rel_tol=config.rel_tol,
-        )
-        for doc_id in sorted(by_doc)
-    ]
-    aggregate = evaluation.aggregate_reports(doc_reports, config_id=arm_id, provider_name=provider_name)
-
-    report_json = json.dumps(evaluation.report_to_json(aggregate), indent=2) + "\n"
-    write_text_atomic(config.output_dir / "report.json", report_json)
-    table = evaluation.comparison_table([aggregate])
-    write_text_atomic(config.output_dir / "report.txt", table + "\n")
-    print(table)
+    report = evaluation.evaluate_arm(
+        arm_id, provider_name, sorted(by_doc.items()), labels, registry, config.rel_tol
+    )
+    _write_reports([report], [config.output_dir / "report.json"], config.output_dir / "report.txt")
     _print_skipped(skipped)
     return EXIT_OK
 
@@ -724,54 +711,37 @@ def _run_ablation_command(
     providers = build_providers(config)
     corpus = Corpus(config)
     docs = corpus.documents()
-    if not docs:
-        print("error: no documents ingested", file=sys.stderr)
-        return EXIT_INPUT
+    _require_documents(corpus)
 
     arms = [ABLATION_ARMS[a] for a in ("benchmark", "enhanced_rag", "enhanced_rag_knowledge")]
     records_sink: dict[str, list[agent.ExtractionRecord]] = {}
-    base_cfg = pipeline_config(config, DEFAULT_ARM)
     reports = evaluation.run_ablation(
         docs,
         registry,
         labels,
         arms,
         providers,
-        base_cfg,
+        pipeline_config(config, DEFAULT_ARM),
         records_sink=records_sink,
         rel_tol=config.rel_tol,
         jobs=config.jobs,
     )
 
-    outputs: dict[str, str] = {}
-    for arm in arms:
-        rec_path = config.output_dir / f"records-{arm.config_id}.jsonl"
-        _write_records_atomic(records_sink.get(arm.config_id, []), rec_path)
-        outputs[str(rec_path)] = sha256_file(rec_path)
-    for report in reports:
-        path = config.output_dir / f"report-{report.config_id}.json"
-        write_text_atomic(path, json.dumps(evaluation.report_to_json(report), indent=2) + "\n")
-        outputs[str(path)] = sha256_file(path)
-
-    table = evaluation.comparison_table(reports)
-    write_text_atomic(config.output_dir / "comparison.txt", table + "\n")
+    out = config.output_dir
+    record_paths = [out / f"records-{arm_id}.jsonl" for arm_id in records_sink]
+    for path, records in zip(record_paths, records_sink.values()):
+        write_atomic(path, partial(agent.write_records, records))
+    report_paths = [out / f"report-{report.config_id}.json" for report in reports]
+    _write_reports(reports, report_paths, out / "comparison.txt")
     inputs = {**corpus.inputs, str(labels_file): sha256_file(labels_file)}
-    manifest = build_manifest(config, providers, inputs, outputs, started, "all")
-    write_text_atomic(config.output_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    outputs = {str(path): sha256_file(path) for path in record_paths + report_paths}
+    write_manifest(config, providers, inputs, outputs, started, "all")
 
-    print(table)
     for report in reports:
         for err in report.errors:
             print(f"warning [{report.config_id}]: {err}")
-    for msg in corpus.skipped:
-        print(f"skipped {msg}")
+    _print_skipped(corpus.skipped)
     return EXIT_OK
-
-
-def cmd_ablate(args: argparse.Namespace) -> int:
-    config = load_run_config(args.config)
-    registry = load_registry_for(config)
-    return _run_ablation_command(args, config, registry)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -798,11 +768,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         for industry, (s1, s2) in industry_intensity.items()
     }
     out_dir = config.output_dir / "analysis"
-    write_text_atomic(out_dir / "analysis.json", json.dumps(payload, indent=2) + "\n")
+    write_atomic(out_dir / "analysis.json", json.dumps(payload, indent=2) + "\n")
 
     def write_csv(name: str, rows: list[list[str]]) -> None:
         text = "\n".join(",".join(cell.replace(",", ";") for cell in row) for row in rows)
-        write_text_atomic(out_dir / name, text + "\n")
+        write_atomic(out_dir / name, text + "\n")
 
     write_csv("disclosure.csv", analytics.disclosure_csv_rows(overall + by_industry))
     write_csv("intensity.csv", analytics.intensity_csv_rows(intensity))
@@ -875,7 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="run all three pipeline arms and compare")
     add_common(p)
     p.add_argument("--labels", help="labels file (overrides config)")
-    p.set_defaults(func=cmd_ablate)
+    p.set_defaults(func=cmd_evaluate, arm="all")  # ablate is evaluate over every arm
 
     p = sub.add_parser("analyze", help="disclosure, intensity and key-action analytics")
     add_common(p)

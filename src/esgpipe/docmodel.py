@@ -637,7 +637,7 @@ def ingest(path: str | Path) -> StructuredDocument:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     if not text.strip():
         raise DocumentError(f"{path}: empty document")

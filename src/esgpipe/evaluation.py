@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .agent import ExtractionRecord
 from .docmodel import StructuredDocument
@@ -329,6 +329,41 @@ def aggregate_reports(
     )
 
 
+def evaluate_arm(
+    config_id: str,
+    provider_name: str,
+    outcomes: Iterable[tuple[str, Sequence[ExtractionRecord] | PipelineError]],
+    labels_by_doc: dict[str, LabelSet],
+    registry: MetadataRegistry,
+    rel_tol: float | None = None,
+) -> EvaluationReport:
+    """One arm's aggregate report over (doc_id, its records, or the error
+    that stopped the arm there) pairs. A document that failed, or whose
+    scoring fails, is listed in `errors` and left out of the means; with
+    no document scored the report is empty."""
+    aliases = UnitAliases.bundled()
+    reports: list[EvaluationReport] = []
+    errors: list[str] = []
+    for doc_id, outcome in outcomes:
+        if not isinstance(outcome, PipelineError):
+            try:
+                labels = labels_by_doc[doc_id]
+                reports.append(evaluate_document(
+                    labels, outcome, registry, config_id, provider_name, aliases, rel_tol
+                ))
+                continue
+            except PipelineError as exc:
+                outcome = exc
+        logger.error("arm %s failed on %s: %s", config_id, doc_id, outcome)
+        errors.append(f"{doc_id}: {outcome}")
+    if reports:
+        return aggregate_reports(reports, config_id, provider_name, errors)
+    return EvaluationReport(
+        "aggregate", config_id, provider_name, acc_dc=0.0, acc_de=None,
+        disclosed_recall=None, n_mq=0, n_v=0, errors=errors,
+    )
+
+
 def run_ablation(
     docs: Sequence[StructuredDocument],
     registry: MetadataRegistry,
@@ -340,7 +375,8 @@ def run_ablation(
     rel_tol: float | None = None,
     jobs: int = 1,
 ) -> list[EvaluationReport]:
-    """Run each arm over the corpus; one aggregate report per arm.
+    """Run each arm over the corpus; one aggregate report per arm, from
+    `evaluate_arm`.
 
     A document failing inside one arm is reported in that report's
     errors list and excluded from its means; other documents and arms
@@ -349,67 +385,26 @@ def run_ablation(
     preprocessing mode. `rel_tol` is the relative tolerance for value
     matches (None: exact); `jobs` is the number of extraction threads.
     """
-    base_cfg = base_cfg or PipelineConfig()
     missing = [d.doc_id for d in docs if d.doc_id not in labels_by_doc]
     if missing:
         raise EvaluationError(f"no labels for documents: {missing}")
 
-    aliases = UnitAliases.bundled()
-    doc_reports: dict[str, list[EvaluationReport]] = {a.config_id: [] for a in configs}
-    errors: dict[str, list[str]] = {a.config_id: [] for a in configs}
-    arm_records: dict[str, list[ExtractionRecord]] = {a.config_id: [] for a in configs}
-    for result in run_corpus(docs, registry, providers, base_cfg, configs, jobs=jobs):
-        for arm in configs:
-            failure = result.errors.get(arm.config_id)
-            if failure is None:
-                records = result.records[arm.config_id]
-                arm_records[arm.config_id].extend(records)
-                try:
-                    doc_reports[arm.config_id].append(
-                        evaluate_document(
-                            labels_by_doc[result.doc_id],
-                            records,
-                            registry,
-                            config_id=arm.config_id,
-                            provider_name=providers.chat.name,
-                            aliases=aliases,
-                            rel_tol=rel_tol,
-                        )
-                    )
-                except PipelineError as exc:
-                    failure = exc
-            if failure is not None:
-                logger.error("arm %s failed on %s: %s", arm.config_id, result.doc_id, failure)
-                errors[arm.config_id].append(f"{result.doc_id}: {failure}")
-
-    reports: list[EvaluationReport] = []
-    for arm in configs:
-        if records_sink is not None:
-            records_sink[arm.config_id] = arm_records[arm.config_id]
-        if doc_reports[arm.config_id]:
-            reports.append(
-                aggregate_reports(
-                    doc_reports[arm.config_id],
-                    config_id=arm.config_id,
-                    provider_name=providers.chat.name,
-                    errors=errors[arm.config_id],
-                )
-            )
-        else:
-            reports.append(
-                EvaluationReport(
-                    scope="aggregate",
-                    config_id=arm.config_id,
-                    provider_name=providers.chat.name,
-                    acc_dc=0.0,
-                    acc_de=None,
-                    disclosed_recall=None,
-                    n_mq=0,
-                    n_v=0,
-                    errors=errors[arm.config_id],
-                )
-            )
-    return reports
+    cfg = base_cfg or PipelineConfig()
+    outcomes: dict[str, list] = {a.config_id: [] for a in configs}
+    for result in run_corpus(docs, registry, providers, cfg, configs, jobs=jobs):
+        for arm_id, arm_outcomes in outcomes.items():
+            outcome = result.errors.get(arm_id) or result.records[arm_id]
+            arm_outcomes.append((result.doc_id, outcome))
+    if records_sink is not None:
+        for arm_id, arm_outcomes in outcomes.items():
+            records_sink[arm_id] = [
+                r for _doc, o in arm_outcomes if not isinstance(o, PipelineError) for r in o
+            ]
+    return [
+        evaluate_arm(a.config_id, providers.chat.name, outcomes[a.config_id], labels_by_doc,
+                     registry, rel_tol)
+        for a in configs
+    ]
 
 
 def _fmt(metric: float | None) -> str:

@@ -85,6 +85,17 @@ def test_ingest_skips_broken_files(workspace, capsys):
     out = capsys.readouterr().out
     assert "ingested 10 documents" in out
     assert "skipped broken.json" in out
+    assert out.splitlines()[-1] == "warnings: 1 document(s) skipped"
+
+
+def test_undecodable_file_is_skipped(workspace, capsys):
+    (workspace / "corpus" / "bad.md").write_bytes(b"# Emissions\n\n\xff tCO2e\n")
+    cfg = _config_path(workspace)
+    for command in ("ingest", "extract"):
+        assert main([command, "--config", cfg]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "skipped bad.md: " in out
+        assert out.splitlines()[-1] == "warnings: 1 document(s) skipped"
 
 
 def test_ingest_empty_corpus_fails(workspace, capsys):
@@ -190,6 +201,29 @@ def test_evaluate_single_arm_reuses_recorded_records(workspace, capsys):
     assert report["acc_dc"] == 1.0
     assert report["acc_de"] == 1.0
     assert (workspace / "out" / "report.txt").exists()
+
+
+def test_evaluate_rejects_records_of_documents_without_labels(workspace, capsys):
+    cfg = _config_path(workspace)
+    assert main(["extract", "--config", cfg]) == EXIT_OK
+    labels = workspace / "labels.jsonl"
+    rows = labels.read_text(encoding="utf-8").splitlines(keepends=True)
+    labels.write_text("".join(row for row in rows if '"doc03"' not in row), encoding="utf-8")
+    code = main(["evaluate", "--arm", "enhanced_rag_knowledge", "--config", cfg])
+    assert code == EXIT_INPUT
+    assert "records reference documents without labels: ['doc03']" in capsys.readouterr().err
+    assert not (workspace / "out" / "report.json").exists()
+
+
+def test_evaluate_rejects_an_empty_records_file(workspace, capsys):
+    records = workspace / "out" / "records.jsonl"
+    records.parent.mkdir()
+    records.write_text("", encoding="utf-8")
+    cfg = _config_path(workspace)
+    code = main(["evaluate", "--arm", "enhanced_rag_knowledge", "--config", cfg])
+    assert code == EXIT_INPUT
+    assert "no records" in capsys.readouterr().err
+    assert not (workspace / "out" / "report.json").exists()
 
 
 def test_evaluate_needs_labels(workspace, capsys):
@@ -377,7 +411,7 @@ def _outputs(out_dir):
     }
 
 
-@pytest.mark.parametrize("command", ["extract", "ablate"])
+@pytest.mark.parametrize("command", ["extract", "ablate", "evaluate --arm benchmark"])
 def test_jobs_do_not_change_outputs(workspace, capsys, command):
     _keep_docs(workspace, {"doc00.json", "doc01.json", "doc02.json"})
     outputs = {}
@@ -385,7 +419,7 @@ def test_jobs_do_not_change_outputs(workspace, capsys, command):
         cfg = _rewrite_config(
             workspace, lambda raw: raw.update(jobs=jobs, output_dir=f"out-{jobs}")
         )
-        assert main([command, "--config", cfg]) == EXIT_OK
+        assert main([*command.split(), "--config", cfg]) == EXIT_OK
         outputs[jobs] = _outputs(workspace / f"out-{jobs}")
     assert outputs[1] and outputs[1] == outputs[3]
 
@@ -412,6 +446,21 @@ def test_fresh_evaluate_writes_its_records(workspace, capsys):
     (workspace / "out" / "records.jsonl").unlink()
     assert main(["extract", "--config", cfg]) == EXIT_OK
     assert (workspace / "out" / "records.jsonl").read_bytes() == written
+
+
+def test_fresh_evaluate_matches_the_ablation_arm(workspace, capsys):
+    _keep_docs(workspace, {"doc00.json", "doc01.json", "doc02.json"})
+    cfg = _config_path(workspace)
+    assert main(["ablate", "--config", cfg]) == EXIT_OK
+    fresh = _rewrite_config(workspace, lambda raw: raw.update(output_dir="fresh"))
+    assert main(["evaluate", "--arm", "benchmark", "--config", fresh]) == EXIT_OK
+    ablated, single = workspace / "out", workspace / "fresh"
+    for name, ablate_name in (("records.jsonl", "records-benchmark.jsonl"),
+                              ("report.json", "report-benchmark.json")):
+        assert (single / name).read_bytes() == (ablated / ablate_name).read_bytes()
+    manifest = json.loads((single / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["arm"] == "benchmark"
+    assert list(manifest["outputs_sha256"]) == [str(single / "records.jsonl")]
 
 
 def test_summary_sentences_reach_the_kb_and_its_cache_key(workspace, capsys):
@@ -666,20 +715,36 @@ def test_warm_cache_takes_a_markdown_doc_id_from_its_file_name(workspace, capsys
     cfg = _config_path(workspace)
     out = workspace / "out"
     assert main(["extract", "--config", cfg]) == EXIT_OK
-    # same bytes under a new name: the cache hits, but the doc_id is the new name
+    # same bytes under a new name: a cache entry of its own, then a hit
     (corpus / "alpha.md").rename(corpus / "beta.md")
-    warm = []
-    for cold in (False, True):
-        if cold:
-            shutil.rmtree(out / "kb_cache")
+    runs = []
+    for _run in ("renamed", "warm"):
         (out / "records.jsonl").unlink()
         ingested.clear()
         assert main(["extract", "--config", cfg]) == EXIT_OK
-        assert ingested == (["beta.md"] if cold else [])
-        warm.append((out / "records.jsonl").read_bytes())
-    lines = warm[0].decode("utf-8").splitlines()
+        runs.append((list(ingested), (out / "records.jsonl").read_bytes()))
+    assert [names for names, _records in runs] == [["beta.md"], []]
+    lines = runs[1][1].decode("utf-8").splitlines()
     assert {json.loads(line)["doc_id"] for line in lines} == {"beta"}
-    assert warm[0] == warm[1]
+    assert runs[0][1] == runs[1][1]
+
+
+def test_renamed_markdown_file_gets_its_own_kb(workspace, capsys):
+    _keep_docs(workspace, set())
+    corpus = workspace / "corpus"
+    (corpus / "alpha.md").write_text(
+        "# Emissions\n\nScope 1 emissions were 1,200 tCO2e in the year.\n", encoding="utf-8"
+    )
+    cfg = _config_path(workspace)
+    assert main(["build-kb", "--config", cfg]) == EXIT_OK
+    (corpus / "alpha.md").rename(corpus / "beta.md")
+    assert main(["build-kb", "--config", cfg]) == EXIT_OK
+    kb_dir = workspace / "out" / "kb"
+    for doc_id in ("alpha", "beta"):
+        kb = json.loads((kb_dir / f"{doc_id}.kb.json").read_text(encoding="utf-8"))
+        assert kb["scope"] == doc_id
+        assert {entry["doc_id"] for entry in kb["entries"]} == {doc_id}
+    assert len(list((workspace / "out" / "kb_cache").iterdir())) == 2
 
 
 def test_manifest_inputs_reuse_the_corpus_digests(workspace, capsys, monkeypatch):
