@@ -18,9 +18,11 @@ the file, a miss parses, builds and caches it. ingest, ablate and
 analyze parse every file, as they need the document itself.
 
 extract and a fresh single-arm evaluate share `extract_arm`, which writes
-`records.jsonl`, in doc_id order, and `manifest.json`. evaluate and
-ablate score each arm with `evaluation.evaluate_arm`. Every output file
-is written to a `.tmp` sibling and renamed into place (`write_atomic`).
+`records.jsonl`, in doc_id order. evaluate and ablate score each arm with
+`evaluation.evaluate_arm`. extract, evaluate and ablate end with
+`manifest.json`, which hashes every file they read and wrote. Every
+output file is written to a `.tmp` sibling and renamed into place
+(`write_atomic`).
 
 Config file shape (all keys optional unless a command needs them)::
 
@@ -40,10 +42,12 @@ Config file shape (all keys optional unless a command needs them)::
       rerank: {kind: offline}                     # or kind: http, url
       summary: {kind: offline, sentences: 2}
 
-Relative paths resolve against the config file's directory. In offline
-mode no provider may carry a url; in online mode embedding and chat
-must. An unknown key, also under `retrieval` or `chunking`, and a
-number below its minimum are rejected at load.
+An http section may also set timeout (seconds, default 30), retries
+(default 2) and token_env. Relative paths resolve against the config
+file's directory. In offline mode no provider may carry a url; in online
+mode embedding and chat must. An unknown key, also under `retrieval`,
+`chunking` or a provider section, a malformed number and a number below
+its minimum are rejected at load.
 """
 
 from __future__ import annotations
@@ -118,6 +122,13 @@ _CONFIG_KEYS = {
     "providers",
 }
 
+_PROVIDER_KEYS = {
+    "embedding": {"kind", "url", "dim", "timeout", "retries", "token_env"},
+    "chat": {"kind", "url", "replies", "timeout", "retries", "token_env"},
+    "rerank": {"kind", "url", "timeout", "retries", "token_env"},
+    "summary": {"kind", "sentences"},
+}
+
 
 @dataclass
 class RunConfig:
@@ -136,19 +147,31 @@ class RunConfig:
     max_chars: int
     naive_chunk_chars: int
     summary_sentences: int
-    providers_cfg: dict
+    embedding_dim: int
+    mock_replies: Path | None
+    endpoints: dict[str, HttpEndpoint]  # one per embedding, chat and rerank section
     snapshot: dict = field(default_factory=dict)
 
 
-def _section(raw: dict, name: str, keys: set[str], path: Path) -> dict:
-    """The `name` mapping of a config, with no key outside `keys`."""
+def _section(raw: dict, name: str, keys: set[str], path: Path, where: str = "") -> dict:
+    """The `name` mapping of a config, or of its part `where`, with no key
+    outside `keys`."""
     section = raw.get(name) or {}
     if not isinstance(section, dict):
-        raise ConfigError(f"config {path}: {name} must be a mapping")
+        raise ConfigError(f"config {path}: {where}{name} must be a mapping")
     unknown = set(section) - keys
     if unknown:
-        raise ConfigError(f"config {path}: unknown {name} keys {sorted(unknown)}")
+        raise ConfigError(f"config {path}: unknown {where}{name} keys {sorted(unknown)}")
     return section
+
+
+def _endpoint(cfg: dict) -> HttpEndpoint:
+    return HttpEndpoint(
+        url=str(cfg.get("url") or ""),
+        timeout=float(cfg.get("timeout", HttpEndpoint.timeout)),
+        retries=int(cfg.get("retries", HttpEndpoint.retries)),
+        token_env=str(cfg.get("token_env", HttpEndpoint.token_env)),
+    )
 
 
 def _resolve(base: Path, value: object) -> Path:
@@ -178,15 +201,11 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config {path}: mode must be offline or online, got {mode!r}")
     retrieval = _section(raw, "retrieval", {"k", "m", "budget_chars"}, path)
     chunking = _section(raw, "chunking", {"max_chars", "naive_chunk_chars"}, path)
+    providers = _section(raw, "providers", set(_PROVIDER_KEYS), path)
     providers_cfg = {
-        name: dict(cfg or {})
-        for name, cfg in (raw.get("providers") or {}).items()
+        name: _section(providers, name, _PROVIDER_KEYS[name], path, "providers.")
+        for name in providers
     }
-    unknown_providers = set(providers_cfg) - {"embedding", "chat", "rerank", "summary"}
-    if unknown_providers:
-        raise ConfigError(
-            f"config {path}: unknown provider sections {sorted(unknown_providers)}"
-        )
     if mode == "offline":
         for name, cfg in providers_cfg.items():
             if "url" in cfg:
@@ -208,6 +227,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         )
 
     rel_tol = raw.get("value_match_rel_tol")
+    replies = providers_cfg.get("chat", {}).get("replies")
     try:
         config = RunConfig(
             base_dir=base,
@@ -227,7 +247,11 @@ def load_run_config(path: str | Path) -> RunConfig:
                 chunking.get("naive_chunk_chars", kbmod.DEFAULT_NAIVE_CHUNK_CHARS)
             ),
             summary_sentences=int(providers_cfg.get("summary", {}).get("sentences", 2)),
-            providers_cfg=providers_cfg,
+            embedding_dim=int(providers_cfg.get("embedding", {}).get("dim", 256)),
+            mock_replies=_resolve(base, replies) if replies else None,
+            endpoints={
+                name: _endpoint(cfg) for name, cfg in providers_cfg.items() if name != "summary"
+            },
             snapshot=raw,
         )
     except (TypeError, ValueError) as exc:
@@ -240,7 +264,14 @@ def load_run_config(path: str | Path) -> RunConfig:
         "chunking.max_chars": (config.max_chars, kbmod.MIN_CHUNK_CHARS),
         "chunking.naive_chunk_chars": (config.naive_chunk_chars, 1),
         "providers.summary.sentences": (config.summary_sentences, 1),
+        "providers.embedding.dim": (config.embedding_dim, 1),
     }
+    for name, endpoint in config.endpoints.items():
+        minimums[f"providers.{name}.retries"] = (endpoint.retries, 0)
+        if not endpoint.timeout > 0:  # 0 would make the socket non-blocking
+            raise ConfigError(
+                f"config {path}: providers.{name}.timeout must be > 0, got {endpoint.timeout}"
+            )
     for name, (value, least) in minimums.items():
         if value < least:
             raise ConfigError(f"config {path}: {name} must be >= {least}, got {value}")
@@ -255,28 +286,16 @@ def load_registry_for(config: RunConfig) -> metadata.MetadataRegistry:
 
 
 def build_providers(config: RunConfig) -> ProviderSet:
-    emb_cfg = config.providers_cfg.get("embedding", {})
-    chat_cfg = config.providers_cfg.get("chat", {})
-    rerank_cfg = config.providers_cfg.get("rerank", {})
-
-    def endpoint(cfg: dict) -> HttpEndpoint:
-        return HttpEndpoint(
-            url=str(cfg["url"]),
-            timeout=float(cfg.get("timeout", 30.0)),
-            retries=int(cfg.get("retries", 2)),
-            token_env=str(cfg.get("token_env", "ESGPIPE_API_TOKEN")),
-        )
-
-    dim = int(emb_cfg.get("dim", 256))
+    endpoints = config.endpoints
     if config.mode == "online":
-        embedder = HttpEmbedder(endpoint(emb_cfg), dim=dim)
-        chat = HttpChatProvider(endpoint(chat_cfg))
-        reranker = HttpReranker(endpoint(rerank_cfg)) if rerank_cfg.get("url") else JaccardReranker()
+        embedder = HttpEmbedder(endpoints["embedding"], dim=config.embedding_dim)
+        chat = HttpChatProvider(endpoints["chat"])
+        rerank = endpoints.get("rerank")
+        reranker = HttpReranker(rerank) if rerank and rerank.url else JaccardReranker()
     else:
-        embedder = HashEmbedder(dim=dim)
-        replies = chat_cfg.get("replies")
-        if replies:
-            chat = MockChatProvider.from_file(_resolve(config.base_dir, replies))
+        embedder = HashEmbedder(dim=config.embedding_dim)
+        if config.mock_replies:
+            chat = MockChatProvider.from_file(config.mock_replies)
         else:
             logger.warning("no mock replies configured; chat will refuse everything")
             chat = MockChatProvider([])
@@ -370,22 +389,31 @@ def build_or_load_kb(
 
 def write_manifest(
     config: RunConfig,
-    providers: ProviderSet,
-    inputs: dict[str, str],
-    outputs: dict[str, str],
+    providers: dict[str, str],
+    corpus_inputs: dict[str, str],
+    read: Sequence[Path],
+    written: Sequence[Path],
     started: str,
     arm: str,
 ) -> None:
+    """`manifest.json`: the run's parameters, the sha256 of every input
+    (the corpus files, already hashed as they were read, the registry and
+    the files in `read`) and of every file in `written`."""
+    registry_path = Path(config.registry_path or metadata.bundled_registry_path())
+    inputs = {
+        **corpus_inputs,
+        **{str(path): sha256_file(path) for path in (registry_path, *read)},
+    }
     manifest = {
         "tool_version": __version__,
         "started_utc": started,
         "finished_utc": _utc_now(),
         "arm": arm,
         "mode": config.mode,
-        "providers": providers.names(),
+        "providers": providers,
         "config": config.snapshot,
         "inputs_sha256": inputs,
-        "outputs_sha256": outputs,
+        "outputs_sha256": {str(path): sha256_file(path) for path in written},
     }
     write_atomic(config.output_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
@@ -513,9 +541,8 @@ def extract_arm(
     """`arm_id` over the corpus, for `extract` and a fresh single-arm
     `evaluate`: each KB is sourced through the disk cache as its document
     comes up, in path order, and the first document that fails aborts the
-    run with its error. Writes `records.jsonl`, in doc_id order, and its
-    manifest; returns the records and the corpus read."""
-    started = _utc_now()
+    run with its error. Writes `records.jsonl`, in doc_id order; returns
+    the records and the corpus read."""
     pcfg = pipeline_config(config, arm_id)
     corpus = Corpus(config)
     records: list[agent.ExtractionRecord] = []
@@ -532,12 +559,7 @@ def extract_arm(
             raise result.errors[arm_id]
         records.extend(result.records[arm_id])
     _require_documents(corpus)
-    records_path = config.output_dir / "records.jsonl"
-    write_atomic(records_path, partial(agent.write_records, records))
-    registry_path = config.registry_path or metadata.bundled_registry_path()
-    inputs = {**corpus.inputs, str(registry_path): sha256_file(Path(registry_path))}
-    outputs = {str(records_path): sha256_file(records_path)}
-    write_manifest(config, providers, inputs, outputs, started, arm_id)
+    write_atomic(config.output_dir / "records.jsonl", partial(agent.write_records, records))
     return records, corpus
 
 
@@ -633,7 +655,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
             },
         )
         return EXIT_OK
+    started = _utc_now()
     records, corpus = extract_arm(config, registry, providers, arm_id)
+    write_manifest(config, providers.names(), corpus.inputs, [], [records_path], started, arm_id)
     print(f"wrote {len(records)} records for {len(corpus.inputs)} documents to {records_path}")
     _print_skipped(corpus.skipped)
     return EXIT_OK
@@ -663,20 +687,23 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             {"labels": labels_file, "arm": arm_id, "records": args.records or "fresh run"},
         )
         return EXIT_OK
+    started = _utc_now()
     labels = evaluation.load_labels(labels_file, registry)
 
     records_path = Path(args.records) if args.records else config.output_dir / "records.jsonl"
-    skipped: list[str] = []
     if records_path.exists():
         records = agent.load_records(records_path)
         if not records:
             raise EvaluationError(f"no records to evaluate in {records_path}")
-        provider_name = "recorded"
+        provider_name, provider_names = "recorded", {}
+        corpus_inputs, skipped, read, written = {}, [], [records_path, labels_file], []
     else:
         providers = build_providers(config)
         records, corpus = extract_arm(config, registry, providers, arm_id)
-        provider_name = providers.chat.name
-        skipped = corpus.skipped
+        provider_name, provider_names = providers.chat.name, providers.names()
+        corpus_inputs, skipped, read, written = (
+            corpus.inputs, corpus.skipped, [labels_file], [records_path]
+        )
 
     by_doc: dict[str, list[agent.ExtractionRecord]] = {}
     for r in records:
@@ -687,7 +714,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = evaluation.evaluate_arm(
         arm_id, provider_name, sorted(by_doc.items()), labels, registry, config.rel_tol
     )
-    _write_reports([report], [config.output_dir / "report.json"], config.output_dir / "report.txt")
+    report_path, table_path = config.output_dir / "report.json", config.output_dir / "report.txt"
+    _write_reports([report], [report_path], table_path)
+    written += [report_path, table_path]
+    write_manifest(config, provider_names, corpus_inputs, read, written, started, arm_id)
     _print_skipped(skipped)
     return EXIT_OK
 
@@ -733,9 +763,8 @@ def _run_ablation_command(
         write_atomic(path, partial(agent.write_records, records))
     report_paths = [out / f"report-{report.config_id}.json" for report in reports]
     _write_reports(reports, report_paths, out / "comparison.txt")
-    inputs = {**corpus.inputs, str(labels_file): sha256_file(labels_file)}
-    outputs = {str(path): sha256_file(path) for path in record_paths + report_paths}
-    write_manifest(config, providers, inputs, outputs, started, "all")
+    written = [*record_paths, *report_paths, out / "comparison.txt"]
+    write_manifest(config, providers.names(), corpus.inputs, [labels_file], written, started, "all")
 
     for report in reports:
         for err in report.errors:

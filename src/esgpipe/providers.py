@@ -11,25 +11,34 @@ except for summaries, an HTTP client speaking a small JSON contract:
                                                -> {"content": "..."}
 
 Authentication is a bearer token read from an environment variable at
-call time; requests never log the token.
+call time; it is never logged. The HTTP clients speak through the
+standard library: one kept-alive connection per calling thread, TLS
+verified against the system's certificate authorities, and the
+environment's proxies (`http_proxy`, `https_proxy`, `no_proxy`). A
+redirect is an error, not followed.
 """
 
 from __future__ import annotations
 
+import base64
 import functools
 import hashlib
+import http.client
 import json
 import logging
 import os
 import re
+import select
+import ssl
 import threading
+import urllib.parse
+import urllib.request
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-import requests
-
+from . import __version__
 from .errors import ProviderError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
@@ -233,11 +242,41 @@ def _bearer_headers(token_env: str) -> dict[str, str]:
     return {"Authorization": f"Bearer {token}"} if token else {}
 
 
+USER_AGENT = f"esgpipe/{__version__}"
+
+
+@functools.cache
+def _tls_context() -> ssl.SSLContext:
+    """One verifying context for every HTTPS connection: loading the
+    certificate authorities is the costly part of making one."""
+    return ssl.create_default_context()
+
+
+class _StatusError(http.client.HTTPException):
+    """A reply whose status is not 2xx."""
+
+    def __init__(self, status: int, reason: str):
+        super().__init__(f"HTTP {status} {reason}")
+        self.status = status
+
+
+def _transient(exc: Exception) -> bool:
+    """Whether a failed exchange may succeed if sent again: not after a
+    status other than 5xx, 408 or 429, nor after a request that could not
+    be formed or a body that is not JSON (a ValueError)."""
+    if isinstance(exc, _StatusError):
+        return exc.status >= 500 or exc.status in (408, 429)
+    return not isinstance(exc, ValueError)
+
+
 @dataclass
 class HttpEndpoint:
-    """One provider URL. Each calling thread keeps its own
-    `requests.Session`, so its calls reuse a kept-alive connection; a
-    thread's session is dropped with the thread."""
+    """One provider URL. Each calling thread keeps one kept-alive
+    `http.client` connection, dropped with the thread. It goes through
+    the environment's proxy for the URL's scheme unless `no_proxy`
+    exempts the host: plain HTTP as absolute-form requests to the proxy,
+    HTTPS through a CONNECT tunnel. HTTPS certificates and host names
+    are verified."""
 
     url: str
     timeout: float = 30.0
@@ -247,29 +286,78 @@ class HttpEndpoint:
         default_factory=threading.local, init=False, repr=False, compare=False
     )
 
-    def _session(self) -> requests.Session:
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = self._local.session = requests.Session()
-        return session
+    def _connection(self) -> tuple[http.client.HTTPConnection, str, dict[str, str]]:
+        """This thread's connection, with the request target and headers
+        its route needs. A kept-alive socket that has turned readable
+        before any request, because the peer closed it or sent what no
+        request asked for, is closed first, so the request reconnects
+        rather than fail on it."""
+        local = self._local
+        if getattr(local, "route", None) is None:
+            local.route = self._open()
+        sock = local.route[0].sock
+        if sock is not None and select.select([sock], [], [], 0)[0]:
+            local.route[0].close()
+        return local.route
+
+    def _open(self) -> tuple[http.client.HTTPConnection, str, dict[str, str]]:
+        """A new connection for the URL, the request target to send on it
+        and the headers its route adds: straight to the host, or to the
+        environment's proxy for the scheme unless `no_proxy` exempts the
+        host."""
+        try:
+            url = urllib.parse.urlsplit(self.url)
+            host, port = url.hostname, url.port or (443 if url.scheme == "https" else 80)
+            if url.scheme not in ("http", "https") or not host:
+                raise ValueError("not an http(s) URL")
+            proxy = None
+            if not urllib.request.proxy_bypass(host):
+                proxy = urllib.request.getproxies().get(url.scheme)
+            if proxy:
+                proxy = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            addr = (proxy.hostname, proxy.port or 80) if proxy else (host, port)
+        except ValueError as exc:
+            raise ProviderError(f"provider url {self.url!r} is unusable: {exc}") from exc
+        path = url.path or "/"
+        headers = {}
+        if proxy and proxy.username:
+            user = urllib.parse.unquote(proxy.username)
+            password = urllib.parse.unquote(proxy.password or "")
+            token = base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
+            headers["Proxy-Authorization"] = f"Basic {token}"
+        if url.scheme == "http":
+            conn = http.client.HTTPConnection(*addr, timeout=self.timeout)
+            origin = ("http", url.netloc.rpartition("@")[2]) if proxy else ("", "")
+            return conn, urllib.parse.urlunsplit((*origin, path, url.query, "")), headers
+        conn = http.client.HTTPSConnection(*addr, timeout=self.timeout, context=_tls_context())
+        if proxy:
+            conn.set_tunnel(host, port, headers)
+        return conn, urllib.parse.urlunsplit(("", "", path, url.query, "")), {}
 
     def post(self, payload: dict) -> dict:
         """The reply's JSON object. A connection error, a timeout, a 5xx,
         408 or 429 is retried up to `retries` times; any other failure,
-        such as a 401 or a reply that is not a JSON object, is not."""
-        session = self._session()
+        such as a 401, a redirect or a reply that is not a JSON object, is
+        not. A failed exchange closes the thread's connection, so the
+        next attempt reconnects."""
+        body = json.dumps(payload).encode("utf-8")
+        headers = {
+            "Content-Type": "application/json",
+            "User-Agent": USER_AGENT,
+            **_bearer_headers(self.token_env),
+        }
         retries = self.retries
         while True:
+            conn, target, route_headers = self._connection()
             try:
-                resp = session.post(
-                    self.url,
-                    json=payload,
-                    timeout=self.timeout,
-                    headers=_bearer_headers(self.token_env),
-                )
-                resp.raise_for_status()
-                data = resp.json()
-            except (requests.RequestException, ValueError) as exc:
+                conn.request("POST", target, body, {**route_headers, **headers})
+                resp = conn.getresponse()
+                raw = resp.read()
+                if not 200 <= resp.status < 300:
+                    raise _StatusError(resp.status, resp.reason)
+                data = json.loads(raw)
+            except (OSError, http.client.HTTPException, ValueError) as exc:
+                conn.close()
                 if retries > 0 and _transient(exc):
                     retries -= 1
                     continue
@@ -277,16 +365,6 @@ class HttpEndpoint:
             if not isinstance(data, dict):
                 raise ProviderError(f"provider at {self.url} replied with a non-object")
             return data
-
-
-def _transient(exc: Exception) -> bool:
-    """Whether a failed request may succeed if sent again."""
-    if isinstance(exc, (requests.ConnectionError, requests.Timeout)):
-        return True
-    if isinstance(exc, requests.HTTPError) and exc.response is not None:
-        status = exc.response.status_code
-        return status >= 500 or status in (408, 429)
-    return False
 
 
 def _floats(values: list, what: str) -> list[float]:

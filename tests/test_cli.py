@@ -9,6 +9,7 @@ from decimal import Decimal
 import pytest
 import yaml
 
+from esgpipe import metadata
 from esgpipe.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, EXIT_PROVIDER, main
 
 from tests import corpusgen
@@ -23,6 +24,10 @@ def workspace(fixture_root, tmp_path):
 
 def _config_path(ws):
     return str(ws / "config.yaml")
+
+
+def _manifest(out_dir):
+    return json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
 
 
 def _rewrite_config(ws, mutate):
@@ -185,6 +190,13 @@ def test_evaluate_all_arms(workspace, capsys):
         assert len(report["per_document"]) == 10
     assert (out_dir / "comparison.txt").exists()
     assert (out_dir / "manifest.json").exists()
+    manifest = _manifest(out_dir)
+    assert list(manifest["inputs_sha256"])[-2:] == [
+        str(metadata.bundled_registry_path()), str(workspace / "labels.jsonl")
+    ]
+    assert sorted(manifest["outputs_sha256"]) == sorted(
+        str(p) for p in out_dir.iterdir() if p.is_file() and p.name != "manifest.json"
+    )
     stdout = capsys.readouterr().out
     assert "Acc_DC" in stdout and "benchmark" in stdout
 
@@ -201,6 +213,17 @@ def test_evaluate_single_arm_reuses_recorded_records(workspace, capsys):
     assert report["acc_dc"] == 1.0
     assert report["acc_de"] == 1.0
     assert (workspace / "out" / "report.txt").exists()
+    out_dir = workspace / "out"
+    manifest = _manifest(out_dir)
+    assert list(manifest["inputs_sha256"]) == [
+        str(metadata.bundled_registry_path()),
+        str(out_dir / "records.jsonl"),
+        str(workspace / "labels.jsonl"),
+    ]
+    assert list(manifest["outputs_sha256"]) == [
+        str(out_dir / "report.json"), str(out_dir / "report.txt")
+    ]
+    assert manifest["providers"] == {}
 
 
 def test_evaluate_rejects_records_of_documents_without_labels(workspace, capsys):
@@ -333,6 +356,31 @@ def test_out_of_range_retrieval_and_chunking_rejected(
     assert not (workspace / "out").exists() and "arm failed" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("embedding", "timout", 5, "unknown providers.embedding keys ['timout']"),
+        ("summary", "url", "http://127.0.0.1:9/", "unknown providers.summary keys ['url']"),
+        ("embedding", "timeout", "abc", "malformed number"),
+        ("chat", "retries", "two", "malformed number"),
+        ("embedding", "timeout", 0, "providers.embedding.timeout must be > 0"),
+        ("rerank", "timeout", -1.5, "providers.rerank.timeout must be > 0"),
+        ("chat", "retries", -1, "providers.chat.retries must be >= 0"),
+        ("embedding", "dim", 0, "providers.embedding.dim must be >= 1"),
+    ],
+)
+def test_bad_provider_settings_rejected(workspace, capsys, section, key, value, message):
+    def mutate(raw):
+        raw.setdefault("providers", {}).setdefault(section, {})[key] = value
+
+    cfg = _rewrite_config(workspace, mutate)
+    assert main(["ablate", "--config", cfg]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert not (workspace / "out").exists()
+
+
 def test_non_numeric_setting_rejected(workspace, capsys):
     cfg = _rewrite_config(workspace, lambda raw: raw.update(retrieval={"k": "five"}))
     assert main(["ablate", "--config", cfg]) == EXIT_CONFIG
@@ -458,9 +506,14 @@ def test_fresh_evaluate_matches_the_ablation_arm(workspace, capsys):
     for name, ablate_name in (("records.jsonl", "records-benchmark.jsonl"),
                               ("report.json", "report-benchmark.json")):
         assert (single / name).read_bytes() == (ablated / ablate_name).read_bytes()
-    manifest = json.loads((single / "manifest.json").read_text(encoding="utf-8"))
+    manifest = _manifest(single)
     assert manifest["arm"] == "benchmark"
-    assert list(manifest["outputs_sha256"]) == [str(single / "records.jsonl")]
+    assert list(manifest["inputs_sha256"])[-2:] == [
+        str(metadata.bundled_registry_path()), str(workspace / "labels.jsonl")
+    ]
+    assert list(manifest["outputs_sha256"]) == [
+        str(single / name) for name in ("records.jsonl", "report.json", "report.txt")
+    ]
 
 
 def test_summary_sentences_reach_the_kb_and_its_cache_key(workspace, capsys):
