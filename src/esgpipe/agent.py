@@ -153,7 +153,11 @@ def build_prompt(
     registry: MetadataRegistry,
     knowledge_enabled: bool = True,
     doc_id: str = "",
+    question: str | None = None,
 ) -> Prompt:
+    """The five-part prompt. `question` is the rendered question
+    (`render_question(spec, registry)`, rendered here when None); a
+    query's first text already is it."""
     if evidence.indicator_id and evidence.indicator_id != spec.id:
         raise ConfigError(
             f"evidence bundle for {evidence.indicator_id!r} used with spec {spec.id!r}"
@@ -165,7 +169,7 @@ def build_prompt(
         preset=expression.preset,
         reference_content=reference if reference else NO_EVIDENCE_SENTINEL,
         expert_knowledge=spec.knowledge if knowledge_enabled else "",
-        question=render_question(spec, registry),
+        question=render_question(spec, registry) if question is None else question,
         answer_format=ANSWER_FORMATS[schema_id],
         doc_id=doc_id,
         indicator_id=spec.id,
@@ -454,15 +458,22 @@ def answer_indicator(
     registry: MetadataRegistry,
     providers: ProviderSet,
     cfg: ExtractConfig,
+    question: str | None = None,
 ) -> list[ExtractionRecord]:
     """Prompt -> provider -> parse for one indicator's evidence.
+    `question` is passed to `build_prompt`.
 
     Transport failures retry with exponential backoff; exhausting the
     retries yields a provider-failed non-disclosure record rather than
     an exception.
     """
     prompt = build_prompt(
-        spec, evidence, registry, knowledge_enabled=cfg.knowledge_enabled, doc_id=doc_id
+        spec,
+        evidence,
+        registry,
+        knowledge_enabled=cfg.knowledge_enabled,
+        doc_id=doc_id,
+        question=question,
     )
 
     reply: str | None = None
@@ -520,4 +531,6 @@ def extract_indicator(
     cfg = cfg or ExtractConfig()
     query = build_query(spec, registry, providers.embedder, cfg.use_search_terms)
     evidence = evidence_from_hits(spec, query, search(kb, query, cfg.top_k), providers, cfg)
-    return answer_indicator(doc_id, spec, evidence, registry, providers, cfg)
+    return answer_indicator(
+        doc_id, spec, evidence, registry, providers, cfg, query.query_texts[0]
+    )

@@ -185,7 +185,9 @@ def _extract_group(
     try:
         evidence = evidence_from_hits(spec, query, hits, providers, group.retrieval)
         return [
-            answer_indicator(doc_id, spec, evidence, registry, providers, eff)
+            answer_indicator(
+                doc_id, spec, evidence, registry, providers, eff, query.query_texts[0]
+            )
             for _arm, eff in group.arms
         ]
     except PipelineError as exc:

@@ -26,6 +26,7 @@ import hashlib
 import http.client
 import json
 import logging
+import math
 import os
 import re
 import select
@@ -34,6 +35,7 @@ import threading
 import urllib.parse
 import urllib.request
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -117,14 +119,17 @@ class HashEmbedder(EmbeddingProvider):
         return b
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
+        """Work grows with each text's tokens, not with `dim`: only the
+        counted buckets are touched. The counts are integers, so their
+        sum of squares is exact in any order."""
         out = []
         for text in texts:
             vec = [0.0] * self.dim
-            for token in tokenize(text):
-                vec[self._bucket(token)] += 1.0
-            norm = sum(v * v for v in vec) ** 0.5
-            if norm > 0:
-                vec = [v / norm for v in vec]
+            counts = Counter(map(self._bucket, tokenize(text)))
+            if counts:
+                norm = sum(c * c for c in counts.values()) ** 0.5
+                for bucket, c in counts.items():
+                    vec[bucket] = c / norm
             out.append(vec)
         return out
 
@@ -368,10 +373,16 @@ class HttpEndpoint:
 
 
 def _floats(values: list, what: str) -> list[float]:
+    """The values as floats. `json.loads` accepts NaN and Infinity, and
+    either would poison a similarity or a rerank order, so a non-finite
+    value is an error like a non-number."""
     try:
-        return [float(v) for v in values]
+        floats = [float(v) for v in values]
     except (TypeError, ValueError) as exc:
         raise ProviderError(f"{what} provider returned a non-number: {exc}") from exc
+    if not all(map(math.isfinite, floats)):
+        raise ProviderError(f"{what} provider returned a non-finite number")
+    return floats
 
 
 class HttpEmbedder(EmbeddingProvider):

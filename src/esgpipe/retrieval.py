@@ -10,7 +10,10 @@ deterministic: ties break on entry_id.
 
 `search_many` serves a batch of queries against one KB (the runner
 passes every indicator's query for a document and retrieval group) and
-`search` is a batch of one. Per partition, each query's vectors are
+`search` is a batch of one. A query converts its vectors to a matrix
+and row norms once, on first use, so a run's plan queries are converted
+once however many documents they search; each hit's payload is resolved
+once per entry and batch. Per partition, each query's vectors are
 multiplied with the partition matrix on their own; normalising, the
 top-k selection, the union and the ranking then run once over the
 stacked rows of all queries. The matmul stays per query because one
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -44,6 +48,10 @@ NO_EVIDENCE_SENTINEL = "NO EVIDENCE FOUND"
 
 @dataclass
 class Query:
+    """An indicator's query texts and their vectors, which must not
+    change once the query has been searched: `matrix` and `norms` are
+    computed on first use and kept."""
+
     indicator_id: str
     query_texts: list[str]
     vectors: Sequence[Sequence[float]]  # rows of the plan's matrix in `build_queries`
@@ -54,6 +62,19 @@ class Query:
                 f"query for {self.indicator_id!r}: {len(self.vectors)} vectors "
                 f"for {len(self.query_texts)} texts"
             )
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The vectors as one float64 array; `search` checks its shape."""
+        try:
+            return np.asarray(self.vectors, dtype=np.float64)
+        except ValueError as exc:
+            raise RetrievalError(f"query vectors of unequal dim: {exc}") from exc
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """The L2 norm of each row of `matrix`."""
+        return np.linalg.norm(self.matrix, axis=1)
 
 
 @dataclass
@@ -121,10 +142,13 @@ def build_queries(
     except ValueError as exc:
         raise ProviderError(f"embedder {embedder.name!r} returned vectors of unequal dim") from exc
     row = dict(zip(distinct, matrix))
-    return {
+    queries = {
         key: Query(indicator_id=key[0], query_texts=ts, vectors=[row[t] for t in ts])
         for key, ts in texts.items()
     }
+    for query in queries.values():
+        query.norms  # converts the query once, for every search of the run
+    return queries
 
 
 def cosine(a: Sequence[float], b: Sequence[float]) -> float:
@@ -149,11 +173,8 @@ def _resolve_payload(entry: Entry, kb: KnowledgeBase) -> str:
 
 
 def _query_matrix(kb: KnowledgeBase, query: Query) -> np.ndarray:
-    """A query's vectors as a float64 (vectors, dim) matrix."""
-    try:
-        qm = np.asarray(query.vectors, dtype=np.float64)
-    except ValueError as exc:
-        raise RetrievalError(f"query vectors of unequal dim: {exc}") from exc
+    """A query's (vectors, dim) matrix, checked against the KB."""
+    qm = query.matrix
     if qm.ndim != 2 or qm.shape[1] != kb.dim:
         raise RetrievalError(f"query vectors of shape {qm.shape} do not match KB dim {kb.dim}")
     if qm.shape[0] == 0:
@@ -228,7 +249,7 @@ def search_many(
     qms = [_query_matrix(kb, q) for q in queries]
     if not qms:
         return []
-    qnorms = np.concatenate([np.linalg.norm(qm, axis=1) for qm in qms])
+    qnorms = np.concatenate([q.norms for q in queries])
     starts = np.cumsum([0] + [len(qm) for qm in qms[:-1]])
 
     parts = [kb.partition(source) for source in Source]
@@ -243,19 +264,18 @@ def search_many(
         return hits
     qs, ps, rows, sims, rank = (np.concatenate(column) for column in zip(*columns))
     order = np.lexsort((rank, -sims, qs))
+    resolved: dict[tuple[int, int], tuple[str, Source, str, str]] = {}
     for q, p, row, sim in zip(
         qs[order].tolist(), ps[order].tolist(), rows[order].tolist(), sims[order].tolist()
     ):
-        entry = parts[p].entries[row]
-        hits[q].append(
-            ScoredHit(
-                entry_id=entry.entry_id,
-                source=entry.source,
-                similarity=sim,
-                resolved_payload=_resolve_payload(entry, kb),
-                anchor=entry.anchor,
+        fields = resolved.get((p, row))
+        if fields is None:
+            entry = parts[p].entries[row]
+            fields = resolved[p, row] = (
+                entry.entry_id, entry.source, _resolve_payload(entry, kb), entry.anchor
             )
-        )
+        entry_id, source, payload, anchor = fields
+        hits[q].append(ScoredHit(entry_id, source, sim, payload, anchor))
     return hits
 
 
@@ -297,7 +317,10 @@ def rerank(
     except ProviderError as exc:
         logger.warning("rerank fallback engaged: %s", exc)
         scores = JaccardReranker().score(query_text, payloads)
-    rescored = [replace(h, rerank_score=float(s)) for h, s in zip(head, scores)]
+    rescored = [
+        ScoredHit(h.entry_id, h.source, h.similarity, h.resolved_payload, h.anchor, float(s))
+        for h, s in zip(head, scores)
+    ]
     rescored.sort(key=lambda h: -h.rerank_score)  # stable: ties keep order
     return rescored + list(hits[m:])
 

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from esgpipe import agent, pipeline
+from esgpipe import agent, metadata, pipeline
 from esgpipe.errors import ConfigError, RetrievalError
 from esgpipe.evaluation import run_ablation
 from esgpipe.kb import Source
@@ -23,7 +26,7 @@ from esgpipe.pipeline import (
     run_corpus,
 )
 from esgpipe.providers import HashEmbedder
-from esgpipe.retrieval import build_query, search
+from esgpipe.retrieval import Query, build_query, search
 
 ALL_ARMS = [ABLATION_ARMS[a] for a in ("benchmark", "enhanced_rag", "enhanced_rag_knowledge")]
 
@@ -215,6 +218,80 @@ def test_plan_groups_arms_and_matches_build_query(registry, offline_providers):
     assert all(isinstance(v, np.ndarray) and v.base is rows[0].base for v in rows)
     distinct = {t for q in plan.queries.values() for t in q.query_texts}
     assert rows[0].base.shape == (len(distinct), offline_providers.embedder.dim)
+
+
+def test_ablate_renders_each_question_only_while_planning(
+    registry, corpus_docs, corpus_labels, offline_providers, monkeypatch
+):
+    real = metadata.render_question
+    rendered = []
+
+    def render_question(spec, registry):
+        rendered.append(spec.id)
+        return real(spec, registry)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("esgpipe") and getattr(module, "render_question", None) is real:
+            monkeypatch.setattr(module, "render_question", render_question)
+    run_ablation(corpus_docs, registry, corpus_labels, ALL_ARMS, offline_providers)
+    assert len(corpus_docs) == 10
+    # one per plan query (indicator x search-term switch), none per extraction
+    assert Counter(rendered) == Counter({spec.id: 2 for spec in registry.indicators})
+
+
+def test_every_prompt_asks_the_rendered_question(
+    registry, corpus_docs, corpus_labels, offline_providers, monkeypatch
+):
+    prompts = []
+    real_complete = offline_providers.chat.complete
+
+    def complete(prompt, params):
+        prompts.append(prompt)
+        return real_complete(prompt, params)
+
+    monkeypatch.setattr(offline_providers.chat, "complete", complete)
+    run_ablation(corpus_docs, registry, corpus_labels, ALL_ARMS, offline_providers)
+    assert len(prompts) == len(corpus_docs) * len(registry.indicators) * len(ALL_ARMS)
+    for prompt in prompts:
+        question = metadata.render_question(registry.indicator(prompt.indicator_id), registry)
+        assert prompt.question == question
+        assert f"[Question]\n{question}\n\n" in prompt.to_messages()[1]["content"]
+
+
+def _counting_property(cls, name, counts):
+    real = vars(cls)[name].func
+
+    def compute(self):
+        counts[id(self)] += 1
+        return real(self)
+
+    prop = functools.cached_property(compute)
+    prop.__set_name__(cls, name)
+    return prop
+
+
+def test_a_run_converts_each_plan_query_once(registry, corpus_docs, offline_providers,
+                                             monkeypatch):
+    matrices, norms, plans = Counter(), Counter(), []
+    monkeypatch.setattr(Query, "matrix", _counting_property(Query, "matrix", matrices))
+    monkeypatch.setattr(Query, "norms", _counting_property(Query, "norms", norms))
+    real_plan_corpus = pipeline.plan_corpus
+
+    def plan_corpus(*args):
+        plans.append(real_plan_corpus(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(pipeline, "plan_corpus", plan_corpus)
+    docs = corpus_docs[:3]
+    results = list(run_corpus(docs, registry, offline_providers, PipelineConfig(), ALL_ARMS,
+                              jobs=2))
+    assert all(set(r.records) == {a.config_id for a in ALL_ARMS} for r in results)
+    (plan,) = plans
+    once = Counter(id(q) for q in plan.queries.values())
+    assert len(once) == 2 * len(registry.indicators)
+    # searched by docs x 2 groups, converted once
+    assert matrices == once
+    assert norms == once
 
 
 def test_run_corpus_rejects_zero_jobs(registry, corpus_docs, offline_providers):

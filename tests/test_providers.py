@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import logging
 import socket
 import subprocess
 import sys
@@ -11,10 +13,13 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esgpipe import __version__
 from esgpipe.agent import Prompt
 from esgpipe.errors import ProviderError
+from esgpipe.kb import Source
 from esgpipe.providers import (
     DEFAULT_REFUSAL,
     HashEmbedder,
@@ -29,6 +34,10 @@ from esgpipe.providers import (
     split_sentences,
     tokenize,
 )
+from esgpipe.retrieval import ScoredHit, rerank
+
+NAN = float("nan")
+INF = float("inf")
 
 # ------------------------------------------------------------------ tokenizing
 
@@ -69,6 +78,45 @@ def test_hash_embedder_is_bag_of_tokens():
     assert a == b
     heavy, light = emb.embed(["alpha alpha beta", "alpha beta"])
     assert heavy != light  # token counts matter, not just presence
+
+
+def reference_embed(dim, texts):
+    """HashEmbedder.embed as it was first written: it walks every
+    dimension twice per text."""
+    out = []
+    for text in texts:
+        vec = [0.0] * dim
+        for token in tokenize(text):
+            vec[int(hashlib.sha1(token.encode("utf-8")).hexdigest(), 16) % dim] += 1.0
+        norm = sum(v * v for v in vec) ** 0.5
+        if norm > 0:
+            vec = [v / norm for v in vec]
+        out.append(vec)
+    return out
+
+
+WORDS = ("scope", "énergie", "排放", "Straße", "tco2e", "2,500", "_", "ΔT", "x1")
+TEXTS = st.lists(
+    st.one_of(
+        st.lists(st.sampled_from(WORDS), max_size=40).map(" ".join),  # repeated tokens
+        st.text(max_size=60),
+        st.sampled_from(["", " ", "!!! ...", "\n\t-"]),  # empty and tokenless
+    ),
+    max_size=6,
+)
+
+
+def _hex(vectors):
+    return [[v.hex() for v in vec] for vec in vectors]
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.integers(min_value=1, max_value=300), texts=TEXTS)
+def test_hash_embedder_matches_the_dimension_walking_reference(dim, texts):
+    got = HashEmbedder(dim).embed(texts)
+    assert _hex(got) == _hex(reference_embed(dim, texts))
+    assert all(type(v) is float for vec in got for v in vec)
+    assert _hex(json.loads(json.dumps(got))) == _hex(got)
 
 
 def test_hash_embedder_rejects_bad_dim():
@@ -394,7 +442,11 @@ def test_malformed_replies_are_provider_errors(http_server):
         (lambda: emb.embed(["a", "b"]), {"vectors": [["a", 0.0], [0.0, 1.0]]}, "non-number"),
         (lambda: emb.embed(["a", "b"]), {"vectors": [[None, 0.0], [0.0, 1.0]]}, "non-number"),
         (lambda: emb.embed(["a", "b"]), [[1.0, 0.0], [0.0, 1.0]], "non-object"),
+        (lambda: emb.embed(["a", "b"]), {"vectors": [[NAN, 0.0], [0.0, 1.0]]}, "non-finite"),
+        (lambda: emb.embed(["a", "b"]), {"vectors": [[1.0, 0.0], [0.0, INF]]}, "non-finite"),
+        (lambda: emb.embed(["a", "b"]), {"vectors": [["NaN", 0.0], [0.0, 1.0]]}, "non-finite"),
         (lambda: reranker.score("q", ["c1", "c2"]), {"scores": ["x", 0.5]}, "non-number"),
+        (lambda: reranker.score("q", ["c1", "c2"]), {"scores": [0.2, -INF]}, "non-finite"),
         (lambda: reranker.score("q", ["c1", "c2"]), [0.2, 0.5], "non-object"),
         (lambda: chat.complete(_prompt("d", "i"), {}), ["hello"], "non-object"),
     ]
@@ -404,6 +456,26 @@ def test_malformed_replies_are_provider_errors(http_server):
         with pytest.raises(ProviderError, match=match):
             call()
         assert len(server.calls) == 1, body  # a malformed reply is not resent
+
+
+def test_a_nan_rerank_reply_falls_back_to_jaccard(http_server, caplog):
+    # json.loads reads NaN, and a NaN score would leave the rerank order undefined
+    server, base = http_server
+    server.responder = lambda p, payload: (200, {"scores": [0.9, NAN, 0.1]})
+    reranker = HttpReranker(HttpEndpoint(f"{base}/rerank", retries=0))
+    payloads = ["water use", "energy use in megawatt hours", "waste"]
+    hits = [
+        ScoredHit(f"e{n}", Source.TEXT, 0.5, text, f"flat:{n}")
+        for n, text in enumerate(payloads)
+    ]
+    with caplog.at_level(logging.WARNING, logger="esgpipe.retrieval"):
+        got = rerank(hits, "energy use", reranker, m=3)
+    assert "rerank fallback engaged" in caplog.text
+    assert "non-finite" in caplog.text
+    assert [h.entry_id for h in got] == ["e1", "e0", "e2"]
+    assert [h.rerank_score for h in got] == sorted(
+        JaccardReranker().score("energy use", payloads), reverse=True
+    )
 
 
 def test_http_endpoint_retries_only_transient_failures(http_server):

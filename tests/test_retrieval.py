@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -372,6 +373,30 @@ def test_search_many_matches_reference_on_fixture_kbs(corpus_docs, registry, off
                 queries = [plan[(spec.id, switch)] for spec in registry.indicators]
                 for k in (1, 5, 20):
                     _assert_batch_matches_reference(kb, queries, k)
+
+
+def test_search_many_resolves_each_payload_once_per_call(
+    corpus_docs, registry, offline_providers, monkeypatch
+):
+    from esgpipe import retrieval
+    from esgpipe.kb import build
+
+    resolved = Counter()
+    real = retrieval._resolve_payload
+
+    def resolve_payload(entry, kb):
+        resolved[entry.entry_id] += 1
+        return real(entry, kb)
+
+    monkeypatch.setattr(retrieval, "_resolve_payload", resolve_payload)
+    emb = offline_providers.embedder
+    plan = build_queries(registry.indicators, registry, emb, [True])
+    queries = [plan[(spec.id, True)] for spec in registry.indicators]
+    kb = build(corpus_docs[0], emb)
+    for calls in (1, 2):
+        hits = [h.entry_id for per_query in search_many(kb, queries, 5) for h in per_query]
+        assert len(hits) > len(set(hits))  # entries recur across queries
+        assert resolved == Counter(dict.fromkeys(hits, calls))
 
 
 def test_search_is_a_batch_of_one():
