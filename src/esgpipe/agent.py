@@ -285,24 +285,23 @@ def _record_from_object(
     return record
 
 
+_JSON_START_RE = re.compile(r"[{\[]")
+_JSON_DECODER = json.JSONDecoder()
+
+
 def _scan_json_values(text: str) -> list[object]:
     """All parseable top-level JSON objects/arrays in the text."""
-    decoder = json.JSONDecoder()
     values: list[object] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch not in "{[":
-            i += 1
-            continue
+    start = _JSON_START_RE.search(text)
+    while start:
+        i = start.start()
         try:
-            value, end = decoder.raw_decode(text, i)
+            value, end = _JSON_DECODER.raw_decode(text, i)
         except (ValueError, RecursionError):
-            i += 1
-            continue
-        values.append(value)
-        i = end
+            end = i + 1
+        else:
+            values.append(value)
+        start = _JSON_START_RE.search(text, end)
     return values
 
 

@@ -14,7 +14,8 @@ is hashed once per command. build-kb, extract and a fresh single-arm
 evaluate source each document's KB through `out/kb_cache/`, keyed by the
 file's bytes and, for markdown and plain text, by the name that gives
 their doc_id: a hit takes the doc_id from the cached KB and never parses
-the file, a miss parses, builds and caches it. ingest, ablate and
+the file, a miss parses, builds and caches it. build-kb then deletes
+the cache files of documents no longer in the corpus. ingest, ablate and
 analyze parse every file, as they need the document itself.
 
 extract and a fresh single-arm evaluate share `extract_arm`, which writes
@@ -57,6 +58,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import shutil
 import sys
 from dataclasses import dataclass, field
@@ -366,6 +368,26 @@ def kb_cache_path(
     return config.output_dir / "kb_cache" / name
 
 
+_KB_CACHE_NAME_RE = re.compile(r"([0-9a-f]{16})-.+\.json")
+
+
+def prune_kb_cache(config: RunConfig, keys: set[str]) -> int:
+    """Deletes each `kb_cache/` file whose key prefix is that of none of
+    `keys`, whatever its embedder, mode and build parameters, and returns
+    how many it deleted."""
+    prefixes = {key[:16] for key in keys}
+    cache_dir = config.output_dir / "kb_cache"
+    if not cache_dir.is_dir():
+        return 0
+    removed = 0
+    for path in cache_dir.iterdir():
+        name = _KB_CACHE_NAME_RE.fullmatch(path.name)
+        if name and name[1] not in prefixes and path.is_file():
+            path.unlink()
+            removed += 1
+    return removed
+
+
 def build_or_load_kb(
     load_doc: Callable[[], docmodel.StructuredDocument],
     key: str,
@@ -464,12 +486,14 @@ class Corpus:
     at a time, each file hashed once. A file that does not parse is
     skipped, with one message in `skipped`; a doc_id seen before raises
     DocumentError before its document is used. `inputs` maps the path of
-    each file that gave a document, in path order, to its sha256."""
+    each file that gave a document, in path order, to its sha256; `keys`
+    holds the KB cache key of every file read, parsed or not."""
 
     def __init__(self, config: RunConfig) -> None:
         self.config = config
         self.skipped: list[str] = []
         self.inputs: dict[str, str] = {}
+        self.keys: set[str] = set()
 
     def documents(self) -> list[docmodel.StructuredDocument]:
         """Every document, parsed, in doc_id order."""
@@ -498,6 +522,7 @@ class Corpus:
             except OSError as exc:
                 self._skip(path, DocumentError(f"cannot read {path}: {exc}"))
                 continue
+            self.keys.add(item.key)
 
             def ingest(item: CorpusDocument = item) -> docmodel.StructuredDocument:
                 try:
@@ -632,6 +657,9 @@ def cmd_build_kb(args: argparse.Namespace) -> int:
             config.output_dir / "kb" / f"{item.doc_id}.kb.json", partial(shutil.copyfile, cached)
         )
         print(f"{item.doc_id}: {item.kb.counts()}")
+    pruned = prune_kb_cache(config, corpus.keys)
+    if pruned:
+        print(f"pruned {pruned} kb_cache file(s) of documents no longer in the corpus")
     _print_skipped(corpus.skipped)
     _require_documents(corpus)
     return EXIT_OK

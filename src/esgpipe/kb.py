@@ -45,6 +45,7 @@ from .providers import (
     EmbeddingProvider,
     LeadSentenceSummarizer,
     SummaryProvider,
+    embed_matrix,
     split_sentences,
 )
 
@@ -361,15 +362,10 @@ def build(
         + [p for _, p in outline_parts]
         + [p for _, p in keyword_parts]
     )
-    vectors = embedder.embed(payloads)
-    if len(vectors) != len(payloads):
-        raise ProviderError(
-            f"embedder {embedder.name!r} returned {len(vectors)} vectors "
-            f"for {len(payloads)} texts"
-        )
+    matrix = embed_matrix(embedder, payloads)
 
     entries: list[Entry] = []
-    vec = iter(vectors)
+    rows = iter(matrix)
     for n, (anchor, payload, summary) in enumerate(text_parts):
         entries.append(
             Entry(
@@ -378,7 +374,7 @@ def build(
                 doc_id=doc.doc_id,
                 payload_text=payload,
                 summary=summary,
-                vector=next(vec),
+                vector=next(rows),
                 anchor=anchor,
             )
         )
@@ -389,7 +385,7 @@ def build(
                 source=Source.OUTLINE,
                 doc_id=doc.doc_id,
                 payload_text=payload,
-                vector=next(vec),
+                vector=next(rows),
                 anchor=anchor,
             )
         )
@@ -400,7 +396,7 @@ def build(
                 source=Source.TABLE_KEYWORD,
                 doc_id=doc.doc_id,
                 payload_text=payload,
-                vector=next(vec),
+                vector=next(rows),
                 anchor=anchor,
             )
         )
@@ -412,6 +408,7 @@ def build(
         entries=entries,
         table_texts=table_texts,
         summary_fallbacks=fallbacks,
+        matrix=matrix,
     )
     logger.info("built KB for %s: %s", doc.doc_id, kb.counts())
     return _adopt_rows(kb)
@@ -431,23 +428,24 @@ def build_naive(
 ) -> KnowledgeBase:
     """Benchmark-arm KB: one Text partition of fixed-size chunks."""
     parts = naive_chunks(flatten_document(doc), chunk_chars)
-    vectors = embedder.embed([p for _, p in parts])
+    matrix = embed_matrix(embedder, [p for _, p in parts])
     entries = [
         Entry(
             entry_id=f"t{n:04d}",
             source=Source.TEXT,
             doc_id=doc.doc_id,
             payload_text=payload,
-            vector=vector,
+            vector=row,
             anchor=anchor,
         )
-        for n, ((anchor, payload), vector) in enumerate(zip(parts, vectors))
+        for n, ((anchor, payload), row) in enumerate(zip(parts, matrix))
     ]
     kb = KnowledgeBase(
         scope=doc.doc_id,
         provider_name=embedder.name,
         dim=embedder.dim,
         entries=entries,
+        matrix=matrix,
     )
     logger.info("built naive KB for %s: %d chunks", doc.doc_id, len(entries))
     return _adopt_rows(kb)

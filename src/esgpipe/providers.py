@@ -24,9 +24,9 @@ import base64
 import functools
 import hashlib
 import http.client
+import itertools
 import json
 import logging
-import math
 import os
 import re
 import select
@@ -35,10 +35,11 @@ import threading
 import urllib.parse
 import urllib.request
 from abc import ABC, abstractmethod
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from . import __version__
 from .errors import ProviderError
@@ -67,8 +68,22 @@ class EmbeddingProvider(ABC):
     dim: int
 
     @abstractmethod
-    def embed(self, texts: Sequence[str]) -> list[list[float]]:
-        """One vector of length `dim` per input text, in input order."""
+    def embed(
+        self, texts: Sequence[str], out: np.ndarray | None = None
+    ) -> list[list[float]] | np.ndarray:
+        """One vector of length `dim` per input text, in input order: as
+        lists of floats, or, when `out` is given, written into `out`, a
+        float64 array of shape `(len(texts), dim)`, which is returned. A
+        provider that cannot fill every row raises ProviderError."""
+
+
+def embed_matrix(embedder: EmbeddingProvider, texts: Sequence[str]) -> np.ndarray:
+    """The float64 `(len(texts), dim)` matrix whose row i embeds `texts[i]`,
+    filled by one `embed` call."""
+    matrix = np.empty((len(texts), embedder.dim))
+    if embedder.embed(texts, out=matrix) is not matrix:
+        raise ProviderError(f"embedder {embedder.name!r} did not fill the array it was given")
+    return matrix
 
 
 class SummaryProvider(ABC):
@@ -110,28 +125,29 @@ class HashEmbedder(EmbeddingProvider):
         self.name = f"hash-bow-{dim}"
         self._bucket_cache: dict[str, int] = {}
 
-    def _bucket(self, token: str) -> int:
-        b = self._bucket_cache.get(token)
-        if b is None:
-            digest = hashlib.sha1(token.encode("utf-8")).hexdigest()
-            b = int(digest, 16) % self.dim
-            self._bucket_cache[token] = b
-        return b
-
-    def embed(self, texts: Sequence[str]) -> list[list[float]]:
-        """Work grows with each text's tokens, not with `dim`: only the
-        counted buckets are touched. The counts are integers, so their
-        sum of squares is exact in any order."""
-        out = []
-        for text in texts:
-            vec = [0.0] * self.dim
-            counts = Counter(map(self._bucket, tokenize(text)))
-            if counts:
-                norm = sum(c * c for c in counts.values()) ** 0.5
-                for bucket, c in counts.items():
-                    vec[bucket] = c / norm
-            out.append(vec)
-        return out
+    def embed(
+        self, texts: Sequence[str], out: np.ndarray | None = None
+    ) -> list[list[float]] | np.ndarray:
+        """All texts in one pass of array operations; each distinct token
+        is hashed once per instance. The counts are integers, so a row's
+        sum of squares is exact in any order. Its square root is the
+        Python float `** 0.5` gives, and each count is divided by it as
+        a float, so every vector is the one a per-text loop would make."""
+        matrix = np.empty((len(texts), self.dim)) if out is None else out
+        tokens = list(map(tokenize, texts))
+        flat = list(itertools.chain.from_iterable(tokens))
+        cache = self._bucket_cache
+        for token in set(flat).difference(cache):
+            cache[token] = int(hashlib.sha1(token.encode("utf-8")).hexdigest(), 16) % self.dim
+        buckets = np.fromiter(map(cache.__getitem__, flat), dtype=np.intp, count=len(flat))
+        rows = np.repeat(np.arange(len(texts)), list(map(len, tokens)))
+        counts = np.bincount(rows * self.dim + buckets, minlength=matrix.size)
+        counts = counts.reshape(matrix.shape)
+        squares = np.einsum("ij,ij->i", counts, counts).tolist()
+        # a tokenless row divides its zeros by 1, so it stays exactly 0.0
+        norms = np.array([s**0.5 if s else 1.0 for s in squares])
+        np.divide(counts, norms[:, None], out=matrix)
+        return matrix.tolist() if out is None else out
 
 
 class LeadSentenceSummarizer(SummaryProvider):
@@ -144,8 +160,10 @@ class LeadSentenceSummarizer(SummaryProvider):
         self.name = f"lead-{n}"
 
     def summarize(self, text: str) -> str:
-        sentences = split_sentences(text)
-        return " ".join(sentences[: self.n])
+        """`" ".join(split_sentences(text)[:n])`, splitting no further
+        than the n-th sentence."""
+        sentences = _SENTENCE_RE.split(text.strip(), maxsplit=self.n)
+        return " ".join(s for s in sentences[: self.n] if s)
 
 
 def _token_set(text: str) -> frozenset[str]:
@@ -171,8 +189,9 @@ class JaccardReranker(Reranker):
         scores = []
         for cand in candidates:
             c = self._tokens(cand)
-            union = q | c
-            scores.append(len(q & c) / len(union) if union else 0.0)
+            shared = len(q & c)
+            union = len(q) + len(c) - shared
+            scores.append(shared / union if union else 0.0)
         return scores
 
 
@@ -372,17 +391,26 @@ class HttpEndpoint:
             return data
 
 
-def _floats(values: list, what: str) -> list[float]:
-    """The values as floats. `json.loads` accepts NaN and Infinity, and
-    either would poison a similarity or a rerank order, so a non-finite
-    value is an error like a non-number."""
+def _floats(values: list, what: str, out: np.ndarray) -> np.ndarray:
+    """`values`, a list of numbers for a 1-d `out` or a list of rows of
+    them for a 2-d one, written into `out`, which is returned. Only a
+    JSON number counts: a bool or a numeric string is an error like any
+    other non-number. A non-finite value is an error too, and so is an
+    integer too large for a float: `json.loads` accepts NaN and Infinity,
+    and either would poison a similarity or a rerank order."""
+    flat = itertools.chain.from_iterable(values) if out.ndim == 2 else values
+    others = set(map(type, flat)) - {int, float}
+    if others:
+        names = ", ".join(sorted(t.__name__ for t in others))
+        raise ProviderError(f"{what} provider returned a non-number ({names})")
     try:
-        floats = [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise ProviderError(f"{what} provider returned a non-number: {exc}") from exc
-    if not all(map(math.isfinite, floats)):
+        if values:  # an empty list cannot broadcast to shape (0, dim)
+            out[...] = values
+    except OverflowError as exc:
+        raise ProviderError(f"{what} provider returned a non-finite number: {exc}") from exc
+    if not np.isfinite(out).all():
         raise ProviderError(f"{what} provider returned a non-finite number")
-    return floats
+    return out
 
 
 class HttpEmbedder(EmbeddingProvider):
@@ -391,7 +419,9 @@ class HttpEmbedder(EmbeddingProvider):
         self.dim = dim
         self.name = name
 
-    def embed(self, texts: Sequence[str]) -> list[list[float]]:
+    def embed(
+        self, texts: Sequence[str], out: np.ndarray | None = None
+    ) -> list[list[float]] | np.ndarray:
         data = self.endpoint.post({"texts": list(texts)})
         vectors = data.get("vectors")
         if not isinstance(vectors, list) or len(vectors) != len(texts):
@@ -399,7 +429,6 @@ class HttpEmbedder(EmbeddingProvider):
                 f"embedding provider returned {0 if vectors is None else len(vectors)} "
                 f"vectors for {len(texts)} texts"
             )
-        out = []
         for vec in vectors:
             if not isinstance(vec, list):
                 raise ProviderError(f"embedding provider returned {vec!r} as a vector")
@@ -407,8 +436,9 @@ class HttpEmbedder(EmbeddingProvider):
                 raise ProviderError(
                     f"embedding provider returned dim {len(vec)}, expected {self.dim}"
                 )
-            out.append(_floats(vec, "embedding"))
-        return out
+        matrix = np.empty((len(texts), self.dim)) if out is None else out
+        _floats(vectors, "embedding", matrix)
+        return matrix.tolist() if out is None else out
 
 
 class HttpReranker(Reranker):
@@ -421,7 +451,7 @@ class HttpReranker(Reranker):
         scores = data.get("scores")
         if not isinstance(scores, list) or len(scores) != len(candidates):
             raise ProviderError("rerank provider returned a malformed score list")
-        return _floats(scores, "rerank")
+        return _floats(scores, "rerank", np.empty(len(scores))).tolist()
 
 
 class HttpChatProvider(ChatProvider):

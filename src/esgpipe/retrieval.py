@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ProviderError, RetrievalError
 from .kb import Entry, KnowledgeBase, Partition, Source
 from .metadata import IndicatorSpec, MetadataRegistry, render_question
-from .providers import EmbeddingProvider, JaccardReranker, Reranker
+from .providers import EmbeddingProvider, JaccardReranker, Reranker, embed_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -131,16 +131,7 @@ def build_queries(
         for spec in specs
     }
     distinct = list(dict.fromkeys(t for ts in texts.values() for t in ts))
-    vectors = embedder.embed(distinct) if distinct else []
-    if len(vectors) != len(distinct):
-        raise ProviderError(
-            f"embedder {embedder.name!r} returned {len(vectors)} vectors "
-            f"for {len(distinct)} texts"
-        )
-    try:
-        matrix = np.array(vectors, dtype=np.float64)
-    except ValueError as exc:
-        raise ProviderError(f"embedder {embedder.name!r} returned vectors of unequal dim") from exc
+    matrix = embed_matrix(embedder, distinct) if distinct else []
     row = dict(zip(distinct, matrix))
     queries = {
         key: Query(indicator_id=key[0], query_texts=ts, vectors=[row[t] for t in ts])

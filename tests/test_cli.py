@@ -476,7 +476,7 @@ def test_failing_query_embed_makes_ablate_exit_3(workspace, capsys, monkeypatch)
     from esgpipe.errors import ProviderError
     from esgpipe.providers import HashEmbedder
 
-    def refuse(self, texts):
+    def refuse(self, texts, out=None):
         raise ProviderError("embedding endpoint down")
 
     monkeypatch.setattr(HashEmbedder, "embed", refuse)
@@ -747,7 +747,7 @@ def test_corpus_without_documents_exits_2_before_any_provider_call(
     from esgpipe.providers import HashEmbedder
 
     embeds = []
-    monkeypatch.setattr(HashEmbedder, "embed", lambda self, texts: embeds.append(texts))
+    monkeypatch.setattr(HashEmbedder, "embed", lambda self, texts, out=None: embeds.append(texts))
     _keep_docs(workspace, set())
     if broken:
         (workspace / "corpus" / "broken.json").write_text("{", encoding="utf-8")
@@ -797,7 +797,33 @@ def test_renamed_markdown_file_gets_its_own_kb(workspace, capsys):
         kb = json.loads((kb_dir / f"{doc_id}.kb.json").read_text(encoding="utf-8"))
         assert kb["scope"] == doc_id
         assert {entry["doc_id"] for entry in kb["entries"]} == {doc_id}
-    assert len(list((workspace / "out" / "kb_cache").iterdir())) == 2
+    # the renamed file's old entry is pruned
+    (cached,) = (workspace / "out" / "kb_cache").iterdir()
+    assert json.loads(cached.read_text(encoding="utf-8"))["scope"] == "beta"
+    assert "pruned 1 kb_cache file(s)" in capsys.readouterr().out
+
+
+def test_build_kb_prunes_only_the_cache_entries_of_departed_files(workspace, capsys):
+    from esgpipe.cli import _fingerprint
+
+    _keep_docs(workspace, {"doc00.json", "doc01.json"})
+    cfg = _config_path(workspace)
+    cache = workspace / "out" / "kb_cache"
+    # each file cached under two modes, and doc00 also under another chunk size
+    assert main(["build-kb", "--config", cfg]) == EXIT_OK
+    assert main(["build-kb", "--arm", "benchmark", "--config", cfg]) == EXIT_OK
+    chunked = _rewrite_config(workspace, lambda raw: raw.update(chunking={"max_chars": 600}))
+    _keep_docs(workspace, {"doc00.json"})
+    stray = cache / "notes.txt"
+    stray.write_text("not a KB\n", encoding="utf-8")
+    assert main(["build-kb", "--config", chunked]) == EXIT_OK
+    assert "pruned 2 kb_cache file(s)" in capsys.readouterr().out
+    key = _fingerprint(workspace / "corpus" / "doc00.json")[1][:16]
+    kept = sorted(p.name for p in cache.iterdir() if p != stray)
+    assert len(kept) == 3 and all(name.startswith(f"{key}-") for name in kept)
+    assert stray.exists()
+    assert main(["build-kb", "--config", chunked]) == EXIT_OK
+    assert "pruned" not in capsys.readouterr().out
 
 
 def test_manifest_inputs_reuse_the_corpus_digests(workspace, capsys, monkeypatch):

@@ -485,10 +485,10 @@ class _SelectiveEmbedder(HashEmbedder):
         super().__init__()
         self.marker = marker
 
-    def embed(self, texts):
+    def embed(self, texts, out=None):
         if any(self.marker in t for t in texts):
             raise ProviderError(f"refusing text containing {self.marker!r}")
-        return super().embed(texts)
+        return super().embed(texts, out)
 
 
 def test_run_ablation_requires_labels(registry, corpus_docs, corpus_labels,

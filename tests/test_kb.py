@@ -192,6 +192,19 @@ def test_build_naive_is_single_partition(corpus_docs, embedder):
     verify_anchors(kb, doc)
 
 
+class _ListOnlyEmbedder(HashEmbedder):
+    """Ignores `out`, as an embedder written for lists alone would."""
+
+    def embed(self, texts, out=None):
+        return super().embed(texts)
+
+
+def test_builds_reject_an_embedder_that_ignores_out(corpus_docs):
+    for make in (build, build_naive):
+        with pytest.raises(ProviderError, match="did not fill"):
+            make(corpus_docs[0], _ListOnlyEmbedder())
+
+
 def test_flatten_document_order(corpus_docs):
     doc = corpus_docs[0]
     flat = flatten_document(doc)

@@ -112,9 +112,9 @@ class _CountingEmbedder(HashEmbedder):
         super().__init__()
         self.calls = 0
 
-    def embed(self, texts):
+    def embed(self, texts, out=None):
         self.calls += 1
-        return super().embed(texts)
+        return super().embed(texts, out)
 
 
 def test_one_query_embed_per_run_plus_one_per_kb(registry, corpus_docs, corpus_labels,

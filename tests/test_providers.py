@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import socket
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +121,18 @@ def test_hash_embedder_matches_the_dimension_walking_reference(dim, texts):
     assert _hex(json.loads(json.dumps(got))) == _hex(got)
 
 
+@settings(max_examples=300, deadline=None)
+@given(dim=st.integers(min_value=1, max_value=300), texts=TEXTS)
+def test_hash_embedder_fills_out_with_the_vectors_it_lists(dim, texts):
+    emb = HashEmbedder(dim)
+    out = np.full((len(texts), dim), np.nan)
+    assert emb.embed(texts, out=out) is out  # a cold bucket cache
+    listed = np.array(emb.embed(texts), dtype=np.float64).reshape(out.shape)  # a warm one
+    reference = np.array(reference_embed(dim, texts), dtype=np.float64).reshape(out.shape)
+    assert (out.view(np.uint64) == listed.view(np.uint64)).all()
+    assert (out.view(np.uint64) == reference.view(np.uint64)).all()
+
+
 def test_hash_embedder_rejects_bad_dim():
     with pytest.raises(ValueError):
         HashEmbedder(dim=0)
@@ -136,6 +150,17 @@ def test_lead_sentence_summarizer():
     assert LeadSentenceSummarizer(n=1).summarize("A. B.") == "A."
     with pytest.raises(ValueError):
         LeadSentenceSummarizer(n=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=5),
+    text=st.one_of(
+        st.text(alphabet=st.sampled_from("ab.!? \n\t\x1c\u3000"), max_size=40), st.text()
+    ),
+)
+def test_lead_sentence_summary_is_the_first_split_sentences(n, text):
+    assert LeadSentenceSummarizer(n).summarize(text) == " ".join(split_sentences(text)[:n])
 
 
 # -------------------------------------------------------------------- reranker
@@ -343,19 +368,26 @@ def test_http_embedder_contract(http_server):
     assert vectors == [[1.0, 0.0], [0.0, 1.0]]
     assert server.calls[0]["payload"] == {"texts": ["a", "b"]}
     assert server.calls[0]["agent"] == f"esgpipe/{__version__}"
+    out = np.full((2, 2), np.nan)
+    assert emb.embed(["a", "b"], out=out) is out
+    assert out.tolist() == vectors
 
 
 def test_http_embedder_rejects_bad_shapes(http_server):
     server, base = http_server
     emb = HttpEmbedder(HttpEndpoint(f"{base}/embed", retries=0), dim=2)
 
-    server.responder = lambda p, body: (200, {"vectors": [[1.0, 0.0]]})
-    with pytest.raises(ProviderError, match="1 vectors for 2 texts"):
-        emb.embed(["a", "b"])
+    def into_array(texts):
+        return emb.embed(texts, out=np.empty((len(texts), 2)))
 
-    server.responder = lambda p, body: (200, {"vectors": [[1.0, 0.0, 0.0]]})
-    with pytest.raises(ProviderError, match="dim 3"):
-        emb.embed(["a"])
+    for embed in (emb.embed, into_array):
+        server.responder = lambda p, body: (200, {"vectors": [[1.0, 0.0]]})
+        with pytest.raises(ProviderError, match="1 vectors for 2 texts"):
+            embed(["a", "b"])
+
+        server.responder = lambda p, body: (200, {"vectors": [[1.0, 0.0, 0.0]]})
+        with pytest.raises(ProviderError, match="dim 3"):
+            embed(["a"])
 
 
 def test_http_endpoint_retries_then_fails(http_server):
@@ -444,9 +476,15 @@ def test_malformed_replies_are_provider_errors(http_server):
         (lambda: emb.embed(["a", "b"]), [[1.0, 0.0], [0.0, 1.0]], "non-object"),
         (lambda: emb.embed(["a", "b"]), {"vectors": [[NAN, 0.0], [0.0, 1.0]]}, "non-finite"),
         (lambda: emb.embed(["a", "b"]), {"vectors": [[1.0, 0.0], [0.0, INF]]}, "non-finite"),
-        (lambda: emb.embed(["a", "b"]), {"vectors": [["NaN", 0.0], [0.0, 1.0]]}, "non-finite"),
+        (lambda: emb.embed(["a", "b"]), {"vectors": [["NaN", 0.0], [0.0, 1.0]]}, "non-number"),
+        (lambda: emb.embed(["a", "b"]), {"vectors": [[True, 0.0], [0.0, 1.0]]}, "non-number"),
+        (lambda: emb.embed(["a", "b"]), {"vectors": [["0.5", 0.0], [0.0, 1.0]]}, "non-number"),
+        (lambda: emb.embed(["a", "b"]), {"vectors": [[10**400, 0.0], [0.0, 1.0]]}, "non-finite"),
         (lambda: reranker.score("q", ["c1", "c2"]), {"scores": ["x", 0.5]}, "non-number"),
+        (lambda: reranker.score("q", ["c1", "c2"]), {"scores": [True, 0.5]}, "non-number"),
+        (lambda: reranker.score("q", ["c1", "c2"]), {"scores": ["0.5", 0.5]}, "non-number"),
         (lambda: reranker.score("q", ["c1", "c2"]), {"scores": [0.2, -INF]}, "non-finite"),
+        (lambda: reranker.score("q", ["c1", "c2"]), {"scores": [0.2, -(10**400)]}, "non-finite"),
         (lambda: reranker.score("q", ["c1", "c2"]), [0.2, 0.5], "non-object"),
         (lambda: chat.complete(_prompt("d", "i"), {}), ["hello"], "non-object"),
     ]
@@ -657,4 +695,5 @@ def test_http_endpoint_goes_through_the_environment_proxy(monkeypatch):
 
 def test_esgpipe_does_not_import_requests():
     check = "import esgpipe.cli, sys; assert 'requests' not in sys.modules"
-    subprocess.run([sys.executable, "-c", check], check=True, timeout=60)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}  # finds esgpipe as we did
+    subprocess.run([sys.executable, "-c", check], check=True, timeout=60, env=env)
