@@ -15,8 +15,9 @@ evaluate source each document's KB through `out/kb_cache/`, keyed by the
 file's bytes and, for markdown and plain text, by the name that gives
 their doc_id: a hit takes the doc_id from the cached KB and never parses
 the file, a miss parses, builds and caches it. build-kb then deletes
-the cache files of documents no longer in the corpus. ingest, ablate and
-analyze parse every file, as they need the document itself.
+the `kb_cache/` and `kb/` files of documents no longer in the corpus
+(a skipped file counts as gone). ingest, ablate and analyze parse every
+file, as they need the document itself.
 
 extract and a fresh single-arm evaluate share `extract_arm`, which writes
 `records.jsonl`, in doc_id order. evaluate and ablate score each arm with
@@ -46,9 +47,12 @@ Config file shape (all keys optional unless a command needs them)::
 An http section may also set timeout (seconds, default 30), retries
 (default 2) and token_env. Relative paths resolve against the config
 file's directory. In offline mode no provider may carry a url; in online
-mode embedding and chat must. An unknown key, also under `retrieval`,
-`chunking` or a provider section, a malformed number and a number below
-its minimum are rejected at load.
+mode embedding and chat must. A `kind`, when given, must name the
+provider that runs: http for an online section with a url, otherwise
+offline (mock for chat; summary is always offline). An unknown key, also
+under `retrieval`, `chunking` or a provider section, an unknown or
+mismatched kind, a malformed number and a number below its minimum are
+rejected at load.
 """
 
 from __future__ import annotations
@@ -129,6 +133,15 @@ _PROVIDER_KEYS = {
     "chat": {"kind", "url", "replies", "timeout", "retries", "token_env"},
     "rerank": {"kind", "url", "timeout", "retries", "token_env"},
     "summary": {"kind", "sentences"},
+}
+
+# the kinds a provider section may name: the first runs unless an online
+# run gives the section a url
+_PROVIDER_KINDS = {
+    "embedding": ("offline", "http"),
+    "chat": ("mock", "http"),
+    "rerank": ("offline", "http"),
+    "summary": ("offline",),
 }
 
 
@@ -221,6 +234,21 @@ def load_run_config(path: str | Path) -> RunConfig:
                 raise ConfigError(
                     f"config {path}: online mode requires a url for {required!r}"
                 )
+
+    for name, cfg in providers_cfg.items():
+        kinds = _PROVIDER_KINDS[name]
+        runs = kinds[1] if mode == "online" and cfg.get("url") else kinds[0]
+        if cfg.get("kind") in (None, runs):
+            continue
+        if cfg["kind"] not in kinds:
+            raise ConfigError(
+                f"config {path}: providers.{name}.kind must be one of {list(kinds)}, "
+                f"got {cfg['kind']!r}"
+            )
+        raise ConfigError(
+            f"config {path}: providers.{name}.kind is {cfg['kind']!r}, but {mode} mode "
+            f"{'with' if cfg.get('url') else 'without'} a url runs {runs!r}"
+        )
 
     arm = str(raw.get("arm", DEFAULT_ARM))
     if arm != "all" and arm not in ABLATION_ARMS:
@@ -371,21 +399,38 @@ def kb_cache_path(
 _KB_CACHE_NAME_RE = re.compile(r"([0-9a-f]{16})-.+\.json")
 
 
+def _prune(directory: Path, stale: Callable[[str], bool]) -> int:
+    """Deletes each file in `directory` whose name is `stale` and returns
+    how many it deleted."""
+    if not directory.is_dir():
+        return 0
+    paths = [path for path in directory.iterdir() if stale(path.name) and path.is_file()]
+    for path in paths:
+        path.unlink()
+    return len(paths)
+
+
 def prune_kb_cache(config: RunConfig, keys: set[str]) -> int:
     """Deletes each `kb_cache/` file whose key prefix is that of none of
     `keys`, whatever its embedder, mode and build parameters, and returns
     how many it deleted."""
     prefixes = {key[:16] for key in keys}
-    cache_dir = config.output_dir / "kb_cache"
-    if not cache_dir.is_dir():
-        return 0
-    removed = 0
-    for path in cache_dir.iterdir():
-        name = _KB_CACHE_NAME_RE.fullmatch(path.name)
-        if name and name[1] not in prefixes and path.is_file():
-            path.unlink()
-            removed += 1
-    return removed
+
+    def stale(name: str) -> bool:
+        match = _KB_CACHE_NAME_RE.fullmatch(name)
+        return bool(match) and match[1] not in prefixes
+
+    return _prune(config.output_dir / "kb_cache", stale)
+
+
+def prune_kb_dir(config: RunConfig, doc_ids: set[str]) -> int:
+    """Deletes each `kb/<doc_id>.kb.json` file whose doc_id is none of
+    `doc_ids` and returns how many it deleted."""
+    suffix = ".kb.json"
+    return _prune(
+        config.output_dir / "kb",
+        lambda name: name.endswith(suffix) and name[: -len(suffix)] not in doc_ids,
+    )
 
 
 def build_or_load_kb(
@@ -650,16 +695,21 @@ def cmd_build_kb(args: argparse.Namespace) -> int:
         )
         return EXIT_OK
     corpus = Corpus(config)
+    doc_ids = set()
     for item in corpus.sourced(providers, pcfg):
         # the cache file already holds the saved, byte-reproducible form
         cached = kb_cache_path(config, item.key, providers, pcfg)
         write_atomic(
             config.output_dir / "kb" / f"{item.doc_id}.kb.json", partial(shutil.copyfile, cached)
         )
+        doc_ids.add(item.doc_id)
         print(f"{item.doc_id}: {item.kb.counts()}")
-    pruned = prune_kb_cache(config, corpus.keys)
-    if pruned:
-        print(f"pruned {pruned} kb_cache file(s) of documents no longer in the corpus")
+    for where, pruned in (
+        ("kb_cache", prune_kb_cache(config, corpus.keys)),
+        ("kb/", prune_kb_dir(config, doc_ids)),
+    ):
+        if pruned:
+            print(f"pruned {pruned} {where} file(s) of documents no longer in the corpus")
     _print_skipped(corpus.skipped)
     _require_documents(corpus)
     return EXIT_OK

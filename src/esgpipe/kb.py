@@ -29,13 +29,15 @@ rebuilds it.
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import logging
 import re
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,6 +59,9 @@ KB_VERSION = 2
 DEFAULT_CHUNK_CHARS = 1200
 DEFAULT_NAIVE_CHUNK_CHARS = 400
 MIN_CHUNK_CHARS = 200
+
+_SAVE_ROWS = 256  # entries and vector rows per piece `save` writes
+_SAVE_BUFFER = 1 << 16  # bytes `save` buffers per write: a small KB goes out in one
 
 
 class Source(Enum):
@@ -451,26 +456,50 @@ def build_naive(
     return _adopt_rows(kb)
 
 
-def _encode_vectors(kb: KnowledgeBase) -> dict[str, str]:
-    """The KB's vectors as the base64 CSR block over `kb.entries` in
-    order, read from the partition matrices (no dense copy of the KB)."""
-    rows, cols, values = [], [], []
-    for source, file_rows in _rows_by_source(kb.entries).items():
-        matrix = kb.partition(source).matrix
-        r, c = np.nonzero(matrix.view(np.uint64))  # bit pattern, so -0.0 counts
-        rows.append(np.asarray(file_rows, dtype=np.intp)[r])
-        cols.append(c)
-        values.append(matrix[r, c])
-    row = np.concatenate(rows)
-    order = np.argsort(row, kind="stable")  # partition rows keep file order
-    indptr = np.zeros(len(kb.entries) + 1, dtype="<i4")
-    np.cumsum(np.bincount(row, minlength=len(kb.entries)), out=indptr[1:])
-    arrays = {
-        "indptr": indptr,
-        "indices": np.concatenate(cols)[order].astype("<i4"),
-        "values": np.concatenate(values)[order].astype("<f8"),
-    }
-    return {name: base64.b64encode(a).decode("ascii") for name, a in arrays.items()}
+def _file_order_bits(kb: KnowledgeBase) -> Iterator[np.ndarray]:
+    """The bit patterns (uint64) of the KB's vectors over `kb.entries` in
+    order, as row views of the partition matrices: one per run of
+    entries of one source, cut every `_SAVE_ROWS` rows. `build`,
+    `build_naive` and `load` keep each source's entries together, so
+    their KBs give at most one run per source; entries whose sources
+    interleave give a view per run, down to one per entry."""
+    next_row = dict.fromkeys(Source, 0)
+    for source, run in itertools.groupby(kb.entries, key=attrgetter("source")):
+        bits = kb.partition(source).matrix.view(np.uint64)
+        start = next_row[source]
+        next_row[source] = stop = start + len(list(run))
+        for cut in range(start, stop, _SAVE_ROWS):
+            yield bits[cut : min(cut + _SAVE_ROWS, stop)]
+
+
+def _write_base64(f: BinaryIO, chunks: Iterable[bytes]) -> None:
+    """Writes the base64 of the concatenated `chunks`, encoding them as
+    they come: the base64 of a concatenation is that of its parts while
+    every part but the last has a multiple of 3 bytes."""
+    rest = b""
+    for chunk in chunks:
+        data = rest + chunk
+        cut = len(data) - len(data) % 3
+        f.write(base64.b64encode(memoryview(data)[:cut]))
+        rest = data[cut:]
+    f.write(base64.b64encode(rest))
+
+
+def _write_vectors(f: BinaryIO, kb: KnowledgeBase) -> None:
+    """The fields of the `"vectors"` object, the CSR block over
+    `kb.entries` in order, each base64-encoded a block of rows at a
+    time. A value is stored when its bit pattern is not all zero, so
+    -0.0 counts."""
+    blocks = list(_file_order_bits(kb))  # views, so no copy of the vectors
+    sizes = [np.count_nonzero(bits, axis=1) for bits in blocks]
+    indptr = np.cumsum(np.concatenate([np.zeros(1, dtype=np.intp), *sizes]), dtype="<i4")
+    f.write(b'"indptr":"')
+    _write_base64(f, [indptr.tobytes()])
+    f.write(b'","indices":"')
+    _write_base64(f, (np.nonzero(bits)[1].astype("<i4").tobytes() for bits in blocks))
+    f.write(b'","values":"')
+    _write_base64(f, (bits[bits != 0].astype("<u8").tobytes() for bits in blocks))
+    f.write(b'"')
 
 
 def _decode_vectors(block: dict, n: int, dim: int) -> np.ndarray:
@@ -498,8 +527,14 @@ def _decode_vectors(block: dict, n: int, dim: int) -> np.ndarray:
 
 
 def save(kb: KnowledgeBase, path: str | Path) -> None:
-    """Write the single-file KB format (byte-reproducible)."""
-    payload = {
+    """Write the single-file KB format (byte-reproducible): the text
+    `json.dumps(payload, ensure_ascii=False, separators=(",", ":"))`
+    and a newline would give for the whole payload, written in pieces:
+    the header, the entries `_SAVE_ROWS` at a time, then each base64
+    vector field. So the file is never held whole, nor is any of its
+    vector fields."""
+    encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+    header = {
         "format": KB_FORMAT,
         "version": KB_VERSION,
         "scope": kb.scope,
@@ -508,21 +543,27 @@ def save(kb: KnowledgeBase, path: str | Path) -> None:
         "counts": kb.counts(),
         "summary_fallbacks": kb.summary_fallbacks,
         "table_texts": kb.table_texts,
-        "entries": [
-            {
-                "entry_id": e.entry_id,
-                "source": e.source.value,
-                "doc_id": e.doc_id,
-                "payload_text": e.payload_text,
-                "summary": e.summary,
-                "anchor": e.anchor,
-            }
-            for e in kb.entries
-        ],
-        "vectors": _encode_vectors(kb),
     }
-    text = json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    with open(path, "wb", buffering=_SAVE_BUFFER) as f:
+        f.write(encode(header)[:-1].encode("utf-8"))
+        f.write(b',"entries":[')
+        for start in range(0, len(kb.entries), _SAVE_ROWS):
+            batch = [
+                {
+                    "entry_id": e.entry_id,
+                    "source": e.source.value,
+                    "doc_id": e.doc_id,
+                    "payload_text": e.payload_text,
+                    "summary": e.summary,
+                    "anchor": e.anchor,
+                }
+                for e in kb.entries[start : start + _SAVE_ROWS]
+            ]
+            f.write(b"," if start else b"")
+            f.write(encode(batch)[1:-1].encode("utf-8"))
+        f.write(b'],"vectors":{')
+        _write_vectors(f, kb)
+        f.write(b"}}\n")
 
 
 def load(path: str | Path) -> KnowledgeBase:

@@ -54,6 +54,8 @@ _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
 
 DEFAULT_TOKEN_ENV = "ESGPIPE_API_TOKEN"
 
+_EMBED_SLICE = 256  # texts per pass of HashEmbedder's array pipeline
+
 
 def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
@@ -128,12 +130,22 @@ class HashEmbedder(EmbeddingProvider):
     def embed(
         self, texts: Sequence[str], out: np.ndarray | None = None
     ) -> list[list[float]] | np.ndarray:
-        """All texts in one pass of array operations; each distinct token
-        is hashed once per instance. The counts are integers, so a row's
-        sum of squares is exact in any order. Its square root is the
-        Python float `** 0.5` gives, and each count is divided by it as
-        a float, so every vector is the one a per-text loop would make."""
+        """Array operations over slices of `_EMBED_SLICE` texts, each
+        slice written into its rows, so the temporaries (token lists and
+        a slice-by-`dim` count matrix) do not grow with the batch; each
+        distinct token is hashed once per instance. The counts are
+        integers, so a row's sum of squares is exact in any order. Its
+        square root is the Python float `** 0.5` gives, and each count
+        is divided by it as a float, so every vector is the one a
+        per-text loop would make."""
         matrix = np.empty((len(texts), self.dim)) if out is None else out
+        for start in range(0, len(texts), _EMBED_SLICE):
+            stop = start + _EMBED_SLICE
+            self._embed_slice(texts[start:stop], matrix[start:stop])
+        return matrix.tolist() if out is None else out
+
+    def _embed_slice(self, texts: Sequence[str], out: np.ndarray) -> None:
+        """Writes the vectors of `texts` into `out`, one row each."""
         tokens = list(map(tokenize, texts))
         flat = list(itertools.chain.from_iterable(tokens))
         cache = self._bucket_cache
@@ -141,13 +153,12 @@ class HashEmbedder(EmbeddingProvider):
             cache[token] = int(hashlib.sha1(token.encode("utf-8")).hexdigest(), 16) % self.dim
         buckets = np.fromiter(map(cache.__getitem__, flat), dtype=np.intp, count=len(flat))
         rows = np.repeat(np.arange(len(texts)), list(map(len, tokens)))
-        counts = np.bincount(rows * self.dim + buckets, minlength=matrix.size)
-        counts = counts.reshape(matrix.shape)
+        counts = np.bincount(rows * self.dim + buckets, minlength=out.size)
+        counts = counts.reshape(out.shape)
         squares = np.einsum("ij,ij->i", counts, counts).tolist()
         # a tokenless row divides its zeros by 1, so it stays exactly 0.0
         norms = np.array([s**0.5 if s else 1.0 for s in squares])
-        np.divide(counts, norms[:, None], out=matrix)
-        return matrix.tolist() if out is None else out
+        np.divide(counts, norms[:, None], out=out)
 
 
 class LeadSentenceSummarizer(SummaryProvider):

@@ -218,7 +218,10 @@ def _select(
         rows, cols = np.divmod(np.arange(len(sims) * n), n)
 
     sizes = np.diff(starts, append=len(sims))  # vectors per query
-    pairs = np.unique(np.repeat(np.arange(len(starts)), sizes)[rows] * n + cols)
+    # the distinct (query, entry) pairs, sorted: as np.unique, which
+    # imports numpy.ma on first use
+    pairs = np.sort(np.repeat(np.arange(len(starts)), sizes)[rows] * n + cols)
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # every pair is >= 0
     queries, cols = np.divmod(pairs, n)
     # best cosine of each pair: the max over its query's rows in that column
     counts = sizes[queries]

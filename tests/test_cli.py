@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from decimal import Decimal
 
 import pytest
@@ -11,6 +14,7 @@ import yaml
 
 from esgpipe import metadata
 from esgpipe.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, EXIT_PROVIDER, main
+from esgpipe.errors import ConfigError
 
 from tests import corpusgen
 
@@ -408,6 +412,62 @@ def test_offline_mode_forbids_provider_urls(workspace, capsys):
     assert "offline mode forbids" in capsys.readouterr().err
 
 
+ONLINE = {
+    "embedding": {"kind": "http", "url": "http://127.0.0.1:9/embed"},
+    "chat": {"kind": "http", "url": "http://127.0.0.1:9/chat"},
+}
+
+
+@pytest.mark.parametrize(
+    "mode, providers, message",
+    [
+        # embedding: an offline run has no http embedder, whatever the kind says
+        ("offline", {"embedding": {"kind": "http"}},
+         "providers.embedding.kind is 'http', but offline mode without a url runs 'offline'"),
+        # chat: an offline run answers from the mock, not over http
+        ("offline", {"chat": {"kind": "http", "replies": "mock_replies.json"}},
+         "providers.chat.kind is 'http', but offline mode without a url runs 'mock'"),
+        # rerank: an online rerank section without a url runs the offline fallback
+        ("online", {**ONLINE, "rerank": {"kind": "http"}},
+         "providers.rerank.kind is 'http', but online mode without a url runs 'offline'"),
+        # summary: only the offline summarizer exists
+        ("offline", {"summary": {"kind": "http"}},
+         "providers.summary.kind must be one of ['offline'], got 'http'"),
+    ],
+    ids=["embedding", "chat", "rerank", "summary"],
+)
+def test_a_provider_kind_must_name_the_provider_that_runs(
+    workspace, capsys, mode, providers, message
+):
+    cfg = _rewrite_config(workspace, lambda raw: raw.update(mode=mode, providers=providers))
+    assert main(["extract", "--config", cfg]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (workspace / "out").exists()
+
+
+def test_provider_kinds_that_name_what_runs_are_accepted(workspace):
+    from esgpipe.cli import load_run_config
+
+    offline = {
+        "embedding": {"kind": "offline"},
+        "chat": {"kind": "mock", "replies": "mock_replies.json"},
+        "rerank": {"kind": "offline"},
+        "summary": {"kind": "offline"},
+    }
+    load_run_config(_rewrite_config(workspace, lambda raw: raw.update(providers=offline)))
+    online = {**ONLINE, "rerank": {"kind": "http", "url": "http://127.0.0.1:9/rerank"}}
+    load_run_config(
+        _rewrite_config(workspace, lambda raw: raw.update(mode="online", providers=online))
+    )
+    online["rerank"] = {"kind": "offline"}
+    load_run_config(_rewrite_config(workspace, lambda raw: raw.update(providers=online)))
+    for kind in ("mock", "HTTP", 1, ["http"]):
+        online["rerank"] = {"kind": kind}
+        cfg = _rewrite_config(workspace, lambda raw: raw.update(providers=online))
+        with pytest.raises(ConfigError, match="providers.rerank.kind must be one of"):
+            load_run_config(cfg)
+
+
 def test_online_mode_requires_urls(workspace, capsys):
     cfg = _rewrite_config(workspace, lambda raw: raw.update(mode="online"))
     assert main(["ingest", "--config", cfg]) == EXIT_CONFIG
@@ -792,15 +852,17 @@ def test_renamed_markdown_file_gets_its_own_kb(workspace, capsys):
     assert main(["build-kb", "--config", cfg]) == EXIT_OK
     (corpus / "alpha.md").rename(corpus / "beta.md")
     assert main(["build-kb", "--config", cfg]) == EXIT_OK
-    kb_dir = workspace / "out" / "kb"
-    for doc_id in ("alpha", "beta"):
-        kb = json.loads((kb_dir / f"{doc_id}.kb.json").read_text(encoding="utf-8"))
-        assert kb["scope"] == doc_id
-        assert {entry["doc_id"] for entry in kb["entries"]} == {doc_id}
-    # the renamed file's old entry is pruned
+    # the renamed file's old KB and cache entry are pruned
+    (saved,) = (workspace / "out" / "kb").iterdir()
+    assert saved.name == "beta.kb.json"
+    kb = json.loads(saved.read_text(encoding="utf-8"))
+    assert kb["scope"] == "beta"
+    assert {entry["doc_id"] for entry in kb["entries"]} == {"beta"}
     (cached,) = (workspace / "out" / "kb_cache").iterdir()
-    assert json.loads(cached.read_text(encoding="utf-8"))["scope"] == "beta"
-    assert "pruned 1 kb_cache file(s)" in capsys.readouterr().out
+    assert cached.read_bytes() == saved.read_bytes()
+    out = capsys.readouterr().out
+    assert "pruned 1 kb_cache file(s)" in out
+    assert "pruned 1 kb/ file(s)" in out
 
 
 def test_build_kb_prunes_only_the_cache_entries_of_departed_files(workspace, capsys):
@@ -826,6 +888,22 @@ def test_build_kb_prunes_only_the_cache_entries_of_departed_files(workspace, cap
     assert "pruned" not in capsys.readouterr().out
 
 
+def test_build_kb_prunes_the_kb_files_of_departed_and_skipped_documents(workspace, capsys):
+    _keep_docs(workspace, {"doc00.json", "doc01.json", "doc02.json"})
+    cfg = _config_path(workspace)
+    assert main(["build-kb", "--config", cfg]) == EXIT_OK
+    kb_dir = workspace / "out" / "kb"
+    stray = kb_dir / "notes.txt"
+    stray.write_text("not a KB\n", encoding="utf-8")
+    (workspace / "corpus" / "doc01.json").write_text("{not json", encoding="utf-8")
+    (workspace / "corpus" / "doc02.json").unlink()
+    capsys.readouterr()
+    assert main(["build-kb", "--config", cfg]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "pruned 2 kb/ file(s) of documents no longer in the corpus" in out
+    assert sorted(p.name for p in kb_dir.iterdir()) == ["doc00.kb.json", "notes.txt"]
+
+
 def test_manifest_inputs_reuse_the_corpus_digests(workspace, capsys, monkeypatch):
     import hashlib
 
@@ -846,3 +924,18 @@ def test_manifest_inputs_reuse_the_corpus_digests(workspace, capsys, monkeypatch
         str(corpus / name): hashlib.sha256((corpus / name).read_bytes()).hexdigest()
         for name in ("doc00.json", "doc01.json")
     }
+
+
+def test_a_command_does_not_import_numpy_ma(workspace):
+    """numpy imports `numpy.ma` lazily, on first use of some functions
+    (`np.unique` among them), and the import alone costs 10-20 ms in each
+    command: a fixture ablate, which searches, must not trigger it."""
+    check = (
+        "import sys; from esgpipe.cli import main; "
+        f"assert main(['ablate', '--config', {_config_path(workspace)!r}]) == 0; "
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}  # finds esgpipe as we did
+    subprocess.run(
+        [sys.executable, "-c", check], check=True, timeout=120, env=env, stdout=subprocess.DEVNULL
+    )

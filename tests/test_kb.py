@@ -3,6 +3,7 @@
 import base64
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,6 +345,119 @@ def test_v2_file_stores_only_nonzero_bit_patterns(tmp_path):
     assert np.frombuffer(block["indptr"], "<i4").tolist() == [0, 2, 2, 3]
     assert np.frombuffer(block["indices"], "<i4").tolist() == [1, 2, 0]
     assert np.frombuffer(block["values"], "<f8").tobytes() == np.array([-0.0, 2.0, 1.0]).tobytes()
+
+
+def reference_save_text(kb):
+    """The text `save` writes, made the way it was first written: the
+    whole payload, with a per-row CSR block, through one `json.dumps`."""
+    indptr, indices, values = [0], [], []
+    for e in kb.entries:
+        vec = np.asarray(e.vector, dtype=np.float64)
+        stored = np.flatnonzero(vec.view(np.uint64))  # bit patterns, so -0.0 counts
+        indices.extend(stored.tolist())
+        values.append(vec[stored])
+        indptr.append(len(indices))
+    arrays = {
+        "indptr": np.array(indptr, dtype="<i4"),
+        "indices": np.array(indices, dtype="<i4"),
+        "values": np.concatenate([np.zeros(0), *values]).astype("<f8"),
+    }
+    payload = {
+        "format": "esg_kb",
+        "version": KB_VERSION,
+        "scope": kb.scope,
+        "provider_name": kb.provider_name,
+        "dim": kb.dim,
+        "counts": kb.counts(),
+        "summary_fallbacks": kb.summary_fallbacks,
+        "table_texts": kb.table_texts,
+        "entries": [
+            {
+                "entry_id": e.entry_id,
+                "source": e.source.value,
+                "doc_id": e.doc_id,
+                "payload_text": e.payload_text,
+                "summary": e.summary,
+                "anchor": e.anchor,
+            }
+            for e in kb.entries
+        ],
+        "vectors": {k: base64.b64encode(a.tobytes()).decode("ascii") for k, a in arrays.items()},
+    }
+    return json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
+def _mixed_kb(n, dim=8):
+    """`n` entries, text and table keywords interleaved (no outline),
+    with non-ASCII and escaped payloads, summaries that are None, -0.0
+    vector entries and all-zero rows."""
+    odd = ['Émissions «scope 1»', '排放 "quoted" \\ back', "tab\tnew\nline\u2028", "😀\x00\x1f"]
+    entries = []
+    for i in range(n):
+        vec = np.zeros(dim)
+        if i % 4:
+            vec[i % dim] = (-1.0) ** i * (i + 0.5)
+            vec[(i * 3) % dim] = -0.0
+        keyword = i % 3 == 2
+        entries.append(
+            Entry(
+                entry_id=f"e{i:04d}", source=Source.TABLE_KEYWORD if keyword else Source.TEXT,
+                doc_id="dé", payload_text=f"{odd[i % 4]} {i}", vector=list(vec),
+                anchor="table:t1" if keyword else f"blocks:{i}-{i}",
+                summary=None if keyword or i % 5 == 0 else odd[(i + 1) % 4],
+            )
+        )
+    return KnowledgeBase(scope="dé", provider_name="p", dim=dim, entries=entries,
+                         table_texts={"t1": "| Kennzahl | 排放 |\n| ÄÖÜ | 1,2 |"},
+                         summary_fallbacks=3)
+
+
+def _save_cases(corpus_docs, embedder):
+    from esgpipe.kb import _SAVE_ROWS
+
+    for doc in corpus_docs:
+        yield f"{doc.doc_id}-structured", build(doc, embedder)
+        yield f"{doc.doc_id}-naive", build_naive(doc, embedder)
+    for n in (1, _SAVE_ROWS - 1, _SAVE_ROWS, 2 * _SAVE_ROWS + 7):
+        yield f"mixed-{n}", _mixed_kb(n)
+    with np.errstate(all="ignore"):
+        yield "special", _special_kb(5, np.random.default_rng(5))
+    yield "empty", KnowledgeBase(scope="e", provider_name="p", dim=4, entries=[])
+
+
+def test_save_writes_the_text_of_one_json_dumps(corpus_docs, embedder, tmp_path):
+    for name, kb in _save_cases(corpus_docs, embedder):
+        path = tmp_path / f"{name}.json"
+        save(kb, path)
+        assert path.read_bytes() == reference_save_text(kb).encode("utf-8"), name
+
+
+def test_save_holds_less_than_the_file_it_writes(tmp_path):
+    """Saving a 5,000-entry KB never holds the file's text, its entries
+    or its vector block whole."""
+    from esgpipe.providers import embed_matrix
+
+    rng = random.Random(11)
+    words = [f"w{i}" for i in range(3000)] + ["Émission", "排放"]
+    texts = [" ".join(rng.choices(words, k=rng.randint(10, 60))) for _ in range(5000)]
+    sources = [Source.TEXT, Source.OUTLINE, Source.TABLE_KEYWORD]
+    matrix = embed_matrix(HashEmbedder(256), texts)
+    entries = [
+        Entry(entry_id=f"e{i:04d}", source=sources[i % 3], doc_id="d", payload_text=text,
+              vector=row, anchor=f"flat:{i}", summary=text[:80] if i % 3 == 0 else None)
+        for i, (text, row) in enumerate(zip(texts, matrix))
+    ]
+    kb = KnowledgeBase(scope="d", provider_name="p", dim=256, entries=entries, matrix=matrix)
+    path = tmp_path / "kb.json"
+    tracemalloc.start()
+    try:
+        save(kb, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < size, f"peak {peak / 2**20:.2f} MB for a {size / 2**20:.2f} MB file"
+    assert path.read_bytes() == reference_save_text(kb).encode("utf-8")
 
 
 def _b64(values, dtype="<i4"):

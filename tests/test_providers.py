@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -33,6 +34,7 @@ from esgpipe.providers import (
     LeadSentenceSummarizer,
     MockChatProvider,
     MockReply,
+    _EMBED_SLICE,
     split_sentences,
     tokenize,
 )
@@ -131,6 +133,37 @@ def test_hash_embedder_fills_out_with_the_vectors_it_lists(dim, texts):
     reference = np.array(reference_embed(dim, texts), dtype=np.float64).reshape(out.shape)
     assert (out.view(np.uint64) == listed.view(np.uint64)).all()
     assert (out.view(np.uint64) == reference.view(np.uint64)).all()
+
+
+@pytest.mark.parametrize("n", [0, 1, _EMBED_SLICE - 1, _EMBED_SLICE, _EMBED_SLICE + 1,
+                               3 * _EMBED_SLICE + 7])
+def test_hash_embedder_matches_the_reference_across_slice_edges(n):
+    """Batches that end just before, at and after a slice edge, with
+    tokenless and repeated texts on both sides of every edge."""
+    pool = ["", "!!! ...", "scope scope scope émissions", "Straße 排放 x1 x1", "tco2e",
+            " ".join(WORDS * 3), "\n\t-"]
+    texts = [pool[(i * 5) % len(pool)] + (f" w{i % 11}" if i % 3 else "") for i in range(n)]
+    out = np.full((n, 64), np.nan)
+    assert HashEmbedder(64).embed(texts, out=out) is out
+    reference = np.array(reference_embed(64, texts), dtype=np.float64).reshape(out.shape)
+    assert (out.view(np.uint64) == reference.view(np.uint64)).all()
+
+
+def test_hash_embedder_temporaries_do_not_grow_with_the_batch():
+    """A batch of 5,000 texts of about 200 tokens (one million tokens)
+    holds at most 8 MB beyond the vectors while it is embedded."""
+    rng = np.random.default_rng(7)
+    vocabulary = [f"term{i}" for i in range(2000)]
+    texts = [" ".join(vocabulary[j] for j in rng.integers(0, 2000, 200)) for _ in range(5000)]
+    embedder = HashEmbedder(256)
+    tracemalloc.start()
+    try:
+        out = np.empty((len(texts), 256))
+        embedder.embed(texts, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_hash_embedder_rejects_bad_dim():
