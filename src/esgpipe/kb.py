@@ -70,6 +70,9 @@ class Source(Enum):
     TABLE_KEYWORD = "TableKeyword"
 
 
+_SOURCES = {s.value: s for s in Source}  # what `load` maps each entry's "source" through
+
+
 @dataclass
 class Entry:
     entry_id: str
@@ -160,10 +163,7 @@ class KnowledgeBase:
         self._id_ranks = {source: rank[rows[source]] for source in Source}
 
     def counts(self) -> dict[str, int]:
-        out = {s.value: 0 for s in Source}
-        for e in self.entries:
-            out[e.source.value] += 1
-        return out
+        return {s.value: len(self._partitions[s].entries) for s in Source}
 
     def partition(self, source: Source) -> Partition:
         return self._partitions[source]
@@ -588,7 +588,7 @@ def load(path: str | Path) -> KnowledgeBase:
         entries = [
             Entry(
                 entry_id=e["entry_id"],
-                source=Source(e["source"]),
+                source=_SOURCES[e["source"]],
                 doc_id=e["doc_id"],
                 payload_text=e["payload_text"],
                 summary=e["summary"],

@@ -13,18 +13,33 @@ passes every indicator's query for a document and retrieval group) and
 `search` is a batch of one. A query converts its vectors to a matrix
 and row norms once, on first use, so a run's plan queries are converted
 once however many documents they search; each hit's payload is resolved
-once per entry and batch. Per partition, each query's vectors are
-multiplied with the partition matrix on their own; normalising, the
-top-k selection, the union and the ranking then run once over the
-stacked rows of all queries. The matmul stays per query because one
-stacked matmul takes another BLAS path whose floats differ in the last
-bits, and mathematically tied cosines would then fall on different
-sides of each other.
+once per entry and batch.
+
+Per partition, the batch is cut into slices of whole queries, each of
+at most `_SLICE_CELLS` similarity cells (query vectors x entries).
+Within a slice, each query's vectors are multiplied with the partition
+matrix on their own: one stacked matmul takes another BLAS path whose
+floats differ in the last bits, and mathematically tied cosines would
+then fall on different sides of each other (padding every query to a
+fixed row count changed them too). Normalising, the top-k selection and
+the union over a query's vectors then work row by row in scratch
+buffers that the call allocates, one set per worker, so the slices'
+(query, entry, best cosine) arrays, concatenated, are exactly those of
+one slice over the whole batch, and a large KB costs a few slices of
+temporaries rather than full (vectors, entries) arrays. A batch of more
+than `_THREAD_CELLS` cells spreads its slices over one worker per usable
+CPU, at most one per slice: this thread and helper threads started and
+joined within the call. BLAS and numpy's large array operations release
+the GIL, so the workers overlap. The ranking and the payload resolution
+run once per call, in this thread.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
@@ -44,6 +59,21 @@ DEFAULT_BUDGET_CHARS = 6000
 MIN_BUDGET_CHARS = 500
 
 NO_EVIDENCE_SENTINEL = "NO EVIDENCE FOUND"
+
+# Similarity cells (query vectors x partition entries) per slice of a
+# search. On 2 vCPUs (numpy 2.4, OpenBLAS 0.3.31 on one thread) a slice of
+# the 5k-entry scaled document takes about 8 ms of `_select` (125 ns a
+# cell) and its buffers take 1.1 MB (17 bytes a cell); slices of 2^15 and
+# 2^17 cells timed within the noise of this size.
+_SLICE_CELLS = 1 << 16
+# A search of at most this many cells in all runs in the calling thread
+# alone. Below it the BLAS calls are too short to overlap and the helper
+# mostly waits for the GIL: on the same host (medians of six alternations
+# of 20 calls), 72k cells of 1-row queries against partitions of about 400
+# entries took 7.7 ms alone and 9.0 ms with a helper, while 213k cells
+# went from 28 to 21 ms and 1.04M cells from 126 to 78 ms. A helper
+# thread costs about 0.13 ms to start and join.
+_THREAD_CELLS = 1 << 17
 
 
 @dataclass
@@ -173,6 +203,12 @@ def _query_matrix(kb: KnowledgeBase, query: Query) -> np.ndarray:
     return qm
 
 
+def _buffers(cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two float64 and one bool array of `cells` cells: the scratch space
+    of `_select`."""
+    return np.empty(cells), np.empty(cells), np.empty(cells, dtype=bool)
+
+
 def _select(
     part: Partition,
     rank: np.ndarray,
@@ -180,6 +216,7 @@ def _select(
     qnorms: np.ndarray,
     starts: np.ndarray,
     k: int,
+    buffers: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One partition's hits for every query: (query, row, best cosine)
     for each selected pair, ordered by query then row.
@@ -188,25 +225,26 @@ def _select(
     as (vectors, entries); zero norms are pinned to -1. Each vector
     keeps its k best entries by (-similarity, entry_id), counting every
     entry tied with the k-th best value as a candidate so that the rank
-    tie-break decides among them exactly as a full sort would.
+    tie-break decides among them exactly as a full sort would. The
+    (vectors, entries) arrays live in `buffers` (see `_buffers`), which
+    must hold that many cells; no returned array is a view of them.
     """
     n = len(part.entries)
-    sims = np.empty((len(qnorms), n))
+    sims, denom, mask = (b[: len(qnorms) * n].reshape(len(qnorms), n) for b in buffers)
     for qm, start in zip(qms, starts.tolist()):
-        sims[start : start + len(qm)] = qm @ part.matrix.T
-    denom = np.outer(qnorms, part.norms)
-    unmatched = ~(denom > 0)
+        np.matmul(qm, part.matrix.T, out=sims[start : start + len(qm)])
+    np.outer(qnorms, part.norms, out=denom)
+    unmatched = np.logical_not(np.greater(denom, 0, out=mask), out=mask)
     np.copyto(denom, 1.0, where=unmatched)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(sims, denom, out=sims)
-    del denom
     np.copyto(sims, -1.0, where=unmatched)
-    del unmatched
     np.clip(sims, -1.0, 1.0, out=sims)
 
     if k < n:
-        kth = np.partition(sims, n - k, axis=1)[:, n - k]
-        rows, cols = np.nonzero(sims >= kth[:, None])
+        np.copyto(denom, sims)  # as np.partition, in the free buffer
+        denom.partition(n - k, axis=1)
+        rows, cols = np.nonzero(np.greater_equal(sims, denom[:, n - k : n - k + 1], out=mask))
         per_row = np.bincount(rows, minlength=len(sims))
         if per_row.max() > k:  # ties at the k-th value: keep the first k by rank
             order = np.lexsort((rank[cols], -sims[rows, cols], rows))
@@ -231,6 +269,27 @@ def _select(
     return queries, cols, best
 
 
+def _slices(rows: list[int], n: int) -> list[tuple[int, int]]:
+    """Cuts a batch whose query q has rows[q] vectors into runs of whole
+    queries, (first, end), each of at most `_SLICE_CELLS` similarity
+    cells against a partition of n entries, or of one query."""
+    cuts, cells = [0], 0
+    for q, size in enumerate(rows):
+        if cells and cells + size * n > _SLICE_CELLS:
+            cuts.append(q)
+            cells = 0
+        cells += size * n
+    cuts.append(len(rows))
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
 def search_many(
     kb: KnowledgeBase, queries: Sequence[Query], k: int = DEFAULT_TOP_K
 ) -> list[list[ScoredHit]]:
@@ -244,15 +303,41 @@ def search_many(
     if not qms:
         return []
     qnorms = np.concatenate([q.norms for q in queries])
-    starts = np.cumsum([0] + [len(qm) for qm in qms[:-1]])
+    sizes = np.array([len(qm) for qm in qms])
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
 
     parts = [kb.partition(source) for source in Source]
-    columns = []  # per non-empty partition: (query, partition, row, similarity, rank)
-    for p, (part, source) in enumerate(zip(parts, Source)):
-        if part.entries:
-            rank = kb.id_rank(source)
-            qs, rows, sims = _select(part, rank, qms, qnorms, starts, k)
-            columns.append((qs, np.full(len(rows), p), rows, sims, rank[rows]))
+    ranks = [kb.id_rank(source) for source in Source]
+    tasks = [  # (partition, first query, end query) per slice, by partition then query
+        (p, *cut)
+        for p, part in enumerate(parts)
+        if part.entries
+        for cut in _slices(sizes.tolist(), len(part.entries))
+    ]
+    cells = [int(ends[end - 1] - starts[first]) * len(parts[p].entries) for p, first, end in tasks]
+    columns: list = [None] * len(tasks)
+    ticket = itertools.count()  # next() on it is atomic: each task goes to one worker
+
+    def work(buffers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+        while (i := next(ticket)) < len(tasks):
+            p, first, end = tasks[i]
+            lo, hi = starts[first], ends[end - 1]
+            qs, rows, sims = _select(
+                parts[p], ranks[p], qms[first:end], qnorms[lo:hi], starts[first:end] - lo, k,
+                buffers,
+            )
+            columns[i] = (qs + first, np.full(len(rows), p), rows, sims, ranks[p][rows])
+
+    workers = min(_usable_cpus(), len(tasks)) if sum(cells) > _THREAD_CELLS else 1
+    if workers == 1:
+        work(_buffers(max(cells, default=0)))
+    else:  # this thread is one of the workers
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            helpers = [pool.submit(work, _buffers(max(cells))) for _ in range(workers - 1)]
+            work(_buffers(max(cells)))
+            for helper in helpers:
+                helper.result()
     hits: list[list[ScoredHit]] = [[] for _ in qms]
     if not columns:
         return hits

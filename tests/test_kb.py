@@ -171,6 +171,13 @@ def test_build_counts_match_structure(corpus_docs, embedder):
     verify_anchors(kb, doc)
 
 
+def test_counts_recount_the_entries_in_source_order(corpus_docs, embedder):
+    for kb in (build(corpus_docs[1], embedder), build_naive(corpus_docs[1], embedder),
+               KnowledgeBase(scope="d", provider_name="p", dim=3, entries=[])):
+        recount = {s.value: sum(e.source is s for e in kb.entries) for s in Source}
+        assert list(kb.counts().items()) == list(recount.items())
+
+
 def test_build_gives_every_text_entry_a_summary(corpus_docs, embedder):
     kb = build(corpus_docs[0], embedder)
     for entry in kb.entries:
@@ -500,6 +507,17 @@ def test_load_rejects_malformed_vector_block(corpus_docs, embedder, tmp_path, ca
     data["vectors"] = MALFORMED_BLOCKS[case](data["vectors"], data["dim"])
     path.write_text(json.dumps(data))
     with pytest.raises(KnowledgeBaseError, match="malformed"):
+        load(path)
+
+
+@pytest.mark.parametrize("source", ["Bogus", "text", "", None, ["Text"], 1])
+def test_load_rejects_unknown_entry_source(corpus_docs, embedder, tmp_path, source):
+    path = tmp_path / "kb.json"
+    save(build_naive(corpus_docs[0], embedder), path)
+    data = json.loads(path.read_text())
+    data["entries"][-1]["source"] = source
+    path.write_text(json.dumps(data))
+    with pytest.raises(KnowledgeBaseError, match="malformed KB entry"):
         load(path)
 
 

@@ -2,7 +2,11 @@
 
 import math
 import random
+import sys
+import threading
+import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -421,6 +425,178 @@ def test_search_many_rejects_a_bad_query_mid_batch():
         search_many(kb, [good, bad], 0)
     with pytest.raises(RetrievalError, match="k must be >= 1"):
         search_many(kb, [], 0)
+
+
+# --- sliced, threaded search vs the one-slice path, bit for bit ---
+
+
+def sparse_kb(seed, sizes, dim=24):
+    """A KB with sizes[i] entries in the i-th source's partition: sparse
+    small-integer rows with -0.0 among the zeros, all-zero rows, exact
+    duplicates (ties) and copies one ulp apart (near-ties); ids in
+    random string order, summaries and tables so every payload kind
+    resolves."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    matrix = rng.choice([-2.0, -1.0, 0.0, -0.0, 0.0, 0.0, 1.0, 2.0], size=(n, dim))
+    matrix[rng.random(n) < 0.05] = 0.0
+    twins = rng.integers(0, n, size=(n // 8, 2))
+    matrix[twins[:, 0]] = matrix[twins[:, 1]]
+    near = rng.integers(0, n, size=n // 8)
+    matrix[near, 0] = np.nextafter(matrix[near, 0], 3.0)
+    sources = [source for source, size in zip(Source, sizes) for _ in range(size)]
+    ids = rng.permutation(n)
+    entries = [
+        Entry(entry_id=f"x{ids[i]}", source=source, doc_id="d", payload_text=f"payload {i}",
+              vector=matrix[i], anchor=f"table:t{i % 5}" if source is Source.TABLE_KEYWORD
+              else f"flat:{i}", summary=f"summary {i}" if i % 2 else None)
+        for i, source in enumerate(sources)
+    ]
+    return KnowledgeBase(scope="d", provider_name="t", dim=dim, entries=entries,
+                         table_texts={f"t{i}": f"table {i}" for i in range(5)}, matrix=matrix)
+
+
+def sparse_queries(seed, count, dim=24):
+    """Queries of 1-6 sparse rows; some rows all zero, some -0.0 cells."""
+    rng = np.random.default_rng(seed)
+    queries = []
+    for n in range(count):
+        rows = rng.choice([-1.0, 0.0, -0.0, 0.0, 1.0, 2.0], size=(rng.integers(1, 7), dim))
+        rows[rng.random(len(rows)) < 0.1] = 0.0
+        queries.append(Query(f"q{n}", [f"t{i}" for i in range(len(rows))], list(rows)))
+    return queries
+
+
+def _hits(kb, queries, k):
+    return [
+        [(h.entry_id, h.source, h.similarity.hex(), h.resolved_payload, h.anchor) for h in hits]
+        for hits in search_many(kb, queries, k)
+    ]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of each thread pool that `retrieval` makes."""
+    from esgpipe import retrieval
+
+    sizes = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(retrieval, "ThreadPoolExecutor", CountingPool)
+    return sizes
+
+
+def test_slices_cut_whole_queries_within_the_cell_budget(monkeypatch):
+    from esgpipe import retrieval
+
+    rng = random.Random(5)
+    for _ in range(200):
+        rows = [rng.randint(1, 6) for _ in range(rng.randint(1, 40))]
+        n = rng.randint(1, 3000)
+        budget = rng.randint(1, 2 * sum(rows) * n)
+        monkeypatch.setattr(retrieval, "_SLICE_CELLS", budget)
+        cuts = retrieval._slices(rows, n)
+        assert [first for first, _ in cuts] + [len(rows)] == [0] + [end for _, end in cuts]
+        for (first, end), after in zip(cuts, cuts[1:] + [None]):
+            assert end - first == 1 or sum(rows[first:end]) * n <= budget
+            if after:  # greedy: the next query would not have fit
+                assert (sum(rows[first:end]) + rows[end]) * n > budget
+        assert (len(cuts) == 1) == (sum(rows) * n <= budget or len(rows) == 1)
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_sliced_search_matches_one_slice_bit_for_bit(cpus, pool_sizes, monkeypatch):
+    from esgpipe import retrieval
+
+    kb = sparse_kb(7, (2500, 1200, 1800))
+    queries = sparse_queries(8, 30)
+    rows = [len(q.vectors) for q in queries]
+    monkeypatch.setattr(retrieval, "_SLICE_CELLS", 1 << 60)
+    monkeypatch.setattr(retrieval, "_usable_cpus", lambda: 1)
+    whole = {k: _hits(kb, queries, k) for k in (1, 5)}
+    monkeypatch.setattr(retrieval, "_usable_cpus", lambda: cpus)
+    n = len(kb.partition(Source.TEXT).entries)
+    budgets = {}  # slices of the largest partition -> the largest budget that makes them
+    for budget in range(sum(rows) * n, 0, -n):
+        monkeypatch.setattr(retrieval, "_SLICE_CELLS", budget)
+        budgets.setdefault(len(retrieval._slices(rows, n)), budget)
+    assert {1, 2, len(queries)} <= budgets.keys() and len(budgets) > len(queries) // 2
+    sliced = 0  # searches with more than one slice
+    for count, budget in budgets.items():
+        monkeypatch.setattr(retrieval, "_SLICE_CELLS", budget)
+        for k in (1, 5) if count in (1, 2, 7, len(queries)) else (5,):
+            sliced += count > 1
+            threads = threading.active_count()
+            assert _hits(kb, queries, k) == whole[k], f"{count} slices, k={k}"
+            assert threading.active_count() == threads
+    if cpus == 1:
+        assert pool_sizes == []
+    else:  # this thread and up to 3 helpers
+        assert len(pool_sizes) >= sliced
+        assert set(pool_sizes) <= {1, 2, 3}
+    _assert_batch_matches_reference(kb, queries[:6], 5)
+
+
+def test_small_search_starts_no_thread(
+    corpus_docs, registry, offline_providers, pool_sizes, monkeypatch
+):
+    from esgpipe import retrieval
+    from esgpipe.kb import build
+
+    monkeypatch.setattr(retrieval, "_usable_cpus", lambda: 4)
+    plan = build_queries(registry.indicators, registry, offline_providers.embedder, [True])
+    kb = build(corpus_docs[0], offline_providers.embedder)
+    search_many(kb, [plan[(spec.id, True)] for spec in registry.indicators], 5)
+    assert pool_sizes == []
+    big = sparse_kb(13, (2000, 0, 0))
+    search_many(big, sparse_queries(14, 40), 5)  # 2000 entries x 40 queries: 280k cells
+    assert len(pool_sizes) == 1 and pool_sizes[0] >= 1
+
+
+def test_sliced_search_hands_each_slice_to_one_worker_under_stress(monkeypatch):
+    from esgpipe import retrieval
+
+    kb = sparse_kb(11, (600, 300, 500))
+    queries = sparse_queries(12, 40)
+    monkeypatch.setattr(retrieval, "_SLICE_CELLS", 1 << 60)
+    monkeypatch.setattr(retrieval, "_usable_cpus", lambda: 1)
+    whole = _hits(kb, queries, 3)
+    monkeypatch.setattr(retrieval, "_SLICE_CELLS", 1)  # one query per slice: 120 slices
+    monkeypatch.setattr(retrieval, "_THREAD_CELLS", 0)
+    monkeypatch.setattr(retrieval, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert _hits(kb, queries, 3) == whole
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_sliced_search_peaks_below_the_one_slice_path(monkeypatch):
+    from esgpipe import retrieval
+
+    kb = sparse_kb(9, (2000, 1000, 2000))
+    queries = sparse_queries(10, 60)
+
+    def peak() -> int:
+        tracemalloc.start()
+        try:
+            search_many(kb, queries, 5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(retrieval, "_usable_cpus", lambda: 2)
+    sliced = peak()
+    monkeypatch.setattr(retrieval, "_SLICE_CELLS", 1 << 60)
+    monkeypatch.setattr(retrieval, "_usable_cpus", lambda: 1)
+    whole = peak()
+    assert sliced <= whole, f"sliced {sliced / 2**20:.2f} MB, one slice {whole / 2**20:.2f} MB"
 
 
 def test_table_keyword_hits_resolve_to_full_table(registry, corpus_docs, offline_providers):
