@@ -6,7 +6,9 @@ A document enters the pipeline as one of three on-disk shapes:
    "market_cap_mhkd"?, "elements": [...]}`` where each element carries
    exactly the fields of `LayoutElement` (``kind``, ``text``, ``page``,
    ``bbox``, ``font_size``, plus ``table_id``/``row``/``col`` for table
-   cells). Unknown element fields are rejected.
+   cells). Unknown element fields are rejected. Numbers must be JSON
+   numbers, not booleans or strings, and ``page``, ``row`` and ``col``
+   must be integral; a ``table_id`` must be a string.
 2. Structured-document JSON (the output of `serialize`), recognized by
    ``"format": "structured_document"``.
 3. Markdown or plain text: ``#``-style headings become outline nodes,
@@ -356,40 +358,55 @@ def validate_document(doc: StructuredDocument) -> None:
 
 # --- strict parsing of the two JSON shapes ---
 
-_ELEMENT_REQUIRED = {"kind", "text", "page", "bbox", "font_size"}
-_ELEMENT_OPTIONAL = {"table_id", "row", "col"}
+_ELEMENT_REQUIRED = frozenset({"kind", "text", "page", "bbox", "font_size"})
+_ELEMENT_FIELDS = _ELEMENT_REQUIRED | {"table_id", "row", "col"}
+_KINDS = {k.value: k for k in ElementKind}
+_NUMBERS = frozenset({int, float})  # the types of JSON numbers; a bool is not one
+
+
+def _integer(value: object, name: str, pos: int) -> int:
+    """A JSON number with an integral value, as an int."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise DocumentError(f"element {pos}: {name} must be an integer, got {value!r}")
 
 
 def _parse_element(obj: object, pos: int) -> LayoutElement:
     if not isinstance(obj, dict):
         raise DocumentError(f"element {pos}: expected an object")
-    unknown = set(obj) - _ELEMENT_REQUIRED - _ELEMENT_OPTIONAL
-    if unknown:
-        raise DocumentError(f"element {pos}: unknown fields {sorted(unknown)}")
-    missing = _ELEMENT_REQUIRED - set(obj)
-    if missing:
-        raise DocumentError(f"element {pos}: missing fields {sorted(missing)}")
+    fields = obj.keys()
+    if not fields <= _ELEMENT_FIELDS:
+        raise DocumentError(f"element {pos}: unknown fields {sorted(fields - _ELEMENT_FIELDS)}")
+    if not fields >= _ELEMENT_REQUIRED:
+        raise DocumentError(f"element {pos}: missing fields {sorted(_ELEMENT_REQUIRED - fields)}")
     try:
-        kind = ElementKind(obj["kind"])
-    except ValueError:
+        kind = _KINDS[obj["kind"]]
+    except (KeyError, TypeError):  # a TypeError for an unhashable kind
         raise DocumentError(
-            f"element {pos}: unknown kind {obj['kind']!r}; expected one of "
-            f"{[k.value for k in ElementKind]}"
+            f"element {pos}: unknown kind {obj['kind']!r}; expected one of {list(_KINDS)}"
         ) from None
     bbox = obj["bbox"]
-    if not (isinstance(bbox, list) and len(bbox) == 4):
+    if not (isinstance(bbox, list) and len(bbox) == 4 and _NUMBERS.issuperset(map(type, bbox))):
         raise DocumentError(f"element {pos}: bbox must be a 4-number array")
+    font_size = obj["font_size"]
+    if type(font_size) not in _NUMBERS:
+        raise DocumentError(f"element {pos}: font_size must be a number, got {font_size!r}")
+    table_id = obj.get("table_id")
+    if table_id is not None and type(table_id) is not str:
+        raise DocumentError(f"element {pos}: table_id must be a string, got {table_id!r}")
     row = obj.get("row")
     col = obj.get("col")
     element = LayoutElement(
-        kind=kind,
-        text=str(obj["text"]),
-        page=int(obj["page"]),
-        bbox=tuple(float(v) for v in bbox),
-        font_size=float(obj["font_size"]),
-        table_id=obj.get("table_id"),
-        row=None if row is None else int(row),
-        col=None if col is None else int(col),
+        kind,
+        str(obj["text"]),
+        _integer(obj["page"], "page", pos),
+        tuple(map(float, bbox)),
+        float(font_size),
+        table_id,
+        None if row is None else _integer(row, "row", pos),
+        None if col is None else _integer(col, "col", pos),
     )
     try:
         element.validate()
@@ -445,6 +462,8 @@ def _parse_layout_json(data: dict, path: Path) -> StructuredDocument:
     elements = [_parse_element(e, i) for i, e in enumerate(data["elements"])]
     cap = data.get("market_cap_mhkd")
     if cap is not None:
+        if type(cap) not in _NUMBERS:
+            raise DocumentError(f"{path}: market_cap_mhkd must be a number, got {cap!r}")
         cap = float(cap)
         if cap <= 0:
             raise DocumentError(f"{path}: market_cap_mhkd must be positive")

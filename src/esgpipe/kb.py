@@ -29,6 +29,7 @@ rebuilds it.
 from __future__ import annotations
 
 import base64
+import bisect
 import itertools
 import json
 import logging
@@ -208,20 +209,15 @@ def chunk_text(doc: StructuredDocument, max_chars: int = DEFAULT_CHUNK_CHARS) ->
         text = block.text
         if len(text) > max_chars:
             flush(i - 1)
-            piece: list[str] = []
-            piece_len = 0
-            part = 0
-            for sentence in split_sentences(text):
-                extra = len(sentence) + (1 if piece else 0)
-                if piece and piece_len + extra > max_chars:
-                    chunks.append((f"blocks:{i}-{i}#{part}", " ".join(piece)))
-                    part += 1
-                    piece = []
-                    piece_len = 0
-                piece.append(sentence)
-                piece_len += len(sentence) + (1 if piece_len else 0)
-            if piece:
-                chunks.append((f"blocks:{i}-{i}#{part}", " ".join(piece)))
+            sentences = split_sentences(text)
+            # ends[j] - ends[k] - 1 is the length of sentences[k:j] joined by spaces
+            ends = list(itertools.accumulate(map((1).__add__, map(len, sentences)), initial=0))
+            start = part = 0
+            while start < len(sentences):
+                # the most sentences from `start` that fit, and at least one
+                stop = max(bisect.bisect_right(ends, ends[start] + max_chars + 1) - 1, start + 1)
+                chunks.append((f"blocks:{i}-{i}#{part}", " ".join(sentences[start:stop])))
+                start, part = stop, part + 1
             group_start = i + 1
             continue
         extra = len(text) + (1 if group else 0)
@@ -351,60 +347,31 @@ def build(
         text_parts.append((anchor, chunk, summary))
 
     outline_parts = [
-        (f"outline:{path_index}", path)
+        (f"outline:{path_index}", path, None)
         for path_index, (path, _node) in enumerate(outline_paths(doc.outline))
     ]
 
-    keyword_parts: list[tuple[str, str]] = []
+    keyword_parts: list[tuple[str, str, None]] = []
     table_texts: dict[str, str] = {}
     for table in doc.tables:
         table_texts[table.table_id] = render_table(table)
-        for keyword in extract_table_keywords(table):
-            keyword_parts.append((f"table:{table.table_id}", keyword))
+        anchor = f"table:{table.table_id}"
+        keyword_parts.extend((anchor, keyword, None) for keyword in extract_table_keywords(table))
 
-    payloads = (
-        [p for _, p, _ in text_parts]
-        + [p for _, p in outline_parts]
-        + [p for _, p in keyword_parts]
+    sections = (
+        (Source.TEXT, "t", text_parts),
+        (Source.OUTLINE, "o", outline_parts),
+        (Source.TABLE_KEYWORD, "k", keyword_parts),
     )
-    matrix = embed_matrix(embedder, payloads)
-
-    entries: list[Entry] = []
+    matrix = embed_matrix(
+        embedder, [payload for _, _, parts in sections for _, payload, _ in parts]
+    )
     rows = iter(matrix)
-    for n, (anchor, payload, summary) in enumerate(text_parts):
-        entries.append(
-            Entry(
-                entry_id=f"t{n:04d}",
-                source=Source.TEXT,
-                doc_id=doc.doc_id,
-                payload_text=payload,
-                summary=summary,
-                vector=next(rows),
-                anchor=anchor,
-            )
-        )
-    for n, (anchor, payload) in enumerate(outline_parts):
-        entries.append(
-            Entry(
-                entry_id=f"o{n:04d}",
-                source=Source.OUTLINE,
-                doc_id=doc.doc_id,
-                payload_text=payload,
-                vector=next(rows),
-                anchor=anchor,
-            )
-        )
-    for n, (anchor, payload) in enumerate(keyword_parts):
-        entries.append(
-            Entry(
-                entry_id=f"k{n:04d}",
-                source=Source.TABLE_KEYWORD,
-                doc_id=doc.doc_id,
-                payload_text=payload,
-                vector=next(rows),
-                anchor=anchor,
-            )
-        )
+    entries = [
+        Entry(f"{prefix}{n:04d}", source, doc.doc_id, payload, next(rows), anchor, summary)
+        for source, prefix, parts in sections
+        for n, (anchor, payload, summary) in enumerate(parts)
+    ]
 
     kb = KnowledgeBase(
         scope=doc.doc_id,
@@ -493,10 +460,11 @@ def _write_vectors(f: BinaryIO, kb: KnowledgeBase) -> None:
     blocks = list(_file_order_bits(kb))  # views, so no copy of the vectors
     sizes = [np.count_nonzero(bits, axis=1) for bits in blocks]
     indptr = np.cumsum(np.concatenate([np.zeros(1, dtype=np.intp), *sizes]), dtype="<i4")
+    columns = np.arange(kb.dim, dtype="<i4")
     f.write(b'"indptr":"')
     _write_base64(f, [indptr.tobytes()])
     f.write(b'","indices":"')
-    _write_base64(f, (np.nonzero(bits)[1].astype("<i4").tobytes() for bits in blocks))
+    _write_base64(f, (np.broadcast_to(columns, bits.shape)[bits != 0].tobytes() for bits in blocks))
     f.write(b'","values":"')
     _write_base64(f, (bits[bits != 0].astype("<u8").tobytes() for bits in blocks))
     f.write(b'"')

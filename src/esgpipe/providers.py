@@ -27,6 +27,7 @@ import http.client
 import itertools
 import json
 import logging
+import operator
 import os
 import re
 import select
@@ -50,7 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
 logger = logging.getLogger(__name__)
 
 _TOKEN_RE = re.compile(r"\w+")
-_SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
+# every ASCII character that `\w` does not match, mapped to a space
+_ASCII_NON_WORD = str.maketrans({c: " " for c in range(128) if not _TOKEN_RE.match(chr(c))})
+# a sentence's end mark, kept by `re.split`, and the whitespace after it
+_SENTENCE_END_RE = re.compile(r"([.!?])\s+")
 
 DEFAULT_TOKEN_ENV = "ESGPIPE_API_TOKEN"
 
@@ -58,11 +62,32 @@ _EMBED_SLICE = 256  # texts per pass of HashEmbedder's array pipeline
 
 
 def tokenize(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text.lower())
+    """The ``\\w+`` runs of the lowercased text, in order.
+
+    ASCII text, the common case, takes a faster path with the same
+    result: among ASCII characters ``\\w`` matches exactly the letters,
+    the digits and ``_``. The translation turns every other one into a
+    space, so the text holds only those and spaces, and `str.split`
+    cuts it at the runs of spaces into the same tokens. The test is made
+    on the lowercased text, the text that is split: lowercasing can turn
+    a non-ASCII letter into an ASCII one (the Kelvin sign into ``k``)."""
+    text = text.lower()
+    if text.isascii():
+        return text.translate(_ASCII_NON_WORD).split()
+    return _TOKEN_RE.findall(text)
 
 
-def split_sentences(text: str) -> list[str]:
-    return [s for s in _SENTENCE_RE.split(text.strip()) if s]
+def split_sentences(text: str, limit: int = 0) -> list[str]:
+    """The sentences of the stripped text, in order: it is cut at each run
+    of whitespace right after a ``.``, ``!`` or ``?``, which ends the
+    sentence before it. A positive `limit` keeps the first `limit`
+    sentences and cuts no further."""
+    parts = _SENTENCE_END_RE.split(text.strip(), limit)
+    # each body before a cut, with its end mark: never empty
+    sentences = list(map(operator.add, parts[:-1:2], parts[1::2]))
+    if parts[-1] and (not limit or len(sentences) < limit):
+        sentences.append(parts[-1])
+    return sentences
 
 
 class EmbeddingProvider(ABC):
@@ -112,6 +137,19 @@ class ChatProvider(ABC):
         ...
 
 
+class _Buckets(dict):
+    """token -> its `HashEmbedder` bucket, hashed on first lookup."""
+
+    def __init__(self, dim: int) -> None:
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, token: str) -> int:
+        digest = hashlib.sha1(token.encode("utf-8")).digest()
+        bucket = self[token] = int.from_bytes(digest, "big") % self.dim
+        return bucket
+
+
 class HashEmbedder(EmbeddingProvider):
     """Deterministic hashed bag-of-tokens embedding.
 
@@ -125,7 +163,7 @@ class HashEmbedder(EmbeddingProvider):
             raise ValueError("dim must be positive")
         self.dim = dim
         self.name = f"hash-bow-{dim}"
-        self._bucket_cache: dict[str, int] = {}
+        self._buckets = _Buckets(dim)
 
     def embed(
         self, texts: Sequence[str], out: np.ndarray | None = None
@@ -133,11 +171,11 @@ class HashEmbedder(EmbeddingProvider):
         """Array operations over slices of `_EMBED_SLICE` texts, each
         slice written into its rows, so the temporaries (token lists and
         a slice-by-`dim` count matrix) do not grow with the batch; each
-        distinct token is hashed once per instance. The counts are
-        integers, so a row's sum of squares is exact in any order. Its
-        square root is the Python float `** 0.5` gives, and each count
-        is divided by it as a float, so every vector is the one a
-        per-text loop would make."""
+        distinct token is hashed once per instance, at its first lookup.
+        The counts are integers, so a row's sum of squares is exact in
+        any order. Its square root is the Python float `** 0.5` gives,
+        and each count is divided by it as a float, so every vector is
+        the one a per-text loop would make."""
         matrix = np.empty((len(texts), self.dim)) if out is None else out
         for start in range(0, len(texts), _EMBED_SLICE):
             stop = start + _EMBED_SLICE
@@ -148,10 +186,7 @@ class HashEmbedder(EmbeddingProvider):
         """Writes the vectors of `texts` into `out`, one row each."""
         tokens = list(map(tokenize, texts))
         flat = list(itertools.chain.from_iterable(tokens))
-        cache = self._bucket_cache
-        for token in set(flat).difference(cache):
-            cache[token] = int(hashlib.sha1(token.encode("utf-8")).hexdigest(), 16) % self.dim
-        buckets = np.fromiter(map(cache.__getitem__, flat), dtype=np.intp, count=len(flat))
+        buckets = np.fromiter(map(self._buckets.__getitem__, flat), np.intp, len(flat))
         rows = np.repeat(np.arange(len(texts)), list(map(len, tokens)))
         counts = np.bincount(rows * self.dim + buckets, minlength=out.size)
         counts = counts.reshape(out.shape)
@@ -173,8 +208,7 @@ class LeadSentenceSummarizer(SummaryProvider):
     def summarize(self, text: str) -> str:
         """`" ".join(split_sentences(text)[:n])`, splitting no further
         than the n-th sentence."""
-        sentences = _SENTENCE_RE.split(text.strip(), maxsplit=self.n)
-        return " ".join(s for s in sentences[: self.n] if s)
+        return " ".join(split_sentences(text, self.n))
 
 
 def _token_set(text: str) -> frozenset[str]:

@@ -124,6 +124,37 @@ def test_duplicate_doc_id_is_an_input_error(workspace, capsys):
 # ------------------------------------------------------------------- build-kb
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("page", "x", "page must be an integer, got 'x'"),
+        ("font_size", None, "font_size must be a number, got None"),
+    ],
+)
+def test_malformed_layout_number_skips_only_its_file(workspace, capsys, field, value, message):
+    corpus = workspace / "corpus"
+    for path in corpus.glob("doc*.json"):
+        if path.name != "doc00.json":
+            path.unlink()
+    layout = json.loads((corpus / "doc00.json").read_text(encoding="utf-8"))
+    layout["doc_id"] = "bad"
+    n, element = next((n, e) for n, e in enumerate(layout["elements"]) if "row" in e)
+    element[field] = value
+    (corpus / "bad.json").write_text(json.dumps(layout), encoding="utf-8")
+    cfg = _config_path(workspace)
+
+    assert main(["build-kb", "--config", cfg]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert sorted(p.name for p in (workspace / "out" / "kb").iterdir()) == ["doc00.kb.json"]
+    assert f"skipped bad.json: element {n}: {message}" in out.splitlines()
+    assert out.splitlines()[-1] == "warnings: 1 document(s) skipped"
+
+    assert main(["ingest", "--config", cfg]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "ingested 1 documents" in out
+    assert f"skipped bad.json: element {n}: {message}" in out.splitlines()
+
+
 def test_build_kb_writes_kb_files(workspace, capsys):
     assert main(["build-kb", "--config", _config_path(workspace)]) == EXIT_OK
     kb_dir = workspace / "out" / "kb"

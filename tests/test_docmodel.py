@@ -307,6 +307,94 @@ def test_ingest_layout_json_rejects_unknown_fields(tmp_path):
         ingest(path)
 
 
+_KINDS = "['Header', 'Paragraph', 'TableCell']"
+_GOOD_ELEMENT = {
+    "kind": "Paragraph", "text": "Body.", "page": 1,
+    "bbox": [50, 0, 550, 12], "font_size": 10,
+}
+_GOOD_CELL = {**_GOOD_ELEMENT, "kind": "TableCell", "table_id": "t1", "row": 0, "col": 0}
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "element, message",
+    [
+        (["Paragraph"], "expected an object"),
+        ({**_GOOD_ELEMENT, "zzz": 1}, "unknown fields ['zzz']"),
+        (_without(_GOOD_ELEMENT, "font_size"), "missing fields ['font_size']"),
+        ({**_GOOD_ELEMENT, "kind": "Footer"},
+         f"unknown kind 'Footer'; expected one of {_KINDS}"),
+        ({**_GOOD_ELEMENT, "kind": ["Header"]},
+         f"unknown kind ['Header']; expected one of {_KINDS}"),
+        ({**_GOOD_ELEMENT, "bbox": [0, 0, 1]}, "bbox must be a 4-number array"),
+        ({**_GOOD_ELEMENT, "bbox": "0,0,1,1"}, "bbox must be a 4-number array"),
+        ({**_GOOD_ELEMENT, "bbox": [10, 0, 5, 1]}, "degenerate bbox (10.0, 0.0, 5.0, 1.0)"),
+        ({**_GOOD_ELEMENT, "bbox": [float("nan"), 0, 1, 1]},
+         "degenerate bbox (nan, 0.0, 1.0, 1.0)"),
+        ({**_GOOD_ELEMENT, "page": 0}, "element page must be >= 1, got 0"),
+        ({**_GOOD_ELEMENT, "font_size": 0}, "font_size must be positive, got 0.0"),
+        ({**_GOOD_ELEMENT, "font_size": -1.5}, "font_size must be positive, got -1.5"),
+        (_without(_GOOD_CELL, "table_id"), "TableCell element requires table_id"),
+        ({**_GOOD_ELEMENT, "table_id": "t1"}, "Paragraph element must not carry table_id"),
+        ({**_GOOD_CELL, "row": -1}, "element row must be >= 0, got -1"),
+        ({**_GOOD_CELL, "col": -2}, "element col must be >= 0, got -2"),
+        # numbers that are not numbers of the right kind
+        ({**_GOOD_ELEMENT, "page": "x"}, "page must be an integer, got 'x'"),
+        ({**_GOOD_ELEMENT, "page": True}, "page must be an integer, got True"),
+        ({**_GOOD_ELEMENT, "page": 1.7}, "page must be an integer, got 1.7"),
+        ({**_GOOD_ELEMENT, "bbox": ["a", 0, 1, 1]}, "bbox must be a 4-number array"),
+        ({**_GOOD_ELEMENT, "bbox": [0, 0, True, 1]}, "bbox must be a 4-number array"),
+        ({**_GOOD_ELEMENT, "font_size": None}, "font_size must be a number, got None"),
+        ({**_GOOD_CELL, "row": "z"}, "row must be an integer, got 'z'"),
+        ({**_GOOD_CELL, "col": 0.5}, "col must be an integer, got 0.5"),
+        # a table_id that is not a string, which a cold KB build cannot resolve
+        ({**_GOOD_CELL, "table_id": 5}, "table_id must be a string, got 5"),
+    ],
+)
+def test_ingest_layout_json_rejects_malformed_elements(tmp_path, element, message):
+    payload = {
+        "doc_id": "x", "company": "X", "industry": "",
+        "elements": [_GOOD_ELEMENT, element],
+    }
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(DocumentError) as caught:
+        ingest(path)
+    assert str(caught.value) == f"element 1: {message}"
+
+
+@pytest.mark.parametrize("cap", ["n/a", "12.5", True, [1]])
+def test_ingest_layout_json_rejects_non_number_market_cap(tmp_path, cap):
+    payload = {
+        "doc_id": "x", "company": "X", "industry": "", "market_cap_mhkd": cap,
+        "elements": [_GOOD_ELEMENT],
+    }
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(DocumentError) as caught:
+        ingest(path)
+    assert str(caught.value) == f"{path}: market_cap_mhkd must be a number, got {cap!r}"
+
+
+def test_ingest_layout_json_keeps_integral_numbers(tmp_path):
+    elements = [
+        {**_GOOD_ELEMENT, "page": 2.0},
+        {**_GOOD_CELL, "row": 1.0, "col": 0, "bbox": [50, 20, 300, 32]},
+        {**_GOOD_CELL, "row": 0, "col": 0, "bbox": [50, 0, 300, 12], "page": 1},
+    ]
+    payload = {"doc_id": "x", "company": "X", "industry": "", "market_cap_mhkd": 10,
+               "elements": elements}
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    doc = ingest(path)
+    assert doc.blocks == [Block(text="Body.", page=2)]
+    assert doc.market_cap_mhkd == 10.0
+    assert doc.tables[0].cells == [["Body."], ["Body."]]
+
+
 def test_ingest_markdown_fallback(tmp_path):
     md = """# Annual Report
 

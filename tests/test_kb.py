@@ -3,10 +3,13 @@
 import base64
 import json
 import random
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esgpipe.docmodel import (
     Block,
@@ -84,6 +87,41 @@ def test_chunk_never_splits_mid_sentence():
             serial = sentence.split()[0]
             if serial in text:
                 assert sentence in text
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    blocks=st.lists(
+        st.lists(
+            st.tuples(st.integers(min_value=1, max_value=300), st.sampled_from([" ", "  ", "\n"])),
+            max_size=12,
+        ),
+        max_size=6,
+    ),
+    max_chars=st.integers(min_value=200, max_value=600),
+)
+def test_chunk_packs_split_blocks_like_a_sentence_loop(blocks, max_chars):
+    """Sentences of planted lengths, some longer than the budget, are
+    packed greedily into a long block's pieces, as a loop that adds one
+    sentence at a time packs them."""
+    texts = ["".join("x" * (n - 1) + "." + gap for n, gap in block) for block in blocks]
+
+    def loop(i, text):
+        out, piece, piece_len = [], [], 0
+        for sentence in [s for s in re.split(r"(?<=[.!?])\s+", text.strip()) if s]:
+            extra = len(sentence) + (1 if piece else 0)
+            if piece and piece_len + extra > max_chars:
+                out.append((f"blocks:{i}-{i}#{len(out)}", " ".join(piece)))
+                piece, piece_len = [], 0
+            piece.append(sentence)
+            piece_len += len(sentence) + (1 if piece_len else 0)
+        if piece:
+            out.append((f"blocks:{i}-{i}#{len(out)}", " ".join(piece)))
+        return out
+
+    long_ones = [(i, t) for i, t in enumerate(texts) if len(t) > max_chars]
+    split = [c for c in chunk_text(make_doc(texts), max_chars) if "#" in c[0]]
+    assert split == [c for i, t in long_ones for c in loop(i, t)]
 
 
 def test_chunk_rejects_tiny_budget():

@@ -6,6 +6,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -57,6 +58,32 @@ def test_split_sentences():
         "First one.", "Second!", "Third?", "No split at 2.5 here.",
     ]
     assert split_sentences("   ") == []
+
+
+# Characters where a faster tokenizer or sentence splitter could part from
+# the regex rule: `_`, digits, the ASCII separators `str.split` cuts at,
+# Unicode spaces, letters that lowercase to two code points (İ) or to
+# ASCII (the Kelvin sign), ß, a ligature and CJK.
+TRICKY = "aZ_09 .!?\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\xa0\x85\u3000\u2028İKßﬁ排放Δé-,'\""
+TRICKY_TEXT = st.one_of(
+    st.text(alphabet=st.sampled_from(TRICKY), max_size=80),
+    st.text(alphabet=st.characters(max_codepoint=127), max_size=80),  # the ASCII path
+    st.text(max_size=80),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=TRICKY_TEXT)
+def test_tokenize_is_word_runs_of_the_lowercased_text(text):
+    assert tokenize(text) == re.findall(r"\w+", text.lower())
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=TRICKY_TEXT, limit=st.integers(min_value=0, max_value=4))
+def test_split_sentences_matches_the_lookbehind_split(text, limit):
+    reference = [s for s in re.split(r"(?<=[.!?])\s+", text.strip()) if s]
+    assert split_sentences(text) == reference
+    assert split_sentences(text, limit) == (reference[:limit] if limit else reference)
 
 
 # ---------------------------------------------------------------- HashEmbedder
@@ -121,6 +148,23 @@ def test_hash_embedder_matches_the_dimension_walking_reference(dim, texts):
     assert _hex(got) == _hex(reference_embed(dim, texts))
     assert all(type(v) is float for vec in got for v in vec)
     assert _hex(json.loads(json.dumps(got))) == _hex(got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dim=st.integers(min_value=1, max_value=300),
+    texts=st.lists(st.one_of(TRICKY_TEXT, TEXTS.map(" ".join)), max_size=8),
+)
+def test_hash_embedder_matches_a_regex_per_text_loop(dim, texts):
+    def loop(text):
+        counts = [0] * dim
+        for token in re.findall(r"\w+", text.lower()):
+            counts[int(hashlib.sha1(token.encode("utf-8")).hexdigest(), 16) % dim] += 1
+        norm = sum(c * c for c in counts) ** 0.5
+        return [c / norm if norm else 0.0 for c in counts]
+
+    out = HashEmbedder(dim).embed(texts, out=np.empty((len(texts), dim)))
+    assert [[v.hex() for v in row] for row in out.tolist()] == _hex(map(loop, texts))
 
 
 @settings(max_examples=300, deadline=None)
