@@ -5,7 +5,9 @@ The prompt has five parts in fixed order: preset, reference content
 omitted in the no-knowledge ablation arm), the rendered question, and
 answer-format instructions. Replies are untrusted text: parsing never
 raises, and every failure mode degrades to a record with diagnostic
-flags instead.
+flags instead. Each chat request is sent once: only
+`providers.HttpEndpoint.post` sends a request again, and a chat call
+that fails even so yields a provider-failed record.
 
 Records use the seven-field shape <Disclosure, KPI, Topic, Value,
 Unit, Target, Action> plus doc/indicator identity, an audit excerpt of
@@ -17,7 +19,6 @@ from __future__ import annotations
 import json
 import logging
 import re
-import time
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -44,6 +45,8 @@ from .providers import ProviderSet
 logger = logging.getLogger(__name__)
 
 EXCERPT_CHARS = 240
+
+GENERATION_PARAMS = {"temperature": 0.0}
 
 # How negative answers tend to be phrased; matching is case-insensitive
 # substring. A match means "not disclosed", not a parse failure.
@@ -432,9 +435,6 @@ class ExtractConfig:
     use_search_terms: bool = True
     use_rerank: bool = True
     knowledge_enabled: bool = True
-    retries: int = 2
-    backoff_seconds: float = 0.5
-    generation_params: dict = field(default_factory=lambda: {"temperature": 0.0})
 
 
 def evidence_from_hits(
@@ -462,9 +462,10 @@ def answer_indicator(
     """Prompt -> provider -> parse for one indicator's evidence.
     `question` is passed to `build_prompt`.
 
-    Transport failures retry with exponential backoff; exhausting the
-    retries yields a provider-failed non-disclosure record rather than
-    an exception.
+    The chat provider is called once, and a ProviderError from it yields
+    a provider-failed non-disclosure record rather than an exception;
+    resending a failed request is the provider's own business
+    (`HttpEndpoint.post`).
     """
     prompt = build_prompt(
         spec,
@@ -474,35 +475,17 @@ def answer_indicator(
         doc_id=doc_id,
         question=question,
     )
-
-    reply: str | None = None
-    failure: ProviderError | None = None
-    for attempt in range(cfg.retries + 1):
-        try:
-            reply = providers.chat.complete(prompt, cfg.generation_params)
-            break
-        except ProviderError as exc:
-            failure = exc
-            if attempt < cfg.retries:
-                delay = cfg.backoff_seconds * (2**attempt)
-                logger.warning(
-                    "chat provider failed for %s/%s (attempt %d): %s; retrying in %.2fs",
-                    doc_id,
-                    spec.id,
-                    attempt + 1,
-                    exc,
-                    delay,
-                )
-                time.sleep(delay)
-    if reply is None:
-        logger.error("chat provider exhausted retries for %s/%s: %s", doc_id, spec.id, failure)
+    try:
+        reply = providers.chat.complete(prompt, GENERATION_PARAMS)
+    except ProviderError as exc:
+        logger.error("chat provider failed for %s/%s: %s", doc_id, spec.id, exc)
         record = ExtractionRecord(
             doc_id=doc_id,
             indicator_id=spec.id,
             disclosure=False,
             kpi=spec.kpi,
             topic=spec.topics[0] if spec.topics else "",
-            raw_reply_excerpt=_excerpt(str(failure)),
+            raw_reply_excerpt=_excerpt(str(exc)),
             flags=[FLAG_PROVIDER_FAILED],
         )
         return [record]

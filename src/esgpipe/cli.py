@@ -45,13 +45,15 @@ Config file shape (all keys optional unless a command needs them)::
       summary: {kind: offline, sentences: 2}
 
 An http section may also set timeout (seconds, default 30), retries
-(default 2) and token_env. Relative paths resolve against the config
-file's directory. In offline mode no provider may carry a url; in online
-mode embedding and chat must. A `kind`, when given, must name the
-provider that runs: http for an online section with a url, otherwise
-offline (mock for chat; summary is always offline). An unknown key, also
-under `retrieval`, `chunking` or a provider section, an unknown or
-mismatched kind, a malformed number and a number below its minimum are
+(default 2: resends after a connection error, a timeout, a 5xx, 408 or
+429, spaced 0.5 s, 1 s, ...; nothing else resends) and token_env.
+Relative paths resolve against the config file's directory. In offline
+mode no provider may carry a url; in online mode embedding and chat
+must. A `kind`, when given, must name the provider that runs: http for
+an online section with a url, otherwise offline (mock for chat; summary
+is always offline). An unknown key, also under `retrieval`, `chunking`
+or a provider section, an unknown or mismatched kind, a malformed number
+(a YAML boolean too) and a number below its minimum or not finite are
 rejected at load.
 """
 
@@ -61,6 +63,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import shutil
@@ -180,11 +183,18 @@ def _section(raw: dict, name: str, keys: set[str], path: Path, where: str = "") 
     return section
 
 
+def _num(value: object, kind: type = int) -> int | float:
+    """`value` as a `kind`; YAML's true and false are no numbers."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return kind(value)
+
+
 def _endpoint(cfg: dict) -> HttpEndpoint:
     return HttpEndpoint(
         url=str(cfg.get("url") or ""),
-        timeout=float(cfg.get("timeout", HttpEndpoint.timeout)),
-        retries=int(cfg.get("retries", HttpEndpoint.retries)),
+        timeout=_num(cfg.get("timeout", HttpEndpoint.timeout), float),
+        retries=_num(cfg.get("retries", HttpEndpoint.retries)),
         token_env=str(cfg.get("token_env", HttpEndpoint.token_env)),
     )
 
@@ -267,24 +277,24 @@ def load_run_config(path: str | Path) -> RunConfig:
             mode=mode,
             arm=arm,
             labels_path=_resolve(base, raw["labels"]) if raw.get("labels") else None,
-            jobs=int(raw.get("jobs", 1)),
-            rel_tol=None if rel_tol is None else float(rel_tol),
-            retrieval_k=int(retrieval.get("k", retrievalmod.DEFAULT_TOP_K)),
-            rerank_m=int(retrieval.get("m", retrievalmod.DEFAULT_RERANK_M)),
-            budget_chars=int(retrieval.get("budget_chars", retrievalmod.DEFAULT_BUDGET_CHARS)),
-            max_chars=int(chunking.get("max_chars", kbmod.DEFAULT_CHUNK_CHARS)),
-            naive_chunk_chars=int(
+            jobs=_num(raw.get("jobs", 1)),
+            rel_tol=None if rel_tol is None else _num(rel_tol, float),
+            retrieval_k=_num(retrieval.get("k", retrievalmod.DEFAULT_TOP_K)),
+            rerank_m=_num(retrieval.get("m", retrievalmod.DEFAULT_RERANK_M)),
+            budget_chars=_num(retrieval.get("budget_chars", retrievalmod.DEFAULT_BUDGET_CHARS)),
+            max_chars=_num(chunking.get("max_chars", kbmod.DEFAULT_CHUNK_CHARS)),
+            naive_chunk_chars=_num(
                 chunking.get("naive_chunk_chars", kbmod.DEFAULT_NAIVE_CHUNK_CHARS)
             ),
-            summary_sentences=int(providers_cfg.get("summary", {}).get("sentences", 2)),
-            embedding_dim=int(providers_cfg.get("embedding", {}).get("dim", 256)),
+            summary_sentences=_num(providers_cfg.get("summary", {}).get("sentences", 2)),
+            embedding_dim=_num(providers_cfg.get("embedding", {}).get("dim", 256)),
             mock_replies=_resolve(base, replies) if replies else None,
             endpoints={
                 name: _endpoint(cfg) for name, cfg in providers_cfg.items() if name != "summary"
             },
             snapshot=raw,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(.inf) overflows
         raise ConfigError(f"config {path}: malformed number: {exc}") from exc
     minimums = {
         "jobs": (config.jobs, 1),
@@ -296,15 +306,18 @@ def load_run_config(path: str | Path) -> RunConfig:
         "providers.summary.sentences": (config.summary_sentences, 1),
         "providers.embedding.dim": (config.embedding_dim, 1),
     }
+    if config.rel_tol is not None:  # a negative one scores an exact value as a miss
+        minimums["value_match_rel_tol"] = (config.rel_tol, 0)
     for name, endpoint in config.endpoints.items():
         minimums[f"providers.{name}.retries"] = (endpoint.retries, 0)
-        if not endpoint.timeout > 0:  # 0 would make the socket non-blocking
+        if not 0 < endpoint.timeout < math.inf:  # 0 would make the socket non-blocking
             raise ConfigError(
-                f"config {path}: providers.{name}.timeout must be > 0, got {endpoint.timeout}"
+                f"config {path}: providers.{name}.timeout must be > 0 and finite, "
+                f"got {endpoint.timeout}"
             )
     for name, (value, least) in minimums.items():
-        if value < least:
-            raise ConfigError(f"config {path}: {name} must be >= {least}, got {value}")
+        if not least <= value < math.inf:
+            raise ConfigError(f"config {path}: {name} must be >= {least} and finite, got {value}")
     return config
 
 

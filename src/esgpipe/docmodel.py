@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -68,8 +69,8 @@ class LayoutElement:
         x0, y0, x1, y1 = self.bbox
         if not (x0 < x1 and y0 < y1):
             raise DocumentError(f"degenerate bbox {self.bbox!r}")
-        if self.font_size <= 0:
-            raise DocumentError(f"font_size must be positive, got {self.font_size}")
+        if not 0 < self.font_size < math.inf:
+            raise DocumentError(f"font_size must be positive and finite, got {self.font_size}")
         if self.kind is ElementKind.TABLE_CELL:
             if not self.table_id:
                 raise DocumentError("TableCell element requires table_id")

@@ -33,6 +33,7 @@ import re
 import select
 import ssl
 import threading
+import time
 import urllib.parse
 import urllib.request
 from abc import ABC, abstractmethod
@@ -57,6 +58,8 @@ _ASCII_NON_WORD = str.maketrans({c: " " for c in range(128) if not _TOKEN_RE.mat
 _SENTENCE_END_RE = re.compile(r"([.!?])\s+")
 
 DEFAULT_TOKEN_ENV = "ESGPIPE_API_TOKEN"
+
+BACKOFF_SECONDS = 0.5  # `HttpEndpoint.post` sleeps this * 2**n before resend n + 1
 
 _EMBED_SLICE = 256  # texts per pass of HashEmbedder's array pipeline
 
@@ -250,6 +253,17 @@ class MockReply:
     reply: str
     required_evidence: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        evidence = self.required_evidence
+        texts = [self.doc_id, self.indicator_id, self.reply]
+        texts += evidence if isinstance(evidence, (list, tuple)) else [None]
+        if not all(isinstance(text, str) for text in texts):
+            raise TypeError(
+                f"reply {self.indicator_id!r} for {self.doc_id!r} needs string ids and reply "
+                "and a list of strings as required_evidence"
+            )
+        self.required_evidence = tuple(evidence)
+
 
 class MockChatProvider(ChatProvider):
     """Deterministic chat stand-in answering from a fixture file.
@@ -268,6 +282,8 @@ class MockChatProvider(ChatProvider):
         {"default_reply": "...",
          "replies": [{"doc_id": ..., "indicator_id": ...,
                       "required_evidence": [...], "reply": ...}]}
+
+    where every value is a string and an entry has no other key.
     """
 
     name = "mock-chat"
@@ -280,19 +296,17 @@ class MockChatProvider(ChatProvider):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockChatProvider":
+        """A file that cannot be read or is not of the format above is a ProviderError."""
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            if not isinstance(data, dict) or not (
+                isinstance(data.get("replies", []), list)
+                and isinstance(data.get("default_reply", ""), str)
+            ):
+                raise ValueError("not an object with a replies list and a string default_reply")
+            replies = [MockReply(**entry) for entry in data.get("replies", [])]
+        except (OSError, ValueError, TypeError) as exc:
             raise ProviderError(f"cannot load mock replies from {path}: {exc}") from exc
-        replies = [
-            MockReply(
-                doc_id=str(r["doc_id"]),
-                indicator_id=str(r["indicator_id"]),
-                reply=str(r["reply"]),
-                required_evidence=tuple(r.get("required_evidence", [])),
-            )
-            for r in data.get("replies", [])
-        ]
         return cls(replies, default_reply=data.get("default_reply", DEFAULT_REFUSAL))
 
     def complete(self, prompt: "Prompt", params: dict) -> str:
@@ -404,19 +418,20 @@ class HttpEndpoint:
         return conn, urllib.parse.urlunsplit(("", "", path, url.query, "")), {}
 
     def post(self, payload: dict) -> dict:
-        """The reply's JSON object. A connection error, a timeout, a 5xx,
-        408 or 429 is retried up to `retries` times; any other failure,
-        such as a 401, a redirect or a reply that is not a JSON object, is
-        not. A failed exchange closes the thread's connection, so the
-        next attempt reconnects."""
+        """The reply's JSON object; the one place a request is sent again.
+        A connection error, a timeout, a 5xx, 408 or 429 is resent up to
+        `retries` times, resend n + 1 after `BACKOFF_SECONDS` * 2**n s; any
+        other failure, such as a 401, a redirect or a reply that is not a
+        JSON object, is not. A failed exchange closes the thread's
+        connection. So a call takes at most `retries + 1` attempts, each up
+        to `timeout` per connect and per read, plus the sleeps."""
         body = json.dumps(payload).encode("utf-8")
         headers = {
             "Content-Type": "application/json",
             "User-Agent": USER_AGENT,
             **_bearer_headers(self.token_env),
         }
-        retries = self.retries
-        while True:
+        for attempt in itertools.count():
             conn, target, route_headers = self._connection()
             try:
                 conn.request("POST", target, body, {**route_headers, **headers})
@@ -427,10 +442,13 @@ class HttpEndpoint:
                 data = json.loads(raw)
             except (OSError, http.client.HTTPException, ValueError) as exc:
                 conn.close()
-                if retries > 0 and _transient(exc):
-                    retries -= 1
-                    continue
-                raise ProviderError(f"provider at {self.url} unreachable: {exc}") from exc
+                if attempt >= self.retries or not _transient(exc):
+                    raise ProviderError(f"provider at {self.url} unreachable: {exc}") from exc
+                delay = BACKOFF_SECONDS * 2**attempt
+                logger.warning("provider at %s failed (attempt %d of %d): %s; resending in %.1f s",
+                               self.url, attempt + 1, self.retries + 1, exc, delay)
+                time.sleep(delay)
+                continue
             if not isinstance(data, dict):
                 raise ProviderError(f"provider at {self.url} replied with a non-object")
             return data
@@ -471,7 +489,7 @@ class HttpEmbedder(EmbeddingProvider):
         vectors = data.get("vectors")
         if not isinstance(vectors, list) or len(vectors) != len(texts):
             raise ProviderError(
-                f"embedding provider returned {0 if vectors is None else len(vectors)} "
+                f"embedding provider returned {len(vectors) if isinstance(vectors, list) else 0} "
                 f"vectors for {len(texts)} texts"
             )
         for vec in vectors:

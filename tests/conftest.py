@@ -1,4 +1,5 @@
-"""Shared fixtures: the bundled registry, the generated corpus, offline providers."""
+"""Shared fixtures: the bundled registry, the generated corpus, offline
+providers, a loopback HTTP server and a recorder of backoff sleeps."""
 
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from esgpipe.providers import (
     MockChatProvider,
     ProviderSet,
 )
-from tests import corpusgen
+from tests import corpusgen, loopback
 
 
 @pytest.fixture(scope="session")
@@ -46,3 +47,18 @@ def offline_providers(fixture_root) -> ProviderSet:
         reranker=JaccardReranker(),
         summarizer=LeadSentenceSummarizer(),
     )
+
+
+@pytest.fixture()
+def http_server():
+    """A loopback JSON server and its base URL (see `loopback.serving`)."""
+    with loopback.serving() as served:
+        yield served
+
+
+@pytest.fixture()
+def sleeps(monkeypatch) -> list[float]:
+    """The seconds `HttpEndpoint.post` backs off, recorded instead of slept."""
+    recorded: list[float] = []
+    monkeypatch.setattr("esgpipe.providers.time.sleep", recorded.append)
+    return recorded

@@ -31,7 +31,7 @@ from esgpipe.agent import (
 )
 from esgpipe.errors import ConfigError, ProviderError
 from esgpipe.kb import Source, build as build_kb
-from esgpipe.providers import ChatProvider
+from esgpipe.providers import ChatProvider, HttpChatProvider, HttpEndpoint
 from esgpipe.retrieval import NO_EVIDENCE_SENTINEL, EvidenceBundle, ScoredHit
 
 from .fuzzing import random_reply
@@ -387,18 +387,16 @@ class _FailingChat(ChatProvider):
         raise ProviderError("simulated outage")
 
 
-class _FlakyChat(ChatProvider):
-    name = "flaky"
+class _RecordingChat(ChatProvider):
+    name = "recording"
 
-    def __init__(self, inner, failures):
+    def __init__(self, inner):
         self.inner = inner
-        self.remaining = failures
+        self.replies = []
 
     def complete(self, prompt, params):
-        if self.remaining > 0:
-            self.remaining -= 1
-            raise ProviderError("transient")
-        return self.inner.complete(prompt, params)
+        self.replies.append(self.inner.complete(prompt, params))
+        return self.replies[-1]
 
 
 @pytest.fixture(scope="module")
@@ -430,37 +428,44 @@ def test_extract_undisclosed_indicator_refuses(registry, offline_providers,
     assert all(FLAG_PARSE_FAILURE not in r.flags for r in records)
 
 
-def test_extract_retries_then_fails(registry, offline_providers, doc00_kb,
-                                    monkeypatch):
+def test_extract_sends_a_failed_chat_call_once(registry, offline_providers, doc00_kb,
+                                              sleeps):
     doc, kb = doc00_kb
     spec = registry.indicator("A1.1-nox")
-    sleeps = []
-    monkeypatch.setattr("esgpipe.agent.time.sleep", sleeps.append)
     chat = _FailingChat()
     providers = dataclasses.replace(offline_providers, chat=chat)
-    records = extract_indicator(
-        doc.doc_id, spec, kb, registry, providers,
-        ExtractConfig(retries=2, backoff_seconds=0.5),
-    )
-    assert chat.calls == 3
-    assert sleeps == [0.5, 1.0]
+    records = extract_indicator(doc.doc_id, spec, kb, registry, providers, ExtractConfig())
+    assert chat.calls == 1
+    assert sleeps == []
     assert len(records) == 1
     assert records[0].disclosure is False
     assert records[0].flags == [FLAG_PROVIDER_FAILED]
+    assert records[0].raw_reply_excerpt == "simulated outage"
 
 
 def test_extract_recovers_from_transient_failure(registry, offline_providers,
-                                                 doc00_kb, monkeypatch):
+                                                 doc00_kb, http_server, sleeps):
+    # the endpoint resends a 503; the record is that of a run without one
     doc, kb = doc00_kb
     spec = registry.indicator("A1.1-nox")
-    monkeypatch.setattr("esgpipe.agent.time.sleep", lambda s: None)
-    providers = dataclasses.replace(
-        offline_providers, chat=_FlakyChat(offline_providers.chat, failures=1)
+    recording = _RecordingChat(offline_providers.chat)
+    expected = extract_indicator(doc.doc_id, spec, kb, registry,
+                                 dataclasses.replace(offline_providers, chat=recording),
+                                 ExtractConfig())
+    server, base = http_server
+    statuses = iter([503])
+    server.responder = lambda path, payload: (
+        next(statuses, 200), {"content": recording.replies[0]}
     )
-    records = extract_indicator(doc.doc_id, spec, kb, registry, providers,
-                                ExtractConfig(retries=2))
+    providers = dataclasses.replace(
+        offline_providers, chat=HttpChatProvider(HttpEndpoint(f"{base}/chat", retries=2))
+    )
+    records = extract_indicator(doc.doc_id, spec, kb, registry, providers, ExtractConfig())
+    assert records == expected
     assert records[0].disclosure is True
     assert records[0].value == Decimal("41000")
+    assert len(server.calls) == 2
+    assert sleeps == [0.5]
 
 
 def test_extract_requires_chat_provider(registry, offline_providers, doc00_kb):

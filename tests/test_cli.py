@@ -379,12 +379,28 @@ def test_unknown_config_key_rejected(workspace, capsys):
         ("retrieval", "budget_chars", 100, "retrieval.budget_chars must be >= 500"),
         ("chunking", "max_chars", 50, "chunking.max_chars must be >= 200"),
         ("chunking", "naive_chunk_chars", 0, "chunking.naive_chunk_chars must be >= 1"),
+        # YAML reads true and false as booleans, which are no numbers
+        ("retrieval", "k", True, "malformed number: True is not a number"),
+        ("chunking", "max_chars", False, "malformed number: False is not a number"),
+        (None, "jobs", True, "malformed number: True is not a number"),
+        (None, "jobs", float("inf"), "malformed number: cannot convert float infinity"),
+        # a tolerance that would score an exact value as a miss
+        (None, "value_match_rel_tol", -0.5,
+         "value_match_rel_tol must be >= 0 and finite, got -0.5"),
+        (None, "value_match_rel_tol", float("nan"),
+         "value_match_rel_tol must be >= 0 and finite, got nan"),
+        (None, "value_match_rel_tol", float("inf"),
+         "value_match_rel_tol must be >= 0 and finite, got inf"),
+        (None, "value_match_rel_tol", True, "malformed number: True is not a number"),
     ],
 )
 def test_out_of_range_retrieval_and_chunking_rejected(
     workspace, capsys, section, key, value, minimum
 ):
-    cfg = _rewrite_config(workspace, lambda raw: raw.setdefault(section, {}).update({key: value}))
+    def mutate(raw):  # section None: a top-level key
+        (raw if section is None else raw.setdefault(section, {})).update({key: value})
+
+    cfg = _rewrite_config(workspace, mutate)
     assert main(["ablate", "--config", cfg]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert minimum in captured.err
@@ -402,6 +418,11 @@ def test_out_of_range_retrieval_and_chunking_rejected(
         ("rerank", "timeout", -1.5, "providers.rerank.timeout must be > 0"),
         ("chat", "retries", -1, "providers.chat.retries must be >= 0"),
         ("embedding", "dim", 0, "providers.embedding.dim must be >= 1"),
+        ("chat", "retries", True, "malformed number: True is not a number"),
+        ("embedding", "timeout", True, "malformed number: True is not a number"),
+        ("embedding", "dim", False, "malformed number: False is not a number"),
+        ("rerank", "timeout", float("inf"), "providers.rerank.timeout must be > 0 and finite"),
+        ("summary", "sentences", True, "malformed number: True is not a number"),
     ],
 )
 def test_bad_provider_settings_rejected(workspace, capsys, section, key, value, message):
@@ -531,6 +552,56 @@ def test_online_provider_unreachable_is_exit_3(workspace, capsys):
     code = main(["extract", "--config", cfg])
     assert code == EXIT_PROVIDER
     assert "provider unreachable" in capsys.readouterr().err
+
+
+def _online(ws, base):
+    def mutate(raw):
+        raw["mode"] = "online"
+        raw["providers"] = {
+            "embedding": {"kind": "http", "url": f"{base}/embed", "retries": 1},
+            "chat": {"kind": "http", "url": f"{base}/chat", "retries": 2},
+        }
+
+    return _rewrite_config(ws, mutate)
+
+
+@pytest.mark.parametrize("status, posts, slept", [(503, 3, [0.5, 1.0]), (401, 1, [])])
+def test_online_chat_failure_costs_known_posts_per_extraction(
+    workspace, capsys, http_server, sleeps, status, posts, slept
+):
+    from esgpipe.providers import HashEmbedder
+
+    _keep_docs(workspace, {"doc00.json"})
+    server, base = http_server
+    embedder = HashEmbedder()
+
+    def respond(path, payload):
+        if path == "/embed":
+            return 200, {"vectors": embedder.embed(payload["texts"])}
+        return status, {"error": "no"}
+
+    server.responder = respond
+    assert main(["extract", "--config", _online(workspace, base)]) == EXIT_OK
+    chat_posts = [call for call in server.calls if call["path"] == "/chat"]
+    assert len(chat_posts) == 70 * posts  # retries + 1 for a transient failure, else 1
+    assert sleeps == slept * 70
+    records = [json.loads(line) for line in
+               (workspace / "out" / "records.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert len(records) == 70
+    reason = "503 Service Unavailable" if status == 503 else "401 Unauthorized"
+    for record in records:
+        assert record["flags"] == ["provider-failed"] and record["disclosure"] is False
+        assert record["raw_reply_excerpt"] == f"provider at {base}/chat unreachable: HTTP {reason}"
+
+
+def test_online_failing_query_plan_embed_is_exit_3(workspace, capsys, http_server, sleeps):
+    server, base = http_server
+    server.responder = lambda path, payload: (503, {"error": "down"})
+    assert main(["extract", "--config", _online(workspace, base)]) == EXIT_PROVIDER
+    assert "provider unreachable" in capsys.readouterr().err
+    assert [call["path"] for call in server.calls] == ["/embed", "/embed"]
+    assert sleeps == [0.5]
+    assert not (workspace / "out" / "records.jsonl").exists()
 
 
 # ------------------------------------------------------------ jobs and caching

@@ -335,8 +335,8 @@ def _without(obj, key):
         ({**_GOOD_ELEMENT, "bbox": [float("nan"), 0, 1, 1]},
          "degenerate bbox (nan, 0.0, 1.0, 1.0)"),
         ({**_GOOD_ELEMENT, "page": 0}, "element page must be >= 1, got 0"),
-        ({**_GOOD_ELEMENT, "font_size": 0}, "font_size must be positive, got 0.0"),
-        ({**_GOOD_ELEMENT, "font_size": -1.5}, "font_size must be positive, got -1.5"),
+        ({**_GOOD_ELEMENT, "font_size": 0}, "font_size must be positive and finite, got 0.0"),
+        ({**_GOOD_ELEMENT, "font_size": -1.5}, "font_size must be positive and finite, got -1.5"),
         (_without(_GOOD_CELL, "table_id"), "TableCell element requires table_id"),
         ({**_GOOD_ELEMENT, "table_id": "t1"}, "Paragraph element must not carry table_id"),
         ({**_GOOD_CELL, "row": -1}, "element row must be >= 0, got -1"),
@@ -352,6 +352,13 @@ def _without(obj, key):
         ({**_GOOD_CELL, "col": 0.5}, "col must be an integer, got 0.5"),
         # a table_id that is not a string, which a cold KB build cannot resolve
         ({**_GOOD_CELL, "table_id": 5}, "table_id must be a string, got 5"),
+        # non-finite font sizes, which json.loads reads from NaN and Infinity
+        ({**_GOOD_ELEMENT, "font_size": float("nan")},
+         "font_size must be positive and finite, got nan"),
+        ({**_GOOD_ELEMENT, "font_size": float("inf")},
+         "font_size must be positive and finite, got inf"),
+        ({**_GOOD_ELEMENT, "font_size": float("-inf")},
+         "font_size must be positive and finite, got -inf"),
     ],
 )
 def test_ingest_layout_json_rejects_malformed_elements(tmp_path, element, message):

@@ -41,6 +41,8 @@ from esgpipe.providers import (
 )
 from esgpipe.retrieval import ScoredHit, rerank
 
+from .loopback import JsonHandler
+
 NAN = float("nan")
 INF = float("inf")
 
@@ -310,56 +312,35 @@ def test_mock_chat_from_file_errors(tmp_path):
     with pytest.raises(ProviderError, match="cannot load"):
         MockChatProvider.from_file(tmp_path / "absent.json")
     bad = tmp_path / "bad.json"
-    bad.write_text("{", encoding="utf-8")
-    with pytest.raises(ProviderError, match="cannot load"):
-        MockChatProvider.from_file(bad)
+    entry = {"doc_id": "d", "indicator_id": "i", "reply": "r"}
+    for text, reason in [
+        ("{", "Expecting property name"),
+        # each once a traceback, or in the NOx case evidence read as characters
+        ("[]", "not an object with a replies list"),
+        (json.dumps({"replies": 5}), "not an object with a replies list"),
+        (json.dumps({"default_reply": None}), "a string default_reply"),
+        (json.dumps({"replies": [["d", "i", "r"]]}), "must be a mapping"),
+        (json.dumps({"replies": [{"doc_id": "d", "reply": "r"}]}),
+         "missing 1 required positional argument: 'indicator_id'"),
+        (json.dumps({"replies": [{**entry, "note": "x"}]}), "unexpected keyword argument 'note'"),
+        (json.dumps({"replies": [entry, {**entry, "reply": 5}]}),
+         "reply 'i' for 'd' needs string ids and reply"),
+        (json.dumps({"replies": [{**entry, "doc_id": 7}]}), "reply 'i' for 7 needs string ids"),
+        (json.dumps({"replies": [{**entry, "required_evidence": "NOx"}]}),
+         "and a list of strings as required_evidence"),
+        (json.dumps({"replies": [{**entry, "required_evidence": ["NOx", 5]}]}),
+         "reply 'i' for 'd' needs string ids and reply"),
+    ]:
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(ProviderError, match="cannot load mock replies from") as caught:
+            MockChatProvider.from_file(bad)
+        assert reason in str(caught.value), text
 
 
 # ------------------------------------------------------------- http providers
 
 
-class _Handler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        payload = json.loads(self.rfile.read(length) or b"{}")
-        self.server.calls.append({
-            "path": self.path,
-            "auth": self.headers.get("Authorization"),
-            "agent": self.headers.get("User-Agent"),
-            "payload": payload,
-            "client_port": self.client_address[1],
-        })
-        status, body = self.server.responder(self.path, payload)
-        raw = body if isinstance(body, bytes) else json.dumps(body).encode()
-        self.send_response(status)
-        if 300 <= status < 400:
-            self.send_header("Location", "/moved")
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(raw)))
-        self.end_headers()
-        self.wfile.write(raw)
-
-    def log_message(self, *args):  # keep test output quiet
-        pass
-
-
-@pytest.fixture()
-def http_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    server.calls = []
-    server.responder = lambda path, payload: (200, {})
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    base = f"http://127.0.0.1:{server.server_address[1]}"
-    try:
-        yield server, base
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-
-
-class _KeepAliveHandler(_Handler):
+class _KeepAliveHandler(JsonHandler):
     protocol_version = "HTTP/1.1"  # the connection stays open between requests
 
 
@@ -467,16 +448,17 @@ def test_http_embedder_rejects_bad_shapes(http_server):
             embed(["a"])
 
 
-def test_http_endpoint_retries_then_fails(http_server):
+def test_http_endpoint_retries_then_fails(http_server, sleeps):
     server, base = http_server
     server.responder = lambda p, body: (500, {"error": "boom"})
     endpoint = HttpEndpoint(f"{base}/embed", retries=2)
     with pytest.raises(ProviderError, match="unreachable"):
         endpoint.post({})
     assert len(server.calls) == 3
+    assert sleeps == [0.5, 1.0]
 
 
-def test_http_endpoint_recovers_after_transient_error(http_server):
+def test_http_endpoint_recovers_after_transient_error(http_server, sleeps):
     server, base = http_server
     state = {"n": 0}
 
@@ -489,6 +471,24 @@ def test_http_endpoint_recovers_after_transient_error(http_server):
     server.responder = respond
     assert HttpEndpoint(f"{base}/x", retries=2).post({}) == {"ok": True}
     assert len(server.calls) == 2
+    assert sleeps == [0.5]
+
+
+def test_http_endpoint_logs_each_resend_without_the_token(
+    http_server, sleeps, monkeypatch, caplog
+):
+    server, base = http_server
+    server.responder = lambda p, payload: (503, {"error": "busy"})
+    monkeypatch.setenv("ESGPIPE_TEST_TOKEN", "sekrit-token")
+    endpoint = HttpEndpoint(f"{base}/x", retries=2, token_env="ESGPIPE_TEST_TOKEN")
+    with caplog.at_level(logging.WARNING, logger="esgpipe.providers"):
+        with pytest.raises(ProviderError, match="503") as caught:
+            endpoint.post({})
+    assert [r.levelno for r in caplog.records] == [logging.WARNING] * 2
+    assert "attempt 1 of 3" in caplog.records[0].getMessage()
+    assert "resending in 1.0 s" in caplog.records[1].getMessage()
+    assert "sekrit" not in caplog.text and "sekrit" not in str(caught.value)
+    assert server.calls[0]["auth"] == "Bearer sekrit-token"
 
 
 def test_http_endpoint_rejects_non_json(http_server):
@@ -548,6 +548,7 @@ def test_malformed_replies_are_provider_errors(http_server):
     chat = HttpChatProvider(HttpEndpoint(f"{base}/chat", retries=2))
     cases = [
         (lambda: emb.embed(["a", "b"]), {"vectors": [1, 2]}, "as a vector"),
+        (lambda: emb.embed(["a", "b"]), {"vectors": 5}, "0 vectors for 2 texts"),
         (lambda: emb.embed(["a", "b"]), {"vectors": [["a", 0.0], [0.0, 1.0]]}, "non-number"),
         (lambda: emb.embed(["a", "b"]), {"vectors": [[None, 0.0], [0.0, 1.0]]}, "non-number"),
         (lambda: emb.embed(["a", "b"]), [[1.0, 0.0], [0.0, 1.0]], "non-object"),
@@ -593,19 +594,32 @@ def test_a_nan_rerank_reply_falls_back_to_jaccard(http_server, caplog):
     )
 
 
-def test_http_endpoint_retries_only_transient_failures(http_server):
+def test_http_endpoint_retries_only_transient_failures(http_server, sleeps):
     server, base = http_server
     endpoint = HttpEndpoint(f"{base}/x", retries=2)
-    for status, posts in ((400, 1), (401, 1), (403, 1), (404, 1), (408, 3), (429, 3),
-                          (500, 3), (503, 3)):
+    once, resent = (1, []), (3, [0.5, 1.0])
+    for status, body, match, (posts, slept) in (
+        (400, {"error": "no"}, "400", once),
+        (401, {"error": "no"}, "401", once),
+        (403, {"error": "no"}, "403", once),
+        (404, {"error": "no"}, "404", once),
+        (301, {"error": "no"}, "301", once),
+        (200, b"not json", "unreachable", once),
+        (408, {"error": "no"}, "408", resent),
+        (429, {"error": "no"}, "429", resent),
+        (500, {"error": "no"}, "500", resent),
+        (503, {"error": "no"}, "503", resent),
+    ):
         server.calls.clear()
-        server.responder = lambda p, payload: (status, {"error": "no"})
-        with pytest.raises(ProviderError, match=str(status)):
+        sleeps.clear()
+        server.responder = lambda p, payload: (status, body)
+        with pytest.raises(ProviderError, match=match):
             endpoint.post({})
         assert len(server.calls) == posts, status
+        assert sleeps == slept, status
 
 
-def test_http_endpoint_retries_a_refused_connection():
+def test_http_endpoint_retries_a_refused_connection(sleeps):
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]  # closed again before the requests
@@ -622,9 +636,10 @@ def test_http_endpoint_retries_a_refused_connection():
     with pytest.raises(ProviderError, match="unreachable"):
         endpoint.post({})
     assert len(attempts) == 3
+    assert sleeps == [0.5, 1.0]
 
 
-def test_chat_401_costs_one_post_per_agent_attempt(http_server, monkeypatch):
+def test_chat_401_costs_one_post(http_server, sleeps):
     from esgpipe import metadata
     from esgpipe.agent import FLAG_PROVIDER_FAILED, ExtractConfig, answer_indicator
     from esgpipe.providers import ProviderSet
@@ -632,16 +647,17 @@ def test_chat_401_costs_one_post_per_agent_attempt(http_server, monkeypatch):
 
     server, base = http_server
     server.responder = lambda p, payload: (401, {"error": "bad token"})
-    monkeypatch.setattr("esgpipe.agent.time.sleep", lambda s: None)
     registry = metadata.load_registry(metadata.bundled_registry_path())
     spec = registry.indicators[0]
     providers = ProviderSet(
         embedder=HashEmbedder(), chat=HttpChatProvider(HttpEndpoint(f"{base}/chat", retries=2))
     )
     evidence = assemble_evidence([], 6000, indicator_id=spec.id)
-    records = answer_indicator("d", spec, evidence, registry, providers, ExtractConfig(retries=2))
+    records = answer_indicator("d", spec, evidence, registry, providers, ExtractConfig())
     assert [r.flags for r in records] == [[FLAG_PROVIDER_FAILED]]
-    assert len(server.calls) == 3  # the agent's 3 attempts, none resent by the endpoint
+    excerpt = records[0].raw_reply_excerpt
+    assert excerpt == f"provider at {base}/chat unreachable: HTTP 401 Unauthorized"
+    assert len(server.calls) == 1 and sleeps == []  # neither the agent nor the endpoint resends
 
 
 def test_http_endpoint_does_not_follow_a_redirect(http_server):
