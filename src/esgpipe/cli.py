@@ -68,6 +68,7 @@ import os
 import re
 import shutil
 import sys
+import urllib.parse
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
@@ -246,6 +247,16 @@ def load_run_config(path: str | Path) -> RunConfig:
                 )
 
     for name, cfg in providers_cfg.items():
+        # never echoed: the url may hold a password
+        try:
+            userinfo = "@" in urllib.parse.urlsplit(str(cfg.get("url") or "")).netloc
+        except ValueError:  # an unclosed "[" in the host
+            raise ConfigError(f"config {path}: providers.{name}.url is not a valid URL") from None
+        if userinfo:
+            raise ConfigError(
+                f"config {path}: providers.{name}.url must not hold credentials (user info "
+                f"before '@'); set providers.{name}.token_env to the variable with the token"
+            )
         kinds = _PROVIDER_KINDS[name]
         runs = kinds[1] if mode == "online" and cfg.get("url") else kinds[0]
         if cfg.get("kind") in (None, runs):

@@ -14,31 +14,46 @@ A naive build (for the benchmark pipeline arm) flattens body text and
 linearized tables into one string and cuts fixed-size chunks into a
 single Text partition with no summaries, no outline and no table index.
 
-The KB persists to a single JSON file with a version header; loading a
-mismatched version or provider dimension fails rather than guessing.
-In version 2 the entries carry no vectors. One `"vectors"` block holds
-them all as a CSR matrix (compressed sparse rows) over `entries` in file
-order, in three base64 fields: `indptr` (`<i4`, entries + 1 row
-offsets starting at 0), then per row its strictly increasing column
-`indices` (`<i4`) and their `values` (`<f8`). A value is stored when its
-bit pattern is not all zero, so -0.0, NaN and subnormals round-trip bit
-for bit. A file of another version is rejected, and the KB cache then
-rebuilds it.
+The KB persists to one file (format version 3): a header line of
+compact JSON, then raw little-endian sections. The header holds the
+scalars, `table_texts`, the `entry_id` and `source` columns over the
+entries in file order, and `sections`, the byte length of each section
+in the order they follow the header line:
+
+- `offsets` (`<i8`): 4 x entries + 1 non-decreasing offsets, in code
+  points, from 0 to the length of the text; entry i's doc_id,
+  payload_text, summary and anchor are the four pieces of the text
+  from offset 4i on.
+- `has_summary` (`u1`): 1 for an entry with a summary, 0 for one whose
+  summary is None (its piece is then empty), so None and "" differ.
+- `text` (UTF-8): every entry's four pieces, joined.
+- `indptr`, `indices` (`<i4`) and `values` (`<f8`): the vectors as a
+  CSR matrix (compressed sparse rows): entries + 1 row offsets from 0,
+  then per row its strictly increasing column indices and their
+  values. A value is stored when its bit pattern is not all zero, so
+  -0.0, NaN and subnormals round-trip bit for bit.
+
+`load` reads the file once and checks every part of it, so a malformed
+file fails there and never later. A loaded KB keeps its entries as
+these columns: search makes an `Entry` only for a hit row, and
+`entries` makes them all on first access. A file of another format or
+version, or a malformed one, is a KnowledgeBaseError, and the KB cache
+then rebuilds it.
 """
 
 from __future__ import annotations
 
-import base64
 import bisect
 import itertools
 import json
 import logging
 import re
-from dataclasses import InitVar, dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,7 +70,7 @@ from .providers import (
 logger = logging.getLogger(__name__)
 
 KB_FORMAT = "esg_kb"
-KB_VERSION = 2
+KB_VERSION = 3
 
 DEFAULT_CHUNK_CHARS = 1200
 DEFAULT_NAIVE_CHUNK_CHARS = 400
@@ -63,6 +78,16 @@ MIN_CHUNK_CHARS = 200
 
 _SAVE_ROWS = 256  # entries and vector rows per piece `save` writes
 _SAVE_BUFFER = 1 << 16  # bytes `save` buffers per write: a small KB goes out in one
+
+# The sections after the header line, in file order, with their item types.
+_SECTIONS = {
+    "offsets": "<i8",
+    "has_summary": "u1",
+    "text": "u1",
+    "indptr": "<i4",
+    "indices": "<i4",
+    "values": "<f8",
+}
 
 
 class Source(Enum):
@@ -80,29 +105,26 @@ class Entry:
     source: Source
     doc_id: str
     payload_text: str
-    vector: Sequence[float]  # a row of its partition's matrix in KBs from build/load
+    vector: Sequence[float]  # a row of the KB's matrix in KBs from build/load
     anchor: str
     summary: str | None = None
 
 
 @dataclass(frozen=True)
 class Partition:
-    """One source's entries with the arrays exact search runs on."""
+    """One source's rows of a KB with the arrays exact search runs on."""
 
-    entries: list[Entry]
-    matrix: np.ndarray  # float64 (n, dim); row j is entries[j].vector
+    rows: list[int]  # the KB row (file order) of each partition row
+    matrix: np.ndarray  # float64 (len(rows), dim); row j is the vector of KB row rows[j]
     norms: np.ndarray  # L2 norm of each row
+    entry_at: Callable[[int], Entry]  # the entry of a KB row
 
+    def __len__(self) -> int:
+        return len(self.rows)
 
-def _partition(entries: list[Entry], matrix: np.ndarray) -> Partition:
-    return Partition(entries, matrix, np.linalg.norm(matrix, axis=1))
-
-
-def _rows_by_source(entries: Sequence[Entry]) -> dict[Source, list[int]]:
-    rows: dict[Source, list[int]] = {source: [] for source in Source}
-    for i, e in enumerate(entries):
-        rows[e.source].append(i)
-    return rows
+    def entry(self, row: int) -> Entry:
+        """The entry of partition row `row`; made anew for a loaded KB."""
+        return self.entry_at(self.rows[row])
 
 
 def _take_rows(matrix: np.ndarray, rows: list[int]) -> np.ndarray:
@@ -112,59 +134,95 @@ def _take_rows(matrix: np.ndarray, rows: list[int]) -> np.ndarray:
     return matrix[rows]
 
 
-def _adopt_rows(kb: KnowledgeBase) -> KnowledgeBase:
-    """Points each entry's vector at its partition row, so the float
-    lists the KB was made from can be freed."""
-    for part in kb._partitions.values():
-        for entry, row in zip(part.entries, part.matrix):
-            entry.vector = row
-    return kb
+def _partition(
+    rows: list[int], matrix: np.ndarray, entry_at: Callable[[int], Entry]
+) -> Partition:
+    part = _take_rows(matrix, rows)
+    return Partition(rows, part, np.linalg.norm(part, axis=1), entry_at)
 
 
-@dataclass
 class KnowledgeBase:
-    scope: str  # doc_id for per-document KBs
-    provider_name: str
-    dim: int
-    entries: list[Entry]
-    table_texts: dict[str, str] = field(default_factory=dict)
-    summary_fallbacks: int = 0
-    # float64 (entries, dim), row i is entries[i]'s vector; stacked from
-    # the entry vectors when not given
-    matrix: InitVar[np.ndarray | None] = None
-    _partitions: dict[Source, Partition] = field(init=False, repr=False, compare=False)
-    _id_ranks: dict[Source, np.ndarray] = field(init=False, repr=False, compare=False)
+    """One document's entries, split by source into the partitions that
+    search runs on.
 
-    def __post_init__(self, matrix: np.ndarray | None) -> None:
-        seen: set[str] = set()
-        for e in self.entries:
-            if e.entry_id in seen:
-                raise KnowledgeBaseError(f"duplicate entry_id {e.entry_id!r}")
-            seen.add(e.entry_id)
-            if matrix is None and len(e.vector) != self.dim:
-                raise KnowledgeBaseError(
-                    f"entry {e.entry_id!r} vector has dim {len(e.vector)}, "
-                    f"KB dim is {self.dim}"
-                )
-        shape = (len(self.entries), self.dim)
+    Made from entries, with `matrix` the float64 (entries, dim) array
+    whose row i is entries[i]'s vector (stacked from the entry vectors
+    when not given), or by `load` from a file's columns (see `_setup`).
+    """
+
+    def __init__(
+        self,
+        scope: str,  # doc_id for per-document KBs
+        provider_name: str,
+        dim: int,
+        entries: list[Entry],
+        table_texts: dict[str, str] | None = None,
+        summary_fallbacks: int = 0,
+        matrix: np.ndarray | None = None,
+    ) -> None:
         if matrix is None:
-            matrix = np.array([e.vector for e in self.entries], dtype=np.float64).reshape(shape)
-        elif matrix.shape != shape:
+            for e in entries:
+                if len(e.vector) != dim:
+                    raise KnowledgeBaseError(
+                        f"entry {e.entry_id!r} vector has dim {len(e.vector)}, KB dim is {dim}"
+                    )
+            matrix = np.array([e.vector for e in entries], dtype=np.float64)
+            matrix = matrix.reshape(len(entries), dim)
+        self._setup(
+            scope, provider_name, dim, table_texts, summary_fallbacks,
+            [e.entry_id for e in entries], [e.source for e in entries], matrix,
+            entries.__getitem__,
+        )
+        self._entries = entries
+
+    def _setup(
+        self,
+        scope: str,
+        provider_name: str,
+        dim: int,
+        table_texts: dict[str, str] | None,
+        summary_fallbacks: int,
+        entry_ids: list[str],
+        sources: list[Source],
+        matrix: np.ndarray,
+        entry_at: Callable[[int], Entry],
+    ) -> None:
+        """Sets every attribute, for len(entry_ids) entries whose entry i
+        `entry_at(i)` makes; `entries` makes them all on first access
+        unless they are given."""
+        shape = (len(entry_ids), dim)
+        if matrix.shape != shape:
             raise KnowledgeBaseError(f"vector matrix has shape {matrix.shape}, expected {shape}")
-        rows = _rows_by_source(self.entries)
-        self._partitions = {
-            source: _partition(
-                [self.entries[i] for i in rows[source]], _take_rows(matrix, rows[source])
-            )
-            for source in Source
-        }
-        by_id = sorted(range(len(self.entries)), key=lambda i: self.entries[i].entry_id)
-        rank = np.empty(len(self.entries), dtype=np.intp)
-        rank[by_id] = np.arange(len(self.entries))
+        if len(set(entry_ids)) < len(entry_ids):
+            twice = Counter(entry_ids).most_common(1)[0][0]
+            raise KnowledgeBaseError(f"duplicate entry_id {twice!r}")
+        self.scope = scope
+        self.provider_name = provider_name
+        self.dim = dim
+        self.table_texts = {} if table_texts is None else table_texts
+        self.summary_fallbacks = summary_fallbacks
+        self._matrix = matrix  # float64 (entries, dim), in file order
+        self._entry_at = entry_at
+        self._entries: list[Entry] | None = None
+        rows: dict[Source, list[int]] = {source: [] for source in Source}
+        for i, source in enumerate(sources):
+            rows[source].append(i)
+        self._partitions = {s: _partition(rows[s], matrix, entry_at) for s in Source}
+        by_id = sorted(range(len(entry_ids)), key=entry_ids.__getitem__)
+        rank = np.empty(len(entry_ids), dtype=np.intp)
+        rank[by_id] = np.arange(len(entry_ids))
         self._id_ranks = {source: rank[rows[source]] for source in Source}
 
+    @property
+    def entries(self) -> list[Entry]:
+        """Every entry in file order; a loaded KB makes them on first
+        access, their vectors row views of its one matrix."""
+        if self._entries is None:
+            self._entries = [self._entry_at(i) for i in range(len(self._matrix))]
+        return self._entries
+
     def counts(self) -> dict[str, int]:
-        return {s.value: len(self._partitions[s].entries) for s in Source}
+        return {s.value: len(self._partitions[s]) for s in Source}
 
     def partition(self, source: Source) -> Partition:
         return self._partitions[source]
@@ -383,7 +441,7 @@ def build(
         matrix=matrix,
     )
     logger.info("built KB for %s: %s", doc.doc_id, kb.counts())
-    return _adopt_rows(kb)
+    return kb
 
 
 def flatten_document(doc: StructuredDocument) -> str:
@@ -420,63 +478,102 @@ def build_naive(
         matrix=matrix,
     )
     logger.info("built naive KB for %s: %d chunks", doc.doc_id, len(entries))
-    return _adopt_rows(kb)
+    return kb
 
 
-def _file_order_bits(kb: KnowledgeBase) -> Iterator[np.ndarray]:
-    """The bit patterns (uint64) of the KB's vectors over `kb.entries` in
-    order, as row views of the partition matrices: one per run of
-    entries of one source, cut every `_SAVE_ROWS` rows. `build`,
-    `build_naive` and `load` keep each source's entries together, so
-    their KBs give at most one run per source; entries whose sources
-    interleave give a view per run, down to one per entry."""
-    next_row = dict.fromkeys(Source, 0)
-    for source, run in itertools.groupby(kb.entries, key=attrgetter("source")):
-        bits = kb.partition(source).matrix.view(np.uint64)
-        start = next_row[source]
-        next_row[source] = stop = start + len(list(run))
-        for cut in range(start, stop, _SAVE_ROWS):
-            yield bits[cut : min(cut + _SAVE_ROWS, stop)]
+def _pieces(entries: Sequence[Entry]) -> list[str]:
+    """The text pieces of `entries` in file order: each entry's doc_id,
+    payload_text, summary ("" for None) and anchor."""
+    return [
+        piece
+        for e in entries
+        for piece in (e.doc_id, e.payload_text, e.summary or "", e.anchor)
+    ]
 
 
-def _write_base64(f: BinaryIO, chunks: Iterable[bytes]) -> None:
-    """Writes the base64 of the concatenated `chunks`, encoding them as
-    they come: the base64 of a concatenation is that of its parts while
-    every part but the last has a multiple of 3 bytes."""
-    rest = b""
-    for chunk in chunks:
-        data = rest + chunk
-        cut = len(data) - len(data) % 3
-        f.write(base64.b64encode(memoryview(data)[:cut]))
-        rest = data[cut:]
-    f.write(base64.b64encode(rest))
-
-
-def _write_vectors(f: BinaryIO, kb: KnowledgeBase) -> None:
-    """The fields of the `"vectors"` object, the CSR block over
-    `kb.entries` in order, each base64-encoded a block of rows at a
-    time. A value is stored when its bit pattern is not all zero, so
-    -0.0 counts."""
-    blocks = list(_file_order_bits(kb))  # views, so no copy of the vectors
-    sizes = [np.count_nonzero(bits, axis=1) for bits in blocks]
+def save(kb: KnowledgeBase, path: str | Path) -> None:
+    """Write the KB file (byte-reproducible): the header line, then each
+    section in turn. The header's columns, the text and the CSR arrays
+    go out `_SAVE_ROWS` entries at a time, so neither the file nor its
+    header, text or vector sections are held whole; a first pass over
+    the entries finds the text's offsets and byte length."""
+    encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+    entries = kb.entries
+    batches = [entries[i : i + _SAVE_ROWS] for i in range(0, len(entries), _SAVE_ROWS)]
+    lengths = [np.zeros(1, dtype=np.int64)]
+    text_bytes = 0
+    for batch in batches:
+        pieces = _pieces(batch)
+        lengths.append(np.fromiter(map(len, pieces), np.int64, len(pieces)))
+        text_bytes += len("".join(pieces).encode("utf-8"))
+    offsets = np.cumsum(np.concatenate(lengths), dtype="<i8")
+    bits = kb._matrix.view(np.uint64)
+    blocks = [bits[i : i + _SAVE_ROWS] for i in range(0, len(bits), _SAVE_ROWS)]
+    sizes = [np.count_nonzero(block, axis=1) for block in blocks]
     indptr = np.cumsum(np.concatenate([np.zeros(1, dtype=np.intp), *sizes]), dtype="<i4")
+    nnz = int(indptr[-1])
+    header = {
+        "format": KB_FORMAT,
+        "version": KB_VERSION,
+        "scope": kb.scope,
+        "provider_name": kb.provider_name,
+        "dim": kb.dim,
+        "counts": kb.counts(),
+        "summary_fallbacks": kb.summary_fallbacks,
+        "table_texts": kb.table_texts,
+        "sections": dict(zip(_SECTIONS, (
+            8 * len(offsets), len(entries), text_bytes, 4 * len(indptr), 4 * nnz, 8 * nnz
+        ))),
+    }
     columns = np.arange(kb.dim, dtype="<i4")
-    f.write(b'"indptr":"')
-    _write_base64(f, [indptr.tobytes()])
-    f.write(b'","indices":"')
-    _write_base64(f, (np.broadcast_to(columns, bits.shape)[bits != 0].tobytes() for bits in blocks))
-    f.write(b'","values":"')
-    _write_base64(f, (bits[bits != 0].astype("<u8").tobytes() for bits in blocks))
-    f.write(b'"')
+    with open(path, "wb", buffering=_SAVE_BUFFER) as f:
+        f.write(encode(header)[:-1].encode("utf-8"))
+        for name, value in (
+            ("entry_id", attrgetter("entry_id")), ("source", lambda e: e.source.value)
+        ):
+            f.write(f',"{name}":['.encode("utf-8"))
+            for i, batch in enumerate(batches):
+                f.write(b"," if i else b"")
+                f.write(encode([value(e) for e in batch])[1:-1].encode("utf-8"))
+            f.write(b"]")
+        f.write(b"}\n")
+        f.write(offsets.tobytes())
+        f.write(bytes(e.summary is not None for e in entries))
+        for batch in batches:
+            f.write("".join(_pieces(batch)).encode("utf-8"))
+        f.write(indptr.tobytes())
+        for block in blocks:
+            f.write(np.broadcast_to(columns, block.shape)[block != 0].tobytes())
+        for block in blocks:
+            f.write(block[block != 0].astype("<u8").tobytes())
 
 
-def _decode_vectors(block: dict, n: int, dim: int) -> np.ndarray:
-    """The float64 (n, dim) matrix of a base64 CSR block; raises
-    KnowledgeBaseError, ValueError, TypeError or KeyError when malformed."""
-    indptr, indices, values = (
-        np.frombuffer(base64.b64decode(block[name], validate=True), dtype=dtype)
-        for name, dtype in (("indptr", "<i4"), ("indices", "<i4"), ("values", "<f8"))
-    )
+def _sections(lengths: dict, body: memoryview) -> dict[str, np.ndarray]:
+    """The sections that `lengths` (the header's "sections") cut `body`,
+    the bytes after the header line, into: arrays viewing `body`."""
+    if not isinstance(lengths, dict) or list(lengths) != list(_SECTIONS):
+        raise KnowledgeBaseError(f"sections are not {list(_SECTIONS)}")
+    arrays, start = {}, 0
+    for name, dtype in _SECTIONS.items():
+        size, item = lengths[name], np.dtype(dtype).itemsize
+        if type(size) is not int or size < 0 or size % item:
+            raise KnowledgeBaseError(
+                f"section {name!r} has length {size!r}, not a count of {item}-byte items"
+            )
+        if start + size > len(body):
+            raise KnowledgeBaseError(f"file ends inside section {name!r}")
+        arrays[name] = np.frombuffer(body, dtype, size // item, start)
+        start += size
+    if start != len(body):
+        raise KnowledgeBaseError(f"{len(body) - start} bytes after the last section")
+    return arrays
+
+
+def _decode_vectors(
+    indptr: np.ndarray, indices: np.ndarray, values: np.ndarray, n: int, dim: int
+) -> np.ndarray:
+    """The float64 (n, dim) matrix of the CSR sections; raises
+    KnowledgeBaseError when they are malformed."""
     if indptr.shape != (n + 1,) or indptr[0] != 0 or (np.diff(indptr) < 0).any():
         raise KnowledgeBaseError(f"indptr is not {n + 1} non-decreasing offsets from 0")
     if not indptr[-1] == len(indices) == len(values):
@@ -494,89 +591,98 @@ def _decode_vectors(block: dict, n: int, dim: int) -> np.ndarray:
     return matrix
 
 
-def save(kb: KnowledgeBase, path: str | Path) -> None:
-    """Write the single-file KB format (byte-reproducible): the text
-    `json.dumps(payload, ensure_ascii=False, separators=(",", ":"))`
-    and a newline would give for the whole payload, written in pieces:
-    the header, the entries `_SAVE_ROWS` at a time, then each base64
-    vector field. So the file is never held whole, nor is any of its
-    vector fields."""
-    encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
-    header = {
-        "format": KB_FORMAT,
-        "version": KB_VERSION,
-        "scope": kb.scope,
-        "provider_name": kb.provider_name,
-        "dim": kb.dim,
-        "counts": kb.counts(),
-        "summary_fallbacks": kb.summary_fallbacks,
-        "table_texts": kb.table_texts,
-    }
-    with open(path, "wb", buffering=_SAVE_BUFFER) as f:
-        f.write(encode(header)[:-1].encode("utf-8"))
-        f.write(b',"entries":[')
-        for start in range(0, len(kb.entries), _SAVE_ROWS):
-            batch = [
-                {
-                    "entry_id": e.entry_id,
-                    "source": e.source.value,
-                    "doc_id": e.doc_id,
-                    "payload_text": e.payload_text,
-                    "summary": e.summary,
-                    "anchor": e.anchor,
-                }
-                for e in kb.entries[start : start + _SAVE_ROWS]
-            ]
-            f.write(b"," if start else b"")
-            f.write(encode(batch)[1:-1].encode("utf-8"))
-        f.write(b'],"vectors":{')
-        _write_vectors(f, kb)
-        f.write(b"}}\n")
+def _decode_text(
+    text: np.ndarray, offsets: np.ndarray, has_summary: np.ndarray, n: int
+) -> tuple[str, list[int], bytes]:
+    """The text section as one str, its offsets as a list and the
+    summary flags as bytes; raises KnowledgeBaseError, or ValueError for
+    invalid UTF-8, when they are malformed."""
+    texts = str(text, "utf-8")
+    if (
+        offsets.shape != (4 * n + 1,)
+        or offsets[0] != 0
+        or offsets[-1] != len(texts)
+        or (np.diff(offsets) < 0).any()
+    ):
+        raise KnowledgeBaseError(
+            f"text offsets are not {4 * n + 1} non-decreasing offsets from 0 to {len(texts)}"
+        )
+    if has_summary.shape != (n,) or (has_summary > 1).any():
+        raise KnowledgeBaseError(f"has_summary is not {n} flags of 0 or 1")
+    if (np.diff(offsets)[2::4][has_summary == 0] != 0).any():
+        raise KnowledgeBaseError("an entry without a summary has summary text")
+    return texts, offsets.tolist(), has_summary.tobytes()
 
 
 def load(path: str | Path) -> KnowledgeBase:
+    """The KB of a file `save` wrote; raises KnowledgeBaseError when the
+    file is missing, of another format or version, or malformed in any
+    part, so a KB that loads needs no further checks."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        data = path.read_bytes()
+    except OSError as exc:
         raise KnowledgeBaseError(f"cannot load KB from {path}: {exc}") from exc
-    if data.get("format") != KB_FORMAT:
+    end = data.find(b"\n")
+    try:
+        header = json.loads(data[: end if end >= 0 else len(data)])
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise KnowledgeBaseError(f"cannot load KB from {path}: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != KB_FORMAT:
         raise KnowledgeBaseError(f"{path} is not a KB file")
-    if data.get("version") != KB_VERSION:
+    if header.get("version") != KB_VERSION:
         raise KnowledgeBaseError(
-            f"{path}: KB version {data.get('version')!r} not supported "
+            f"{path}: KB version {header.get('version')!r} not supported "
             f"(expected {KB_VERSION})"
         )
     try:
-        dim = int(data["dim"])
-        matrix = _decode_vectors(data["vectors"], len(data["entries"]), dim)
+        if end < 0:
+            raise KnowledgeBaseError("no newline after the header")
+        return _from_file(header, memoryview(data)[end + 1 :])
     except (KeyError, TypeError, ValueError, KnowledgeBaseError) as exc:
-        raise KnowledgeBaseError(f"{path}: malformed vector block: {exc}") from exc
-    try:
-        entries = [
-            Entry(
-                entry_id=e["entry_id"],
-                source=_SOURCES[e["source"]],
-                doc_id=e["doc_id"],
-                payload_text=e["payload_text"],
-                summary=e["summary"],
-                vector=row,
-                anchor=e["anchor"],
-            )
-            for e, row in zip(data["entries"], matrix)
-        ]
-        kb = KnowledgeBase(
-            scope=data["scope"],
-            provider_name=data["provider_name"],
-            dim=dim,
-            entries=entries,
-            table_texts=dict(data["table_texts"]),
-            summary_fallbacks=int(data.get("summary_fallbacks", 0)),
-            matrix=matrix,
+        raise KnowledgeBaseError(f"{path}: malformed KB file: {exc}") from exc
+
+
+def _from_file(header: dict, body: memoryview) -> KnowledgeBase:
+    """The KB of a parsed header and the bytes after its line; raises
+    KnowledgeBaseError, KeyError, TypeError or ValueError when malformed."""
+    for key, kind in (("scope", str), ("provider_name", str), ("dim", int),
+                      ("summary_fallbacks", int), ("table_texts", dict)):
+        if type(header[key]) is not kind:
+            raise KnowledgeBaseError(f"{key} is not of type {kind.__name__}")
+    if set(map(type, header["table_texts"].values())) - {str}:
+        raise KnowledgeBaseError("a table text is not a string")
+    entry_ids = header["entry_id"]
+    if not isinstance(entry_ids, list) or not all(type(i) is str for i in entry_ids):
+        raise KnowledgeBaseError("entry_id is not a list of strings")
+    n = len(entry_ids)
+    sources = list(map(_SOURCES.get, header["source"]))
+    if len(sources) != n:
+        raise KnowledgeBaseError(f"{len(sources)} sources for {n} entries")
+    if None in sources:
+        raise KnowledgeBaseError(f"unknown source {header['source'][sources.index(None)]!r}")
+    dim = header["dim"]
+    arrays = _sections(header["sections"], body)
+    texts, offsets, has_summary = _decode_text(
+        arrays["text"], arrays["offsets"], arrays["has_summary"], n
+    )
+    matrix = _decode_vectors(arrays["indptr"], arrays["indices"], arrays["values"], n, dim)
+
+    def entry_at(i: int) -> Entry:
+        a, b, c, d, e = offsets[4 * i : 4 * i + 5]
+        summary = texts[c:d] if has_summary[i] else None
+        return Entry(
+            entry_ids[i], sources[i], texts[a:b], texts[b:c], matrix[i], texts[d:e], summary
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise KnowledgeBaseError(f"{path}: malformed KB entry: {exc}") from exc
-    return _adopt_rows(kb)
+
+    kb = KnowledgeBase.__new__(KnowledgeBase)  # the columns stand in for `__init__`'s entries
+    kb._setup(
+        header["scope"], header["provider_name"], dim, header["table_texts"],
+        header["summary_fallbacks"], entry_ids, sources, matrix, entry_at,
+    )
+    if header["counts"] != kb.counts():
+        raise KnowledgeBaseError(f"counts {header['counts']!r} are not those of the entries")
+    return kb
 
 
 def verify_anchors(kb: KnowledgeBase, doc: StructuredDocument) -> None:

@@ -229,7 +229,7 @@ def _select(
     (vectors, entries) arrays live in `buffers` (see `_buffers`), which
     must hold that many cells; no returned array is a view of them.
     """
-    n = len(part.entries)
+    n = len(part)
     sims, denom, mask = (b[: len(qnorms) * n].reshape(len(qnorms), n) for b in buffers)
     for qm, start in zip(qms, starts.tolist()):
         np.matmul(qm, part.matrix.T, out=sims[start : start + len(qm)])
@@ -312,10 +312,10 @@ def search_many(
     tasks = [  # (partition, first query, end query) per slice, by partition then query
         (p, *cut)
         for p, part in enumerate(parts)
-        if part.entries
-        for cut in _slices(sizes.tolist(), len(part.entries))
+        if len(part)
+        for cut in _slices(sizes.tolist(), len(part))
     ]
-    cells = [int(ends[end - 1] - starts[first]) * len(parts[p].entries) for p, first, end in tasks]
+    cells = [int(ends[end - 1] - starts[first]) * len(parts[p]) for p, first, end in tasks]
     columns: list = [None] * len(tasks)
     ticket = itertools.count()  # next() on it is atomic: each task goes to one worker
 
@@ -349,7 +349,7 @@ def search_many(
     ):
         fields = resolved.get((p, row))
         if fields is None:
-            entry = parts[p].entries[row]
+            entry = parts[p].entry(row)
             fields = resolved[p, row] = (
                 entry.entry_id, entry.source, _resolve_payload(entry, kb), entry.anchor
             )

@@ -1,6 +1,5 @@
 """Knowledge base construction: chunking, keywords, persistence, anchors."""
 
-import base64
 import json
 import random
 import re
@@ -286,6 +285,50 @@ def test_vector_dim_mismatch_rejected(corpus_docs, embedder):
 
 # --- persistence ---
 
+# The sections of a KB file after its header line, in file order, with
+# their item types: the layout the kb module docstring documents.
+SECTION_TYPES = {
+    "offsets": "<i8",
+    "has_summary": "u1",
+    "text": "u1",
+    "indptr": "<i4",
+    "indices": "<i4",
+    "values": "<f8",
+}
+
+
+def read_file(path):
+    """(header, {section name: bytes}) of a KB file."""
+    line, newline, body = path.read_bytes().partition(b"\n")
+    assert newline
+    header = json.loads(line)
+    sections, start = {}, 0
+    for name, size in header["sections"].items():
+        sections[name] = body[start : start + size]
+        start += size
+    assert start == len(body)
+    return header, sections
+
+
+def file_bytes(header, sections):
+    """A KB file of `header` and `sections`, the header's lengths those of
+    `sections`: a dict, or a list of bytes to make them a list too."""
+    raws = list(sections.values()) if isinstance(sections, dict) else sections
+    lengths = (
+        {name: len(raw) for name, raw in sections.items()}
+        if isinstance(sections, dict) else [len(raw) for raw in raws]
+    )
+    line = json.dumps({**header, "sections": lengths}, ensure_ascii=False, separators=(",", ":"))
+    return line.encode("utf-8") + b"\n" + b"".join(raws)
+
+
+def _arr(sections, name):
+    return np.frombuffer(sections[name], SECTION_TYPES[name]).tolist()
+
+
+def _raw(values, name):
+    return np.array(values, dtype=SECTION_TYPES[name]).tobytes()
+
 
 def test_save_load_round_trip_bytes(corpus_docs, embedder, tmp_path):
     kb = build(corpus_docs[0], embedder)
@@ -313,9 +356,9 @@ def test_load_keeps_vectors_and_builds_partitions_once(
 
     built = []
 
-    def counting(entries, matrix):
-        built.append(len(entries))
-        return original(entries, matrix)
+    def counting(rows, *args):
+        built.append(len(rows))
+        return original(rows, *args)
 
     original = kbmod._partition
     monkeypatch.setattr(kbmod, "_partition", counting)
@@ -331,7 +374,83 @@ def test_load_keeps_vectors_and_builds_partitions_once(
         search(kb, query, 5)
     assert len(built) == len(Source)
     assert all(kb.partition(s) is parts[s] for s in Source)
-    assert sum(len(p.entries) for p in parts.values()) == len(kb.entries)
+    assert sum(len(p) for p in parts.values()) == len(kb.entries)
+
+
+def _entry_fields(e):
+    return (e.entry_id, e.source, e.doc_id, e.payload_text, e.summary, e.anchor,
+            np.asarray(e.vector, dtype=np.float64).tobytes())
+
+
+def test_loaded_entries_equal_the_built_ones_field_by_field(corpus_docs, embedder, tmp_path):
+    for kb in (build(corpus_docs[1], embedder), build_naive(corpus_docs[1], embedder),
+               _mixed_kb(40), _summaries_kb()):
+        path = tmp_path / "kb.json"
+        save(kb, path)
+        again = load(path)
+        assert [_entry_fields(e) for e in again.entries] == [_entry_fields(e) for e in kb.entries]
+        assert (again.scope, again.provider_name, again.dim, again.table_texts,
+                again.summary_fallbacks) == (kb.scope, kb.provider_name, kb.dim, kb.table_texts,
+                                             kb.summary_fallbacks)
+        matrix = again.entries[0].vector.base
+        assert matrix.shape == (len(kb.entries), kb.dim)
+        for i, e in enumerate(again.entries):
+            assert e.vector.base is matrix
+            assert np.shares_memory(e.vector, matrix[i]) and e.vector.shape == (kb.dim,)
+        assert again.entries is again.entries  # made once
+
+
+def _summaries_kb():
+    """Summaries that are None, "" and text, on every source."""
+    summaries = [None, "", "One line.", "", None, "Émission 排放"]
+    entries = [
+        Entry(entry_id=f"e{i}", source=list(Source)[i % 3], doc_id="d", payload_text=f"p{i}",
+              vector=[float(i), 0.0], anchor="flat:0", summary=summary)
+        for i, summary in enumerate(summaries)
+    ]
+    return KnowledgeBase(scope="d", provider_name="p", dim=2, entries=entries)
+
+
+def test_none_and_empty_summaries_stay_distinct(tmp_path):
+    path = tmp_path / "kb.json"
+    save(_summaries_kb(), path)
+    assert [e.summary for e in load(path).entries] == [None, "", "One line.", "", None, "Émission 排放"]
+    assert read_file(path)[1]["has_summary"] == bytes([0, 1, 1, 1, 0, 1])
+
+
+def test_search_of_a_loaded_kb_makes_entries_only_for_hit_rows(
+    corpus_docs, embedder, tmp_path, monkeypatch
+):
+    from esgpipe import kb as kbmod
+    from esgpipe.retrieval import Query, search_many
+
+    made = []  # the entry_id of each Entry the KB makes
+
+    def counted(*args, **kwargs):
+        entry = Entry(*args, **kwargs)
+        made.append(entry.entry_id)
+        return entry
+
+    built = build(corpus_docs[2], embedder)
+    path = tmp_path / "kb.json"
+    save(built, path)
+    monkeypatch.setattr(kbmod, "Entry", counted)
+    kb = load(path)
+    assert made == []
+    queries = [
+        Query(indicator_id=f"q{i}", query_texts=["a", "b"],
+              vectors=[list(built.entries[i].vector), list(built.entries[-1 - i].vector)])
+        for i in range(6)
+    ]
+    hits = search_many(kb, queries, k=3)
+    hit_ids = {h.entry_id for batch in hits for h in batch}
+    assert 0 < len(hit_ids) < len(built.entries)
+    # one entry per distinct hit row, and no other
+    assert sorted(made) == sorted(hit_ids)
+    made.clear()
+    assert [e.entry_id for e in kb.entries] == [e.entry_id for e in built.entries]
+    assert len(made) == len(built.entries)
+    assert hits == search_many(build(corpus_docs[2], embedder), queries, k=3)
 
 
 def _special_kb(dim, rng):
@@ -375,7 +494,7 @@ def test_vectors_round_trip_bit_for_bit(tmp_path, dim):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_v2_file_stores_only_nonzero_bit_patterns(tmp_path):
+def test_file_stores_only_nonzero_bit_patterns(tmp_path):
     entries = [
         Entry(entry_id=f"e{i}", source=Source.TEXT, doc_id="d", payload_text="p",
               vector=vec, anchor="flat:0")
@@ -383,18 +502,21 @@ def test_v2_file_stores_only_nonzero_bit_patterns(tmp_path):
     ]
     path = tmp_path / "kb.json"
     save(KnowledgeBase(scope="d", provider_name="p", dim=3, entries=entries), path)
-    data = json.loads(path.read_text())
-    assert data["version"] == 2
-    assert all("vector" not in e for e in data["entries"])
-    block = {k: base64.b64decode(v) for k, v in data["vectors"].items()}
-    assert np.frombuffer(block["indptr"], "<i4").tolist() == [0, 2, 2, 3]
-    assert np.frombuffer(block["indices"], "<i4").tolist() == [1, 2, 0]
-    assert np.frombuffer(block["values"], "<f8").tobytes() == np.array([-0.0, 2.0, 1.0]).tobytes()
+    header, sections = read_file(path)
+    assert header["version"] == KB_VERSION == 3
+    assert header["entry_id"] == ["e0", "e1", "e2"] and header["source"] == ["Text"] * 3
+    assert list(sections) == list(SECTION_TYPES)
+    assert _arr(sections, "indptr") == [0, 2, 2, 3]
+    assert _arr(sections, "indices") == [1, 2, 0]
+    assert sections["values"] == np.array([-0.0, 2.0, 1.0]).tobytes()
+    assert sections["text"] == b"dpflat:0" * 3
+    assert _arr(sections, "offsets") == [0, 1, 2, 2, 8, 9, 10, 10, 16, 17, 18, 18, 24]
+    assert sections["has_summary"] == bytes(3)
 
 
-def reference_save_text(kb):
-    """The text `save` writes, made the way it was first written: the
-    whole payload, with a per-row CSR block, through one `json.dumps`."""
+def reference_save_bytes(kb):
+    """The bytes `save` writes, made in one piece: the CSR arrays row by
+    row and the text of all entries at once."""
     indptr, indices, values = [0], [], []
     for e in kb.entries:
         vec = np.asarray(e.vector, dtype=np.float64)
@@ -402,12 +524,16 @@ def reference_save_text(kb):
         indices.extend(stored.tolist())
         values.append(vec[stored])
         indptr.append(len(indices))
-    arrays = {
-        "indptr": np.array(indptr, dtype="<i4"),
-        "indices": np.array(indices, dtype="<i4"),
-        "values": np.concatenate([np.zeros(0), *values]).astype("<f8"),
+    pieces = [p for e in kb.entries for p in (e.doc_id, e.payload_text, e.summary or "", e.anchor)]
+    sections = {
+        "offsets": _raw(np.cumsum([0] + [len(p) for p in pieces]), "offsets"),
+        "has_summary": bytes(e.summary is not None for e in kb.entries),
+        "text": "".join(pieces).encode("utf-8"),
+        "indptr": _raw(indptr, "indptr"),
+        "indices": _raw(indices, "indices"),
+        "values": np.concatenate([np.zeros(0), *values]).astype("<f8").tobytes(),
     }
-    payload = {
+    header = {
         "format": "esg_kb",
         "version": KB_VERSION,
         "scope": kb.scope,
@@ -416,20 +542,11 @@ def reference_save_text(kb):
         "counts": kb.counts(),
         "summary_fallbacks": kb.summary_fallbacks,
         "table_texts": kb.table_texts,
-        "entries": [
-            {
-                "entry_id": e.entry_id,
-                "source": e.source.value,
-                "doc_id": e.doc_id,
-                "payload_text": e.payload_text,
-                "summary": e.summary,
-                "anchor": e.anchor,
-            }
-            for e in kb.entries
-        ],
-        "vectors": {k: base64.b64encode(a.tobytes()).decode("ascii") for k, a in arrays.items()},
+        "sections": None,  # made by `file_bytes`
+        "entry_id": [e.entry_id for e in kb.entries],
+        "source": [e.source.value for e in kb.entries],
     }
-    return json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n"
+    return file_bytes(header, sections)
 
 
 def _mixed_kb(n, dim=8):
@@ -467,19 +584,22 @@ def _save_cases(corpus_docs, embedder):
         yield f"mixed-{n}", _mixed_kb(n)
     with np.errstate(all="ignore"):
         yield "special", _special_kb(5, np.random.default_rng(5))
+    yield "summaries", _summaries_kb()
     yield "empty", KnowledgeBase(scope="e", provider_name="p", dim=4, entries=[])
 
 
-def test_save_writes_the_text_of_one_json_dumps(corpus_docs, embedder, tmp_path):
+def test_save_writes_the_bytes_of_a_one_shot_writer(corpus_docs, embedder, tmp_path):
     for name, kb in _save_cases(corpus_docs, embedder):
         path = tmp_path / f"{name}.json"
         save(kb, path)
-        assert path.read_bytes() == reference_save_text(kb).encode("utf-8"), name
+        assert path.read_bytes() == reference_save_bytes(kb), name
+        # the test's reader cuts the file back into what went in
+        assert file_bytes(*read_file(path)) == path.read_bytes(), name
 
 
 def test_save_holds_less_than_the_file_it_writes(tmp_path):
-    """Saving a 5,000-entry KB never holds the file's text, its entries
-    or its vector block whole."""
+    """Saving a 5,000-entry KB never holds the file, its text or its
+    vector sections whole."""
     from esgpipe.providers import embed_matrix
 
     rng = random.Random(11)
@@ -501,38 +621,29 @@ def test_save_holds_less_than_the_file_it_writes(tmp_path):
     finally:
         tracemalloc.stop()
     size = path.stat().st_size
-    assert peak < size, f"peak {peak / 2**20:.2f} MB for a {size / 2**20:.2f} MB file"
-    assert path.read_bytes() == reference_save_text(kb).encode("utf-8")
+    text = len(read_file(path)[1]["text"])
+    assert peak < text < size, f"peak {peak / 2**20:.2f} MB for a {size / 2**20:.2f} MB file"
+    assert path.read_bytes() == reference_save_bytes(kb)
 
 
-def _b64(values, dtype="<i4"):
-    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
-
-
-def _i4(block, name):
-    return np.frombuffer(base64.b64decode(block[name]), "<i4").tolist()
+def _i4_edit(name, edit):
+    """A case that replaces the `<i4` section `name` by `edit(values, dim)`."""
+    return lambda s, dim: {**s, name: _raw(edit(_arr(s, name), dim), name)}
 
 
 MALFORMED_BLOCKS = {
-    "invalid base64 characters": lambda b, dim: {**b, "indices": "*" + b["indices"]},
-    "invalid base64 padding": lambda b, dim: {**b, "values": b["values"][:-1]},
-    "not a string": lambda b, dim: {**b, "indptr": 12},
-    "ragged byte length": lambda b, dim: {**b, "values": _b64([0] * 7, "u1")},
-    "indptr too short": lambda b, dim: {**b, "indptr": _b64(_i4(b, "indptr")[:-1])},
-    "indptr too long": lambda b, dim: {**b, "indptr": _b64(_i4(b, "indptr") + [_i4(b, "indptr")[-1]])},
-    "indptr not from 0": lambda b, dim: {**b, "indptr": _b64([1] + _i4(b, "indptr")[1:])},
-    "indptr decreasing": lambda b, dim: {**b, "indptr": _b64([0, 5, 3] + _i4(b, "indptr")[3:])},
-    "indptr past indices": lambda b, dim: {**b, "indices": _b64(_i4(b, "indices")[:-1])},
-    "indptr past values": lambda b, dim: {
-        **b, "values": base64.b64encode(base64.b64decode(b["values"])[:-8]).decode("ascii")
-    },
-    "index equal to dim": lambda b, dim: {**b, "indices": _b64(_i4(b, "indices")[:-1] + [dim])},
-    "negative index": lambda b, dim: {**b, "indices": _b64([-1] + _i4(b, "indices")[1:])},
-    "repeated index in a row": lambda b, dim: {
-        **b, "indices": _b64(_i4(b, "indices")[1:2] + _i4(b, "indices")[1:])
-    },
-    "missing field": lambda b, dim: {k: v for k, v in b.items() if k != "values"},
-    "not an object": lambda b, dim: [b["indptr"], b["indices"], b["values"]],
+    "ragged byte length": lambda s, dim: {**s, "values": bytes(7)},
+    "indptr too short": _i4_edit("indptr", lambda v, dim: v[:-1]),
+    "indptr too long": _i4_edit("indptr", lambda v, dim: v + v[-1:]),
+    "indptr not from 0": _i4_edit("indptr", lambda v, dim: [1] + v[1:]),
+    "indptr decreasing": _i4_edit("indptr", lambda v, dim: [0, 5, 3] + v[3:]),
+    "indptr past indices": _i4_edit("indices", lambda v, dim: v[:-1]),
+    "indptr past values": lambda s, dim: {**s, "values": s["values"][:-8]},
+    "index equal to dim": _i4_edit("indices", lambda v, dim: v[:-1] + [dim]),
+    "negative index": _i4_edit("indices", lambda v, dim: [-1] + v[1:]),
+    "repeated index in a row": _i4_edit("indices", lambda v, dim: v[1:2] + v[1:]),
+    "missing field": lambda s, dim: {k: v for k, v in s.items() if k != "values"},
+    "not an object": lambda s, dim: list(s.values()),
 }
 
 
@@ -540,22 +651,143 @@ MALFORMED_BLOCKS = {
 def test_load_rejects_malformed_vector_block(corpus_docs, embedder, tmp_path, case):
     path = tmp_path / "kb.json"
     save(build_naive(corpus_docs[0], embedder), path)
-    data = json.loads(path.read_text())
-    assert _i4(data["vectors"], "indptr")[1] >= 2  # the row-0 edits need two indices
-    data["vectors"] = MALFORMED_BLOCKS[case](data["vectors"], data["dim"])
-    path.write_text(json.dumps(data))
+    header, sections = read_file(path)
+    assert _arr(sections, "indptr")[1] >= 2  # the row-0 edits need two indices
+    path.write_bytes(file_bytes(header, MALFORMED_BLOCKS[case](sections, header["dim"])))
     with pytest.raises(KnowledgeBaseError, match="malformed"):
         load(path)
+
+
+def _with_lengths(h, s, **lengths):
+    """The file of `h` and `s` whose header claims `lengths` for some sections."""
+    line = json.dumps({**h, "sections": {**h["sections"], **lengths}}, ensure_ascii=False)
+    return line.encode("utf-8") + b"\n" + b"".join(s.values())
+
+
+def _edit(name, edit):
+    """A case that replaces section `name` by `edit(values)` of its items."""
+    return lambda h, s: file_bytes(h, {**s, name: _raw(edit(_arr(s, name)), name)})
+
+
+def _first_summary(h, s):
+    """The row of the first entry with a non-empty summary."""
+    offsets = _arr(s, "offsets")
+    return next(i for i in range(len(h["entry_id"])) if offsets[4 * i + 3] > offsets[4 * i + 2])
+
+
+def _flip(seq, i, value):
+    return seq[:i] + [value] + seq[i + 1:]
+
+
+def _line(h):
+    return json.dumps(h, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+
+
+# Each is a file that `load` must reject, made from the (header,
+# sections) of a good one, and words its error must contain.
+MALFORMED_FILES = {
+    "no header newline": (lambda h, s: _line(h), "no newline after the header"),
+    "header newline dropped": (lambda h, s: _line(h) + b"".join(s.values()), "cannot load KB"),
+    "truncated": (lambda h, s: file_bytes(h, s)[:-1], "ends inside section 'values'"),
+    "truncated in the text": (
+        lambda h, s: _line(h) + b"\n" + s["offsets"] + s["has_summary"] + s["text"][:-3],
+        "ends inside section 'text'",
+    ),
+    "trailing bytes": (lambda h, s: file_bytes(h, s) + b"\0", "1 bytes after the last section"),
+    "negative length": (
+        lambda h, s: _with_lengths(h, s, text=-1), "section 'text' has length -1"
+    ),
+    "length not a multiple of its item size": (
+        lambda h, s: _with_lengths(
+            h, s, offsets=len(s["offsets"]) - 4, has_summary=len(s["has_summary"]) + 4
+        ),
+        "section 'offsets' has length",
+    ),
+    "length not an integer": (
+        lambda h, s: _with_lengths(h, s, values=float(len(s["values"]))),
+        "section 'values' has length",
+    ),
+    "length a string": (
+        lambda h, s: _with_lengths(h, s, values=str(len(s["values"]))),
+        "section 'values' has length",
+    ),
+    "sections out of order": (
+        lambda h, s: _with_lengths({**h, "sections": dict(reversed(h["sections"].items()))}, s),
+        "sections are not",
+    ),
+    "offsets decreasing": (_edit("offsets", lambda v: _flip(v, 1, v[2] + 1)), "text offsets"),
+    "offsets not from 0": (_edit("offsets", lambda v: _flip(v, 0, 1)), "text offsets"),
+    "offsets past the end": (_edit("offsets", lambda v: v[:-1] + [v[-1] + 1]), "text offsets"),
+    "offset past the end inside": (_edit("offsets", lambda v: _flip(v, 3, v[-1] + 9)), "text offsets"),
+    "offsets short of the end": (_edit("offsets", lambda v: v[:-1] + [v[-1] - 1]), "text offsets"),
+    "offsets too few": (_edit("offsets", lambda v: v[:-1]), "text offsets"),
+    "invalid UTF-8": (
+        lambda h, s: file_bytes(h, {**s, "text": b"\xff" + s["text"][1:]}),
+        "can't decode byte 0xff",
+    ),
+    "cut UTF-8 sequence": (
+        lambda h, s: file_bytes(h, {**s, "text": s["text"][:-1] + b"\xc3"}),
+        "can't decode byte 0xc3",
+    ),
+    "has_summary flag of 2": (_edit("has_summary", lambda v: _flip(v, 0, 2)), "has_summary is not"),
+    "has_summary too short": (_edit("has_summary", lambda v: v[:-1]), "has_summary is not"),
+    "summary text without a summary": (
+        lambda h, s: _edit("has_summary", lambda v: _flip(v, _first_summary(h, s), 0))(h, s),
+        "without a summary has summary text",
+    ),
+    "duplicate entry_id": (
+        lambda h, s: file_bytes({**h, "entry_id": _flip(h["entry_id"], 1, h["entry_id"][0])}, s),
+        "duplicate entry_id",
+    ),
+    "entry_id not a string": (
+        lambda h, s: file_bytes({**h, "entry_id": _flip(h["entry_id"], 0, 7)}, s),
+        "entry_id is not a list of strings",
+    ),
+    "entry_id not a list": (
+        lambda h, s: file_bytes({**h, "entry_id": "t0000"}, s), "entry_id is not a list of strings"
+    ),
+    "source column too short": (
+        lambda h, s: file_bytes({**h, "source": h["source"][:-1]}, s), "sources for"
+    ),
+    "dim not a number": (lambda h, s: file_bytes({**h, "dim": "wide"}, s), "dim is not of type int"),
+    "dim negative": (lambda h, s: file_bytes({**h, "dim": -1}, s), "column index outside [0, -1)"),
+    "counts not those of the entries": (
+        lambda h, s: file_bytes({**h, "counts": {**h["counts"], "Outline": 0}}, s),
+        "are not those of the entries",
+    ),
+    "scope not a string": (lambda h, s: file_bytes({**h, "scope": None}, s), "scope is not"),
+    "summary_fallbacks missing": (
+        lambda h, s: file_bytes({k: v for k, v in h.items() if k != "summary_fallbacks"}, s),
+        "'summary_fallbacks'",
+    ),
+    "table text not a string": (
+        lambda h, s: file_bytes({**h, "table_texts": {**h["table_texts"], "tbl-0": 5}}, s),
+        "a table text is not a string",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_load_rejects_malformed_file(corpus_docs, embedder, tmp_path, case):
+    path = tmp_path / "kb.json"
+    save(build(corpus_docs[0], embedder), path)
+    header, sections = read_file(path)
+    make, words = MALFORMED_FILES[case]
+    data = make(header, sections)
+    assert data != path.read_bytes()
+    path.write_bytes(data)
+    with pytest.raises(KnowledgeBaseError, match=r"malformed KB file|cannot load KB") as error:
+        load(path)
+    assert words in str(error.value)
 
 
 @pytest.mark.parametrize("source", ["Bogus", "text", "", None, ["Text"], 1])
 def test_load_rejects_unknown_entry_source(corpus_docs, embedder, tmp_path, source):
     path = tmp_path / "kb.json"
     save(build_naive(corpus_docs[0], embedder), path)
-    data = json.loads(path.read_text())
-    data["entries"][-1]["source"] = source
-    path.write_text(json.dumps(data))
-    with pytest.raises(KnowledgeBaseError, match="malformed KB entry"):
+    header, sections = read_file(path)
+    path.write_bytes(file_bytes({**header, "source": header["source"][:-1] + [source]}, sections))
+    with pytest.raises(KnowledgeBaseError, match="malformed KB file"):
         load(path)
 
 
@@ -563,10 +795,22 @@ def test_load_rejects_wrong_version(corpus_docs, embedder, tmp_path):
     kb = build_naive(corpus_docs[0], embedder)
     path = tmp_path / "kb.json"
     save(kb, path)
-    data = json.loads(path.read_text())
-    data["version"] = KB_VERSION + 1
-    path.write_text(json.dumps(data))
+    header, sections = read_file(path)
+    path.write_bytes(file_bytes({**header, "version": KB_VERSION + 1}, sections))
     with pytest.raises(KnowledgeBaseError, match="version"):
+        load(path)
+
+
+def test_load_rejects_a_version_2_file(tmp_path):
+    """A version-2 file: one JSON line with the vectors in base64."""
+    path = tmp_path / "kb.json"
+    path.write_text(json.dumps({
+        "format": "esg_kb", "version": 2, "scope": "d", "provider_name": "p", "dim": 1,
+        "counts": {"Text": 0, "Outline": 0, "TableKeyword": 0}, "summary_fallbacks": 0,
+        "table_texts": {}, "entries": [],
+        "vectors": {"indptr": "AAAAAA==", "indices": "", "values": ""},
+    }) + "\n")
+    with pytest.raises(KnowledgeBaseError, match="KB version 2 not supported"):
         load(path)
 
 
@@ -577,6 +821,9 @@ def test_load_rejects_non_kb_file(tmp_path):
         load(path)
     path.write_text("not json")
     with pytest.raises(KnowledgeBaseError):
+        load(path)
+    path.write_text("[1]\n")
+    with pytest.raises(KnowledgeBaseError, match="not a KB file"):
         load(path)
 
 

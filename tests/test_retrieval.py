@@ -353,13 +353,14 @@ def test_search_many_matches_reference_on_integer_kbs():
         queries = integer_queries(rng, dim)
         k = rng.choice((1, 2, 3, 5, 40))
         _assert_batch_matches_reference(kb, queries, k)
-        parts = [kb.partition(s) for s in Source if kb.partition(s).entries]
-        seen["single"] += any(len(p.entries) == 1 for p in parts)
-        seen["k_covers_partition"] += any(len(p.entries) <= k for p in parts)
+        parts = [kb.partition(s) for s in Source if len(kb.partition(s))]
+        seen["single"] += any(len(p) == 1 for p in parts)
+        seen["k_covers_partition"] += any(len(p) <= k for p in parts)
         seen["zero_row"] += any(not p.norms.all() for p in parts)
         for part in parts:
-            if len(part.entries) > k:
-                sims = np.vstack([reference_sims(q, part.entries) for q in queries])
+            if len(part) > k:
+                entries = [part.entry(row) for row in range(len(part))]
+                sims = np.vstack([reference_sims(q, entries) for q in queries])
                 kth = -np.sort(-sims, axis=1)[:, k - 1:k]
                 seen["tie_at_kth"] += bool(((sims == kth).sum(axis=1) > 1).any())
     # the inputs exercise what the selection must get right
@@ -519,7 +520,7 @@ def test_sliced_search_matches_one_slice_bit_for_bit(cpus, pool_sizes, monkeypat
     monkeypatch.setattr(retrieval, "_usable_cpus", lambda: 1)
     whole = {k: _hits(kb, queries, k) for k in (1, 5)}
     monkeypatch.setattr(retrieval, "_usable_cpus", lambda: cpus)
-    n = len(kb.partition(Source.TEXT).entries)
+    n = len(kb.partition(Source.TEXT))
     budgets = {}  # slices of the largest partition -> the largest budget that makes them
     for budget in range(sum(rows) * n, 0, -n):
         monkeypatch.setattr(retrieval, "_SLICE_CELLS", budget)
