@@ -421,6 +421,8 @@ def kb_cache_path(
 
 
 _KB_CACHE_NAME_RE = re.compile(r"([0-9a-f]{16})-.+\.json")
+# the first byte after the ASCII whitespace that `bytes.lstrip` strips
+_LEAD_BYTE_RE = re.compile(rb"[ \t\n\r\x0b\x0c]*([^ \t\n\r\x0b\x0c])")
 
 
 def _prune(directory: Path, stale: Callable[[str], bool]) -> int:
@@ -523,10 +525,17 @@ def _fingerprint(path: Path) -> tuple[str, str]:
     """A corpus file's sha256 and its KB cache key: the sha256 itself for
     JSON, which declares its doc_id; for markdown and plain text, whose
     doc_id is the file name (`docmodel.name_doc_id`), a hash of both. The
-    bytes are dropped on return."""
+    bytes are dropped on return. The file is decoded only when the first
+    byte after its leading ASCII whitespace is not enough to decide, as
+    `str.lstrip` also strips `\\x1c`-`\\x1f` and non-ASCII spaces."""
     data = path.read_bytes()
     sha256 = hashlib.sha256(data).hexdigest()
-    named = docmodel.name_doc_id(path, data.decode("utf-8", errors="replace"))
+    lead = _LEAD_BYTE_RE.match(data)
+    head = lead.group(1) if lead else b""
+    if head >= b"\x80" or b"\x1c" <= head <= b"\x1f":
+        named = docmodel.name_doc_id(path, data.decode("utf-8", errors="replace"))
+    else:
+        named = docmodel.name_doc_id(path, head.decode("ascii"))
     if named is None:
         return sha256, sha256
     return sha256, hashlib.sha256(os.fsencode(f"{sha256}/{named}")).hexdigest()

@@ -62,6 +62,7 @@ DEFAULT_TOKEN_ENV = "ESGPIPE_API_TOKEN"
 BACKOFF_SECONDS = 0.5  # `HttpEndpoint.post` sleeps this * 2**n before resend n + 1
 
 _EMBED_SLICE = 256  # texts per pass of HashEmbedder's array pipeline
+_FILL_ROWS = 256  # duplicate rows `embed_matrix` fills per block
 
 
 def tokenize(text: str) -> list[str]:
@@ -109,10 +110,30 @@ class EmbeddingProvider(ABC):
 
 def embed_matrix(embedder: EmbeddingProvider, texts: Sequence[str]) -> np.ndarray:
     """The float64 `(len(texts), dim)` matrix whose row i embeds `texts[i]`,
-    filled by one `embed` call."""
+    filled by one `embed` call that carries each distinct text once, in
+    the order of first occurrence.
+
+    That call writes the distinct vectors into the matrix's leading rows,
+    so the j-th distinct text's vector sits in row j, never after any row
+    of that text. The rows from the first repeat on are then filled in
+    place, from the last row backwards in blocks of at most `_FILL_ROWS`:
+    a block copies the rows it needs before writing, and every row it
+    reads comes before its end, where nothing has been written yet. So a
+    duplicate row is a bit-for-bit copy of its text's vector, and no
+    second full-size matrix is made."""
+    distinct: dict[str, int] = {}
+    inverse = np.fromiter(
+        (distinct.setdefault(text, len(distinct)) for text in texts), np.intp, len(texts)
+    )
     matrix = np.empty((len(texts), embedder.dim))
-    if embedder.embed(texts, out=matrix) is not matrix:
+    head = matrix[: len(distinct)]
+    if embedder.embed(list(distinct), out=head) is not head:
         raise ProviderError(f"embedder {embedder.name!r} did not fill the array it was given")
+    if len(distinct) < len(texts):
+        first = int(np.argmax(inverse != np.arange(len(texts))))  # the first repeat
+        for stop in range(len(texts), first, -_FILL_ROWS):
+            start = max(stop - _FILL_ROWS, first)
+            matrix[start:stop] = matrix[inverse[start:stop]]
     return matrix
 
 

@@ -84,7 +84,7 @@ class Query:
 
     indicator_id: str
     query_texts: list[str]
-    vectors: Sequence[Sequence[float]]  # rows of the plan's matrix in `build_queries`
+    vectors: Sequence[Sequence[float]]  # a slice of the plan's matrix in `build_queries`
 
     def __post_init__(self) -> None:
         if len(self.vectors) != len(self.query_texts):
@@ -153,19 +153,21 @@ def build_queries(
     search_term_switches: Sequence[bool],
 ) -> dict[tuple[str, bool], Query]:
     """Queries keyed by (indicator id, use_search_terms), every switch in
-    `search_term_switches` for every spec, from one `embed` call over
-    the distinct query texts. Each query equals `build_query`'s."""
+    `search_term_switches` for every spec, from one `embed_matrix` call
+    over every query's texts in turn, which sends each distinct text
+    once. Each query's vectors are its slice of that matrix, and each
+    query equals `build_query`'s."""
     texts = {
         (spec.id, switch): query_texts(spec, registry, switch)
         for switch in search_term_switches
         for spec in specs
     }
-    distinct = list(dict.fromkeys(t for ts in texts.values() for t in ts))
-    matrix = embed_matrix(embedder, distinct) if distinct else []
-    row = dict(zip(distinct, matrix))
+    flat = [t for ts in texts.values() for t in ts]
+    matrix = embed_matrix(embedder, flat) if flat else []
+    bounds = itertools.accumulate(map(len, texts.values()), initial=0)
     queries = {
-        key: Query(indicator_id=key[0], query_texts=ts, vectors=[row[t] for t in ts])
-        for key, ts in texts.items()
+        key: Query(indicator_id=key[0], query_texts=ts, vectors=matrix[start : start + len(ts)])
+        for (key, ts), start in zip(texts.items(), bounds)
     }
     for query in queries.values():
         query.norms  # converts the query once, for every search of the run

@@ -1001,6 +1001,37 @@ def test_warm_cache_takes_a_markdown_doc_id_from_its_file_name(workspace, capsys
     assert runs[0][1] == runs[1][1]
 
 
+@pytest.mark.parametrize("data, is_json", [
+    (b'{"doc_id": "x"}', True),
+    (b" \t\r\n\x0b\x0c{", True),
+    (b"# Title\n", False),
+    (b"\xef\xbb\xbf{", False),  # a UTF-8 BOM is no whitespace
+    ("\u00a0\n{".encode(), True),  # NBSP
+    ("\u3000{".encode(), True),  # an ideographic space
+    ("\u0085{".encode(), True),
+    (b"\x1c{", True),
+    (b" \x1c# x", False),
+    (b"\xff{", False),  # invalid UTF-8
+    (b" \n\t ", False),  # whitespace only
+    (b"", False),
+])
+def test_cache_key_decides_json_as_the_decoded_text_does(tmp_path, data, is_json):
+    """The key, decided from the first byte after leading ASCII whitespace,
+    is the one `name_doc_id` gives the whole file decoded with replacement."""
+    import hashlib
+
+    from esgpipe import docmodel
+    from esgpipe.cli import _fingerprint
+
+    path = tmp_path / "alpha.md"
+    path.write_bytes(data)
+    sha256 = hashlib.sha256(data).hexdigest()
+    named = docmodel.name_doc_id(path, data.decode("utf-8", errors="replace"))
+    assert (named is None) == is_json
+    key = sha256 if is_json else hashlib.sha256(os.fsencode(f"{sha256}/alpha")).hexdigest()
+    assert _fingerprint(path) == (sha256, key)
+
+
 def test_renamed_markdown_file_gets_its_own_kb(workspace, capsys):
     _keep_docs(workspace, set())
     corpus = workspace / "corpus"

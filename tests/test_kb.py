@@ -250,6 +250,57 @@ def test_builds_reject_an_embedder_that_ignores_out(corpus_docs):
             make(corpus_docs[0], _ListOnlyEmbedder())
 
 
+def _repeating_keywords_doc():
+    """Two tables whose headers and row labels repeat each other's."""
+    tables = [
+        Table(table_id=f"T{n}", n_rows=3, n_cols=3, header_row_count=1,
+              cells=[["Metric", "2022", "2023"], ["Scope 1", "1", "2"], [label, "3", "4"]])
+        for n, label in enumerate(["Scope 2", "Water use"])
+    ]
+    return make_doc(["Emissions fell. Scope 2 rose."], tables)
+
+
+def _embed_every_text(embedder, texts):
+    """The matrix as one `embed` call over every text, repeats included."""
+    matrix = np.empty((len(texts), embedder.dim))
+    embedder.embed(texts, out=matrix)
+    return matrix
+
+
+def test_repeated_keywords_save_the_bytes_of_an_embed_per_text(tmp_path, monkeypatch):
+    import esgpipe.kb as kbmod
+
+    doc = _repeating_keywords_doc()
+    for make in (build, build_naive):
+        path, every_path = tmp_path / "kb.json", tmp_path / "every.kb.json"
+        save(make(doc, HashEmbedder()), path)
+        with monkeypatch.context() as patched:
+            patched.setattr(kbmod, "embed_matrix", _embed_every_text)
+            save(make(doc, HashEmbedder()), every_path)
+        assert path.read_bytes() == every_path.read_bytes(), make.__name__
+    keywords = [e.payload_text for e in build(doc, HashEmbedder()).entries
+                if e.source is Source.TABLE_KEYWORD]
+    assert len(keywords) == 6 and len(set(keywords)) == 4
+
+
+def test_http_embedder_kb_build_posts_each_distinct_text_once(http_server, tmp_path):
+    from esgpipe.providers import HttpEmbedder, HttpEndpoint
+
+    server, base = http_server
+    local = HashEmbedder()
+    server.responder = lambda path, payload: (200, {"vectors": local.embed(payload["texts"])})
+    remote = HttpEmbedder(HttpEndpoint(f"{base}/embed", retries=0), dim=local.dim,
+                          name=local.name)
+    doc = _repeating_keywords_doc()
+    kb = build(doc, remote)
+    texts = [e.payload_text for e in kb.entries]
+    assert len(texts) > len(set(texts))
+    assert [call["payload"] for call in server.calls] == [{"texts": list(dict.fromkeys(texts))}]
+    save(kb, tmp_path / "remote.kb.json")
+    save(build(doc, local), tmp_path / "local.kb.json")
+    assert (tmp_path / "remote.kb.json").read_bytes() == (tmp_path / "local.kb.json").read_bytes()
+
+
 def test_flatten_document_order(corpus_docs):
     doc = corpus_docs[0]
     flat = flatten_document(doc)

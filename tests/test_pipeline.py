@@ -213,11 +213,15 @@ def test_plan_groups_arms_and_matches_build_query(registry, offline_providers):
             got = plan.queries[(spec.id, switch)]
             assert (got.indicator_id, got.query_texts) == (want.indicator_id, want.query_texts)
             assert np.array_equal(got.vectors, want.vectors)
-    # the plan holds its distinct query vectors as rows of one matrix
+    # the plan holds every query's vectors as its own consecutive rows of
+    # one matrix, and a text's vector is the same bits in every query
     rows = [v for q in plan.queries.values() for v in q.vectors]
     assert all(isinstance(v, np.ndarray) and v.base is rows[0].base for v in rows)
-    distinct = {t for q in plan.queries.values() for t in q.query_texts}
-    assert rows[0].base.shape == (len(distinct), offline_providers.embedder.dim)
+    assert rows[0].base.shape == (len(rows), offline_providers.embedder.dim)
+    texts = [t for q in plan.queries.values() for t in q.query_texts]
+    by_text = dict(zip(texts, rows))
+    assert len(by_text) < len(texts)
+    assert all(row.tobytes() == by_text[t].tobytes() for t, row in zip(texts, rows))
 
 
 def test_ablate_renders_each_question_only_while_planning(

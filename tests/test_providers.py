@@ -6,6 +6,7 @@ import hashlib
 import json
 import logging
 import os
+import random
 import re
 import socket
 import subprocess
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esgpipe import __version__
+from esgpipe import __version__, providers
 from esgpipe.agent import Prompt
 from esgpipe.errors import ProviderError
 from esgpipe.kb import Source
@@ -36,6 +37,7 @@ from esgpipe.providers import (
     MockChatProvider,
     MockReply,
     _EMBED_SLICE,
+    embed_matrix,
     split_sentences,
     tokenize,
 )
@@ -210,6 +212,70 @@ def test_hash_embedder_temporaries_do_not_grow_with_the_batch():
     finally:
         tracemalloc.stop()
     assert peak < out.nbytes + 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+class _RecordingEmbedder(HashEmbedder):
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.calls = []
+
+    def embed(self, texts, out=None):
+        self.calls.append(list(texts))
+        return super().embed(texts, out)
+
+
+def _repeating_texts(rng, n):
+    """`n` texts: a run of distinct ones, then repeats (tokenless and
+    non-ASCII ones among them) mixed with texts seen once."""
+    pool = ["", "!!! ...", "scope scope émissions", "Straße 排放 x1", "tco2e", "w w w"]
+    lead = rng.randint(0, n)
+    texts = [f"lead {i}" for i in range(lead)]
+    for i in range(lead, n):
+        pick = rng.random()
+        texts.append(rng.choice(pool) if pick < 0.5 else
+                     rng.choice(texts) if pick < 0.8 and texts else f"once {i}")
+    return texts
+
+
+@pytest.mark.parametrize("fill_rows", [1, 7, providers._FILL_ROWS])
+@pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 700])
+def test_embed_matrix_embeds_each_distinct_text_once(monkeypatch, fill_rows, n):
+    """One `embed` call carries each distinct text once, in first-occurrence
+    order, and every row, repeats included, is bit for bit what a
+    per-text loop embeds, across fill blocks of any size."""
+    monkeypatch.setattr(providers, "_FILL_ROWS", fill_rows)
+    for seed in range(3):
+        texts = _repeating_texts(random.Random(seed * 1000 + n), n)
+        embedder = _RecordingEmbedder(16)
+        matrix = embed_matrix(embedder, texts)
+        assert embedder.calls == [list(dict.fromkeys(texts))]
+        assert matrix.shape == (n, 16)
+        per_text = {t: HashEmbedder(16).embed([t], out=np.empty((1, 16)))[0] for t in texts}
+        first = {t: matrix[texts.index(t)] for t in per_text}
+        for text, row in zip(texts, matrix):
+            assert row.tobytes() == per_text[text].tobytes() == first[text].tobytes()
+
+
+def test_embed_matrix_fills_repeats_within_one_block_of_memory():
+    """About 5k texts with repeats peak at most one fill block above the
+    same number of distinct texts: no second full-size matrix is made."""
+    rng = random.Random(5)
+    words = [f"term{i}" for i in range(500)]
+    distinct = [" ".join(rng.choices(words, k=40)) for _ in range(5000)]
+    repeating = [distinct[rng.randrange(2500)] for _ in range(5000)]
+    embedder = HashEmbedder(256)
+    embedder.embed(distinct, out=np.empty((5000, 256)))  # hash every bucket before tracing
+    peaks = []
+    for texts in (distinct, repeating):
+        tracemalloc.start()
+        try:
+            embed_matrix(embedder, texts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(set(repeating)) < 2500
+    block = providers._FILL_ROWS * 256 * 8
+    assert peaks[1] <= peaks[0] + block, [f"{p / 2**20:.2f} MB" for p in peaks]
 
 
 def test_hash_embedder_rejects_bad_dim():
