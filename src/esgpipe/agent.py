@@ -7,7 +7,10 @@ answer-format instructions. Replies are untrusted text: parsing never
 raises, and every failure mode degrades to a record with diagnostic
 flags instead. Each chat request is sent once: only
 `providers.HttpEndpoint.post` sends a request again, and a chat call
-that fails even so yields a provider-failed record.
+that fails even so yields a provider-failed record. `ExtractConfig`
+holds only the retrieval sizes; `evidence_from_hits` and
+`answer_indicator` each take the one arm switch they need (rerank,
+knowledge) as an argument.
 
 Records use the seven-field shape <Disclosure, KPI, Topic, Value,
 Unit, Target, Action> plus doc/indicator identity, an audit excerpt of
@@ -429,12 +432,11 @@ def load_records(path: str | Path) -> list[ExtractionRecord]:
 
 @dataclass
 class ExtractConfig:
+    """Retrieval sizes; the switches belong to the ablation arm."""
+
     top_k: int = DEFAULT_TOP_K
     rerank_m: int = DEFAULT_RERANK_M
     budget_chars: int = DEFAULT_BUDGET_CHARS
-    use_search_terms: bool = True
-    use_rerank: bool = True
-    knowledge_enabled: bool = True
 
 
 def evidence_from_hits(
@@ -443,9 +445,10 @@ def evidence_from_hits(
     hits: list[ScoredHit],
     providers: ProviderSet,
     cfg: ExtractConfig,
+    use_rerank: bool,
 ) -> EvidenceBundle:
     """Optional rerank and budgeted assembly of one indicator's search hits."""
-    if cfg.use_rerank:
+    if use_rerank:
         hits = rerank(hits, query.query_texts[0], providers.reranker, cfg.rerank_m)
     return assemble_evidence(hits, cfg.budget_chars, indicator_id=spec.id)
 
@@ -456,11 +459,11 @@ def answer_indicator(
     evidence: EvidenceBundle,
     registry: MetadataRegistry,
     providers: ProviderSet,
-    cfg: ExtractConfig,
+    knowledge_enabled: bool,
     question: str | None = None,
 ) -> list[ExtractionRecord]:
     """Prompt -> provider -> parse for one indicator's evidence.
-    `question` is passed to `build_prompt`.
+    `knowledge_enabled` and `question` are passed to `build_prompt`.
 
     The chat provider is called once, and a ProviderError from it yields
     a provider-failed non-disclosure record rather than an exception;
@@ -471,7 +474,7 @@ def answer_indicator(
         spec,
         evidence,
         registry,
-        knowledge_enabled=cfg.knowledge_enabled,
+        knowledge_enabled=knowledge_enabled,
         doc_id=doc_id,
         question=question,
     )
@@ -503,7 +506,9 @@ def extract_indicator(
     providers: ProviderSet,
     cfg: ExtractConfig | None = None,
 ) -> list[ExtractionRecord]:
-    """Retrieval -> prompt -> provider -> parse for one indicator.
+    """Retrieval -> prompt -> provider -> parse for one indicator, with
+    every switch of the default arm on: search terms, rerank and the
+    indicator's knowledge.
 
     Chat failures degrade to a flagged record (see `answer_indicator`);
     only misconfiguration (a missing provider) aborts.
@@ -511,8 +516,7 @@ def extract_indicator(
     if providers.chat is None or providers.embedder is None:
         raise ConfigError("extraction requires chat and embedding providers")
     cfg = cfg or ExtractConfig()
-    query = build_query(spec, registry, providers.embedder, cfg.use_search_terms)
-    evidence = evidence_from_hits(spec, query, search(kb, query, cfg.top_k), providers, cfg)
-    return answer_indicator(
-        doc_id, spec, evidence, registry, providers, cfg, query.query_texts[0]
-    )
+    query = build_query(spec, registry, providers.embedder)
+    evidence = evidence_from_hits(spec, query, search(kb, query, cfg.top_k), providers, cfg, True)
+    question = query.query_texts[0]
+    return answer_indicator(doc_id, spec, evidence, registry, providers, True, question)

@@ -69,7 +69,7 @@ import re
 import shutil
 import sys
 import urllib.parse
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -104,7 +104,6 @@ from .providers import (
     HttpEndpoint,
     HttpReranker,
     JaccardReranker,
-    LeadSentenceSummarizer,
     MockChatProvider,
     ProviderSet,
 )
@@ -160,12 +159,7 @@ class RunConfig:
     labels_path: Path | None
     jobs: int
     rel_tol: float | None
-    retrieval_k: int
-    rerank_m: int
-    budget_chars: int
-    max_chars: int
-    naive_chunk_chars: int
-    summary_sentences: int
+    pipeline: PipelineConfig  # retrieval and KB build sizes; `pipeline_config` sets the arm
     embedding_dim: int
     mock_replies: Path | None
     endpoints: dict[str, HttpEndpoint]  # one per embedding, chat and rerank section
@@ -290,14 +284,22 @@ def load_run_config(path: str | Path) -> RunConfig:
             labels_path=_resolve(base, raw["labels"]) if raw.get("labels") else None,
             jobs=_num(raw.get("jobs", 1)),
             rel_tol=None if rel_tol is None else _num(rel_tol, float),
-            retrieval_k=_num(retrieval.get("k", retrievalmod.DEFAULT_TOP_K)),
-            rerank_m=_num(retrieval.get("m", retrievalmod.DEFAULT_RERANK_M)),
-            budget_chars=_num(retrieval.get("budget_chars", retrievalmod.DEFAULT_BUDGET_CHARS)),
-            max_chars=_num(chunking.get("max_chars", kbmod.DEFAULT_CHUNK_CHARS)),
-            naive_chunk_chars=_num(
-                chunking.get("naive_chunk_chars", kbmod.DEFAULT_NAIVE_CHUNK_CHARS)
+            pipeline=PipelineConfig(
+                extract=agent.ExtractConfig(
+                    top_k=_num(retrieval.get("k", retrievalmod.DEFAULT_TOP_K)),
+                    rerank_m=_num(retrieval.get("m", retrievalmod.DEFAULT_RERANK_M)),
+                    budget_chars=_num(
+                        retrieval.get("budget_chars", retrievalmod.DEFAULT_BUDGET_CHARS)
+                    ),
+                ),
+                kb_build=kbmod.BuildConfig(
+                    max_chars=_num(chunking.get("max_chars", kbmod.DEFAULT_CHUNK_CHARS)),
+                    summary_sentences=_num(providers_cfg.get("summary", {}).get("sentences", 2)),
+                    naive_chunk_chars=_num(
+                        chunking.get("naive_chunk_chars", kbmod.DEFAULT_NAIVE_CHUNK_CHARS)
+                    ),
+                ),
             ),
-            summary_sentences=_num(providers_cfg.get("summary", {}).get("sentences", 2)),
             embedding_dim=_num(providers_cfg.get("embedding", {}).get("dim", 256)),
             mock_replies=_resolve(base, replies) if replies else None,
             endpoints={
@@ -307,14 +309,15 @@ def load_run_config(path: str | Path) -> RunConfig:
         )
     except (TypeError, ValueError, OverflowError) as exc:  # int(.inf) overflows
         raise ConfigError(f"config {path}: malformed number: {exc}") from exc
+    extract, kb_build = config.pipeline.extract, config.pipeline.kb_build
     minimums = {
         "jobs": (config.jobs, 1),
-        "retrieval.k": (config.retrieval_k, 1),
-        "retrieval.m": (config.rerank_m, 0),
-        "retrieval.budget_chars": (config.budget_chars, retrievalmod.MIN_BUDGET_CHARS),
-        "chunking.max_chars": (config.max_chars, kbmod.MIN_CHUNK_CHARS),
-        "chunking.naive_chunk_chars": (config.naive_chunk_chars, 1),
-        "providers.summary.sentences": (config.summary_sentences, 1),
+        "retrieval.k": (extract.top_k, 1),
+        "retrieval.m": (extract.rerank_m, 0),
+        "retrieval.budget_chars": (extract.budget_chars, retrievalmod.MIN_BUDGET_CHARS),
+        "chunking.max_chars": (kb_build.max_chars, kbmod.MIN_CHUNK_CHARS),
+        "chunking.naive_chunk_chars": (kb_build.naive_chunk_chars, 1),
+        "providers.summary.sentences": (kb_build.summary_sentences, 1),
         "providers.embedding.dim": (config.embedding_dim, 1),
     }
     if config.rel_tol is not None:  # a negative one scores an exact value as a miss
@@ -354,23 +357,11 @@ def build_providers(config: RunConfig) -> ProviderSet:
             logger.warning("no mock replies configured; chat will refuse everything")
             chat = MockChatProvider([])
         reranker = JaccardReranker()
-    summarizer = LeadSentenceSummarizer(config.summary_sentences)
-    return ProviderSet(embedder=embedder, chat=chat, reranker=reranker, summarizer=summarizer)
+    return ProviderSet(embedder=embedder, chat=chat, reranker=reranker)
 
 
 def pipeline_config(config: RunConfig, arm_id: str) -> PipelineConfig:
-    return PipelineConfig(
-        arm=ablation_arm(arm_id),
-        extract=agent.ExtractConfig(
-            top_k=config.retrieval_k,
-            rerank_m=config.rerank_m,
-            budget_chars=config.budget_chars,
-        ),
-        kb_build=kbmod.BuildConfig(
-            max_chars=config.max_chars, summary_sentences=config.summary_sentences
-        ),
-        naive_chunk_chars=config.naive_chunk_chars,
-    )
+    return replace(config.pipeline, arm=ablation_arm(arm_id))
 
 
 def write_atomic(path: Path, write: str | Callable[[Path], object]) -> None:
@@ -410,12 +401,14 @@ def kb_cache_path(
     config: RunConfig, key: str, providers: ProviderSet, pcfg: PipelineConfig
 ) -> Path:
     """One file per (document, given by its cache key from `_fingerprint`;
-    embedder; mode; the mode's build parameters: chunk size, plus summary
-    length for structured KBs)."""
+    embedder; mode; the mode's build parameters in `pcfg.kb_build`, the
+    ones the build reads: chunk size, plus summary length for structured
+    KBs)."""
+    build = pcfg.kb_build
     if pcfg.arm.use_structured_preprocessing:
-        mode, params = "structured", f"{config.max_chars}-s{config.summary_sentences}"
+        mode, params = "structured", f"{build.max_chars}-s{build.summary_sentences}"
     else:
-        mode, params = "naive", str(config.naive_chunk_chars)
+        mode, params = "naive", str(build.naive_chunk_chars)
     name = f"{key[:16]}-{providers.embedder.name}-{mode}-{params}.json"
     return config.output_dir / "kb_cache" / name
 
@@ -789,7 +782,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     registry = load_registry_for(config)
     arm_id = args.arm or config.arm
     if arm_id == "all":
+        if getattr(args, "records", None):  # ablate has no --records
+            raise ConfigError("--records holds one arm's records; it cannot go with arm 'all'")
         return _run_ablation_command(args, config, registry)
+    ablation_arm(arm_id)  # an unknown arm stops here, recorded records or not
+    records_path = Path(args.records) if args.records else config.output_dir / "records.jsonl"
+    if args.records and not records_path.exists():
+        raise ConfigError(f"records file not found: {records_path}")
 
     labels_file = _labels_path(config, args)
     if args.dry_run:
@@ -801,7 +800,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     started = _utc_now()
     labels = evaluation.load_labels(labels_file, registry)
 
-    records_path = Path(args.records) if args.records else config.output_dir / "records.jsonl"
     if records_path.exists():
         records = agent.load_records(records_path)
         if not records:

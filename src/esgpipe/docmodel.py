@@ -521,10 +521,6 @@ def serialize(doc: StructuredDocument) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
-def save_document(doc: StructuredDocument, path: str | Path) -> None:
-    Path(path).write_text(serialize(doc), encoding="utf-8")
-
-
 def _parse_structured_json(data: dict, path: Path) -> StructuredDocument:
     if data.get("version") != STRUCTURED_VERSION:
         raise DocumentError(

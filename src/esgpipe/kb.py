@@ -2,9 +2,9 @@
 
 A structured build produces three index partitions per document:
 
-- Text: block-respecting chunks of body text, each with a short summary
-  (retrieval scores use the chunk vector; the summary is rendered into
-  the evidence shown to the model).
+- Text: block-respecting chunks of body text, each with a summary of
+  its leading sentences (retrieval scores use the chunk vector; the
+  summary is rendered into the evidence shown to the model).
 - Outline: one entry per outline node, embedding the full title path.
 - TableKeyword: one entry per keyword per table (header cells and
   first-column label cells), all anchored to the table so a keyword hit
@@ -34,11 +34,12 @@ in the order they follow the header line:
   -0.0, NaN and subnormals round-trip bit for bit.
 
 `load` reads the file once and checks every part of it, so a malformed
-file fails there and never later. A loaded KB keeps its entries as
-these columns: search makes an `Entry` only for a hit row, and
-`entries` makes them all on first access. A file of another format or
-version, or a malformed one, is a KnowledgeBaseError, and the KB cache
-then rebuilds it.
+file fails there and never later; it ignores header keys it does not
+read, such as the `summary_fallbacks` (always 0) of older version-3
+files. A loaded KB keeps its entries as these columns: search makes an
+`Entry` only for a hit row, and `entries` makes them all on first
+access. A file of another format or version, or a malformed one, is a
+KnowledgeBaseError, and the KB cache then rebuilds it.
 """
 
 from __future__ import annotations
@@ -58,14 +59,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .docmodel import StructuredDocument, Table, outline_paths, render_table
-from .errors import KnowledgeBaseError, ProviderError
-from .providers import (
-    EmbeddingProvider,
-    LeadSentenceSummarizer,
-    SummaryProvider,
-    embed_matrix,
-    split_sentences,
-)
+from .errors import KnowledgeBaseError
+from .providers import EmbeddingProvider, embed_matrix, split_sentences
 
 logger = logging.getLogger(__name__)
 
@@ -157,7 +152,6 @@ class KnowledgeBase:
         dim: int,
         entries: list[Entry],
         table_texts: dict[str, str] | None = None,
-        summary_fallbacks: int = 0,
         matrix: np.ndarray | None = None,
     ) -> None:
         if matrix is None:
@@ -169,7 +163,7 @@ class KnowledgeBase:
             matrix = np.array([e.vector for e in entries], dtype=np.float64)
             matrix = matrix.reshape(len(entries), dim)
         self._setup(
-            scope, provider_name, dim, table_texts, summary_fallbacks,
+            scope, provider_name, dim, table_texts,
             [e.entry_id for e in entries], [e.source for e in entries], matrix,
             entries.__getitem__,
         )
@@ -181,7 +175,6 @@ class KnowledgeBase:
         provider_name: str,
         dim: int,
         table_texts: dict[str, str] | None,
-        summary_fallbacks: int,
         entry_ids: list[str],
         sources: list[Source],
         matrix: np.ndarray,
@@ -200,7 +193,6 @@ class KnowledgeBase:
         self.provider_name = provider_name
         self.dim = dim
         self.table_texts = {} if table_texts is None else table_texts
-        self.summary_fallbacks = summary_fallbacks
         self._matrix = matrix  # float64 (entries, dim), in file order
         self._entry_at = entry_at
         self._entries: list[Entry] | None = None
@@ -319,34 +311,12 @@ def naive_chunks(flat_text: str, size: int = DEFAULT_NAIVE_CHUNK_CHARS) -> list[
     return [(f"flat:{n}", chunk) for n, chunk in enumerate(chunks)]
 
 
-def summarize(
-    text: str,
-    provider: SummaryProvider | None = None,
-    fallback_sentences: int = 2,
-) -> tuple[str, bool]:
-    """Summarize text, falling back to leading sentences on failure.
-
-    Returns (summary, used_fallback). A provider result that is empty
-    or longer than the input counts as a provider failure; the error is
-    logged and the offline fallback applies.
-    """
-    if not text:
-        raise KnowledgeBaseError("cannot summarize empty text")
-    fallback = LeadSentenceSummarizer(fallback_sentences)
-    if provider is None:
-        return fallback.summarize(text), False
-    try:
-        summary = provider.summarize(text)
-        if not summary:
-            raise ProviderError(f"summary provider {provider.name!r} returned empty text")
-        if len(summary) > len(text):
-            raise ProviderError(
-                f"summary provider {provider.name!r} returned a summary longer than the input"
-            )
-        return summary, False
-    except ProviderError as exc:
-        logger.warning("summary fallback engaged: %s", exc)
-        return fallback.summarize(text), True
+def summarize(text: str, sentences: int = 2) -> str:
+    """A text chunk's summary: its first `sentences` sentences, as
+    `" ".join(split_sentences(text)[:sentences])`, splitting no further."""
+    if not text or sentences < 1:
+        raise KnowledgeBaseError(f"cannot summarize {len(text)} chars in {sentences} sentences")
+    return " ".join(split_sentences(text, sentences))
 
 
 _NUMERIC_CELL_RE = re.compile(r"[\d\s.,%+-]+$")
@@ -382,9 +352,12 @@ def extract_table_keywords(table: Table) -> list[str]:
 
 @dataclass
 class BuildConfig:
-    max_chars: int = DEFAULT_CHUNK_CHARS
-    summary_provider: SummaryProvider | None = None
-    summary_sentences: int = 2
+    """The build parameters of both KB modes; `kb_cache_path` names a
+    cached KB by its mode's."""
+
+    max_chars: int = DEFAULT_CHUNK_CHARS  # structured: text chunk size
+    summary_sentences: int = 2  # structured: sentences per chunk summary
+    naive_chunk_chars: int = DEFAULT_NAIVE_CHUNK_CHARS  # naive: chunk size
 
 
 def build(
@@ -394,15 +367,10 @@ def build(
 ) -> KnowledgeBase:
     """Build the three-partition KB for one document."""
     cfg = cfg or BuildConfig()
-    fallbacks = 0
-
-    text_parts: list[tuple[str, str, str | None]] = []  # (anchor, payload, summary)
-    for anchor, chunk in chunk_text(doc, cfg.max_chars):
-        summary, fell_back = summarize(
-            chunk, cfg.summary_provider, cfg.summary_sentences
-        )
-        fallbacks += int(fell_back)
-        text_parts.append((anchor, chunk, summary))
+    text_parts = [  # (anchor, payload, summary)
+        (anchor, chunk, summarize(chunk, cfg.summary_sentences))
+        for anchor, chunk in chunk_text(doc, cfg.max_chars)
+    ]
 
     outline_parts = [
         (f"outline:{path_index}", path, None)
@@ -437,7 +405,6 @@ def build(
         dim=embedder.dim,
         entries=entries,
         table_texts=table_texts,
-        summary_fallbacks=fallbacks,
         matrix=matrix,
     )
     logger.info("built KB for %s: %s", doc.doc_id, kb.counts())
@@ -519,7 +486,6 @@ def save(kb: KnowledgeBase, path: str | Path) -> None:
         "provider_name": kb.provider_name,
         "dim": kb.dim,
         "counts": kb.counts(),
-        "summary_fallbacks": kb.summary_fallbacks,
         "table_texts": kb.table_texts,
         "sections": dict(zip(_SECTIONS, (
             8 * len(offsets), len(entries), text_bytes, 4 * len(indptr), 4 * nnz, 8 * nnz
@@ -647,7 +613,7 @@ def _from_file(header: dict, body: memoryview) -> KnowledgeBase:
     """The KB of a parsed header and the bytes after its line; raises
     KnowledgeBaseError, KeyError, TypeError or ValueError when malformed."""
     for key, kind in (("scope", str), ("provider_name", str), ("dim", int),
-                      ("summary_fallbacks", int), ("table_texts", dict)):
+                      ("table_texts", dict)):
         if type(header[key]) is not kind:
             raise KnowledgeBaseError(f"{key} is not of type {kind.__name__}")
     if set(map(type, header["table_texts"].values())) - {str}:
@@ -678,7 +644,7 @@ def _from_file(header: dict, body: memoryview) -> KnowledgeBase:
     kb = KnowledgeBase.__new__(KnowledgeBase)  # the columns stand in for `__init__`'s entries
     kb._setup(
         header["scope"], header["provider_name"], dim, header["table_texts"],
-        header["summary_fallbacks"], entry_ids, sources, matrix, entry_at,
+        entry_ids, sources, matrix, entry_at,
     )
     if header["counts"] != kb.counts():
         raise KnowledgeBaseError(f"counts {header['counts']!r} are not those of the entries")

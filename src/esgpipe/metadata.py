@@ -258,39 +258,6 @@ def load_registry(path: str | Path) -> MetadataRegistry:
     return registry
 
 
-def serialize_registry(registry: MetadataRegistry) -> str:
-    """Serialize a registry to the interchange format (reparses to an equal registry)."""
-    doc = {
-        "standard_name": registry.standard_name,
-        "indicators": [
-            {
-                "id": s.id,
-                "aspect": s.aspect,
-                "kpi": s.kpi,
-                "topics": list(s.topics),
-                "quantity": s.quantity.value,
-                "category": s.category.value,
-                "kind": s.kind.value,
-                "knowledge": s.knowledge,
-                "search_terms": list(s.search_terms),
-                "prompt_template_id": s.prompt_template_id,
-                "output_schema_id": s.output_schema_id,
-            }
-            for s in registry.indicators
-        ],
-        "expressions": [
-            {
-                "id": e.id,
-                "preset": e.preset,
-                "question_template": e.question_template,
-                "answer_format": e.answer_format,
-            }
-            for e in registry.expressions
-        ],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-
-
 def count_by(registry: MetadataRegistry, category: Category, kind: Kind) -> int:
     """Number of indicators in one (category, kind) cell."""
     return sum(

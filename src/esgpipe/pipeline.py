@@ -13,13 +13,17 @@ The three ablation arms differ along three independent switches:
 `ablate`. It plans once per run: every query is embedded in a single
 call (query text depends on the indicator and the search-term switch,
 never on the document), and arms with the same KB mode and retrieval
-switches form one retrieval group, so they share each search, rerank
-and evidence bundle; only the prompt, chat call and parse run per arm.
+switch form one retrieval group, so they share each search, rerank and
+evidence bundle; only the prompt, chat call and parse run per arm.
 It then executes document by document, as the documents come: source
 the document's KBs, run one `search_many` per group over all its
 indicators' queries, fan the (indicator x group) rerank, evidence,
 prompt, chat and parse work over one pool of `jobs` threads, and drop
 the KBs and evidence before the next document.
+
+The switches live only on the arm (`AblationConfig`); `PipelineConfig`
+adds the run's sizes: retrieval (`ExtractConfig`) and the KB build
+parameters of both modes (`BuildConfig`).
 """
 
 from __future__ import annotations
@@ -34,13 +38,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from .agent import ExtractConfig, ExtractionRecord, answer_indicator, evidence_from_hits
 from .docmodel import StructuredDocument
 from .errors import ConfigError, PipelineError
-from .kb import (
-    DEFAULT_NAIVE_CHUNK_CHARS,
-    BuildConfig,
-    KnowledgeBase,
-    build,
-    build_naive,
-)
+from .kb import BuildConfig, KnowledgeBase, build, build_naive
 from .metadata import IndicatorSpec, MetadataRegistry
 from .providers import ProviderSet
 from .retrieval import Query, ScoredHit, build_queries, search_many
@@ -82,16 +80,6 @@ class PipelineConfig:
     arm: AblationConfig = ABLATION_ARMS[DEFAULT_ARM]
     extract: ExtractConfig = field(default_factory=ExtractConfig)
     kb_build: BuildConfig = field(default_factory=BuildConfig)
-    naive_chunk_chars: int = DEFAULT_NAIVE_CHUNK_CHARS
-
-    def effective_extract(self) -> ExtractConfig:
-        """ExtractConfig with the arm's switches applied."""
-        return replace(
-            self.extract,
-            use_search_terms=self.arm.use_enhanced_retrieval,
-            use_rerank=self.arm.use_enhanced_retrieval,
-            knowledge_enabled=self.arm.use_knowledge,
-        )
 
 
 def build_document_kb(
@@ -101,7 +89,7 @@ def build_document_kb(
 ) -> KnowledgeBase:
     if cfg.arm.use_structured_preprocessing:
         return build(doc, providers.embedder, cfg.kb_build)
-    return build_naive(doc, providers.embedder, cfg.naive_chunk_chars)
+    return build_naive(doc, providers.embedder, cfg.kb_build.naive_chunk_chars)
 
 
 # (document, config whose arm selects the KB mode) -> that document's KB;
@@ -111,20 +99,20 @@ KbSource = Callable[[Any, PipelineConfig], KnowledgeBase]
 
 @dataclass(frozen=True)
 class RetrievalGroup:
-    """Arms with the same KB mode and retrieval switches: one search,
+    """Arms with the same KB mode and retrieval switch: one search,
     rerank and evidence bundle per indicator serves all of them."""
 
-    kb_cfg: PipelineConfig  # its arm selects the KB mode
-    arms: tuple[tuple[AblationConfig, ExtractConfig], ...]  # (arm, effective config)
+    cfg: PipelineConfig  # its arm, the group's first, sets the KB mode and the switch
+    arms: tuple[AblationConfig, ...]
 
     @property
     def structured(self) -> bool:
-        return self.kb_cfg.arm.use_structured_preprocessing
+        return self.cfg.arm.use_structured_preprocessing
 
     @property
-    def retrieval(self) -> ExtractConfig:
-        """Retrieval settings, equal in every arm of the group."""
-        return self.arms[0][1]
+    def enhanced(self) -> bool:
+        """Search terms in the query, and rerank."""
+        return self.cfg.arm.use_enhanced_retrieval
 
 
 @dataclass
@@ -143,7 +131,7 @@ class DocumentResult:
     errors: dict[str, PipelineError] = field(default_factory=dict)
 
     def fail(self, group: RetrievalGroup, error: PipelineError) -> None:
-        for arm, _eff in group.arms:
+        for arm in group.arms:
             self.errors[arm.config_id] = error
 
 
@@ -156,16 +144,15 @@ def plan_corpus(
     """Group the arms and embed every query they need in one call."""
     if providers.chat is None or providers.embedder is None:
         raise ConfigError("extraction requires chat and embedding providers")
-    grouped: dict[tuple[bool, bool, bool], list[tuple[AblationConfig, ExtractConfig]]] = {}
+    grouped: dict[tuple[bool, bool], list[AblationConfig]] = {}
     for arm in arms:
-        eff = replace(cfg, arm=arm).effective_extract()
-        key = (arm.use_structured_preprocessing, eff.use_search_terms, eff.use_rerank)
-        grouped.setdefault(key, []).append((arm, eff))
+        key = (arm.use_structured_preprocessing, arm.use_enhanced_retrieval)
+        grouped.setdefault(key, []).append(arm)
     groups = [
-        RetrievalGroup(replace(cfg, arm=members[0][0]), tuple(members))
+        RetrievalGroup(replace(cfg, arm=members[0]), tuple(members))
         for members in grouped.values()
     ]
-    switches = sorted({g.retrieval.use_search_terms for g in groups})
+    switches = sorted({g.enhanced for g in groups})
     queries = build_queries(registry.indicators, registry, providers.embedder, switches)
     return CorpusPlan(groups, queries)
 
@@ -183,12 +170,15 @@ def _extract_group(
     records per arm, in the group's arm order, or the error that
     stopped retrieval."""
     try:
-        evidence = evidence_from_hits(spec, query, hits, providers, group.retrieval)
+        evidence = evidence_from_hits(
+            spec, query, hits, providers, group.cfg.extract, group.enhanced
+        )
         return [
             answer_indicator(
-                doc_id, spec, evidence, registry, providers, eff, query.query_texts[0]
+                doc_id, spec, evidence, registry, providers, arm.use_knowledge,
+                query.query_texts[0],
             )
-            for _arm, eff in group.arms
+            for arm in group.arms
         ]
     except PipelineError as exc:
         return exc
@@ -210,15 +200,15 @@ def _run_document(
     for group in plan.groups:
         if group.structured not in kbs:
             try:
-                kbs[group.structured] = source_kb(doc, group.kb_cfg)
+                kbs[group.structured] = source_kb(doc, group.cfg)
             except PipelineError as exc:
                 kbs[group.structured] = exc
         kb = kbs[group.structured]
         error = kb if isinstance(kb, PipelineError) else None
         if error is None:
-            queries = [plan.queries[(spec.id, group.retrieval.use_search_terms)] for spec in specs]
+            queries = [plan.queries[(spec.id, group.enhanced)] for spec in specs]
             try:
-                hits = search_many(kb, queries, group.retrieval.top_k)
+                hits = search_many(kb, queries, group.cfg.extract.top_k)
             except PipelineError as exc:
                 error = exc
         if error is not None:
@@ -235,7 +225,7 @@ def _run_document(
         if error is not None:
             result.fail(group, error)
             continue
-        for i, (arm, _eff) in enumerate(group.arms):
+        for i, arm in enumerate(group.arms):
             records = [r for per_arm in per_spec for r in per_arm[i]]
             records.sort(key=lambda r: (r.indicator_id, r.topic))
             result.records[arm.config_id] = records

@@ -1,9 +1,9 @@
 """Provider contracts and their bundled implementations.
 
-Four pluggable services feed the pipeline: embeddings, summaries,
-reranking, and chat completion. Each has a deterministic offline
-implementation (used by all tests and by ``mode: offline`` runs) and,
-except for summaries, an HTTP client speaking a small JSON contract:
+Three pluggable services feed the pipeline: embeddings, reranking and
+chat completion. Each has a deterministic offline implementation (used
+by all tests and by ``mode: offline`` runs) and an HTTP client speaking
+a small JSON contract:
 
 - embedding:  POST {"texts": [...]}            -> {"vectors": [[...], ...]}
 - rerank:     POST {"query": q, "candidates": [...]} -> {"scores": [...]}
@@ -137,14 +137,6 @@ def embed_matrix(embedder: EmbeddingProvider, texts: Sequence[str]) -> np.ndarra
     return matrix
 
 
-class SummaryProvider(ABC):
-    name: str
-
-    @abstractmethod
-    def summarize(self, text: str) -> str:
-        ...
-
-
 class Reranker(ABC):
     name: str
 
@@ -218,21 +210,6 @@ class HashEmbedder(EmbeddingProvider):
         # a tokenless row divides its zeros by 1, so it stays exactly 0.0
         norms = np.array([s**0.5 if s else 1.0 for s in squares])
         np.divide(counts, norms[:, None], out=out)
-
-
-class LeadSentenceSummarizer(SummaryProvider):
-    """Offline summary fallback: the first `n` sentences."""
-
-    def __init__(self, n: int = 2):
-        if n < 1:
-            raise ValueError("n must be positive")
-        self.n = n
-        self.name = f"lead-{n}"
-
-    def summarize(self, text: str) -> str:
-        """`" ".join(split_sentences(text)[:n])`, splitting no further
-        than the n-th sentence."""
-        return " ".join(split_sentences(text, self.n))
 
 
 def _token_set(text: str) -> frozenset[str]:
@@ -558,12 +535,10 @@ class ProviderSet:
     embedder: EmbeddingProvider
     chat: ChatProvider
     reranker: Reranker = field(default_factory=JaccardReranker)
-    summarizer: SummaryProvider = field(default_factory=LeadSentenceSummarizer)
 
     def names(self) -> dict[str, str]:
         return {
             "embedding": self.embedder.name,
             "chat": self.chat.name,
             "rerank": self.reranker.name,
-            "summary": self.summarizer.name,
         }

@@ -9,7 +9,6 @@ from esgpipe import docmodel, evaluation, metadata
 from esgpipe.providers import (
     HashEmbedder,
     JaccardReranker,
-    LeadSentenceSummarizer,
     MockChatProvider,
     ProviderSet,
 )
@@ -45,7 +44,6 @@ def offline_providers(fixture_root) -> ProviderSet:
         embedder=HashEmbedder(),
         chat=MockChatProvider.from_file(fixture_root / "mock_replies.json"),
         reranker=JaccardReranker(),
-        summarizer=LeadSentenceSummarizer(),
     )
 
 

@@ -285,6 +285,33 @@ def test_evaluate_rejects_an_empty_records_file(workspace, capsys):
     assert not (workspace / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "args, words",
+    [(["--arm", "enhanced_rag_knowledge", "--records", "{out}/missing.jsonl"],
+      "records file not found: {out}/missing.jsonl"),
+     (["--arm", "all", "--records", "{out}/records.jsonl"], "cannot go with arm 'all'"),
+     (["--arm", "no-such-arm"], "unknown ablation arm 'no-such-arm'")],
+    ids=["missing-records", "records-with-arm-all", "unknown-arm-with-recorded-records"],
+)
+def test_evaluate_rejects_an_input_it_would_ignore(workspace, capsys, monkeypatch, args, words):
+    """Each stops with a configuration error before any provider is
+    made, and writes nothing."""
+    cfg = _config_path(workspace)
+    out = workspace / "out"
+    assert main(["extract", "--config", cfg]) == EXIT_OK
+    written = sorted(out.iterdir())
+    capsys.readouterr()
+
+    def build_providers(config):
+        raise AssertionError("evaluate made its providers")
+
+    monkeypatch.setattr("esgpipe.cli.build_providers", build_providers)
+    code = main(["evaluate", *(a.format(out=out) for a in args), "--config", cfg])
+    assert code == EXIT_CONFIG
+    assert words.format(out=out) in capsys.readouterr().err
+    assert sorted(out.iterdir()) == written
+
+
 def test_evaluate_needs_labels(workspace, capsys):
     cfg = _rewrite_config(workspace, lambda raw: raw.pop("labels"))
     code = main(["evaluate", "--arm", "enhanced_rag_knowledge", "--config", cfg])
@@ -732,6 +759,36 @@ def test_summary_sentences_reach_the_kb_and_its_cache_key(workspace, capsys):
     assert len(list((workspace / "out-1" / "kb_cache").iterdir())) == 2
 
 
+@pytest.mark.parametrize(
+    "key, value, arm, params",
+    [("max_chars", 300, "enhanced_rag_knowledge", ("structured-1200-s2", "structured-300-s2")),
+     ("naive_chunk_chars", 150, "benchmark", ("naive-400", "naive-150"))],
+    ids=["max_chars", "naive_chunk_chars"],
+)
+def test_chunk_sizes_reach_the_kb_and_its_cache_key(
+    workspace, capsys, offline_providers, key, value, arm, params
+):
+    from esgpipe.docmodel import ingest
+    from esgpipe.pipeline import ABLATION_ARMS, PipelineConfig, build_document_kb
+
+    _keep_docs(workspace, {"doc00.json"})
+
+    def payloads(kb):
+        return [e.payload_text for e in kb.entries]
+
+    def build_kb(chunking):
+        cfg = _rewrite_config(workspace, lambda raw: raw.update(chunking=chunking))
+        assert main(["build-kb", "--arm", arm, "--config", cfg]) == EXIT_OK
+        return payloads(kbmod.load(workspace / "out" / "kb" / "doc00.kb.json"))
+
+    default, sized = build_kb({}), build_kb({key: value})
+    pcfg = PipelineConfig(ABLATION_ARMS[arm], kb_build=kbmod.BuildConfig(**{key: value}))
+    doc = ingest(workspace / "corpus" / "doc00.json")
+    assert sized == payloads(build_document_kb(doc, offline_providers, pcfg)) != default
+    names = {p.name.split("-", 1)[1] for p in (workspace / "out" / "kb_cache").iterdir()}
+    assert names == {f"hash-bow-256-{p}.json" for p in params}
+
+
 def test_summary_sentences_must_be_positive(workspace, capsys):
     cfg = _rewrite_config(
         workspace, lambda raw: raw["providers"].update(summary={"sentences": 0})
@@ -767,8 +824,9 @@ def _write_older_kb(path, version):
     kb = kbmod.load(path)
     header = json.loads(path.read_bytes().partition(b"\n")[0])
     data = {"format": header["format"], "version": version}
-    for key in ("scope", "provider_name", "dim", "counts", "summary_fallbacks", "table_texts"):
+    for key in ("scope", "provider_name", "dim", "counts", "table_texts"):
         data[key] = header[key]
+    data["summary_fallbacks"] = 0
     data["entries"] = [
         {"entry_id": e.entry_id, "source": e.source.value, "doc_id": e.doc_id,
          "payload_text": e.payload_text, "summary": e.summary,

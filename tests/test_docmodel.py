@@ -20,7 +20,6 @@ from esgpipe.docmodel import (
     outline_paths,
     reconstruct_table,
     render_table,
-    save_document,
     serialize,
     validate_document,
 )
@@ -281,7 +280,7 @@ def test_validate_rejects_duplicate_table_ids():
 def test_serialize_ingest_round_trip(tmp_path):
     doc = _tiny_document()
     path = tmp_path / "tiny.json"
-    save_document(doc, path)
+    path.write_text(serialize(doc), encoding="utf-8")
     again = ingest(path)
     assert again == doc
     # stable bytes on re-save
@@ -458,7 +457,7 @@ def test_block_texts_never_change_through_round_trip(tmp_path):
             y += 20
         doc = document_from_elements(f"d{trial}", "C", "I", None, elements)
         path = tmp_path / f"d{trial}.json"
-        save_document(doc, path)
+        path.write_text(serialize(doc), encoding="utf-8")
         again = ingest(path)
         assert [b.text for b in again.blocks] == [b.text for b in doc.blocks]
         assert [render_table(t) for t in again.tables] == [

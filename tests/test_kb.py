@@ -35,7 +35,7 @@ from esgpipe.kb import (
     summarize,
     verify_anchors,
 )
-from esgpipe.providers import HashEmbedder, SummaryProvider
+from esgpipe.providers import HashEmbedder
 
 
 def make_doc(block_texts, tables=(), doc_id="d"):
@@ -440,9 +440,9 @@ def test_loaded_entries_equal_the_built_ones_field_by_field(corpus_docs, embedde
         save(kb, path)
         again = load(path)
         assert [_entry_fields(e) for e in again.entries] == [_entry_fields(e) for e in kb.entries]
-        assert (again.scope, again.provider_name, again.dim, again.table_texts,
-                again.summary_fallbacks) == (kb.scope, kb.provider_name, kb.dim, kb.table_texts,
-                                             kb.summary_fallbacks)
+        assert (again.scope, again.provider_name, again.dim, again.table_texts) == (
+            kb.scope, kb.provider_name, kb.dim, kb.table_texts
+        )
         matrix = again.entries[0].vector.base
         assert matrix.shape == (len(kb.entries), kb.dim)
         for i, e in enumerate(again.entries):
@@ -591,7 +591,6 @@ def reference_save_bytes(kb):
         "provider_name": kb.provider_name,
         "dim": kb.dim,
         "counts": kb.counts(),
-        "summary_fallbacks": kb.summary_fallbacks,
         "table_texts": kb.table_texts,
         "sections": None,  # made by `file_bytes`
         "entry_id": [e.entry_id for e in kb.entries],
@@ -621,8 +620,7 @@ def _mixed_kb(n, dim=8):
             )
         )
     return KnowledgeBase(scope="dé", provider_name="p", dim=dim, entries=entries,
-                         table_texts={"t1": "| Kennzahl | 排放 |\n| ÄÖÜ | 1,2 |"},
-                         summary_fallbacks=3)
+                         table_texts={"t1": "| Kennzahl | 排放 |\n| ÄÖÜ | 1,2 |"})
 
 
 def _save_cases(corpus_docs, embedder):
@@ -807,10 +805,6 @@ MALFORMED_FILES = {
         "are not those of the entries",
     ),
     "scope not a string": (lambda h, s: file_bytes({**h, "scope": None}, s), "scope is not"),
-    "summary_fallbacks missing": (
-        lambda h, s: file_bytes({k: v for k, v in h.items() if k != "summary_fallbacks"}, s),
-        "'summary_fallbacks'",
-    ),
     "table text not a string": (
         lambda h, s: file_bytes({**h, "table_texts": {**h["table_texts"], "tbl-0": 5}}, s),
         "a table text is not a string",
@@ -852,6 +846,35 @@ def test_load_rejects_wrong_version(corpus_docs, embedder, tmp_path):
         load(path)
 
 
+def test_a_file_with_the_old_summary_fallbacks_key_loads_to_an_equal_kb(
+    corpus_docs, embedder, tmp_path
+):
+    """Version-3 files once carried `"summary_fallbacks":0` in the header,
+    after `counts`; such a file loads as the KB it was saved from, and
+    saving that KB again writes the same bytes without the key."""
+    kb = build(corpus_docs[0], embedder)
+    path = tmp_path / "kb.json"
+    save(kb, path)
+    new = path.read_bytes()
+    header, sections = read_file(path)
+    older = {}
+    for key, value in header.items():
+        older[key] = value
+        if key == "counts":
+            older["summary_fallbacks"] = 0
+    old = file_bytes(older, sections)
+    assert old.replace(b'"summary_fallbacks":0,', b"", 1) == new
+    assert len(old) - len(new) == 22
+    path.write_bytes(old)
+    again = load(path)
+    assert [_entry_fields(e) for e in again.entries] == [_entry_fields(e) for e in kb.entries]
+    assert (again.scope, again.provider_name, again.dim, again.table_texts, again.counts()) == (
+        kb.scope, kb.provider_name, kb.dim, kb.table_texts, kb.counts()
+    )
+    save(again, path)
+    assert path.read_bytes() == new
+
+
 def test_load_rejects_a_version_2_file(tmp_path):
     """A version-2 file: one JSON line with the vectors in base64."""
     path = tmp_path / "kb.json"
@@ -888,42 +911,17 @@ def test_verify_anchors_detects_foreign_document(corpus_docs, embedder):
 # --- summaries ---
 
 
-class _BrokenSummarizer(SummaryProvider):
-    name = "broken"
-
-    def __init__(self, result: str | None):
-        self.result = result
-
-    def summarize(self, text: str) -> str:
-        if self.result is None:
-            raise ProviderError("summarizer offline")
-        return self.result
-
-
 def test_summarize_defaults_to_lead_sentences():
-    text = "One here. Two here. Three here."
-    summary, fell_back = summarize(text)
-    assert summary == "One here. Two here."
-    assert fell_back is False
+    assert summarize("One here. Two here. Three here.") == "One here. Two here."
 
 
-def test_summarize_falls_back_on_provider_error():
-    summary, fell_back = summarize("One here. Two here.", _BrokenSummarizer(None))
-    assert fell_back is True
-    assert summary == "One here. Two here."
-
-
-def test_summarize_falls_back_on_bad_output():
-    text = "One here. Two here."
-    for bad in ("", text + " padded way beyond the input length"):
-        summary, fell_back = summarize(text, _BrokenSummarizer(bad))
-        assert fell_back is True
-
-
-def test_build_counts_summary_fallbacks(corpus_docs, embedder):
-    cfg = BuildConfig(summary_provider=_BrokenSummarizer(None))
-    kb = build(corpus_docs[0], cfg=cfg, embedder=embedder)
-    assert kb.summary_fallbacks == kb.counts()["Text"]
+def test_build_summarizes_each_chunk_with_its_sentences(corpus_docs, embedder):
+    chunks = [chunk for _anchor, chunk in chunk_text(corpus_docs[0], 300)]
+    for n in (1, 3):
+        kb = build(corpus_docs[0], embedder, BuildConfig(max_chars=300, summary_sentences=n))
+        texts = [e for e in kb.entries if e.source is Source.TEXT]
+        assert [e.payload_text for e in texts] == chunks
+        assert [e.summary for e in texts] == [summarize(c, n) for c in chunks]
 
 
 def test_summarize_rejects_empty_input():

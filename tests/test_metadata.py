@@ -16,7 +16,6 @@ from esgpipe.metadata import (
     count_table,
     load_registry,
     render_question,
-    serialize_registry,
     validate_registry,
 )
 
@@ -77,15 +76,6 @@ def test_render_question_joins_multiple_topics(registry):
     spec = registry.indicator("A1.34-waste")
     q = render_question(spec, registry)
     assert "Hazardous Waste, Non-hazardous Waste" in q
-
-
-def test_round_trip_serialization(registry, tmp_path):
-    path = tmp_path / "roundtrip.json"
-    path.write_text(serialize_registry(registry), encoding="utf-8")
-    again = load_registry(path)
-    assert again == registry
-    # a second serialize is byte-identical
-    assert serialize_registry(again) == serialize_registry(registry)
 
 
 def _bundled_dict() -> dict:

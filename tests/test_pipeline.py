@@ -13,7 +13,7 @@ import pytest
 from esgpipe import agent, metadata, pipeline
 from esgpipe.errors import ConfigError, RetrievalError
 from esgpipe.evaluation import run_ablation
-from esgpipe.kb import Source
+from esgpipe.kb import BuildConfig, Source
 from esgpipe.pipeline import (
     ABLATION_ARMS,
     DEFAULT_ARM,
@@ -50,23 +50,44 @@ def test_ablation_arm_lookup():
         ablation_arm("no-such-arm")
 
 
-def test_effective_extract_applies_switches():
-    cfg = PipelineConfig(arm=ABLATION_ARMS["benchmark"])
-    eff = cfg.effective_extract()
-    assert eff.use_search_terms is False
-    assert eff.use_rerank is False
-    assert eff.knowledge_enabled is False
+def test_arm_switches_reach_the_groups_evidence_and_prompt(
+    registry, corpus_docs, offline_providers, monkeypatch
+):
+    base = PipelineConfig(
+        extract=agent.ExtractConfig(top_k=3, rerank_m=4, budget_chars=900),
+        kb_build=BuildConfig(max_chars=300, summary_sentences=1, naive_chunk_chars=200),
+    )
+    plan = plan_corpus(registry, offline_providers, base, ALL_ARMS)
+    naive, enhanced = plan.groups
+    assert (naive.structured, naive.enhanced, naive.arms) == (False, False, (ALL_ARMS[0],))
+    assert (enhanced.structured, enhanced.enhanced) == (True, True)
+    assert enhanced.arms == tuple(ALL_ARMS[1:])
+    # each group runs with its first arm and the run's sizes
+    for group in plan.groups:
+        assert group.cfg == dataclasses.replace(base, arm=group.arms[0])
 
-    cfg = PipelineConfig(arm=ABLATION_ARMS["enhanced_rag"])
-    eff = cfg.effective_extract()
-    assert eff.use_search_terms is True
-    assert eff.use_rerank is True
-    assert eff.knowledge_enabled is False
+    seen = Counter()
+    real_evidence, real_answer = pipeline.evidence_from_hits, pipeline.answer_indicator
 
-    cfg = PipelineConfig(arm=ABLATION_ARMS["enhanced_rag_knowledge"])
-    assert cfg.effective_extract().knowledge_enabled is True
-    # base extraction knobs survive the override
-    assert cfg.effective_extract().top_k == cfg.extract.top_k
+    def evidence_from_hits(spec, query, hits, providers, cfg, use_rerank):
+        seen["rerank", use_rerank, cfg is base.extract] += 1
+        return real_evidence(spec, query, hits, providers, cfg, use_rerank)
+
+    def answer_indicator(doc_id, spec, evidence, registry, providers, knowledge_enabled, *rest):
+        seen["knowledge", knowledge_enabled] += 1
+        return real_answer(doc_id, spec, evidence, registry, providers, knowledge_enabled, *rest)
+
+    monkeypatch.setattr(pipeline, "evidence_from_hits", evidence_from_hits)
+    monkeypatch.setattr(pipeline, "answer_indicator", answer_indicator)
+    (result,) = run_corpus(corpus_docs[:1], registry, offline_providers, base, ALL_ARMS)
+    assert set(result.records) == {a.config_id for a in ALL_ARMS}
+    n = len(registry.indicators)
+    assert seen == {
+        ("rerank", False, True): n,  # benchmark
+        ("rerank", True, True): n,  # enhanced_rag and enhanced_rag_knowledge
+        ("knowledge", False): 2 * n,  # benchmark and enhanced_rag
+        ("knowledge", True): n,  # enhanced_rag_knowledge
+    }
 
 
 def test_build_document_kb_structured_vs_naive(corpus_docs, offline_providers):
@@ -202,7 +223,7 @@ def test_bad_query_mid_batch_fails_only_its_group_without_chat(
 
 def test_plan_groups_arms_and_matches_build_query(registry, offline_providers):
     plan = plan_corpus(registry, offline_providers, PipelineConfig(), ALL_ARMS)
-    assert [[arm.config_id for arm, _eff in g.arms] for g in plan.groups] == [
+    assert [[arm.config_id for arm in g.arms] for g in plan.groups] == [
         ["benchmark"],
         ["enhanced_rag", "enhanced_rag_knowledge"],
     ]

@@ -18,13 +18,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from esgpipe import __version__, providers
 from esgpipe.agent import Prompt
-from esgpipe.errors import ProviderError
-from esgpipe.kb import Source
+from esgpipe.errors import KnowledgeBaseError, ProviderError
+from esgpipe.kb import Source, summarize
 from esgpipe.providers import (
     DEFAULT_REFUSAL,
     HashEmbedder,
@@ -33,7 +33,6 @@ from esgpipe.providers import (
     HttpEndpoint,
     HttpReranker,
     JaccardReranker,
-    LeadSentenceSummarizer,
     MockChatProvider,
     MockReply,
     _EMBED_SLICE,
@@ -284,17 +283,16 @@ def test_hash_embedder_rejects_bad_dim():
     assert HashEmbedder(dim=32).name == "hash-bow-32"
 
 
-# ------------------------------------------------------------------ summarizer
+# ------------------------------------- lead-sentence summaries: `kb.summarize`
 
 
 def test_lead_sentence_summarizer():
-    s = LeadSentenceSummarizer()
-    assert s.summarize("One here. Two here. Three here.") == "One here. Two here."
-    assert s.summarize("Only one sentence") == "Only one sentence"
-    assert s.summarize("") == ""
-    assert LeadSentenceSummarizer(n=1).summarize("A. B.") == "A."
-    with pytest.raises(ValueError):
-        LeadSentenceSummarizer(n=0)
+    assert summarize("One here. Two here. Three here.") == "One here. Two here."
+    assert summarize("Only one sentence") == "Only one sentence"
+    assert summarize("A. B.", 1) == "A."
+    for text, n in (("", 2), ("A. B.", 0)):
+        with pytest.raises(KnowledgeBaseError, match="cannot summarize"):
+            summarize(text, n)
 
 
 @settings(max_examples=300, deadline=None)
@@ -305,7 +303,8 @@ def test_lead_sentence_summarizer():
     ),
 )
 def test_lead_sentence_summary_is_the_first_split_sentences(n, text):
-    assert LeadSentenceSummarizer(n).summarize(text) == " ".join(split_sentences(text)[:n])
+    assume(text)  # a chunk is never empty
+    assert summarize(text, n) == " ".join(split_sentences(text)[:n])
 
 
 # -------------------------------------------------------------------- reranker
@@ -707,7 +706,7 @@ def test_http_endpoint_retries_a_refused_connection(sleeps):
 
 def test_chat_401_costs_one_post(http_server, sleeps):
     from esgpipe import metadata
-    from esgpipe.agent import FLAG_PROVIDER_FAILED, ExtractConfig, answer_indicator
+    from esgpipe.agent import FLAG_PROVIDER_FAILED, answer_indicator
     from esgpipe.providers import ProviderSet
     from esgpipe.retrieval import assemble_evidence
 
@@ -719,7 +718,7 @@ def test_chat_401_costs_one_post(http_server, sleeps):
         embedder=HashEmbedder(), chat=HttpChatProvider(HttpEndpoint(f"{base}/chat", retries=2))
     )
     evidence = assemble_evidence([], 6000, indicator_id=spec.id)
-    records = answer_indicator("d", spec, evidence, registry, providers, ExtractConfig())
+    records = answer_indicator("d", spec, evidence, registry, providers, True)
     assert [r.flags for r in records] == [[FLAG_PROVIDER_FAILED]]
     excerpt = records[0].raw_reply_excerpt
     assert excerpt == f"provider at {base}/chat unreachable: HTTP 401 Unauthorized"
