@@ -15,7 +15,6 @@ import json
 import logging
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 from typing import Sequence
 
 from .agent import ExtractionRecord
@@ -247,14 +246,6 @@ class ThemeMap:
             resources.files("esgpipe").joinpath("data/action_themes.json").read_text("utf-8")
         )
         return cls(data["themes"])
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ThemeMap":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-            return cls(data["themes"])
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise AnalyticsError(f"cannot load theme map from {path}: {exc}") from exc
 
     def assign(self, action: str) -> str:
         lowered = action.lower()

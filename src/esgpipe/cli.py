@@ -22,8 +22,9 @@ file, as they need the document itself.
 extract and a fresh single-arm evaluate share `extract_arm`, which writes
 `records.jsonl`, in doc_id order. evaluate and ablate score each arm with
 `evaluation.evaluate_arm`. extract, evaluate and ablate end with
-`manifest.json`, which hashes every file they read and wrote. Every
-output file is written to a `.tmp` sibling and renamed into place
+`manifest.json`, which hashes every file they read and wrote; evaluate
+refuses records that it names, as they are, with another single arm.
+Every output file is written to a `.tmp` sibling and renamed into place
 (`write_atomic`).
 
 Config file shape (all keys optional unless a command needs them)::
@@ -37,12 +38,11 @@ Config file shape (all keys optional unless a command needs them)::
     jobs: 1
     value_match_rel_tol: null # optional relative tolerance for Acc_DE
     retrieval: {k: 5, m: 10, budget_chars: 6000}
-    chunking: {max_chars: 1200, naive_chunk_chars: 400}
+    chunking: {max_chars: 1200, naive_chunk_chars: 400, summary_sentences: 2}
     providers:
       embedding: {kind: offline, dim: 256}        # or kind: http, url, dim
       chat: {kind: mock, replies: replies.json}   # or kind: http, url
       rerank: {kind: offline}                     # or kind: http, url
-      summary: {kind: offline, sentences: 2}
 
 An http section may also set timeout (seconds, default 30), retries
 (default 2: resends after a connection error, a timeout, a 5xx, 408 or
@@ -50,11 +50,12 @@ An http section may also set timeout (seconds, default 30), retries
 Relative paths resolve against the config file's directory. In offline
 mode no provider may carry a url; in online mode embedding and chat
 must. A `kind`, when given, must name the provider that runs: http for
-an online section with a url, otherwise offline (mock for chat; summary
-is always offline). An unknown key, also under `retrieval`, `chunking`
-or a provider section, an unknown or mismatched kind, a malformed number
-(a YAML boolean too) and a number below its minimum or not finite are
-rejected at load.
+an online section with a url, otherwise offline (mock for chat). A key
+set to null takes its default. An int key takes an int or an integral
+float (3.0, not 3.5), a float key any number. An unknown key, also under
+`retrieval`, `chunking` or a provider section, an unknown or mismatched
+kind, a malformed number (a YAML boolean or a string too) and a number
+below its minimum or not finite are rejected at load.
 """
 
 from __future__ import annotations
@@ -73,12 +74,11 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import yaml
 
 from . import __version__, agent, analytics, docmodel, evaluation, kb as kbmod, metadata
-from . import retrieval as retrievalmod
 from .errors import (
     AnalyticsError,
     ConfigError,
@@ -98,6 +98,7 @@ from .pipeline import (
     run_corpus,
 )
 from .providers import (
+    DEFAULT_DIM,
     HashEmbedder,
     HttpChatProvider,
     HttpEmbedder,
@@ -107,6 +108,7 @@ from .providers import (
     MockChatProvider,
     ProviderSet,
 )
+from .retrieval import MIN_BUDGET_CHARS
 
 logger = logging.getLogger(__name__)
 
@@ -117,35 +119,61 @@ EXIT_PROVIDER = 3
 
 CORPUS_SUFFIXES = {".json", ".md", ".markdown", ".txt"}
 
-_CONFIG_KEYS = {
-    "registry",
-    "corpus_dir",
-    "output_dir",
-    "mode",
-    "arm",
-    "labels",
-    "jobs",
-    "value_match_rel_tol",
-    "retrieval",
-    "chunking",
-    "providers",
-}
-
-_PROVIDER_KEYS = {
-    "embedding": {"kind", "url", "dim", "timeout", "retries", "token_env"},
-    "chat": {"kind", "url", "replies", "timeout", "retries", "token_env"},
-    "rerank": {"kind", "url", "timeout", "retries", "token_env"},
-    "summary": {"kind", "sentences"},
-}
-
 # the kinds a provider section may name: the first runs unless an online
 # run gives the section a url
 _PROVIDER_KINDS = {
     "embedding": ("offline", "http"),
     "chat": ("mock", "http"),
     "rerank": ("offline", "http"),
-    "summary": ("offline",),
 }
+
+
+class _Key(NamedTuple):
+    """A config key's type, `str`, `Path` (resolved against the config's
+    directory), `int` or `float`, and what it takes when left out or
+    null: `default`, that of the field it sets. A number must be finite
+    and at least `least`, or above it where `strict`."""
+
+    type: type
+    default: object = None
+    least: float = 0
+    strict: bool = False
+
+
+# the keys of each provider section that set its `HttpEndpoint`
+_ENDPOINT_KEYS = {
+    "url": _Key(str, ""),
+    "timeout": _Key(float, HttpEndpoint.timeout, 0, strict=True),  # 0: a non-blocking socket
+    "retries": _Key(int, HttpEndpoint.retries, 0),
+    "token_env": _Key(str, HttpEndpoint.token_env),
+}
+# every key of the run config, by its dotted name
+_KEYS = {
+    "registry": _Key(Path),  # default: the bundled registry
+    "corpus_dir": _Key(Path),
+    "output_dir": _Key(Path, "out"),
+    "mode": _Key(str, "offline"),
+    "arm": _Key(str, DEFAULT_ARM),
+    "labels": _Key(Path),
+    "jobs": _Key(int, 1, 1),
+    "value_match_rel_tol": _Key(float, None, 0),  # below 0 an exact value would miss
+    "retrieval.k": _Key(int, agent.ExtractConfig.top_k, 1),
+    "retrieval.m": _Key(int, agent.ExtractConfig.rerank_m, 0),
+    "retrieval.budget_chars": _Key(int, agent.ExtractConfig.budget_chars, MIN_BUDGET_CHARS),
+    "chunking.max_chars": _Key(int, kbmod.BuildConfig.max_chars, kbmod.MIN_CHUNK_CHARS),
+    "chunking.summary_sentences": _Key(int, kbmod.BuildConfig.summary_sentences, 1),
+    "chunking.naive_chunk_chars": _Key(int, kbmod.BuildConfig.naive_chunk_chars, 1),
+    "providers.embedding.dim": _Key(int, DEFAULT_DIM, 1),
+    "providers.chat.replies": _Key(Path),
+    **{f"providers.{name}.kind": _Key(str) for name in _PROVIDER_KINDS},
+    **{
+        f"providers.{name}.{key}": spec
+        for name in _PROVIDER_KINDS
+        for key, spec in _ENDPOINT_KEYS.items()
+    },
+}
+# every key, and every mapping that holds keys: retrieval, providers, providers.chat, ...
+_NAMES = _KEYS.keys() | {key[:i] for key in _KEYS for i, char in enumerate(key) if char == "."}
 
 
 @dataclass
@@ -166,37 +194,49 @@ class RunConfig:
     snapshot: dict = field(default_factory=dict)
 
 
-def _section(raw: dict, name: str, keys: set[str], path: Path, where: str = "") -> dict:
-    """The `name` mapping of a config, or of its part `where`, with no key
-    outside `keys`."""
-    section = raw.get(name) or {}
-    if not isinstance(section, dict):
-        raise ConfigError(f"config {path}: {where}{name} must be a mapping")
-    unknown = set(section) - keys
+def _given(raw: dict, path: Path, section: str = "") -> Iterator[tuple[str, object]]:
+    """Each key that `raw`, the config or its `section`, sets, by its
+    dotted name, with its value as written; a null section is empty."""
+    prefix = f"{section}." if section else ""
+    unknown = [name for name in raw if "." in str(name) or f"{prefix}{name}" not in _NAMES]
     if unknown:
-        raise ConfigError(f"config {path}: unknown {where}{name} keys {sorted(unknown)}")
-    return section
+        where = f"{section} " if section else ""
+        raise ConfigError(f"config {path}: unknown {where}keys {sorted(unknown, key=str)}")
+    for name, value in raw.items():
+        key = f"{prefix}{name}"
+        if key in _KEYS:
+            yield key, value
+        elif isinstance(value, dict):
+            yield from _given(value, path, key)
+        elif value is not None:
+            raise ConfigError(f"config {path}: {key} must be a mapping")
 
 
-def _num(value: object, kind: type = int) -> int | float:
-    """`value` as a `kind`; YAML's true and false are no numbers."""
-    if isinstance(value, bool):
-        raise ValueError(f"{value!r} is not a number")
-    return kind(value)
-
-
-def _endpoint(cfg: dict) -> HttpEndpoint:
-    return HttpEndpoint(
-        url=str(cfg.get("url") or ""),
-        timeout=_num(cfg.get("timeout", HttpEndpoint.timeout), float),
-        retries=_num(cfg.get("retries", HttpEndpoint.retries)),
-        token_env=str(cfg.get("token_env", HttpEndpoint.token_env)),
-    )
-
-
-def _resolve(base: Path, value: object) -> Path:
-    p = Path(str(value))
-    return p if p.is_absolute() else (base / p)
+def _value(key: str, value: object, base: Path, path: Path) -> object:
+    """What `key` holds when the config at `path` gives it `value` (None
+    where it gives none). An int key takes an int or an integral float, a
+    float key any number; YAML's true and false are no numbers."""
+    spec = _KEYS[key]
+    if value is None or (spec.type is Path and value == ""):  # "" names no path
+        value = spec.default
+    if value is None or spec.type is str:
+        return value if value is None else str(value)
+    if spec.type is Path:
+        return base / str(value)  # an absolute path stays as it is
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{value!r} is not a number")
+        number = spec.type(value)  # int() of inf or nan raises
+        if number != value and spec.type is int:
+            raise ValueError(f"{value!r} is not an integer")
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"config {path}: malformed number: {exc}") from None
+    if not (spec.least < number if spec.strict else spec.least <= number) or number == math.inf:
+        raise ConfigError(
+            f"config {path}: {key} must be {'>' if spec.strict else '>='} {spec.least} "
+            f"and finite, got {number}"
+        )
+    return number
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -211,39 +251,24 @@ def load_run_config(path: str | Path) -> RunConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a mapping")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"config {path}: unknown keys {sorted(unknown)}")
 
     base = path.parent
-    mode = str(raw.get("mode", "offline"))
+    given = dict(_given(raw, path))
+    values = {key: _value(key, given.get(key), base, path) for key in _KEYS}
+    mode, arm = values["mode"], values["arm"]
     if mode not in {"offline", "online"}:
         raise ConfigError(f"config {path}: mode must be offline or online, got {mode!r}")
-    retrieval = _section(raw, "retrieval", {"k", "m", "budget_chars"}, path)
-    chunking = _section(raw, "chunking", {"max_chars", "naive_chunk_chars"}, path)
-    providers = _section(raw, "providers", set(_PROVIDER_KEYS), path)
-    providers_cfg = {
-        name: _section(providers, name, _PROVIDER_KEYS[name], path, "providers.")
-        for name in providers
-    }
-    if mode == "offline":
-        for name, cfg in providers_cfg.items():
-            if "url" in cfg:
-                raise ConfigError(
-                    f"config {path}: offline mode forbids provider urls "
-                    f"(found one under {name!r})"
-                )
-    else:
-        for required in ("embedding", "chat"):
-            if not providers_cfg.get(required, {}).get("url"):
-                raise ConfigError(
-                    f"config {path}: online mode requires a url for {required!r}"
-                )
-
-    for name, cfg in providers_cfg.items():
+    for name, kinds in _PROVIDER_KINDS.items():
+        url, kind = values[f"providers.{name}.url"], values[f"providers.{name}.kind"]
+        if mode == "offline" and given.get(f"providers.{name}.url") is not None:
+            raise ConfigError(
+                f"config {path}: offline mode forbids provider urls (found one under {name!r})"
+            )
+        if mode == "online" and name in ("embedding", "chat") and not url:
+            raise ConfigError(f"config {path}: online mode requires a url for {name!r}")
         # never echoed: the url may hold a password
         try:
-            userinfo = "@" in urllib.parse.urlsplit(str(cfg.get("url") or "")).netloc
+            userinfo = "@" in urllib.parse.urlsplit(url).netloc
         except ValueError:  # an unclosed "[" in the host
             raise ConfigError(f"config {path}: providers.{name}.url is not a valid URL") from None
         if userinfo:
@@ -251,88 +276,46 @@ def load_run_config(path: str | Path) -> RunConfig:
                 f"config {path}: providers.{name}.url must not hold credentials (user info "
                 f"before '@'); set providers.{name}.token_env to the variable with the token"
             )
-        kinds = _PROVIDER_KINDS[name]
-        runs = kinds[1] if mode == "online" and cfg.get("url") else kinds[0]
-        if cfg.get("kind") in (None, runs):
+        runs = kinds[1] if mode == "online" and url else kinds[0]
+        if kind in (None, runs):
             continue
-        if cfg["kind"] not in kinds:
+        if kind not in kinds:
             raise ConfigError(
                 f"config {path}: providers.{name}.kind must be one of {list(kinds)}, "
-                f"got {cfg['kind']!r}"
+                f"got {kind!r}"
             )
         raise ConfigError(
-            f"config {path}: providers.{name}.kind is {cfg['kind']!r}, but {mode} mode "
-            f"{'with' if cfg.get('url') else 'without'} a url runs {runs!r}"
+            f"config {path}: providers.{name}.kind is {kind!r}, but {mode} mode "
+            f"{'with' if url else 'without'} a url runs {runs!r}"
         )
-
-    arm = str(raw.get("arm", DEFAULT_ARM))
     if arm != "all" and arm not in ABLATION_ARMS:
         raise ConfigError(
             f"config {path}: arm must be one of {sorted(ABLATION_ARMS)} or 'all'"
         )
 
-    rel_tol = raw.get("value_match_rel_tol")
-    replies = providers_cfg.get("chat", {}).get("replies")
-    try:
-        config = RunConfig(
-            base_dir=base,
-            registry_path=_resolve(base, raw["registry"]) if raw.get("registry") else None,
-            corpus_dir=_resolve(base, raw["corpus_dir"]) if raw.get("corpus_dir") else None,
-            output_dir=_resolve(base, raw.get("output_dir", "out")),
-            mode=mode,
-            arm=arm,
-            labels_path=_resolve(base, raw["labels"]) if raw.get("labels") else None,
-            jobs=_num(raw.get("jobs", 1)),
-            rel_tol=None if rel_tol is None else _num(rel_tol, float),
-            pipeline=PipelineConfig(
-                extract=agent.ExtractConfig(
-                    top_k=_num(retrieval.get("k", retrievalmod.DEFAULT_TOP_K)),
-                    rerank_m=_num(retrieval.get("m", retrievalmod.DEFAULT_RERANK_M)),
-                    budget_chars=_num(
-                        retrieval.get("budget_chars", retrievalmod.DEFAULT_BUDGET_CHARS)
-                    ),
-                ),
-                kb_build=kbmod.BuildConfig(
-                    max_chars=_num(chunking.get("max_chars", kbmod.DEFAULT_CHUNK_CHARS)),
-                    summary_sentences=_num(providers_cfg.get("summary", {}).get("sentences", 2)),
-                    naive_chunk_chars=_num(
-                        chunking.get("naive_chunk_chars", kbmod.DEFAULT_NAIVE_CHUNK_CHARS)
-                    ),
-                ),
+    return RunConfig(
+        base_dir=base, registry_path=values["registry"], corpus_dir=values["corpus_dir"],
+        output_dir=values["output_dir"], mode=mode, arm=arm, labels_path=values["labels"],
+        jobs=values["jobs"], rel_tol=values["value_match_rel_tol"],
+        pipeline=PipelineConfig(
+            extract=agent.ExtractConfig(
+                top_k=values["retrieval.k"], rerank_m=values["retrieval.m"],
+                budget_chars=values["retrieval.budget_chars"],
             ),
-            embedding_dim=_num(providers_cfg.get("embedding", {}).get("dim", 256)),
-            mock_replies=_resolve(base, replies) if replies else None,
-            endpoints={
-                name: _endpoint(cfg) for name, cfg in providers_cfg.items() if name != "summary"
-            },
-            snapshot=raw,
-        )
-    except (TypeError, ValueError, OverflowError) as exc:  # int(.inf) overflows
-        raise ConfigError(f"config {path}: malformed number: {exc}") from exc
-    extract, kb_build = config.pipeline.extract, config.pipeline.kb_build
-    minimums = {
-        "jobs": (config.jobs, 1),
-        "retrieval.k": (extract.top_k, 1),
-        "retrieval.m": (extract.rerank_m, 0),
-        "retrieval.budget_chars": (extract.budget_chars, retrievalmod.MIN_BUDGET_CHARS),
-        "chunking.max_chars": (kb_build.max_chars, kbmod.MIN_CHUNK_CHARS),
-        "chunking.naive_chunk_chars": (kb_build.naive_chunk_chars, 1),
-        "providers.summary.sentences": (kb_build.summary_sentences, 1),
-        "providers.embedding.dim": (config.embedding_dim, 1),
-    }
-    if config.rel_tol is not None:  # a negative one scores an exact value as a miss
-        minimums["value_match_rel_tol"] = (config.rel_tol, 0)
-    for name, endpoint in config.endpoints.items():
-        minimums[f"providers.{name}.retries"] = (endpoint.retries, 0)
-        if not 0 < endpoint.timeout < math.inf:  # 0 would make the socket non-blocking
-            raise ConfigError(
-                f"config {path}: providers.{name}.timeout must be > 0 and finite, "
-                f"got {endpoint.timeout}"
-            )
-    for name, (value, least) in minimums.items():
-        if not least <= value < math.inf:
-            raise ConfigError(f"config {path}: {name} must be >= {least} and finite, got {value}")
-    return config
+            kb_build=kbmod.BuildConfig(
+                max_chars=values["chunking.max_chars"],
+                summary_sentences=values["chunking.summary_sentences"],
+                naive_chunk_chars=values["chunking.naive_chunk_chars"],
+            ),
+        ),
+        embedding_dim=values["providers.embedding.dim"],
+        mock_replies=values["providers.chat.replies"],
+        endpoints={
+            name: HttpEndpoint(**{k: values[f"providers.{name}.{k}"] for k in _ENDPOINT_KEYS})
+            for name in _PROVIDER_KINDS
+        },
+        snapshot=raw,
+    )
 
 
 def load_registry_for(config: RunConfig) -> metadata.MetadataRegistry:
@@ -777,6 +760,22 @@ def _labels_path(config: RunConfig, args: argparse.Namespace) -> Path:
     return labels
 
 
+def _other_arm(config: RunConfig, records_path: Path, arm_id: str) -> str | None:
+    """The single arm, other than `arm_id`, whose run wrote or read
+    `records_path` as it is now, if `output_dir/manifest.json` names the
+    file with its sha256."""
+    try:
+        manifest = json.loads((config.output_dir / "manifest.json").read_text(encoding="utf-8"))
+        arm, digests = manifest["arm"], {**manifest["inputs_sha256"], **manifest["outputs_sha256"]}
+    except (OSError, ValueError, TypeError, KeyError):  # no manifest of ours
+        return None
+    if not isinstance(arm, str) or arm not in ABLATION_ARMS or arm == arm_id:
+        return None
+    target = os.path.abspath(records_path)
+    named = [digest for name, digest in digests.items() if os.path.abspath(name) == target]
+    return arm if named and sha256_file(records_path) in named else None
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     registry = load_registry_for(config)
@@ -789,6 +788,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     records_path = Path(args.records) if args.records else config.output_dir / "records.jsonl"
     if args.records and not records_path.exists():
         raise ConfigError(f"records file not found: {records_path}")
+    recorded = _other_arm(config, records_path, arm_id) if records_path.exists() else None
+    if recorded:
+        raise ConfigError(
+            f"{records_path} holds the records of arm {recorded!r} (by "
+            f"{config.output_dir / 'manifest.json'}), not of arm {arm_id!r}"
+        )
 
     labels_file = _labels_path(config, args)
     if args.dry_run:

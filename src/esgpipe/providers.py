@@ -58,6 +58,7 @@ _ASCII_NON_WORD = str.maketrans({c: " " for c in range(128) if not _TOKEN_RE.mat
 _SENTENCE_END_RE = re.compile(r"([.!?])\s+")
 
 DEFAULT_TOKEN_ENV = "ESGPIPE_API_TOKEN"
+DEFAULT_DIM = 256  # `HashEmbedder`'s, and so the run config's providers.embedding.dim
 
 BACKOFF_SECONDS = 0.5  # `HttpEndpoint.post` sleeps this * 2**n before resend n + 1
 
@@ -174,7 +175,7 @@ class HashEmbedder(EmbeddingProvider):
     embed to the zero vector.
     """
 
-    def __init__(self, dim: int = 256):
+    def __init__(self, dim: int = DEFAULT_DIM):
         if dim < 1:
             raise ValueError("dim must be positive")
         self.dim = dim

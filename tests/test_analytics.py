@@ -247,15 +247,6 @@ def test_theme_assignment_first_match_wins():
     assert tm.assign("nothing relevant") == UNCATEGORIZED_THEME
 
 
-def test_theme_map_from_file_errors(tmp_path):
-    bad = tmp_path / "themes.json"
-    bad.write_text("{}", encoding="utf-8")
-    with pytest.raises(AnalyticsError, match="cannot load theme map"):
-        ThemeMap.from_file(bad)
-    with pytest.raises(AnalyticsError):
-        ThemeMap.from_file(tmp_path / "absent.json")
-
-
 def test_theme_shares_sum_to_one_before_cut():
     tm = ThemeMap({"GHG": ["greenhouse gas", "decarbonisation", "carbon"]})
     records = [

@@ -4,17 +4,27 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 import yaml
 
 from esgpipe import kb as kbmod
 from esgpipe import metadata
-from esgpipe.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, EXIT_PROVIDER, load_run_config, main
+from esgpipe.cli import (
+    _KEYS,
+    EXIT_CONFIG,
+    EXIT_INPUT,
+    EXIT_OK,
+    EXIT_PROVIDER,
+    load_run_config,
+    main,
+)
 from esgpipe.errors import ConfigError
 
 from tests import corpusgen
@@ -290,8 +300,11 @@ def test_evaluate_rejects_an_empty_records_file(workspace, capsys):
     [(["--arm", "enhanced_rag_knowledge", "--records", "{out}/missing.jsonl"],
       "records file not found: {out}/missing.jsonl"),
      (["--arm", "all", "--records", "{out}/records.jsonl"], "cannot go with arm 'all'"),
-     (["--arm", "no-such-arm"], "unknown ablation arm 'no-such-arm'")],
-    ids=["missing-records", "records-with-arm-all", "unknown-arm-with-recorded-records"],
+     (["--arm", "no-such-arm"], "unknown ablation arm 'no-such-arm'"),
+     (["--arm", "benchmark"], "holds the records of arm 'enhanced_rag_knowledge' (by "
+      "{out}/manifest.json), not of arm 'benchmark'")],
+    ids=["missing-records", "records-with-arm-all", "unknown-arm-with-recorded-records",
+         "records-of-another-arm"],
 )
 def test_evaluate_rejects_an_input_it_would_ignore(workspace, capsys, monkeypatch, args, words):
     """Each stops with a configuration error before any provider is
@@ -310,6 +323,29 @@ def test_evaluate_rejects_an_input_it_would_ignore(workspace, capsys, monkeypatc
     assert code == EXIT_CONFIG
     assert words.format(out=out) in capsys.readouterr().err
     assert sorted(out.iterdir()) == written
+
+
+def test_evaluate_scores_records_the_manifest_does_not_give_to_another_arm(workspace, capsys):
+    cfg = _config_path(workspace)
+    out = workspace / "out"
+    assert main(["extract", "--config", cfg]) == EXIT_OK
+    assert main(["evaluate", "--arm", "enhanced_rag_knowledge", "--config", cfg]) == EXIT_OK
+    # that evaluate's manifest names the records it read, with their arm
+    assert main(["evaluate", "--arm", "enhanced_rag", "--config", cfg]) == EXIT_CONFIG
+    # a copy is a file the manifest does not name
+    shutil.copyfile(out / "records.jsonl", workspace / "copy.jsonl")
+    copy = ["--records", str(workspace / "copy.jsonl")]
+    assert main(["evaluate", "--arm", "benchmark", *copy, "--config", cfg]) == EXIT_OK
+    assert main(["evaluate", "--arm", "enhanced_rag", *copy, "--config", cfg]) == EXIT_CONFIG
+    # records changed since the manifest hashed them
+    records = (workspace / "copy.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    (workspace / "copy.jsonl").write_text("".join(records[::-1]), encoding="utf-8")
+    assert main(["evaluate", "--arm", "enhanced_rag", *copy, "--config", cfg]) == EXIT_OK
+    # the manifest names the copy only
+    assert main(["evaluate", "--arm", "benchmark", "--config", cfg]) == EXIT_OK
+    # a manifest that does not parse
+    (out / "manifest.json").write_text("{", encoding="utf-8")
+    assert main(["evaluate", "--arm", "benchmark", *copy, "--config", cfg]) == EXIT_OK
 
 
 def test_evaluate_needs_labels(workspace, capsys):
@@ -439,7 +475,7 @@ def test_out_of_range_retrieval_and_chunking_rejected(
     "section, key, value, message",
     [
         ("embedding", "timout", 5, "unknown providers.embedding keys ['timout']"),
-        ("summary", "url", "http://127.0.0.1:9/", "unknown providers.summary keys ['url']"),
+        ("rerank", "dim", 64, "rerank keys ['dim']"),
         ("embedding", "timeout", "abc", "malformed number"),
         ("chat", "retries", "two", "malformed number"),
         ("embedding", "timeout", 0, "providers.embedding.timeout must be > 0"),
@@ -450,7 +486,6 @@ def test_out_of_range_retrieval_and_chunking_rejected(
         ("embedding", "timeout", True, "malformed number: True is not a number"),
         ("embedding", "dim", False, "malformed number: False is not a number"),
         ("rerank", "timeout", float("inf"), "providers.rerank.timeout must be > 0 and finite"),
-        ("summary", "sentences", True, "malformed number: True is not a number"),
     ],
 )
 def test_bad_provider_settings_rejected(workspace, capsys, section, key, value, message):
@@ -507,6 +542,99 @@ def test_unknown_retrieval_and_chunking_keys_rejected(workspace, capsys, section
     assert f"{section} must be a mapping" in capsys.readouterr().err
 
 
+# where each number key of the run config lands in `RunConfig`
+NUMBER_KEYS = {
+    "jobs": lambda c: c.jobs,
+    "value_match_rel_tol": lambda c: c.rel_tol,
+    "retrieval.k": lambda c: c.pipeline.extract.top_k,
+    "retrieval.m": lambda c: c.pipeline.extract.rerank_m,
+    "retrieval.budget_chars": lambda c: c.pipeline.extract.budget_chars,
+    "chunking.max_chars": lambda c: c.pipeline.kb_build.max_chars,
+    "chunking.summary_sentences": lambda c: c.pipeline.kb_build.summary_sentences,
+    "chunking.naive_chunk_chars": lambda c: c.pipeline.kb_build.naive_chunk_chars,
+    "providers.embedding.dim": lambda c: c.embedding_dim,
+    **{f"providers.{name}.{key}": (lambda c, name=name, key=key: getattr(c.endpoints[name], key))
+       for name in ("embedding", "chat", "rerank") for key in ("timeout", "retries")},
+}
+
+
+def _load_with(tmp_path, key, value):
+    """The run config that sets the dotted `key` to `value` and nothing else."""
+    raw = node = {}
+    *sections, name = key.split(".")
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[name] = value
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    return load_run_config(path)
+
+
+def test_the_key_table_lists_every_number_key():
+    assert set(NUMBER_KEYS) == {k for k, spec in _KEYS.items() if spec.type in (int, float)}
+
+
+@pytest.mark.parametrize("key", sorted(NUMBER_KEYS))
+def test_a_number_key_follows_the_number_rules(tmp_path, key):
+    spec, value_of = _KEYS[key], NUMBER_KEYS[key]
+    bound = f"{key} must be {'>' if spec.strict else '>='} {spec.least} and finite"
+    rejected = [
+        (True, "malformed number: True is not a number"),
+        ("7", "malformed number: '7' is not a number"),
+        (spec.least - 1, bound),
+        (float("inf"), "malformed number: cannot convert float infinity to integer"
+         if spec.type is int else bound),
+    ]
+    if spec.type is int:
+        fraction = spec.least + 2.5
+        rejected.append((fraction, f"malformed number: {fraction} is not an integer"))
+    if spec.strict:
+        rejected.append((spec.least, bound))
+    for value, message in rejected:
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            _load_with(tmp_path, key, value)
+
+    integral = value_of(_load_with(tmp_path, key, float(spec.least + 2)))
+    assert integral == spec.least + 2 and type(integral) is spec.type
+    assert value_of(_load_with(tmp_path, key, None)) == spec.default
+    assert value_of(_load_with(tmp_path, "labels", "labels.jsonl")) == spec.default
+
+
+def test_a_dotted_name_is_no_key(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_text("retrieval.k: 3\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape("unknown keys ['retrieval.k']")):
+        load_run_config(path)
+
+
+def test_a_null_text_key_takes_its_default(tmp_path):
+    config = _load_with(tmp_path, "output_dir", None)
+    assert config.output_dir == tmp_path / "out"
+    for name in ("embedding", "chat", "rerank"):
+        config = _load_with(tmp_path, f"providers.{name}.token_env", None)
+        assert config.endpoints[name].token_env == "ESGPIPE_API_TOKEN"
+
+
+def _readme_config_keys():
+    """The keys of README's config reference table, with each
+    `a.b.x/.y` and `providers.*.x` row expanded to one key a name."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Config reference", 1)[1].split("\n\n| key |", 1)[1]
+    keys = set()
+    for row in table.split("\n\n", 1)[0].splitlines()[2:]:
+        for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
+            first, *more = name.split("/")
+            prefix = first.rpartition(".")[0]
+            for key in [first, *(prefix + part for part in more)]:
+                keys.update(key.replace("*", provider)
+                            for provider in ("embedding", "chat", "rerank"))
+    return keys
+
+
+def test_the_readme_config_table_lists_the_keys_of_the_loader():
+    assert _readme_config_keys() == set(_KEYS)
+
+
 def test_offline_mode_forbids_provider_urls(workspace, capsys):
     cfg = _rewrite_config(
         workspace,
@@ -536,9 +664,8 @@ ONLINE = {
         # rerank: an online rerank section without a url runs the offline fallback
         ("online", {**ONLINE, "rerank": {"kind": "http"}},
          "providers.rerank.kind is 'http', but online mode without a url runs 'offline'"),
-        # summary: only the offline summarizer exists
-        ("offline", {"summary": {"kind": "http"}},
-         "providers.summary.kind must be one of ['offline'], got 'http'"),
+        # summary: no provider makes summaries, so there is no such section
+        ("offline", {"summary": {"kind": "offline"}}, "unknown providers keys ['summary']"),
     ],
     ids=["embedding", "chat", "rerank", "summary"],
 )
@@ -556,7 +683,6 @@ def test_provider_kinds_that_name_what_runs_are_accepted(workspace):
         "embedding": {"kind": "offline"},
         "chat": {"kind": "mock", "replies": "mock_replies.json"},
         "rerank": {"kind": "offline"},
-        "summary": {"kind": "offline"},
     }
     load_run_config(_rewrite_config(workspace, lambda raw: raw.update(providers=offline)))
     online = {**ONLINE, "rerank": {"kind": "http", "url": "http://127.0.0.1:9/rerank"}}
@@ -741,7 +867,7 @@ def test_summary_sentences_reach_the_kb_and_its_cache_key(workspace, capsys):
         def mutate(raw):
             raw["output_dir"] = f"out-{n}"
             if n is not None:
-                raw["providers"]["summary"] = {"kind": "offline", "sentences": n}
+                raw["chunking"] = {"summary_sentences": n}
         return _rewrite_config(workspace, mutate)
 
     assert main(["build-kb", "--config", set_sentences(None)]) == EXIT_OK
@@ -790,11 +916,9 @@ def test_chunk_sizes_reach_the_kb_and_its_cache_key(
 
 
 def test_summary_sentences_must_be_positive(workspace, capsys):
-    cfg = _rewrite_config(
-        workspace, lambda raw: raw["providers"].update(summary={"sentences": 0})
-    )
+    cfg = _rewrite_config(workspace, lambda raw: raw.update(chunking={"summary_sentences": 0}))
     assert main(["build-kb", "--config", cfg]) == EXIT_CONFIG
-    assert "sentences" in capsys.readouterr().err
+    assert "chunking.summary_sentences must be >= 1" in capsys.readouterr().err
 
 
 @pytest.fixture()
