@@ -15,8 +15,14 @@ A document enters the pipeline as one of three on-disk shapes:
    pipe tables become tables, blank-line-separated paragraphs become
    blocks.
 
-The outline is built from font sizes: the largest distinct header font
-on the page ranks as level 1, the next as level 2, and so on. Tables
+In either JSON shape ``market_cap_mhkd`` is null, absent or a JSON
+number that is finite and above 0.
+
+The outline of layout JSON is built from font sizes: the largest
+distinct header font ranks as level 1, the next as level 2, and so on;
+a markdown heading's level is its count of ``#``. Either way one rule
+builds the tree: a heading nests under the last heading of a lower
+level, and a paragraph extends the span of the last heading. Tables
 are reconstructed either from explicit (row, col) assignments or by
 clustering cell boxes geometrically.
 """
@@ -27,10 +33,11 @@ import json
 import logging
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DocumentError, TableStructureError
 
@@ -182,33 +189,40 @@ def build_outline(elements: Sequence[LayoutElement]) -> OutlineNode:
 
     Elements must already be in reading order. Header levels follow the
     rank of their font size among the distinct header font sizes seen
-    (largest size = level 1). Paragraphs extend the span of the most
-    recent header; paragraphs before the first header attach to the
-    synthetic root. TableCell elements are ignored here.
+    (largest size = level 1); the tree is `_outline`'s. TableCell
+    elements are ignored here.
     """
     header_sizes = sorted(
         {e.font_size for e in elements if e.kind is ElementKind.HEADER}, reverse=True
     )
     rank = {size: i + 1 for i, size in enumerate(header_sizes)}
+    return _outline(
+        (rank[e.font_size], e.text) if e.kind is ElementKind.HEADER else None
+        for e in elements
+        if e.kind is not ElementKind.TABLE_CELL
+    )
 
+
+def _outline(items: Iterable[tuple[int, str] | None]) -> OutlineNode:
+    """The outline tree of headings, given as (level, title), and
+    paragraphs, given as None, in reading order. A heading nests under
+    the last heading of a lower level; a paragraph extends the span of
+    the last heading, or of the synthetic root before the first."""
     root = OutlineNode(title="", level=0, span=(0, 0))
     stack = [root]
-    cursor = 0
-    for element in elements:
-        if element.kind is ElementKind.HEADER:
-            node = OutlineNode(
-                title=element.text,
-                level=rank[element.font_size],
-                span=(cursor, cursor),
-            )
-            while stack[-1].level >= node.level:
-                stack.pop()
-            stack[-1].children.append(node)
-            stack.append(node)
-        elif element.kind is ElementKind.PARAGRAPH:
+    cursor = 0  # the block index of the next paragraph
+    for item in items:
+        if item is None:
             top = stack[-1]
             top.span = (top.span[0], cursor + 1)
             cursor += 1
+            continue
+        level, title = item
+        node = OutlineNode(title=title, level=level, span=(cursor, cursor))
+        while stack[-1].level >= level:
+            stack.pop()
+        stack[-1].children.append(node)
+        stack.append(node)
     return root
 
 
@@ -450,6 +464,19 @@ def document_from_elements(
     return doc
 
 
+def _market_cap(data: dict, path: Path) -> float | None:
+    """The `market_cap_mhkd` of either JSON shape: None when null or
+    absent, else a JSON number that is finite and above 0."""
+    cap = data.get("market_cap_mhkd")
+    if cap is None:
+        return None
+    if type(cap) not in _NUMBERS:
+        raise DocumentError(f"{path}: market_cap_mhkd must be a number, got {cap!r}")
+    if not 0 < cap <= sys.float_info.max:  # an int compares exactly, so a huge one fails here
+        raise DocumentError(f"{path}: market_cap_mhkd must be positive and finite, got {cap!r}")
+    return float(cap)
+
+
 def _parse_layout_json(data: dict, path: Path) -> StructuredDocument:
     known = {"doc_id", "company", "industry", "market_cap_mhkd", "elements"}
     unknown = set(data) - known
@@ -461,18 +488,11 @@ def _parse_layout_json(data: dict, path: Path) -> StructuredDocument:
     if not isinstance(data["elements"], list):
         raise DocumentError(f"{path}: elements must be an array")
     elements = [_parse_element(e, i) for i, e in enumerate(data["elements"])]
-    cap = data.get("market_cap_mhkd")
-    if cap is not None:
-        if type(cap) not in _NUMBERS:
-            raise DocumentError(f"{path}: market_cap_mhkd must be a number, got {cap!r}")
-        cap = float(cap)
-        if cap <= 0:
-            raise DocumentError(f"{path}: market_cap_mhkd must be positive")
     return document_from_elements(
         doc_id=str(data["doc_id"]),
         company=str(data["company"]),
         industry=str(data["industry"]),
-        market_cap_mhkd=cap,
+        market_cap_mhkd=_market_cap(data, path),
         elements=elements,
     )
 
@@ -527,12 +547,11 @@ def _parse_structured_json(data: dict, path: Path) -> StructuredDocument:
             f"{path}: unsupported structured-document version {data.get('version')!r}"
         )
     try:
-        cap = data["market_cap_mhkd"]
         doc = StructuredDocument(
             doc_id=str(data["doc_id"]),
             company=str(data["company"]),
             industry=str(data["industry"]),
-            market_cap_mhkd=None if cap is None else float(cap),
+            market_cap_mhkd=_market_cap(data, path),
             outline=_node_from_json(data["outline"]),
             blocks=[Block(text=b["text"], page=int(b["page"])) for b in data["blocks"]],
             tables=[
@@ -564,16 +583,14 @@ def _split_pipe_row(line: str) -> list[str]:
 
 
 def _parse_markdown(text: str, doc_id: str) -> StructuredDocument:
-    root = OutlineNode(title="", level=0, span=(0, 0))
-    stack = [root]
+    outline: list[tuple[int, str] | None] = []  # `_outline`'s headings and paragraphs
     blocks: list[Block] = []
     tables: list[Table] = []
     paragraph: list[str] = []
 
     def flush_paragraph() -> None:
         if paragraph:
-            top = stack[-1]
-            top.span = (top.span[0], len(blocks) + 1)
+            outline.append(None)
             blocks.append(Block(text=" ".join(paragraph), page=1))
             paragraph.clear()
 
@@ -584,16 +601,7 @@ def _parse_markdown(text: str, doc_id: str) -> StructuredDocument:
         heading = _HEADING_RE.match(line)
         if heading:
             flush_paragraph()
-            level = len(heading.group(1))
-            node = OutlineNode(
-                title=heading.group(2).strip(),
-                level=level,
-                span=(len(blocks), len(blocks)),
-            )
-            while stack[-1].level >= level:
-                stack.pop()
-            stack[-1].children.append(node)
-            stack.append(node)
+            outline.append((len(heading.group(1)), heading.group(2).strip()))
             i += 1
         elif line.lstrip().startswith("|"):
             flush_paragraph()
@@ -634,7 +642,7 @@ def _parse_markdown(text: str, doc_id: str) -> StructuredDocument:
         company=doc_id,
         industry="",
         market_cap_mhkd=None,
-        outline=root,
+        outline=_outline(outline),
         blocks=blocks,
         tables=tables,
     )

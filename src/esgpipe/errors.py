@@ -18,7 +18,7 @@ class TableStructureError(DocumentError):
 
 
 class ProviderError(PipelineError):
-    """A pluggable provider (embedding, rerank, summary, chat) failed."""
+    """A pluggable provider (embedding, rerank, chat) failed."""
 
 
 class KnowledgeBaseError(PipelineError):

@@ -173,11 +173,16 @@ def dc_rows(
     return rows
 
 
+def _share(rows: Sequence[dict], key: str = "match") -> float | None:
+    """The share of `rows` whose `key` is true; None for no rows."""
+    return sum(r[key] for r in rows) / len(rows) if rows else None
+
+
 def acc_dc(
     labels: LabelSet, records: Sequence[ExtractionRecord], registry: MetadataRegistry
-) -> float:
-    rows = dc_rows(labels, records, registry)
-    return sum(r["match"] for r in rows) / len(rows)
+) -> float | None:
+    """None (undefined) when the registry has no indicators."""
+    return _share(dc_rows(labels, records, registry))
 
 
 def disclosed_recall(
@@ -190,10 +195,7 @@ def disclosed_recall(
 
 
 def _recall_from_dc(rows: Sequence[dict]) -> float | None:
-    disclosed = [r for r in rows if r["labeled"]]
-    if not disclosed:
-        return None
-    return sum(r["predicted"] for r in disclosed) / len(disclosed)
+    return _share([r for r in rows if r["labeled"]], "predicted")
 
 
 def _values_match(
@@ -255,10 +257,7 @@ def acc_de(
     rel_tol: float | None = None,
 ) -> float | None:
     """None (undefined, reported N/A) when no values are labeled."""
-    rows = de_rows(labels, records, registry, aliases, rel_tol)
-    if not rows:
-        return None
-    return sum(r["match"] for r in rows) / len(rows)
+    return _share(de_rows(labels, records, registry, aliases, rel_tol))
 
 
 @dataclass
@@ -293,8 +292,8 @@ def evaluate_document(
         scope=labels.doc_id,
         config_id=config_id,
         provider_name=provider_name,
-        acc_dc=sum(r["match"] for r in dc) / len(dc),
-        acc_de=(sum(r["match"] for r in de) / len(de)) if de else None,
+        acc_dc=_share(dc),
+        acc_de=_share(de),
         disclosed_recall=_recall_from_dc(dc),
         n_mq=len(dc),
         n_v=len(de),

@@ -14,6 +14,14 @@ A naive build (for the benchmark pipeline arm) flattens body text and
 linearized tables into one string and cuts fixed-size chunks into a
 single Text partition with no summaries, no outline and no table index.
 
+Both builds pack their chunks by one rule: pieces are taken in order,
+and each chunk takes the most pieces that fit its size with one
+separator between each two, and always at least one. The structured
+build packs whole blocks (newline-joined) between blocks too long for
+one chunk, and each such block's sentences (space-joined); the naive
+build packs sentences, first hard-cut to the chunk size. So no chunk
+exceeds its size but a single sentence longer than a structured chunk.
+
 The KB persists to one file (format version 3): a header line of
 compact JSON, then raw little-endian sections. The header holds the
 scalars, `table_texts`, the `entry_id` and `source` columns over the
@@ -44,8 +52,6 @@ KnowledgeBaseError, and the KB cache then rebuilds it.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import json
 import logging
 import re
@@ -92,6 +98,7 @@ class Source(Enum):
 
 
 _SOURCES = {s.value: s for s in Source}  # what `load` maps each entry's "source" through
+_PREFIXES = {Source.TEXT: "t", Source.OUTLINE: "o", Source.TABLE_KEYWORD: "k"}  # of a built entry_id
 
 
 @dataclass
@@ -231,62 +238,60 @@ class KnowledgeBase:
             raise KnowledgeBaseError(f"no stored text for table {table_id!r}") from None
 
 
+def _runs(lengths: Sequence[int], limit: int) -> list[tuple[int, int]]:
+    """The greedy runs of items of these lengths, as (start, stop) index
+    pairs: each run takes the most items from its start whose lengths,
+    plus one separator between each two, sum to at most `limit`, and
+    always at least one."""
+    runs: list[tuple[int, int]] = []
+    start, used = 0, -1  # used: the open run's length; -1, as its first item has no separator
+    for i, n in enumerate(lengths):
+        used += n + 1
+        if used > limit and i > start:
+            runs.append((start, i))
+            start, used = i, n
+    if start < len(lengths):
+        runs.append((start, len(lengths)))
+    return runs
+
+
 def chunk_text(doc: StructuredDocument, max_chars: int = DEFAULT_CHUNK_CHARS) -> list[tuple[str, str]]:
     """Split body blocks into (anchor, chunk) pairs.
 
     Whole blocks are packed greedily (joined with newlines) up to
     max_chars. A single block longer than max_chars is split at
-    sentence boundaries; an individual sentence longer than max_chars
-    stays whole. Anchors are "blocks:i-j" (inclusive block range) or
-    "blocks:i-i#p" for the p-th piece of a split block.
+    sentence boundaries, its sentences packed the same way (joined with
+    spaces); an individual sentence longer than max_chars stays whole.
+    Anchors are "blocks:i-j" (inclusive block range) or "blocks:i-i#p"
+    for the p-th piece of a split block.
     """
     if max_chars < MIN_CHUNK_CHARS:
         raise KnowledgeBaseError(f"max_chars must be >= {MIN_CHUNK_CHARS}")
+    texts = [block.text for block in doc.blocks]
     chunks: list[tuple[str, str]] = []
-    group: list[str] = []
-    group_start = 0
-    group_len = 0
-
-    def flush(end_index: int) -> None:
-        nonlocal group, group_len
-        if group:
-            anchor = f"blocks:{group_start}-{end_index}"
-            chunks.append((anchor, "\n".join(group)))
-            group = []
-            group_len = 0
-
-    for i, block in enumerate(doc.blocks):
-        text = block.text
-        if len(text) > max_chars:
-            flush(i - 1)
-            sentences = split_sentences(text)
-            # ends[j] - ends[k] - 1 is the length of sentences[k:j] joined by spaces
-            ends = list(itertools.accumulate(map((1).__add__, map(len, sentences)), initial=0))
-            start = part = 0
-            while start < len(sentences):
-                # the most sentences from `start` that fit, and at least one
-                stop = max(bisect.bisect_right(ends, ends[start] + max_chars + 1) - 1, start + 1)
-                chunks.append((f"blocks:{i}-{i}#{part}", " ".join(sentences[start:stop])))
-                start, part = stop, part + 1
-            group_start = i + 1
-            continue
-        extra = len(text) + (1 if group else 0)
-        if group and group_len + extra > max_chars:
-            flush(i - 1)
-        if not group:
-            group_start = i
-        group.append(text)
-        group_len += len(text) + (0 if group_len == 0 else 1)
-    flush(len(doc.blocks) - 1)
+    start = 0  # the first block after the last split one
+    for i in [*(i for i, text in enumerate(texts) if len(text) > max_chars), len(texts)]:
+        chunks.extend(
+            (f"blocks:{start + a}-{start + b - 1}", "\n".join(texts[start + a : start + b]))
+            for a, b in _runs(list(map(len, texts[start:i])), max_chars)
+        )
+        if i < len(texts):
+            sentences = split_sentences(texts[i])
+            chunks.extend(
+                (f"blocks:{i}-{i}#{part}", " ".join(sentences[a:b]))
+                for part, (a, b) in enumerate(_runs(list(map(len, sentences)), max_chars))
+            )
+        start = i + 1
     return chunks
 
 
 def naive_chunks(flat_text: str, size: int = DEFAULT_NAIVE_CHUNK_CHARS) -> list[tuple[str, str]]:
     """Fixed-size chunking of flattened text for the benchmark arm.
 
-    Sentences are packed greedily up to `size` characters; a single
-    run without sentence boundaries longer than `size` is hard-cut.
-    Anchors are "flat:<n>" chunk ordinals.
+    Sentences are packed greedily up to `size` characters (joined with
+    spaces); a single run without sentence boundaries longer than `size`
+    is first hard-cut into pieces of `size`. Anchors are "flat:<n>"
+    chunk ordinals.
     """
     if size < 1:
         raise KnowledgeBaseError("chunk size must be positive")
@@ -297,18 +302,10 @@ def naive_chunks(flat_text: str, size: int = DEFAULT_NAIVE_CHUNK_CHARS) -> list[
             sentence = sentence[size:]
         if sentence:
             pieces.append(sentence)
-    chunks: list[str] = []
-    current = ""
-    for piece in pieces:
-        candidate = f"{current} {piece}" if current else piece
-        if current and len(candidate) > size:
-            chunks.append(current)
-            current = piece
-        else:
-            current = candidate
-    if current:
-        chunks.append(current)
-    return [(f"flat:{n}", chunk) for n, chunk in enumerate(chunks)]
+    return [
+        (f"flat:{n}", " ".join(pieces[a:b]))
+        for n, (a, b) in enumerate(_runs(list(map(len, pieces)), size))
+    ]
 
 
 def summarize(text: str, sentences: int = 2) -> str:
@@ -367,48 +364,23 @@ def build(
 ) -> KnowledgeBase:
     """Build the three-partition KB for one document."""
     cfg = cfg or BuildConfig()
-    text_parts = [  # (anchor, payload, summary)
-        (anchor, chunk, summarize(chunk, cfg.summary_sentences))
-        for anchor, chunk in chunk_text(doc, cfg.max_chars)
-    ]
-
-    outline_parts = [
-        (f"outline:{path_index}", path, None)
-        for path_index, (path, _node) in enumerate(outline_paths(doc.outline))
-    ]
-
-    keyword_parts: list[tuple[str, str, None]] = []
-    table_texts: dict[str, str] = {}
-    for table in doc.tables:
-        table_texts[table.table_id] = render_table(table)
-        anchor = f"table:{table.table_id}"
-        keyword_parts.extend((anchor, keyword, None) for keyword in extract_table_keywords(table))
-
-    sections = (
-        (Source.TEXT, "t", text_parts),
-        (Source.OUTLINE, "o", outline_parts),
-        (Source.TABLE_KEYWORD, "k", keyword_parts),
-    )
-    matrix = embed_matrix(
-        embedder, [payload for _, _, parts in sections for _, payload, _ in parts]
-    )
-    rows = iter(matrix)
-    entries = [
-        Entry(f"{prefix}{n:04d}", source, doc.doc_id, payload, next(rows), anchor, summary)
-        for source, prefix, parts in sections
-        for n, (anchor, payload, summary) in enumerate(parts)
-    ]
-
-    kb = KnowledgeBase(
-        scope=doc.doc_id,
-        provider_name=embedder.name,
-        dim=embedder.dim,
-        entries=entries,
-        table_texts=table_texts,
-        matrix=matrix,
-    )
-    logger.info("built KB for %s: %s", doc.doc_id, kb.counts())
-    return kb
+    table_texts = {table.table_id: render_table(table) for table in doc.tables}
+    parts = {
+        Source.TEXT: [
+            (anchor, chunk, summarize(chunk, cfg.summary_sentences))
+            for anchor, chunk in chunk_text(doc, cfg.max_chars)
+        ],
+        Source.OUTLINE: [
+            (f"outline:{path_index}", path, None)
+            for path_index, (path, _node) in enumerate(outline_paths(doc.outline))
+        ],
+        Source.TABLE_KEYWORD: [
+            (f"table:{table.table_id}", keyword, None)
+            for table in doc.tables
+            for keyword in extract_table_keywords(table)
+        ],
+    }
+    return _assemble(doc.doc_id, embedder, parts, table_texts)
 
 
 def flatten_document(doc: StructuredDocument) -> str:
@@ -424,27 +396,30 @@ def build_naive(
     chunk_chars: int = DEFAULT_NAIVE_CHUNK_CHARS,
 ) -> KnowledgeBase:
     """Benchmark-arm KB: one Text partition of fixed-size chunks."""
-    parts = naive_chunks(flatten_document(doc), chunk_chars)
-    matrix = embed_matrix(embedder, [p for _, p in parts])
-    entries = [
-        Entry(
-            entry_id=f"t{n:04d}",
-            source=Source.TEXT,
-            doc_id=doc.doc_id,
-            payload_text=payload,
-            vector=row,
-            anchor=anchor,
-        )
-        for n, ((anchor, payload), row) in enumerate(zip(parts, matrix))
+    parts = [
+        (anchor, chunk, None) for anchor, chunk in naive_chunks(flatten_document(doc), chunk_chars)
     ]
-    kb = KnowledgeBase(
-        scope=doc.doc_id,
-        provider_name=embedder.name,
-        dim=embedder.dim,
-        entries=entries,
-        matrix=matrix,
-    )
-    logger.info("built naive KB for %s: %d chunks", doc.doc_id, len(entries))
+    return _assemble(doc.doc_id, embedder, {Source.TEXT: parts})
+
+
+def _assemble(
+    doc_id: str,
+    embedder: EmbeddingProvider,
+    parts: dict[Source, list[tuple[str, str, str | None]]],
+    table_texts: dict[str, str] | None = None,
+) -> KnowledgeBase:
+    """The KB of each source's (anchor, payload, summary) parts, in turn:
+    one `embed_matrix` call over every payload, and entry_ids of the
+    source's prefix and the part's four-digit ordinal."""
+    matrix = embed_matrix(embedder, [payload for ps in parts.values() for _, payload, _ in ps])
+    rows = iter(matrix)
+    entries = [
+        Entry(f"{_PREFIXES[source]}{n:04d}", source, doc_id, payload, next(rows), anchor, summary)
+        for source, ps in parts.items()
+        for n, (anchor, payload, summary) in enumerate(ps)
+    ]
+    kb = KnowledgeBase(doc_id, embedder.name, embedder.dim, entries, table_texts, matrix)
+    logger.info("built KB for %s: %s", doc_id, kb.counts())
     return kb
 
 

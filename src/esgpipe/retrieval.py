@@ -141,9 +141,9 @@ def build_query(
     embedder: EmbeddingProvider,
     use_search_terms: bool = True,
 ) -> Query:
-    """Question vector plus one vector per search term (when enabled)."""
-    texts = query_texts(spec, registry, use_search_terms)
-    return Query(indicator_id=spec.id, query_texts=texts, vectors=embedder.embed(texts))
+    """Question vector plus one vector per search term (when enabled):
+    the query `build_queries` makes for this spec and switch alone."""
+    return build_queries([spec], registry, embedder, [use_search_terms])[spec.id, use_search_terms]
 
 
 def build_queries(
@@ -155,8 +155,7 @@ def build_queries(
     """Queries keyed by (indicator id, use_search_terms), every switch in
     `search_term_switches` for every spec, from one `embed_matrix` call
     over every query's texts in turn, which sends each distinct text
-    once. Each query's vectors are its slice of that matrix, and each
-    query equals `build_query`'s."""
+    once. Each query's vectors are its slice of that matrix."""
     texts = {
         (spec.id, switch): query_texts(spec, registry, switch)
         for switch in search_term_switches

@@ -372,17 +372,51 @@ def test_ingest_layout_json_rejects_malformed_elements(tmp_path, element, messag
     assert str(caught.value) == f"element 1: {message}"
 
 
-@pytest.mark.parametrize("cap", ["n/a", "12.5", True, [1]])
+_ABSENT = object()
+
+
+def _doc_with_market_cap(tmp_path, shape, cap):
+    """A one-paragraph document file of `shape`, "layout" or
+    "structured", whose market_cap_mhkd is `cap` (left out if _ABSENT)."""
+    payload = {"doc_id": "x", "company": "X", "industry": "", "elements": [_GOOD_ELEMENT]}
+    if shape == "structured":
+        doc = document_from_elements("x", "X", "", None, [para("Body.", 0)])
+        payload = json.loads(serialize(doc))
+        del payload["market_cap_mhkd"]
+    if cap is not _ABSENT:
+        payload["market_cap_mhkd"] = cap
+    path = tmp_path / f"{shape}.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")  # NaN and Infinity as bare tokens
+    return path
+
+
+@pytest.mark.parametrize(
+    "cap",
+    [
+        "n/a", "12.5", True, [1], "12", "NaN", "Infinity",
+        0, 0.0, -5, float("nan"), float("inf"), float("-inf"),
+        pytest.param(10**400, id="10**400"),
+    ],
+)
 def test_ingest_layout_json_rejects_non_number_market_cap(tmp_path, cap):
-    payload = {
-        "doc_id": "x", "company": "X", "industry": "", "market_cap_mhkd": cap,
-        "elements": [_GOOD_ELEMENT],
-    }
-    path = tmp_path / "x.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(DocumentError) as caught:
-        ingest(path)
-    assert str(caught.value) == f"{path}: market_cap_mhkd must be a number, got {cap!r}"
+    """In either JSON shape, a market cap that is not a JSON number, or
+    one that is not finite and above 0, skips the file."""
+    want = "positive and finite" if type(cap) in (int, float) else "a number"
+    for shape in ("layout", "structured"):
+        path = _doc_with_market_cap(tmp_path, shape, cap)
+        with pytest.raises(DocumentError) as caught:
+            ingest(path)
+        assert str(caught.value) == f"{path}: market_cap_mhkd must be {want}, got {cap!r}"
+
+
+@pytest.mark.parametrize(
+    "cap, want",
+    [pytest.param(_ABSENT, None, id="absent"), (None, None), (12, 12.0), (0.5, 0.5), (1e308, 1e308)],
+)
+def test_ingest_takes_a_market_cap_null_absent_or_finite_above_0(tmp_path, cap, want):
+    for shape in ("layout", "structured"):
+        doc = ingest(_doc_with_market_cap(tmp_path, shape, cap))
+        assert doc.market_cap_mhkd == want and type(doc.market_cap_mhkd) is type(want)
 
 
 def test_ingest_layout_json_keeps_integral_numbers(tmp_path):
@@ -431,6 +465,39 @@ Emissions fell this year.
     assert doc.tables[0].cells == [["Metric", "2024"], ["NOx", "14"]]
     assert doc.tables[0].header_row_count == 1
     validate_document(doc)
+
+
+def test_layout_json_and_markdown_give_the_same_outline(tmp_path):
+    """Headings of the same levels and paragraphs in the same order give
+    equal outlines, whether levels come from font-size ranks or from
+    `#` counts."""
+    outline = [  # (level, title) for a heading, a text for a paragraph
+        "Preface.", (1, "Report"), "Intro.", (2, "Environment"), "E one.", "E two.",
+        (3, "Air"), "Air text.", (2, "Social"), (1, "Governance"), "G text.",
+    ]
+    sizes = {1: 20, 2: 16, 3: 13}
+    elements = [
+        {**_GOOD_ELEMENT, "text": item, "bbox": [50, 20 * y, 550, 20 * y + 12]}
+        if isinstance(item, str)
+        else {**_GOOD_ELEMENT, "kind": "Header", "text": item[1],
+              "bbox": [50, 20 * y, 550, 20 * y + 12], "font_size": sizes[item[0]]}
+        for y, item in enumerate(outline)
+    ]
+    layout = tmp_path / "layout.json"
+    layout.write_text(json.dumps(
+        {"doc_id": "x", "company": "X", "industry": "", "elements": elements}
+    ), encoding="utf-8")
+    markdown = tmp_path / "x.md"
+    markdown.write_text("\n\n".join(
+        item if isinstance(item, str) else "#" * item[0] + " " + item[1] for item in outline
+    ), encoding="utf-8")
+    from_layout, from_markdown = ingest(layout), ingest(markdown)
+    assert from_layout.outline == from_markdown.outline
+    assert from_layout.blocks == from_markdown.blocks
+    assert [p for p, _ in outline_paths(from_layout.outline)] == [
+        "Report", "Report / Environment", "Report / Environment / Air",
+        "Report / Social", "Governance",
+    ]
 
 
 def test_ingest_empty_file_rejected(tmp_path):

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from esgpipe.docmodel import (
@@ -88,39 +88,70 @@ def test_chunk_never_splits_mid_sentence():
                 assert sentence in text
 
 
+def _sentences(text):
+    return [s for s in re.split(r"(?<=[.!?])\s+", text.strip()) if s]
+
+
+def _pack(strings, sep, limit):
+    """Index runs of `strings`, greedily: a string joins the open run
+    while the run's strings joined by `sep`, separators and all, fit in
+    `limit`, and otherwise opens the next run."""
+    runs = []
+    for j, text in enumerate(strings):
+        if runs and len(sep.join([strings[k] for k in runs[-1]] + [text])) <= limit:
+            runs[-1].append(j)
+        else:
+            runs.append([j])
+    return runs
+
+
+_PLANTED_SENTENCES = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=300), st.sampled_from([" ", "  ", "\n"])),
+    max_size=12,
+)
+
+
+def _planted(sentences):
+    """Sentences of the planted lengths, each ended by a full stop."""
+    return "".join("x" * (n - 1) + "." + gap for n, gap in sentences)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    blocks=st.lists(
-        st.lists(
-            st.tuples(st.integers(min_value=1, max_value=300), st.sampled_from([" ", "  ", "\n"])),
-            max_size=12,
-        ),
-        max_size=6,
-    ),
+    blocks=st.lists(st.one_of(st.just([]), _PLANTED_SENTENCES), max_size=6),
     max_chars=st.integers(min_value=200, max_value=600),
 )
+# two empty blocks and a 200-char one join in 202 chars: too many for 201
+@example(blocks=[[], [], [(199, " ")]], max_chars=201)
 def test_chunk_packs_split_blocks_like_a_sentence_loop(blocks, max_chars):
-    """Sentences of planted lengths, some longer than the budget, are
-    packed greedily into a long block's pieces, as a loop that adds one
-    sentence at a time packs them."""
-    texts = ["".join("x" * (n - 1) + "." + gap for n, gap in block) for block in blocks]
+    """Blocks, empty ones among them, are packed whole between the long
+    blocks, and a long block's sentences (of planted lengths, some
+    longer than the budget) into its pieces, as a loop that counts every
+    separator packs them; no chunk but a single sentence exceeds the
+    budget."""
+    texts = [_planted(block) for block in blocks]
+    want, stretch = [], []  # stretch: the whole blocks since the last long one
 
-    def loop(i, text):
-        out, piece, piece_len = [], [], 0
-        for sentence in [s for s in re.split(r"(?<=[.!?])\s+", text.strip()) if s]:
-            extra = len(sentence) + (1 if piece else 0)
-            if piece and piece_len + extra > max_chars:
-                out.append((f"blocks:{i}-{i}#{len(out)}", " ".join(piece)))
-                piece, piece_len = [], 0
-            piece.append(sentence)
-            piece_len += len(sentence) + (1 if piece_len else 0)
-        if piece:
-            out.append((f"blocks:{i}-{i}#{len(out)}", " ".join(piece)))
-        return out
+    def whole():
+        for run in _pack([texts[j] for j in stretch], "\n", max_chars):
+            want.append((
+                f"blocks:{stretch[run[0]]}-{stretch[run[-1]]}",
+                "\n".join(texts[stretch[k]] for k in run),
+            ))
+        stretch.clear()
 
-    long_ones = [(i, t) for i, t in enumerate(texts) if len(t) > max_chars]
-    split = [c for c in chunk_text(make_doc(texts), max_chars) if "#" in c[0]]
-    assert split == [c for i, t in long_ones for c in loop(i, t)]
+    for i, text in enumerate(texts):
+        if len(text) <= max_chars:
+            stretch.append(i)
+            continue
+        whole()
+        sentences = _sentences(text)
+        for part, run in enumerate(_pack(sentences, " ", max_chars)):
+            want.append((f"blocks:{i}-{i}#{part}", " ".join(sentences[k] for k in run)))
+    whole()
+    chunks = chunk_text(make_doc(texts), max_chars)
+    assert chunks == want
+    assert all(len(c) <= max_chars or len(_sentences(c)) == 1 for _, c in chunks)
 
 
 def test_chunk_rejects_tiny_budget():
@@ -147,6 +178,23 @@ def test_naive_chunks_hard_cut_long_runs():
     texts = [c for _, c in chunks]
     assert all(len(t) <= 400 for t in texts)
     assert "".join(texts).replace(" ", "") == run
+
+
+@settings(max_examples=300, deadline=None)
+@given(sentences=_PLANTED_SENTENCES, size=st.integers(min_value=1, max_value=400))
+def test_naive_chunks_pack_like_a_sentence_loop(sentences, size):
+    """Sentences of planted lengths are hard-cut into pieces of `size`,
+    and the pieces packed as a loop that counts every separator packs
+    them, so no chunk exceeds `size`."""
+    pieces = [
+        piece
+        for sentence in _sentences(_planted(sentences))
+        for piece in re.findall(f".{{1,{size}}}", sentence)
+    ]
+    want = [" ".join(pieces[k] for k in run) for run in _pack(pieces, " ", size)]
+    chunks = naive_chunks(_planted(sentences), size)
+    assert chunks == [(f"flat:{n}", chunk) for n, chunk in enumerate(want)]
+    assert all(len(c) <= size for _, c in chunks)
 
 
 def test_naive_chunks_never_contain_oversized_lines():
