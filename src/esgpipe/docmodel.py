@@ -7,10 +7,13 @@ A document enters the pipeline as one of three on-disk shapes:
    exactly the fields of `LayoutElement` (``kind``, ``text``, ``page``,
    ``bbox``, ``font_size``, plus ``table_id``/``row``/``col`` for table
    cells). Unknown element fields are rejected. Numbers must be JSON
-   numbers, not booleans or strings, and ``page``, ``row`` and ``col``
-   must be integral; a ``table_id`` must be a string.
+   numbers, not booleans or strings, that fit a float, and ``page``,
+   ``row`` and ``col`` must be integral; a ``table_id`` must be a
+   string.
 2. Structured-document JSON (the output of `serialize`), recognized by
-   ``"format": "structured_document"``.
+   ``"format": "structured_document"``. Its ``page``, ``n_rows``,
+   ``n_cols``, ``header_row_count``, ``level`` and ``span`` numbers
+   must be integral JSON numbers, as in layout JSON.
 3. Markdown or plain text: ``#``-style headings become outline nodes,
    pipe tables become tables, blank-line-separated paragraphs become
    blocks.
@@ -379,13 +382,23 @@ _KINDS = {k.value: k for k in ElementKind}
 _NUMBERS = frozenset({int, float})  # the types of JSON numbers; a bool is not one
 
 
-def _integer(value: object, name: str, pos: int) -> int:
-    """A JSON number with an integral value, as an int."""
+def _integer(value: object, what: str) -> int:
+    """A JSON number with an integral value, as an int; `what` names it
+    in the error."""
     if type(value) is int:
         return value
     if type(value) is float and value.is_integer():
         return int(value)
-    raise DocumentError(f"element {pos}: {name} must be an integer, got {value!r}")
+    raise DocumentError(f"{what} must be an integer, got {value!r}")
+
+
+def _float(value: int | float, what: str) -> float:
+    """A JSON number as a float; an int too large for one is an error
+    naming `what`."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise DocumentError(f"{what} holds a number too large for a float") from None
 
 
 def _parse_element(obj: object, pos: int) -> LayoutElement:
@@ -416,12 +429,12 @@ def _parse_element(obj: object, pos: int) -> LayoutElement:
     element = LayoutElement(
         kind,
         str(obj["text"]),
-        _integer(obj["page"], "page", pos),
-        tuple(map(float, bbox)),
-        float(font_size),
+        _integer(obj["page"], f"element {pos}: page"),
+        tuple(_float(x, f"element {pos}: bbox") for x in bbox),
+        _float(font_size, f"element {pos}: font_size"),
         table_id,
-        None if row is None else _integer(row, "row", pos),
-        None if col is None else _integer(col, "col", pos),
+        None if row is None else _integer(row, f"element {pos}: row"),
+        None if col is None else _integer(col, f"element {pos}: col"),
     )
     try:
         element.validate()
@@ -508,10 +521,11 @@ def _node_to_json(node: OutlineNode) -> dict:
 
 def _node_from_json(obj: dict) -> OutlineNode:
     span = obj["span"]
+    where = f"outline node {obj['title']!r}"
     return OutlineNode(
         title=obj["title"],
-        level=int(obj["level"]),
-        span=(int(span[0]), int(span[1])),
+        level=_integer(obj["level"], f"{where}: level"),
+        span=(_integer(span[0], f"{where}: span"), _integer(span[1], f"{where}: span")),
         children=[_node_from_json(c) for c in obj.get("children", [])],
     )
 
@@ -553,19 +567,24 @@ def _parse_structured_json(data: dict, path: Path) -> StructuredDocument:
             industry=str(data["industry"]),
             market_cap_mhkd=_market_cap(data, path),
             outline=_node_from_json(data["outline"]),
-            blocks=[Block(text=b["text"], page=int(b["page"])) for b in data["blocks"]],
+            blocks=[
+                Block(text=b["text"], page=_integer(b["page"], f"block {i}: page"))
+                for i, b in enumerate(data["blocks"])
+            ],
             tables=[
                 Table(
                     table_id=t["table_id"],
-                    n_rows=int(t["n_rows"]),
-                    n_cols=int(t["n_cols"]),
+                    n_rows=_integer(t["n_rows"], f"table {t['table_id']!r}: n_rows"),
+                    n_cols=_integer(t["n_cols"], f"table {t['table_id']!r}: n_cols"),
                     cells=[[str(c) for c in row] for row in t["cells"]],
-                    header_row_count=int(t["header_row_count"]),
+                    header_row_count=_integer(
+                        t["header_row_count"], f"table {t['table_id']!r}: header_row_count"
+                    ),
                 )
                 for t in data["tables"]
             ],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise DocumentError(f"{path}: malformed structured document: {exc}") from exc
     validate_document(doc)
     return doc

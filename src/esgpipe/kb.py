@@ -22,29 +22,32 @@ one chunk, and each such block's sentences (space-joined); the naive
 build packs sentences, first hard-cut to the chunk size. So no chunk
 exceeds its size but a single sentence longer than a structured chunk.
 
-The KB persists to one file (format version 3): a header line of
+The KB persists to one file (format version 4): a header line of
 compact JSON, then raw little-endian sections. The header holds the
-scalars, `table_texts`, the `entry_id` and `source` columns over the
-entries in file order, and `sections`, the byte length of each section
-in the order they follow the header line:
+scalars, `table_texts`, the `entry_id` column over the entries in file
+order, and `sections`, the [item type, byte length] of each section in
+the order they follow the header line. Each integer section is stored
+at the narrowest unsigned width (`u1`, `<u2`, `<u4` or `<u8`) that
+holds its largest possible value:
 
-- `offsets` (`<i8`): 4 x entries + 1 non-decreasing offsets, in code
-  points, from 0 to the length of the text; entry i's doc_id,
-  payload_text, summary and anchor are the four pieces of the text
-  from offset 4i on.
+- `source` (codes in `Source` order, so `u1`): each entry's source.
+- `offsets` (width of the text length): 3 x entries + 1 non-decreasing
+  offsets, in code points, from 0 to the length of the text; entry i's
+  payload_text, summary and anchor are the three pieces of the text
+  from offset 3i on.
 - `has_summary` (`u1`): 1 for an entry with a summary, 0 for one whose
   summary is None (its piece is then empty), so None and "" differ.
-- `text` (UTF-8): every entry's four pieces, joined.
-- `indptr`, `indices` (`<i4`) and `values` (`<f8`): the vectors as a
-  CSR matrix (compressed sparse rows): entries + 1 row offsets from 0,
-  then per row its strictly increasing column indices and their
-  values. A value is stored when its bit pattern is not all zero, so
-  -0.0, NaN and subnormals round-trip bit for bit.
+- `text` (`u1`, UTF-8): every entry's three pieces, joined.
+- `indptr` (width of the count of stored values), `indices` (width of
+  dim - 1) and `values` (`<f8`): the vectors as a CSR matrix
+  (compressed sparse rows): entries + 1 row offsets from 0, then per
+  row its strictly increasing column indices and their values. A value
+  is stored when its bit pattern is not all zero, so -0.0, NaN and
+  subnormals round-trip bit for bit.
 
 `load` reads the file once and checks every part of it, so a malformed
 file fails there and never later; it ignores header keys it does not
-read, such as the `summary_fallbacks` (always 0) of older version-3
-files. A loaded KB keeps its entries as these columns: search makes an
+read. A loaded KB keeps its entries as these columns: search makes an
 `Entry` only for a hit row, and `entries` makes them all on first
 access. A file of another format or version, or a malformed one, is a
 KnowledgeBaseError, and the KB cache then rebuilds it.
@@ -58,7 +61,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -71,7 +73,7 @@ from .providers import EmbeddingProvider, embed_matrix, split_sentences
 logger = logging.getLogger(__name__)
 
 KB_FORMAT = "esg_kb"
-KB_VERSION = 3
+KB_VERSION = 4
 
 DEFAULT_CHUNK_CHARS = 1200
 DEFAULT_NAIVE_CHUNK_CHARS = 400
@@ -80,14 +82,17 @@ MIN_CHUNK_CHARS = 200
 _SAVE_ROWS = 256  # entries and vector rows per piece `save` writes
 _SAVE_BUFFER = 1 << 16  # bytes `save` buffers per write: a small KB goes out in one
 
-# The sections after the header line, in file order, with their item types.
+_UINTS = ("u1", "<u2", "<u4", "<u8")  # the item types of an integer section, narrowest first
+
+# The sections after the header line, in file order, with the item types each may have.
 _SECTIONS = {
-    "offsets": "<i8",
-    "has_summary": "u1",
-    "text": "u1",
-    "indptr": "<i4",
-    "indices": "<i4",
-    "values": "<f8",
+    "source": _UINTS,
+    "offsets": _UINTS,
+    "has_summary": _UINTS,
+    "text": ("u1",),
+    "indptr": _UINTS,
+    "indices": _UINTS,
+    "values": ("<f8",),
 }
 
 
@@ -97,7 +102,7 @@ class Source(Enum):
     TABLE_KEYWORD = "TableKeyword"
 
 
-_SOURCES = {s.value: s for s in Source}  # what `load` maps each entry's "source" through
+_CODES = {s: code for code, s in enumerate(Source)}  # each source's code in the file
 _PREFIXES = {Source.TEXT: "t", Source.OUTLINE: "o", Source.TABLE_KEYWORD: "k"}  # of a built entry_id
 
 
@@ -105,7 +110,6 @@ _PREFIXES = {Source.TEXT: "t", Source.OUTLINE: "o", Source.TABLE_KEYWORD: "k"}  
 class Entry:
     entry_id: str
     source: Source
-    doc_id: str
     payload_text: str
     vector: Sequence[float]  # a row of the KB's matrix in KBs from build/load
     anchor: str
@@ -414,7 +418,7 @@ def _assemble(
     matrix = embed_matrix(embedder, [payload for ps in parts.values() for _, payload, _ in ps])
     rows = iter(matrix)
     entries = [
-        Entry(f"{_PREFIXES[source]}{n:04d}", source, doc_id, payload, next(rows), anchor, summary)
+        Entry(f"{_PREFIXES[source]}{n:04d}", source, payload, next(rows), anchor, summary)
         for source, ps in parts.items()
         for n, (anchor, payload, summary) in enumerate(ps)
     ]
@@ -424,21 +428,22 @@ def _assemble(
 
 
 def _pieces(entries: Sequence[Entry]) -> list[str]:
-    """The text pieces of `entries` in file order: each entry's doc_id,
+    """The text pieces of `entries` in file order: each entry's
     payload_text, summary ("" for None) and anchor."""
-    return [
-        piece
-        for e in entries
-        for piece in (e.doc_id, e.payload_text, e.summary or "", e.anchor)
-    ]
+    return [piece for e in entries for piece in (e.payload_text, e.summary or "", e.anchor)]
+
+
+def _uint(largest: int) -> str:
+    """The narrowest of `_UINTS` that holds every integer from 0 to `largest`."""
+    return next(t for t in _UINTS if largest <= np.iinfo(t).max)
 
 
 def save(kb: KnowledgeBase, path: str | Path) -> None:
     """Write the KB file (byte-reproducible): the header line, then each
-    section in turn. The header's columns, the text and the CSR arrays
-    go out `_SAVE_ROWS` entries at a time, so neither the file nor its
-    header, text or vector sections are held whole; a first pass over
-    the entries finds the text's offsets and byte length."""
+    section in turn. The header's entry_id column, the text and the CSR
+    arrays go out `_SAVE_ROWS` entries at a time, so neither the file
+    nor its header, text or vector sections are held whole; a first
+    pass over the entries finds the text's offsets and byte length."""
     encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
     entries = kb.entries
     batches = [entries[i : i + _SAVE_ROWS] for i in range(0, len(entries), _SAVE_ROWS)]
@@ -448,12 +453,18 @@ def save(kb: KnowledgeBase, path: str | Path) -> None:
         pieces = _pieces(batch)
         lengths.append(np.fromiter(map(len, pieces), np.int64, len(pieces)))
         text_bytes += len("".join(pieces).encode("utf-8"))
-    offsets = np.cumsum(np.concatenate(lengths), dtype="<i8")
+    offsets = np.cumsum(np.concatenate(lengths))
     bits = kb._matrix.view(np.uint64)
     blocks = [bits[i : i + _SAVE_ROWS] for i in range(0, len(bits), _SAVE_ROWS)]
     sizes = [np.count_nonzero(block, axis=1) for block in blocks]
-    indptr = np.cumsum(np.concatenate([np.zeros(1, dtype=np.intp), *sizes]), dtype="<i4")
+    indptr = np.cumsum(np.concatenate([np.zeros(1, dtype=np.intp), *sizes]))
     nnz = int(indptr[-1])
+    n = len(entries)
+    types = dict(zip(_SECTIONS, (
+        _uint(len(Source) - 1), _uint(int(offsets[-1])), _uint(1), "u1",
+        _uint(nnz), _uint(kb.dim - 1), "<f8",
+    )))
+    items = (n, len(offsets), n, text_bytes, n + 1, nnz, nnz)
     header = {
         "format": KB_FORMAT,
         "version": KB_VERSION,
@@ -462,52 +473,64 @@ def save(kb: KnowledgeBase, path: str | Path) -> None:
         "dim": kb.dim,
         "counts": kb.counts(),
         "table_texts": kb.table_texts,
-        "sections": dict(zip(_SECTIONS, (
-            8 * len(offsets), len(entries), text_bytes, 4 * len(indptr), 4 * nnz, 8 * nnz
-        ))),
+        "sections": {
+            name: [kind, np.dtype(kind).itemsize * count]
+            for (name, kind), count in zip(types.items(), items)
+        },
     }
-    columns = np.arange(kb.dim, dtype="<i4")
+    columns = np.arange(kb.dim, dtype=types["indices"])
     with open(path, "wb", buffering=_SAVE_BUFFER) as f:
         f.write(encode(header)[:-1].encode("utf-8"))
-        for name, value in (
-            ("entry_id", attrgetter("entry_id")), ("source", lambda e: e.source.value)
-        ):
-            f.write(f',"{name}":['.encode("utf-8"))
-            for i, batch in enumerate(batches):
-                f.write(b"," if i else b"")
-                f.write(encode([value(e) for e in batch])[1:-1].encode("utf-8"))
-            f.write(b"]")
-        f.write(b"}\n")
-        f.write(offsets.tobytes())
-        f.write(bytes(e.summary is not None for e in entries))
+        f.write(b',"entry_id":[')
+        for i, batch in enumerate(batches):
+            f.write(b"," if i else b"")
+            f.write(encode([e.entry_id for e in batch])[1:-1].encode("utf-8"))
+        f.write(b"]}\n")
+        codes = (_CODES[e.source] for e in entries)
+        f.write(np.fromiter(codes, types["source"], n).tobytes())
+        f.write(offsets.astype(types["offsets"]).tobytes())
+        flags = (e.summary is not None for e in entries)
+        f.write(np.fromiter(flags, types["has_summary"], n).tobytes())
         for batch in batches:
             f.write("".join(_pieces(batch)).encode("utf-8"))
-        f.write(indptr.tobytes())
+        f.write(indptr.astype(types["indptr"]).tobytes())
         for block in blocks:
             f.write(np.broadcast_to(columns, block.shape)[block != 0].tobytes())
         for block in blocks:
             f.write(block[block != 0].astype("<u8").tobytes())
 
 
-def _sections(lengths: dict, body: memoryview) -> dict[str, np.ndarray]:
-    """The sections that `lengths` (the header's "sections") cut `body`,
+def _sections(specs: dict, body: memoryview) -> dict[str, np.ndarray]:
+    """The sections that `specs` (the header's "sections") cut `body`,
     the bytes after the header line, into: arrays viewing `body`."""
-    if not isinstance(lengths, dict) or list(lengths) != list(_SECTIONS):
+    if not isinstance(specs, dict) or list(specs) != list(_SECTIONS):
         raise KnowledgeBaseError(f"sections are not {list(_SECTIONS)}")
     arrays, start = {}, 0
-    for name, dtype in _SECTIONS.items():
-        size, item = lengths[name], np.dtype(dtype).itemsize
+    for name, kinds in _SECTIONS.items():
+        spec = specs[name]
+        if not (isinstance(spec, list) and len(spec) == 2):
+            raise KnowledgeBaseError(f"section {name!r} is not an [item type, byte length] pair")
+        kind, size = spec
+        if kind not in kinds:
+            raise KnowledgeBaseError(
+                f"section {name!r} has item type {kind!r}, not one of {list(kinds)}"
+            )
+        item = np.dtype(kind).itemsize
         if type(size) is not int or size < 0 or size % item:
             raise KnowledgeBaseError(
                 f"section {name!r} has length {size!r}, not a count of {item}-byte items"
             )
         if start + size > len(body):
             raise KnowledgeBaseError(f"file ends inside section {name!r}")
-        arrays[name] = np.frombuffer(body, dtype, size // item, start)
+        arrays[name] = np.frombuffer(body, kind, size // item, start)
         start += size
     if start != len(body):
         raise KnowledgeBaseError(f"{len(body) - start} bytes after the last section")
     return arrays
+
+
+# The checks below compare unsigned arrays only by order: a difference
+# of two would wrap where the second is the larger.
 
 
 def _decode_vectors(
@@ -515,17 +538,17 @@ def _decode_vectors(
 ) -> np.ndarray:
     """The float64 (n, dim) matrix of the CSR sections; raises
     KnowledgeBaseError when they are malformed."""
-    if indptr.shape != (n + 1,) or indptr[0] != 0 or (np.diff(indptr) < 0).any():
+    if indptr.shape != (n + 1,) or indptr[0] != 0 or (indptr[1:] < indptr[:-1]).any():
         raise KnowledgeBaseError(f"indptr is not {n + 1} non-decreasing offsets from 0")
     if not indptr[-1] == len(indices) == len(values):
         raise KnowledgeBaseError(
             f"indptr ends at {indptr[-1]} for {len(indices)} indices "
             f"and {len(values)} values"
         )
-    row = np.repeat(np.arange(n), np.diff(indptr))
-    if len(indices) and (indices.min() < 0 or indices.max() >= dim):
+    row = np.repeat(np.arange(n), np.diff(indptr).astype(np.intp))
+    if len(indices) and indices.max() >= dim:
         raise KnowledgeBaseError(f"column index outside [0, {dim})")
-    if ((np.diff(indices) <= 0) & (np.diff(row) == 0)).any():
+    if ((indices[1:] <= indices[:-1]) & (row[1:] == row[:-1])).any():
         raise KnowledgeBaseError("column indices not strictly increasing within a row")
     matrix = np.zeros((n, dim), dtype=np.float64)
     matrix[row, indices] = values
@@ -534,25 +557,35 @@ def _decode_vectors(
 
 def _decode_text(
     text: np.ndarray, offsets: np.ndarray, has_summary: np.ndarray, n: int
-) -> tuple[str, list[int], bytes]:
-    """The text section as one str, its offsets as a list and the
-    summary flags as bytes; raises KnowledgeBaseError, or ValueError for
-    invalid UTF-8, when they are malformed."""
+) -> tuple[str, list[int], list[int]]:
+    """The text section as one str, and its offsets and the summary
+    flags as lists; raises KnowledgeBaseError, or ValueError for invalid
+    UTF-8, when they are malformed."""
     texts = str(text, "utf-8")
     if (
-        offsets.shape != (4 * n + 1,)
+        offsets.shape != (3 * n + 1,)
         or offsets[0] != 0
         or offsets[-1] != len(texts)
-        or (np.diff(offsets) < 0).any()
+        or (offsets[1:] < offsets[:-1]).any()
     ):
         raise KnowledgeBaseError(
-            f"text offsets are not {4 * n + 1} non-decreasing offsets from 0 to {len(texts)}"
+            f"text offsets are not {3 * n + 1} non-decreasing offsets from 0 to {len(texts)}"
         )
     if has_summary.shape != (n,) or (has_summary > 1).any():
         raise KnowledgeBaseError(f"has_summary is not {n} flags of 0 or 1")
-    if (np.diff(offsets)[2::4][has_summary == 0] != 0).any():
+    if (offsets[2::3] != offsets[1:-1:3])[has_summary == 0].any():
         raise KnowledgeBaseError("an entry without a summary has summary text")
-    return texts, offsets.tolist(), has_summary.tobytes()
+    return texts, offsets.tolist(), has_summary.tolist()
+
+
+def _decode_sources(codes: np.ndarray, n: int) -> list[Source]:
+    """The source of each entry of the code section; raises
+    KnowledgeBaseError when it is malformed."""
+    if codes.shape != (n,):
+        raise KnowledgeBaseError(f"{len(codes)} sources for {n} entries")
+    if len(codes) and codes.max() >= len(Source):
+        raise KnowledgeBaseError(f"unknown source code {codes.max()}")
+    return list(map(list(Source).__getitem__, codes.tolist()))
 
 
 def load(path: str | Path) -> KnowledgeBase:
@@ -597,24 +630,18 @@ def _from_file(header: dict, body: memoryview) -> KnowledgeBase:
     if not isinstance(entry_ids, list) or not all(type(i) is str for i in entry_ids):
         raise KnowledgeBaseError("entry_id is not a list of strings")
     n = len(entry_ids)
-    sources = list(map(_SOURCES.get, header["source"]))
-    if len(sources) != n:
-        raise KnowledgeBaseError(f"{len(sources)} sources for {n} entries")
-    if None in sources:
-        raise KnowledgeBaseError(f"unknown source {header['source'][sources.index(None)]!r}")
     dim = header["dim"]
     arrays = _sections(header["sections"], body)
+    sources = _decode_sources(arrays["source"], n)
     texts, offsets, has_summary = _decode_text(
         arrays["text"], arrays["offsets"], arrays["has_summary"], n
     )
     matrix = _decode_vectors(arrays["indptr"], arrays["indices"], arrays["values"], n, dim)
 
     def entry_at(i: int) -> Entry:
-        a, b, c, d, e = offsets[4 * i : 4 * i + 5]
-        summary = texts[c:d] if has_summary[i] else None
-        return Entry(
-            entry_ids[i], sources[i], texts[a:b], texts[b:c], matrix[i], texts[d:e], summary
-        )
+        a, b, c, d = offsets[3 * i : 3 * i + 4]
+        summary = texts[b:c] if has_summary[i] else None
+        return Entry(entry_ids[i], sources[i], texts[a:b], matrix[i], texts[c:d], summary)
 
     kb = KnowledgeBase.__new__(KnowledgeBase)  # the columns stand in for `__init__`'s entries
     kb._setup(

@@ -173,18 +173,6 @@ def build_queries(
     return queries
 
 
-def cosine(a: Sequence[float], b: Sequence[float]) -> float:
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    if va.shape != vb.shape:
-        raise RetrievalError(f"vector length mismatch: {va.shape} vs {vb.shape}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        raise RetrievalError("cosine similarity undefined for a zero-norm vector")
-    return float(np.clip(np.dot(va, vb) / (na * nb), -1.0, 1.0))
-
-
 def _resolve_payload(entry: Entry, kb: KnowledgeBase) -> str:
     if entry.source is Source.TABLE_KEYWORD:
         table_id = entry.anchor.partition(":")[2]

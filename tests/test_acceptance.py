@@ -165,7 +165,7 @@ def _scan_kb(rng, n_entries, zero_every=0):
         else:
             anchor = f"flat:{n}"
         entries.append(Entry(
-            entry_id=f"e{n:04d}", source=source, doc_id="d",
+            entry_id=f"e{n:04d}", source=source,
             payload_text=f"p{n}", vector=vec, anchor=anchor,
         ))
     return KnowledgeBase(scope="d", provider_name="t", dim=DIM,

@@ -938,9 +938,11 @@ def ingested(monkeypatch):
 
 
 def _write_older_kb(path, version):
-    """Rewrite a KB file in an older layout, one JSON line: version 1
-    with a float list per entry, or version 2 with the vectors in one
-    base64 CSR block."""
+    """Rewrite a KB file in an older layout: one JSON line, of version 1
+    with a float list per entry or version 2 with the vectors in one
+    base64 CSR block; or version 3, a header line of compact JSON with
+    the entry_id and source columns, then sections of fixed item types
+    with a doc_id text piece per entry."""
     import base64
 
     import numpy as np
@@ -950,21 +952,36 @@ def _write_older_kb(path, version):
     data = {"format": header["format"], "version": version}
     for key in ("scope", "provider_name", "dim", "counts", "table_texts"):
         data[key] = header[key]
+    matrix = np.array([e.vector for e in kb.entries])
+    rows, cols = np.nonzero(matrix.view(np.uint64))
+    arrays = {
+        "indptr": np.searchsorted(rows, np.arange(len(matrix) + 1)).astype("<i4"),
+        "indices": cols.astype("<i4"),
+        "values": matrix[rows, cols].astype("<f8"),
+    }
+    if version == 3:
+        pieces = [p for e in kb.entries
+                  for p in (kb.scope, e.payload_text, e.summary or "", e.anchor)]
+        sections = {
+            "offsets": np.cumsum([0] + [len(p) for p in pieces]).astype("<i8").tobytes(),
+            "has_summary": bytes(e.summary is not None for e in kb.entries),
+            "text": "".join(pieces).encode("utf-8"),
+            **{name: array.tobytes() for name, array in arrays.items()},
+        }
+        data["sections"] = {name: len(raw) for name, raw in sections.items()}
+        data["entry_id"] = [e.entry_id for e in kb.entries]
+        data["source"] = [e.source.value for e in kb.entries]
+        line = json.dumps(data, ensure_ascii=False, separators=(",", ":"))
+        path.write_bytes(line.encode("utf-8") + b"\n" + b"".join(sections.values()))
+        return
     data["summary_fallbacks"] = 0
     data["entries"] = [
-        {"entry_id": e.entry_id, "source": e.source.value, "doc_id": e.doc_id,
+        {"entry_id": e.entry_id, "source": e.source.value, "doc_id": kb.scope,
          "payload_text": e.payload_text, "summary": e.summary,
          **({"vector": e.vector.tolist()} if version == 1 else {}), "anchor": e.anchor}
         for e in kb.entries
     ]
     if version == 2:
-        matrix = np.array([e.vector for e in kb.entries])
-        rows, cols = np.nonzero(matrix.view(np.uint64))
-        arrays = {
-            "indptr": np.searchsorted(rows, np.arange(len(matrix) + 1)).astype("<i4"),
-            "indices": cols.astype("<i4"),
-            "values": matrix[rows, cols].astype("<f8"),
-        }
         data["vectors"] = {
             name: base64.b64encode(array.tobytes()).decode("ascii")
             for name, array in arrays.items()
@@ -1007,12 +1024,11 @@ def _assert_older_kb_cache_rebuilt_once(workspace, caplog, ingested, docs, versi
         assert (out / "records.jsonl").read_bytes() == fresh_records
 
 
-def test_v1_kb_cache_is_rebuilt_once(workspace, capsys, caplog, ingested):
-    _assert_older_kb_cache_rebuilt_once(workspace, caplog, ingested, {"doc00.json", "doc01.json"}, 1)
-
-
-def test_v2_kb_cache_is_rebuilt_once(workspace, capsys, caplog, ingested):
-    _assert_older_kb_cache_rebuilt_once(workspace, caplog, ingested, {"doc00.json"}, 2)
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_older_kb_cache_is_rebuilt_once(workspace, capsys, caplog, ingested, version):
+    _assert_older_kb_cache_rebuilt_once(
+        workspace, caplog, ingested, {"doc00.json", "doc01.json"}, version
+    )
 
 
 # ---------------------------------------------------------------- lazy corpus
@@ -1229,7 +1245,6 @@ def test_renamed_markdown_file_gets_its_own_kb(workspace, capsys):
     assert saved.name == "beta.kb.json"
     kb = kbmod.load(saved)
     assert kb.scope == "beta"
-    assert {entry.doc_id for entry in kb.entries} == {"beta"}
     (cached,) = (workspace / "out" / "kb_cache").iterdir()
     assert cached.read_bytes() == saved.read_bytes()
     out = capsys.readouterr().out

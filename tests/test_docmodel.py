@@ -358,6 +358,9 @@ def _without(obj, key):
          "font_size must be positive and finite, got inf"),
         ({**_GOOD_ELEMENT, "font_size": float("-inf")},
          "font_size must be positive and finite, got -inf"),
+        # integers too large for a float, which json.loads reads whole
+        ({**_GOOD_ELEMENT, "font_size": 10**400}, "font_size holds a number too large for a float"),
+        ({**_GOOD_ELEMENT, "bbox": [0, 0, 10**400, 1]}, "bbox holds a number too large for a float"),
     ],
 )
 def test_ingest_layout_json_rejects_malformed_elements(tmp_path, element, message):
@@ -370,6 +373,52 @@ def test_ingest_layout_json_rejects_malformed_elements(tmp_path, element, messag
     with pytest.raises(DocumentError) as caught:
         ingest(path)
     assert str(caught.value) == f"element 1: {message}"
+
+
+# Where each integer field of structured-document JSON sits in the
+# tiny document's JSON: the object or array that holds it, and its key.
+_STRUCTURED_INTEGERS = {
+    "page": lambda d: (d["blocks"][0], "page"),
+    "n_rows": lambda d: (d["tables"][0], "n_rows"),
+    "n_cols": lambda d: (d["tables"][0], "n_cols"),
+    "header_row_count": lambda d: (d["tables"][0], "header_row_count"),
+    "level": lambda d: (d["outline"]["children"][0], "level"),
+    "span": lambda d: (d["outline"]["children"][0]["span"], 1),
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("page", "1"), ("page", True), ("page", 1.9),
+        ("n_rows", "2"), ("n_rows", 2.9),
+        ("n_cols", "2"), ("n_cols", 2.9),
+        ("header_row_count", "1"), ("header_row_count", True), ("header_row_count", 1.9),
+        ("level", "1"), ("level", True), ("level", 1.9),
+        ("span", "1"), ("span", True), ("span", 1.9),
+    ],
+)
+def test_ingest_structured_json_rejects_non_integral_numbers(tmp_path, field, value):
+    """An integer field given as a string, a boolean or a non-integral
+    number is rejected, not read through int() as the number it stands for."""
+    payload = json.loads(serialize(_tiny_document()))
+    holder, key = _STRUCTURED_INTEGERS[field](payload)
+    assert holder[key] == int(float(value))
+    holder[key] = value
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(DocumentError) as caught:
+        ingest(path)
+    assert f"{field} must be an integer, got {value!r}" in str(caught.value)
+
+
+def test_ingest_structured_json_rejects_a_one_number_span(tmp_path):
+    payload = json.loads(serialize(_tiny_document()))
+    payload["outline"]["children"][0]["span"] = [0]
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(DocumentError, match="malformed structured document"):
+        ingest(path)
 
 
 _ABSENT = object()

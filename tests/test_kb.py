@@ -384,49 +384,51 @@ def test_vector_dim_mismatch_rejected(corpus_docs, embedder):
 
 # --- persistence ---
 
-# The sections of a KB file after its header line, in file order, with
-# their item types: the layout the kb module docstring documents.
-SECTION_TYPES = {
-    "offsets": "<i8",
-    "has_summary": "u1",
-    "text": "u1",
-    "indptr": "<i4",
-    "indices": "<i4",
-    "values": "<f8",
-}
+# The sections of a KB file after its header line, in file order: the
+# layout the kb module docstring documents. An integer section is at the
+# narrowest of these unsigned types that holds its largest possible value.
+SECTIONS = ["source", "offsets", "has_summary", "text", "indptr", "indices", "values"]
+UINTS = ("u1", "<u2", "<u4", "<u8")
 
 
 def read_file(path):
-    """(header, {section name: bytes}) of a KB file."""
+    """(header, {section name: array of the item type the header names}) of a KB file."""
     line, newline, body = path.read_bytes().partition(b"\n")
     assert newline
     header = json.loads(line)
     sections, start = {}, 0
-    for name, size in header["sections"].items():
-        sections[name] = body[start : start + size]
+    for name, (kind, size) in header["sections"].items():
+        sections[name] = np.frombuffer(body[start : start + size], kind)
         start += size
     assert start == len(body)
     return header, sections
 
 
+def _kind(array):
+    """The name of an array's item type in a KB header: "u1", "<u2", "<f8"..."""
+    return array.dtype.str.lstrip("|")
+
+
 def file_bytes(header, sections):
-    """A KB file of `header` and `sections`, the header's lengths those of
-    `sections`: a dict, or a list of bytes to make them a list too."""
-    raws = list(sections.values()) if isinstance(sections, dict) else sections
-    lengths = (
-        {name: len(raw) for name, raw in sections.items()}
-        if isinstance(sections, dict) else [len(raw) for raw in raws]
-    )
-    line = json.dumps({**header, "sections": lengths}, ensure_ascii=False, separators=(",", ":"))
-    return line.encode("utf-8") + b"\n" + b"".join(raws)
+    """A KB file of `header` and `sections`, arrays whose item types and
+    byte lengths the header states: a dict, or a list to make the
+    header's `sections` a list too."""
+    arrays = list(sections.values()) if isinstance(sections, dict) else sections
+    specs = [[_kind(a), a.nbytes] for a in arrays]
+    if isinstance(sections, dict):
+        specs = dict(zip(sections, specs))
+    line = json.dumps({**header, "sections": specs}, ensure_ascii=False, separators=(",", ":"))
+    return line.encode("utf-8") + b"\n" + b"".join(a.tobytes() for a in arrays)
 
 
 def _arr(sections, name):
-    return np.frombuffer(sections[name], SECTION_TYPES[name]).tolist()
+    return sections[name].tolist()
 
 
-def _raw(values, name):
-    return np.array(values, dtype=SECTION_TYPES[name]).tobytes()
+def _narrowest(values, largest):
+    """`values` as an array of the narrowest of UINTS that holds 0 to `largest`."""
+    kind = next(k for k in UINTS if largest < 256 ** np.dtype(k).itemsize)
+    return np.array(values, dtype=kind)
 
 
 def test_save_load_round_trip_bytes(corpus_docs, embedder, tmp_path):
@@ -477,17 +479,48 @@ def test_load_keeps_vectors_and_builds_partitions_once(
 
 
 def _entry_fields(e):
-    return (e.entry_id, e.source, e.doc_id, e.payload_text, e.summary, e.anchor,
+    return (e.entry_id, e.source, e.payload_text, e.summary, e.anchor,
             np.asarray(e.vector, dtype=np.float64).tobytes())
 
 
+# Text lengths and stored-value counts on each side of 2**8 and 2**16,
+# with the item type that holds the offsets and indptr of each.
+WIDTH_CASES = [(255, "u1"), (256, "<u2"), (65535, "<u2"), (65536, "<u4")]
+
+
+def _width_kb(size, dim=256):
+    """A KB whose text is `size` code points and whose vectors store
+    `size` values, in rows of `dim`."""
+    rows = -(-size // dim)
+    values = np.zeros(rows * dim)
+    values[:size] = [(-1.0) ** k * (k + 0.25) / 3 for k in range(size)]
+    entries = [
+        Entry(entry_id=f"e{i:03d}", source=list(Source)[i % 3],
+              payload_text="é" * (size - rows + 1) if i == 0 else "x", vector=row, anchor="")
+        for i, row in enumerate(values.reshape(rows, dim))
+    ]
+    return KnowledgeBase(scope="w", provider_name="p", dim=dim, entries=entries)
+
+
+@pytest.mark.parametrize("size, kind", WIDTH_CASES)
+def test_offsets_and_indptr_take_the_narrowest_width(tmp_path, size, kind):
+    path = tmp_path / "kb.json"
+    save(_width_kb(size), path)
+    header, sections = read_file(path)
+    assert len(str(sections["text"], "utf-8")) == _arr(sections, "indptr")[-1] == size
+    assert header["sections"]["offsets"][0] == header["sections"]["indptr"][0] == kind
+    assert header["sections"]["indices"][0] == "u1"
+
+
 def test_loaded_entries_equal_the_built_ones_field_by_field(corpus_docs, embedder, tmp_path):
+    widths = [_width_kb(size) for size, _kind in WIDTH_CASES]
     for kb in (build(corpus_docs[1], embedder), build_naive(corpus_docs[1], embedder),
-               _mixed_kb(40), _summaries_kb()):
+               _mixed_kb(40), _summaries_kb(), *widths):
         path = tmp_path / "kb.json"
         save(kb, path)
         again = load(path)
         assert [_entry_fields(e) for e in again.entries] == [_entry_fields(e) for e in kb.entries]
+        assert [_hexes(e.vector) for e in again.entries] == [_hexes(e.vector) for e in kb.entries]
         assert (again.scope, again.provider_name, again.dim, again.table_texts) == (
             kb.scope, kb.provider_name, kb.dim, kb.table_texts
         )
@@ -503,7 +536,7 @@ def _summaries_kb():
     """Summaries that are None, "" and text, on every source."""
     summaries = [None, "", "One line.", "", None, "Émission 排放"]
     entries = [
-        Entry(entry_id=f"e{i}", source=list(Source)[i % 3], doc_id="d", payload_text=f"p{i}",
+        Entry(entry_id=f"e{i}", source=list(Source)[i % 3], payload_text=f"p{i}",
               vector=[float(i), 0.0], anchor="flat:0", summary=summary)
         for i, summary in enumerate(summaries)
     ]
@@ -514,7 +547,7 @@ def test_none_and_empty_summaries_stay_distinct(tmp_path):
     path = tmp_path / "kb.json"
     save(_summaries_kb(), path)
     assert [e.summary for e in load(path).entries] == [None, "", "One line.", "", None, "Émission 排放"]
-    assert read_file(path)[1]["has_summary"] == bytes([0, 1, 1, 1, 0, 1])
+    assert read_file(path)[1]["has_summary"].tobytes() == bytes([0, 1, 1, 1, 0, 1])
 
 
 def test_search_of_a_loaded_kb_makes_entries_only_for_hit_rows(
@@ -569,23 +602,30 @@ def _special_kb(dim, rng):
             vec[rng.integers(dim)] = special[i % len(special)]
         entries.append(
             Entry(
-                entry_id=f"e{i:03d}", source=sources[i % 3], doc_id="d",
+                entry_id=f"e{i:03d}", source=sources[i % 3],
                 payload_text=f"p{i}", vector=list(vec), anchor="flat:0",
             )
         )
     return KnowledgeBase(scope="d", provider_name="p", dim=dim, entries=entries)
 
 
-@pytest.mark.parametrize("dim", [1, 3, 64])
+def _hexes(vector):
+    return [float.hex(x) for x in np.asarray(vector, dtype=np.float64).tolist()]
+
+
+# dim 256 is the widest whose column indices fit u1
+@pytest.mark.parametrize("dim", [1, 3, 64, 256, 257])
 def test_vectors_round_trip_bit_for_bit(tmp_path, dim):
     with np.errstate(all="ignore"):  # row norms of random bit patterns overflow
         kb = _special_kb(dim, np.random.default_rng(dim))
     want = [np.asarray(e.vector, dtype=np.float64).tobytes() for e in kb.entries]
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     save(kb, p1)
+    assert read_file(p1)[0]["sections"]["indices"][0] == ("u1" if dim <= 256 else "<u2")
     with np.errstate(all="ignore"):
         again = load(p1)
     assert [e.vector.tobytes() for e in again.entries] == want
+    assert [_hexes(e.vector) for e in again.entries] == [_hexes(e.vector) for e in kb.entries]
     assert [e.source for e in again.entries] == [e.source for e in kb.entries]
     for source in Source:
         assert again.partition(source).matrix.tobytes() == kb.partition(source).matrix.tobytes()
@@ -595,22 +635,26 @@ def test_vectors_round_trip_bit_for_bit(tmp_path, dim):
 
 def test_file_stores_only_nonzero_bit_patterns(tmp_path):
     entries = [
-        Entry(entry_id=f"e{i}", source=Source.TEXT, doc_id="d", payload_text="p",
+        Entry(entry_id=f"e{i}", source=Source.TEXT, payload_text="p",
               vector=vec, anchor="flat:0")
         for i, vec in enumerate([[0.0, -0.0, 2.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     ]
     path = tmp_path / "kb.json"
     save(KnowledgeBase(scope="d", provider_name="p", dim=3, entries=entries), path)
     header, sections = read_file(path)
-    assert header["version"] == KB_VERSION == 3
-    assert header["entry_id"] == ["e0", "e1", "e2"] and header["source"] == ["Text"] * 3
-    assert list(sections) == list(SECTION_TYPES)
+    assert header["version"] == KB_VERSION == 4
+    assert header["entry_id"] == ["e0", "e1", "e2"] and "source" not in header
+    assert list(sections) == SECTIONS
+    assert {name: kind for name, (kind, _size) in header["sections"].items()} == {
+        **dict.fromkeys(SECTIONS, "u1"), "values": "<f8"
+    }
+    assert _arr(sections, "source") == [0, 0, 0]
     assert _arr(sections, "indptr") == [0, 2, 2, 3]
     assert _arr(sections, "indices") == [1, 2, 0]
-    assert sections["values"] == np.array([-0.0, 2.0, 1.0]).tobytes()
-    assert sections["text"] == b"dpflat:0" * 3
-    assert _arr(sections, "offsets") == [0, 1, 2, 2, 8, 9, 10, 10, 16, 17, 18, 18, 24]
-    assert sections["has_summary"] == bytes(3)
+    assert sections["values"].tobytes() == np.array([-0.0, 2.0, 1.0]).tobytes()
+    assert sections["text"].tobytes() == b"pflat:0" * 3
+    assert _arr(sections, "offsets") == [0, 1, 1, 7, 8, 8, 14, 15, 15, 21]
+    assert _arr(sections, "has_summary") == [0, 0, 0]
 
 
 def reference_save_bytes(kb):
@@ -623,14 +667,16 @@ def reference_save_bytes(kb):
         indices.extend(stored.tolist())
         values.append(vec[stored])
         indptr.append(len(indices))
-    pieces = [p for e in kb.entries for p in (e.doc_id, e.payload_text, e.summary or "", e.anchor)]
+    pieces = [p for e in kb.entries for p in (e.payload_text, e.summary or "", e.anchor)]
+    offsets = np.cumsum([0] + [len(p) for p in pieces])
     sections = {
-        "offsets": _raw(np.cumsum([0] + [len(p) for p in pieces]), "offsets"),
-        "has_summary": bytes(e.summary is not None for e in kb.entries),
-        "text": "".join(pieces).encode("utf-8"),
-        "indptr": _raw(indptr, "indptr"),
-        "indices": _raw(indices, "indices"),
-        "values": np.concatenate([np.zeros(0), *values]).astype("<f8").tobytes(),
+        "source": _narrowest([list(Source).index(e.source) for e in kb.entries], len(Source) - 1),
+        "offsets": _narrowest(offsets, offsets[-1]),
+        "has_summary": _narrowest([e.summary is not None for e in kb.entries], 1),
+        "text": np.frombuffer("".join(pieces).encode("utf-8"), "u1"),
+        "indptr": _narrowest(indptr, indptr[-1]),
+        "indices": _narrowest(indices, kb.dim - 1),
+        "values": np.concatenate([np.zeros(0), *values]).astype("<f8"),
     }
     header = {
         "format": "esg_kb",
@@ -642,7 +688,6 @@ def reference_save_bytes(kb):
         "table_texts": kb.table_texts,
         "sections": None,  # made by `file_bytes`
         "entry_id": [e.entry_id for e in kb.entries],
-        "source": [e.source.value for e in kb.entries],
     }
     return file_bytes(header, sections)
 
@@ -662,7 +707,7 @@ def _mixed_kb(n, dim=8):
         entries.append(
             Entry(
                 entry_id=f"e{i:04d}", source=Source.TABLE_KEYWORD if keyword else Source.TEXT,
-                doc_id="dé", payload_text=f"{odd[i % 4]} {i}", vector=list(vec),
+                payload_text=f"{odd[i % 4]} {i}", vector=list(vec),
                 anchor="table:t1" if keyword else f"blocks:{i}-{i}",
                 summary=None if keyword or i % 5 == 0 else odd[(i + 1) % 4],
             )
@@ -683,6 +728,8 @@ def _save_cases(corpus_docs, embedder):
         yield "special", _special_kb(5, np.random.default_rng(5))
     yield "summaries", _summaries_kb()
     yield "empty", KnowledgeBase(scope="e", provider_name="p", dim=4, entries=[])
+    for size, _kind in WIDTH_CASES:
+        yield f"width-{size}", _width_kb(size)
 
 
 def test_save_writes_the_bytes_of_a_one_shot_writer(corpus_docs, embedder, tmp_path):
@@ -705,7 +752,7 @@ def test_save_holds_less_than_the_file_it_writes(tmp_path):
     sources = [Source.TEXT, Source.OUTLINE, Source.TABLE_KEYWORD]
     matrix = embed_matrix(HashEmbedder(256), texts)
     entries = [
-        Entry(entry_id=f"e{i:04d}", source=sources[i % 3], doc_id="d", payload_text=text,
+        Entry(entry_id=f"e{i:04d}", source=sources[i % 3], payload_text=text,
               vector=row, anchor=f"flat:{i}", summary=text[:80] if i % 3 == 0 else None)
         for i, (text, row) in enumerate(zip(texts, matrix))
     ]
@@ -723,24 +770,55 @@ def test_save_holds_less_than_the_file_it_writes(tmp_path):
     assert path.read_bytes() == reference_save_bytes(kb)
 
 
-def _i4_edit(name, edit):
-    """A case that replaces the `<i4` section `name` by `edit(values, dim)`."""
-    return lambda s, dim: {**s, name: _raw(edit(_arr(s, name), dim), name)}
+def _edit(name, edit, kind=None):
+    """A case that replaces section `name` by `edit(values)` of its items,
+    in its own item type or in `kind`."""
+    return lambda h, s: file_bytes(
+        h, {**s, name: np.array(edit(_arr(s, name)), dtype=kind or s[name].dtype)}
+    )
+
+
+def _claiming(h, s, index, claims):
+    """The file of `h` and `s` whose header claims, for each section
+    `claims` names, its claim as item type (index 0) or byte length (1)."""
+    specs = {name: list(spec) for name, spec in h["sections"].items()}
+    for name, claim in claims.items():
+        specs[name][index] = claim
+    line = json.dumps({**h, "sections": specs}, ensure_ascii=False)
+    return line.encode("utf-8") + b"\n" + b"".join(a.tobytes() for a in s.values())
+
+
+def _with_lengths(h, s, **lengths):
+    """The file of `h` and `s` whose header claims `lengths` for some sections."""
+    return _claiming(h, s, 1, lengths)
+
+
+def _with_kinds(h, s, **kinds):
+    """The file of `h` and `s` whose header claims item types `kinds` for some sections."""
+    return _claiming(h, s, 0, kinds)
+
+
+def _u1(data):
+    return np.frombuffer(data, "u1")
 
 
 MALFORMED_BLOCKS = {
-    "ragged byte length": lambda s, dim: {**s, "values": bytes(7)},
-    "indptr too short": _i4_edit("indptr", lambda v, dim: v[:-1]),
-    "indptr too long": _i4_edit("indptr", lambda v, dim: v + v[-1:]),
-    "indptr not from 0": _i4_edit("indptr", lambda v, dim: [1] + v[1:]),
-    "indptr decreasing": _i4_edit("indptr", lambda v, dim: [0, 5, 3] + v[3:]),
-    "indptr past indices": _i4_edit("indices", lambda v, dim: v[:-1]),
-    "indptr past values": lambda s, dim: {**s, "values": s["values"][:-8]},
-    "index equal to dim": _i4_edit("indices", lambda v, dim: v[:-1] + [dim]),
-    "negative index": _i4_edit("indices", lambda v, dim: [-1] + v[1:]),
-    "repeated index in a row": _i4_edit("indices", lambda v, dim: v[1:2] + v[1:]),
-    "missing field": lambda s, dim: {k: v for k, v in s.items() if k != "values"},
-    "not an object": lambda s, dim: list(s.values()),
+    "ragged byte length": lambda h, s: _with_lengths(
+        h, {**s, "values": s["values"].view("u1")[:7]}, values=7
+    ),
+    "indptr too short": _edit("indptr", lambda v: v[:-1]),
+    "indptr too long": _edit("indptr", lambda v: v + v[-1:]),
+    "indptr not from 0": _edit("indptr", lambda v: [1] + v[1:]),
+    "indptr decreasing": _edit("indptr", lambda v: [0, 5, 3] + v[3:]),
+    "indptr past indices": _edit("indices", lambda v: v[:-1]),
+    "indptr past values": lambda h, s: file_bytes(h, {**s, "values": s["values"][:-1]}),
+    # the fixture's dim is 256, so an index equal to it needs a wider section
+    "index equal to dim": lambda h, s: _edit("indices", lambda v: v[:-1] + [h["dim"]], "<u2")(h, s),
+    # only a signed section can hold a negative index, and no section may be signed
+    "negative index": _edit("indices", lambda v: [-1] + v[1:], "<i4"),
+    "repeated index in a row": _edit("indices", lambda v: v[1:2] + v[1:]),
+    "missing field": lambda h, s: file_bytes(h, {k: v for k, v in s.items() if k != "values"}),
+    "not an object": lambda h, s: file_bytes(h, list(s.values())),
 }
 
 
@@ -750,26 +828,16 @@ def test_load_rejects_malformed_vector_block(corpus_docs, embedder, tmp_path, ca
     save(build_naive(corpus_docs[0], embedder), path)
     header, sections = read_file(path)
     assert _arr(sections, "indptr")[1] >= 2  # the row-0 edits need two indices
-    path.write_bytes(file_bytes(header, MALFORMED_BLOCKS[case](sections, header["dim"])))
+    assert header["dim"] == 256 and sections["indices"].dtype == np.uint8
+    path.write_bytes(MALFORMED_BLOCKS[case](header, sections))
     with pytest.raises(KnowledgeBaseError, match="malformed"):
         load(path)
-
-
-def _with_lengths(h, s, **lengths):
-    """The file of `h` and `s` whose header claims `lengths` for some sections."""
-    line = json.dumps({**h, "sections": {**h["sections"], **lengths}}, ensure_ascii=False)
-    return line.encode("utf-8") + b"\n" + b"".join(s.values())
-
-
-def _edit(name, edit):
-    """A case that replaces section `name` by `edit(values)` of its items."""
-    return lambda h, s: file_bytes(h, {**s, name: _raw(edit(_arr(s, name)), name)})
 
 
 def _first_summary(h, s):
     """The row of the first entry with a non-empty summary."""
     offsets = _arr(s, "offsets")
-    return next(i for i in range(len(h["entry_id"])) if offsets[4 * i + 3] > offsets[4 * i + 2])
+    return next(i for i in range(len(h["entry_id"])) if offsets[3 * i + 2] > offsets[3 * i + 1])
 
 
 def _flip(seq, i, value):
@@ -780,14 +848,18 @@ def _line(h):
     return json.dumps(h, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
 
 
+def _body(s, *names):
+    return b"".join(s[name].tobytes() for name in names)
+
+
 # Each is a file that `load` must reject, made from the (header,
 # sections) of a good one, and words its error must contain.
 MALFORMED_FILES = {
     "no header newline": (lambda h, s: _line(h), "no newline after the header"),
-    "header newline dropped": (lambda h, s: _line(h) + b"".join(s.values()), "cannot load KB"),
+    "header newline dropped": (lambda h, s: _line(h) + _body(s, *s), "cannot load KB"),
     "truncated": (lambda h, s: file_bytes(h, s)[:-1], "ends inside section 'values'"),
     "truncated in the text": (
-        lambda h, s: _line(h) + b"\n" + s["offsets"] + s["has_summary"] + s["text"][:-3],
+        lambda h, s: _line(h) + b"\n" + _body(s, *SECTIONS[:4])[:-3],
         "ends inside section 'text'",
     ),
     "trailing bytes": (lambda h, s: file_bytes(h, s) + b"\0", "1 bytes after the last section"),
@@ -796,21 +868,43 @@ MALFORMED_FILES = {
     ),
     "length not a multiple of its item size": (
         lambda h, s: _with_lengths(
-            h, s, offsets=len(s["offsets"]) - 4, has_summary=len(s["has_summary"]) + 4
+            h, s, offsets=s["offsets"].nbytes - 1, has_summary=s["has_summary"].nbytes + 1
         ),
         "section 'offsets' has length",
     ),
     "length not an integer": (
-        lambda h, s: _with_lengths(h, s, values=float(len(s["values"]))),
+        lambda h, s: _with_lengths(h, s, values=float(s["values"].nbytes)),
         "section 'values' has length",
     ),
     "length a string": (
-        lambda h, s: _with_lengths(h, s, values=str(len(s["values"]))),
+        lambda h, s: _with_lengths(h, s, values=str(s["values"].nbytes)),
         "section 'values' has length",
     ),
     "sections out of order": (
         lambda h, s: _with_lengths({**h, "sections": dict(reversed(h["sections"].items()))}, s),
         "sections are not",
+    ),
+    "section not a pair": (
+        lambda h, s: file_bytes(h, s).replace(b'"text":["u1",', b'"text":[', 1),
+        "section 'text' is not an [item type, byte length] pair",
+    ),
+    "signed item type": (
+        _edit("indices", lambda v: v, "<i2"), "section 'indices' has item type '<i2'"
+    ),
+    "big-endian item type": (
+        _edit("offsets", lambda v: v, ">u2"), "section 'offsets' has item type '>u2'"
+    ),
+    "float item type of an integer section": (
+        lambda h, s: _with_kinds(h, s, indptr="<f8"), "section 'indptr' has item type '<f8'"
+    ),
+    "unknown item type": (
+        lambda h, s: _with_kinds(h, s, source="Bogus"), "section 'source' has item type 'Bogus'"
+    ),
+    "values not <f8": (
+        lambda h, s: _with_kinds(h, s, values="<u8"), "section 'values' has item type '<u8'"
+    ),
+    "text not u1": (
+        lambda h, s: _with_kinds(h, s, text="<u2"), "section 'text' has item type '<u2'"
     ),
     "offsets decreasing": (_edit("offsets", lambda v: _flip(v, 1, v[2] + 1)), "text offsets"),
     "offsets not from 0": (_edit("offsets", lambda v: _flip(v, 0, 1)), "text offsets"),
@@ -819,11 +913,11 @@ MALFORMED_FILES = {
     "offsets short of the end": (_edit("offsets", lambda v: v[:-1] + [v[-1] - 1]), "text offsets"),
     "offsets too few": (_edit("offsets", lambda v: v[:-1]), "text offsets"),
     "invalid UTF-8": (
-        lambda h, s: file_bytes(h, {**s, "text": b"\xff" + s["text"][1:]}),
+        lambda h, s: file_bytes(h, {**s, "text": _u1(b"\xff" + s["text"].tobytes()[1:])}),
         "can't decode byte 0xff",
     ),
     "cut UTF-8 sequence": (
-        lambda h, s: file_bytes(h, {**s, "text": s["text"][:-1] + b"\xc3"}),
+        lambda h, s: file_bytes(h, {**s, "text": _u1(s["text"].tobytes()[:-1] + b"\xc3")}),
         "can't decode byte 0xc3",
     ),
     "has_summary flag of 2": (_edit("has_summary", lambda v: _flip(v, 0, 2)), "has_summary is not"),
@@ -843,8 +937,10 @@ MALFORMED_FILES = {
     "entry_id not a list": (
         lambda h, s: file_bytes({**h, "entry_id": "t0000"}, s), "entry_id is not a list of strings"
     ),
-    "source column too short": (
-        lambda h, s: file_bytes({**h, "source": h["source"][:-1]}, s), "sources for"
+    "source column too short": (_edit("source", lambda v: v[:-1]), "sources for"),
+    "source code above 2": (_edit("source", lambda v: _flip(v, 1, 3)), "unknown source code 3"),
+    "source code 256 in a wide section": (
+        _edit("source", lambda v: _flip(v, 0, 256), "<u2"), "unknown source code 256"
     ),
     "dim not a number": (lambda h, s: file_bytes({**h, "dim": "wide"}, s), "dim is not of type int"),
     "dim negative": (lambda h, s: file_bytes({**h, "dim": -1}, s), "column index outside [0, -1)"),
@@ -874,16 +970,6 @@ def test_load_rejects_malformed_file(corpus_docs, embedder, tmp_path, case):
     assert words in str(error.value)
 
 
-@pytest.mark.parametrize("source", ["Bogus", "text", "", None, ["Text"], 1])
-def test_load_rejects_unknown_entry_source(corpus_docs, embedder, tmp_path, source):
-    path = tmp_path / "kb.json"
-    save(build_naive(corpus_docs[0], embedder), path)
-    header, sections = read_file(path)
-    path.write_bytes(file_bytes({**header, "source": header["source"][:-1] + [source]}, sections))
-    with pytest.raises(KnowledgeBaseError, match="malformed KB file"):
-        load(path)
-
-
 def test_load_rejects_wrong_version(corpus_docs, embedder, tmp_path):
     kb = build_naive(corpus_docs[0], embedder)
     path = tmp_path / "kb.json"
@@ -897,9 +983,10 @@ def test_load_rejects_wrong_version(corpus_docs, embedder, tmp_path):
 def test_a_file_with_the_old_summary_fallbacks_key_loads_to_an_equal_kb(
     corpus_docs, embedder, tmp_path
 ):
-    """Version-3 files once carried `"summary_fallbacks":0` in the header,
-    after `counts`; such a file loads as the KB it was saved from, and
-    saving that KB again writes the same bytes without the key."""
+    """Older files carried `"summary_fallbacks":0` in the header, after
+    `counts`; `load` ignores such a key it does not read, so the file
+    loads as the KB it was saved from, and saving that KB again writes
+    the same bytes without the key."""
     kb = build(corpus_docs[0], embedder)
     path = tmp_path / "kb.json"
     save(kb, path)
@@ -921,6 +1008,21 @@ def test_a_file_with_the_old_summary_fallbacks_key_loads_to_an_equal_kb(
     )
     save(again, path)
     assert path.read_bytes() == new
+
+
+def test_a_file_with_wider_integer_sections_loads_to_an_equal_kb(corpus_docs, embedder, tmp_path):
+    """`save` writes each integer section at its narrowest width, but
+    `load` takes any unsigned width."""
+    kb = build(corpus_docs[0], embedder)
+    path = tmp_path / "kb.json"
+    save(kb, path)
+    header, sections = read_file(path)
+    wide = {name: a.astype("<u8") if a.dtype.kind == "u" and name != "text" else a
+            for name, a in sections.items()}
+    path.write_bytes(file_bytes(header, wide))
+    assert read_file(path)[0]["sections"]["source"] == ["<u8", 8 * len(kb.entries)]
+    again = load(path)
+    assert [_entry_fields(e) for e in again.entries] == [_entry_fields(e) for e in kb.entries]
 
 
 def test_load_rejects_a_version_2_file(tmp_path):

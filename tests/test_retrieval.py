@@ -21,7 +21,6 @@ from esgpipe.retrieval import (
     assemble_evidence,
     build_queries,
     build_query,
-    cosine,
     rerank,
     search,
     search_many,
@@ -82,7 +81,6 @@ def random_kb(rng, n_entries, dim=DIM, zero_every=0):
             Entry(
                 entry_id=f"e{n:04d}",
                 source=source,
-                doc_id="d",
                 payload_text=f"payload {n}",
                 vector=vec,
                 anchor=anchor,
@@ -100,31 +98,6 @@ def random_query(rng, n_vectors, dim=DIM):
         query_texts=[f"q{i}" for i in range(n_vectors)],
         vectors=[[rng.uniform(-1, 1) for _ in range(dim)] for _ in range(n_vectors)],
     )
-
-
-# --- cosine ---
-
-
-def test_cosine_basics():
-    assert cosine([1, 0], [1, 0]) == pytest.approx(1.0)
-    assert cosine([1, 0], [0, 1]) == pytest.approx(0.0)
-    assert cosine([1, 0], [-1, 0]) == pytest.approx(-1.0)
-    assert cosine([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0)
-
-
-def test_cosine_rejects_zero_and_mismatch():
-    with pytest.raises(RetrievalError, match="zero-norm"):
-        cosine([0, 0], [1, 0])
-    with pytest.raises(RetrievalError, match="mismatch"):
-        cosine([1, 0], [1, 0, 0])
-
-
-def test_cosine_matches_oracle_randomly():
-    rng = random.Random(5)
-    for _ in range(200):
-        a = [rng.uniform(-2, 2) for _ in range(16)]
-        b = [rng.uniform(-2, 2) for _ in range(16)]
-        assert cosine(a, b) == pytest.approx(oracle_cosine(a, b), abs=1e-12)
 
 
 # --- search vs oracle ---
@@ -154,7 +127,7 @@ def test_search_tie_breaks_on_entry_id():
     vec = [1.0] + [0.0] * (DIM - 1)
     entries = [
         Entry(
-            entry_id=f"e{n}", source=Source.TEXT, doc_id="d",
+            entry_id=f"e{n}", source=Source.TEXT,
             payload_text="same", vector=list(vec), anchor=f"flat:{n}",
         )
         for n in (3, 1, 2)
@@ -169,11 +142,11 @@ def test_search_respects_per_source_k():
     entries = []
     for n in range(10):
         entries.append(Entry(
-            entry_id=f"t{n}", source=Source.TEXT, doc_id="d",
+            entry_id=f"t{n}", source=Source.TEXT,
             payload_text="x", vector=list(vec), anchor=f"flat:{n}",
         ))
     entries.append(Entry(
-        entry_id="o0", source=Source.OUTLINE, doc_id="d",
+        entry_id="o0", source=Source.OUTLINE,
         payload_text="path", vector=[0.5] + [0.1] * (DIM - 1), anchor="outline:0",
     ))
     kb = KnowledgeBase(scope="d", provider_name="t", dim=DIM, entries=entries, table_texts={})
@@ -189,7 +162,7 @@ def _reordered_kb(vectors, sources):
     insertion order."""
     entries = [
         Entry(
-            entry_id=f"t{9995 + n}", source=source, doc_id="d",
+            entry_id=f"t{9995 + n}", source=source,
             payload_text=f"p{n}", vector=list(vec), anchor=f"flat:{n}",
         )
         for n, (vec, source) in enumerate(zip(vectors, sources))
@@ -322,7 +295,7 @@ def integer_kb(rng, n_entries, dim):
             anchor = f"table:t{n % 3}"
             table_texts[f"t{n % 3}"] = f"table {n % 3}"
         entries.append(Entry(
-            entry_id=f"x{rng.randrange(1000)}-{n}", source=source, doc_id="d",
+            entry_id=f"x{rng.randrange(1000)}-{n}", source=source,
             payload_text=f"payload {n}", vector=vec, anchor=anchor,
             summary=f"summary {n}" if rng.random() < 0.5 else None,
         ))
@@ -448,7 +421,7 @@ def sparse_kb(seed, sizes, dim=24):
     sources = [source for source, size in zip(Source, sizes) for _ in range(size)]
     ids = rng.permutation(n)
     entries = [
-        Entry(entry_id=f"x{ids[i]}", source=source, doc_id="d", payload_text=f"payload {i}",
+        Entry(entry_id=f"x{ids[i]}", source=source, payload_text=f"payload {i}",
               vector=matrix[i], anchor=f"table:t{i % 5}" if source is Source.TABLE_KEYWORD
               else f"flat:{i}", summary=f"summary {i}" if i % 2 else None)
         for i, source in enumerate(sources)
