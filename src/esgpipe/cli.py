@@ -61,7 +61,9 @@ below its minimum or not finite are rejected at load.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import logging
 import math
@@ -914,8 +916,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     write_atomic(out_dir / "analysis.json", json.dumps(payload, indent=2) + "\n")
 
     def write_csv(name: str, rows: list[list[str]]) -> None:
-        text = "\n".join(",".join(cell.replace(",", ";") for cell in row) for row in rows)
-        write_atomic(out_dir / name, text + "\n")
+        # csv quotes a cell that holds a comma, a quote or "\n", but not
+        # one whose only line break is "\r": such a row has every cell quoted
+        text = io.StringIO()
+        plain = csv.writer(text, lineterminator="\n")
+        quoted = csv.writer(text, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for row in rows:
+            (quoted if any("\r" in cell for cell in row) else plain).writerow(row)
+        write_atomic(out_dir / name, text.getvalue())
 
     write_csv("disclosure.csv", analytics.disclosure_csv_rows(overall + by_industry))
     write_csv("intensity.csv", analytics.intensity_csv_rows(intensity))

@@ -16,22 +16,24 @@ once however many documents they search; each hit's payload is resolved
 once per entry and batch.
 
 Per partition, the batch is cut into slices of whole queries, each of
-at most `_SLICE_CELLS` similarity cells (query vectors x entries).
-Within a slice, each query's vectors are multiplied with the partition
-matrix on their own: one stacked matmul takes another BLAS path whose
-floats differ in the last bits, and mathematically tied cosines would
-then fall on different sides of each other (padding every query to a
-fixed row count changed them too). Normalising, the top-k selection and
-the union over a query's vectors then work row by row in scratch
-buffers that the call allocates, one set per worker, so the slices'
-(query, entry, best cosine) arrays, concatenated, are exactly those of
-one slice over the whole batch, and a large KB costs a few slices of
-temporaries rather than full (vectors, entries) arrays. A batch of more
-than `_THREAD_CELLS` cells spreads its slices over one worker per usable
-CPU, at most one per slice: this thread and helper threads started and
-joined within the call. BLAS and numpy's large array operations release
-the GIL, so the workers overlap. The ranking and the payload resolution
-run once per call, in this thread.
+at most `_SLICE_CELLS` similarity cells (query vectors x entries). A
+slice's query vectors, stacked, are multiplied with the partition matrix
+in one matmul, into scratch buffers that the call allocates, one set per
+worker; normalising, the top-k selection and the union over a query's
+vectors then work row by row in the same buffers, so a large KB costs a
+few slices of temporaries rather than full (vectors, entries) arrays.
+The floats of a stacked matmul can differ in the last bits from those of
+each query's own matmul (by about 2^-52 in a cosine), so in a batch a
+query's cosines depend on the slice it lands in, and hits whose cosines
+lie that close can swap places, or trade the k-th place of a vector,
+against a search of the query alone. Results are deterministic for a
+given KB, batch of queries and slice constants, and `search`, a batch of
+one, makes the query's own matmul. A batch of more than `_THREAD_CELLS`
+cells spreads its slices over one worker per usable CPU, at most one per
+slice: this thread and helper threads started and joined within the
+call. BLAS and numpy's large array operations release the GIL, so the
+workers overlap. The ranking and the payload resolution run once per
+call, in this thread.
 """
 
 from __future__ import annotations
@@ -62,17 +64,22 @@ NO_EVIDENCE_SENTINEL = "NO EVIDENCE FOUND"
 
 # Similarity cells (query vectors x partition entries) per slice of a
 # search. On 2 vCPUs (numpy 2.4, OpenBLAS 0.3.31 on one thread) a slice of
-# the 5k-entry scaled document takes about 8 ms of `_select` (125 ns a
-# cell) and its buffers take 1.1 MB (17 bytes a cell); slices of 2^15 and
-# 2^17 cells timed within the noise of this size.
+# the 5k-entry scaled document's 2,002-entry text partition (30 query
+# vectors) takes about 1.7 ms of `_select` (29 ns a cell, half of it the
+# stacked matmul) and its buffers take 1.1 MB (17 bytes a cell). Slices of
+# 2^17 and 2^18 cells cost 19 and 16 ns a cell alone, but a search of
+# both KBs of that corpus took 36.4 and 35.8 ms against 38.1 ms at 2^16
+# (medians of 30 alternations, within the quartiles), for two and four
+# times the buffers.
 _SLICE_CELLS = 1 << 16
 # A search of at most this many cells in all runs in the calling thread
-# alone. Below it the BLAS calls are too short to overlap and the helper
-# mostly waits for the GIL: on the same host (medians of six alternations
-# of 20 calls), 72k cells of 1-row queries against partitions of about 400
-# entries took 7.7 ms alone and 9.0 ms with a helper, while 213k cells
-# went from 28 to 21 ms and 1.04M cells from 126 to 78 ms. A helper
-# thread costs about 0.13 ms to start and join.
+# alone. Around it a helper about breaks even: on the same host (the 207
+# query vectors of a run against every n-th entry of the 5k-entry KB,
+# medians of 10-30 alternations of 10 calls) 62k cells took 6.0 ms alone
+# and 6.3 ms with a helper, 130k cells 7.7 and 8.1 ms in one run and 8.2
+# and 7.5 ms in another, 352k cells 13.1 and 11.6 ms, and the whole KB's
+# 1.04M cells 36.5 and 27.8 ms. A helper thread costs about 0.13 ms to
+# start and join.
 _THREAD_CELLS = 1 << 17
 
 
@@ -201,27 +208,28 @@ def _buffers(cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _select(
     part: Partition,
     rank: np.ndarray,
-    qms: list[np.ndarray],
+    qm: np.ndarray,
     qnorms: np.ndarray,
     starts: np.ndarray,
     k: int,
     buffers: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One partition's hits for every query: (query, row, best cosine)
-    for each selected pair, ordered by query then row.
+    """One partition's hits for every query of a slice: (query, row, best
+    cosine) for each selected pair, ordered by query then row.
 
-    Stacks the similarities of all query vectors, one row per vector,
-    as (vectors, entries); zero norms are pinned to -1. Each vector
-    keeps its k best entries by (-similarity, entry_id), counting every
-    entry tied with the k-th best value as a candidate so that the rank
-    tie-break decides among them exactly as a full sort would. The
-    (vectors, entries) arrays live in `buffers` (see `_buffers`), which
-    must hold that many cells; no returned array is a view of them.
+    `qm` holds the slice's query vectors, stacked, with their norms in
+    `qnorms` and query q's first row at `starts[q]`. One matmul gives
+    their similarities as (vectors, entries); zero norms are pinned to
+    -1. Each vector keeps its k best entries by (-similarity, entry_id),
+    counting every entry tied with the k-th best value as a candidate so
+    that the rank tie-break decides among them exactly as a full sort
+    would. The (vectors, entries) arrays live in `buffers` (see
+    `_buffers`), which must hold that many cells; no returned array is a
+    view of them.
     """
     n = len(part)
-    sims, denom, mask = (b[: len(qnorms) * n].reshape(len(qnorms), n) for b in buffers)
-    for qm, start in zip(qms, starts.tolist()):
-        np.matmul(qm, part.matrix.T, out=sims[start : start + len(qm)])
+    sims, denom, mask = (b[: len(qm) * n].reshape(len(qm), n) for b in buffers)
+    np.matmul(qm, part.matrix.T, out=sims)
     np.outer(qnorms, part.norms, out=denom)
     unmatched = np.logical_not(np.greater(denom, 0, out=mask), out=mask)
     np.copyto(denom, 1.0, where=unmatched)
@@ -291,6 +299,7 @@ def search_many(
     qms = [_query_matrix(kb, q) for q in queries]
     if not qms:
         return []
+    stacked = qms[0] if len(qms) == 1 else np.concatenate(qms)  # one query: its own matrix
     qnorms = np.concatenate([q.norms for q in queries])
     sizes = np.array([len(qm) for qm in qms])
     ends = np.cumsum(sizes)
@@ -313,7 +322,7 @@ def search_many(
             p, first, end = tasks[i]
             lo, hi = starts[first], ends[end - 1]
             qs, rows, sims = _select(
-                parts[p], ranks[p], qms[first:end], qnorms[lo:hi], starts[first:end] - lo, k,
+                parts[p], ranks[p], stacked[lo:hi], qnorms[lo:hi], starts[first:end] - lo, k,
                 buffers,
             )
             columns[i] = (qs + first, np.full(len(rows), p), rows, sims, ranks[p][rows])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import re
@@ -418,6 +419,32 @@ def test_analyze_artifacts(workspace, capsys):
     assert set(corpusgen.INDUSTRIES) <= set(scopes)
     header = (adir / "intensity.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header == "doc_id,scope1_intensity,scope2_intensity"
+
+
+def test_analyze_csv_quotes_untrusted_cells(workspace, capsys):
+    """An industry holding a comma, quotes and line breaks is one cell of
+    one row, read back exactly."""
+    industries = ['Utilities, "Gas"\nNorth', "Mining\rOpen pit"]
+    paths = sorted((workspace / "corpus").glob("*.json"))
+    for path, industry in zip(paths, industries):
+        layout = json.loads(path.read_text(encoding="utf-8"))
+        layout["industry"] = industry
+        path.write_text(json.dumps(layout), encoding="utf-8")
+    cfg = _config_path(workspace)
+    assert main(["extract", "--config", cfg]) == EXIT_OK
+    assert main(["analyze", "--config", cfg]) == EXIT_OK
+    scopes = [
+        s["scope"]
+        for s in json.loads(
+            (workspace / "out" / "analysis" / "analysis.json").read_text(encoding="utf-8")
+        )["disclosure"]
+    ]
+    assert set(industries) <= set(scopes)
+    with open(workspace / "out" / "analysis" / "disclosure.csv", encoding="utf-8",
+              newline="") as f:
+        rows = list(csv.reader(f))
+    assert [row[0] for row in rows] == ["scope", *scopes]
+    assert {len(row) for row in rows} == {6}
 
 
 def test_analyze_without_records_is_config_error(workspace, capsys):

@@ -1,5 +1,6 @@
 """Similarity search against a brute-force oracle, rerank and evidence assembly."""
 
+import bisect
 import math
 import random
 import sys
@@ -7,9 +8,12 @@ import threading
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esgpipe.errors import ProviderError, RetrievalError
 from esgpipe.kb import Entry, KnowledgeBase, Source
@@ -340,17 +344,172 @@ def test_search_many_matches_reference_on_integer_kbs():
     assert all(count >= 10 for count in seen.values()), seen
 
 
-def test_search_many_matches_reference_on_fixture_kbs(corpus_docs, registry, offline_providers):
+def fixture_searches(corpus_docs, registry, embedder):
+    """(KB, the 70 plan queries of one switch) for both KB modes of two
+    fixture documents and both search-term switches."""
     from esgpipe.kb import build, build_naive
 
-    emb = offline_providers.embedder
-    plan = build_queries(registry.indicators, registry, emb, [False, True])
+    plan = build_queries(registry.indicators, registry, embedder, [False, True])
     for doc in corpus_docs[:2]:
-        for kb in (build(doc, emb), build_naive(doc, emb)):
+        for kb in (build(doc, embedder), build_naive(doc, embedder)):
             for switch in (False, True):
-                queries = [plan[(spec.id, switch)] for spec in registry.indicators]
-                for k in (1, 5, 20):
-                    _assert_batch_matches_reference(kb, queries, k)
+                yield kb, [plan[(spec.id, switch)] for spec in registry.indicators]
+
+
+def test_search_matches_reference_on_fixture_kbs(corpus_docs, registry, offline_providers):
+    """`search` of one query makes the per-query matmul: bit for bit the
+    reference, which ranks raw floats as the benchmark's full scan does."""
+    for kb, queries in fixture_searches(corpus_docs, registry, offline_providers.embedder):
+        for k in (1, 5, 20):
+            for n, query in enumerate(queries):
+                have = [(h.entry_id, h.source, h.resolved_payload, h.similarity.hex())
+                        for h in search(kb, query, k)]
+                assert have == reference_search(kb, query, k), f"query {n}, k={k}"
+
+
+# --- batched search vs an exactly summed cosine oracle, up to near-ties ---
+
+# A batch's cosines come from one matmul per slice, whose last bits
+# depend on the slice a query lands in: within NEAR of the exact cosine,
+# so hits whose exact cosines lie within NEAR may swap.
+NEAR = 2.0**-40
+
+
+def fsum_cosines(kb, query):
+    """Per source with entries: its entry_ids and, per query vector, the
+    cosine with each entry from exactly rounded sums (`math.fsum`),
+    clipped to [-1, 1], and -1 where a norm is zero."""
+    vectors = [[float(x) for x in v] for v in query.vectors]
+    qnorms = [math.sqrt(math.fsum(x * x for x in v)) for v in vectors]
+    found = {}
+    for source in Source:
+        entries = [e for e in kb.entries if e.source is source]
+        if not entries:
+            continue
+        stored = [[(i, x) for i, x in enumerate(map(float, e.vector)) if x] for e in entries]
+        norms = [math.sqrt(math.fsum(x * x for _, x in cells)) for cells in stored]
+        found[source] = ([e.entry_id for e in entries], [
+            [
+                max(-1.0, min(1.0, math.fsum(v[i] * x for i, x in cells) / (qn * en)))
+                if qn and en else -1.0
+                for cells, en in zip(stored, norms)
+            ]
+            for v, qn in zip(vectors, qnorms)
+        ])
+    return found
+
+
+def assert_near_oracle(hits, cosines, k):
+    """`hits` rank as the oracle's (-cosine, entry_id) up to near-ties:
+    each similarity lies within NEAR of the oracle's best cosine; no hit
+    follows one whose oracle cosine it beats by more than NEAR; and per
+    source, every entry in some vector's top k however its near-ties
+    fall is selected, and no entry out of every vector's top k."""
+    assert hits == sorted(hits, key=lambda h: (-h.similarity, h.entry_id))
+    best = {
+        (source, entry_id): max(row[j] for row in rows)
+        for source, (ids, rows) in cosines.items()
+        for j, entry_id in enumerate(ids)
+    }
+    want = [best[h.source, h.entry_id] for h in hits]
+    for hit, cosine in zip(hits, want):
+        assert abs(hit.similarity - cosine) <= NEAR, (hit.entry_id, hit.similarity, cosine)
+    lowest = math.inf
+    for hit, cosine in zip(hits, want):
+        assert cosine <= lowest + NEAR, f"{hit.entry_id} ranks below a hit it beats"
+        lowest = min(lowest, cosine)
+    for source, (ids, rows) in cosines.items():
+        chosen = [h.entry_id for h in hits if h.source is source]
+        n = len(ids)
+        assert len(set(chosen)) == len(chosen)
+        assert min(k, n) <= len(chosen) <= min(n, k * len(rows))
+        ordered = [sorted(row) for row in rows]
+        for j, entry_id in enumerate(ids):
+            # entries at or above it, counting its near-ties; entries clearly above it
+            if any(n - bisect.bisect_left(o, row[j] - NEAR) <= k for row, o in zip(rows, ordered)):
+                assert entry_id in chosen, f"{source.value} {entry_id} is in a top {k}"
+            if all(n - bisect.bisect_right(o, row[j] + NEAR) >= k for row, o in zip(rows, ordered)):
+                assert entry_id not in chosen, f"{source.value} {entry_id} is in no top {k}"
+
+
+def test_search_many_matches_fsum_oracle_on_fixture_kbs(corpus_docs, registry, offline_providers):
+    for kb, queries in fixture_searches(corpus_docs, registry, offline_providers.embedder):
+        cosines = [fsum_cosines(kb, query) for query in queries]
+        for k in (1, 5, 20):
+            for hits, per_query in zip(search_many(kb, queries, k), cosines):
+                assert_near_oracle(hits, per_query, k)
+
+
+def real_kb(rng, sizes, dim):
+    """A KB with sizes[i] entries in the i-th source's partition: real
+    rows in [-1, 1), some all zero, exact duplicates, duplicates scaled
+    by 2 and 3 (equal cosines in exact arithmetic) and copies one ulp
+    apart in one cell (near-ties); ids in random string order."""
+    n = sum(sizes)
+    matrix = rng.uniform(-1.0, 1.0, size=(n, dim))
+    matrix[rng.random(n) < 0.1] = 0.0
+    for scale in (1.0, 2.0, 3.0):
+        pairs = rng.integers(0, n, size=(n // 6, 2))
+        matrix[pairs[:, 0]] = matrix[pairs[:, 1]] * scale
+    pairs = rng.integers(0, n, size=(n // 6, 2))
+    cells = rng.integers(0, dim, size=len(pairs))
+    matrix[pairs[:, 0]] = matrix[pairs[:, 1]]
+    matrix[pairs[:, 0], cells] = np.nextafter(matrix[pairs[:, 0], cells], 2.0)
+    sources = [source for source, size in zip(Source, sizes) for _ in range(size)]
+    ids = rng.permutation(n)
+    entries = [
+        Entry(entry_id=f"r{ids[i]}", source=source, payload_text=f"payload {i}",
+              vector=matrix[i], anchor=f"table:t{i}" if source is Source.TABLE_KEYWORD
+              else f"flat:{i}")
+        for i, source in enumerate(sources)
+    ]
+    return KnowledgeBase(scope="d", provider_name="t", dim=dim, entries=entries,
+                         table_texts={f"t{i}": f"table {i}" for i in range(n)}, matrix=matrix)
+
+
+def real_queries(rng, count, kb):
+    """Queries of 1-4 real rows: some copies of KB rows, some all zero."""
+    rows = [e.vector for e in kb.entries]
+    queries = []
+    for n in range(count):
+        vectors = []
+        for _ in range(rng.integers(1, 5)):
+            roll = rng.random()
+            if roll < 0.3 and rows:
+                vectors.append(np.array(rows[rng.integers(len(rows))]))
+            elif roll < 0.4:
+                vectors.append(np.zeros(kb.dim))
+            else:
+                vectors.append(rng.uniform(-1.0, 1.0, size=kb.dim))
+        queries.append(Query(f"q{n}", [f"t{i}" for i in range(len(vectors))], vectors))
+    return queries
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    sizes=st.tuples(*[st.integers(min_value=0, max_value=30)] * 3),
+    dim=st.sampled_from((2, 5, 16, 33)),
+    count=st.integers(min_value=1, max_value=6),
+    k=st.sampled_from((1, 2, 3, 7, 40)),
+    slice_cells=st.sampled_from((1, 100, 1 << 16)),
+    threads=st.booleans(),
+)
+def test_search_many_matches_fsum_oracle_on_real_kbs(
+    seed, sizes, dim, count, k, slice_cells, threads
+):
+    from esgpipe import retrieval
+
+    rng = np.random.default_rng(seed)
+    kb = real_kb(rng, sizes, dim)
+    queries = real_queries(rng, count, kb)
+    with mock.patch.multiple(
+        retrieval, _SLICE_CELLS=slice_cells, _THREAD_CELLS=0 if threads else 1 << 60,
+        _usable_cpus=lambda: 3,
+    ):
+        batch = search_many(kb, queries, k)
+    for hits, query in zip(batch, queries):
+        assert_near_oracle(hits, fsum_cosines(kb, query), k)
 
 
 def test_search_many_resolves_each_payload_once_per_call(
