@@ -36,12 +36,12 @@ from .retrieval import (
     DEFAULT_TOP_K,
     NO_EVIDENCE_SENTINEL,
     EvidenceBundle,
+    Hits,
     Query,
-    ScoredHit,
     assemble_evidence,
     build_query,
     rerank,
-    search,
+    search_many,
 )
 from .providers import ProviderSet
 
@@ -183,7 +183,10 @@ def build_prompt(
 
 
 def _excerpt(reply: str) -> str:
-    return re.sub(r"\s+", " ", reply).strip()[:EXCERPT_CHARS]
+    """The reply's first EXCERPT_CHARS characters once each run of
+    whitespace is one space and none leads or trails: str.split's
+    whitespace is the regex's \\s, code point for code point."""
+    return " ".join(reply.split())[:EXCERPT_CHARS]
 
 
 def _is_refusal(reply: str) -> bool:
@@ -407,10 +410,14 @@ def record_from_json(obj: dict) -> ExtractionRecord:
     )
 
 
+# json.dumps(obj, ensure_ascii=False) makes an encoder per call; one serves every line
+_RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def write_records(records: Sequence[ExtractionRecord], path: str | Path) -> None:
     """One record object per line, ordered by (doc_id, indicator_id, topic)."""
     ordered = sorted(records, key=lambda r: (r.doc_id, r.indicator_id, r.topic))
-    lines = [json.dumps(record_to_json(r), ensure_ascii=False) for r in ordered]
+    lines = [_RECORD_ENCODER.encode(record_to_json(r)) for r in ordered]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
@@ -442,7 +449,7 @@ class ExtractConfig:
 def evidence_from_hits(
     spec: IndicatorSpec,
     query: Query,
-    hits: list[ScoredHit],
+    hits: Hits,
     providers: ProviderSet,
     cfg: ExtractConfig,
     use_rerank: bool,
@@ -517,6 +524,7 @@ def extract_indicator(
         raise ConfigError("extraction requires chat and embedding providers")
     cfg = cfg or ExtractConfig()
     query = build_query(spec, registry, providers.embedder)
-    evidence = evidence_from_hits(spec, query, search(kb, query, cfg.top_k), providers, cfg, True)
+    hits = search_many(kb, [query], cfg.top_k)[0]
+    evidence = evidence_from_hits(spec, query, hits, providers, cfg, True)
     question = query.query_texts[0]
     return answer_indicator(doc_id, spec, evidence, registry, providers, True, question)

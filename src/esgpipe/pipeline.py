@@ -41,7 +41,7 @@ from .errors import ConfigError, PipelineError
 from .kb import BuildConfig, KnowledgeBase, build, build_naive
 from .metadata import IndicatorSpec, MetadataRegistry
 from .providers import ProviderSet
-from .retrieval import Query, ScoredHit, build_queries, search_many
+from .retrieval import Hits, Query, build_queries, search_many
 
 logger = logging.getLogger(__name__)
 
@@ -162,7 +162,7 @@ def _extract_group(
     group: RetrievalGroup,
     spec: IndicatorSpec,
     query: Query,
-    hits: list[ScoredHit],
+    hits: Hits,
     registry: MetadataRegistry,
     providers: ProviderSet,
 ) -> list[list[ExtractionRecord]] | PipelineError:

@@ -12,8 +12,18 @@ deterministic: ties break on entry_id.
 passes every indicator's query for a document and retrieval group) and
 `search` is a batch of one. A query converts its vectors to a matrix
 and row norms once, on first use, so a run's plan queries are converted
-once however many documents they search; each hit's payload is resolved
-once per entry and batch.
+once however many documents they search.
+
+`search_many` hands each query's hits on as columns (`Hits`): each hit's
+row of one per-call `HitTable` and its similarity. The table holds, once
+per entry that any query of the call hit, its entry_id, source, resolved
+payload, anchor, payload length and dedupe key (partition code, anchor),
+so each payload is resolved once per entry and batch. `rerank` reorders
+the rows and similarities of the first m hits and keeps their scores,
+making no hit objects; `assemble_evidence` walks the columns, dedupes on
+the coded key (an int and a str hash faster than the `Source` enum) and
+makes a `ScoredHit` only for each hit it keeps. `search` makes one for
+every hit.
 
 Per partition, the batch is cut into slices of whole queries, each of
 at most `_SLICE_CELLS` similarity cells (query vectors x entries). A
@@ -42,7 +52,7 @@ import itertools
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -122,6 +132,48 @@ class ScoredHit:
     resolved_payload: str
     anchor: str
     rerank_score: float | None = None
+
+
+@dataclass
+class HitTable:
+    """The entries that one `search_many` call hit, one row each."""
+
+    entry_ids: list[str] = field(default_factory=list)
+    sources: list[Source] = field(default_factory=list)
+    payloads: list[str] = field(default_factory=list)  # resolved (see `_resolve_payload`)
+    anchors: list[str] = field(default_factory=list)
+    sizes: list[int] = field(default_factory=list)  # len of each payload
+    # (partition code, anchor): equal for the hits of one evidence location
+    keys: list[tuple[int, str]] = field(default_factory=list)
+
+
+@dataclass
+class Hits:
+    """One query's hits, best first, as columns: hit i is row rows[i] of
+    `table`, with similarity[i]; the first len(rerank_scores) hits carry
+    the reranker's scores, the rest none."""
+
+    table: HitTable
+    rows: list[int]
+    similarity: list[float]
+    rerank_scores: list[float] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def scored(self, picks: Sequence[int] | None = None) -> list[ScoredHit]:
+        """The hits at indices `picks` (default: every hit), in that order,
+        as objects."""
+        t, rows, similarity = self.table, self.rows, self.similarity
+        scores = self.rerank_scores + [None] * (len(rows) - len(self.rerank_scores))
+        picks = range(len(rows)) if picks is None else picks
+        return [
+            ScoredHit(
+                t.entry_ids[row], t.sources[row], similarity[i], t.payloads[row], t.anchors[row],
+                scores[i],
+            )
+            for i, row in zip(picks, map(rows.__getitem__, picks))
+        ]
 
 
 @dataclass
@@ -289,11 +341,11 @@ def _usable_cpus() -> int:
 
 def search_many(
     kb: KnowledgeBase, queries: Sequence[Query], k: int = DEFAULT_TOP_K
-) -> list[list[ScoredHit]]:
+) -> list[Hits]:
     """`search` for each query, in one pass per source partition (see
-    the module docstring): one list of hits per query, in order, each
-    ordered by (-similarity, entry_id). `k` and every query are checked
-    before any is searched."""
+    the module docstring): the hits of each query, in order, each ordered
+    by (-similarity, entry_id), over one table of the entries hit. `k` and
+    every query are checked before any is searched."""
     if k < 1:
         raise RetrievalError(f"k must be >= 1, got {k}")
     qms = [_query_matrix(kb, q) for q in queries]
@@ -336,24 +388,31 @@ def search_many(
             work(_buffers(max(cells)))
             for helper in helpers:
                 helper.result()
-    hits: list[list[ScoredHit]] = [[] for _ in qms]
     if not columns:
-        return hits
+        return [Hits(HitTable(), [], []) for _ in qms]
     qs, ps, rows, sims, rank = (np.concatenate(column) for column in zip(*columns))
     order = np.lexsort((rank, -sims, qs))
-    resolved: dict[tuple[int, int], tuple[str, Source, str, str]] = {}
-    for q, p, row, sim in zip(
-        qs[order].tolist(), ps[order].tolist(), rows[order].tolist(), sims[order].tolist()
-    ):
-        fields = resolved.get((p, row))
-        if fields is None:
-            entry = parts[p].entry(row)
-            fields = resolved[p, row] = (
-                entry.entry_id, entry.source, _resolve_payload(entry, kb), entry.anchor
-            )
-        entry_id, source, payload, anchor = fields
-        hits[q].append(ScoredHit(entry_id, source, sim, payload, anchor))
-    return hits
+    offsets = np.cumsum([0] + [len(part) for part in parts])
+    flat = (offsets[ps] + rows)[order]  # each hit's entry, numbered by partition then row
+    distinct = np.sort(flat)
+    distinct = distinct[np.diff(distinct, prepend=-1) != 0]  # as np.unique: each entry once
+    part_of = np.searchsorted(offsets, distinct, side="right") - 1
+    codes = part_of.tolist()  # the partition of each, its index in `Source`
+    rows_in = (distinct - offsets[part_of]).tolist()  # the row of each in its partition
+    entries = [parts[p].entry(row) for p, row in zip(codes, rows_in)]
+    payloads = [_resolve_payload(entry, kb) for entry in entries]
+    table = HitTable(
+        [e.entry_id for e in entries], [e.source for e in entries], payloads,
+        [e.anchor for e in entries], list(map(len, payloads)),
+        [(p, e.anchor) for p, e in zip(codes, entries)],
+    )
+    table_rows = np.searchsorted(distinct, flat).tolist()
+    similarity = sims[order].tolist()
+    bounds = np.cumsum(np.bincount(qs, minlength=len(qms))).tolist()
+    return [
+        Hits(table, table_rows[start:end], similarity[start:end])
+        for start, end in zip([0] + bounds, bounds)
+    ]
 
 
 def search(kb: KnowledgeBase, query: Query, k: int = DEFAULT_TOP_K) -> list[ScoredHit]:
@@ -363,15 +422,15 @@ def search(kb: KnowledgeBase, query: Query, k: int = DEFAULT_TOP_K) -> list[Scor
     is treated as -1 rather than raising, so a tokenless chunk simply
     loses every comparison.
     """
-    return search_many(kb, [query], k)[0]
+    return search_many(kb, [query], k)[0].scored()
 
 
 def rerank(
-    hits: list[ScoredHit],
+    hits: Hits,
     query_text: str,
     reranker: Reranker,
     m: int = DEFAULT_RERANK_M,
-) -> list[ScoredHit]:
+) -> Hits:
     """Rescore the first m hits; the tail keeps its order after them.
 
     A reranker failure falls back to the offline token-overlap scorer
@@ -381,9 +440,8 @@ def rerank(
         raise RetrievalError(f"m must be >= 0, got {m}")
     m = min(m, len(hits))
     if m == 0:
-        return list(hits)
-    head = hits[:m]
-    payloads = [h.resolved_payload for h in head]
+        return hits
+    payloads = [hits.table.payloads[row] for row in hits.rows[:m]]
     try:
         scores = reranker.score(query_text, payloads)
         if len(scores) != len(payloads):
@@ -394,16 +452,18 @@ def rerank(
     except ProviderError as exc:
         logger.warning("rerank fallback engaged: %s", exc)
         scores = JaccardReranker().score(query_text, payloads)
-    rescored = [
-        ScoredHit(h.entry_id, h.source, h.similarity, h.resolved_payload, h.anchor, float(s))
-        for h, s in zip(head, scores)
-    ]
-    rescored.sort(key=lambda h: -h.rerank_score)  # stable: ties keep order
-    return rescored + list(hits[m:])
+    scores = [float(s) for s in scores]
+    order = sorted(range(m), key=lambda i: -scores[i])  # stable: ties keep order
+    return Hits(
+        hits.table,
+        [hits.rows[i] for i in order] + hits.rows[m:],
+        [hits.similarity[i] for i in order] + hits.similarity[m:],
+        [scores[i] for i in order],
+    )
 
 
 def assemble_evidence(
-    hits: Sequence[ScoredHit],
+    hits: Hits,
     budget_chars: int = DEFAULT_BUDGET_CHARS,
     indicator_id: str = "",
 ) -> EvidenceBundle:
@@ -416,26 +476,22 @@ def assemble_evidence(
     """
     if budget_chars < MIN_BUDGET_CHARS:
         raise RetrievalError(f"budget_chars must be >= {MIN_BUDGET_CHARS}")
-    taken: list[ScoredHit] = []
-    seen_anchors: set[tuple[Source, str]] = set()
+    keys, sizes = hits.table.keys, hits.table.sizes
+    kept: list[int] = []
+    seen: set[tuple[int, str]] = set()
     total = 0
-    truncated = False
-    for hit in hits:
-        key = (hit.source, hit.anchor)
-        if key in seen_anchors:
+    for i, row in enumerate(hits.rows):
+        key = keys[row]
+        if key in seen:
             continue
-        size = len(hit.resolved_payload)
+        size = sizes[row]
         if total + size > budget_chars:
-            if not taken:
-                taken.append(
-                    replace(hit, resolved_payload=hit.resolved_payload[:budget_chars])
-                )
-                total = budget_chars
-                truncated = True
             break
-        seen_anchors.add(key)
-        taken.append(hit)
+        seen.add(key)
+        kept.append(i)
         total += size
-    return EvidenceBundle(
-        indicator_id=indicator_id, hits=taken, total_chars=total, truncated=truncated
-    )
+    if hits.rows and not kept:  # the first hit alone overflows: truncate it
+        taken = hits.scored([0])
+        taken[0].resolved_payload = taken[0].resolved_payload[:budget_chars]
+        return EvidenceBundle(indicator_id, taken, budget_chars, truncated=True)
+    return EvidenceBundle(indicator_id=indicator_id, hits=hits.scored(kept), total_chars=total)

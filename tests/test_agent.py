@@ -5,11 +5,18 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import re
+import sys
+import tempfile
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esgpipe.agent import (
+    EXCERPT_CHARS,
     FLAG_MISSING_DISCLOSURE,
     FLAG_MISSING_TOPIC,
     FLAG_PARSE_FAILURE,
@@ -20,6 +27,7 @@ from esgpipe.agent import (
     FLAG_VALUE_COERCED,
     ExtractConfig,
     ExtractionRecord,
+    _excerpt,
     build_prompt,
     extract_indicator,
     load_records,
@@ -285,6 +293,28 @@ def test_parse_excerpt_is_normalized(registry):
     assert rec.raw_reply_excerpt.startswith("line one line two")
 
 
+# whitespace the regex and str.split agree on, and look-alikes that are not whitespace
+_EXCERPT_TEXT = st.text(
+    alphabet=st.sampled_from(
+        " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u200b\u2028\u2029"
+        "\u202f\u3000\ufeffab{}\"é"
+    ),
+    max_size=600,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_EXCERPT_TEXT)
+def test_excerpt_matches_the_regex_oracle(text):
+    assert _excerpt(text) == re.sub(r"\s+", " ", text).strip()[:EXCERPT_CHARS]
+
+
+def test_split_whitespace_is_regex_whitespace_on_every_code_point():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every) == list(filter(str.isspace, every))
+    assert " ".join(every.split()) == re.sub(r"\s+", " ", every).strip()
+
+
 def test_parse_fuzz_is_total_and_invariant_clean(registry):
     rng = random.Random(20240816)
     specs = [registry.indicator(i) for i in
@@ -314,6 +344,39 @@ def _record(**overrides):
     )
     base.update(overrides)
     return ExtractionRecord(**base)
+
+
+_RECORD_TEXT = st.text(max_size=20) | st.sampled_from(
+    ["", "\x00\x1f\x7f", "\u2028\u2029", "caf\u00e9 \U0001f600", '"\\', "NaN"]
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    fields=st.lists(
+        st.tuples(
+            _RECORD_TEXT, _RECORD_TEXT, st.booleans(),
+            st.none() | st.decimals(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([Decimal("1e-7"), Decimal("1E+16"), Decimal("-0.0"),
+                               Decimal(2**64 + 1), Decimal("1e400")]),
+            st.none() | _RECORD_TEXT, st.lists(_RECORD_TEXT, max_size=3),
+        ),
+        max_size=8,
+    )
+)
+def test_record_lines_are_json_dumps_without_ascii_escapes(fields):
+    records = [
+        _record(doc_id=doc_id, topic=topic, disclosure=disclosure, value=value, unit=unit,
+                raw_reply_excerpt=topic + doc_id, flags=flags)
+        for doc_id, topic, disclosure, value, unit, flags in fields
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.jsonl"
+        write_records(records, path)
+        text = path.read_text(encoding="utf-8")
+    ordered = sorted(records, key=lambda r: (r.doc_id, r.indicator_id, r.topic))
+    want = [json.dumps(record_to_json(r), ensure_ascii=False) for r in ordered]
+    assert text == "".join(line + "\n" for line in want)
 
 
 def test_record_json_round_trip_integral():

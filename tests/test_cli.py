@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import re
 import shutil
@@ -14,6 +15,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esgpipe import kb as kbmod
 from esgpipe import metadata
@@ -23,6 +26,7 @@ from esgpipe.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_PROVIDER,
+    dumps_indented,
     load_run_config,
     main,
 )
@@ -375,6 +379,18 @@ def test_ablate_shows_arm_ordering(workspace, capsys):
     assert knowledge == (1.0, 1.0)
     assert bench[0] < enhanced[0] <= knowledge[0]
     assert bench[1] < enhanced[1] < knowledge[1]
+
+
+def test_ablate_files_are_the_reference_json_encodings(workspace, capsys):
+    assert main(["ablate", "--config", _config_path(workspace)]) == EXIT_OK
+    out_dir = workspace / "out"
+    for path in [*out_dir.glob("report-*.json"), out_dir / "manifest.json"]:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", path.name
+    for path in out_dir.glob("records-*.jsonl"):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 700
+        assert lines == [json.dumps(json.loads(line), ensure_ascii=False) for line in lines]
 
 
 def test_ablate_honours_value_match_rel_tol(workspace, capsys):
@@ -1353,3 +1369,38 @@ def test_a_command_does_not_import_numpy_ma(workspace):
     subprocess.run(
         [sys.executable, "-c", check], check=True, timeout=120, env=env, stdout=subprocess.DEVNULL
     )
+
+
+# ---------------------------------------------------------------- JSON writer
+
+_JSON_TEXT = st.text(max_size=12) | st.sampled_from(
+    ["", "\x00\x1f\x7f", "\u2028\u2029", "caf\u00e9 \U0001f600", '"\\/', "\ud800"]
+)
+_JSON_SCALARS = (
+    st.none() | st.booleans() | _JSON_TEXT
+    | st.integers() | st.sampled_from([2**63, 2**64 + 1, -(2**70), 10**30])
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-7, 1e16, 5e-324, 1.7e308])
+)
+_JSON_KEYS = _JSON_TEXT | st.integers() | st.floats() | st.booleans() | st.none()
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(_JSON_KEYS, children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(obj=_JSON_TREES)
+def test_dumps_indented_is_json_dumps_indent_2(obj):
+    assert dumps_indented(obj) == json.dumps(obj, indent=2)
+
+
+def test_dumps_indented_rejects_what_json_rejects():
+    for bad in (Decimal("1.5"), {"a": [1, {2}]}, {(1, 2): "tuple key"}, {"a": b"bytes"}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError):
+            dumps_indented(bad)

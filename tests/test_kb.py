@@ -575,7 +575,7 @@ def test_search_of_a_loaded_kb_makes_entries_only_for_hit_rows(
         for i in range(6)
     ]
     hits = search_many(kb, queries, k=3)
-    hit_ids = {h.entry_id for batch in hits for h in batch}
+    hit_ids = {h.entry_id for batch in hits for h in batch.scored()}
     assert 0 < len(hit_ids) < len(built.entries)
     # one entry per distinct hit row, and no other
     assert sorted(made) == sorted(hit_ids)

@@ -43,6 +43,7 @@ from esgpipe.providers import (
 from esgpipe.retrieval import ScoredHit, rerank
 
 from .loopback import JsonHandler
+from .test_retrieval import as_hits
 
 NAN = float("nan")
 INF = float("inf")
@@ -650,7 +651,7 @@ def test_a_nan_rerank_reply_falls_back_to_jaccard(http_server, caplog):
         for n, text in enumerate(payloads)
     ]
     with caplog.at_level(logging.WARNING, logger="esgpipe.retrieval"):
-        got = rerank(hits, "energy use", reranker, m=3)
+        got = rerank(as_hits(hits), "energy use", reranker, m=3).scored()
     assert "rerank fallback engaged" in caplog.text
     assert "non-finite" in caplog.text
     assert [h.entry_id for h in got] == ["e1", "e0", "e2"]
@@ -708,7 +709,7 @@ def test_chat_401_costs_one_post(http_server, sleeps):
     from esgpipe import metadata
     from esgpipe.agent import FLAG_PROVIDER_FAILED, answer_indicator
     from esgpipe.providers import ProviderSet
-    from esgpipe.retrieval import assemble_evidence
+    from esgpipe.retrieval import EvidenceBundle
 
     server, base = http_server
     server.responder = lambda p, payload: (401, {"error": "bad token"})
@@ -717,7 +718,7 @@ def test_chat_401_costs_one_post(http_server, sleeps):
     providers = ProviderSet(
         embedder=HashEmbedder(), chat=HttpChatProvider(HttpEndpoint(f"{base}/chat", retries=2))
     )
-    evidence = assemble_evidence([], 6000, indicator_id=spec.id)
+    evidence = EvidenceBundle(indicator_id=spec.id, hits=[], total_chars=0)
     records = answer_indicator("d", spec, evidence, registry, providers, True)
     assert [r.flags for r in records] == [[FLAG_PROVIDER_FAILED]]
     excerpt = records[0].raw_reply_excerpt

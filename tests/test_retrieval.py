@@ -1,6 +1,7 @@
 """Similarity search against a brute-force oracle, rerank and evidence assembly."""
 
 import bisect
+import dataclasses
 import math
 import random
 import sys
@@ -20,6 +21,8 @@ from esgpipe.kb import Entry, KnowledgeBase, Source
 from esgpipe.providers import HashEmbedder, JaccardReranker, Reranker
 from esgpipe.retrieval import (
     EvidenceBundle,
+    Hits,
+    HitTable,
     Query,
     ScoredHit,
     assemble_evidence,
@@ -279,7 +282,9 @@ def _assert_batch_matches_reference(kb, queries, k):
     assert len(got) == len(queries)
     for n, (hits, query) in enumerate(zip(got, queries)):
         want = reference_search(kb, query, k)
-        have = [(h.entry_id, h.source, h.resolved_payload, h.similarity.hex()) for h in hits]
+        have = [
+            (h.entry_id, h.source, h.resolved_payload, h.similarity.hex()) for h in hits.scored()
+        ]
         assert have == want, f"query {n} of {len(queries)}, k={k}"
 
 
@@ -437,7 +442,7 @@ def test_search_many_matches_fsum_oracle_on_fixture_kbs(corpus_docs, registry, o
         cosines = [fsum_cosines(kb, query) for query in queries]
         for k in (1, 5, 20):
             for hits, per_query in zip(search_many(kb, queries, k), cosines):
-                assert_near_oracle(hits, per_query, k)
+                assert_near_oracle(hits.scored(), per_query, k)
 
 
 def real_kb(rng, sizes, dim):
@@ -509,7 +514,7 @@ def test_search_many_matches_fsum_oracle_on_real_kbs(
     ):
         batch = search_many(kb, queries, k)
     for hits, query in zip(batch, queries):
-        assert_near_oracle(hits, fsum_cosines(kb, query), k)
+        assert_near_oracle(hits.scored(), fsum_cosines(kb, query), k)
 
 
 def test_search_many_resolves_each_payload_once_per_call(
@@ -531,7 +536,8 @@ def test_search_many_resolves_each_payload_once_per_call(
     queries = [plan[(spec.id, True)] for spec in registry.indicators]
     kb = build(corpus_docs[0], emb)
     for calls in (1, 2):
-        hits = [h.entry_id for per_query in search_many(kb, queries, 5) for h in per_query]
+        batch = search_many(kb, queries, 5)
+        hits = [h.entry_id for per_query in batch for h in per_query.scored()]
         assert len(hits) > len(set(hits))  # entries recur across queries
         assert resolved == Counter(dict.fromkeys(hits, calls))
 
@@ -541,7 +547,7 @@ def test_search_is_a_batch_of_one():
     kb = integer_kb(rng, 25, 4)
     queries = integer_queries(rng, 4)
     assert search_many(kb, [], 5) == []
-    assert search_many(kb, queries, 3) == [search(kb, q, 3) for q in queries]
+    assert [h.scored() for h in search_many(kb, queries, 3)] == [search(kb, q, 3) for q in queries]
 
 
 def test_search_many_rejects_a_bad_query_mid_batch():
@@ -602,7 +608,8 @@ def sparse_queries(seed, count, dim=24):
 
 def _hits(kb, queries, k):
     return [
-        [(h.entry_id, h.source, h.similarity.hex(), h.resolved_payload, h.anchor) for h in hits]
+        [(h.entry_id, h.source, h.similarity.hex(), h.resolved_payload, h.anchor)
+         for h in hits.scored()]
         for hits in search_many(kb, queries, k)
     ]
 
@@ -788,34 +795,46 @@ def _hit(entry_id, payload, sim=0.5, source=Source.TEXT, anchor=None):
     )
 
 
+def as_hits(scored):
+    """The columns that `search_many` would hand on for these hits, in
+    this order: one table row per hit."""
+    table = HitTable(
+        [h.entry_id for h in scored], [h.source for h in scored],
+        [h.resolved_payload for h in scored], [h.anchor for h in scored],
+        [len(h.resolved_payload) for h in scored],
+        [(list(Source).index(h.source), h.anchor) for h in scored],
+    )
+    return Hits(table, list(range(len(scored))), [h.similarity for h in scored])
+
+
 def test_rerank_promotes_token_overlap():
     hits = [
         _hit("a", "completely unrelated words here", sim=0.9),
         _hit("b", "total energy consumption in megawatt hours", sim=0.8),
         _hit("c", "another unrelated chunk", sim=0.7),
     ]
-    out = rerank(hits, "total energy consumption", JaccardReranker(), m=3)
+    out = rerank(as_hits(hits), "total energy consumption", JaccardReranker(), m=3).scored()
     assert out[0].entry_id == "b"
     assert out[0].rerank_score is not None
 
 
 def test_rerank_zero_m_is_identity():
     hits = [_hit("a", "x", 0.9), _hit("b", "y", 0.8)]
-    out = rerank(hits, "q", JaccardReranker(), m=0)
-    assert [h.entry_id for h in out] == ["a", "b"]
+    out = rerank(as_hits(hits), "q", JaccardReranker(), m=0).scored()
+    assert out == hits
     assert all(h.rerank_score is None for h in out)
 
 
 def test_rerank_keeps_tail_order():
     hits = [_hit(str(n), f"payload {n}", 1.0 - n / 10) for n in range(6)]
-    out = rerank(hits, "nothing matches", JaccardReranker(), m=3)
-    assert [h.entry_id for h in out[3:]] == ["3", "4", "5"]
+    out = rerank(as_hits(hits), "nothing matches", JaccardReranker(), m=3).scored()
+    assert out[3:] == hits[3:]
     assert all(h.rerank_score is None for h in out[3:])
 
 
 def test_rerank_stable_on_equal_scores():
     hits = [_hit(str(n), "identical words", 0.5) for n in range(4)]
-    out = rerank(hits, "identical words", JaccardReranker(), m=4)
+    out = rerank(as_hits(hits), "identical words", JaccardReranker(), m=4).scored()
     assert [h.entry_id for h in out] == ["0", "1", "2", "3"]
 
 
@@ -831,13 +850,13 @@ def test_rerank_falls_back_when_provider_fails():
         _hit("a", "unrelated", 0.9),
         _hit("b", "total energy consumption", 0.8),
     ]
-    out = rerank(hits, "total energy consumption", _FailingReranker(), m=2)
+    out = rerank(as_hits(hits), "total energy consumption", _FailingReranker(), m=2).scored()
     assert out[0].entry_id == "b"
 
 
 def test_rerank_negative_m_rejected():
     with pytest.raises(RetrievalError):
-        rerank([], "q", JaccardReranker(), m=-1)
+        rerank(as_hits([]), "q", JaccardReranker(), m=-1)
 
 
 # --- evidence assembly ---
@@ -845,8 +864,8 @@ def test_rerank_negative_m_rejected():
 
 def test_assemble_takes_greedy_prefix():
     hits = [_hit(str(n), "x" * 400) for n in range(3)]
-    bundle = assemble_evidence(hits, budget_chars=1000)
-    assert len(bundle.hits) == 2
+    bundle = assemble_evidence(as_hits(hits), budget_chars=1000)
+    assert bundle.hits == hits[:2]
     assert bundle.total_chars == 800
     assert bundle.truncated is False
 
@@ -854,16 +873,17 @@ def test_assemble_takes_greedy_prefix():
 def test_assemble_stops_at_first_overflow():
     # the third hit would fit, but assembly stops at the second
     hits = [_hit("a", "x" * 600), _hit("b", "y" * 600), _hit("c", "z" * 100)]
-    bundle = assemble_evidence(hits, budget_chars=1000)
+    bundle = assemble_evidence(as_hits(hits), budget_chars=1000)
     assert [h.entry_id for h in bundle.hits] == ["a"]
 
 
 def test_assemble_truncates_single_oversized_hit():
     hits = [_hit("a", "x" * 5000)]
-    bundle = assemble_evidence(hits, budget_chars=1000)
+    bundle = assemble_evidence(as_hits(hits), budget_chars=1000)
     assert bundle.truncated is True
     assert len(bundle.hits[0].resolved_payload) == 1000
     assert bundle.total_chars == 1000
+    assert len(hits[0].resolved_payload) == 5000
 
 
 def test_assemble_dedupes_same_anchor():
@@ -872,16 +892,103 @@ def test_assemble_dedupes_same_anchor():
         _hit("k1", table_payload, source=Source.TABLE_KEYWORD, anchor="table:t1"),
         _hit("k2", table_payload, source=Source.TABLE_KEYWORD, anchor="table:t1"),
         _hit("t1", "prose chunk"),
+        _hit("o1", "outline", source=Source.OUTLINE, anchor="table:t1"),  # another source
     ]
+    bundle = assemble_evidence(as_hits(hits), budget_chars=1000)
+    assert [h.entry_id for h in bundle.hits] == ["k1", "t1", "o1"]
+
+
+def test_search_many_dedupe_keys_tell_sources_apart():
+    # one anchor in two partitions is two locations; twice in one partition, one
+    entries = [
+        Entry(f"e{n}", source, f"payload {n}", [1.0, float(n)], "shared")
+        for n, source in enumerate([Source.TEXT, Source.OUTLINE, Source.TEXT])
+    ]
+    kb = KnowledgeBase(scope="d", provider_name="t", dim=2, entries=entries)
+    (hits,) = search_many(kb, [Query("q", ["t"], [[1.0, 0.0]])], 5)
+    assert sorted(hits.table.keys) == [(0, "shared"), (0, "shared"), (1, "shared")]
     bundle = assemble_evidence(hits, budget_chars=1000)
-    assert [h.entry_id for h in bundle.hits] == ["k1", "t1"]
+    assert [h.entry_id for h in bundle.hits] == ["e0", "e1"]
 
 
 def test_assemble_empty_hits():
-    bundle = assemble_evidence([], budget_chars=1000, indicator_id="x")
+    bundle = assemble_evidence(as_hits([]), budget_chars=1000, indicator_id="x")
     assert bundle == EvidenceBundle(indicator_id="x", hits=[], total_chars=0)
 
 
 def test_assemble_rejects_tiny_budget():
     with pytest.raises(RetrievalError):
-        assemble_evidence([], budget_chars=10)
+        assemble_evidence(as_hits([]), budget_chars=10)
+
+
+# --- the hit path against ScoredHit lists ---
+
+
+def reference_evidence(spec, scored, query_text, reranker, cfg, use_rerank):
+    """Rerank and assembly over `search`'s hits, as objects: a stable sort
+    on -score over the first m (the token-overlap scores when the
+    reranker fails), a dedupe on (source, anchor), then a greedy budget
+    that truncates an oversized first hit."""
+    hits = list(scored)
+    if use_rerank and cfg.rerank_m:
+        head = hits[: cfg.rerank_m]
+        payloads = [h.resolved_payload for h in head]
+        try:
+            scores = reranker.score(query_text, payloads)
+        except ProviderError:
+            scores = JaccardReranker().score(query_text, payloads)
+        head = [dataclasses.replace(h, rerank_score=float(s)) for h, s in zip(head, scores)]
+        hits = sorted(head, key=lambda h: -h.rerank_score) + hits[cfg.rerank_m :]
+    taken, seen, total = [], set(), 0
+    for hit in hits:
+        if (hit.source, hit.anchor) in seen:
+            continue
+        if total + len(hit.resolved_payload) > cfg.budget_chars:
+            if not taken:
+                payload = hit.resolved_payload[: cfg.budget_chars]
+                cut = dataclasses.replace(hit, resolved_payload=payload)
+                return EvidenceBundle(spec.id, [cut], cfg.budget_chars, True)
+            break
+        seen.add((hit.source, hit.anchor))
+        taken.append(hit)
+        total += len(hit.resolved_payload)
+    return EvidenceBundle(spec.id, taken, total)
+
+
+def test_evidence_from_search_many_matches_the_scored_hit_reference(
+    corpus_docs, registry, offline_providers, monkeypatch
+):
+    from esgpipe import retrieval
+    from esgpipe.agent import ExtractConfig, evidence_from_hits
+    from esgpipe.kb import build, build_naive
+    from esgpipe.providers import ProviderSet
+
+    # a slice per query: each query's own matmul, as in `search`, over one table of hits
+    monkeypatch.setattr(retrieval, "_SLICE_CELLS", 1)
+    emb = offline_providers.embedder
+    plan = build_queries(registry.indicators, registry, emb, [False, True])
+    failing = ProviderSet(embedder=emb, chat=None, reranker=_FailingReranker())
+    seen = Counter()
+    for doc in corpus_docs:
+        # the structured KB with search terms and rerank; the naive one without
+        for kb, enhanced in ((build(doc, emb), True), (build_naive(doc, emb), False)):
+            queries = [plan[spec.id, enhanced] for spec in registry.indicators]
+            batch = search_many(kb, queries, 5)
+            for spec, query, hits in zip(registry.indicators, queries, batch):
+                scored = search(kb, query, 5)
+                assert hits.scored() == scored
+                keys = [(h.source, h.anchor) for h in scored]
+                seen["duplicate anchors"] += len(keys) > len(set(keys))
+                for providers, cfg in (
+                    (offline_providers, ExtractConfig()),
+                    (offline_providers, ExtractConfig(rerank_m=3, budget_chars=500)),
+                    (failing, ExtractConfig()),  # the naive group reranks nothing
+                ):
+                    got = evidence_from_hits(spec, query, hits, providers, cfg, enhanced)
+                    want = reference_evidence(
+                        spec, scored, query.query_texts[0], providers.reranker, cfg, enhanced
+                    )
+                    assert got == want, (doc.doc_id, spec.id, enhanced, cfg)
+                    seen["oversized first hit"] += got.truncated
+                    seen["fallback"] += enhanced and providers is failing
+    assert min(seen.values()) > 0, seen
