@@ -170,10 +170,9 @@ def build_prompt(
         )
     expression = registry.expression(spec.prompt_template_id)
     schema_id = registry.expression(spec.output_schema_id).answer_format
-    reference = "\n\n".join(h.resolved_payload for h in evidence.hits)
     return Prompt(
         preset=expression.preset,
-        reference_content=reference if reference else NO_EVIDENCE_SENTINEL,
+        reference_content=evidence.reference or NO_EVIDENCE_SENTINEL,
         expert_knowledge=spec.knowledge if knowledge_enabled else "",
         question=render_question(spec, registry) if question is None else question,
         answer_format=ANSWER_FORMATS[schema_id],
@@ -182,11 +181,22 @@ def build_prompt(
     )
 
 
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
+def _encodable(text: str) -> str:
+    """`text` with each surrogate code point, which a JSON escape like
+    "\\ud800" can put in a reply but UTF-8 cannot encode, replaced by
+    U+FFFD."""
+    return text if text.isascii() else _SURROGATE_RE.sub("\ufffd", text)
+
+
 def _excerpt(reply: str) -> str:
     """The reply's first EXCERPT_CHARS characters once each run of
-    whitespace is one space and none leads or trails: str.split's
-    whitespace is the regex's \\s, code point for code point."""
-    return " ".join(reply.split())[:EXCERPT_CHARS]
+    whitespace is one space and none leads or trails (str.split's
+    whitespace is the regex's \\s, code point for code point), made
+    encodable."""
+    return _encodable(" ".join(reply.split())[:EXCERPT_CHARS])
 
 
 def _is_refusal(reply: str) -> bool:
@@ -251,7 +261,7 @@ def _parse_bool(raw: object) -> bool | None:
 def _opt_str(raw: object) -> str | None:
     if raw is None:
         return None
-    text = str(raw).strip()
+    text = _encodable(str(raw).strip())
     return text or None
 
 

@@ -19,11 +19,12 @@ row of one per-call `HitTable` and its similarity. The table holds, once
 per entry that any query of the call hit, its entry_id, source, resolved
 payload, anchor, payload length and dedupe key (partition code, anchor),
 so each payload is resolved once per entry and batch. `rerank` reorders
-the rows and similarities of the first m hits and keeps their scores,
-making no hit objects; `assemble_evidence` walks the columns, dedupes on
-the coded key (an int and a str hash faster than the `Source` enum) and
-makes a `ScoredHit` only for each hit it keeps. `search` makes one for
-every hit.
+the rows and similarities of the first m hits and keeps their scores;
+`assemble_evidence` walks the columns, dedupes on the coded key (an int
+and a str hash faster than the `Source` enum) and hands on the hits it
+keeps as rows of the same table, with their payloads joined once into
+the prompt's reference text (`EvidenceBundle`). Neither makes a hit
+object; `search` makes a `ScoredHit` for every hit.
 
 Per partition, the batch is cut into slices of whole queries, each of
 at most `_SLICE_CELLS` similarity cells (query vectors x entries). A
@@ -32,6 +33,19 @@ in one matmul, into scratch buffers that the call allocates, one set per
 worker; normalising, the top-k selection and the union over a query's
 vectors then work row by row in the same buffers, so a large KB costs a
 few slices of temporaries rather than full (vectors, entries) arrays.
+Each vector's k-th best cosine is element n - k of its row sorted in
+place, the order statistic that `np.partition` would put there, so the
+candidates are the same. The sort is chosen for the ties: hash-embedded
+KBs repeat few cosines (on the 5k-entry KB of the benchmark's seed-3
+scaled corpus, 1,803 distinct values among the outline partition's 209k
+cells against the run's query vectors, and 2,295 among the table
+keywords' 417k), and introselect slows down on ties while the sort does
+not. On 2 vCPUs, copying and sorting the rows of a 2^16-cell slice of
+those partitions took 0.15 ms, against 0.66 and 0.97 ms to partition
+them; on the text partition (73,716 distinct among 414k) it took 0.20
+ms against 0.09 ms, and a search of both KBs of that corpus went from
+47 to 40 ms. The zero-norm masking runs only for a slice with a zero
+(or NaN) norm.
 The floats of a stacked matmul can differ in the last bits from those of
 each query's own matmul (by about 2^-52 in a cosine), so in a batch a
 query's cosines depend on the slice it lands in, and hits whose cosines
@@ -75,21 +89,24 @@ NO_EVIDENCE_SENTINEL = "NO EVIDENCE FOUND"
 # Similarity cells (query vectors x partition entries) per slice of a
 # search. On 2 vCPUs (numpy 2.4, OpenBLAS 0.3.31 on one thread) a slice of
 # the 5k-entry scaled document's 2,002-entry text partition (30 query
-# vectors) takes about 1.7 ms of `_select` (29 ns a cell, half of it the
-# stacked matmul) and its buffers take 1.1 MB (17 bytes a cell). Slices of
-# 2^17 and 2^18 cells cost 19 and 16 ns a cell alone, but a search of
-# both KBs of that corpus took 36.4 and 35.8 ms against 38.1 ms at 2^16
-# (medians of 30 alternations, within the quartiles), for two and four
-# times the buffers.
+# vectors) takes about 1.2 ms of `_select` (20 ns a cell, more than half
+# of it the stacked matmul) and its buffers take 1.1 MB (17 bytes a cell).
+# Slices of 2^17 and 2^18 cells cost 24 and 21 ns a cell alone, and a
+# search of both KBs of that corpus took 27.8 and 27.4 ms against 33.9 ms
+# at 2^16 in one run, and 27.0 and 27.0 against 32.9 ms in another
+# (medians of 30 alternations, quartiles about 24-44 ms), for two and
+# four times the buffers. The value stays: a query's cosines depend on the
+# slice its vectors are stacked in, so a new value could reorder near-ties
+# and change records.
 _SLICE_CELLS = 1 << 16
 # A search of at most this many cells in all runs in the calling thread
 # alone. Around it a helper about breaks even: on the same host (the 207
 # query vectors of a run against every n-th entry of the 5k-entry KB,
-# medians of 10-30 alternations of 10 calls) 62k cells took 6.0 ms alone
-# and 6.3 ms with a helper, 130k cells 7.7 and 8.1 ms in one run and 8.2
-# and 7.5 ms in another, 352k cells 13.1 and 11.6 ms, and the whole KB's
-# 1.04M cells 36.5 and 27.8 ms. A helper thread costs about 0.13 ms to
-# start and join.
+# medians of 15 alternations of 10 calls) 65k cells took 5.3 ms alone and
+# 4.6 ms with a helper in one run and 4.4 and 4.8 ms in another, 130k
+# cells 7.4 and 5.9 ms, then 7.2 and 7.8 ms, 347k cells 11.4 and 9.0 ms,
+# and the whole KB's 1.04M cells 30.7 and 19.1 ms. A helper thread costs
+# about 0.13 ms to start and join.
 _THREAD_CELLS = 1 << 17
 
 
@@ -161,25 +178,39 @@ class Hits:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def scored(self, picks: Sequence[int] | None = None) -> list[ScoredHit]:
-        """The hits at indices `picks` (default: every hit), in that order,
-        as objects."""
-        t, rows, similarity = self.table, self.rows, self.similarity
-        scores = self.rerank_scores + [None] * (len(rows) - len(self.rerank_scores))
-        picks = range(len(rows)) if picks is None else picks
+    def scored(self) -> list[ScoredHit]:
+        """The hits, in order, as objects."""
+        t = self.table
+        scores = self.rerank_scores + [None] * (len(self.rows) - len(self.rerank_scores))
         return [
             ScoredHit(
-                t.entry_ids[row], t.sources[row], similarity[i], t.payloads[row], t.anchors[row],
-                scores[i],
+                t.entry_ids[row], t.sources[row], similarity, t.payloads[row], t.anchors[row],
+                score,
             )
-            for i, row in zip(picks, map(rows.__getitem__, picks))
+            for row, similarity, score in zip(self.rows, self.similarity, scores)
         ]
+
+    def pick(self, picks: Sequence[int]) -> Hits:
+        """The hits at increasing indices `picks`, over the same table."""
+        m = len(self.rerank_scores)
+        return Hits(
+            self.table,
+            [self.rows[i] for i in picks],
+            [self.similarity[i] for i in picks],
+            [self.rerank_scores[i] for i in picks if i < m],
+        )
 
 
 @dataclass
 class EvidenceBundle:
+    """The hits that an indicator's prompt quotes, as rows of the search's
+    table, and `reference`, their payloads joined by blank lines: the
+    prompt's reference content, "" for none. A truncated bundle holds the
+    first hit alone, its payload cut to the budget in `reference`."""
+
     indicator_id: str
-    hits: list[ScoredHit]
+    hits: Hits
+    reference: str
     total_chars: int
     truncated: bool = False
 
@@ -283,17 +314,26 @@ def _select(
     sims, denom, mask = (b[: len(qm) * n].reshape(len(qm), n) for b in buffers)
     np.matmul(qm, part.matrix.T, out=sims)
     np.outer(qnorms, part.norms, out=denom)
-    unmatched = np.logical_not(np.greater(denom, 0, out=mask), out=mask)
-    np.copyto(denom, 1.0, where=unmatched)
+    # Rounding is monotone, so the least product is the product of the least
+    # norms: this is denom.min() > 0 without a pass over the cells, and a NaN
+    # norm fails it too.
+    all_matched = qnorms.min() * part.norms.min() > 0
+    if not all_matched:
+        unmatched = np.logical_not(np.greater(denom, 0, out=mask), out=mask)
+        np.copyto(denom, 1.0, where=unmatched)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(sims, denom, out=sims)
-    np.copyto(sims, -1.0, where=unmatched)
+    if not all_matched:
+        np.copyto(sims, -1.0, where=unmatched)
     np.clip(sims, -1.0, 1.0, out=sims)
 
     if k < n:
-        np.copyto(denom, sims)  # as np.partition, in the free buffer
-        denom.partition(n - k, axis=1)
-        rows, cols = np.nonzero(np.greater_equal(sims, denom[:, n - k : n - k + 1], out=mask))
+        # each row's k-th best value: element n - k of the sorted row, the
+        # order statistic that np.partition would place there
+        np.copyto(denom, sims)  # in the free buffer
+        denom.sort(axis=1)
+        above = np.greater_equal(sims, denom[:, n - k : n - k + 1], out=mask)
+        rows, cols = np.divmod(np.flatnonzero(above), n)
         per_row = np.bincount(rows, minlength=len(sims))
         if per_row.max() > k:  # ties at the k-th value: keep the first k by rank
             order = np.lexsort((rank[cols], -sims[rows, cols], rows))
@@ -476,8 +516,9 @@ def assemble_evidence(
     """
     if budget_chars < MIN_BUDGET_CHARS:
         raise RetrievalError(f"budget_chars must be >= {MIN_BUDGET_CHARS}")
-    keys, sizes = hits.table.keys, hits.table.sizes
+    keys, sizes, payloads = hits.table.keys, hits.table.sizes, hits.table.payloads
     kept: list[int] = []
+    texts: list[str] = []
     seen: set[tuple[int, str]] = set()
     total = 0
     for i, row in enumerate(hits.rows):
@@ -489,9 +530,9 @@ def assemble_evidence(
             break
         seen.add(key)
         kept.append(i)
+        texts.append(payloads[row])
         total += size
     if hits.rows and not kept:  # the first hit alone overflows: truncate it
-        taken = hits.scored([0])
-        taken[0].resolved_payload = taken[0].resolved_payload[:budget_chars]
-        return EvidenceBundle(indicator_id, taken, budget_chars, truncated=True)
-    return EvidenceBundle(indicator_id=indicator_id, hits=hits.scored(kept), total_chars=total)
+        cut = payloads[hits.rows[0]][:budget_chars]
+        return EvidenceBundle(indicator_id, hits.pick([0]), cut, budget_chars, truncated=True)
+    return EvidenceBundle(indicator_id, hits.pick(kept), "\n\n".join(texts), total)

@@ -40,12 +40,14 @@ from esgpipe.agent import (
 from esgpipe.errors import ConfigError, ProviderError
 from esgpipe.kb import Source, build as build_kb
 from esgpipe.providers import ChatProvider, HttpChatProvider, HttpEndpoint
-from esgpipe.retrieval import NO_EVIDENCE_SENTINEL, EvidenceBundle, ScoredHit
+from esgpipe.retrieval import NO_EVIDENCE_SENTINEL, ScoredHit, assemble_evidence
 
 from .fuzzing import random_reply
+from .test_retrieval import as_hits
 
 
 def _bundle(indicator_id, texts):
+    """The bundle that assembly makes of one hit per text, every one kept."""
     hits = [
         ScoredHit(
             entry_id=f"e{i}",
@@ -56,12 +58,10 @@ def _bundle(indicator_id, texts):
         )
         for i, text in enumerate(texts)
     ]
-    return EvidenceBundle(
-        indicator_id=indicator_id,
-        hits=hits,
-        total_chars=sum(len(t) for t in texts),
-        truncated=False,
-    )
+    budget = max(1000, sum(len(t) for t in texts))
+    bundle = assemble_evidence(as_hits(hits), budget, indicator_id)
+    assert bundle.hits.scored() == hits and not bundle.truncated
+    return bundle
 
 
 # ---------------------------------------------------------------- build_prompt
@@ -93,8 +93,7 @@ def test_prompt_knowledge_off_omits_section(registry):
 
 def test_prompt_empty_bundle_uses_sentinel(registry):
     spec = registry.indicator("A1.1-nox")
-    empty = EvidenceBundle(indicator_id=spec.id, hits=[], total_chars=0,
-                           truncated=False)
+    empty = _bundle(spec.id, [])
     prompt = build_prompt(spec, empty, registry)
     assert prompt.reference_content == NO_EVIDENCE_SENTINEL
     assert NO_EVIDENCE_SENTINEL in prompt.to_messages()[1]["content"]
@@ -313,6 +312,24 @@ def test_split_whitespace_is_regex_whitespace_on_every_code_point():
     every = "".join(map(chr, range(sys.maxunicode + 1)))
     assert re.findall(r"\s", every) == list(filter(str.isspace, every))
     assert " ".join(every.split()) == re.sub(r"\s+", " ", every).strip()
+
+
+def test_a_lone_surrogate_in_a_reply_is_written_as_u_fffd(registry, tmp_path):
+    # a JSON escape can decode to a surrogate code point, which UTF-8 cannot encode
+    spec = registry.indicator("A1.1-nox")
+    reply = (
+        '{"disclosure": true, "kpi": "NOx \\udfff", "topic": "Nitrogen Oxides", "value": 5, '
+        '"unit": "kg\\ud800", "target": "\\ud83d\\ude00 kept", "action": "cut \\ud800 use"}'
+        " \ud800 tail"
+    )
+    records = parse_reply(reply, spec, doc_id="d")
+    write_records(records, tmp_path / "records.jsonl")
+    (rec,) = load_records(tmp_path / "records.jsonl")
+    assert (rec.kpi, rec.unit, rec.target, rec.action) == (
+        "NOx \ufffd", "kg\ufffd", "\U0001f600 kept", "cut \ufffd use"
+    )
+    assert rec.raw_reply_excerpt.endswith("} \ufffd tail")
+    assert rec.value == Decimal(5) and rec.flags == []
 
 
 def test_parse_fuzz_is_total_and_invariant_clean(registry):

@@ -208,6 +208,28 @@ def test_extract_is_byte_deterministic(workspace, capsys):
     assert first == second
 
 
+def test_extract_writes_a_reply_with_lone_surrogates(workspace, capsys):
+    # a surrogate decoded from a reply's JSON escape, and one in the reply text itself
+    path = workspace / "mock_replies.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    entry = data["replies"][0]
+    entry["required_evidence"] = []
+    entry["reply"] = (
+        '{"disclosure": true, "topic": "Nitrogen Oxides", "value": 7, "unit": "kg", '
+        '"action": "cut \\ud800 use"} \udfff'
+    )
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["extract", "--config", _config_path(workspace)]) == EXIT_OK
+    lines = (workspace / "out" / "records.jsonl").read_text(encoding="utf-8").splitlines()
+    (record,) = [
+        json.loads(line) for line in lines
+        if '"doc_id": "%s", "indicator_id": "%s"' % (entry["doc_id"], entry["indicator_id"])
+        in line
+    ]
+    assert record["action"] == "cut \ufffd use"
+    assert record["raw_reply_excerpt"].endswith("} \ufffd")
+
+
 def test_extract_dry_run_touches_nothing(workspace, capsys):
     code = main(["extract", "--dry-run", "--config", _config_path(workspace)])
     assert code == EXIT_OK

@@ -709,7 +709,7 @@ def test_chat_401_costs_one_post(http_server, sleeps):
     from esgpipe import metadata
     from esgpipe.agent import FLAG_PROVIDER_FAILED, answer_indicator
     from esgpipe.providers import ProviderSet
-    from esgpipe.retrieval import EvidenceBundle
+    from esgpipe.retrieval import assemble_evidence
 
     server, base = http_server
     server.responder = lambda p, payload: (401, {"error": "bad token"})
@@ -718,7 +718,7 @@ def test_chat_401_costs_one_post(http_server, sleeps):
     providers = ProviderSet(
         embedder=HashEmbedder(), chat=HttpChatProvider(HttpEndpoint(f"{base}/chat", retries=2))
     )
-    evidence = EvidenceBundle(indicator_id=spec.id, hits=[], total_chars=0)
+    evidence = assemble_evidence(as_hits([]), indicator_id=spec.id)
     records = answer_indicator("d", spec, evidence, registry, providers, True)
     assert [r.flags for r in records] == [[FLAG_PROVIDER_FAILED]]
     excerpt = records[0].raw_reply_excerpt

@@ -739,6 +739,116 @@ def test_sliced_search_peaks_below_the_one_slice_path(monkeypatch):
     assert sliced <= whole, f"sliced {sliced / 2**20:.2f} MB, one slice {whole / 2**20:.2f} MB"
 
 
+# --- the selection kernel vs the introselect kernel it replaced, bit for bit ---
+
+
+def introselect_select(part, rank, qm, qnorms, starts, k, buffers):
+    """`retrieval._select` as it was before the row sort: each row's k-th
+    value by np.partition, candidates by a 2-D np.nonzero, and the
+    zero-denominator masking on every call."""
+    n = len(part)
+    sims, denom, mask = (b[: len(qm) * n].reshape(len(qm), n) for b in buffers)
+    np.matmul(qm, part.matrix.T, out=sims)
+    np.outer(qnorms, part.norms, out=denom)
+    unmatched = np.logical_not(np.greater(denom, 0, out=mask), out=mask)
+    np.copyto(denom, 1.0, where=unmatched)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(sims, denom, out=sims)
+    np.copyto(sims, -1.0, where=unmatched)
+    np.clip(sims, -1.0, 1.0, out=sims)
+
+    if k < n:
+        np.copyto(denom, sims)
+        denom.partition(n - k, axis=1)
+        rows, cols = np.nonzero(np.greater_equal(sims, denom[:, n - k : n - k + 1], out=mask))
+        per_row = np.bincount(rows, minlength=len(sims))
+        if per_row.max() > k:
+            order = np.lexsort((rank[cols], -sims[rows, cols], rows))
+            rows, cols = rows[order], cols[order]
+            first = np.cumsum(per_row) - per_row
+            keep = np.arange(len(rows)) - first[rows] < k
+            rows, cols = rows[keep], cols[keep]
+    else:
+        rows, cols = np.divmod(np.arange(len(sims) * n), n)
+
+    sizes = np.diff(starts, append=len(sims))
+    pairs = np.sort(np.repeat(np.arange(len(starts)), sizes)[rows] * n + cols)
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    queries, cols = np.divmod(pairs, n)
+    counts = sizes[queries]
+    first = np.cumsum(counts) - counts
+    pair_rows = np.repeat(starts[queries] - first, counts) + np.arange(counts.sum())
+    best = np.maximum.reduceat(sims[pair_rows, np.repeat(cols, counts)], first)
+    return queries, cols, best
+
+
+def test_select_matches_the_introselect_kernel_bit_for_bit(monkeypatch):
+    from esgpipe import retrieval
+    from esgpipe.kb import Partition
+
+    real_matmul = np.matmul
+
+    def signed_zero_matmul(a, b, out):
+        # BLAS sums from +0.0, so give every third exact zero cosine the other sign
+        real_matmul(a, b, out=out)
+        third = np.arange(out.size).reshape(out.shape) % 3 == 0
+        out[(out == 0) & third] = -0.0
+        return out
+
+    def run(kernel, part, rank, qm, qnorms, starts, k, cuts):
+        """(query, row, best.hex()) of every slice, the slices cut at `cuts`."""
+        got = []
+        for first, end in zip(cuts, cuts[1:]):
+            lo, hi = starts[first], starts[end] if end < len(starts) else len(qm)
+            buffers = retrieval._buffers((hi - lo) * len(part))
+            qs, rows, best = kernel(
+                part, rank, qm[lo:hi], qnorms[lo:hi], starts[first:end] - lo, k, buffers
+            )
+            got += zip((qs + first).tolist(), rows.tolist(), [b.hex() for b in best.tolist()])
+        return got
+
+    rng = np.random.default_rng(24)
+    seen = Counter()
+    for case in range(200):
+        n, dim = int(rng.integers(1, 50)), int(rng.integers(1, 5))
+        matrix = rng.choice([-1.0, 0.0, 0.0, 1.0, 2.0], size=(n, dim))
+        qm = rng.choice([-1.0, 0.0, 1.0, 2.0], size=(int(rng.integers(1, 13)), dim))
+        if case % 3 == 0:
+            matrix[rng.random(n) < 0.1] = 0.0  # zero rows
+            qm[rng.random(len(qm)) < 0.2] = 0.0  # zero query vectors
+        else:  # no zero row: every denominator is positive
+            matrix[~matrix.any(axis=1), 0] = 1.0
+            qm[~qm.any(axis=1), 0] = 2.0
+        if case % 25 == 0:
+            qm[0, 0] = np.nan  # a NaN norm: every cell of its row is unmatched
+        qnorms = np.linalg.norm(qm, axis=1)
+        starts = np.flatnonzero(np.r_[True, rng.random(len(qm) - 1) < 0.4])
+        part = Partition(list(range(n)), matrix, np.linalg.norm(matrix, axis=1), None)
+        rank = rng.permutation(n)
+        cut = sorted({0, len(starts), *rng.integers(0, len(starts) + 1, size=2).tolist()})
+        with monkeypatch.context() as patch:
+            if case % 2:
+                patch.setattr(np, "matmul", signed_zero_matmul)
+            buffers = retrieval._buffers(len(qm) * n)  # the cosines, for the tallies below
+            introselect_select(part, rank, qm, qnorms, starts, 1, buffers)
+            for k in sorted({1, 2, 3, n - 1, n, n + 1} - {0}):
+                for cuts in ([0, len(starts)], cut):
+                    want = run(introselect_select, part, rank, qm, qnorms, starts, k, cuts)
+                    got = run(retrieval._select, part, rank, qm, qnorms, starts, k, cuts)
+                    assert got == want, (case, k, cuts)
+                seen["k >= n"] += k >= n
+        ordered = np.sort(buffers[0][: len(qm) * n].reshape(len(qm), n), axis=1)
+        zero = ordered == 0
+        both_zeros = (zero & np.signbit(ordered)).any(1) & (zero & ~np.signbit(ordered)).any(1)
+        for k in range(1, min(n, 4)):
+            kth = ordered[:, n - k]
+            seen["ties at the k-th value"] += bool((kth == ordered[:, n - k - 1]).any())
+            seen["k-th value 0 with both signs"] += bool((both_zeros & (kth == 0)).any())
+        seen["several slices"] += len(cut) > 2
+        seen["zero or NaN norm"] += not ((qnorms > 0).all() and (part.norms > 0).all())
+    assert min(seen.values()) > 10, seen
+
+
 def test_table_keyword_hits_resolve_to_full_table(registry, corpus_docs, offline_providers):
     from esgpipe.kb import build
     from esgpipe.docmodel import render_table
@@ -865,7 +975,8 @@ def test_rerank_negative_m_rejected():
 def test_assemble_takes_greedy_prefix():
     hits = [_hit(str(n), "x" * 400) for n in range(3)]
     bundle = assemble_evidence(as_hits(hits), budget_chars=1000)
-    assert bundle.hits == hits[:2]
+    assert bundle.hits.scored() == hits[:2]
+    assert bundle.reference == "x" * 400 + "\n\n" + "x" * 400
     assert bundle.total_chars == 800
     assert bundle.truncated is False
 
@@ -874,16 +985,17 @@ def test_assemble_stops_at_first_overflow():
     # the third hit would fit, but assembly stops at the second
     hits = [_hit("a", "x" * 600), _hit("b", "y" * 600), _hit("c", "z" * 100)]
     bundle = assemble_evidence(as_hits(hits), budget_chars=1000)
-    assert [h.entry_id for h in bundle.hits] == ["a"]
+    assert [h.entry_id for h in bundle.hits.scored()] == ["a"]
+    assert bundle.reference == "x" * 600
 
 
 def test_assemble_truncates_single_oversized_hit():
     hits = [_hit("a", "x" * 5000)]
     bundle = assemble_evidence(as_hits(hits), budget_chars=1000)
     assert bundle.truncated is True
-    assert len(bundle.hits[0].resolved_payload) == 1000
+    assert bundle.reference == "x" * 1000
     assert bundle.total_chars == 1000
-    assert len(hits[0].resolved_payload) == 5000
+    assert bundle.hits.scored() == hits  # the row is the whole hit; only its quote is cut
 
 
 def test_assemble_dedupes_same_anchor():
@@ -895,7 +1007,8 @@ def test_assemble_dedupes_same_anchor():
         _hit("o1", "outline", source=Source.OUTLINE, anchor="table:t1"),  # another source
     ]
     bundle = assemble_evidence(as_hits(hits), budget_chars=1000)
-    assert [h.entry_id for h in bundle.hits] == ["k1", "t1", "o1"]
+    assert [h.entry_id for h in bundle.hits.scored()] == ["k1", "t1", "o1"]
+    assert bundle.reference == f"{table_payload}\n\nprose chunk\n\noutline"
 
 
 def test_search_many_dedupe_keys_tell_sources_apart():
@@ -908,12 +1021,12 @@ def test_search_many_dedupe_keys_tell_sources_apart():
     (hits,) = search_many(kb, [Query("q", ["t"], [[1.0, 0.0]])], 5)
     assert sorted(hits.table.keys) == [(0, "shared"), (0, "shared"), (1, "shared")]
     bundle = assemble_evidence(hits, budget_chars=1000)
-    assert [h.entry_id for h in bundle.hits] == ["e0", "e1"]
+    assert [h.entry_id for h in bundle.hits.scored()] == ["e0", "e1"]
 
 
 def test_assemble_empty_hits():
     bundle = assemble_evidence(as_hits([]), budget_chars=1000, indicator_id="x")
-    assert bundle == EvidenceBundle(indicator_id="x", hits=[], total_chars=0)
+    assert bundle == EvidenceBundle("x", as_hits([]), reference="", total_chars=0)
 
 
 def test_assemble_rejects_tiny_budget():
@@ -924,11 +1037,12 @@ def test_assemble_rejects_tiny_budget():
 # --- the hit path against ScoredHit lists ---
 
 
-def reference_evidence(spec, scored, query_text, reranker, cfg, use_rerank):
+def reference_evidence(scored, query_text, reranker, cfg, use_rerank):
     """Rerank and assembly over `search`'s hits, as objects: a stable sort
     on -score over the first m (the token-overlap scores when the
     reranker fails), a dedupe on (source, anchor), then a greedy budget
-    that truncates an oversized first hit."""
+    that truncates an oversized first hit. Returns the hits taken, the
+    first cut when truncated, their total size and whether it was cut."""
     hits = list(scored)
     if use_rerank and cfg.rerank_m:
         head = hits[: cfg.rerank_m]
@@ -947,12 +1061,12 @@ def reference_evidence(spec, scored, query_text, reranker, cfg, use_rerank):
             if not taken:
                 payload = hit.resolved_payload[: cfg.budget_chars]
                 cut = dataclasses.replace(hit, resolved_payload=payload)
-                return EvidenceBundle(spec.id, [cut], cfg.budget_chars, True)
+                return [cut], cfg.budget_chars, True
             break
         seen.add((hit.source, hit.anchor))
         taken.append(hit)
         total += len(hit.resolved_payload)
-    return EvidenceBundle(spec.id, taken, total)
+    return taken, total, False
 
 
 def test_evidence_from_search_many_matches_the_scored_hit_reference(
@@ -985,10 +1099,16 @@ def test_evidence_from_search_many_matches_the_scored_hit_reference(
                     (failing, ExtractConfig()),  # the naive group reranks nothing
                 ):
                     got = evidence_from_hits(spec, query, hits, providers, cfg, enhanced)
-                    want = reference_evidence(
-                        spec, scored, query.query_texts[0], providers.reranker, cfg, enhanced
+                    taken, total, truncated = reference_evidence(
+                        scored, query.query_texts[0], providers.reranker, cfg, enhanced
                     )
-                    assert got == want, (doc.doc_id, spec.id, enhanced, cfg)
+                    kept = got.hits.scored()
+                    if got.truncated:  # the bundle's row is whole; its quote is cut
+                        kept[0].resolved_payload = kept[0].resolved_payload[: cfg.budget_chars]
+                    where = (doc.doc_id, spec.id, enhanced, cfg)
+                    assert got.reference == "\n\n".join(h.resolved_payload for h in taken), where
+                    assert (kept, got.total_chars, got.truncated) == (taken, total, truncated), where
+                    assert got.indicator_id == spec.id
                     seen["oversized first hit"] += got.truncated
                     seen["fallback"] += enhanced and providers is failing
     assert min(seen.values()) > 0, seen
