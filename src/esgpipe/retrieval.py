@@ -21,10 +21,10 @@ payload, anchor, payload length and dedupe key (partition code, anchor),
 so each payload is resolved once per entry and batch. `rerank` reorders
 the rows and similarities of the first m hits and keeps their scores;
 `assemble_evidence` walks the columns, dedupes on the coded key (an int
-and a str hash faster than the `Source` enum) and hands on the hits it
-keeps as rows of the same table, with their payloads joined once into
-the prompt's reference text (`EvidenceBundle`). Neither makes a hit
-object; `search` makes a `ScoredHit` for every hit.
+and a str hash faster than the `Source` enum) and hands on the indices
+of the hits it keeps, with their payloads joined once into the prompt's
+reference text (`EvidenceBundle`). Neither makes a hit object; `search`
+makes a `ScoredHit` for every hit.
 
 Per partition, the batch is cut into slices of whole queries, each of
 at most `_SLICE_CELLS` similarity cells (query vectors x entries). A
@@ -33,19 +33,12 @@ in one matmul, into scratch buffers that the call allocates, one set per
 worker; normalising, the top-k selection and the union over a query's
 vectors then work row by row in the same buffers, so a large KB costs a
 few slices of temporaries rather than full (vectors, entries) arrays.
-Each vector's k-th best cosine is element n - k of its row sorted in
-place, the order statistic that `np.partition` would put there, so the
-candidates are the same. The sort is chosen for the ties: hash-embedded
-KBs repeat few cosines (on the 5k-entry KB of the benchmark's seed-3
-scaled corpus, 1,803 distinct values among the outline partition's 209k
-cells against the run's query vectors, and 2,295 among the table
-keywords' 417k), and introselect slows down on ties while the sort does
-not. On 2 vCPUs, copying and sorting the rows of a 2^16-cell slice of
-those partitions took 0.15 ms, against 0.66 and 0.97 ms to partition
-them; on the text partition (73,716 distinct among 414k) it took 0.20
-ms against 0.09 ms, and a search of both KBs of that corpus went from
-47 to 40 ms. The zero-norm masking runs only for a slice with a zero
-(or NaN) norm.
+A vector's candidates are the cells at or above a lower bound of its
+k-th best cosine, the k-th best of the maxima of groups of its cells
+(see `_GROUP_CELLS`), trimmed to k by rank: one pass over the cells
+whether or not the cosines repeat, where `np.partition` slows down on
+the many ties of a hash-embedded KB. The zero-norm masking runs only for
+a slice with a zero (or NaN) norm.
 The floats of a stacked matmul can differ in the last bits from those of
 each query's own matmul (by about 2^-52 in a cosine), so in a batch a
 query's cosines depend on the slice it lands in, and hits whose cosines
@@ -89,12 +82,12 @@ NO_EVIDENCE_SENTINEL = "NO EVIDENCE FOUND"
 # Similarity cells (query vectors x partition entries) per slice of a
 # search. On 2 vCPUs (numpy 2.4, OpenBLAS 0.3.31 on one thread) a slice of
 # the 5k-entry scaled document's 2,002-entry text partition (30 query
-# vectors) takes about 1.2 ms of `_select` (20 ns a cell, more than half
-# of it the stacked matmul) and its buffers take 1.1 MB (17 bytes a cell).
-# Slices of 2^17 and 2^18 cells cost 24 and 21 ns a cell alone, and a
-# search of both KBs of that corpus took 27.8 and 27.4 ms against 33.9 ms
-# at 2^16 in one run, and 27.0 and 27.0 against 32.9 ms in another
-# (medians of 30 alternations, quartiles about 24-44 ms), for two and
+# vectors) takes about 1.5 ms of `_select` (24 ns a cell, about half of
+# it the stacked matmul) and its buffers take 1.1 MB (17 bytes a cell).
+# Slices of 2^17 and 2^18 cells cost 16 and 13 ns a cell alone, and a
+# search of both KBs of that corpus took 32.8 and 31.8 ms against 35.3 ms
+# at 2^16 in one run, and 27.5 and 26.8 against 30.3 ms in another
+# (medians of 30 alternations, quartiles about 23-39 ms), for two and
 # four times the buffers. The value stays: a query's cosines depend on the
 # slice its vectors are stacked in, so a new value could reorder near-ties
 # and change records.
@@ -102,12 +95,21 @@ _SLICE_CELLS = 1 << 16
 # A search of at most this many cells in all runs in the calling thread
 # alone. Around it a helper about breaks even: on the same host (the 207
 # query vectors of a run against every n-th entry of the 5k-entry KB,
-# medians of 15 alternations of 10 calls) 65k cells took 5.3 ms alone and
-# 4.6 ms with a helper in one run and 4.4 and 4.8 ms in another, 130k
-# cells 7.4 and 5.9 ms, then 7.2 and 7.8 ms, 347k cells 11.4 and 9.0 ms,
-# and the whole KB's 1.04M cells 30.7 and 19.1 ms. A helper thread costs
+# medians of 15 alternations of 10 calls) 65k cells took 6.3 ms alone and
+# 5.3 ms with a helper in one run and 6.6 and 6.4 ms in another, 130k
+# cells 6.6 and 5.8 ms, then 7.3 and 7.5 ms, 347k cells 13.7 and 10.4 ms,
+# and the whole KB's 1.04M cells 33.3 and 24.2 ms. A helper thread costs
 # about 0.13 ms to start and join.
 _THREAD_CELLS = 1 << 17
+# Cells per group in `_select`'s bound of a row's k-th best cosine. On the
+# same host, against a 2^16-cell slice of each partition of the 5k-entry
+# KB, the bound took 80-95 us where np.partition of the rows took 160 us
+# (text), 810 us (outline) and 1,020 us (table keywords): introselect
+# slows down on the few distinct cosines of a hash-embedded KB (783 among
+# the outline slice's 64k cells). With random normal vectors of the same
+# shapes, whose cosines are all distinct, it took 80-96 us against
+# 158-176 us. Groups of 16 and 32 cells took 80-113 and 100-163 us.
+_GROUP_CELLS = 8
 
 
 @dataclass
@@ -190,26 +192,17 @@ class Hits:
             for row, similarity, score in zip(self.rows, self.similarity, scores)
         ]
 
-    def pick(self, picks: Sequence[int]) -> Hits:
-        """The hits at increasing indices `picks`, over the same table."""
-        m = len(self.rerank_scores)
-        return Hits(
-            self.table,
-            [self.rows[i] for i in picks],
-            [self.similarity[i] for i in picks],
-            [self.rerank_scores[i] for i in picks if i < m],
-        )
-
 
 @dataclass
 class EvidenceBundle:
-    """The hits that an indicator's prompt quotes, as rows of the search's
-    table, and `reference`, their payloads joined by blank lines: the
-    prompt's reference content, "" for none. A truncated bundle holds the
-    first hit alone, its payload cut to the budget in `reference`."""
+    """The evidence an indicator's prompt quotes: `kept`, the indices in
+    `hits` of the hits taken, and `reference`, their payloads joined by
+    blank lines, "" for none. A truncated bundle keeps the first hit alone,
+    its payload cut to the budget in `reference`."""
 
     indicator_id: str
     hits: Hits
+    kept: list[int]
     reference: str
     total_chars: int
     truncated: bool = False
@@ -303,10 +296,10 @@ def _select(
     `qm` holds the slice's query vectors, stacked, with their norms in
     `qnorms` and query q's first row at `starts[q]`. One matmul gives
     their similarities as (vectors, entries); zero norms are pinned to
-    -1. Each vector keeps its k best entries by (-similarity, entry_id),
-    counting every entry tied with the k-th best value as a candidate so
-    that the rank tie-break decides among them exactly as a full sort
-    would. The (vectors, entries) arrays live in `buffers` (see
+    -1. Each vector keeps its k best entries by (-similarity, entry_id):
+    every entry at or above a lower bound of the k-th best value is a
+    candidate, so that the rank tie-break decides among them exactly as
+    a full sort would. The (vectors, entries) arrays live in `buffers` (see
     `_buffers`), which must hold that many cells; no returned array is a
     view of them.
     """
@@ -328,14 +321,23 @@ def _select(
     np.clip(sims, -1.0, 1.0, out=sims)
 
     if k < n:
-        # each row's k-th best value: element n - k of the sorted row, the
-        # order statistic that np.partition would place there
-        np.copyto(denom, sims)  # in the free buffer
-        denom.sort(axis=1)
-        above = np.greater_equal(sims, denom[:, n - k : n - k + 1], out=mask)
+        # A lower bound of each row's k-th best value: the k-th best of the
+        # maxima of b groups of its cells (cell j in group j % b), which are
+        # k different cells. Every cell at or above it is a candidate, so the
+        # candidates hold the top k and its ties, and the trim below keeps
+        # the first k by (-similarity, rank), as a full sort would.
+        b = max(k, n // _GROUP_CELLS)
+        m = n // b
+        groups = sims[:, : b * m].reshape(len(sims), m, b).max(axis=1)
+        tail = n - b * m  # < b
+        np.maximum(groups[:, :tail], sims[:, b * m :], out=groups[:, :tail])
+        if np.isnan(groups).any():  # NaN cells, which np.partition ranks first
+            groups, b = sims, n
+        bound = np.partition(groups, b - k, axis=1)[:, b - k : b - k + 1]
+        above = np.greater_equal(sims, bound, out=mask)
         rows, cols = np.divmod(np.flatnonzero(above), n)
         per_row = np.bincount(rows, minlength=len(sims))
-        if per_row.max() > k:  # ties at the k-th value: keep the first k by rank
+        if per_row.max() > k:  # more than k candidates: keep the first k by rank
             order = np.lexsort((rank[cols], -sims[rows, cols], rows))
             rows, cols = rows[order], cols[order]
             first = np.cumsum(per_row) - per_row
@@ -534,5 +536,5 @@ def assemble_evidence(
         total += size
     if hits.rows and not kept:  # the first hit alone overflows: truncate it
         cut = payloads[hits.rows[0]][:budget_chars]
-        return EvidenceBundle(indicator_id, hits.pick([0]), cut, budget_chars, truncated=True)
-    return EvidenceBundle(indicator_id, hits.pick(kept), "\n\n".join(texts), total)
+        return EvidenceBundle(indicator_id, hits, [0], cut, budget_chars, truncated=True)
+    return EvidenceBundle(indicator_id, hits, kept, "\n\n".join(texts), total)

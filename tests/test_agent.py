@@ -43,7 +43,7 @@ from esgpipe.providers import ChatProvider, HttpChatProvider, HttpEndpoint
 from esgpipe.retrieval import NO_EVIDENCE_SENTINEL, ScoredHit, assemble_evidence
 
 from .fuzzing import random_reply
-from .test_retrieval import as_hits
+from .test_retrieval import as_hits, kept_hits
 
 
 def _bundle(indicator_id, texts):
@@ -60,7 +60,7 @@ def _bundle(indicator_id, texts):
     ]
     budget = max(1000, sum(len(t) for t in texts))
     bundle = assemble_evidence(as_hits(hits), budget, indicator_id)
-    assert bundle.hits.scored() == hits and not bundle.truncated
+    assert kept_hits(bundle) == hits and not bundle.truncated
     return bundle
 
 

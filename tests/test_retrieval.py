@@ -739,12 +739,12 @@ def test_sliced_search_peaks_below_the_one_slice_path(monkeypatch):
     assert sliced <= whole, f"sliced {sliced / 2**20:.2f} MB, one slice {whole / 2**20:.2f} MB"
 
 
-# --- the selection kernel vs the introselect kernel it replaced, bit for bit ---
+# --- the selection kernel vs the kernel it replaced, bit for bit ---
 
 
-def introselect_select(part, rank, qm, qnorms, starts, k, buffers):
-    """`retrieval._select` as it was before the row sort: each row's k-th
-    value by np.partition, candidates by a 2-D np.nonzero, and the
+def reference_select(part, rank, qm, qnorms, starts, k, buffers):
+    """`retrieval._select` as it was before the group bound: each row's
+    k-th value by np.partition, candidates by a 2-D np.nonzero, and the
     zero-denominator masking on every call."""
     n = len(part)
     sims, denom, mask = (b[: len(qm) * n].reshape(len(qm), n) for b in buffers)
@@ -782,7 +782,8 @@ def introselect_select(part, rank, qm, qnorms, starts, k, buffers):
     return queries, cols, best
 
 
-def test_select_matches_the_introselect_kernel_bit_for_bit(monkeypatch):
+@np.errstate(over="ignore", invalid="ignore")  # the vectors whose norms overflow
+def test_select_matches_the_reference_kernel_bit_for_bit(monkeypatch):
     from esgpipe import retrieval
     from esgpipe.kb import Partition
 
@@ -821,6 +822,9 @@ def test_select_matches_the_introselect_kernel_bit_for_bit(monkeypatch):
             qm[~qm.any(axis=1), 0] = 2.0
         if case % 25 == 0:
             qm[0, 0] = np.nan  # a NaN norm: every cell of its row is unmatched
+        if case % 5 == 1:  # inf norms: NaN cosines where both vectors overflow
+            matrix[rng.random(n) < 0.3 if case % 10 == 1 else n - 1] = 1e200  # or the last
+            qm[-1] = 1e200
         qnorms = np.linalg.norm(qm, axis=1)
         starts = np.flatnonzero(np.r_[True, rng.random(len(qm) - 1) < 0.4])
         part = Partition(list(range(n)), matrix, np.linalg.norm(matrix, axis=1), None)
@@ -830,20 +834,25 @@ def test_select_matches_the_introselect_kernel_bit_for_bit(monkeypatch):
             if case % 2:
                 patch.setattr(np, "matmul", signed_zero_matmul)
             buffers = retrieval._buffers(len(qm) * n)  # the cosines, for the tallies below
-            introselect_select(part, rank, qm, qnorms, starts, 1, buffers)
+            reference_select(part, rank, qm, qnorms, starts, 1, buffers)
             for k in sorted({1, 2, 3, n - 1, n, n + 1} - {0}):
                 for cuts in ([0, len(starts)], cut):
-                    want = run(introselect_select, part, rank, qm, qnorms, starts, k, cuts)
+                    want = run(reference_select, part, rank, qm, qnorms, starts, k, cuts)
                     got = run(retrieval._select, part, rank, qm, qnorms, starts, k, cuts)
                     assert got == want, (case, k, cuts)
                 seen["k >= n"] += k >= n
-        ordered = np.sort(buffers[0][: len(qm) * n].reshape(len(qm), n), axis=1)
+        sims = buffers[0][: len(qm) * n].reshape(len(qm), n).copy()
+        ordered = np.sort(sims, axis=1)
         zero = ordered == 0
         both_zeros = (zero & np.signbit(ordered)).any(1) & (zero & ~np.signbit(ordered)).any(1)
         for k in range(1, min(n, 4)):
             kth = ordered[:, n - k]
             seen["ties at the k-th value"] += bool((kth == ordered[:, n - k - 1]).any())
             seen["k-th value 0 with both signs"] += bool((both_zeros & (kth == 0)).any())
+            retrieval._select(part, rank, qm, qnorms, starts, k, buffers)
+            candidates = buffers[2][: len(qm) * n].sum()  # the cells at or above the bound
+            seen["a bound below the k-th value"] += bool(candidates > (sims >= kth[:, None]).sum())
+        seen["NaN cosines"] += bool(np.isnan(sims).any())
         seen["several slices"] += len(cut) > 2
         seen["zero or NaN norm"] += not ((qnorms > 0).all() and (part.norms > 0).all())
     assert min(seen.values()) > 10, seen
@@ -972,10 +981,16 @@ def test_rerank_negative_m_rejected():
 # --- evidence assembly ---
 
 
+def kept_hits(bundle):
+    """The hits a bundle keeps, as objects."""
+    scored = bundle.hits.scored()
+    return [scored[i] for i in bundle.kept]
+
+
 def test_assemble_takes_greedy_prefix():
     hits = [_hit(str(n), "x" * 400) for n in range(3)]
     bundle = assemble_evidence(as_hits(hits), budget_chars=1000)
-    assert bundle.hits.scored() == hits[:2]
+    assert kept_hits(bundle) == hits[:2]
     assert bundle.reference == "x" * 400 + "\n\n" + "x" * 400
     assert bundle.total_chars == 800
     assert bundle.truncated is False
@@ -985,7 +1000,7 @@ def test_assemble_stops_at_first_overflow():
     # the third hit would fit, but assembly stops at the second
     hits = [_hit("a", "x" * 600), _hit("b", "y" * 600), _hit("c", "z" * 100)]
     bundle = assemble_evidence(as_hits(hits), budget_chars=1000)
-    assert [h.entry_id for h in bundle.hits.scored()] == ["a"]
+    assert [h.entry_id for h in kept_hits(bundle)] == ["a"]
     assert bundle.reference == "x" * 600
 
 
@@ -995,7 +1010,7 @@ def test_assemble_truncates_single_oversized_hit():
     assert bundle.truncated is True
     assert bundle.reference == "x" * 1000
     assert bundle.total_chars == 1000
-    assert bundle.hits.scored() == hits  # the row is the whole hit; only its quote is cut
+    assert kept_hits(bundle) == hits  # the hit is whole; only its quote is cut
 
 
 def test_assemble_dedupes_same_anchor():
@@ -1007,7 +1022,7 @@ def test_assemble_dedupes_same_anchor():
         _hit("o1", "outline", source=Source.OUTLINE, anchor="table:t1"),  # another source
     ]
     bundle = assemble_evidence(as_hits(hits), budget_chars=1000)
-    assert [h.entry_id for h in bundle.hits.scored()] == ["k1", "t1", "o1"]
+    assert [h.entry_id for h in kept_hits(bundle)] == ["k1", "t1", "o1"]
     assert bundle.reference == f"{table_payload}\n\nprose chunk\n\noutline"
 
 
@@ -1021,12 +1036,12 @@ def test_search_many_dedupe_keys_tell_sources_apart():
     (hits,) = search_many(kb, [Query("q", ["t"], [[1.0, 0.0]])], 5)
     assert sorted(hits.table.keys) == [(0, "shared"), (0, "shared"), (1, "shared")]
     bundle = assemble_evidence(hits, budget_chars=1000)
-    assert [h.entry_id for h in bundle.hits.scored()] == ["e0", "e1"]
+    assert [h.entry_id for h in kept_hits(bundle)] == ["e0", "e1"]
 
 
 def test_assemble_empty_hits():
     bundle = assemble_evidence(as_hits([]), budget_chars=1000, indicator_id="x")
-    assert bundle == EvidenceBundle("x", as_hits([]), reference="", total_chars=0)
+    assert bundle == EvidenceBundle("x", as_hits([]), [], reference="", total_chars=0)
 
 
 def test_assemble_rejects_tiny_budget():
@@ -1102,8 +1117,8 @@ def test_evidence_from_search_many_matches_the_scored_hit_reference(
                     taken, total, truncated = reference_evidence(
                         scored, query.query_texts[0], providers.reranker, cfg, enhanced
                     )
-                    kept = got.hits.scored()
-                    if got.truncated:  # the bundle's row is whole; its quote is cut
+                    kept = kept_hits(got)
+                    if got.truncated:  # the bundle's hit is whole; its quote is cut
                         kept[0].resolved_payload = kept[0].resolved_payload[: cfg.budget_chars]
                     where = (doc.doc_id, spec.id, enhanced, cfg)
                     assert got.reference == "\n\n".join(h.resolved_payload for h in taken), where
