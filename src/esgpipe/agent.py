@@ -15,6 +15,14 @@ knowledge) as an argument.
 Records use the seven-field shape <Disclosure, KPI, Topic, Value,
 Unit, Target, Action> plus doc/indicator identity, an audit excerpt of
 the raw reply, and the flag list.
+
+`parse_reply` works in two steps. What depends on the reply text alone
+(the excerpt, the fields of each JSON object that can give a record,
+and the refusal test) is read once per distinct text and kept in an LRU
+memo of `_MEMO_REPLIES` entries; a reply longer than `_MEMO_REPLY_CHARS`
+is read without it. The per-indicator step (topic rules, identity, the
+payload invariant) runs on every call and returns new records, so a
+caller may mutate them: the memo holds only immutable values.
 """
 
 from __future__ import annotations
@@ -24,6 +32,10 @@ import logging
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
+from functools import lru_cache
+from itertools import product
+from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -201,7 +213,10 @@ def _excerpt(reply: str) -> str:
 
 def _is_refusal(reply: str) -> bool:
     lowered = reply.lower()
-    return any(p in lowered for p in REFUSAL_PATTERNS)
+    for pattern in REFUSAL_PATTERNS:  # a loop, about twice as fast as any() of a generator
+        if pattern in lowered:
+            return True
+    return False
 
 
 _NUMBER_RE = re.compile(r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
@@ -265,9 +280,10 @@ def _opt_str(raw: object) -> str | None:
     return text or None
 
 
-def _record_from_object(
-    obj: dict, spec: IndicatorSpec, doc_id: str, excerpt: str
-) -> ExtractionRecord | None:
+def _answer(obj: dict) -> tuple | None:
+    """What the object gives a record before the indicator is known, or
+    None when it gives none: (disclosure, kpi, topic, value, unit, target,
+    action, flags), kpi and topic empty when not given."""
     flags: list[str] = []
     value, implied_unit = _parse_value(obj.get("value"), flags)
     disclosure = _parse_bool(obj.get("disclosure"))
@@ -276,8 +292,21 @@ def _record_from_object(
             return None
         disclosure = True
         flags.append(FLAG_MISSING_DISCLOSURE)
+    return (
+        disclosure,
+        _opt_str(obj.get("kpi")),
+        _opt_str(obj.get("topic")) or "",
+        value,
+        _opt_str(obj.get("unit")) or implied_unit,
+        _opt_str(obj.get("target")),
+        _opt_str(obj.get("action")),
+        tuple(flags),
+    )
 
-    topic = _opt_str(obj.get("topic")) or ""
+
+def _record(answer: tuple, spec: IndicatorSpec, doc_id: str, excerpt: str) -> ExtractionRecord:
+    disclosure, kpi, topic, value, unit, target, action, answer_flags = answer
+    flags = list(answer_flags)
     if not topic:
         if len(spec.topics) == 1:
             topic = spec.topics[0]
@@ -285,20 +314,10 @@ def _record_from_object(
             flags.append(FLAG_MISSING_TOPIC)
     elif topic not in spec.topics:
         flags.append(FLAG_UNKNOWN_TOPIC)
-
-    unit = _opt_str(obj.get("unit")) or implied_unit
+    # fields by position, as in `parse_reply`'s fallback
     record = ExtractionRecord(
-        doc_id=doc_id,
-        indicator_id=spec.id,
-        disclosure=disclosure,
-        kpi=_opt_str(obj.get("kpi")) or spec.kpi,
-        topic=topic,
-        value=value,
-        unit=unit,
-        target=_opt_str(obj.get("target")),
-        action=_opt_str(obj.get("action")),
-        raw_reply_excerpt=excerpt,
-        flags=flags,
+        doc_id, spec.id, disclosure, kpi or spec.kpi, topic, value, unit, target, action,
+        excerpt, flags,
     )
     record.enforce_invariants(spec)
     return record
@@ -324,16 +343,10 @@ def _scan_json_values(text: str) -> list[object]:
     return values
 
 
-def parse_reply(reply: str, spec: IndicatorSpec, doc_id: str = "") -> list[ExtractionRecord]:
-    """Parse an untrusted reply into records. Total: never raises.
-
-    Every well-formed JSON object found in the reply (arrays are
-    flattened) becomes a candidate record; one record is kept per
-    topic, first occurrence winning. When nothing parses, a recognized
-    refusal phrase yields a clean non-disclosure record and anything
-    else yields a non-disclosure record flagged as a parse failure.
-    """
-    excerpt = _excerpt(reply)
+def _read_reply(reply: str) -> tuple[str, tuple[tuple, ...], bool]:
+    """What a reply says whatever the indicator: its excerpt, the answer
+    of each JSON object in it that gives one (arrays flattened), and, when
+    there is none, whether it reads as a refusal."""
     candidates: list[dict] = []
     try:
         for value in _scan_json_values(reply):
@@ -343,13 +356,47 @@ def parse_reply(reply: str, spec: IndicatorSpec, doc_id: str = "") -> list[Extra
                 candidates.extend(v for v in value if isinstance(v, dict))
     except Exception:  # pragma: no cover - scanner is already total
         logger.exception("reply scanner failed; treating reply as unparseable")
+    answers = tuple(filter(None, map(_answer, candidates))) if candidates else ()
+    return _excerpt(reply), answers, not answers and _is_refusal(reply)
 
+
+# Most replies repeat: a model's stock refusal, and the one reply each
+# ablation arm gets for the same document and indicator. 1,024 entries
+# hold several documents' 70 indicators x 3 arms, so a repeat within a
+# document always hits and a stock reply stays hot. Replies up to 2,048
+# characters (several multi-topic JSON answers; a fixture reply is under
+# 350) are kept, so the memo holds at most 2 Mi characters of reply text
+# and the answers read from it, whatever the traffic.
+_MEMO_REPLIES = 1024
+_MEMO_REPLY_CHARS = 2048
+_read_reply_memo = lru_cache(maxsize=_MEMO_REPLIES)(_read_reply)
+
+
+def parse_reply(reply: str, spec: IndicatorSpec, doc_id: str = "") -> list[ExtractionRecord]:
+    """Parse an untrusted reply into records. Total: never raises.
+
+    Every well-formed JSON object found in the reply (arrays are
+    flattened) becomes a candidate record; one record is kept per
+    topic, first occurrence winning. When nothing parses, a recognized
+    refusal phrase yields a clean non-disclosure record and anything
+    else yields a non-disclosure record flagged as a parse failure.
+    The text is read through the memo (see the module doc).
+    """
+    read = _read_reply_memo if len(reply) <= _MEMO_REPLY_CHARS else _read_reply
+    excerpt, answers, refusal = read(reply)
+    if not answers:
+        # a non-disclosure with no payload, so the invariants hold as built;
+        # the fields by position, as they are half the cost of keywords
+        topic = spec.topics[0] if spec.topics else ""
+        flags = [] if refusal else [FLAG_PARSE_FAILURE]
+        return [
+            ExtractionRecord(doc_id, spec.id, False, spec.kpi, topic, None, None, None, None,
+                             excerpt, flags)
+        ]
     records: list[ExtractionRecord] = []
     seen_topics: set[str] = set()
-    for obj in candidates:
-        record = _record_from_object(obj, spec, doc_id, excerpt)
-        if record is None:
-            continue
+    for answer in answers:  # the first always gives a record
+        record = _record(answer, spec, doc_id, excerpt)
         if record.topic in seen_topics:
             logger.debug(
                 "dropping duplicate topic %r for %s/%s", record.topic, doc_id, spec.id
@@ -357,44 +404,35 @@ def parse_reply(reply: str, spec: IndicatorSpec, doc_id: str = "") -> list[Extra
             continue
         seen_topics.add(record.topic)
         records.append(record)
+    return records
 
-    if records:
-        return records
-    fallback = ExtractionRecord(
-        doc_id=doc_id,
-        indicator_id=spec.id,
-        disclosure=False,
-        kpi=spec.kpi,
-        topic=spec.topics[0] if spec.topics else "",
-        raw_reply_excerpt=excerpt,
-        flags=[] if _is_refusal(reply) else [FLAG_PARSE_FAILURE],
-    )
-    fallback.enforce_invariants(spec)
-    return [fallback]
+
+def _json_value(value: Decimal | None) -> int | float | str | None:
+    """A record value as JSON: an int when integral, else a float
+    (fixture-scale decimals round-trip exactly through the shortest
+    float repr). Values too large for a float fall back to the Decimal's
+    string rather than corrupting the file."""
+    if value is None:
+        return None
+    if not isinstance(value, Decimal):
+        raise TypeError(f"record value must be a Decimal or None, got {value!r}")
+    if value == value.to_integral_value() and abs(value) < 10**15:
+        return int(value)
+    as_float = float(value)
+    return as_float if abs(as_float) != float("inf") else str(value)
 
 
 def record_to_json(record: ExtractionRecord) -> dict:
-    """JSON-safe dict with the exact record field names.
-
-    The value serializes as a JSON number: an int when integral, else
-    a float (fixture-scale decimals round-trip exactly through the
-    shortest float repr). Non-finite or astronomically scaled values
-    fall back to a string rather than corrupting the file.
-    """
-    value: object = None
-    if record.value is not None:
-        if record.value == record.value.to_integral_value() and abs(record.value) < 10**15:
-            value = int(record.value)
-        else:
-            as_float = float(record.value)
-            value = as_float if abs(as_float) != float("inf") else str(record.value)
+    """JSON-safe dict with the exact record field names; the value as
+    `_json_value` gives it. A record line is `json.dumps` of it with
+    `ensure_ascii=False`."""
     return {
         "doc_id": record.doc_id,
         "indicator_id": record.indicator_id,
         "disclosure": record.disclosure,
         "kpi": record.kpi,
         "topic": record.topic,
-        "value": value,
+        "value": _json_value(record.value),
         "unit": record.unit,
         "target": record.target,
         "action": record.action,
@@ -403,37 +441,107 @@ def record_to_json(record: ExtractionRecord) -> dict:
     }
 
 
-def record_from_json(obj: dict) -> ExtractionRecord:
-    raw_value = obj["value"]
-    return ExtractionRecord(
-        doc_id=obj["doc_id"],
-        indicator_id=obj["indicator_id"],
-        disclosure=bool(obj["disclosure"]),
-        kpi=obj["kpi"],
-        topic=obj["topic"],
-        value=None if raw_value is None else Decimal(str(raw_value)),
-        unit=obj["unit"],
-        target=obj["target"],
-        action=obj["action"],
-        raw_reply_excerpt=obj["raw_reply_excerpt"],
-        flags=list(obj["flags"]),
+def _opt_json(text: str | None) -> str:
+    return "null" if text is None else encode_basestring(text)
+
+
+def _record_line(r: ExtractionRecord) -> str:
+    """The bytes of `json.dumps(record_to_json(r), ensure_ascii=False)`,
+    spelled as json spells each type; `encode_basestring` raises
+    TypeError for a text field that is not a str."""
+    value = _json_value(r.value)
+    if value is None:
+        value_json = "null"
+    elif type(value) is str:
+        value_json = encode_basestring(value)
+    else:  # json's spellings: int.__repr__, float.__repr__, NaN (inf took the str branch)
+        value_json = repr(value) if value == value else "NaN"
+    if type(r.disclosure) is not bool:
+        raise TypeError(f"record disclosure must be a bool, got {r.disclosure!r}")
+    if not isinstance(r.flags, list):
+        raise TypeError(f"record flags must be a list, got {r.flags!r}")
+    enc = encode_basestring
+    return (
+        f'{{"doc_id": {enc(r.doc_id)}, "indicator_id": {enc(r.indicator_id)}, '
+        f'"disclosure": {"true" if r.disclosure else "false"}, "kpi": {enc(r.kpi)}, '
+        f'"topic": {enc(r.topic)}, "value": {value_json}, "unit": {_opt_json(r.unit)}, '
+        f'"target": {_opt_json(r.target)}, "action": {_opt_json(r.action)}, '
+        f'"raw_reply_excerpt": {enc(r.raw_reply_excerpt)}, '
+        f'"flags": [{", ".join(map(enc, r.flags))}]}}'
     )
 
 
-# json.dumps(obj, ensure_ascii=False) makes an encoder per call; one serves every line
-_RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False)
+_OPT = (str, type(None))
+# field of a record line -> the types of JSON value it may hold
+_RECORD_TYPES = {
+    "doc_id": (str,), "indicator_id": (str,), "disclosure": (bool,), "kpi": (str,),
+    "topic": (str,), "value": (type(None), int, float, str), "unit": _OPT, "target": _OPT,
+    "action": _OPT, "raw_reply_excerpt": (str,), "flags": (list,),
+}
+_record_fields = itemgetter(*_RECORD_TYPES)
+# every well-typed tuple of the fields' types, so that one set lookup checks a line
+_RECORD_TYPINGS = frozenset(product(*_RECORD_TYPES.values()))
+# a string value: the syntax of a finite Decimal, as `str(Decimal)` writes it
+_DECIMAL_TEXT_RE = re.compile(r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+_TYPE_NAMES = {bool: "true or false", str: "a string", type(None): "null", list: "a list",
+               int: "a number", float: "a number"}
+
+
+def _malformed(fields: tuple) -> ValueError:
+    """The error of a line whose fields fail `record_from_json`: the first
+    field of a wrong type, else the value, which is not a finite number."""
+    for (key, types), raw in zip(_RECORD_TYPES.items(), fields):
+        if type(raw) not in types or (key == "flags" and not all(type(f) is str for f in raw)):
+            names = " or ".join(dict.fromkeys(_TYPE_NAMES[t] for t in types))
+            return ValueError(f"{key} must be {names}{' of strings' * (key == 'flags')}, "
+                              f"got {raw!r}")
+    return ValueError(f"value must be a finite number or a numeric string, got {fields[5]!r}")
+
+
+def record_from_json(obj: dict) -> ExtractionRecord:
+    """The record of one records-file object, typed as `record_to_json`
+    writes it: disclosure a JSON boolean, each text a string (or null
+    for unit, target and action), flags a list of strings, and the value
+    null, a finite number or a numeric string. A missing field raises
+    KeyError, any other departure ValueError naming the field."""
+    fields = _record_fields(obj)
+    doc_id, indicator_id, disclosure, kpi, topic, raw, unit, target, action, excerpt, flags = fields
+    if tuple(map(type, fields)) not in _RECORD_TYPINGS or (
+        flags and not all(type(f) is str for f in flags)
+    ):
+        raise _malformed(fields)
+    value = None
+    if raw is not None:
+        if type(raw) is str and not _DECIMAL_TEXT_RE.fullmatch(raw):
+            raise _malformed(fields)
+        value = Decimal(str(raw))
+        if not value.is_finite():
+            raise _malformed(fields)
+    return ExtractionRecord(
+        doc_id, indicator_id, disclosure, kpi, topic, value, unit, target, action, excerpt,
+        list(flags),
+    )
 
 
 def write_records(records: Sequence[ExtractionRecord], path: str | Path) -> None:
-    """One record object per line, ordered by (doc_id, indicator_id, topic)."""
+    """One record object per line, ordered by (doc_id, indicator_id, topic):
+    `_record_line`'s bytes of each, the exact bytes of `json.dumps` of
+    `record_to_json`. A field that is not of its annotated type raises
+    TypeError."""
     ordered = sorted(records, key=lambda r: (r.doc_id, r.indicator_id, r.topic))
-    lines = [_RECORD_ENCODER.encode(record_to_json(r)) for r in ordered]
+    lines = [_record_line(r) for r in ordered]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
 def load_records(path: str | Path) -> list[ExtractionRecord]:
+    """The records of a file `write_records` wrote. Lines break at "\\n"
+    only: a record's text may hold U+2028 or U+0085, which json leaves
+    unescaped and `str.splitlines` would break at. A malformed line is a
+    ConfigError naming the file and line."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
     except OSError as exc:
         raise ConfigError(f"cannot read records file {path}: {exc}") from exc
     records = []
@@ -441,8 +549,8 @@ def load_records(path: str | Path) -> list[ExtractionRecord]:
         if not line.strip():
             continue
         try:
-            records.append(record_from_json(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError, InvalidOperation) as exc:
+            records.append(record_from_json(_JSON_DECODER.decode(line)))
+        except (ValueError, KeyError, TypeError, InvalidOperation) as exc:
             raise ConfigError(f"{path}:{lineno}: malformed record: {exc}") from exc
     return records
 

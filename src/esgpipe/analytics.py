@@ -18,13 +18,17 @@ from importlib import resources
 from typing import Sequence
 
 from .agent import ExtractionRecord
-from .docmodel import StructuredDocument
+from .docmodel import DocumentFields, StructuredDocument
 from .errors import AnalyticsError
 from .metadata import Category, Kind, MetadataRegistry
 
 logger = logging.getLogger(__name__)
 
 UNCATEGORIZED_THEME = "Uncategorized"
+
+# what the analyses read of a document (doc_id, industry, market cap),
+# which `analyze` takes without parsing the body
+Document = DocumentFields | StructuredDocument
 
 SCOPE1_INDICATOR = "A1.2-scope1"
 SCOPE2_INDICATOR = "A1.2-scope2"
@@ -113,7 +117,7 @@ def disclosure_stats(
     records: Sequence[ExtractionRecord],
     registry: MetadataRegistry,
     grouping: str = "overall",
-    docs: Sequence[StructuredDocument] | None = None,
+    docs: Sequence[Document] | None = None,
 ) -> list[DisclosureStats]:
     """Disclosure rates per industry or for the whole corpus.
 
@@ -175,7 +179,7 @@ def _first_numeric_value(
 
 def emission_intensity(
     records: Sequence[ExtractionRecord],
-    docs: Sequence[StructuredDocument],
+    docs: Sequence[Document],
     scope1_id: str = SCOPE1_INDICATOR,
     scope2_id: str = SCOPE2_INDICATOR,
 ) -> list[IntensityStat]:
@@ -207,7 +211,7 @@ def emission_intensity(
 
 
 def industry_mean_intensity(
-    stats: Sequence[IntensityStat], docs: Sequence[StructuredDocument]
+    stats: Sequence[IntensityStat], docs: Sequence[Document]
 ) -> dict[str, tuple[float | None, float | None]]:
     """industry -> (mean scope1 intensity, mean scope2 intensity) over
     documents where the value exists."""

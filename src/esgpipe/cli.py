@@ -8,6 +8,9 @@ touches nothing.
 
 Exit codes: 0 success (data-level failures are summarized as warnings),
 1 configuration error, 2 input parse error, 3 provider unreachable.
+extract, a fresh evaluate and ablate also print to stderr, for each arm
+with records flagged provider-failed or parse-failure, one line of their
+counts (`flags [arm]: provider-failed 70/70`).
 
 The corpus is read in path order, one document at a time, and each file
 is hashed once per command. build-kb, extract and a fresh single-arm
@@ -16,8 +19,9 @@ file's bytes and, for markdown and plain text, by the name that gives
 their doc_id: a hit takes the doc_id from the cached KB and never parses
 the file, a miss parses, builds and caches it. build-kb then deletes
 the `kb_cache/` and `kb/` files of documents no longer in the corpus
-(a skipped file counts as gone). ingest, ablate and analyze parse every
-file, as they need the document itself.
+(a skipped file counts as gone). ingest and ablate parse every file, as
+they need the document itself; analyze reads only each file's top-level
+fields (`docmodel.read_fields`).
 
 extract and a fresh single-arm evaluate share `extract_arm`, which writes
 `records.jsonl`, in doc_id order. evaluate and ablate score each arm with
@@ -72,6 +76,7 @@ import re
 import shutil
 import sys
 import urllib.parse
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import partial
@@ -601,20 +606,21 @@ def _fingerprint(path: Path) -> tuple[str, str]:
 
 
 class _Unparsed(Exception):
-    """A corpus file that `docmodel.ingest` rejects; the run skips it."""
+    """A corpus file that the command's reader rejects; the run skips it."""
 
 
 @dataclass
 class CorpusDocument:
     """One corpus file that gave a document. `doc` is set when the file
-    was parsed for its own sake, `kb` when its KB was sourced; a KB from
-    the cache leaves `doc` None, as the file was never parsed."""
+    was read for its own sake (the document, or for `analyze` only its
+    top-level fields), `kb` when its KB was sourced; a KB from the cache
+    leaves `doc` None, as the file was never parsed."""
 
     path: Path
     sha256: str
     key: str  # of its KB in the cache: see `_fingerprint`
     doc_id: str | None = None
-    doc: docmodel.StructuredDocument | None = None
+    doc: docmodel.StructuredDocument | docmodel.DocumentFields | None = None
     kb: kbmod.KnowledgeBase | None = None
 
 
@@ -634,17 +640,28 @@ class Corpus:
 
     def documents(self) -> list[docmodel.StructuredDocument]:
         """Every document, parsed, in doc_id order."""
-        return sorted((item.doc for item in self._read(None)), key=lambda d: d.doc_id)
+        return self._sorted(docmodel.ingest)
+
+    def fields(self) -> list[docmodel.DocumentFields]:
+        """Every document's top-level fields (`docmodel.read_fields`),
+        in doc_id order; no body is parsed."""
+        return self._sorted(docmodel.read_fields)
 
     def sourced(self, providers: ProviderSet, pcfg: PipelineConfig) -> Iterator[CorpusDocument]:
         """Each document with its `pcfg` KB from `build_or_load_kb`, so
         only a cache miss parses the file. A hit takes the doc_id from
         the KB's scope."""
-        return self._read((providers, pcfg))
+        return self._read(docmodel.ingest, (providers, pcfg))
+
+    def _sorted(self, parse: Callable[[Path], Any]) -> list:
+        return sorted((item.doc for item in self._read(parse)), key=lambda d: d.doc_id)
 
     def _read(
-        self, kb_source: tuple[ProviderSet, PipelineConfig] | None
+        self,
+        parse: Callable[[Path], Any],
+        kb_source: tuple[ProviderSet, PipelineConfig] | None = None,
     ) -> Iterator[CorpusDocument]:
+        """Each file that `parse` (or the KB cache) gives a document."""
         seen: set[str] = set()
 
         def claim(item: CorpusDocument, doc_id: str) -> None:
@@ -663,7 +680,7 @@ class Corpus:
 
             def ingest(item: CorpusDocument = item) -> docmodel.StructuredDocument:
                 try:
-                    doc = docmodel.ingest(item.path)
+                    doc = parse(item.path)
                 except DocumentError as exc:
                     raise _Unparsed(exc) from exc
                 claim(item, doc.doc_id)
@@ -722,7 +739,23 @@ def extract_arm(
         records.extend(result.records[arm_id])
     _require_documents(corpus)
     write_atomic(config.output_dir / "records.jsonl", partial(agent.write_records, records))
+    _print_failure_flags({arm_id: records})
     return records, corpus
+
+
+def _print_failure_flags(records_by_arm: dict[str, Sequence[agent.ExtractionRecord]]) -> None:
+    """One stderr line per arm whose records are flagged provider-failed
+    or parse-failure, e.g. `flags [benchmark]: provider-failed 70/70`, so
+    a dead endpoint does not pass for a run that found nothing."""
+    for arm_id, records in records_by_arm.items():
+        counts = Counter(flag for r in records if r.flags for flag in r.flags)
+        failed = [
+            f"{flag} {counts[flag]}/{len(records)}"
+            for flag in (agent.FLAG_PROVIDER_FAILED, agent.FLAG_PARSE_FAILURE)
+            if counts[flag]
+        ]
+        if failed:
+            print(f"flags [{arm_id}]: {', '.join(failed)}", file=sys.stderr)
 
 
 def _require_documents(corpus: Corpus) -> None:
@@ -958,6 +991,7 @@ def _run_ablation_command(
     record_paths = [out / f"records-{arm_id}.jsonl" for arm_id in records_sink]
     for path, records in zip(record_paths, records_sink.values()):
         write_atomic(path, partial(agent.write_records, records))
+    _print_failure_flags(records_sink)
     report_paths = [out / f"report-{report.config_id}.json" for report in reports]
     _write_reports(reports, report_paths, out / "comparison.txt")
     written = [*record_paths, *report_paths, out / "comparison.txt"]
@@ -980,7 +1014,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not records_path.exists():
         raise ConfigError(f"records file not found: {records_path} (run extract first)")
     records = agent.load_records(records_path)
-    docs = Corpus(config).documents()
+    docs = Corpus(config).fields()
 
     overall = analytics.disclosure_stats(records, registry, "overall")
     by_industry = analytics.disclosure_stats(records, registry, "by-industry", docs)

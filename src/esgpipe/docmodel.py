@@ -19,7 +19,8 @@ A document enters the pipeline as one of three on-disk shapes:
    blocks.
 
 In either JSON shape ``market_cap_mhkd`` is null, absent or a JSON
-number that is finite and above 0.
+number that is finite and above 0. `read_fields` reads a file's
+top-level fields by the same rules as `ingest`, without its body.
 
 The outline of layout JSON is built from font sizes: the largest
 distinct header font ranks as level 1, the next as level 2, and so on;
@@ -40,7 +41,7 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DocumentError, TableStructureError
 
@@ -490,24 +491,37 @@ def _market_cap(data: dict, path: Path) -> float | None:
     return float(cap)
 
 
+class DocumentFields(NamedTuple):
+    """A document's top-level fields: all that `analyze` reads of it."""
+
+    doc_id: str
+    company: str
+    industry: str
+    market_cap_mhkd: float | None
+
+
+def _fields(data: dict, path: Path) -> DocumentFields:
+    """The top-level fields of either JSON shape: doc_id, company and
+    industry must be there and are taken with `str()`; the market cap is
+    `_market_cap`'s."""
+    for key in ("doc_id", "company", "industry"):
+        if key not in data:
+            raise DocumentError(f"{path}: missing field {key!r}")
+    return DocumentFields(
+        str(data["doc_id"]), str(data["company"]), str(data["industry"]), _market_cap(data, path)
+    )
+
+
 def _parse_layout_json(data: dict, path: Path) -> StructuredDocument:
     known = {"doc_id", "company", "industry", "market_cap_mhkd", "elements"}
     unknown = set(data) - known
     if unknown:
         raise DocumentError(f"{path}: unknown top-level fields {sorted(unknown)}")
-    for key in ("doc_id", "company", "industry", "elements"):
-        if key not in data:
-            raise DocumentError(f"{path}: missing field {key!r}")
+    fields = _fields(data, path)
     if not isinstance(data["elements"], list):
         raise DocumentError(f"{path}: elements must be an array")
     elements = [_parse_element(e, i) for i, e in enumerate(data["elements"])]
-    return document_from_elements(
-        doc_id=str(data["doc_id"]),
-        company=str(data["company"]),
-        industry=str(data["industry"]),
-        market_cap_mhkd=_market_cap(data, path),
-        elements=elements,
-    )
+    return document_from_elements(*fields, elements=elements)
 
 
 def _node_to_json(node: OutlineNode) -> dict:
@@ -556,16 +570,10 @@ def serialize(doc: StructuredDocument) -> str:
 
 
 def _parse_structured_json(data: dict, path: Path) -> StructuredDocument:
-    if data.get("version") != STRUCTURED_VERSION:
-        raise DocumentError(
-            f"{path}: unsupported structured-document version {data.get('version')!r}"
-        )
+    fields = _fields(data, path)
     try:
         doc = StructuredDocument(
-            doc_id=str(data["doc_id"]),
-            company=str(data["company"]),
-            industry=str(data["industry"]),
-            market_cap_mhkd=_market_cap(data, path),
+            *fields,
             outline=_node_from_json(data["outline"]),
             blocks=[
                 Block(text=b["text"], page=_integer(b["page"], f"block {i}: page"))
@@ -675,9 +683,10 @@ def name_doc_id(path: str | Path, text: str) -> str | None:
     return None if text.lstrip().startswith("{") else Path(path).stem
 
 
-def ingest(path: str | Path) -> StructuredDocument:
-    """Read one document file in any supported shape (see module doc)."""
-    path = Path(path)
+def _decoded(path: Path) -> tuple[str, str] | dict:
+    """The front half of `ingest`: (text, doc_id from the file name) for
+    markdown and plain text, else the JSON object of a known shape, a
+    structured document of this version or a layout-element file."""
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -687,7 +696,7 @@ def ingest(path: str | Path) -> StructuredDocument:
 
     named = name_doc_id(path, text)
     if named is not None:
-        return _parse_markdown(text, doc_id=named)
+        return text, named
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -695,10 +704,40 @@ def ingest(path: str | Path) -> StructuredDocument:
     if not isinstance(data, dict):
         raise DocumentError(f"{path}: expected a JSON object")
     if data.get("format") == STRUCTURED_FORMAT:
-        return _parse_structured_json(data, path)
+        if data.get("version") != STRUCTURED_VERSION:
+            raise DocumentError(
+                f"{path}: unsupported structured-document version {data.get('version')!r}"
+            )
+        return data
     if "elements" in data:
-        return _parse_layout_json(data, path)
+        return data
     raise DocumentError(
         f"{path}: JSON is neither a layout-element file (no 'elements') nor a "
         f"structured document (no 'format')"
     )
+
+
+def ingest(path: str | Path) -> StructuredDocument:
+    """Read one document file in any supported shape (see module doc)."""
+    path = Path(path)
+    decoded = _decoded(path)
+    if isinstance(decoded, tuple):
+        return _parse_markdown(*decoded)
+    if decoded.get("format") == STRUCTURED_FORMAT:
+        return _parse_structured_json(decoded, path)
+    return _parse_layout_json(decoded, path)
+
+
+def read_fields(path: str | Path) -> DocumentFields:
+    """A document file's top-level fields by `ingest`'s rules, without
+    reading its body: a JSON file's are `_fields`'; markdown and plain
+    text have the doc_id `ingest` gives them, which is their company
+    too, an empty industry and no market cap. A file that `ingest`
+    rejects for its body alone (elements, outline, blocks or tables, or
+    an unknown top-level field) passes."""
+    path = Path(path)
+    decoded = _decoded(path)
+    if isinstance(decoded, tuple):
+        doc_id = decoded[1]
+        return DocumentFields(doc_id, doc_id, "", None)
+    return _fields(decoded, path)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from esgpipe import agent
 from esgpipe.agent import (
     EXCERPT_CHARS,
     FLAG_MISSING_DISCLOSURE,
@@ -38,7 +39,9 @@ from esgpipe.agent import (
     write_records,
 )
 from esgpipe.errors import ConfigError, ProviderError
+from esgpipe.evaluation import run_ablation
 from esgpipe.kb import Source, build as build_kb
+from esgpipe.pipeline import ABLATION_ARMS
 from esgpipe.providers import ChatProvider, HttpChatProvider, HttpEndpoint
 from esgpipe.retrieval import NO_EVIDENCE_SENTINEL, ScoredHit, assemble_evidence
 
@@ -332,6 +335,70 @@ def test_a_lone_surrogate_in_a_reply_is_written_as_u_fffd(registry, tmp_path):
     assert rec.value == Decimal(5) and rec.flags == []
 
 
+@pytest.fixture()
+def memo_free(monkeypatch):
+    """`parse_reply` with the reply memo bypassed, as a function."""
+
+    def parse(reply, spec, doc_id=""):
+        with monkeypatch.context() as m:
+            m.setattr(agent, "_read_reply_memo", agent._read_reply)
+            return parse_reply(reply, spec, doc_id)
+
+    return parse
+
+
+def test_the_reply_memo_changes_no_record_of_a_fixture_ablate(
+    registry, corpus_docs, corpus_labels, offline_providers, monkeypatch, memo_free
+):
+    calls = []
+
+    def recording(reply, spec, doc_id=""):
+        calls.append((reply, spec, doc_id))
+        return []
+
+    with monkeypatch.context() as m:
+        m.setattr(agent, "parse_reply", recording)
+        run_ablation(corpus_docs, registry, corpus_labels, list(ABLATION_ARMS.values()),
+                     offline_providers)
+    assert len(calls) == 10 * 70 * 3
+    want = [memo_free(*call) for call in calls]
+    agent._read_reply_memo.cache_clear()
+    assert [parse_reply(*call) for call in calls] == want
+    info = agent._read_reply_memo.cache_info()
+    distinct = len({reply for reply, _spec, _doc in calls})
+    assert (info.misses, info.hits, info.maxsize) == (distinct, len(calls) - distinct, 1024)
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        'Found: {"disclosure": true, "value": "about 45 kg", "topic": "Nitrogen Oxides"}',
+        '[{"disclosure": false, "topic": "Nitrogen Oxides"}, {"value": 3, "unit": "t"}]',
+        "The report does not disclose this.",
+        "]]]] no json here {{{",
+    ],
+)
+def test_mutating_a_parsed_record_changes_no_later_parse(registry, memo_free, reply):
+    spec = registry.indicator("A1.1-nox")
+    first = parse_reply(reply, spec, doc_id="d")
+    for record in first:
+        record.flags.append("mutated")
+        record.kpi, record.topic, record.value = "mutated", "mutated", Decimal(7)
+    second = parse_reply(reply, spec, doc_id="d")
+    assert second == memo_free(reply, spec, doc_id="d")
+    assert all("mutated" not in r.flags and r.kpi != "mutated" for r in second)
+
+
+def test_a_reply_over_the_length_bound_is_read_without_the_memo(registry, memo_free):
+    spec = registry.indicator("A1.1-nox")
+    body = '{"disclosure": true, "value": 41000, "unit": "kg", "topic": "Nitrogen Oxides"}'
+    for length, cached in ((agent._MEMO_REPLY_CHARS, 1), (agent._MEMO_REPLY_CHARS + 1, 0)):
+        reply = body + " " * (length - len(body))
+        agent._read_reply_memo.cache_clear()
+        assert parse_reply(reply, spec, "d") == memo_free(reply, spec, "d")
+        assert agent._read_reply_memo.cache_info().currsize == cached
+
+
 def test_parse_fuzz_is_total_and_invariant_clean(registry):
     rng = random.Random(20240816)
     specs = [registry.indicator(i) for i in
@@ -363,30 +430,47 @@ def _record(**overrides):
     return ExtractionRecord(**base)
 
 
+class _Text(str):
+    """A str subclass, which json writes as the string it holds."""
+
+    def __str__(self):
+        return "not the text"
+
+    __repr__ = __str__
+
+
 _RECORD_TEXT = st.text(max_size=20) | st.sampled_from(
-    ["", "\x00\x1f\x7f", "\u2028\u2029", "caf\u00e9 \U0001f600", '"\\', "NaN"]
+    ["", "\x00\x1f\x7f", "\u2028\u2029", "\x85", "caf\u00e9 \U0001f600", '"\\', "NaN"]
+)
+_ANY_RECORD_TEXT = _RECORD_TEXT | _RECORD_TEXT.map(_Text)
+# finite values, and what parse_reply never makes: NaN and the infinities
+_RECORD_VALUE = st.none() | st.decimals(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [Decimal("1e-7"), Decimal("1E+16"), Decimal("-0.0"), Decimal(2**64 + 1), Decimal("1e400")]
+)
+_ANY_RECORD_VALUE = _RECORD_VALUE | st.sampled_from(
+    [Decimal("NaN"), Decimal("-NaN"), Decimal("Infinity"), Decimal("-Infinity")]
 )
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    fields=st.lists(
-        st.tuples(
-            _RECORD_TEXT, _RECORD_TEXT, st.booleans(),
-            st.none() | st.decimals(allow_nan=False, allow_infinity=False)
-            | st.sampled_from([Decimal("1e-7"), Decimal("1E+16"), Decimal("-0.0"),
-                               Decimal(2**64 + 1), Decimal("1e400")]),
-            st.none() | _RECORD_TEXT, st.lists(_RECORD_TEXT, max_size=3),
-        ),
-        max_size=8,
-    )
-)
-def test_record_lines_are_json_dumps_without_ascii_escapes(fields):
-    records = [
+def _records_of(fields):
+    return [
         _record(doc_id=doc_id, topic=topic, disclosure=disclosure, value=value, unit=unit,
                 raw_reply_excerpt=topic + doc_id, flags=flags)
         for doc_id, topic, disclosure, value, unit, flags in fields
     ]
+
+
+def _record_fields(text, value):
+    return st.lists(
+        st.tuples(text, text, st.booleans(), value, st.none() | text, st.lists(text, max_size=3)),
+        max_size=8,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields=_record_fields(_ANY_RECORD_TEXT, _ANY_RECORD_VALUE))
+def test_record_lines_are_json_dumps_without_ascii_escapes(fields):
+    records = _records_of(fields)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.jsonl"
         write_records(records, path)
@@ -394,6 +478,96 @@ def test_record_lines_are_json_dumps_without_ascii_escapes(fields):
     ordered = sorted(records, key=lambda r: (r.doc_id, r.indicator_id, r.topic))
     want = [json.dumps(record_to_json(r), ensure_ascii=False) for r in ordered]
     assert text == "".join(line + "\n" for line in want)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("disclosure", 1),
+        ("disclosure", None),
+        ("doc_id", None),
+        ("kpi", 5),
+        ("raw_reply_excerpt", b"x"),
+        ("unit", 3),
+        ("action", ["cut"]),
+        ("value", 12),
+        ("value", 1.5),
+        ("value", "12"),
+        ("flags", ("parse-failure",)),
+        ("flags", "parse-failure"),
+        ("flags", [1]),
+    ],
+)
+def test_a_record_field_of_another_type_is_not_written(tmp_path, field, value):
+    path = tmp_path / "records.jsonl"
+    with pytest.raises(TypeError):
+        write_records([_record(), _record(**{field: value})], path)
+    assert not path.exists()
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields=_record_fields(_ANY_RECORD_TEXT, _RECORD_VALUE))
+def test_every_records_file_written_loads_back(fields):
+    """Also text that str.splitlines breaks at (U+2028, U+0085), which
+    json leaves unescaped; a value loads as the number it was written as."""
+    records = _records_of(fields)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.jsonl"
+        write_records(records, path)
+        loaded = load_records(path)
+    ordered = sorted(records, key=lambda r: (r.doc_id, r.indicator_id, r.topic))
+    written = [record_to_json(r)["value"] for r in ordered]
+    assert loaded == [
+        dataclasses.replace(r, value=None if v is None else Decimal(str(v)))
+        for r, v in zip(ordered, written)
+    ]
+
+
+def test_load_records_takes_each_value_record_to_json_writes(tmp_path):
+    lines = [
+        json.dumps({**record_to_json(_record(value=value)), "unit": None})
+        for value in (Decimal(12500), Decimal("3.25"), Decimal("1e400"), Decimal("-1E-7"), None)
+    ]
+    path = tmp_path / "records.jsonl"
+    path.write_text("\n".join(lines) + "\r\n\n", encoding="utf-8")
+    assert [r.value for r in load_records(path)] == [
+        Decimal(12500), Decimal("3.25"), Decimal("1E+400"), Decimal("-1E-7"), None
+    ]
+
+
+@pytest.mark.parametrize(
+    "field, raw",
+    [
+        ("disclosure", '"false"'),
+        ("disclosure", "1"),
+        ("disclosure", "null"),
+        ("flags", '"parse-failure"'),
+        ("flags", "[1]"),
+        ("flags", "null"),
+        ("value", "NaN"),
+        ("value", "-Infinity"),
+        ("value", '"NaN"'),
+        ("value", '"Infinity"'),
+        ("value", '"12 kg"'),
+        ("value", '" 12"'),
+        ("value", "true"),
+        ("value", "[12]"),
+        ("kpi", "5"),
+        ("kpi", "null"),
+        ("topic", "{}"),
+        ("unit", "3"),
+        ("doc_id", "null"),
+        ("raw_reply_excerpt", "[]"),
+    ],
+)
+def test_load_records_rejects_a_mistyped_field(tmp_path, field, raw):
+    good = json.dumps(record_to_json(_record()))
+    bad = json.dumps({**record_to_json(_record()), field: "HOLE"}).replace('"HOLE"', raw)
+    path = tmp_path / "records.jsonl"
+    path.write_text(f"{good}\n{bad}\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as caught:
+        load_records(path)
+    assert str(caught.value).startswith(f"{path}:2: malformed record: {field} must be ")
 
 
 def test_record_json_round_trip_integral():

@@ -18,10 +18,11 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esgpipe import kb as kbmod
+from esgpipe import agent, docmodel, kb as kbmod
 from esgpipe import metadata
 from esgpipe.cli import (
     _KEYS,
+    Corpus,
     EXIT_CONFIG,
     EXIT_INPUT,
     EXIT_OK,
@@ -485,6 +486,73 @@ def test_analyze_csv_quotes_untrusted_cells(workspace, capsys):
     assert {len(row) for row in rows} == {6}
 
 
+def _analysis(ws):
+    return {p.name: p.read_bytes() for p in (ws / "out" / "analysis").iterdir()}
+
+
+def test_analyze_reads_each_files_fields_without_ingest(workspace, capsys, monkeypatch):
+    """Both JSON shapes, markdown and plain text: the analysis of their
+    top-level fields is that of the full documents, and nothing is ingested."""
+    corpus = workspace / "corpus"
+    (corpus / "doc01.json").write_text(
+        docmodel.serialize(docmodel.ingest(corpus / "doc01.json")), encoding="utf-8"
+    )
+    (corpus / "notes.md").write_text("# Emissions\n\nNo figures this year.\n", encoding="utf-8")
+    (corpus / "memo.txt").write_text("A plain memo on water use.\n", encoding="utf-8")
+    cfg = _config_path(workspace)
+    assert main(["extract", "--config", cfg]) == EXIT_OK
+    ingested = []
+    real_ingest = docmodel.ingest
+    monkeypatch.setattr(docmodel, "ingest", lambda path: ingested.append(path) or real_ingest(path))
+    assert main(["analyze", "--config", cfg]) == EXIT_OK
+    assert ingested == []
+    fields = _analysis(workspace)
+    monkeypatch.setattr(Corpus, "fields", Corpus.documents)
+    assert main(["analyze", "--config", cfg]) == EXIT_OK
+    assert len(ingested) == 12 and _analysis(workspace) == fields
+    scopes = [s["scope"] for s in json.loads(fields["analysis.json"])["disclosure"]]
+    assert "Unknown" in scopes  # the industry of markdown and plain text
+
+
+def test_analyze_skips_unreadable_files_and_counts_a_malformed_body(workspace, capsys):
+    cfg = _config_path(workspace)
+    assert main(["extract", "--config", cfg]) == EXIT_OK
+    assert main(["analyze", "--config", cfg]) == EXIT_OK
+    before = _analysis(workspace)
+    corpus = workspace / "corpus"
+    layout = json.loads((corpus / "doc00.json").read_text(encoding="utf-8"))
+    unreadable = {
+        "broken.json": "{",
+        "empty.md": " \n",
+        "neither.json": '{"doc_id": "x", "company": "X", "industry": "I"}',
+        "v2.json": json.dumps({"format": "structured_document", "version": 2, "doc_id": "v2",
+                               "company": "V", "industry": "I"}),
+        "no-industry.json": json.dumps(
+            {key: value for key, value in layout.items() if key != "industry"} | {"doc_id": "x1"}
+        ),
+        "text-cap.json": json.dumps({**layout, "doc_id": "x2", "market_cap_mhkd": "12"}),
+    }
+    for name, text in unreadable.items():
+        (corpus / name).write_text(text, encoding="utf-8")
+    (corpus / "bad.md").write_bytes(b"# Emissions\n\n\xff tCO2e\n")
+    assert main(["analyze", "--config", cfg]) == EXIT_OK
+    assert _analysis(workspace) == before
+
+    # valid fields over a body that ingest rejects: counted (ingest skips it)
+    bodyless = {"doc_id": "docZZ", "company": "ZZ", "industry": "Bodyless",
+                "market_cap_mhkd": 100.0, "elements": [{"kind": "Bogus"}], "extra": 1}
+    (corpus / "zz.json").write_text(json.dumps(bodyless), encoding="utf-8")
+    assert main(["ingest", "--config", cfg]) == EXIT_OK
+    assert "skipped zz.json" in capsys.readouterr().out
+    assert main(["analyze", "--config", cfg]) == EXIT_OK
+    intensity = _analysis(workspace)["intensity.csv"].decode("utf-8").splitlines()
+    assert intensity[1:] == [*before["intensity.csv"].decode("utf-8").splitlines()[1:], "docZZ,,"]
+
+    (corpus / "zz.json").write_text(json.dumps({**bodyless, "doc_id": "doc00"}), encoding="utf-8")
+    assert main(["analyze", "--config", cfg]) == EXIT_INPUT
+    assert "duplicate doc_id 'doc00' in corpus" in capsys.readouterr().err
+
+
 def test_analyze_without_records_is_config_error(workspace, capsys):
     code = main(["analyze", "--config", _config_path(workspace)])
     assert code == EXIT_CONFIG
@@ -835,6 +903,38 @@ def test_online_chat_failure_costs_known_posts_per_extraction(
     for record in records:
         assert record["flags"] == ["provider-failed"] and record["disclosure"] is False
         assert record["raw_reply_excerpt"] == f"provider at {base}/chat unreachable: HTTP {reason}"
+    flag_lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("flags")]
+    assert flag_lines == ["flags [enhanced_rag_knowledge]: provider-failed 70/70"]
+
+
+def _flag_lines(capsys):
+    return [line for line in capsys.readouterr().err.splitlines() if line.startswith("flags")]
+
+
+def test_each_arm_with_failed_records_prints_a_flag_line(workspace, capsys):
+    _keep_docs(workspace, {"doc00.json", "doc01.json"})
+    cfg = _config_path(workspace)
+    out = workspace / "out"
+    for command in ("ablate", "extract", "evaluate --arm benchmark"):
+        (out / "records.jsonl").unlink(missing_ok=True)  # so that evaluate runs afresh
+        assert main([*command.split(), "--config", cfg]) == EXIT_OK
+    assert _flag_lines(capsys) == []  # a healthy run prints none
+
+    replies_path = workspace / "mock_replies.json"
+    replies = json.loads(replies_path.read_text(encoding="utf-8"))
+    replies["default_reply"] = "???"  # neither JSON nor a refusal: a parse failure
+    replies_path.write_text(json.dumps(replies), encoding="utf-8")
+    assert main(["ablate", "--config", cfg]) == EXIT_OK
+    want = []
+    for arm in ("benchmark", "enhanced_rag", "enhanced_rag_knowledge"):
+        records = agent.load_records(out / f"records-{arm}.jsonl")
+        failed = sum("parse-failure" in r.flags for r in records)
+        assert 0 < failed < len(records)
+        want.append(f"flags [{arm}]: parse-failure {failed}/{len(records)}")
+    assert _flag_lines(capsys) == want
+    (out / "records.jsonl").unlink()
+    assert main(["evaluate", "--arm", "benchmark", "--config", cfg]) == EXIT_OK
+    assert _flag_lines(capsys) == [want[0]]
 
 
 def test_online_failing_query_plan_embed_is_exit_3(workspace, capsys, http_server, sleeps):

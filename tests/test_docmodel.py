@@ -17,6 +17,7 @@ from esgpipe.docmodel import (
     flatten_block_order,
     ingest,
     iter_nodes,
+    read_fields,
     outline_paths,
     reconstruct_table,
     render_table,
@@ -24,6 +25,8 @@ from esgpipe.docmodel import (
     validate_document,
 )
 from esgpipe.errors import DocumentError, TableStructureError
+
+from tests import corpusgen
 
 
 def header(text, size, y, page=1):
@@ -453,9 +456,10 @@ def test_ingest_layout_json_rejects_non_number_market_cap(tmp_path, cap):
     want = "positive and finite" if type(cap) in (int, float) else "a number"
     for shape in ("layout", "structured"):
         path = _doc_with_market_cap(tmp_path, shape, cap)
-        with pytest.raises(DocumentError) as caught:
-            ingest(path)
-        assert str(caught.value) == f"{path}: market_cap_mhkd must be {want}, got {cap!r}"
+        for read in (ingest, read_fields):
+            with pytest.raises(DocumentError) as caught:
+                read(path)
+            assert str(caught.value) == f"{path}: market_cap_mhkd must be {want}, got {cap!r}"
 
 
 @pytest.mark.parametrize(
@@ -464,8 +468,79 @@ def test_ingest_layout_json_rejects_non_number_market_cap(tmp_path, cap):
 )
 def test_ingest_takes_a_market_cap_null_absent_or_finite_above_0(tmp_path, cap, want):
     for shape in ("layout", "structured"):
-        doc = ingest(_doc_with_market_cap(tmp_path, shape, cap))
-        assert doc.market_cap_mhkd == want and type(doc.market_cap_mhkd) is type(want)
+        path = _doc_with_market_cap(tmp_path, shape, cap)
+        for doc in (ingest(path), read_fields(path)):
+            assert doc.market_cap_mhkd == want and type(doc.market_cap_mhkd) is type(want)
+
+
+def _ingest_text(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return ingest(path)
+
+
+def _fields_of(doc):
+    return (doc.doc_id, doc.company, doc.industry, doc.market_cap_mhkd)
+
+
+def test_read_fields_are_the_fields_ingest_gives(tmp_path):
+    """Both JSON shapes, markdown and plain text; numbers in the text
+    fields are taken with str(), as ingest takes them."""
+    files = {f"layout{i}.json": json.dumps(corpusgen.build_layout_json(i)) for i in (0, 9)}
+    files["structured.json"] = serialize(_ingest_text(tmp_path, "x.json", files["layout0.json"]))
+    numbered = {**corpusgen.build_layout_json(3), "doc_id": 7, "company": 1.5, "industry": False}
+    files["numbered.json"] = json.dumps(numbered)
+    files["notes.md"] = "# Emissions\n\n| a | b |\n|---|---|\n| 1 | 2 |\n"
+    files["memo.txt"] = "  A plain memo.\n"
+    for name, text in files.items():
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert read_fields(path) == _fields_of(ingest(path)), name
+    assert read_fields(tmp_path / "numbered.json")[:3] == ("7", "1.5", "False")
+    assert read_fields(tmp_path / "memo.txt") == ("memo", "memo", "", None)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        " \n",
+        "{",
+        '{"doc_id": "x", "company": "X", "industry": ""}',
+        '{"format": "structured_document", "version": 2, "doc_id": "x"}',
+        '{"doc_id": "x", "industry": "", "elements": []}',
+        '{"format": "structured_document", "version": 1, "doc_id": "x", "company": "X"}',
+    ],
+)
+def test_read_fields_rejects_what_ingest_rejects_before_the_body(tmp_path, text):
+    path = tmp_path / "x.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DocumentError) as by_ingest:
+        ingest(path)
+    with pytest.raises(DocumentError) as by_read:
+        read_fields(path)
+    assert str(by_read.value) == str(by_ingest.value)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d.update(elements=[{"kind": "Bogus"}]),
+        lambda d: d.update(elements="none"),
+        lambda d: d.update(surprise=1),
+        lambda d: d["elements"].clear(),
+    ],
+    ids=["bad element", "elements not an array", "unknown top-level field", "no body"],
+)
+def test_read_fields_passes_a_body_that_ingest_rejects(tmp_path, mutate):
+    layout = corpusgen.build_layout_json(0)
+    mutate(layout)
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(layout), encoding="utf-8")
+    with pytest.raises(DocumentError):
+        ingest(path)
+    assert read_fields(path) == ("doc00", layout["company"], layout["industry"],
+                                 layout["market_cap_mhkd"])
 
 
 def test_ingest_layout_json_keeps_integral_numbers(tmp_path):
