@@ -1014,7 +1014,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not records_path.exists():
         raise ConfigError(f"records file not found: {records_path} (run extract first)")
     records = agent.load_records(records_path)
-    docs = Corpus(config).fields()
+    corpus = Corpus(config)
+    docs = corpus.fields()
 
     overall = analytics.disclosure_stats(records, registry, "overall")
     by_industry = analytics.disclosure_stats(records, registry, "by-industry", docs)
@@ -1044,6 +1045,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     write_csv("intensity.csv", analytics.intensity_csv_rows(intensity))
     write_csv("key_actions.csv", analytics.frequency_csv_rows(frequencies))
     print(f"wrote analysis for {len(records)} records to {out_dir}")
+    _print_skipped(corpus.skipped)
     return EXIT_OK
 
 

@@ -679,8 +679,10 @@ def _parse_markdown(text: str, doc_id: str) -> StructuredDocument:
 
 def name_doc_id(path: str | Path, text: str) -> str | None:
     """The doc_id `ingest` gives a file from its name: markdown and plain
-    text carry none of their own. None for JSON, which declares its own."""
-    return None if text.lstrip().startswith("{") else Path(path).stem
+    text carry none of their own. None for JSON, which declares its own:
+    a `.json` file, or another whose text starts with `{`."""
+    path = Path(path)
+    return None if path.suffix.lower() == ".json" or text.lstrip().startswith("{") else path.stem
 
 
 def _decoded(path: Path) -> tuple[str, str] | dict:

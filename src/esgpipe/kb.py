@@ -22,7 +22,7 @@ one chunk, and each such block's sentences (space-joined); the naive
 build packs sentences, first hard-cut to the chunk size. So no chunk
 exceeds its size but a single sentence longer than a structured chunk.
 
-The KB persists to one file (format version 4): a header line of
+The KB persists to one file (format version 5): a header line of
 compact JSON, then raw little-endian sections. The header holds the
 scalars, `table_texts`, the `entry_id` column over the entries in file
 order, and `sections`, the [item type, byte length] of each section in
@@ -38,12 +38,18 @@ holds its largest possible value:
 - `has_summary` (`u1`): 1 for an entry with a summary, 0 for one whose
   summary is None (its piece is then empty), so None and "" differ.
 - `text` (`u1`, UTF-8): every entry's three pieces, joined.
-- `indptr` (width of the count of stored values), `indices` (width of
-  dim - 1) and `values` (`<f8`): the vectors as a CSR matrix
-  (compressed sparse rows): entries + 1 row offsets from 0, then per
-  row its strictly increasing column indices and their values. A value
-  is stored when its bit pattern is not all zero, so -0.0, NaN and
-  subnormals round-trip bit for bit.
+- `indptr` (width of the count of stored values) and `indices` (width
+  of dim - 1): the vectors as a CSR matrix (compressed sparse rows):
+  entries + 1 row offsets from 0, then per row its strictly increasing
+  column indices. A value is stored when its bit pattern is not all
+  zero, so -0.0, NaN and subnormals round-trip bit for bit.
+- `distinct` (`<u8`): the strictly increasing bit patterns of the
+  stored values, none of them all zero, or nothing.
+- `values`: the stored values in CSR order, as codes into `distinct`
+  (`u1` for at most 256 patterns, else `<u2`) when `distinct` holds any,
+  else as `<f8`. `save` writes the codes only where the table and the
+  codes take fewer bytes than `<f8` values, as for the few values a
+  hash embedder repeats; past 2^16 patterns it stops counting them.
 
 `load` reads the file once and checks every part of it, so a malformed
 file fails there and never later; it ignores header keys it does not
@@ -73,7 +79,7 @@ from .providers import EmbeddingProvider, embed_matrix, split_sentences
 logger = logging.getLogger(__name__)
 
 KB_FORMAT = "esg_kb"
-KB_VERSION = 4
+KB_VERSION = 5
 
 DEFAULT_CHUNK_CHARS = 1200
 DEFAULT_NAIVE_CHUNK_CHARS = 400
@@ -81,8 +87,10 @@ MIN_CHUNK_CHARS = 200
 
 _SAVE_ROWS = 256  # entries and vector rows per piece `save` writes
 _SAVE_BUFFER = 1 << 16  # bytes `save` buffers per write: a small KB goes out in one
+_LOAD_VALUES = 1 << 16  # stored values `load` scatters at a time, so its temporaries stay small
 
 _UINTS = ("u1", "<u2", "<u4", "<u8")  # the item types of an integer section, narrowest first
+_MAX_DISTINCT = 1 << 16  # the most distinct values `save` codes: a code then fits `<u2`
 
 # The sections after the header line, in file order, with the item types each may have.
 _SECTIONS = {
@@ -92,7 +100,8 @@ _SECTIONS = {
     "text": ("u1",),
     "indptr": _UINTS,
     "indices": _UINTS,
-    "values": ("<f8",),
+    "distinct": ("<u8",),
+    "values": ("<f8", *_UINTS),  # floats, or codes into `distinct`
 }
 
 
@@ -438,12 +447,23 @@ def _uint(largest: int) -> str:
     return next(t for t in _UINTS if largest <= np.iinfo(t).max)
 
 
+def _sorted_distinct(patterns: np.ndarray) -> np.ndarray:
+    """`np.unique(patterns)`, by one sort of `patterns` in place: a third
+    of `np.unique`'s time on the blocks of a hash-embedded KB."""
+    patterns.sort()
+    first = np.ones(len(patterns), dtype=bool)  # the first of each run of equal patterns
+    first[1:] = patterns[1:] != patterns[:-1]
+    return patterns[first]
+
+
 def save(kb: KnowledgeBase, path: str | Path) -> None:
     """Write the KB file (byte-reproducible): the header line, then each
     section in turn. The header's entry_id column, the text and the CSR
     arrays go out `_SAVE_ROWS` entries at a time, so neither the file
     nor its header, text or vector sections are held whole; a first
-    pass over the entries finds the text's offsets and byte length."""
+    pass over the entries finds the text's offsets and byte length, and
+    one over the vector rows their counts of stored values and the
+    distinct patterns of those."""
     encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
     entries = kb.entries
     batches = [entries[i : i + _SAVE_ROWS] for i in range(0, len(entries), _SAVE_ROWS)]
@@ -456,15 +476,29 @@ def save(kb: KnowledgeBase, path: str | Path) -> None:
     offsets = np.cumsum(np.concatenate(lengths))
     bits = kb._matrix.view(np.uint64)
     blocks = [bits[i : i + _SAVE_ROWS] for i in range(0, len(bits), _SAVE_ROWS)]
-    sizes = [np.count_nonzero(block, axis=1) for block in blocks]
+    sizes = []
+    distinct: np.ndarray | None = np.zeros(0, dtype=np.uint64)  # None past _MAX_DISTINCT
+    for block in blocks:
+        flat = np.flatnonzero(block != 0)  # of a bool mask: faster than of the uint64 block
+        sizes.append(np.diff(np.searchsorted(flat, np.arange(len(block) + 1) * kb.dim)))
+        if distinct is not None:
+            distinct = _sorted_distinct(np.concatenate([distinct, block.ravel()[flat]]))
+            distinct = distinct if len(distinct) <= _MAX_DISTINCT else None
     indptr = np.cumsum(np.concatenate([np.zeros(1, dtype=np.intp), *sizes]))
     nnz = int(indptr[-1])
+    value_type = "<f8"  # else codes into `distinct`, where those take fewer bytes
+    if distinct is not None and len(distinct):
+        code = _uint(len(distinct) - 1)
+        if 8 * len(distinct) + np.dtype(code).itemsize * nnz < 8 * nnz:
+            value_type = code
+    if value_type == "<f8":
+        distinct = np.zeros(0, dtype=np.uint64)
     n = len(entries)
     types = dict(zip(_SECTIONS, (
         _uint(len(Source) - 1), _uint(int(offsets[-1])), _uint(1), "u1",
-        _uint(nnz), _uint(kb.dim - 1), "<f8",
+        _uint(nnz), _uint(kb.dim - 1), "<u8", value_type,
     )))
-    items = (n, len(offsets), n, text_bytes, n + 1, nnz, nnz)
+    items = (n, len(offsets), n, text_bytes, n + 1, nnz, len(distinct), nnz)
     header = {
         "format": KB_FORMAT,
         "version": KB_VERSION,
@@ -478,7 +512,6 @@ def save(kb: KnowledgeBase, path: str | Path) -> None:
             for (name, kind), count in zip(types.items(), items)
         },
     }
-    columns = np.arange(kb.dim, dtype=types["indices"])
     with open(path, "wb", buffering=_SAVE_BUFFER) as f:
         f.write(encode(header)[:-1].encode("utf-8"))
         f.write(b',"entry_id":[')
@@ -494,10 +527,21 @@ def save(kb: KnowledgeBase, path: str | Path) -> None:
         for batch in batches:
             f.write("".join(_pieces(batch)).encode("utf-8"))
         f.write(indptr.astype(types["indptr"]).tobytes())
+        # each block's column indices and values go out from one scan of
+        # it, each at the end of what its section holds so far
+        at_indices = f.tell()
+        f.seek(at_indices + nnz * np.dtype(types["indices"]).itemsize)
+        f.write(distinct.astype("<u8").tobytes())
+        at_values = f.tell()
         for block in blocks:
-            f.write(np.broadcast_to(columns, block.shape)[block != 0].tobytes())
-        for block in blocks:
-            f.write(block[block != 0].astype("<u8").tobytes())
+            flat = np.flatnonzero(block != 0)
+            stored = block.ravel()[flat].astype("<u8", copy=False)
+            if len(distinct):
+                stored = np.searchsorted(distinct, stored).astype(value_type)
+            f.seek(at_indices)
+            at_indices += f.write((flat % kb.dim).astype(types["indices"]).tobytes())
+            f.seek(at_values)
+            at_values += f.write(stored.tobytes())
 
 
 def _sections(specs: dict, body: memoryview) -> dict[str, np.ndarray]:
@@ -534,9 +578,15 @@ def _sections(specs: dict, body: memoryview) -> dict[str, np.ndarray]:
 
 
 def _decode_vectors(
-    indptr: np.ndarray, indices: np.ndarray, values: np.ndarray, n: int, dim: int
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    distinct: np.ndarray,
+    values: np.ndarray,
+    n: int,
+    dim: int,
 ) -> np.ndarray:
-    """The float64 (n, dim) matrix of the CSR sections; raises
+    """The float64 (n, dim) matrix of the CSR sections, each stored value
+    the `<f8` value or the `distinct` pattern its code points at; raises
     KnowledgeBaseError when they are malformed."""
     if indptr.shape != (n + 1,) or indptr[0] != 0 or (indptr[1:] < indptr[:-1]).any():
         raise KnowledgeBaseError(f"indptr is not {n + 1} non-decreasing offsets from 0")
@@ -550,8 +600,23 @@ def _decode_vectors(
         raise KnowledgeBaseError(f"column index outside [0, {dim})")
     if ((indices[1:] <= indices[:-1]) & (row[1:] == row[:-1])).any():
         raise KnowledgeBaseError("column indices not strictly increasing within a row")
+    if len(distinct) and values.dtype.kind == "f":
+        raise KnowledgeBaseError(f"values are floats beside {len(distinct)} distinct patterns")
+    if not len(distinct) and values.dtype.kind == "u":
+        raise KnowledgeBaseError("values are codes without distinct patterns")
+    if (distinct[1:] <= distinct[:-1]).any():
+        raise KnowledgeBaseError("distinct patterns not strictly increasing")
+    if len(distinct) and distinct[0] == 0:
+        raise KnowledgeBaseError("distinct patterns hold the all-zero pattern")
+    if len(distinct) and len(values) and values.max() >= len(distinct):
+        raise KnowledgeBaseError(f"value code {values.max()} past {len(distinct)} distinct patterns")
     matrix = np.zeros((n, dim), dtype=np.float64)
-    matrix[row, indices] = values
+    bits = matrix.view(np.uint64)
+    for start in range(0, len(values), _LOAD_VALUES):
+        part = slice(start, start + _LOAD_VALUES)
+        bits[row[part], indices[part]] = (
+            distinct[values[part]] if len(distinct) else values[part].view("<u8")
+        )
     return matrix
 
 
@@ -636,7 +701,9 @@ def _from_file(header: dict, body: memoryview) -> KnowledgeBase:
     texts, offsets, has_summary = _decode_text(
         arrays["text"], arrays["offsets"], arrays["has_summary"], n
     )
-    matrix = _decode_vectors(arrays["indptr"], arrays["indices"], arrays["values"], n, dim)
+    matrix = _decode_vectors(
+        arrays["indptr"], arrays["indices"], arrays["distinct"], arrays["values"], n, dim
+    )
 
     def entry_at(i: int) -> Entry:
         a, b, c, d = offsets[3 * i : 3 * i + 4]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Iterator
@@ -53,3 +54,30 @@ def serving(responder=lambda path, payload: (200, {})) -> Iterator[tuple[object,
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+
+class InFlight:
+    """A responder that holds each POST to `path` for `hold_s` seconds
+    before `responder` answers it, and keeps in `peak` the most such POSTs
+    it held at once. Other paths go straight to `responder`."""
+
+    def __init__(self, responder, path: str, hold_s: float) -> None:
+        self.responder = responder
+        self.path = path
+        self.hold_s = hold_s
+        self.peak = 0
+        self._held = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, path, payload):
+        if path != self.path:
+            return self.responder(path, payload)
+        with self._lock:
+            self._held += 1
+            self.peak = max(self.peak, self._held)
+        try:
+            time.sleep(self.hold_s)
+            return self.responder(path, payload)
+        finally:
+            with self._lock:
+                self._held -= 1

@@ -114,6 +114,24 @@ def test_ingest_skips_broken_files(workspace, capsys):
     assert out.splitlines()[-1] == "warnings: 1 document(s) skipped"
 
 
+def test_a_json_file_is_read_as_json_whatever_its_text(workspace, capsys):
+    """A `.json` file that is no JSON object is skipped, not taken for
+    markdown named by its file name."""
+    corpus = workspace / "corpus"
+    (corpus / "list.json").write_text("[1, 2]", encoding="utf-8")
+    (corpus / "prose.json").write_text("Scope 1 emissions were 1,200 tCO2e.", encoding="utf-8")
+    cfg = _config_path(workspace)
+    for command in ("ingest", "extract"):
+        assert main([command, "--config", cfg]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-3] == f"skipped list.json: {corpus / 'list.json'}: expected a JSON object"
+        assert lines[-2].startswith("skipped prose.json: ") and "invalid JSON" in lines[-2]
+        assert lines[-1] == "warnings: 2 document(s) skipped"
+    assert lines[0].startswith("wrote 700 records for 10 documents")
+    for name in ("list.json", "prose.json"):
+        assert docmodel.name_doc_id(corpus / name, (corpus / name).read_text()) is None
+
+
 def test_undecodable_file_is_skipped(workspace, capsys):
     (workspace / "corpus" / "bad.md").write_bytes(b"# Emissions\n\n\xff tCO2e\n")
     cfg = _config_path(workspace)
@@ -553,6 +571,20 @@ def test_analyze_skips_unreadable_files_and_counts_a_malformed_body(workspace, c
     assert "duplicate doc_id 'doc00' in corpus" in capsys.readouterr().err
 
 
+def test_analyze_prints_its_skipped_files(workspace, capsys):
+    cfg = _config_path(workspace)
+    assert main(["extract", "--config", cfg]) == EXIT_OK
+    (workspace / "corpus" / "broken.json").write_text("{", encoding="utf-8")
+    (workspace / "corpus" / "empty.md").write_text(" \n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["analyze", "--config", cfg]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("wrote analysis for 700 records")
+    assert lines[1].startswith("skipped broken.json: ")
+    assert lines[2].startswith("skipped empty.md: ")
+    assert lines[3:] == ["warnings: 2 document(s) skipped"]
+
+
 def test_analyze_without_records_is_config_error(workspace, capsys):
     code = main(["analyze", "--config", _config_path(workspace)])
     assert code == EXIT_CONFIG
@@ -907,6 +939,31 @@ def test_online_chat_failure_costs_known_posts_per_extraction(
     assert flag_lines == ["flags [enhanced_rag_knowledge]: provider-failed 70/70"]
 
 
+def test_jobs_bound_the_chat_requests_in_flight(workspace, capsys, http_server):
+    """An online `extract` and `ablate` never have more than `jobs` chat
+    POSTs in flight, and with `jobs` above 1 reach that many."""
+    from esgpipe.providers import DEFAULT_REFUSAL, HashEmbedder
+
+    from tests.loopback import InFlight
+
+    _keep_docs(workspace, {"doc00.json"})
+    server, base = http_server
+    embedder = HashEmbedder()
+
+    def respond(path, payload):
+        if path == "/embed":
+            return 200, {"vectors": embedder.embed(payload["texts"])}
+        return 200, {"content": DEFAULT_REFUSAL}
+
+    _online(workspace, base)
+    for jobs in (1, 2, 3):
+        cfg = _rewrite_config(workspace, lambda raw: raw.update(jobs=jobs))
+        for command in ("extract", "ablate"):
+            server.responder = counter = InFlight(respond, "/chat", hold_s=0.002)
+            assert main([command, "--config", cfg]) == EXIT_OK
+            assert counter.peak == jobs, (command, jobs)
+
+
 def _flag_lines(capsys):
     return [line for line in capsys.readouterr().err.splitlines() if line.startswith("flags")]
 
@@ -1105,15 +1162,32 @@ def ingested(monkeypatch):
 def _write_older_kb(path, version):
     """Rewrite a KB file in an older layout: one JSON line, of version 1
     with a float list per entry or version 2 with the vectors in one
-    base64 CSR block; or version 3, a header line of compact JSON with
-    the entry_id and source columns, then sections of fixed item types
-    with a doc_id text piece per entry."""
+    base64 CSR block; version 3, a header line of compact JSON with the
+    entry_id and source columns, then sections of fixed item types with
+    a doc_id text piece per entry; or version 4, today's layout without
+    the `distinct` section and with `<f8` values."""
     import base64
 
     import numpy as np
 
     kb = kbmod.load(path)
-    header = json.loads(path.read_bytes().partition(b"\n")[0])
+    line, _, body = path.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    if version == 4:
+        specs, start, sections = header["sections"], 0, []
+        for name, (_kind, size) in list(specs.items()):
+            if name == "distinct":
+                del specs[name]
+            elif name == "values":
+                matrix = np.array([e.vector for e in kb.entries])
+                sections.append(matrix[matrix.view(np.uint64) != 0].astype("<f8").tobytes())
+                specs[name] = ["<f8", len(sections[-1])]
+            else:
+                sections.append(body[start : start + size])
+            start += size
+        line = json.dumps({**header, "version": 4}, ensure_ascii=False, separators=(",", ":"))
+        path.write_bytes(line.encode("utf-8") + b"\n" + b"".join(sections))
+        return
     data = {"format": header["format"], "version": version}
     for key in ("scope", "provider_name", "dim", "counts", "table_texts"):
         data[key] = header[key]
@@ -1189,7 +1263,7 @@ def _assert_older_kb_cache_rebuilt_once(workspace, caplog, ingested, docs, versi
         assert (out / "records.jsonl").read_bytes() == fresh_records
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_older_kb_cache_is_rebuilt_once(workspace, capsys, caplog, ingested, version):
     _assert_older_kb_cache_rebuilt_once(
         workspace, caplog, ingested, {"doc00.json", "doc01.json"}, version

@@ -387,7 +387,7 @@ def test_vector_dim_mismatch_rejected(corpus_docs, embedder):
 # The sections of a KB file after its header line, in file order: the
 # layout the kb module docstring documents. An integer section is at the
 # narrowest of these unsigned types that holds its largest possible value.
-SECTIONS = ["source", "offsets", "has_summary", "text", "indptr", "indices", "values"]
+SECTIONS = ["source", "offsets", "has_summary", "text", "indptr", "indices", "distinct", "values"]
 UINTS = ("u1", "<u2", "<u4", "<u8")
 
 
@@ -642,12 +642,14 @@ def test_file_stores_only_nonzero_bit_patterns(tmp_path):
     path = tmp_path / "kb.json"
     save(KnowledgeBase(scope="d", provider_name="p", dim=3, entries=entries), path)
     header, sections = read_file(path)
-    assert header["version"] == KB_VERSION == 4
+    assert header["version"] == KB_VERSION == 5
     assert header["entry_id"] == ["e0", "e1", "e2"] and "source" not in header
     assert list(sections) == SECTIONS
+    # three stored values: a table of three patterns and their codes would not be smaller
     assert {name: kind for name, (kind, _size) in header["sections"].items()} == {
-        **dict.fromkeys(SECTIONS, "u1"), "values": "<f8"
+        **dict.fromkeys(SECTIONS, "u1"), "distinct": "<u8", "values": "<f8"
     }
+    assert len(sections["distinct"]) == 0
     assert _arr(sections, "source") == [0, 0, 0]
     assert _arr(sections, "indptr") == [0, 2, 2, 3]
     assert _arr(sections, "indices") == [1, 2, 0]
@@ -655,6 +657,98 @@ def test_file_stores_only_nonzero_bit_patterns(tmp_path):
     assert sections["text"].tobytes() == b"pflat:0" * 3
     assert _arr(sections, "offsets") == [0, 1, 1, 7, 8, 8, 14, 15, 15, 21]
     assert _arr(sections, "has_summary") == [0, 0, 0]
+
+
+# Bit patterns that must come back as they went in: -0.0, NaNs with
+# payloads (quiet and signalling, of either sign), subnormals, both
+# infinities and two plain values.
+SPECIAL_BITS = [
+    0x8000000000000000, 0x7FF8000000000123, 0xFFF0000000000001, 0x7FF4000000000000,
+    0x0000000000000001, 0x800FFFFFFFFFFFFF, 0x7FF0000000000000, 0xFFF0000000000000,
+    0x3FF8000000000000, 0xBFF8000000000000,
+]
+
+
+def _matrix_kb(matrix):
+    entries = [
+        Entry(entry_id=f"e{i:04d}", source=list(Source)[i % 3], payload_text=f"p{i}",
+              vector=row, anchor="flat:0")
+        for i, row in enumerate(matrix)
+    ]
+    return KnowledgeBase(scope="d", provider_name="p", dim=matrix.shape[1], entries=entries,
+                         matrix=matrix)
+
+
+def test_coded_values_round_trip_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(7)
+    bits = rng.choice(np.array(SPECIAL_BITS, dtype=np.uint64), size=(60, 16))
+    bits[rng.random(bits.shape) < 0.5] = 0
+    path = tmp_path / "kb.json"
+    with np.errstate(all="ignore"):  # row norms of NaNs and infinities
+        save(_matrix_kb(bits.view(np.float64)), path)
+        again = load(path)
+    header, sections = read_file(path)
+    assert header["sections"]["values"][0] == "u1"
+    assert sections["distinct"].tolist() == sorted(set(SPECIAL_BITS))
+    assert again.entries[0].vector.base.view(np.uint64).tolist() == bits.tolist()
+
+
+@pytest.mark.parametrize("patterns, code", [(1, "u1"), (256, "u1"), (257, "<u2"), (2**16, "<u2")])
+def test_values_are_codes_of_the_narrowest_width(tmp_path, patterns, code):
+    """Each of `patterns` distinct values stored twice or more: the table
+    and the codes take fewer bytes than the values."""
+    dim = 256
+    values = np.arange(-(-2 * patterns // dim) * dim) % patterns + 1.0
+    path = tmp_path / "kb.json"
+    save(_matrix_kb(values.reshape(-1, dim)), path)
+    header, sections = read_file(path)
+    assert header["sections"]["values"] == [code, np.dtype(code).itemsize * len(values)]
+    assert sections["distinct"].view("<f8").tolist() == [float(v) for v in range(1, patterns + 1)]
+    assert load(path).entries[0].vector.base.tobytes() == values.tobytes()
+
+
+def test_a_hash_embedder_kb_stores_codes(corpus_docs, embedder, tmp_path):
+    path = tmp_path / "kb.json"
+    for kb in (build(corpus_docs[0], embedder), build_naive(corpus_docs[0], embedder)):
+        save(kb, path)
+        header, sections = read_file(path)
+        assert header["sections"]["values"][0] == "u1"
+        assert 0 < sections["distinct"].nbytes + sections["values"].nbytes < 8 * len(sections["values"])
+
+
+@pytest.mark.parametrize("rows", [200, 2000])
+def test_a_dense_kb_keeps_f8_values_and_the_v4_size(tmp_path, monkeypatch, rows):
+    """Random normal vectors repeat no value: `values` stays `<f8` and the
+    file is a version-4 file but for the empty `distinct` section's entry
+    in the header. Counting stops at the first block past 2^16 patterns."""
+    from esgpipe import kb as kbmod
+
+    counted = []
+    real = kbmod._sorted_distinct
+    monkeypatch.setattr(kbmod, "_sorted_distinct", lambda p: counted.append(len(p)) or real(p))
+    matrix = np.random.default_rng(rows).normal(size=(rows, 64))
+    path = tmp_path / "kb.json"
+    save(_matrix_kb(matrix), path)
+    header, sections = read_file(path)
+    assert header["sections"]["distinct"] == ["<u8", 0]
+    assert header["sections"]["values"] == ["<f8", 8 * matrix.size]
+    v4 = file_bytes({**header, "version": 4}, {k: a for k, a in sections.items() if k != "distinct"})
+    assert len(path.read_bytes()) - len(v4) == len(b',"distinct":["<u8",0]')
+    assert len(counted) == min(-(-rows // 256), 2**16 // (256 * 64) + 1)
+    assert load(path).entries[0].vector.base.tobytes() == matrix.tobytes()
+
+
+def _value_sections(values):
+    """The `distinct` and `values` sections of these stored `<f8` values:
+    the sorted distinct bit patterns and a code into them per value,
+    where those take fewer bytes; else no patterns and the values."""
+    bits = values.view("<u8")
+    distinct, codes = np.unique(bits, return_inverse=True)
+    if 0 < len(distinct) <= 2**16:
+        codes = _narrowest(codes, len(distinct) - 1)
+        if distinct.nbytes + codes.nbytes < values.nbytes:
+            return {"distinct": distinct.astype("<u8"), "values": codes}
+    return {"distinct": np.zeros(0, dtype="<u8"), "values": values}
 
 
 def reference_save_bytes(kb):
@@ -676,7 +770,7 @@ def reference_save_bytes(kb):
         "text": np.frombuffer("".join(pieces).encode("utf-8"), "u1"),
         "indptr": _narrowest(indptr, indptr[-1]),
         "indices": _narrowest(indices, kb.dim - 1),
-        "values": np.concatenate([np.zeros(0), *values]).astype("<f8"),
+        **_value_sections(np.concatenate([np.zeros(0), *values]).astype("<f8")),
     }
     header = {
         "format": "esg_kb",
@@ -900,8 +994,33 @@ MALFORMED_FILES = {
     "unknown item type": (
         lambda h, s: _with_kinds(h, s, source="Bogus"), "section 'source' has item type 'Bogus'"
     ),
-    "values not <f8": (
-        lambda h, s: _with_kinds(h, s, values="<u8"), "section 'values' has item type '<u8'"
+    "values neither <f8 nor codes": (
+        lambda h, s: _with_kinds(h, s, values="<f4"), "section 'values' has item type '<f4'"
+    ),
+    "distinct not <u8": (
+        lambda h, s: _with_kinds(h, s, distinct="<f8"), "section 'distinct' has item type '<f8'"
+    ),
+    # the fixture's values are codes into its distinct patterns (see `test_a_hash_embedder_kb_stores_codes`)
+    "distinct patterns decreasing": (
+        _edit("distinct", lambda v: _flip(v, 0, v[1] + 1)), "distinct patterns not strictly increasing"
+    ),
+    "distinct pattern repeated": (
+        _edit("distinct", lambda v: _flip(v, 1, v[0])), "distinct patterns not strictly increasing"
+    ),
+    "distinct all-zero pattern": (
+        _edit("distinct", lambda v: _flip(v, 0, 0)), "distinct patterns hold the all-zero pattern"
+    ),
+    "value code past the distinct patterns": (
+        lambda h, s: _edit("values", lambda v: _flip(v, 3, len(s["distinct"])))(h, s),
+        "past",
+    ),
+    "codes without distinct patterns": (
+        lambda h, s: file_bytes(h, {**s, "distinct": s["distinct"][:0]}),
+        "values are codes without distinct patterns",
+    ),
+    "<f8 values beside distinct patterns": (
+        lambda h, s: file_bytes(h, {**s, "values": s["distinct"][s["values"]].view("<f8")}),
+        "values are floats beside",
     ),
     "text not u1": (
         lambda h, s: _with_kinds(h, s, text="<u2"), "section 'text' has item type '<u2'"
