@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -474,13 +475,18 @@ def kb_cache_path(
     """One file per (document, given by its cache key from `_fingerprint`;
     embedder; mode; the mode's build parameters in `pcfg.kb_build`, the
     ones the build reads: chunk size, plus summary length for structured
-    KBs)."""
+    KBs). Every HTTP embedder has one name, so its URL and dim join the
+    key as a digest; the KB file still carries the name alone."""
     build = pcfg.kb_build
     if pcfg.arm.use_structured_preprocessing:
         mode, params = "structured", f"{build.max_chars}-s{build.summary_sentences}"
     else:
         mode, params = "naive", str(build.naive_chunk_chars)
-    name = f"{key[:16]}-{providers.embedder.name}-{mode}-{params}.json"
+    embedder = providers.embedder.name
+    if isinstance(providers.embedder, HttpEmbedder):
+        endpoint = f"{providers.embedder.endpoint.url}\n{providers.embedder.dim}"
+        embedder += "-" + hashlib.sha256(endpoint.encode("utf-8")).hexdigest()[:12]
+    name = f"{key[:16]}-{embedder}-{mode}-{params}.json"
     return config.output_dir / "kb_cache" / name
 
 
@@ -1134,6 +1140,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Runs one command with every object made before it frozen
+    (`gc.freeze`), so that the collector's passes skip the modules and
+    whatever else the process holds; unfrozen again when it ends. A
+    caller that froze objects itself keeps its freeze as it is."""
+    if gc.get_freeze_count():
+        return _run(argv)
+    gc.freeze()
+    try:
+        return _run(argv)
+    finally:
+        gc.unfreeze()
+
+
+def _run(argv: Sequence[str] | None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,

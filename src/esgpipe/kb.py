@@ -53,10 +53,11 @@ holds its largest possible value:
 
 `load` reads the file once and checks every part of it, so a malformed
 file fails there and never later; it ignores header keys it does not
-read. A loaded KB keeps its entries as these columns: search makes an
-`Entry` only for a hit row, and `entries` makes them all on first
-access. A file of another format or version, or a malformed one, is a
-KnowledgeBaseError, and the KB cache then rebuilds it.
+read. A loaded KB keeps its entries as these columns: search reads a
+hit row's fields from them (`KnowledgeBase.texts`) and makes no `Entry`,
+and `entries` makes them all on first access. A file of another format
+or version, or a malformed one, is a KnowledgeBaseError, and the KB
+cache then rebuilds it.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -88,6 +90,7 @@ MIN_CHUNK_CHARS = 200
 _SAVE_ROWS = 256  # entries and vector rows per piece `save` writes
 _SAVE_BUFFER = 1 << 16  # bytes `save` buffers per write: a small KB goes out in one
 _LOAD_VALUES = 1 << 16  # stored values `load` scatters at a time, so its temporaries stay small
+_NORM_ROWS = 256  # partition rows per `np.linalg.norm` call, so its temporary stays small
 
 _UINTS = ("u1", "<u2", "<u4", "<u8")  # the item types of an integer section, narrowest first
 _MAX_DISTINCT = 1 << 16  # the most distinct values `save` codes: a code then fits `<u2`
@@ -111,7 +114,7 @@ class Source(Enum):
     TABLE_KEYWORD = "TableKeyword"
 
 
-_CODES = {s: code for code, s in enumerate(Source)}  # each source's code in the file
+_SOURCES = tuple(Source)  # each source at its code in the file, found by identity
 _PREFIXES = {Source.TEXT: "t", Source.OUTLINE: "o", Source.TABLE_KEYWORD: "k"}  # of a built entry_id
 
 
@@ -129,31 +132,26 @@ class Entry:
 class Partition:
     """One source's rows of a KB with the arrays exact search runs on."""
 
-    rows: list[int]  # the KB row (file order) of each partition row
+    rows: np.ndarray  # the KB row (file order) of each partition row, increasing
     matrix: np.ndarray  # float64 (len(rows), dim); row j is the vector of KB row rows[j]
     norms: np.ndarray  # L2 norm of each row
-    entry_at: Callable[[int], Entry]  # the entry of a KB row
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def entry(self, row: int) -> Entry:
-        """The entry of partition row `row`; made anew for a loaded KB."""
-        return self.entry_at(self.rows[row])
 
-
-def _take_rows(matrix: np.ndarray, rows: list[int]) -> np.ndarray:
-    """matrix[rows] for increasing rows; a view when they are one run."""
-    if rows and rows[-1] - rows[0] == len(rows) - 1:
-        return matrix[rows[0] : rows[-1] + 1]
-    return matrix[rows]
-
-
-def _partition(
-    rows: list[int], matrix: np.ndarray, entry_at: Callable[[int], Entry]
-) -> Partition:
-    part = _take_rows(matrix, rows)
-    return Partition(rows, part, np.linalg.norm(part, axis=1), entry_at)
+def _partition(rows: np.ndarray, matrix: np.ndarray) -> Partition:
+    """The partition of the KB rows `rows` of `matrix`: a view when they
+    are one run, and their norms, `_NORM_ROWS` rows at a time into one
+    array (the same floats as one `np.linalg.norm` of the whole)."""
+    if len(rows) and rows[-1] - rows[0] == len(rows) - 1:
+        part = matrix[rows[0] : rows[-1] + 1]
+    else:
+        part = matrix[rows]
+    norms = np.empty(len(rows))
+    for start in range(0, len(rows), _NORM_ROWS):
+        norms[start : start + _NORM_ROWS] = np.linalg.norm(part[start : start + _NORM_ROWS], axis=1)
+    return Partition(rows, part, norms)
 
 
 class KnowledgeBase:
@@ -182,10 +180,15 @@ class KnowledgeBase:
                     )
             matrix = np.array([e.vector for e in entries], dtype=np.float64)
             matrix = matrix.reshape(len(entries), dim)
+
+        def texts(row: int) -> tuple[str, str | None, str]:
+            e = entries[row]
+            return e.payload_text, e.summary, e.anchor
+
+        codes = map(_SOURCES.index, map(attrgetter("source"), entries))
         self._setup(
-            scope, provider_name, dim, table_texts,
-            [e.entry_id for e in entries], [e.source for e in entries], matrix,
-            entries.__getitem__,
+            scope, provider_name, dim, table_texts, [e.entry_id for e in entries],
+            np.fromiter(codes, np.intp, len(entries)), matrix, texts,
         )
         self._entries = entries
 
@@ -196,13 +199,13 @@ class KnowledgeBase:
         dim: int,
         table_texts: dict[str, str] | None,
         entry_ids: list[str],
-        sources: list[Source],
+        codes: np.ndarray,
         matrix: np.ndarray,
-        entry_at: Callable[[int], Entry],
+        texts: Callable[[int], tuple[str, str | None, str]],
     ) -> None:
         """Sets every attribute, for len(entry_ids) entries whose entry i
-        `entry_at(i)` makes; `entries` makes them all on first access
-        unless they are given."""
+        has source `Source` member codes[i] and the fields `texts(i)`;
+        `entries` makes them all on first access unless they are given."""
         shape = (len(entry_ids), dim)
         if matrix.shape != shape:
             raise KnowledgeBaseError(f"vector matrix has shape {matrix.shape}, expected {shape}")
@@ -213,24 +216,32 @@ class KnowledgeBase:
         self.provider_name = provider_name
         self.dim = dim
         self.table_texts = {} if table_texts is None else table_texts
+        self.entry_ids = entry_ids  # of each entry, in file order
+        # (payload_text, summary, anchor) of the entry at a KB row, made
+        # from the columns: no `Entry`
+        self.texts = texts
+        self._codes = codes  # intp: each entry's source, as its index in `Source`
         self._matrix = matrix  # float64 (entries, dim), in file order
-        self._entry_at = entry_at
         self._entries: list[Entry] | None = None
-        rows: dict[Source, list[int]] = {source: [] for source in Source}
-        for i, source in enumerate(sources):
-            rows[source].append(i)
-        self._partitions = {s: _partition(rows[s], matrix, entry_at) for s in Source}
+        rows = [np.flatnonzero(codes == code) for code in range(len(_SOURCES))]
+        self._partitions = {s: _partition(r, matrix) for s, r in zip(Source, rows)}
         by_id = sorted(range(len(entry_ids)), key=entry_ids.__getitem__)
         rank = np.empty(len(entry_ids), dtype=np.intp)
         rank[by_id] = np.arange(len(entry_ids))
-        self._id_ranks = {source: rank[rows[source]] for source in Source}
+        self._id_ranks = {s: rank[r] for s, r in zip(Source, rows)}
 
     @property
     def entries(self) -> list[Entry]:
         """Every entry in file order; a loaded KB makes them on first
         access, their vectors row views of its one matrix."""
         if self._entries is None:
-            self._entries = [self._entry_at(i) for i in range(len(self._matrix))]
+            sources = map(_SOURCES.__getitem__, self._codes.tolist())
+            fields = map(self.texts, range(len(self.entry_ids)))
+            self._entries = [
+                Entry(entry_id, source, payload, vector, anchor, summary)
+                for entry_id, source, vector, (payload, summary, anchor)
+                in zip(self.entry_ids, sources, self._matrix, fields)
+            ]
         return self._entries
 
     def counts(self) -> dict[str, int]:
@@ -519,8 +530,7 @@ def save(kb: KnowledgeBase, path: str | Path) -> None:
             f.write(b"," if i else b"")
             f.write(encode([e.entry_id for e in batch])[1:-1].encode("utf-8"))
         f.write(b"]}\n")
-        codes = (_CODES[e.source] for e in entries)
-        f.write(np.fromiter(codes, types["source"], n).tobytes())
+        f.write(kb._codes.astype(types["source"]).tobytes())
         f.write(offsets.astype(types["offsets"]).tobytes())
         flags = (e.summary is not None for e in entries)
         f.write(np.fromiter(flags, types["has_summary"], n).tobytes())
@@ -595,10 +605,15 @@ def _decode_vectors(
             f"indptr ends at {indptr[-1]} for {len(indices)} indices "
             f"and {len(values)} values"
         )
-    row = np.repeat(np.arange(n), np.diff(indptr).astype(np.intp))
     if len(indices) and indices.max() >= dim:
         raise KnowledgeBaseError(f"column index outside [0, {dim})")
-    if ((indices[1:] <= indices[:-1]) & (row[1:] == row[:-1])).any():
+    # made before the positions, so a dim too large for them is a ValueError
+    matrix = np.zeros((n, dim), dtype=np.float64)
+    # each value's position in the flat matrix: as every index is below
+    # dim, these increase strictly exactly when each row's indices do
+    flat = np.repeat(np.arange(n, dtype=np.intp) * dim, np.diff(indptr).astype(np.intp))
+    np.add(flat, indices, out=flat, dtype=np.intp)  # a `<u8` section as intp, not float64
+    if (flat[1:] <= flat[:-1]).any():
         raise KnowledgeBaseError("column indices not strictly increasing within a row")
     if len(distinct) and values.dtype.kind == "f":
         raise KnowledgeBaseError(f"values are floats beside {len(distinct)} distinct patterns")
@@ -610,13 +625,10 @@ def _decode_vectors(
         raise KnowledgeBaseError("distinct patterns hold the all-zero pattern")
     if len(distinct) and len(values) and values.max() >= len(distinct):
         raise KnowledgeBaseError(f"value code {values.max()} past {len(distinct)} distinct patterns")
-    matrix = np.zeros((n, dim), dtype=np.float64)
-    bits = matrix.view(np.uint64)
+    bits = matrix.reshape(-1).view(np.uint64)
     for start in range(0, len(values), _LOAD_VALUES):
         part = slice(start, start + _LOAD_VALUES)
-        bits[row[part], indices[part]] = (
-            distinct[values[part]] if len(distinct) else values[part].view("<u8")
-        )
+        bits[flat[part]] = distinct[values[part]] if len(distinct) else values[part].view("<u8")
     return matrix
 
 
@@ -643,20 +655,22 @@ def _decode_text(
     return texts, offsets.tolist(), has_summary.tolist()
 
 
-def _decode_sources(codes: np.ndarray, n: int) -> list[Source]:
-    """The source of each entry of the code section; raises
-    KnowledgeBaseError when it is malformed."""
+def _decode_sources(codes: np.ndarray, n: int) -> np.ndarray:
+    """The code section as intp source codes (indices in `Source`);
+    raises KnowledgeBaseError when it is malformed."""
     if codes.shape != (n,):
         raise KnowledgeBaseError(f"{len(codes)} sources for {n} entries")
     if len(codes) and codes.max() >= len(Source):
         raise KnowledgeBaseError(f"unknown source code {codes.max()}")
-    return list(map(list(Source).__getitem__, codes.tolist()))
+    return codes.astype(np.intp)
 
 
 def load(path: str | Path) -> KnowledgeBase:
     """The KB of a file `save` wrote; raises KnowledgeBaseError when the
     file is missing, of another format or version, or malformed in any
-    part, so a KB that loads needs no further checks."""
+    part, so a KB that loads needs no further checks. No Python loop
+    runs per entry or stored value but the entry_id checks and sort: the
+    vectors decode by their flat positions (`row * dim + index`)."""
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -697,23 +711,22 @@ def _from_file(header: dict, body: memoryview) -> KnowledgeBase:
     n = len(entry_ids)
     dim = header["dim"]
     arrays = _sections(header["sections"], body)
-    sources = _decode_sources(arrays["source"], n)
-    texts, offsets, has_summary = _decode_text(
+    codes = _decode_sources(arrays["source"], n)
+    text, offsets, has_summary = _decode_text(
         arrays["text"], arrays["offsets"], arrays["has_summary"], n
     )
     matrix = _decode_vectors(
         arrays["indptr"], arrays["indices"], arrays["distinct"], arrays["values"], n, dim
     )
 
-    def entry_at(i: int) -> Entry:
-        a, b, c, d = offsets[3 * i : 3 * i + 4]
-        summary = texts[b:c] if has_summary[i] else None
-        return Entry(entry_ids[i], sources[i], texts[a:b], matrix[i], texts[c:d], summary)
+    def texts(row: int) -> tuple[str, str | None, str]:
+        a, b, c, d = offsets[3 * row : 3 * row + 4]
+        return text[a:b], text[b:c] if has_summary[row] else None, text[c:d]
 
     kb = KnowledgeBase.__new__(KnowledgeBase)  # the columns stand in for `__init__`'s entries
     kb._setup(
         header["scope"], header["provider_name"], dim, header["table_texts"],
-        entry_ids, sources, matrix, entry_at,
+        entry_ids, codes, matrix, texts,
     )
     if header["counts"] != kb.counts():
         raise KnowledgeBaseError(f"counts {header['counts']!r} are not those of the entries")

@@ -18,23 +18,24 @@ once however many documents they search.
 row of one per-call `HitTable` and its similarity. The table holds, once
 per entry that any query of the call hit, its entry_id, source, resolved
 payload, anchor, payload length and dedupe key (partition code, anchor),
-so each payload is resolved once per entry and batch. `rerank` reorders
-the rows and similarities of the first m hits and keeps their scores;
-`assemble_evidence` walks the columns, dedupes on the coded key (an int
-and a str hash faster than the `Source` enum) and hands on the indices
-of the hits it keeps, with their payloads joined once into the prompt's
-reference text (`EvidenceBundle`). Neither makes a hit object; `search`
-makes a `ScoredHit` for every hit.
+read from the KB's columns (`KnowledgeBase.texts`), so each payload is
+resolved once per entry and batch and no `Entry` is made. `rerank`
+reorders the rows and similarities of the first m hits and keeps their
+scores; `assemble_evidence` walks the columns, dedupes on the coded key
+(an int and a str hash faster than the `Source` enum) and hands on the
+indices of the hits it keeps, with their payloads joined once into the
+prompt's reference text (`EvidenceBundle`). Neither makes a hit object;
+`search` makes a `ScoredHit` for every hit.
 
 Per partition, the batch is cut into slices of whole queries, each of
 at most `_SLICE_CELLS` similarity cells (query vectors x entries). A
 slice's query vectors, stacked, are multiplied with the partition matrix
-in one matmul, into scratch buffers that the call allocates, one set per
-worker; normalising, the top-k selection and the union over a query's
-vectors then work row by row in the same buffers, so a large KB costs a
-few slices of temporaries rather than full (vectors, entries) arrays.
-A vector's candidates are the cells at or above a lower bound of its
-k-th best cosine, the k-th best of the maxima of groups of its cells
+in one matmul, into scratch buffers that the call allocates once for its
+largest slice; normalising, the top-k selection and the union over a
+query's vectors then work row by row in the same buffers, so a large KB
+costs a few slices of temporaries rather than full (vectors, entries)
+arrays. A vector's candidates are the cells at or above a lower bound of
+its k-th best cosine, the k-th best of the maxima of groups of its cells
 (see `_GROUP_CELLS`), trimmed to k by rank: one pass over the cells
 whether or not the cosines repeat, where `np.partition` slows down on
 the many ties of a hash-embedded KB. The zero-norm masking runs only for
@@ -45,20 +46,15 @@ query's cosines depend on the slice it lands in, and hits whose cosines
 lie that close can swap places, or trade the k-th place of a vector,
 against a search of the query alone. Results are deterministic for a
 given KB, batch of queries and slice constants, and `search`, a batch of
-one, makes the query's own matmul. A batch of more than `_THREAD_CELLS`
-cells spreads its slices over one worker per usable CPU, at most one per
-slice: this thread and helper threads started and joined within the
-call. BLAS and numpy's large array operations release the GIL, so the
-workers overlap. The ranking and the payload resolution run once per
-call, in this thread.
+one, makes the query's own matmul. Every slice runs in the calling
+thread, one after the other: helper threads gained no wall time on two
+CPUs and competed with BLAS's own threads.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -66,11 +62,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ProviderError, RetrievalError
-from .kb import Entry, KnowledgeBase, Partition, Source
+from .kb import KnowledgeBase, Partition, Source
 from .metadata import IndicatorSpec, MetadataRegistry, render_question
 from .providers import EmbeddingProvider, JaccardReranker, Reranker, embed_matrix
 
 logger = logging.getLogger(__name__)
+
+_SOURCES = tuple(Source)  # each partition's source, by its code
 
 DEFAULT_TOP_K = 5
 DEFAULT_RERANK_M = 10
@@ -92,15 +90,6 @@ NO_EVIDENCE_SENTINEL = "NO EVIDENCE FOUND"
 # slice its vectors are stacked in, so a new value could reorder near-ties
 # and change records.
 _SLICE_CELLS = 1 << 16
-# A search of at most this many cells in all runs in the calling thread
-# alone. Around it a helper about breaks even: on the same host (the 207
-# query vectors of a run against every n-th entry of the 5k-entry KB,
-# medians of 15 alternations of 10 calls) 65k cells took 6.3 ms alone and
-# 5.3 ms with a helper in one run and 6.6 and 6.4 ms in another, 130k
-# cells 6.6 and 5.8 ms, then 7.3 and 7.5 ms, 347k cells 13.7 and 10.4 ms,
-# and the whole KB's 1.04M cells 33.3 and 24.2 ms. A helper thread costs
-# about 0.13 ms to start and join.
-_THREAD_CELLS = 1 << 17
 # Cells per group in `_select`'s bound of a row's k-th best cosine. On the
 # same host, against a 2^16-cell slice of each partition of the 5k-entry
 # KB, the bound took 80-95 us where np.partition of the rows took 160 us
@@ -256,13 +245,17 @@ def build_queries(
     return queries
 
 
-def _resolve_payload(entry: Entry, kb: KnowledgeBase) -> str:
-    if entry.source is Source.TABLE_KEYWORD:
-        table_id = entry.anchor.partition(":")[2]
-        return kb.table_text(table_id)
-    if entry.source is Source.TEXT and entry.summary:
-        return f"[Summary] {entry.summary}\n{entry.payload_text}"
-    return entry.payload_text
+def _resolve_payload(
+    kb: KnowledgeBase, source: Source, payload_text: str, summary: str | None, anchor: str
+) -> str:
+    """The evidence text of an entry with these fields: its table's text
+    for a table keyword, a text chunk prefixed by its summary, else its
+    payload_text."""
+    if source is Source.TABLE_KEYWORD:
+        return kb.table_text(anchor.partition(":")[2])
+    if source is Source.TEXT and summary:
+        return f"[Summary] {summary}\n{payload_text}"
+    return payload_text
 
 
 def _query_matrix(kb: KnowledgeBase, query: Query) -> np.ndarray:
@@ -374,13 +367,6 @@ def _slices(rows: list[int], n: int) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on Linux
-        return os.cpu_count() or 1
-
-
 def search_many(
     kb: KnowledgeBase, queries: Sequence[Query], k: int = DEFAULT_TOP_K
 ) -> list[Hits]:
@@ -408,28 +394,14 @@ def search_many(
         for cut in _slices(sizes.tolist(), len(part))
     ]
     cells = [int(ends[end - 1] - starts[first]) * len(parts[p]) for p, first, end in tasks]
-    columns: list = [None] * len(tasks)
-    ticket = itertools.count()  # next() on it is atomic: each task goes to one worker
-
-    def work(buffers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
-        while (i := next(ticket)) < len(tasks):
-            p, first, end = tasks[i]
-            lo, hi = starts[first], ends[end - 1]
-            qs, rows, sims = _select(
-                parts[p], ranks[p], stacked[lo:hi], qnorms[lo:hi], starts[first:end] - lo, k,
-                buffers,
-            )
-            columns[i] = (qs + first, np.full(len(rows), p), rows, sims, ranks[p][rows])
-
-    workers = min(_usable_cpus(), len(tasks)) if sum(cells) > _THREAD_CELLS else 1
-    if workers == 1:
-        work(_buffers(max(cells, default=0)))
-    else:  # this thread is one of the workers
-        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            helpers = [pool.submit(work, _buffers(max(cells))) for _ in range(workers - 1)]
-            work(_buffers(max(cells)))
-            for helper in helpers:
-                helper.result()
+    buffers = _buffers(max(cells, default=0))
+    columns = []
+    for p, first, end in tasks:
+        lo, hi = starts[first], ends[end - 1]
+        qs, rows, sims = _select(
+            parts[p], ranks[p], stacked[lo:hi], qnorms[lo:hi], starts[first:end] - lo, k, buffers
+        )
+        columns.append((qs + first, np.full(len(rows), p), rows, sims, ranks[p][rows]))
     if not columns:
         return [Hits(HitTable(), [], []) for _ in qms]
     qs, ps, rows, sims, rank = (np.concatenate(column) for column in zip(*columns))
@@ -438,15 +410,15 @@ def search_many(
     flat = (offsets[ps] + rows)[order]  # each hit's entry, numbered by partition then row
     distinct = np.sort(flat)
     distinct = distinct[np.diff(distinct, prepend=-1) != 0]  # as np.unique: each entry once
-    part_of = np.searchsorted(offsets, distinct, side="right") - 1
-    codes = part_of.tolist()  # the partition of each, its index in `Source`
-    rows_in = (distinct - offsets[part_of]).tolist()  # the row of each in its partition
-    entries = [parts[p].entry(row) for p, row in zip(codes, rows_in)]
-    payloads = [_resolve_payload(entry, kb) for entry in entries]
+    codes = (np.searchsorted(offsets, distinct, side="right") - 1).tolist()  # index in `Source`
+    kb_rows = np.concatenate([part.rows for part in parts])[distinct].tolist()
+    sources = list(map(_SOURCES.__getitem__, codes))
+    fields = list(map(kb.texts, kb_rows))  # (payload_text, summary, anchor) of each
+    anchors = [anchor for _, _, anchor in fields]
+    payloads = [_resolve_payload(kb, s, *f) for s, f in zip(sources, fields)]
     table = HitTable(
-        [e.entry_id for e in entries], [e.source for e in entries], payloads,
-        [e.anchor for e in entries], list(map(len, payloads)),
-        [(p, e.anchor) for p, e in zip(codes, entries)],
+        list(map(kb.entry_ids.__getitem__, kb_rows)), sources, payloads, anchors,
+        list(map(len, payloads)), list(zip(codes, anchors)),
     )
     table_rows = np.searchsorted(distinct, flat).tolist()
     similarity = sims[order].tolist()

@@ -994,6 +994,48 @@ def test_each_arm_with_failed_records_prints_a_flag_line(workspace, capsys):
     assert _flag_lines(capsys) == [want[0]]
 
 
+def test_online_kb_cache_is_keyed_by_the_embedding_endpoint(workspace, capsys):
+    """A cached KB serves only the embedding URL and dim that made it:
+    another endpoint embeds the KB texts itself, and another dim gets a
+    file of its own."""
+    from esgpipe.providers import DEFAULT_REFUSAL, HashEmbedder
+
+    from tests.loopback import serving
+
+    _keep_docs(workspace, {"doc00.json"})
+    dims = {"a": 256, "b": 256}  # the dim each server's embedder answers in
+
+    def responder(server):
+        def respond(path, payload):
+            if path == "/embed":
+                return 200, {"vectors": HashEmbedder(dims[server]).embed(payload["texts"])}
+            return 200, {"content": DEFAULT_REFUSAL}
+
+        return respond
+
+    def texts(server):
+        return [t for call in server.calls if call["path"] == "/embed"
+                for t in call["payload"]["texts"]]
+
+    cache = workspace / "out" / "kb_cache"
+    with serving(responder("a")) as (a, url_a), serving(responder("b")) as (b, url_b):
+        assert main(["build-kb", "--config", _online(workspace, url_a)]) == EXIT_OK
+        kb_texts = set(texts(a))
+        assert kb_texts and len(list(cache.iterdir())) == 1
+        assert main(["extract", "--config", _online(workspace, url_b)]) == EXIT_OK
+        assert kb_texts <= set(texts(b))  # B's own vectors, not A's cached ones
+        assert len(list(cache.iterdir())) == 2
+        b.calls.clear()
+        dims["b"] = 128
+        cfg = _rewrite_config(workspace, lambda raw: raw["providers"]["embedding"].update(dim=128))
+        assert main(["build-kb", "--config", cfg]) == EXIT_OK
+        assert kb_texts <= set(texts(b))
+    names = sorted(p.name for p in cache.iterdir())
+    assert len(names) == 3 and all("-http-embedding-" in name for name in names)
+    header = json.loads((workspace / "out" / "kb" / "doc00.kb.json").read_bytes().split(b"\n")[0])
+    assert (header["provider_name"], header["dim"]) == ("http-embedding", 128)
+
+
 def test_online_failing_query_plan_embed_is_exit_3(workspace, capsys, http_server, sleeps):
     server, base = http_server
     server.responder = lambda path, payload: (503, {"error": "down"})
@@ -1600,3 +1642,45 @@ def test_dumps_indented_rejects_what_json_rejects():
             json.dumps(bad, indent=2)
         with pytest.raises(TypeError):
             dumps_indented(bad)
+
+
+# ------------------------------------------------------------ garbage collection
+
+
+def test_a_command_runs_frozen_and_leaves_the_freeze_count_as_it_found_it(
+    workspace, capsys, monkeypatch
+):
+    """`main` runs each command with the objects made before it frozen,
+    and unfreezes them after it: on success, on an error exit and on a
+    raised exception. A caller's own freeze stays as it is."""
+    import gc
+
+    from esgpipe import cli
+
+    during = []  # the freeze count inside each command
+    real = cli.load_run_config
+
+    def load_run_config(path):
+        during.append(gc.get_freeze_count())
+        if path.endswith("boom.yaml"):
+            raise RuntimeError("boom")
+        return real(path)
+
+    monkeypatch.setattr(cli, "load_run_config", load_run_config)
+    cfg = _config_path(workspace)
+    assert gc.get_freeze_count() == 0
+    assert main(["ingest", "--dry-run", "--config", cfg]) == EXIT_OK
+    assert gc.get_freeze_count() == 0
+    assert main(["ingest", "--config", str(workspace / "missing.yaml")]) == EXIT_CONFIG
+    assert gc.get_freeze_count() == 0
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["ingest", "--config", str(workspace / "boom.yaml")])
+    assert gc.get_freeze_count() == 0
+    assert len(during) == 3 and min(during) > 0
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert main(["ingest", "--dry-run", "--config", cfg]) == EXIT_OK
+        assert gc.get_freeze_count() == frozen == during[-1]
+    finally:
+        gc.unfreeze()

@@ -3,12 +3,11 @@
 import bisect
 import dataclasses
 import math
+import os
 import random
-import sys
 import threading
 import tracemalloc
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -341,7 +340,7 @@ def test_search_many_matches_reference_on_integer_kbs():
         seen["zero_row"] += any(not p.norms.all() for p in parts)
         for part in parts:
             if len(part) > k:
-                entries = [part.entry(row) for row in range(len(part))]
+                entries = [kb.entries[row] for row in part.rows]
                 sims = np.vstack([reference_sims(q, entries) for q in queries])
                 kth = -np.sort(-sims, axis=1)[:, k - 1:k]
                 seen["tie_at_kth"] += bool(((sims == kth).sum(axis=1) > 1).any())
@@ -498,20 +497,14 @@ def real_queries(rng, count, kb):
     count=st.integers(min_value=1, max_value=6),
     k=st.sampled_from((1, 2, 3, 7, 40)),
     slice_cells=st.sampled_from((1, 100, 1 << 16)),
-    threads=st.booleans(),
 )
-def test_search_many_matches_fsum_oracle_on_real_kbs(
-    seed, sizes, dim, count, k, slice_cells, threads
-):
+def test_search_many_matches_fsum_oracle_on_real_kbs(seed, sizes, dim, count, k, slice_cells):
     from esgpipe import retrieval
 
     rng = np.random.default_rng(seed)
     kb = real_kb(rng, sizes, dim)
     queries = real_queries(rng, count, kb)
-    with mock.patch.multiple(
-        retrieval, _SLICE_CELLS=slice_cells, _THREAD_CELLS=0 if threads else 1 << 60,
-        _usable_cpus=lambda: 3,
-    ):
+    with mock.patch.object(retrieval, "_SLICE_CELLS", slice_cells):
         batch = search_many(kb, queries, k)
     for hits, query in zip(batch, queries):
         assert_near_oracle(hits.scored(), fsum_cosines(kb, query), k)
@@ -523,23 +516,25 @@ def test_search_many_resolves_each_payload_once_per_call(
     from esgpipe import retrieval
     from esgpipe.kb import build
 
-    resolved = Counter()
+    resolved = Counter()  # calls of the payload rule, by the fields it was given
     real = retrieval._resolve_payload
 
-    def resolve_payload(entry, kb):
-        resolved[entry.entry_id] += 1
-        return real(entry, kb)
+    def resolve_payload(kb, source, payload_text, summary, anchor):
+        resolved[source, payload_text, summary, anchor] += 1
+        return real(kb, source, payload_text, summary, anchor)
 
     monkeypatch.setattr(retrieval, "_resolve_payload", resolve_payload)
     emb = offline_providers.embedder
     plan = build_queries(registry.indicators, registry, emb, [True])
     queries = [plan[(spec.id, True)] for spec in registry.indicators]
     kb = build(corpus_docs[0], emb)
+    fields = {e.entry_id: (e.source, e.payload_text, e.summary, e.anchor) for e in kb.entries}
+    assert len(set(fields.values())) == len(fields)  # the fields tell the entries apart
     for calls in (1, 2):
         batch = search_many(kb, queries, 5)
         hits = [h.entry_id for per_query in batch for h in per_query.scored()]
         assert len(hits) > len(set(hits))  # entries recur across queries
-        assert resolved == Counter(dict.fromkeys(hits, calls))
+        assert resolved == Counter(dict.fromkeys((fields[h] for h in hits), calls))
 
 
 def test_search_is_a_batch_of_one():
@@ -566,7 +561,7 @@ def test_search_many_rejects_a_bad_query_mid_batch():
         search_many(kb, [], 0)
 
 
-# --- sliced, threaded search vs the one-slice path, bit for bit ---
+# --- sliced search vs the one-slice path, bit for bit ---
 
 
 def sparse_kb(seed, sizes, dim=24):
@@ -614,22 +609,6 @@ def _hits(kb, queries, k):
     ]
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """The max_workers of each thread pool that `retrieval` makes."""
-    from esgpipe import retrieval
-
-    sizes = []
-
-    class CountingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(retrieval, "ThreadPoolExecutor", CountingPool)
-    return sizes
-
-
 def test_slices_cut_whole_queries_within_the_cell_budget(monkeypatch):
     from esgpipe import retrieval
 
@@ -649,72 +628,32 @@ def test_slices_cut_whole_queries_within_the_cell_budget(monkeypatch):
 
 
 @pytest.mark.parametrize("cpus", [1, 4])
-def test_sliced_search_matches_one_slice_bit_for_bit(cpus, pool_sizes, monkeypatch):
+def test_sliced_search_matches_one_slice_bit_for_bit(cpus, monkeypatch):
     from esgpipe import retrieval
+
+    # However many CPUs the machine shows, the slices run in this thread.
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
     kb = sparse_kb(7, (2500, 1200, 1800))
     queries = sparse_queries(8, 30)
     rows = [len(q.vectors) for q in queries]
     monkeypatch.setattr(retrieval, "_SLICE_CELLS", 1 << 60)
-    monkeypatch.setattr(retrieval, "_usable_cpus", lambda: 1)
     whole = {k: _hits(kb, queries, k) for k in (1, 5)}
-    monkeypatch.setattr(retrieval, "_usable_cpus", lambda: cpus)
     n = len(kb.partition(Source.TEXT))
     budgets = {}  # slices of the largest partition -> the largest budget that makes them
     for budget in range(sum(rows) * n, 0, -n):
         monkeypatch.setattr(retrieval, "_SLICE_CELLS", budget)
         budgets.setdefault(len(retrieval._slices(rows, n)), budget)
     assert {1, 2, len(queries)} <= budgets.keys() and len(budgets) > len(queries) // 2
-    sliced = 0  # searches with more than one slice
     for count, budget in budgets.items():
         monkeypatch.setattr(retrieval, "_SLICE_CELLS", budget)
         for k in (1, 5) if count in (1, 2, 7, len(queries)) else (5,):
-            sliced += count > 1
             threads = threading.active_count()
             assert _hits(kb, queries, k) == whole[k], f"{count} slices, k={k}"
-            assert threading.active_count() == threads
-    if cpus == 1:
-        assert pool_sizes == []
-    else:  # this thread and up to 3 helpers
-        assert len(pool_sizes) >= sliced
-        assert set(pool_sizes) <= {1, 2, 3}
+            assert threading.active_count() == threads  # every slice runs in this thread
     _assert_batch_matches_reference(kb, queries[:6], 5)
-
-
-def test_small_search_starts_no_thread(
-    corpus_docs, registry, offline_providers, pool_sizes, monkeypatch
-):
-    from esgpipe import retrieval
-    from esgpipe.kb import build
-
-    monkeypatch.setattr(retrieval, "_usable_cpus", lambda: 4)
-    plan = build_queries(registry.indicators, registry, offline_providers.embedder, [True])
-    kb = build(corpus_docs[0], offline_providers.embedder)
-    search_many(kb, [plan[(spec.id, True)] for spec in registry.indicators], 5)
-    assert pool_sizes == []
-    big = sparse_kb(13, (2000, 0, 0))
-    search_many(big, sparse_queries(14, 40), 5)  # 2000 entries x 40 queries: 280k cells
-    assert len(pool_sizes) == 1 and pool_sizes[0] >= 1
-
-
-def test_sliced_search_hands_each_slice_to_one_worker_under_stress(monkeypatch):
-    from esgpipe import retrieval
-
-    kb = sparse_kb(11, (600, 300, 500))
-    queries = sparse_queries(12, 40)
-    monkeypatch.setattr(retrieval, "_SLICE_CELLS", 1 << 60)
-    monkeypatch.setattr(retrieval, "_usable_cpus", lambda: 1)
-    whole = _hits(kb, queries, 3)
-    monkeypatch.setattr(retrieval, "_SLICE_CELLS", 1)  # one query per slice: 120 slices
-    monkeypatch.setattr(retrieval, "_THREAD_CELLS", 0)
-    monkeypatch.setattr(retrieval, "_usable_cpus", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            assert _hits(kb, queries, 3) == whole
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_sliced_search_peaks_below_the_one_slice_path(monkeypatch):
@@ -731,10 +670,8 @@ def test_sliced_search_peaks_below_the_one_slice_path(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    monkeypatch.setattr(retrieval, "_usable_cpus", lambda: 2)
     sliced = peak()
     monkeypatch.setattr(retrieval, "_SLICE_CELLS", 1 << 60)
-    monkeypatch.setattr(retrieval, "_usable_cpus", lambda: 1)
     whole = peak()
     assert sliced <= whole, f"sliced {sliced / 2**20:.2f} MB, one slice {whole / 2**20:.2f} MB"
 
@@ -827,7 +764,7 @@ def test_select_matches_the_reference_kernel_bit_for_bit(monkeypatch):
             qm[-1] = 1e200
         qnorms = np.linalg.norm(qm, axis=1)
         starts = np.flatnonzero(np.r_[True, rng.random(len(qm) - 1) < 0.4])
-        part = Partition(list(range(n)), matrix, np.linalg.norm(matrix, axis=1), None)
+        part = Partition(np.arange(n), matrix, np.linalg.norm(matrix, axis=1))
         rank = rng.permutation(n)
         cut = sorted({0, len(starts), *rng.integers(0, len(starts) + 1, size=2).tolist()})
         with monkeypatch.context() as patch:
