@@ -2,10 +2,13 @@
 
 `run(root)` runs, on the fixture written under `root` (`corpusgen.generate`),
 these commands in turn into one output directory per `jobs` setting:
-a cold `extract`, a warm `extract`, `build-kb`, `ablate` and `analyze`.
-Each step's entry holds its exit code, its stdout (with `root` written
-as `<root>`) and the sha256 of each output file the step created or
-changed; `manifest.json`, which holds the run's times, is left out.
+`ingest`, a cold `extract`, a warm `extract`, `evaluate` of the records
+that `extract` wrote, `build-kb`, `ablate` and `analyze`; then the same
+`evaluate` in an output directory of its own, which holds no records, so
+it extracts them first. Each step's entry holds its exit code, its stdout
+(with `root` written as `<root>`) and the sha256 of each output file the
+step created or changed in its output directory; `manifest.json`, which
+holds the run's times, is left out.
 
     PYTHONPATH=src python -m tests.make_golden [PATH]
 
@@ -33,12 +36,17 @@ from tests import corpusgen
 GOLDEN = Path(__file__).resolve().parent / "golden" / "fixture.json"
 
 JOBS = (1, 3)
+EVALUATE = ("evaluate", "--arm", "enhanced_rag_knowledge")
+# (step, command, suffix of its output directory's name)
 STEPS = (
-    ("extract (cold)", "extract"),
-    ("extract (warm)", "extract"),
-    ("build-kb", "build-kb"),
-    ("ablate", "ablate"),
-    ("analyze", "analyze"),
+    ("ingest", ("ingest",), ""),
+    ("extract (cold)", ("extract",), ""),
+    ("extract (warm)", ("extract",), ""),
+    ("evaluate (recorded)", EVALUATE, ""),
+    ("build-kb", ("build-kb",), ""),
+    ("ablate", ("ablate",), ""),
+    ("analyze", ("analyze",), ""),
+    ("evaluate (fresh)", EVALUATE, "-fresh"),
 )
 
 
@@ -56,23 +64,24 @@ def run(root: Path) -> dict[str, dict]:
     base = yaml.safe_load((root / "config.yaml").read_text(encoding="utf-8"))
     table = {}
     for jobs in JOBS:
-        config = root / f"config-jobs{jobs}.yaml"
-        config.write_text(
-            yaml.safe_dump({**base, "jobs": jobs, "output_dir": f"out-jobs{jobs}"}),
-            encoding="utf-8",
-        )
-        before: dict[str, str] = {}
-        for step, command in STEPS:
+        before: dict[str, dict[str, str]] = {}  # output directory -> its digests
+        for step, command, suffix in STEPS:
+            out = f"out-jobs{jobs}{suffix}"
+            config = root / f"config-jobs{jobs}{suffix}.yaml"
+            config.write_text(
+                yaml.safe_dump({**base, "jobs": jobs, "output_dir": out}), encoding="utf-8"
+            )
             stdout = io.StringIO()
             with redirect_stdout(stdout):
-                code = cli.main([command, "--config", str(config)])
-            files = _digests(root / f"out-jobs{jobs}")
+                code = cli.main([*command, "--config", str(config)])
+            files = _digests(root / out)
+            earlier = before.get(out, {})
             table[f"jobs {jobs}: {step}"] = {
                 "exit": code,
                 "stdout": stdout.getvalue().replace(str(root), "<root>").splitlines(),
-                "files": {name: d for name, d in files.items() if before.get(name) != d},
+                "files": {name: d for name, d in files.items() if earlier.get(name) != d},
             }
-            before = files
+            before[out] = files
     return table
 
 
