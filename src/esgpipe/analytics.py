@@ -20,6 +20,7 @@ from typing import Sequence
 from .agent import ExtractionRecord
 from .docmodel import DocumentFields, StructuredDocument
 from .errors import AnalyticsError
+from .evaluation import mean
 from .metadata import Category, Kind, MetadataRegistry
 
 logger = logging.getLogger(__name__)
@@ -109,10 +110,6 @@ def _company_rates(
     return out
 
 
-def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values)
-
-
 def disclosure_stats(
     records: Sequence[ExtractionRecord],
     registry: MetadataRegistry,
@@ -144,9 +141,9 @@ def disclosure_stats(
     stats = []
     for scope in sorted(groups):
         members = groups[scope]
-        env = _mean([rates[d][0] for d in members])
-        soc = _mean([rates[d][1] for d in members])
-        overall = _mean([rates[d][2] for d in members])
+        env = mean([rates[d][0] for d in members])
+        soc = mean([rates[d][1] for d in members])
+        overall = mean([rates[d][2] for d in members])
         stats.append(
             DisclosureStats(
                 scope=scope,
@@ -226,8 +223,8 @@ def industry_mean_intensity(
             s2s.append(stat.scope2_intensity)
     return {
         industry: (
-            _mean(s1s) if s1s else None,
-            _mean(s2s) if s2s else None,
+            mean(s1s) if s1s else None,
+            mean(s2s) if s2s else None,
         )
         for industry, (s1s, s2s) in sorted(buckets.items())
     }

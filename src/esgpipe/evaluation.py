@@ -23,6 +23,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -302,6 +303,12 @@ def evaluate_document(
     )
 
 
+def mean(values: Sequence[float]) -> float:
+    """The mean of `values`, correctly rounded: exact sums of the floats
+    as fractions, so the result does not depend on their order."""
+    return float(sum(map(Fraction, values)) / len(values))
+
+
 def aggregate_reports(
     reports: Sequence[EvaluationReport],
     config_id: str = "",
@@ -318,9 +325,9 @@ def aggregate_reports(
         scope="aggregate",
         config_id=config_id,
         provider_name=provider_name,
-        acc_dc=sum(r.acc_dc for r in reports) / len(reports),
-        acc_de=(sum(de_values) / len(de_values)) if de_values else None,
-        disclosed_recall=(sum(recalls) / len(recalls)) if recalls else None,
+        acc_dc=mean([r.acc_dc for r in reports]),
+        acc_de=mean(de_values) if de_values else None,
+        disclosed_recall=mean(recalls) if recalls else None,
         n_mq=sum(r.n_mq for r in reports),
         n_v=sum(r.n_v for r in reports),
         per_document=list(reports),

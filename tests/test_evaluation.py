@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 import random
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esgpipe.agent import ExtractionRecord
 from esgpipe.errors import EvaluationError, ProviderError
@@ -325,6 +328,48 @@ def test_aggregate_is_document_mean(registry):
 
     all_na = aggregate_reports([rep("a", 1.0, None, 0), rep("b", 0.5, None, 0)])
     assert all_na.acc_de is None
+
+
+_RATES = st.floats(0, 1).map(lambda x: float(Fraction(x).limit_denominator(200)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(_RATES, st.one_of(st.none(), _RATES), st.one_of(st.none(), _RATES)),
+             min_size=1, max_size=12),
+    st.randoms(use_true_random=False),
+)
+def test_aggregate_does_not_depend_on_document_order(rows, rng):
+    """Every order of the same document reports gives a bit-identical
+    aggregate, the correctly rounded mean of each metric."""
+    reports = [
+        EvaluationReport(scope=f"d{i}", config_id="c", provider_name="p", acc_dc=dc,
+                         acc_de=de, disclosed_recall=recall, n_mq=70, n_v=1)
+        for i, (dc, de, recall) in enumerate(rows)
+    ]
+
+    def exact(values):
+        values = [v for v in values if v is not None]
+        return float(sum(map(Fraction, values)) / len(values)) if values else None
+
+    want = tuple(exact(column) for column in zip(*rows))
+    for _ in range(5):
+        shuffled = rng.sample(reports, len(reports))
+        agg = aggregate_reports(shuffled)
+        assert (agg.acc_dc, agg.acc_de, agg.disclosed_recall) == want
+
+
+def test_aggregate_of_equal_rates_is_that_rate():
+    """166 documents that each score 67/70 aggregate to 67/70, where a
+    float sum drifts in its last bits."""
+    rate = 67 / 70
+    assert sum([rate] * 166) / 166 != rate
+    reports = [
+        EvaluationReport(scope=f"d{i}", config_id="c", provider_name="p", acc_dc=rate,
+                         acc_de=None, disclosed_recall=None, n_mq=70, n_v=0)
+        for i in range(166)
+    ]
+    assert aggregate_reports(reports).acc_dc == rate
 
 
 def test_aggregate_rejects_empty():
