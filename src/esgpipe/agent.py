@@ -39,6 +39,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
+from . import _read
 from .errors import ConfigError, ProviderError
 from .kb import KnowledgeBase
 from .metadata import IndicatorSpec, Kind, MetadataRegistry, render_question
@@ -485,19 +486,16 @@ _RECORD_TYPINGS = frozenset(product(*_RECORD_TYPES.values()))
 _DECIMAL_TEXT_RE = re.compile(r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?")
 
 
-_TYPE_NAMES = {bool: "true or false", str: "a string", type(None): "null", list: "a list",
-               int: "a number", float: "a number"}
-
-
 def _malformed(fields: tuple) -> ValueError:
-    """The error of a line whose fields fail `record_from_json`: the first
-    field of a wrong type, else the value, which is not a finite number."""
+    """The error of the first mistyped field of a line, else of its value."""
     for (key, types), raw in zip(_RECORD_TYPES.items(), fields):
-        if type(raw) not in types or (key == "flags" and not all(type(f) is str for f in raw)):
-            names = " or ".join(dict.fromkeys(_TYPE_NAMES[t] for t in types))
-            return ValueError(f"{key} must be {names}{' of strings' * (key == 'flags')}, "
-                              f"got {raw!r}")
-    return ValueError(f"value must be a finite number or a numeric string, got {fields[5]!r}")
+        if key != "value" and not (raw is None and type(None) in types):
+            read = {"disclosure": _read.flag, "flags": _read.texts}.get(key, _read.text)
+            try:
+                read(raw, (key,), ValueError)
+            except ValueError as exc:
+                return exc
+    return ValueError(f"value must be null, a finite number or a numeric string, got {fields[5]!r}")
 
 
 def record_from_json(obj: dict) -> ExtractionRecord:

@@ -48,18 +48,10 @@ Config file shape (all keys optional unless a command needs them)::
       chat: {kind: mock, replies: replies.json}   # or kind: http, url
       rerank: {kind: offline}                     # or kind: http, url
 
-An http section may also set timeout (seconds, default 30), retries
-(default 2: resends after a connection error, a timeout, a 5xx, 408 or
-429, spaced 0.5 s, 1 s, ...; nothing else resends) and token_env.
-Relative paths resolve against the config file's directory. In offline
-mode no provider may carry a url; in online mode embedding and chat
-must. A `kind`, when given, must name the provider that runs: http for
-an online section with a url, otherwise offline (mock for chat). A key
-set to null takes its default. An int key takes an int or an integral
-float (3.0, not 3.5), a float key any number. An unknown key, also under
-`retrieval`, `chunking` or a provider section, an unknown or mismatched
-kind, a malformed number (a YAML boolean or a string too) and a number
-below its minimum or not finite are rejected at load.
+An http section may also set timeout, retries and token_env. README's
+"Config reference" gives each key's default and meaning, and its "Input
+files" table the values each key takes; anything else is rejected at
+load.
 """
 
 from __future__ import annotations
@@ -87,7 +79,7 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import yaml
 
-from . import __version__, agent, analytics, docmodel, evaluation, kb as kbmod, metadata
+from . import __version__, _read, agent, analytics, docmodel, evaluation, kb as kbmod, metadata
 from .errors import (
     AnalyticsError,
     ConfigError,
@@ -221,38 +213,27 @@ def _given(raw: dict, path: Path, section: str = "") -> Iterator[tuple[str, obje
             raise ConfigError(f"config {path}: {key} must be a mapping")
 
 
-def _value(key: str, value: object, base: Path, path: Path) -> object:
-    """What `key` holds when the config at `path` gives it `value` (None
-    where it gives none). An int key takes an int or an integral float, a
-    float key any number; YAML's true and false are no numbers."""
+def _value(key: str, value: object, base: Path, where: str) -> object:
+    """What `key` holds when the config (`where`) gives it `value` (None: none)."""
     spec = _KEYS[key]
     if value is None or (spec.type is Path and value == ""):  # "" names no path
         value = spec.default
-    if value is None or spec.type is str:
-        return value if value is None else str(value)
-    if spec.type is Path:
-        return base / str(value)  # an absolute path stays as it is
-    try:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{value!r} is not a number")
-        number = spec.type(value)  # int() of inf or nan raises
-        if number != value and spec.type is int:
-            raise ValueError(f"{value!r} is not an integer")
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"config {path}: malformed number: {exc}") from None
-    if not (spec.least < number if spec.strict else spec.least <= number) or number == math.inf:
-        raise ConfigError(
-            f"config {path}: {key} must be {'>' if spec.strict else '>='} {spec.least} "
-            f"and finite, got {number}"
-        )
-    return number
+    if value is None:
+        return None
+    at = (where, *key.split("."))
+    if spec.type is int:
+        return _read.integer(value, at, ConfigError, spec.least)
+    if spec.type is float:
+        return _read.number(value, at, ConfigError, spec.least, spec.strict)
+    text = _read.text(value, at, ConfigError)
+    return base / text if spec.type is Path else text  # an absolute path stays as it is
 
 
 def load_run_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
@@ -263,7 +244,7 @@ def load_run_config(path: str | Path) -> RunConfig:
 
     base = path.parent
     given = dict(_given(raw, path))
-    values = {key: _value(key, given.get(key), base, path) for key in _KEYS}
+    values = {key: _value(key, given.get(key), base, f"config {path}") for key in _KEYS}
     mode, arm = values["mode"], values["arm"]
     if mode not in {"offline", "online"}:
         raise ConfigError(f"config {path}: mode must be offline or online, got {mode!r}")

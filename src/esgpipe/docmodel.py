@@ -1,26 +1,21 @@
 """Structured-document model and ingestion.
 
-A document enters the pipeline as one of three on-disk shapes:
+A document enters the pipeline as one of three on-disk shapes, whose
+fields README's "Input files" table lists:
 
 1. Layout-element interchange JSON: ``{"doc_id", "company", "industry",
    "market_cap_mhkd"?, "elements": [...]}`` where each element carries
-   exactly the fields of `LayoutElement` (``kind``, ``text``, ``page``,
-   ``bbox``, ``font_size``, plus ``table_id``/``row``/``col`` for table
-   cells). Unknown element fields are rejected. Numbers must be JSON
-   numbers, not booleans or strings, that fit a float, and ``page``,
-   ``row`` and ``col`` must be integral; a ``table_id`` must be a
-   string.
+   exactly the fields of `LayoutElement`.
 2. Structured-document JSON (the output of `serialize`), recognized by
-   ``"format": "structured_document"``. Its ``page``, ``n_rows``,
-   ``n_cols``, ``header_row_count``, ``level`` and ``span`` numbers
-   must be integral JSON numbers, as in layout JSON.
+   ``"format": "structured_document"``.
 3. Markdown or plain text: ``#``-style headings become outline nodes,
    pipe tables become tables, blank-line-separated paragraphs become
    blocks.
 
-In either JSON shape ``market_cap_mhkd`` is null, absent or a JSON
-number that is finite and above 0. `read_fields` reads a file's
-top-level fields by the same rules as `ingest`, without its body.
+Both JSON shapes are read through the typed readers of `_read`, so a
+malformed file is a DocumentError naming its key path. `read_fields`
+reads a file's top-level fields by the same rules as `ingest`, without
+its body.
 
 The outline of layout JSON is built from font sizes: the largest
 distinct header font ranks as level 1, the next as level 2, and so on;
@@ -35,14 +30,13 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import re
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from . import _read
 from .errors import DocumentError, TableStructureError
 
 logger = logging.getLogger(__name__)
@@ -53,6 +47,7 @@ STRUCTURED_VERSION = 1
 # Vertical (or horizontal) bbox overlap required for two cells to share
 # a row (or column), as a fraction of the smaller extent.
 CLUSTER_OVERLAP = 0.5
+MAX_TABLE_CELLS = 1 << 20  # per reconstructed grid, whose size a file's explicit row and col set
 
 
 class ElementKind(Enum):
@@ -73,23 +68,6 @@ class LayoutElement:
     table_id: str | None = None
     row: int | None = None
     col: int | None = None
-
-    def validate(self) -> None:
-        if self.page < 1:
-            raise DocumentError(f"element page must be >= 1, got {self.page}")
-        x0, y0, x1, y1 = self.bbox
-        if not (x0 < x1 and y0 < y1):
-            raise DocumentError(f"degenerate bbox {self.bbox!r}")
-        if not 0 < self.font_size < math.inf:
-            raise DocumentError(f"font_size must be positive and finite, got {self.font_size}")
-        if self.kind is ElementKind.TABLE_CELL:
-            if not self.table_id:
-                raise DocumentError("TableCell element requires table_id")
-        elif self.table_id is not None:
-            raise DocumentError(f"{self.kind.value} element must not carry table_id")
-        for name, value in (("row", self.row), ("col", self.col)):
-            if value is not None and value < 0:
-                raise DocumentError(f"element {name} must be >= 0, got {value}")
 
 
 @dataclass
@@ -308,6 +286,8 @@ def reconstruct_table(
 
     n_rows = max(r for r, _ in positions) + 1
     n_cols = max(c for _, c in positions) + 1
+    if n_rows * n_cols > MAX_TABLE_CELLS:
+        raise TableStructureError(f"table {table_id!r} has a grid of over {MAX_TABLE_CELLS} cells")
     grid = [["" for _ in range(n_cols)] for _ in range(n_rows)]
     seen: set[tuple[int, int]] = set()
     for (r, c), element in zip(positions, cells):
@@ -333,8 +313,7 @@ def reconstruct_table(
 
 def validate_document(doc: StructuredDocument) -> None:
     """Check structural invariants; raises DocumentError on violation."""
-    if not doc.doc_id:
-        raise DocumentError("document requires a non-empty doc_id")
+    _read.file_name(doc.doc_id, ("document", "doc_id"), DocumentError)
     if not doc.blocks and not doc.tables:
         raise DocumentError(f"document {doc.doc_id!r} has no blocks and no tables")
     n = len(doc.blocks)
@@ -379,69 +358,47 @@ def validate_document(doc: StructuredDocument) -> None:
 
 _ELEMENT_REQUIRED = frozenset({"kind", "text", "page", "bbox", "font_size"})
 _ELEMENT_FIELDS = _ELEMENT_REQUIRED | {"table_id", "row", "col"}
-_KINDS = {k.value: k for k in ElementKind}
-_NUMBERS = frozenset({int, float})  # the types of JSON numbers; a bool is not one
+_TOP_REQUIRED = frozenset({"doc_id", "company", "industry"})
+_LAYOUT_FIELDS = _TOP_REQUIRED | {"market_cap_mhkd", "elements"}
+_STRUCTURED_REQUIRED = _TOP_REQUIRED | {"format", "version", "outline", "blocks", "tables"}
+_STRUCTURED_FIELDS = _STRUCTURED_REQUIRED | {"market_cap_mhkd"}
+_NODE_REQUIRED = frozenset({"title", "level", "span"})
+_NODE_FIELDS = _NODE_REQUIRED | {"children"}
+_BLOCK_FIELDS = frozenset({"text", "page"})
+_TABLE_FIELDS = frozenset({"table_id", "n_rows", "n_cols", "cells", "header_row_count"})
 
 
-def _integer(value: object, what: str) -> int:
-    """A JSON number with an integral value, as an int; `what` names it
-    in the error."""
-    if type(value) is int:
-        return value
-    if type(value) is float and value.is_integer():
-        return int(value)
-    raise DocumentError(f"{what} must be an integer, got {value!r}")
-
-
-def _float(value: int | float, what: str) -> float:
-    """A JSON number as a float; an int too large for one is an error
-    naming `what`."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise DocumentError(f"{what} holds a number too large for a float") from None
-
-
-def _parse_element(obj: object, pos: int) -> LayoutElement:
-    if not isinstance(obj, dict):
-        raise DocumentError(f"element {pos}: expected an object")
-    fields = obj.keys()
-    if not fields <= _ELEMENT_FIELDS:
-        raise DocumentError(f"element {pos}: unknown fields {sorted(fields - _ELEMENT_FIELDS)}")
-    if not fields >= _ELEMENT_REQUIRED:
-        raise DocumentError(f"element {pos}: missing fields {sorted(_ELEMENT_REQUIRED - fields)}")
-    try:
-        kind = _KINDS[obj["kind"]]
-    except (KeyError, TypeError):  # a TypeError for an unhashable kind
-        raise DocumentError(
-            f"element {pos}: unknown kind {obj['kind']!r}; expected one of {list(_KINDS)}"
-        ) from None
-    bbox = obj["bbox"]
-    if not (isinstance(bbox, list) and len(bbox) == 4 and _NUMBERS.issuperset(map(type, bbox))):
-        raise DocumentError(f"element {pos}: bbox must be a 4-number array")
-    font_size = obj["font_size"]
-    if type(font_size) not in _NUMBERS:
-        raise DocumentError(f"element {pos}: font_size must be a number, got {font_size!r}")
-    table_id = obj.get("table_id")
-    if table_id is not None and type(table_id) is not str:
-        raise DocumentError(f"element {pos}: table_id must be a string, got {table_id!r}")
-    row = obj.get("row")
-    col = obj.get("col")
-    element = LayoutElement(
-        kind,
-        str(obj["text"]),
-        _integer(obj["page"], f"element {pos}: page"),
-        tuple(_float(x, f"element {pos}: bbox") for x in bbox),
-        _float(font_size, f"element {pos}: font_size"),
-        table_id,
-        None if row is None else _integer(row, f"element {pos}: row"),
-        None if col is None else _integer(col, f"element {pos}: col"),
+def _parse_element(value: object, path: Path, pos: int) -> LayoutElement:
+    """Element `pos` of a layout file; only a TableCell has a table_id."""
+    at, E = (path, "elements", pos), DocumentError
+    obj = _read.obj(value, at, E, _ELEMENT_FIELDS, _ELEMENT_REQUIRED)
+    kind = _read.choice(obj["kind"], (path, "elements", pos, "kind"), E, ElementKind)
+    x0, y0, x1, y1 = _read.array(obj["bbox"], (path, "elements", pos, "bbox"), E, 4)
+    bbox = (
+        _read.number(x0, (path, "elements", pos, "bbox", 0), E),
+        _read.number(y0, (path, "elements", pos, "bbox", 1), E),
+        _read.number(x1, (path, "elements", pos, "bbox", 2), E),
+        _read.number(y1, (path, "elements", pos, "bbox", 3), E),
     )
-    try:
-        element.validate()
-    except DocumentError as exc:
-        raise DocumentError(f"element {pos}: {exc}") from None
-    return element
+    if not (bbox[0] < bbox[2] and bbox[1] < bbox[3]):
+        raise E(f"{_read.path(at)}: degenerate bbox {bbox!r}")
+    table_id, row, col = obj.get("table_id"), obj.get("row"), obj.get("col")
+    if table_id is not None:
+        table_id = _read.text(table_id, (path, "elements", pos, "table_id"), E)
+    if kind is ElementKind.TABLE_CELL and not table_id:
+        raise E(f"{_read.path(at)}: TableCell element requires table_id")
+    if kind is not ElementKind.TABLE_CELL and table_id is not None:
+        raise E(f"{_read.path(at)}: {kind.value} element must not carry table_id")
+    return LayoutElement(
+        kind,
+        _read.text(obj["text"], (path, "elements", pos, "text"), E),
+        _read.integer(obj["page"], (path, "elements", pos, "page"), E, 1),
+        bbox,
+        _read.number(obj["font_size"], (path, "elements", pos, "font_size"), E, 0, strict=True),
+        table_id,
+        None if row is None else _read.integer(row, (path, "elements", pos, "row"), E, 0),
+        None if col is None else _read.integer(col, (path, "elements", pos, "col"), E, 0),
+    )
 
 
 def document_from_elements(
@@ -478,19 +435,6 @@ def document_from_elements(
     return doc
 
 
-def _market_cap(data: dict, path: Path) -> float | None:
-    """The `market_cap_mhkd` of either JSON shape: None when null or
-    absent, else a JSON number that is finite and above 0."""
-    cap = data.get("market_cap_mhkd")
-    if cap is None:
-        return None
-    if type(cap) not in _NUMBERS:
-        raise DocumentError(f"{path}: market_cap_mhkd must be a number, got {cap!r}")
-    if not 0 < cap <= sys.float_info.max:  # an int compares exactly, so a huge one fails here
-        raise DocumentError(f"{path}: market_cap_mhkd must be positive and finite, got {cap!r}")
-    return float(cap)
-
-
 class DocumentFields(NamedTuple):
     """A document's top-level fields: all that `analyze` reads of it."""
 
@@ -501,27 +445,27 @@ class DocumentFields(NamedTuple):
 
 
 def _fields(data: dict, path: Path) -> DocumentFields:
-    """The top-level fields of either JSON shape: doc_id, company and
-    industry must be there and are taken with `str()`; the market cap is
-    `_market_cap`'s."""
-    for key in ("doc_id", "company", "industry"):
-        if key not in data:
-            raise DocumentError(f"{path}: missing field {key!r}")
+    """The top-level fields of either JSON shape; the doc_id names the
+    document's output files, so it must be a file name."""
+    _read.obj(data, (path,), DocumentError, None, _TOP_REQUIRED)
+    cap = data.get("market_cap_mhkd")
+    if cap is not None:
+        cap = _read.number(cap, (path, "market_cap_mhkd"), DocumentError, 0, strict=True)
     return DocumentFields(
-        str(data["doc_id"]), str(data["company"]), str(data["industry"]), _market_cap(data, path)
+        _read.file_name(data["doc_id"], (path, "doc_id"), DocumentError),
+        _read.text(data["company"], (path, "company"), DocumentError),
+        _read.text(data["industry"], (path, "industry"), DocumentError),
+        cap,
     )
 
 
 def _parse_layout_json(data: dict, path: Path) -> StructuredDocument:
-    known = {"doc_id", "company", "industry", "market_cap_mhkd", "elements"}
-    unknown = set(data) - known
-    if unknown:
-        raise DocumentError(f"{path}: unknown top-level fields {sorted(unknown)}")
     fields = _fields(data, path)
-    if not isinstance(data["elements"], list):
-        raise DocumentError(f"{path}: elements must be an array")
-    elements = [_parse_element(e, i) for i, e in enumerate(data["elements"])]
-    return document_from_elements(*fields, elements=elements)
+    _read.obj(data, (path,), DocumentError, _LAYOUT_FIELDS)
+    elements = _read.array(data["elements"], (path, "elements"), DocumentError)
+    return document_from_elements(
+        *fields, elements=[_parse_element(e, path, i) for i, e in enumerate(elements)]
+    )
 
 
 def _node_to_json(node: OutlineNode) -> dict:
@@ -533,14 +477,18 @@ def _node_to_json(node: OutlineNode) -> dict:
     }
 
 
-def _node_from_json(obj: dict) -> OutlineNode:
-    span = obj["span"]
-    where = f"outline node {obj['title']!r}"
+def _node_from_json(value: object, where: tuple) -> OutlineNode:
+    E = DocumentError
+    node = _read.obj(value, where, E, _NODE_FIELDS, _NODE_REQUIRED)
+    children = _read.array(node.get("children", []), (*where, "children"), E)
     return OutlineNode(
-        title=obj["title"],
-        level=_integer(obj["level"], f"{where}: level"),
-        span=(_integer(span[0], f"{where}: span"), _integer(span[1], f"{where}: span")),
-        children=[_node_from_json(c) for c in obj.get("children", [])],
+        title=_read.text(node["title"], (*where, "title"), E),
+        level=_read.integer(node["level"], (*where, "level"), E),
+        span=tuple(
+            _read.integer(n, (*where, "span"), E)
+            for n in _read.array(node["span"], (*where, "span"), E, 2)
+        ),
+        children=[_node_from_json(c, (*where, "children", i)) for i, c in enumerate(children)],
     )
 
 
@@ -570,30 +518,30 @@ def serialize(doc: StructuredDocument) -> str:
 
 
 def _parse_structured_json(data: dict, path: Path) -> StructuredDocument:
+    E = DocumentError
     fields = _fields(data, path)
-    try:
-        doc = StructuredDocument(
-            *fields,
-            outline=_node_from_json(data["outline"]),
-            blocks=[
-                Block(text=b["text"], page=_integer(b["page"], f"block {i}: page"))
-                for i, b in enumerate(data["blocks"])
-            ],
-            tables=[
-                Table(
-                    table_id=t["table_id"],
-                    n_rows=_integer(t["n_rows"], f"table {t['table_id']!r}: n_rows"),
-                    n_cols=_integer(t["n_cols"], f"table {t['table_id']!r}: n_cols"),
-                    cells=[[str(c) for c in row] for row in t["cells"]],
-                    header_row_count=_integer(
-                        t["header_row_count"], f"table {t['table_id']!r}: header_row_count"
-                    ),
-                )
-                for t in data["tables"]
-            ],
-        )
-    except (LookupError, TypeError, ValueError) as exc:
-        raise DocumentError(f"{path}: malformed structured document: {exc}") from exc
+    _read.obj(data, (path,), E, _STRUCTURED_FIELDS, _STRUCTURED_REQUIRED)
+    blocks = []
+    for i, value in enumerate(_read.array(data["blocks"], (path, "blocks"), E)):
+        block = _read.obj(value, (path, "blocks", i), E, _BLOCK_FIELDS, _BLOCK_FIELDS)
+        blocks.append(Block(
+            _read.text(block["text"], (path, "blocks", i, "text"), E),
+            _read.integer(block["page"], (path, "blocks", i, "page"), E),
+        ))
+    tables = []
+    for i, value in enumerate(_read.array(data["tables"], (path, "tables"), E)):
+        at = (path, "tables", i)
+        table = _read.obj(value, at, E, _TABLE_FIELDS, _TABLE_FIELDS)
+        rows = _read.array(table["cells"], (*at, "cells"), E)
+        tables.append(Table(
+            _read.text(table["table_id"], (*at, "table_id"), E),
+            _read.integer(table["n_rows"], (*at, "n_rows"), E),
+            _read.integer(table["n_cols"], (*at, "n_cols"), E),
+            [_read.texts(row, (*at, "cells", r), E) for r, row in enumerate(rows)],
+            _read.integer(table["header_row_count"], (*at, "header_row_count"), E),
+        ))
+    outline = _node_from_json(data["outline"], (path, "outline"))
+    doc = StructuredDocument(*fields, outline=outline, blocks=blocks, tables=tables)
     validate_document(doc)
     return doc
 
@@ -698,7 +646,7 @@ def _decoded(path: Path) -> tuple[str, str] | dict:
 
     named = name_doc_id(path, text)
     if named is not None:
-        return text, named
+        return text, _read.file_name(named, (path, "doc_id"), DocumentError)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

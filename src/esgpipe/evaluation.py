@@ -13,8 +13,9 @@ Two metrics drive everything:
   values the metric is undefined and reported as N/A, never as 0.
 
 Labels ship as one JSON object per document (one per line) with the
-two maps ``disclosure_labels`` and ``value_labels``; disclosure labels
-must cover the registry exactly.
+map ``disclosure_labels`` and the list ``value_labels``, typed as
+README's "Input files" table says; disclosure labels must cover the
+registry exactly.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import _read
 from .agent import ExtractionRecord
 from .docmodel import StructuredDocument
 from .errors import EvaluationError, PipelineError
@@ -68,14 +70,8 @@ def validate_label_set(labels: LabelSet, registry: MetadataRegistry) -> None:
             )
 
 
-def _parse_label_value(raw: object, where: str) -> Decimal:
-    try:
-        value = Decimal(str(raw))
-    except InvalidOperation:
-        raise EvaluationError(f"{where}: unparseable value {raw!r}") from None
-    if not value.is_finite():
-        raise EvaluationError(f"{where}: non-finite value {raw!r}")
-    return value
+_LABEL_FIELDS = frozenset({"doc_id", "disclosure_labels", "value_labels"})
+_VALUE_FIELDS = frozenset({"indicator_id", "topic", "value", "unit"})
 
 
 def load_labels(path: str | Path, registry: MetadataRegistry) -> dict[str, LabelSet]:
@@ -83,9 +79,10 @@ def load_labels(path: str | Path, registry: MetadataRegistry) -> dict[str, Label
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise EvaluationError(f"cannot read labels file {path}: {exc}") from exc
     out: dict[str, LabelSet] = {}
+    E = EvaluationError
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -93,26 +90,27 @@ def load_labels(path: str | Path, registry: MetadataRegistry) -> dict[str, Label
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise EvaluationError(f"{where}: invalid JSON: {exc}") from exc
-        unknown = set(obj) - {"doc_id", "disclosure_labels", "value_labels"}
-        if unknown:
-            raise EvaluationError(f"{where}: unknown fields {sorted(unknown)}")
-        try:
-            doc_id = str(obj["doc_id"])
-            disclosure = {str(k): bool(v) for k, v in obj["disclosure_labels"].items()}
-            values: dict[tuple[str, str], tuple[Decimal, str]] = {}
-            for entry in obj["value_labels"]:
-                key = (str(entry["indicator_id"]), str(entry["topic"]).strip())
-                if key in values:
-                    raise EvaluationError(f"{where}: duplicate value label {key}")
-                values[key] = (
-                    _parse_label_value(entry["value"], where),
-                    str(entry["unit"]).strip(),
-                )
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise EvaluationError(f"{where}: malformed label object: {exc}") from exc
+            raise E(f"{where}: invalid JSON: {exc}") from exc
+        obj = _read.obj(obj, (where,), E, _LABEL_FIELDS, _LABEL_FIELDS)
+        doc_id = _read.text(obj["doc_id"], (where, "doc_id"), E)
+        flags = _read.obj(obj["disclosure_labels"], (where, "disclosure_labels"), E)
+        disclosure = {k: _read.flag(v, (where, "disclosure_labels", k), E) for k, v in flags.items()}
+        values: dict[tuple[str, str], tuple[Decimal, str]] = {}
+        for i, entry in enumerate(_read.array(obj["value_labels"], (where, "value_labels"), E)):
+            at = (where, "value_labels", i)
+            entry = _read.obj(entry, at, E, _VALUE_FIELDS, _VALUE_FIELDS)
+            key = (
+                _read.text(entry["indicator_id"], (*at, "indicator_id"), E),
+                _read.text(entry["topic"], (*at, "topic"), E).strip(),
+            )
+            if key in values:
+                raise E(f"{where}: duplicate value label {key}")
+            values[key] = (
+                _read.decimal(entry["value"], (*at, "value"), E),
+                _read.text(entry["unit"], (*at, "unit"), E).strip(),
+            )
         if doc_id in out:
-            raise EvaluationError(f"{where}: duplicate doc_id {doc_id!r}")
+            raise E(f"{where}: duplicate doc_id {doc_id!r}")
         labels = LabelSet(doc_id=doc_id, disclosure_labels=disclosure, value_labels=values)
         validate_label_set(labels, registry)
         out[doc_id] = labels
@@ -306,7 +304,10 @@ def evaluate_document(
 def mean(values: Sequence[float]) -> float:
     """The mean of `values`, correctly rounded: exact sums of the floats
     as fractions, so the result does not depend on their order."""
-    return float(sum(map(Fraction, values)) / len(values))
+    try:
+        return float(sum(map(Fraction, values)) / len(values))
+    except (OverflowError, ValueError):  # an infinity or NaN, which no fraction holds
+        return sum(values) / len(values)
 
 
 def aggregate_reports(

@@ -74,6 +74,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _read
 from .docmodel import StructuredDocument, Table, outline_paths, render_table
 from .errors import KnowledgeBaseError
 from .providers import EmbeddingProvider, embed_matrix, split_sentences
@@ -692,24 +693,26 @@ def load(path: str | Path) -> KnowledgeBase:
         if end < 0:
             raise KnowledgeBaseError("no newline after the header")
         return _from_file(header, memoryview(data)[end + 1 :])
-    except (KeyError, TypeError, ValueError, KnowledgeBaseError) as exc:
+    except (ValueError, KnowledgeBaseError) as exc:
         raise KnowledgeBaseError(f"{path}: malformed KB file: {exc}") from exc
+
+
+_HEADER_REQUIRED = frozenset(
+    {"scope", "provider_name", "dim", "counts", "table_texts", "entry_id", "sections"})
 
 
 def _from_file(header: dict, body: memoryview) -> KnowledgeBase:
     """The KB of a parsed header and the bytes after its line; raises
-    KnowledgeBaseError, KeyError, TypeError or ValueError when malformed."""
-    for key, kind in (("scope", str), ("provider_name", str), ("dim", int),
-                      ("table_texts", dict)):
-        if type(header[key]) is not kind:
-            raise KnowledgeBaseError(f"{key} is not of type {kind.__name__}")
-    if set(map(type, header["table_texts"].values())) - {str}:
-        raise KnowledgeBaseError("a table text is not a string")
-    entry_ids = header["entry_id"]
-    if not isinstance(entry_ids, list) or not all(type(i) is str for i in entry_ids):
-        raise KnowledgeBaseError("entry_id is not a list of strings")
+    KnowledgeBaseError, or ValueError for text that is not UTF-8, when
+    malformed. The scope is a doc_id, so it must be a file name."""
+    E = KnowledgeBaseError
+    header = _read.obj(header, ("header",), E, None, _HEADER_REQUIRED)
+    table_texts = _read.obj(header["table_texts"], ("header", "table_texts"), E)
+    for table_id, text in table_texts.items():
+        _read.text(text, ("header", "table_texts", table_id), E)
+    entry_ids = _read.texts(header["entry_id"], ("header", "entry_id"), E)
     n = len(entry_ids)
-    dim = header["dim"]
+    dim = _read.integer(header["dim"], ("header", "dim"), E, 1)
     arrays = _sections(header["sections"], body)
     codes = _decode_sources(arrays["source"], n)
     text, offsets, has_summary = _decode_text(
@@ -725,8 +728,9 @@ def _from_file(header: dict, body: memoryview) -> KnowledgeBase:
 
     kb = KnowledgeBase.__new__(KnowledgeBase)  # the columns stand in for `__init__`'s entries
     kb._setup(
-        header["scope"], header["provider_name"], dim, header["table_texts"],
-        entry_ids, codes, matrix, texts,
+        _read.file_name(header["scope"], ("header", "scope"), E),
+        _read.text(header["provider_name"], ("header", "provider_name"), E),
+        dim, table_texts, entry_ids, codes, matrix, texts,
     )
     if header["counts"] != kb.counts():
         raise KnowledgeBaseError(f"counts {header['counts']!r} are not those of the entries")

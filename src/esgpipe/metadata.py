@@ -3,18 +3,19 @@
 A registry file is a UTF-8 JSON document with a top-level object holding
 ``standard_name``, ``indicators[]`` and ``expressions[]``. Field names match
 the dataclasses below exactly; unknown fields are rejected so that typos in
-hand-edited registries fail loudly.
+hand-edited registries fail loudly. README's "Input files" table has the
+type of each field.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 
+from . import _read
 from .errors import RegistryError
 
 # The only answer schema understood by the extraction agent: one object per
@@ -103,74 +104,25 @@ class MetadataRegistry:
         return len(self.indicators)
 
 
-def _parse_enum(enum_cls, raw, where: str):
-    try:
-        return enum_cls(raw)
-    except ValueError:
-        allowed = ", ".join(m.value for m in enum_cls)
-        raise RegistryError(
-            f"{where}: {raw!r} is not one of [{allowed}]"
-        ) from None
+_INDICATOR_FIELDS = frozenset(f.name for f in fields(IndicatorSpec))
+_EXPRESSION_FIELDS = frozenset(f.name for f in fields(PromptExpression))
+_REGISTRY_FIELDS = frozenset({"standard_name", "indicators", "expressions"})
+_ENUMS = {"quantity": Quantity, "category": Category, "kind": Kind}
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
-    if not isinstance(obj, dict):
-        raise RegistryError(f"{where}: expected an object, got {type(obj).__name__}")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise RegistryError(f"{where}: unknown fields {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise RegistryError(f"{where}: missing fields {sorted(missing)}")
-
-
-def _parse_str(obj: dict, key: str, where: str) -> str:
-    value = obj[key]
-    if not isinstance(value, str):
-        raise RegistryError(f"{where}: field {key!r} must be a string")
-    return value
-
-
-def _parse_str_list(obj: dict, key: str, where: str) -> tuple[str, ...]:
-    value = obj[key]
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise RegistryError(f"{where}: field {key!r} must be a list of strings")
-    return tuple(value)
-
-
-_INDICATOR_FIELDS = {f.name for f in fields(IndicatorSpec)}
-_EXPRESSION_FIELDS = {f.name for f in fields(PromptExpression)}
-
-
-def _parse_indicator(obj: dict, position: int) -> IndicatorSpec:
-    where = f"indicators[{position}]"
-    _require_keys(obj, _INDICATOR_FIELDS, _INDICATOR_FIELDS, where)
-    ind_id = _parse_str(obj, "id", where)
-    where = f"indicator {ind_id!r}"
-    return IndicatorSpec(
-        id=ind_id,
-        aspect=_parse_str(obj, "aspect", where),
-        kpi=_parse_str(obj, "kpi", where),
-        topics=_parse_str_list(obj, "topics", where),
-        quantity=_parse_enum(Quantity, obj["quantity"], where),
-        category=_parse_enum(Category, obj["category"], where),
-        kind=_parse_enum(Kind, obj["kind"], where),
-        knowledge=_parse_str(obj, "knowledge", where),
-        search_terms=_parse_str_list(obj, "search_terms", where),
-        prompt_template_id=_parse_str(obj, "prompt_template_id", where),
-        output_schema_id=_parse_str(obj, "output_schema_id", where),
-    )
-
-
-def _parse_expression(obj: dict, position: int) -> PromptExpression:
-    where = f"expressions[{position}]"
-    _require_keys(obj, _EXPRESSION_FIELDS, _EXPRESSION_FIELDS, where)
-    return PromptExpression(
-        id=_parse_str(obj, "id", where),
-        preset=_parse_str(obj, "preset", where),
-        question_template=_parse_str(obj, "question_template", where),
-        answer_format=_parse_str(obj, "answer_format", where),
-    )
+def _parse_entry(cls: type, names: frozenset[str], value: object, where: tuple):
+    """A `cls` from its registry object, each field given and typed."""
+    entry = _read.obj(value, where, RegistryError, names, names)
+    args = {}
+    for key, raw in entry.items():
+        at = (*where, key)
+        if key in _ENUMS:
+            args[key] = _read.choice(raw, at, RegistryError, _ENUMS[key])
+        elif key in ("topics", "search_terms"):
+            args[key] = tuple(_read.texts(raw, at, RegistryError))
+        else:
+            args[key] = _read.text(raw, at, RegistryError)
+    return cls(**args)
 
 
 def validate_registry(registry: MetadataRegistry) -> None:
@@ -223,36 +175,24 @@ def validate_registry(registry: MetadataRegistry) -> None:
 def load_registry(path: str | Path) -> MetadataRegistry:
     """Load and fully validate a registry file.
 
-    Raises RegistryError for malformed JSON, unknown/missing fields, invariant
+    Raises RegistryError for a file that cannot be read or is not JSON,
+    unknown/missing or mistyped fields (naming the key path), invariant
     violations, or dangling template references (naming the offender).
     """
-    path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise RegistryError(f"cannot read registry file {path}: {exc}") from exc
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise RegistryError(f"registry file {path} is not valid JSON: {exc}") from exc
-
-    _require_keys(
-        doc,
-        {"standard_name", "indicators", "expressions"},
-        {"standard_name", "indicators", "expressions"},
-        "registry",
-    )
-    if not isinstance(doc["indicators"], list) or not isinstance(doc["expressions"], list):
-        raise RegistryError("registry: indicators and expressions must be lists")
-
+    doc = _read.load(path, RegistryError, "registry file")
+    _read.obj(doc, (path,), RegistryError, _REGISTRY_FIELDS, _REGISTRY_FIELDS)
+    parts = {
+        key: tuple(
+            _parse_entry(cls, names, value, (path, key, i))
+            for i, value in enumerate(_read.array(doc[key], (path, key), RegistryError))
+        )
+        for key, cls, names in (
+            ("indicators", IndicatorSpec, _INDICATOR_FIELDS),
+            ("expressions", PromptExpression, _EXPRESSION_FIELDS),
+        )
+    }
     registry = MetadataRegistry(
-        standard_name=_parse_str(doc, "standard_name", "registry"),
-        indicators=tuple(
-            _parse_indicator(obj, i) for i, obj in enumerate(doc["indicators"])
-        ),
-        expressions=tuple(
-            _parse_expression(obj, i) for i, obj in enumerate(doc["expressions"])
-        ),
+        _read.text(doc["standard_name"], (path, "standard_name"), RegistryError), **parts
     )
     validate_registry(registry)
     return registry

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _read
 from .errors import ProviderError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
@@ -252,16 +252,9 @@ class MockReply:
     reply: str
     required_evidence: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        evidence = self.required_evidence
-        texts = [self.doc_id, self.indicator_id, self.reply]
-        texts += evidence if isinstance(evidence, (list, tuple)) else [None]
-        if not all(isinstance(text, str) for text in texts):
-            raise TypeError(
-                f"reply {self.indicator_id!r} for {self.doc_id!r} needs string ids and reply "
-                "and a list of strings as required_evidence"
-            )
-        self.required_evidence = tuple(evidence)
+
+_REPLY_REQUIRED = frozenset({"doc_id", "indicator_id", "reply"})
+_REPLY_FIELDS = _REPLY_REQUIRED | {"required_evidence"}
 
 
 class MockChatProvider(ChatProvider):
@@ -274,15 +267,7 @@ class MockChatProvider(ChatProvider):
     content, expert knowledge, or question. Otherwise the provider
     refuses, exactly as a grounded model without the evidence would.
     Generation params are ignored; calls are read-only and safe to
-    issue concurrently.
-
-    Fixture format::
-
-        {"default_reply": "...",
-         "replies": [{"doc_id": ..., "indicator_id": ...,
-                      "required_evidence": [...], "reply": ...}]}
-
-    where every value is a string and an entry has no other key.
+    issue concurrently. README's "Input files" table has the file format.
     """
 
     name = "mock-chat"
@@ -295,18 +280,19 @@ class MockChatProvider(ChatProvider):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockChatProvider":
-        """A file that cannot be read or is not of the format above is a ProviderError."""
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-            if not isinstance(data, dict) or not (
-                isinstance(data.get("replies", []), list)
-                and isinstance(data.get("default_reply", ""), str)
-            ):
-                raise ValueError("not an object with a replies list and a string default_reply")
-            replies = [MockReply(**entry) for entry in data.get("replies", [])]
-        except (OSError, ValueError, TypeError) as exc:
-            raise ProviderError(f"cannot load mock replies from {path}: {exc}") from exc
-        return cls(replies, default_reply=data.get("default_reply", DEFAULT_REFUSAL))
+        """A file that cannot be read or is not of the format README's "Input
+        files" table gives is a ProviderError naming the key path."""
+        E, where = ProviderError, (f"mock replies {path}",)
+        data = _read.obj(_read.load(path, E, "mock replies"), where, E, {"default_reply", "replies"})
+        replies = []
+        for i, entry in enumerate(_read.array(data.get("replies", []), (*where, "replies"), E)):
+            at = (*where, "replies", i)
+            entry = _read.obj(entry, at, E, _REPLY_FIELDS, _REPLY_REQUIRED)
+            texts = [_read.text(entry[key], (*at, key), E) for key in ("doc_id", "indicator_id", "reply")]
+            evidence = _read.texts(entry.get("required_evidence", []), (*at, "required_evidence"), E)
+            replies.append(MockReply(*texts, tuple(evidence)))
+        default = _read.text(data.get("default_reply", DEFAULT_REFUSAL), (*where, "default_reply"), E)
+        return cls(replies, default_reply=default)
 
     def complete(self, prompt: "Prompt", params: dict) -> str:
         key = (prompt.doc_id, prompt.indicator_id)
@@ -485,19 +471,10 @@ class HttpEmbedder(EmbeddingProvider):
         self, texts: Sequence[str], out: np.ndarray | None = None
     ) -> list[list[float]] | np.ndarray:
         data = self.endpoint.post({"texts": list(texts)})
-        vectors = data.get("vectors")
-        if not isinstance(vectors, list) or len(vectors) != len(texts):
-            raise ProviderError(
-                f"embedding provider returned {len(vectors) if isinstance(vectors, list) else 0} "
-                f"vectors for {len(texts)} texts"
-            )
-        for vec in vectors:
-            if not isinstance(vec, list):
-                raise ProviderError(f"embedding provider returned {vec!r} as a vector")
-            if len(vec) != self.dim:
-                raise ProviderError(
-                    f"embedding provider returned dim {len(vec)}, expected {self.dim}"
-                )
+        where = ("embedding provider reply", "vectors")
+        vectors = _read.array(data.get("vectors"), where, ProviderError, len(texts))
+        for i, vector in enumerate(vectors):
+            _read.array(vector, (*where, i), ProviderError, self.dim)
         matrix = np.empty((len(texts), self.dim)) if out is None else out
         _floats(vectors, "embedding", matrix)
         return matrix.tolist() if out is None else out
@@ -510,9 +487,8 @@ class HttpReranker(Reranker):
 
     def score(self, query: str, candidates: Sequence[str]) -> list[float]:
         data = self.endpoint.post({"query": query, "candidates": list(candidates)})
-        scores = data.get("scores")
-        if not isinstance(scores, list) or len(scores) != len(candidates):
-            raise ProviderError("rerank provider returned a malformed score list")
+        where = ("rerank provider reply", "scores")
+        scores = _read.array(data.get("scores"), where, ProviderError, len(candidates))
         return _floats(scores, "rerank", np.empty(len(scores))).tolist()
 
 
@@ -523,10 +499,7 @@ class HttpChatProvider(ChatProvider):
 
     def complete(self, prompt: "Prompt", params: dict) -> str:
         data = self.endpoint.post({"messages": prompt.to_messages(), "params": params})
-        content = data.get("content")
-        if not isinstance(content, str):
-            raise ProviderError("chat provider response has no 'content' string")
-        return content
+        return _read.text(data.get("content"), ("chat provider reply", "content"), ProviderError)
 
 
 @dataclass

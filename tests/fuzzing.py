@@ -82,3 +82,36 @@ def random_reply(rng: random.Random) -> str:
         nested = {"records": [_random_object(rng), [_random_object(rng)]]}
         return json.dumps(nested)
     return "\ud800高\x00" + json.dumps(_random_object(rng))[:-1]
+
+
+# --- one value of a valid input file replaced by a value of another type ---
+
+# The values a key's value is replaced by: each JSON type, a numeric string,
+# a fraction, the non-finite numbers `json` reads, and an int too large for
+# a float.
+REPLACEMENTS = (True, "7", 2.9, float("nan"), float("inf"), 10**400, None, [], {})
+
+
+def value_paths(value: object, prefix: tuple = ()) -> list[tuple]:
+    """The key path of every value inside `value`, the containers too."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    paths = []
+    for key, item in items:
+        paths.append((*prefix, key))
+        paths.extend(value_paths(item, (*prefix, key)))
+    return paths
+
+
+def replaced(value: object, path: tuple, new: object) -> object:
+    """A deep copy of `value` whose value at `path` is `new`."""
+    copy = json.loads(json.dumps(value))
+    holder = copy
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = new
+    return copy

@@ -114,6 +114,86 @@ def test_ingest_skips_broken_files(workspace, capsys):
     assert out.splitlines()[-1] == "warnings: 1 document(s) skipped"
 
 
+def _only_doc00(corpus):
+    """Leaves doc00.json alone in `corpus`; returns its layout JSON."""
+    for path in corpus.glob("doc*.json"):
+        if path.name != "doc00.json":
+            path.unlink()
+    return json.loads((corpus / "doc00.json").read_text(encoding="utf-8"))
+
+
+def test_a_doc_id_that_is_no_file_name_skips_its_file(workspace, capsys):
+    """A doc_id names the document's output files, so one with a path in
+    it, in either JSON shape, skips its file: ingest and build-kb write
+    nothing outside output_dir, where `../../escaped` once landed."""
+    corpus = workspace / "corpus"
+    layout = _only_doc00(corpus)
+    (corpus / "up.json").write_text(json.dumps({**layout, "doc_id": "../../escaped"}), "utf-8")
+    structured = json.loads(docmodel.serialize(docmodel.ingest(corpus / "doc00.json")))
+    (corpus / "nested.json").write_text(json.dumps({**structured, "doc_id": "a/b"}), "utf-8")
+    outside = {p for p in workspace.parent.rglob("*") if "out" not in p.relative_to(workspace.parent).parts}
+    cfg = _config_path(workspace)
+    for command in ("ingest", "build-kb"):
+        assert main([command, "--config", cfg]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-3] == (
+            f"skipped nested.json: {corpus / 'nested.json'}: doc_id must be a file name "
+            "(no '/', '\\' or NUL; not '', '.' or '..'), got 'a/b'"
+        )
+        assert lines[-2].startswith(f"skipped up.json: {corpus / 'up.json'}: doc_id must be a file")
+        assert lines[-1] == "warnings: 2 document(s) skipped"
+    assert {p for p in workspace.parent.rglob("*") if "out" not in p.relative_to(workspace.parent).parts} == outside
+    assert sorted(p.name for p in (workspace / "out" / "structured").iterdir()) == ["doc00.json"]
+    assert sorted(p.name for p in (workspace / "out" / "kb").iterdir()) == ["doc00.kb.json"]
+
+
+def test_a_cached_kb_whose_scope_is_no_file_name_is_rebuilt(workspace, capsys, caplog):
+    corpus = workspace / "corpus"
+    _only_doc00(corpus)
+    cfg = _config_path(workspace)
+    assert main(["build-kb", "--config", cfg]) == EXIT_OK
+    [cached] = (workspace / "out" / "kb_cache").iterdir()
+    want = cached.read_bytes()
+    header, _, body = want.partition(b"\n")
+    cached.write_bytes(header.replace(b'"scope":"doc00"', b'"scope":"../doc00"') + b"\n" + body)
+    assert main(["build-kb", "--config", cfg]) == EXIT_OK
+    assert "doc00: " in capsys.readouterr().out
+    assert "scope must be a file name" in caplog.text and "rebuilding" in caplog.text
+    assert cached.read_bytes() == want
+    assert sorted(p.name for p in (workspace / "out" / "kb").iterdir()) == ["doc00.kb.json"]
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        (("blocks", 0, "text"), 5, "blocks[0].text must be a string, got 5"),
+        (("tables", 0, "table_id"), 9, "tables[0].table_id must be a string, got 9"),
+    ],
+)
+def test_a_malformed_structured_document_skips_its_file(workspace, capsys, where, value, message):
+    """Once a traceback from the KB build (a block text of 5) or a stop
+    of the whole run with exit 2 (a table_id of 9)."""
+    corpus = workspace / "corpus"
+    _only_doc00(corpus)
+    structured = json.loads(docmodel.serialize(docmodel.ingest(corpus / "doc00.json")))
+    structured["doc_id"] = "bad"
+    *keys, last = where
+    holder = structured
+    for key in keys:
+        holder = holder[key]
+    holder[last] = value
+    (corpus / "bad.json").write_text(json.dumps(structured), encoding="utf-8")
+    assert main(["extract", "--config", _config_path(workspace)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"wrote 70 records for 1 documents to {workspace / 'out' / 'records.jsonl'}"
+    assert lines[1:] == [
+        f"skipped bad.json: {corpus / 'bad.json'}: {message}",
+        "warnings: 1 document(s) skipped",
+    ]
+    records = (workspace / "out" / "records.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(records) == 70 and all('"doc_id": "doc00"' in r for r in records)
+
+
 def test_a_json_file_is_read_as_json_whatever_its_text(workspace, capsys):
     """A `.json` file that is no JSON object is skipped, not taken for
     markdown named by its file name."""
@@ -178,16 +258,17 @@ def test_malformed_layout_number_skips_only_its_file(workspace, capsys, field, v
     (corpus / "bad.json").write_text(json.dumps(layout), encoding="utf-8")
     cfg = _config_path(workspace)
 
+    skipped = f"skipped bad.json: {corpus / 'bad.json'}: elements[{n}].{message}"
     assert main(["build-kb", "--config", cfg]) == EXIT_OK
     out = capsys.readouterr().out
     assert sorted(p.name for p in (workspace / "out" / "kb").iterdir()) == ["doc00.kb.json"]
-    assert f"skipped bad.json: element {n}: {message}" in out.splitlines()
+    assert skipped in out.splitlines()
     assert out.splitlines()[-1] == "warnings: 1 document(s) skipped"
 
     assert main(["ingest", "--config", cfg]) == EXIT_OK
     out = capsys.readouterr().out
     assert "ingested 1 documents" in out
-    assert f"skipped bad.json: element {n}: {message}" in out.splitlines()
+    assert skipped in out.splitlines()
 
 
 def test_build_kb_writes_kb_files(workspace, capsys):
@@ -608,11 +689,16 @@ def test_unknown_config_key_rejected(workspace, capsys):
         ("retrieval", "budget_chars", 100, "retrieval.budget_chars must be >= 500"),
         ("chunking", "max_chars", 50, "chunking.max_chars must be >= 200"),
         ("chunking", "naive_chunk_chars", 0, "chunking.naive_chunk_chars must be >= 1"),
-        # YAML reads true and false as booleans, which are no numbers
-        ("retrieval", "k", True, "malformed number: True is not a number"),
-        ("chunking", "max_chars", False, "malformed number: False is not a number"),
-        (None, "jobs", True, "malformed number: True is not a number"),
-        (None, "jobs", float("inf"), "malformed number: cannot convert float infinity"),
+        # YAML reads true and false as booleans, which are no numbers; each
+        # case keeps the name it had when its message began "malformed number"
+        pytest.param("retrieval", "k", True, "retrieval.k must be an integer, got True",
+                     id="retrieval-k-True-malformed number: True is not a number"),
+        pytest.param("chunking", "max_chars", False, "chunking.max_chars must be an integer, got False",
+                     id="chunking-max_chars-False-malformed number: False is not a number"),
+        pytest.param(None, "jobs", True, "jobs must be an integer, got True",
+                     id="None-jobs-True-malformed number: True is not a number"),
+        pytest.param(None, "jobs", float("inf"), "jobs must be an integer, got inf",
+                     id="None-jobs-inf-malformed number: cannot convert float infinity"),
         # a tolerance that would score an exact value as a miss
         (None, "value_match_rel_tol", -0.5,
          "value_match_rel_tol must be >= 0 and finite, got -0.5"),
@@ -620,7 +706,8 @@ def test_unknown_config_key_rejected(workspace, capsys):
          "value_match_rel_tol must be >= 0 and finite, got nan"),
         (None, "value_match_rel_tol", float("inf"),
          "value_match_rel_tol must be >= 0 and finite, got inf"),
-        (None, "value_match_rel_tol", True, "malformed number: True is not a number"),
+        pytest.param(None, "value_match_rel_tol", True, "value_match_rel_tol must be a number, got True",
+                     id="None-value_match_rel_tol-True-malformed number: True is not a number"),
     ],
 )
 def test_out_of_range_retrieval_and_chunking_rejected(
@@ -641,15 +728,21 @@ def test_out_of_range_retrieval_and_chunking_rejected(
     [
         ("embedding", "timout", 5, "unknown providers.embedding keys ['timout']"),
         ("rerank", "dim", 64, "rerank keys ['dim']"),
-        ("embedding", "timeout", "abc", "malformed number"),
-        ("chat", "retries", "two", "malformed number"),
+        # each case keeps the name it had when its message began "malformed number"
+        pytest.param("embedding", "timeout", "abc", "embedding.timeout must be a number, got 'abc'",
+                     id="embedding-timeout-abc-malformed number"),
+        pytest.param("chat", "retries", "two", "chat.retries must be an integer, got 'two'",
+                     id="chat-retries-two-malformed number"),
         ("embedding", "timeout", 0, "providers.embedding.timeout must be > 0"),
         ("rerank", "timeout", -1.5, "providers.rerank.timeout must be > 0"),
         ("chat", "retries", -1, "providers.chat.retries must be >= 0"),
         ("embedding", "dim", 0, "providers.embedding.dim must be >= 1"),
-        ("chat", "retries", True, "malformed number: True is not a number"),
-        ("embedding", "timeout", True, "malformed number: True is not a number"),
-        ("embedding", "dim", False, "malformed number: False is not a number"),
+        pytest.param("chat", "retries", True, "chat.retries must be an integer, got True",
+                     id="chat-retries-True-malformed number: True is not a number"),
+        pytest.param("embedding", "timeout", True, "embedding.timeout must be a number, got True",
+                     id="embedding-timeout-True-malformed number: True is not a number"),
+        pytest.param("embedding", "dim", False, "embedding.dim must be an integer, got False",
+                     id="embedding-dim-False-malformed number: False is not a number"),
         ("rerank", "timeout", float("inf"), "providers.rerank.timeout must be > 0 and finite"),
     ],
 )
@@ -694,7 +787,7 @@ def test_provider_url_credentials_rejected_without_echo(workspace, capsys, caplo
 def test_non_numeric_setting_rejected(workspace, capsys):
     cfg = _rewrite_config(workspace, lambda raw: raw.update(retrieval={"k": "five"}))
     assert main(["ablate", "--config", cfg]) == EXIT_CONFIG
-    assert "malformed number" in capsys.readouterr().err
+    assert "retrieval.k must be an integer, got 'five'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section", ["retrieval", "chunking"])
@@ -742,17 +835,20 @@ def test_the_key_table_lists_every_number_key():
 @pytest.mark.parametrize("key", sorted(NUMBER_KEYS))
 def test_a_number_key_follows_the_number_rules(tmp_path, key):
     spec, value_of = _KEYS[key], NUMBER_KEYS[key]
-    bound = f"{key} must be {'>' if spec.strict else '>='} {spec.least} and finite"
+    kind = "an integer" if spec.type is int else "a number"
+    if spec.type is int:
+        bound = f"{key} must be >= {spec.least}, got"
+    else:
+        bound = f"{key} must be {'>' if spec.strict else '>='} {spec.least} and finite, got"
     rejected = [
-        (True, "malformed number: True is not a number"),
-        ("7", "malformed number: '7' is not a number"),
+        (True, f"{key} must be {kind}, got True"),
+        ("7", f"{key} must be {kind}, got '7'"),
         (spec.least - 1, bound),
-        (float("inf"), "malformed number: cannot convert float infinity to integer"
-         if spec.type is int else bound),
+        (float("inf"), f"{key} must be an integer, got inf" if spec.type is int else bound),
     ]
     if spec.type is int:
         fraction = spec.least + 2.5
-        rejected.append((fraction, f"malformed number: {fraction} is not an integer"))
+        rejected.append((fraction, f"{key} must be an integer, got {fraction}"))
     if spec.strict:
         rejected.append((spec.least, bound))
     for value, message in rejected:
@@ -763,6 +859,17 @@ def test_a_number_key_follows_the_number_rules(tmp_path, key):
     assert integral == spec.least + 2 and type(integral) is spec.type
     assert value_of(_load_with(tmp_path, key, None)) == spec.default
     assert value_of(_load_with(tmp_path, "labels", "labels.jsonl")) == spec.default
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("providers.chat.token_env", 5), ("corpus_dir", 2024), ("mode", ["offline"]),
+     ("providers.chat.replies", True)],
+)
+def test_a_text_key_takes_only_a_string(tmp_path, key, value):
+    """A path, a name or a url once taken through str()."""
+    with pytest.raises(ConfigError, match=re.escape(f"{key} must be a string, got {value!r}")):
+        _load_with(tmp_path, key, value)
 
 
 def test_a_dotted_name_is_no_key(tmp_path):
@@ -859,7 +966,7 @@ def test_provider_kinds_that_name_what_runs_are_accepted(workspace):
     for kind in ("mock", "HTTP", 1, ["http"]):
         online["rerank"] = {"kind": kind}
         cfg = _rewrite_config(workspace, lambda raw: raw.update(providers=online))
-        with pytest.raises(ConfigError, match="providers.rerank.kind must be one of"):
+        with pytest.raises(ConfigError, match=r"providers\.rerank\.kind must be (one of|a string)"):
             load_run_config(cfg)
 
 

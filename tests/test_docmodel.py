@@ -2,10 +2,13 @@
 
 import json
 import random
+import re
+import sys
 
 import pytest
 
 from esgpipe.docmodel import (
+    MAX_TABLE_CELLS,
     Block,
     ElementKind,
     LayoutElement,
@@ -321,52 +324,84 @@ def _without(obj, key):
     return {k: v for k, v in obj.items() if k != key}
 
 
+def _was(n, message):
+    """The id this case had when its message was `message`: the name of
+    the test stays as it was."""
+    return f"element{n}-{message}"
+
+
 @pytest.mark.parametrize(
     "element, message",
     [
-        (["Paragraph"], "expected an object"),
+        pytest.param(["Paragraph"], " must be an object, got ['Paragraph']",
+                     id=_was(0, "expected an object")),
         ({**_GOOD_ELEMENT, "zzz": 1}, "unknown fields ['zzz']"),
         (_without(_GOOD_ELEMENT, "font_size"), "missing fields ['font_size']"),
-        ({**_GOOD_ELEMENT, "kind": "Footer"},
-         f"unknown kind 'Footer'; expected one of {_KINDS}"),
-        ({**_GOOD_ELEMENT, "kind": ["Header"]},
-         f"unknown kind ['Header']; expected one of {_KINDS}"),
-        ({**_GOOD_ELEMENT, "bbox": [0, 0, 1]}, "bbox must be a 4-number array"),
-        ({**_GOOD_ELEMENT, "bbox": "0,0,1,1"}, "bbox must be a 4-number array"),
+        pytest.param({**_GOOD_ELEMENT, "kind": "Footer"},
+                     f".kind must be one of {_KINDS}, got 'Footer'",
+                     id=_was(3, f"unknown kind 'Footer'; expected one of {_KINDS}")),
+        pytest.param({**_GOOD_ELEMENT, "kind": ["Header"]},
+                     f".kind must be one of {_KINDS}, got ['Header']",
+                     id=_was(4, f"unknown kind ['Header']; expected one of {_KINDS}")),
+        pytest.param({**_GOOD_ELEMENT, "bbox": [0, 0, 1]},
+                     ".bbox must be an array of 4, got [0, 0, 1]",
+                     id=_was(5, "bbox must be a 4-number array")),
+        pytest.param({**_GOOD_ELEMENT, "bbox": "0,0,1,1"},
+                     ".bbox must be an array of 4, got '0,0,1,1'",
+                     id=_was(6, "bbox must be a 4-number array")),
         ({**_GOOD_ELEMENT, "bbox": [10, 0, 5, 1]}, "degenerate bbox (10.0, 0.0, 5.0, 1.0)"),
-        ({**_GOOD_ELEMENT, "bbox": [float("nan"), 0, 1, 1]},
-         "degenerate bbox (nan, 0.0, 1.0, 1.0)"),
-        ({**_GOOD_ELEMENT, "page": 0}, "element page must be >= 1, got 0"),
-        ({**_GOOD_ELEMENT, "font_size": 0}, "font_size must be positive and finite, got 0.0"),
-        ({**_GOOD_ELEMENT, "font_size": -1.5}, "font_size must be positive and finite, got -1.5"),
+        pytest.param({**_GOOD_ELEMENT, "bbox": [float("nan"), 0, 1, 1]},
+                     ".bbox[0] must be finite, got nan",
+                     id=_was(8, "degenerate bbox (nan, 0.0, 1.0, 1.0)")),
+        pytest.param({**_GOOD_ELEMENT, "page": 0}, ".page must be >= 1, got 0",
+                     id=_was(9, "element page must be >= 1, got 0")),
+        pytest.param({**_GOOD_ELEMENT, "font_size": 0}, "font_size must be > 0 and finite, got 0.0",
+                     id=_was(10, "font_size must be positive and finite, got 0.0")),
+        pytest.param({**_GOOD_ELEMENT, "font_size": -1.5},
+                     "font_size must be > 0 and finite, got -1.5",
+                     id=_was(11, "font_size must be positive and finite, got -1.5")),
         (_without(_GOOD_CELL, "table_id"), "TableCell element requires table_id"),
         ({**_GOOD_ELEMENT, "table_id": "t1"}, "Paragraph element must not carry table_id"),
-        ({**_GOOD_CELL, "row": -1}, "element row must be >= 0, got -1"),
-        ({**_GOOD_CELL, "col": -2}, "element col must be >= 0, got -2"),
+        pytest.param({**_GOOD_CELL, "row": -1}, ".row must be >= 0, got -1",
+                     id=_was(14, "element row must be >= 0, got -1")),
+        pytest.param({**_GOOD_CELL, "col": -2}, ".col must be >= 0, got -2",
+                     id=_was(15, "element col must be >= 0, got -2")),
         # numbers that are not numbers of the right kind
         ({**_GOOD_ELEMENT, "page": "x"}, "page must be an integer, got 'x'"),
         ({**_GOOD_ELEMENT, "page": True}, "page must be an integer, got True"),
         ({**_GOOD_ELEMENT, "page": 1.7}, "page must be an integer, got 1.7"),
-        ({**_GOOD_ELEMENT, "bbox": ["a", 0, 1, 1]}, "bbox must be a 4-number array"),
-        ({**_GOOD_ELEMENT, "bbox": [0, 0, True, 1]}, "bbox must be a 4-number array"),
+        pytest.param({**_GOOD_ELEMENT, "bbox": ["a", 0, 1, 1]},
+                     ".bbox[0] must be a number, got 'a'",
+                     id=_was(19, "bbox must be a 4-number array")),
+        pytest.param({**_GOOD_ELEMENT, "bbox": [0, 0, True, 1]},
+                     ".bbox[2] must be a number, got True",
+                     id=_was(20, "bbox must be a 4-number array")),
         ({**_GOOD_ELEMENT, "font_size": None}, "font_size must be a number, got None"),
         ({**_GOOD_CELL, "row": "z"}, "row must be an integer, got 'z'"),
         ({**_GOOD_CELL, "col": 0.5}, "col must be an integer, got 0.5"),
         # a table_id that is not a string, which a cold KB build cannot resolve
         ({**_GOOD_CELL, "table_id": 5}, "table_id must be a string, got 5"),
         # non-finite font sizes, which json.loads reads from NaN and Infinity
-        ({**_GOOD_ELEMENT, "font_size": float("nan")},
-         "font_size must be positive and finite, got nan"),
-        ({**_GOOD_ELEMENT, "font_size": float("inf")},
-         "font_size must be positive and finite, got inf"),
-        ({**_GOOD_ELEMENT, "font_size": float("-inf")},
-         "font_size must be positive and finite, got -inf"),
+        *(
+            pytest.param({**_GOOD_ELEMENT, "font_size": float(x)},
+                         f"font_size must be > 0 and finite, got {x}",
+                         id=_was(n, f"font_size must be positive and finite, got {x}"))
+            for n, x in ((25, "nan"), (26, "inf"), (27, "-inf"))
+        ),
         # integers too large for a float, which json.loads reads whole
         ({**_GOOD_ELEMENT, "font_size": 10**400}, "font_size holds a number too large for a float"),
-        ({**_GOOD_ELEMENT, "bbox": [0, 0, 10**400, 1]}, "bbox holds a number too large for a float"),
+        pytest.param({**_GOOD_ELEMENT, "bbox": [0, 0, 10**400, 1]},
+                     ".bbox[2] holds a number too large for a float",
+                     id=_was(29, "bbox holds a number too large for a float")),
+        # a text that is not a string, once taken through str()
+        ({**_GOOD_ELEMENT, "text": 5}, "text must be a string, got 5"),
+        # an infinite coordinate, once taken
+        ({**_GOOD_ELEMENT, "bbox": [0, 0, float("inf"), 1]}, ".bbox[2] must be finite, got inf"),
     ],
 )
 def test_ingest_layout_json_rejects_malformed_elements(tmp_path, element, message):
+    """Each message names the file and the element's key path, and ends
+    with `message`."""
     payload = {
         "doc_id": "x", "company": "X", "industry": "",
         "elements": [_GOOD_ELEMENT, element],
@@ -375,7 +410,20 @@ def test_ingest_layout_json_rejects_malformed_elements(tmp_path, element, messag
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(DocumentError) as caught:
         ingest(path)
-    assert str(caught.value) == f"element 1: {message}"
+    assert str(caught.value).startswith(f"{path}: elements[1]")
+    assert str(caught.value).endswith(message)
+
+
+def test_ingest_layout_json_rejects_a_table_too_large_to_hold(tmp_path):
+    """A row or col far past any real table once made its grid, rows of
+    empty strings until memory or time ran out."""
+    for key in ("row", "col"):
+        payload = {"doc_id": "x", "company": "X", "industry": "",
+                   "elements": [_GOOD_ELEMENT, {**_GOOD_CELL, key: 10**400}]}
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(TableStructureError, match=f"over {MAX_TABLE_CELLS} cells"):
+            ingest(path)
 
 
 # Where each integer field of structured-document JSON sits in the
@@ -420,8 +468,40 @@ def test_ingest_structured_json_rejects_a_one_number_span(tmp_path):
     payload["outline"]["children"][0]["span"] = [0]
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(DocumentError, match="malformed structured document"):
+    with pytest.raises(DocumentError, match=re.escape("outline.children[0].span must be an array of 2")):
         ingest(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(extra=1), " has unknown fields ['extra']"),
+        (lambda d: d["tables"][0]["cells"][1].__setitem__(0, 5),
+         ": tables[0].cells[1] must be an array of strings, got [5, "),
+        (lambda d: d["outline"]["children"][0].update(title=None),
+         ": outline.children[0].title must be a string, got None"),
+        (lambda d: d["blocks"][0].update(text={}), ": blocks[0].text must be a string, got {}"),
+        (lambda d: d.update(blocks={}), ": blocks must be an array, got {}"),
+    ],
+)
+def test_ingest_structured_json_rejects_fields_of_the_wrong_type(tmp_path, edit, message):
+    """Each once taken through str(), left unchecked, or read as a
+    KeyError or TypeError that the parser turned into one message."""
+    payload = json.loads(serialize(_tiny_document()))
+    edit(payload)
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(DocumentError) as caught:
+        ingest(path)
+    assert str(caught.value).startswith(f"{path}{message}")
+
+
+def test_a_file_name_that_gives_no_safe_doc_id_is_rejected(tmp_path):
+    path = tmp_path / "...md"  # its stem is ".."
+    path.write_text("# Emissions\n\nBody.\n", encoding="utf-8")
+    for read in (ingest, read_fields):
+        with pytest.raises(DocumentError, match="doc_id must be a file name"):
+            read(path)
 
 
 _ABSENT = object()
@@ -453,13 +533,18 @@ def _doc_with_market_cap(tmp_path, shape, cap):
 def test_ingest_layout_json_rejects_non_number_market_cap(tmp_path, cap):
     """In either JSON shape, a market cap that is not a JSON number, or
     one that is not finite and above 0, skips the file."""
-    want = "positive and finite" if type(cap) in (int, float) else "a number"
+    if type(cap) not in (int, float):
+        want = f"must be a number, got {cap!r}"
+    elif type(cap) is int and abs(cap) > sys.float_info.max:
+        want = "holds a number too large for a float"
+    else:
+        want = f"must be > 0 and finite, got {float(cap)!r}"
     for shape in ("layout", "structured"):
         path = _doc_with_market_cap(tmp_path, shape, cap)
         for read in (ingest, read_fields):
             with pytest.raises(DocumentError) as caught:
                 read(path)
-            assert str(caught.value) == f"{path}: market_cap_mhkd must be {want}, got {cap!r}"
+            assert str(caught.value) == f"{path}: market_cap_mhkd {want}"
 
 
 @pytest.mark.parametrize(
@@ -484,20 +569,23 @@ def _fields_of(doc):
 
 
 def test_read_fields_are_the_fields_ingest_gives(tmp_path):
-    """Both JSON shapes, markdown and plain text; numbers in the text
-    fields are taken with str(), as ingest takes them."""
+    """Both JSON shapes, markdown and plain text; a number in a text
+    field, once taken with str(), is rejected by both."""
     files = {f"layout{i}.json": json.dumps(corpusgen.build_layout_json(i)) for i in (0, 9)}
     files["structured.json"] = serialize(_ingest_text(tmp_path, "x.json", files["layout0.json"]))
-    numbered = {**corpusgen.build_layout_json(3), "doc_id": 7, "company": 1.5, "industry": False}
-    files["numbered.json"] = json.dumps(numbered)
     files["notes.md"] = "# Emissions\n\n| a | b |\n|---|---|\n| 1 | 2 |\n"
     files["memo.txt"] = "  A plain memo.\n"
     for name, text in files.items():
         path = tmp_path / name
         path.write_text(text, encoding="utf-8")
         assert read_fields(path) == _fields_of(ingest(path)), name
-    assert read_fields(tmp_path / "numbered.json")[:3] == ("7", "1.5", "False")
     assert read_fields(tmp_path / "memo.txt") == ("memo", "memo", "", None)
+    for key, value in (("doc_id", 7), ("company", 1.5), ("industry", False)):
+        path = tmp_path / "numbered.json"
+        path.write_text(json.dumps({**corpusgen.build_layout_json(3), key: value}), "utf-8")
+        for read in (ingest, read_fields):
+            with pytest.raises(DocumentError, match=re.escape(f"{key} must be a")):
+                read(path)
 
 
 @pytest.mark.parametrize(

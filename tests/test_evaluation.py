@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -26,6 +27,7 @@ from esgpipe.evaluation import (
     disclosed_recall,
     evaluate_document,
     load_labels,
+    mean,
     report_to_json,
     run_ablation,
     validate_label_set,
@@ -372,6 +374,14 @@ def test_aggregate_of_equal_rates_is_that_rate():
     assert aggregate_reports(reports).acc_dc == rate
 
 
+def test_mean_of_values_that_are_not_finite_is_the_float_mean():
+    """An intensity from a record value too large for a float is infinite:
+    it has no exact fraction, so such a mean is the float one."""
+    inf, nan = float("inf"), float("nan")
+    assert mean([inf, 1.0]) == inf and mean([-inf, -inf]) == -inf
+    assert math.isnan(mean([inf, -inf])) and math.isnan(mean([nan, 1.0]))
+
+
 def test_aggregate_rejects_empty():
     with pytest.raises(EvaluationError):
         aggregate_reports([])
@@ -474,7 +484,8 @@ def test_labels_reject_bad_values(tmp_path, registry):
         "doc_id": "d",
         "disclosure_labels": _full_disclosure_map(registry, disclosed=[ind]),
     }
-    for raw, pat in ((["not-a-number"], "unparseable"), (["NaN"], "non-finite")):
+    for raw, pat in ((["not-a-number"], "a finite number or a numeric string, got 'not-a"),
+                     (["NaN"], "a finite number or a numeric string, got 'NaN'")):
         path = _write_labels(tmp_path, [
             dict(base, value_labels=[
                 {"indicator_id": ind, "topic": "T", "value": raw[0], "unit": "kg"},
@@ -482,6 +493,37 @@ def test_labels_reject_bad_values(tmp_path, registry):
         ])
         with pytest.raises(EvaluationError, match=pat):
             load_labels(path, registry)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # once bool("false"): a gold label flipped to disclosed
+        (lambda o, ind: o["disclosure_labels"].update({ind: "false"}),
+         "disclosure_labels['A1.1-nox'] must be true or false, got 'false'"),
+        (lambda o, ind: o["disclosure_labels"].update({ind: 0}),
+         "disclosure_labels['A1.1-nox'] must be true or false, got 0"),
+        (lambda o, ind: o.update(doc_id=7), "doc_id must be a string, got 7"),
+        (lambda o, ind: o["value_labels"][0].update(unit=None),
+         "value_labels[0].unit must be a string, got None"),
+        (lambda o, ind: o["value_labels"][0].update(topic=["T"]),
+         "value_labels[0].topic must be a string, got ['T']"),
+        (lambda o, ind: o.update(value_labels={}), "value_labels must be an array, got {}"),
+    ],
+)
+def test_labels_reject_fields_of_the_wrong_type(tmp_path, registry, edit, message):
+    """Each once taken through str() or bool()."""
+    ind = "A1.1-nox"
+    obj = {
+        "doc_id": "d",
+        "disclosure_labels": _full_disclosure_map(registry, disclosed=[ind]),
+        "value_labels": [{"indicator_id": ind, "topic": "T", "value": "1", "unit": "kg"}],
+    }
+    edit(obj, ind)
+    path = _write_labels(tmp_path, [obj])
+    with pytest.raises(EvaluationError) as caught:
+        load_labels(path, registry)
+    assert str(caught.value) == f"{path}:1: {message}"
 
 
 def test_labels_reject_unknown_fields_and_bad_json(tmp_path, registry):

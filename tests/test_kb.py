@@ -1138,26 +1138,26 @@ MALFORMED_FILES = {
     ),
     "entry_id not a string": (
         lambda h, s: file_bytes({**h, "entry_id": _flip(h["entry_id"], 0, 7)}, s),
-        "entry_id is not a list of strings",
+        "entry_id must be an array of strings",
     ),
     "entry_id not a list": (
-        lambda h, s: file_bytes({**h, "entry_id": "t0000"}, s), "entry_id is not a list of strings"
+        lambda h, s: file_bytes({**h, "entry_id": "t0000"}, s), "entry_id must be an array of strings"
     ),
     "source column too short": (_edit("source", lambda v: v[:-1]), "sources for"),
     "source code above 2": (_edit("source", lambda v: _flip(v, 1, 3)), "unknown source code 3"),
     "source code 256 in a wide section": (
         _edit("source", lambda v: _flip(v, 0, 256), "<u2"), "unknown source code 256"
     ),
-    "dim not a number": (lambda h, s: file_bytes({**h, "dim": "wide"}, s), "dim is not of type int"),
-    "dim negative": (lambda h, s: file_bytes({**h, "dim": -1}, s), "column index outside [0, -1)"),
+    "dim not a number": (lambda h, s: file_bytes({**h, "dim": "wide"}, s), "dim must be an integer, got 'wide'"),
+    "dim negative": (lambda h, s: file_bytes({**h, "dim": -1}, s), "dim must be >= 1, got -1"),
     "counts not those of the entries": (
         lambda h, s: file_bytes({**h, "counts": {**h["counts"], "Outline": 0}}, s),
         "are not those of the entries",
     ),
-    "scope not a string": (lambda h, s: file_bytes({**h, "scope": None}, s), "scope is not"),
+    "scope not a string": (lambda h, s: file_bytes({**h, "scope": None}, s), "scope must be a file name"),
     "table text not a string": (
         lambda h, s: file_bytes({**h, "table_texts": {**h["table_texts"], "tbl-0": 5}}, s),
-        "a table text is not a string",
+        "table_texts['tbl-0'] must be a string, got 5",
     ),
 }
 

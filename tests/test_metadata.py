@@ -1,6 +1,7 @@
 """Registry loading, validation, counting and question rendering."""
 
 import json
+import re
 import random
 
 import pytest
@@ -112,6 +113,24 @@ def test_unknown_field_rejected(tmp_path):
         load_registry(_write(tmp_path, doc))
 
 
+def test_enum_field_of_another_type_rejected(tmp_path):
+    """A list where an enum value goes, once an uncaught TypeError."""
+    doc = _bundled_dict()
+    doc["indicators"][2]["quantity"] = ["Textual"]
+    with pytest.raises(RegistryError, match=re.escape(
+        "indicators[2].quantity must be one of ['AbsoluteValues', 'KeyActions', 'Textual'], "
+        "got ['Textual']"
+    )):
+        load_registry(_write(tmp_path, doc))
+
+
+def test_registry_that_is_not_utf8_rejected(tmp_path):
+    path = tmp_path / "reg.json"
+    path.write_bytes(b'{"standard_name": "\xff"}')
+    with pytest.raises(RegistryError, match="cannot read registry file"):
+        load_registry(path)
+
+
 def test_unknown_answer_format_rejected(tmp_path):
     doc = _bundled_dict()
     doc["expressions"][0]["answer_format"] = "record_v999"
@@ -161,7 +180,7 @@ def test_missing_fields_rejected_everywhere(tmp_path):
 def test_not_json_rejected(tmp_path):
     path = tmp_path / "reg.json"
     path.write_text("not json at all", encoding="utf-8")
-    with pytest.raises(RegistryError, match="not valid JSON"):
+    with pytest.raises(RegistryError, match="cannot read registry file .*: Expecting"):
         load_registry(path)
 
 

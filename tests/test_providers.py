@@ -375,30 +375,34 @@ def test_mock_chat_from_file(tmp_path):
 
 
 def test_mock_chat_from_file_errors(tmp_path):
-    with pytest.raises(ProviderError, match="cannot load"):
+    with pytest.raises(ProviderError, match="cannot read mock replies"):
         MockChatProvider.from_file(tmp_path / "absent.json")
     bad = tmp_path / "bad.json"
     entry = {"doc_id": "d", "indicator_id": "i", "reply": "r"}
     for text, reason in [
-        ("{", "Expecting property name"),
+        ("{", f"cannot read mock replies {bad}: Expecting property name"),
         # each once a traceback, or in the NOx case evidence read as characters
-        ("[]", "not an object with a replies list"),
-        (json.dumps({"replies": 5}), "not an object with a replies list"),
-        (json.dumps({"default_reply": None}), "a string default_reply"),
-        (json.dumps({"replies": [["d", "i", "r"]]}), "must be a mapping"),
+        ("[]", " must be an object, got []"),
+        (json.dumps({"replies": 5}), ": replies must be an array, got 5"),
+        (json.dumps({"default_reply": None}), ": default_reply must be a string, got None"),
+        (json.dumps({"replies": [["d", "i", "r"]]}),
+         ": replies[0] must be an object, got ['d', 'i', 'r']"),
         (json.dumps({"replies": [{"doc_id": "d", "reply": "r"}]}),
-         "missing 1 required positional argument: 'indicator_id'"),
-        (json.dumps({"replies": [{**entry, "note": "x"}]}), "unexpected keyword argument 'note'"),
+         ": replies[0] is missing fields ['indicator_id']"),
+        (json.dumps({"replies": [{**entry, "note": "x"}]}),
+         ": replies[0] has unknown fields ['note']"),
         (json.dumps({"replies": [entry, {**entry, "reply": 5}]}),
-         "reply 'i' for 'd' needs string ids and reply"),
-        (json.dumps({"replies": [{**entry, "doc_id": 7}]}), "reply 'i' for 7 needs string ids"),
+         ": replies[1].reply must be a string, got 5"),
+        (json.dumps({"replies": [{**entry, "doc_id": 7}]}),
+         ": replies[0].doc_id must be a string, got 7"),
         (json.dumps({"replies": [{**entry, "required_evidence": "NOx"}]}),
-         "and a list of strings as required_evidence"),
+         ": replies[0].required_evidence must be an array of strings, got 'NOx'"),
         (json.dumps({"replies": [{**entry, "required_evidence": ["NOx", 5]}]}),
-         "reply 'i' for 'd' needs string ids and reply"),
+         ": replies[0].required_evidence must be an array of strings, got ['NOx', 5]"),
+        (json.dumps({"replies": [], "extra": 1}), " has unknown fields ['extra']"),
     ]:
         bad.write_text(text, encoding="utf-8")
-        with pytest.raises(ProviderError, match="cannot load mock replies from") as caught:
+        with pytest.raises(ProviderError, match="mock replies") as caught:
             MockChatProvider.from_file(bad)
         assert reason in str(caught.value), text
 
@@ -506,11 +510,11 @@ def test_http_embedder_rejects_bad_shapes(http_server):
 
     for embed in (emb.embed, into_array):
         server.responder = lambda p, body: (200, {"vectors": [[1.0, 0.0]]})
-        with pytest.raises(ProviderError, match="1 vectors for 2 texts"):
+        with pytest.raises(ProviderError, match=re.escape("vectors must be an array of 2, got [[")):
             embed(["a", "b"])
 
         server.responder = lambda p, body: (200, {"vectors": [[1.0, 0.0, 0.0]]})
-        with pytest.raises(ProviderError, match="dim 3"):
+        with pytest.raises(ProviderError, match=re.escape("vectors[0] must be an array of 2, got [1.0, 0.0, 0.0]")):
             embed(["a"])
 
 
@@ -586,7 +590,7 @@ def test_http_reranker_contract(http_server):
     assert server.calls[0]["payload"] == {"query": "q", "candidates": ["c1", "c2"]}
 
     server.responder = lambda p, body: (200, {"scores": [0.2]})
-    with pytest.raises(ProviderError, match="malformed score list"):
+    with pytest.raises(ProviderError, match="scores must be an array of"):
         reranker.score("q", ["c1", "c2"])
 
 
@@ -601,7 +605,7 @@ def test_http_chat_contract(http_server):
     assert [m["role"] for m in sent["messages"]] == ["system", "user"]
 
     server.responder = lambda p, body: (200, {"content": None})
-    with pytest.raises(ProviderError, match="no 'content'"):
+    with pytest.raises(ProviderError, match="content must be a string, got None"):
         chat.complete(prompt, {})
 
 
@@ -613,8 +617,8 @@ def test_malformed_replies_are_provider_errors(http_server):
     reranker = HttpReranker(HttpEndpoint(f"{base}/rerank", retries=2))
     chat = HttpChatProvider(HttpEndpoint(f"{base}/chat", retries=2))
     cases = [
-        (lambda: emb.embed(["a", "b"]), {"vectors": [1, 2]}, "as a vector"),
-        (lambda: emb.embed(["a", "b"]), {"vectors": 5}, "0 vectors for 2 texts"),
+        (lambda: emb.embed(["a", "b"]), {"vectors": [1, 2]}, r"vectors\[0\] must be an array of 2, got 1"),
+        (lambda: emb.embed(["a", "b"]), {"vectors": 5}, "vectors must be an array of 2, got 5"),
         (lambda: emb.embed(["a", "b"]), {"vectors": [["a", 0.0], [0.0, 1.0]]}, "non-number"),
         (lambda: emb.embed(["a", "b"]), {"vectors": [[None, 0.0], [0.0, 1.0]]}, "non-number"),
         (lambda: emb.embed(["a", "b"]), [[1.0, 0.0], [0.0, 1.0]], "non-object"),
