@@ -288,9 +288,9 @@ class MockChatProvider(ChatProvider):
         for i, entry in enumerate(_read.array(data.get("replies", []), (*where, "replies"), E)):
             at = (*where, "replies", i)
             entry = _read.obj(entry, at, E, _REPLY_FIELDS, _REPLY_REQUIRED)
-            texts = [_read.text(entry[key], (*at, key), E) for key in ("doc_id", "indicator_id", "reply")]
+            texts = {key: _read.text(entry[key], (*at, key), E) for key in _REPLY_REQUIRED}
             evidence = _read.texts(entry.get("required_evidence", []), (*at, "required_evidence"), E)
-            replies.append(MockReply(*texts, tuple(evidence)))
+            replies.append(MockReply(**texts, required_evidence=tuple(evidence)))
         default = _read.text(data.get("default_reply", DEFAULT_REFUSAL), (*where, "default_reply"), E)
         return cls(replies, default_reply=default)
 

@@ -131,10 +131,15 @@ def test_a_doc_id_that_is_no_file_name_skips_its_file(workspace, capsys):
     (corpus / "up.json").write_text(json.dumps({**layout, "doc_id": "../../escaped"}), "utf-8")
     structured = json.loads(docmodel.serialize(docmodel.ingest(corpus / "doc00.json")))
     (corpus / "nested.json").write_text(json.dumps({**structured, "doc_id": "a/b"}), "utf-8")
-    outside = {p for p in workspace.parent.rglob("*") if "out" not in p.relative_to(workspace.parent).parts}
+    def outside_out():  # every path under the test's directory but those in out/
+        root = workspace.parent
+        return {p for p in root.rglob("*") if "out" not in p.relative_to(root).parts}
+
+    outside = outside_out()
     cfg = _config_path(workspace)
     for command in ("ingest", "build-kb"):
         assert main([command, "--config", cfg]) == EXIT_OK
+        assert outside_out() == outside, command
         lines = capsys.readouterr().out.splitlines()
         assert lines[-3] == (
             f"skipped nested.json: {corpus / 'nested.json'}: doc_id must be a file name "
@@ -142,7 +147,6 @@ def test_a_doc_id_that_is_no_file_name_skips_its_file(workspace, capsys):
         )
         assert lines[-2].startswith(f"skipped up.json: {corpus / 'up.json'}: doc_id must be a file")
         assert lines[-1] == "warnings: 2 document(s) skipped"
-    assert {p for p in workspace.parent.rglob("*") if "out" not in p.relative_to(workspace.parent).parts} == outside
     assert sorted(p.name for p in (workspace / "out" / "structured").iterdir()) == ["doc00.json"]
     assert sorted(p.name for p in (workspace / "out" / "kb").iterdir()) == ["doc00.kb.json"]
 

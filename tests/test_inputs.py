@@ -54,7 +54,7 @@ class _Files(tuple):
 
 
 @pytest.fixture(scope="module")
-def one_doc(tmp_path_factory, fixture_root, registry):
+def one_doc(tmp_path_factory, fixture_root):
     """A workspace of the fixture's doc00 alone, with its records and a
     cached KB from one `extract`, and the valid value of each kind of file."""
     ws = tmp_path_factory.mktemp("inputs")
