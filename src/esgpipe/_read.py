@@ -1,5 +1,5 @@
-"""Typed readers of the decoded JSON (or YAML) values of files the program
-does not control. README's "Input files" table lists what each field takes.
+"""Typed readers of the decoded JSON (or YAML) values of outside files and
+replies. README's "Input files" table lists what each file's fields take.
 
 Each reader takes a value, `where`, its key path, and `error`, the class
 its caller raises. It returns the value, of the type it reads, or raises
