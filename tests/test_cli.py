@@ -876,6 +876,14 @@ def test_a_text_key_takes_only_a_string(tmp_path, key, value):
         _load_with(tmp_path, key, value)
 
 
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path):
+    """Once an uncaught UnicodeDecodeError."""
+    path = tmp_path / "config.yaml"
+    path.write_bytes(b"corpus_dir: \xff\n")
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_run_config(path)
+
+
 def test_a_dotted_name_is_no_key(tmp_path):
     path = tmp_path / "config.yaml"
     path.write_text("retrieval.k: 3\n", encoding="utf-8")

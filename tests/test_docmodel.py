@@ -482,6 +482,8 @@ def test_ingest_structured_json_rejects_a_one_number_span(tmp_path):
          ": outline.children[0].title must be a string, got None"),
         (lambda d: d["blocks"][0].update(text={}), ": blocks[0].text must be a string, got {}"),
         (lambda d: d.update(blocks={}), ": blocks must be an array, got {}"),
+        (lambda d: d["blocks"][0].update(note="x"), ": blocks[0] has unknown fields ['note']"),
+        (lambda d: d["tables"][0].update(note="x"), ": tables[0] has unknown fields ['note']"),
     ],
 )
 def test_ingest_structured_json_rejects_fields_of_the_wrong_type(tmp_path, edit, message):

@@ -547,6 +547,14 @@ def test_labels_reject_empty_file(tmp_path, registry):
         load_labels(empty, registry)
 
 
+def test_labels_file_that_is_not_utf8(tmp_path, registry):
+    """Once an uncaught UnicodeDecodeError."""
+    path = tmp_path / "labels.jsonl"
+    path.write_bytes(b'{"doc_id": "\xff"}\n')
+    with pytest.raises(EvaluationError, match="cannot read labels file"):
+        load_labels(path, registry)
+
+
 def test_labels_missing_file(tmp_path, registry):
     with pytest.raises(EvaluationError, match="cannot read"):
         load_labels(tmp_path / "absent.jsonl", registry)
