@@ -509,6 +509,8 @@ def test_labels_reject_bad_values(tmp_path, registry):
         (lambda o, ind: o["value_labels"][0].update(topic=["T"]),
          "value_labels[0].topic must be a string, got ['T']"),
         (lambda o, ind: o.update(value_labels={}), "value_labels must be an array, got {}"),
+        (lambda o, ind: o["value_labels"][0].update(note="x"),
+         "value_labels[0] has unknown fields ['note']"),
     ],
 )
 def test_labels_reject_fields_of_the_wrong_type(tmp_path, registry, edit, message):
