@@ -379,8 +379,10 @@ def test_mock_chat_from_file_errors(tmp_path):
         MockChatProvider.from_file(tmp_path / "absent.json")
     bad = tmp_path / "bad.json"
     entry = {"doc_id": "d", "indicator_id": "i", "reply": "r"}
+    bad.write_text("{", encoding="utf-8")
+    with pytest.raises(ProviderError, match=re.escape(f"cannot read mock replies {bad}: Expecting property name")):
+        MockChatProvider.from_file(bad)
     for text, reason in [
-        ("{", f"cannot read mock replies {bad}: Expecting property name"),
         # each once a traceback, or in the NOx case evidence read as characters
         ("[]", " must be an object, got []"),
         (json.dumps({"replies": 5}), ": replies must be an array, got 5"),
@@ -402,9 +404,9 @@ def test_mock_chat_from_file_errors(tmp_path):
         (json.dumps({"replies": [], "extra": 1}), " has unknown fields ['extra']"),
     ]:
         bad.write_text(text, encoding="utf-8")
-        with pytest.raises(ProviderError, match="mock replies") as caught:
+        with pytest.raises(ProviderError) as caught:
             MockChatProvider.from_file(bad)
-        assert reason in str(caught.value), text
+        assert str(caught.value) == f"mock replies {bad}{reason}", text
 
 
 # ------------------------------------------------------------- http providers
