@@ -7,10 +7,12 @@ answer-format instructions. Replies are untrusted text: parsing never
 raises, and every failure mode degrades to a record with diagnostic
 flags instead. Each chat request is sent once: only
 `providers.HttpEndpoint.post` sends a request again, and a chat call
-that fails even so yields a provider-failed record. `ExtractConfig`
-holds only the retrieval sizes; `evidence_from_hits` and
-`answer_indicator` each take the one arm switch they need (rerank,
-knowledge) as an argument.
+that fails even so yields a provider-failed record. The corpus runner
+(`pipeline.run_corpus`) calls two stages here: `evidence_from_hits`
+(rerank and assembly, once per retrieval group and indicator) and
+`extract_indicator` (prompt, chat and parse, once per arm and
+indicator). `ExtractConfig` holds only the retrieval sizes; each stage
+takes the one arm switch it needs (rerank, knowledge).
 
 Records use the seven-field shape <Disclosure, KPI, Topic, Value,
 Unit, Target, Action> plus doc/indicator identity, an audit excerpt of
@@ -41,7 +43,6 @@ from typing import Sequence
 
 from . import _read
 from .errors import ConfigError, ProviderError
-from .kb import KnowledgeBase
 from .metadata import IndicatorSpec, Kind, MetadataRegistry, render_question
 from .retrieval import (
     DEFAULT_BUDGET_CHARS,
@@ -52,9 +53,7 @@ from .retrieval import (
     Hits,
     Query,
     assemble_evidence,
-    build_query,
     rerank,
-    search_many,
 )
 from .providers import ProviderSet
 
@@ -576,7 +575,7 @@ def evidence_from_hits(
     return assemble_evidence(hits, cfg.budget_chars, indicator_id=spec.id)
 
 
-def answer_indicator(
+def extract_indicator(
     doc_id: str,
     spec: IndicatorSpec,
     evidence: EvidenceBundle,
@@ -620,27 +619,3 @@ def answer_indicator(
     records.sort(key=lambda r: r.topic)
     return records
 
-
-def extract_indicator(
-    doc_id: str,
-    spec: IndicatorSpec,
-    kb: KnowledgeBase,
-    registry: MetadataRegistry,
-    providers: ProviderSet,
-    cfg: ExtractConfig | None = None,
-) -> list[ExtractionRecord]:
-    """Retrieval -> prompt -> provider -> parse for one indicator, with
-    every switch of the default arm on: search terms, rerank and the
-    indicator's knowledge.
-
-    Chat failures degrade to a flagged record (see `answer_indicator`);
-    only misconfiguration (a missing provider) aborts.
-    """
-    if providers.chat is None or providers.embedder is None:
-        raise ConfigError("extraction requires chat and embedding providers")
-    cfg = cfg or ExtractConfig()
-    query = build_query(spec, registry, providers.embedder)
-    hits = search_many(kb, [query], cfg.top_k)[0]
-    evidence = evidence_from_hits(spec, query, hits, providers, cfg, True)
-    question = query.query_texts[0]
-    return answer_indicator(doc_id, spec, evidence, registry, providers, True, question)

@@ -15,10 +15,11 @@ call (query text depends on the indicator and the search-term switch,
 never on the document), and arms with the same KB mode and retrieval
 switch form one retrieval group, so they share each search, rerank and
 evidence bundle; only the prompt, chat call and parse run per arm.
-It then executes document by document, as the documents come: source
+It then runs `extract_document` on each document as it comes: source
 the document's KBs, run one `search_many` per group over all its
-indicators' queries, fan the (indicator x group) rerank, evidence,
-prompt, chat and parse work over one pool of `jobs` threads, and drop
+indicators' queries, fan the (indicator x group) rerank and evidence
+(`agent.evidence_from_hits`) and each arm's prompt, chat and parse
+(`agent.extract_indicator`) over one pool of `jobs` threads, and drop
 the KBs and evidence before the next document.
 
 The switches live only on the arm (`AblationConfig`); `PipelineConfig`
@@ -35,7 +36,7 @@ from itertools import repeat
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .agent import ExtractConfig, ExtractionRecord, answer_indicator, evidence_from_hits
+from .agent import ExtractConfig, ExtractionRecord, evidence_from_hits, extract_indicator
 from .docmodel import StructuredDocument
 from .errors import ConfigError, PipelineError
 from .kb import BuildConfig, KnowledgeBase, build, build_naive
@@ -174,7 +175,7 @@ def _extract_group(
             spec, query, hits, providers, group.cfg.extract, group.enhanced
         )
         return [
-            answer_indicator(
+            extract_indicator(
                 doc_id, spec, evidence, registry, providers, arm.use_knowledge,
                 query.query_texts[0],
             )
@@ -184,7 +185,7 @@ def _extract_group(
         return exc
 
 
-def _run_document(
+def extract_document(
     doc: Any,
     plan: CorpusPlan,
     registry: MetadataRegistry,
@@ -192,6 +193,7 @@ def _run_document(
     source_kb: KbSource,
     map_fn: Callable,
 ) -> DocumentResult:
+    """`run_corpus`'s step for one document, its tasks mapped by `map_fn`."""
     result = DocumentResult(doc.doc_id)
     specs = registry.indicators
     kbs: dict[bool, KnowledgeBase | PipelineError] = {}
@@ -265,22 +267,5 @@ def run_corpus(
         for doc in docs:
             if plan is None:
                 plan = plan_corpus(registry, providers, cfg, arms)
-            yield _run_document(doc, plan, registry, providers, source_kb, map_fn)
+            yield extract_document(doc, plan, registry, providers, source_kb, map_fn)
 
-
-def extract_document(
-    doc: StructuredDocument,
-    registry: MetadataRegistry,
-    kb: KnowledgeBase,
-    providers: ProviderSet,
-    cfg: PipelineConfig,
-) -> list[ExtractionRecord]:
-    """Extract every registry indicator from one document with `cfg.arm`.
-
-    Output is sorted by (indicator_id, topic) so record files are
-    stable regardless of execution order.
-    """
-    (result,) = run_corpus([doc], registry, providers, cfg, [cfg.arm], source_kb=lambda d, c: kb)
-    if result.errors:
-        raise result.errors[cfg.arm.config_id]
-    return result.records[cfg.arm.config_id]

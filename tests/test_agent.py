@@ -26,7 +26,6 @@ from esgpipe.agent import (
     FLAG_UNKNOWN_TOPIC,
     FLAG_VALIDATION_WARNING,
     FLAG_VALUE_COERCED,
-    ExtractConfig,
     ExtractionRecord,
     _excerpt,
     build_prompt,
@@ -41,7 +40,7 @@ from esgpipe.agent import (
 from esgpipe.errors import ConfigError, ProviderError
 from esgpipe.evaluation import run_ablation
 from esgpipe.kb import Source, build as build_kb
-from esgpipe.pipeline import ABLATION_ARMS
+from esgpipe.pipeline import ABLATION_ARMS, DEFAULT_ARM, PipelineConfig, run_corpus
 from esgpipe.providers import ChatProvider, HttpChatProvider, HttpEndpoint
 from esgpipe.retrieval import NO_EVIDENCE_SENTINEL, ScoredHit, assemble_evidence
 
@@ -659,11 +658,19 @@ def doc00_kb(corpus_docs, offline_providers):
     return doc, build_kb(doc, offline_providers.embedder)
 
 
+def _extract(doc_kb, spec, registry, providers):
+    """One indicator of one document through the corpus runner, with every
+    switch of the default arm on: search terms, rerank and knowledge."""
+    doc, kb = doc_kb
+    one = dataclasses.replace(registry, indicators=(spec,))
+    (result,) = run_corpus([doc], one, providers, PipelineConfig(),
+                           [ABLATION_ARMS[DEFAULT_ARM]], source_kb=lambda d, c: kb)
+    assert result.errors == {}
+    return result.records[DEFAULT_ARM]
+
+
 def test_extract_golden_path(registry, offline_providers, doc00_kb):
-    doc, kb = doc00_kb
-    spec = registry.indicator("A1.1-nox")
-    records = extract_indicator(doc.doc_id, spec, kb, registry,
-                                offline_providers, ExtractConfig())
+    records = _extract(doc00_kb, registry.indicator("A1.1-nox"), registry, offline_providers)
     assert len(records) == 1
     rec = records[0]
     assert rec.disclosure is True
@@ -674,38 +681,38 @@ def test_extract_golden_path(registry, offline_providers, doc00_kb):
 
 def test_extract_undisclosed_indicator_refuses(registry, offline_providers,
                                                doc00_kb):
-    doc, kb = doc00_kb
-    spec = registry.indicator("A1.1-sox")
-    records = extract_indicator(doc.doc_id, spec, kb, registry,
-                                offline_providers, ExtractConfig())
+    records = _extract(doc00_kb, registry.indicator("A1.1-sox"), registry, offline_providers)
     assert all(r.disclosure is False for r in records)
     assert all(FLAG_PARSE_FAILURE not in r.flags for r in records)
 
 
 def test_extract_sends_a_failed_chat_call_once(registry, offline_providers, doc00_kb,
                                               sleeps):
-    doc, kb = doc00_kb
     spec = registry.indicator("A1.1-nox")
     chat = _FailingChat()
     providers = dataclasses.replace(offline_providers, chat=chat)
-    records = extract_indicator(doc.doc_id, spec, kb, registry, providers, ExtractConfig())
+    records = _extract(doc00_kb, spec, registry, providers)
     assert chat.calls == 1
     assert sleeps == []
     assert len(records) == 1
     assert records[0].disclosure is False
     assert records[0].flags == [FLAG_PROVIDER_FAILED]
     assert records[0].raw_reply_excerpt == "simulated outage"
+    # the stage itself, on the evidence of any bundle
+    evidence = assemble_evidence(as_hits([]), indicator_id=spec.id)
+    assert extract_indicator("d", spec, evidence, registry, providers, True) == [
+        dataclasses.replace(records[0], doc_id="d")
+    ]
+    assert chat.calls == 2
 
 
 def test_extract_recovers_from_transient_failure(registry, offline_providers,
                                                  doc00_kb, http_server, sleeps):
     # the endpoint resends a 503; the record is that of a run without one
-    doc, kb = doc00_kb
     spec = registry.indicator("A1.1-nox")
     recording = _RecordingChat(offline_providers.chat)
-    expected = extract_indicator(doc.doc_id, spec, kb, registry,
-                                 dataclasses.replace(offline_providers, chat=recording),
-                                 ExtractConfig())
+    expected = _extract(doc00_kb, spec, registry,
+                        dataclasses.replace(offline_providers, chat=recording))
     server, base = http_server
     statuses = iter([503])
     server.responder = lambda path, payload: (
@@ -714,7 +721,7 @@ def test_extract_recovers_from_transient_failure(registry, offline_providers,
     providers = dataclasses.replace(
         offline_providers, chat=HttpChatProvider(HttpEndpoint(f"{base}/chat", retries=2))
     )
-    records = extract_indicator(doc.doc_id, spec, kb, registry, providers, ExtractConfig())
+    records = _extract(doc00_kb, spec, registry, providers)
     assert records == expected
     assert records[0].disclosure is True
     assert records[0].value == Decimal("41000")
@@ -723,9 +730,6 @@ def test_extract_recovers_from_transient_failure(registry, offline_providers,
 
 
 def test_extract_requires_chat_provider(registry, offline_providers, doc00_kb):
-    doc, kb = doc00_kb
-    spec = registry.indicator("A1.1-nox")
     broken = dataclasses.replace(offline_providers, chat=None)
     with pytest.raises(ConfigError):
-        extract_indicator(doc.doc_id, spec, kb, registry, broken,
-                          ExtractConfig())
+        _extract(doc00_kb, registry.indicator("A1.1-nox"), registry, broken)

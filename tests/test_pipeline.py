@@ -21,7 +21,6 @@ from esgpipe.pipeline import (
     PipelineConfig,
     ablation_arm,
     build_document_kb,
-    extract_document,
     plan_corpus,
     run_corpus,
 )
@@ -67,18 +66,18 @@ def test_arm_switches_reach_the_groups_evidence_and_prompt(
         assert group.cfg == dataclasses.replace(base, arm=group.arms[0])
 
     seen = Counter()
-    real_evidence, real_answer = pipeline.evidence_from_hits, pipeline.answer_indicator
+    real_evidence, real_extract = pipeline.evidence_from_hits, pipeline.extract_indicator
 
     def evidence_from_hits(spec, query, hits, providers, cfg, use_rerank):
         seen["rerank", use_rerank, cfg is base.extract] += 1
         return real_evidence(spec, query, hits, providers, cfg, use_rerank)
 
-    def answer_indicator(doc_id, spec, evidence, registry, providers, knowledge_enabled, *rest):
+    def extract_indicator(doc_id, spec, evidence, registry, providers, knowledge_enabled, *rest):
         seen["knowledge", knowledge_enabled] += 1
-        return real_answer(doc_id, spec, evidence, registry, providers, knowledge_enabled, *rest)
+        return real_extract(doc_id, spec, evidence, registry, providers, knowledge_enabled, *rest)
 
     monkeypatch.setattr(pipeline, "evidence_from_hits", evidence_from_hits)
-    monkeypatch.setattr(pipeline, "answer_indicator", answer_indicator)
+    monkeypatch.setattr(pipeline, "extract_indicator", extract_indicator)
     (result,) = run_corpus(corpus_docs[:1], registry, offline_providers, base, ALL_ARMS)
     assert set(result.records) == {a.config_id for a in ALL_ARMS}
     n = len(registry.indicators)
@@ -112,12 +111,35 @@ def test_extract_document_covers_registry_sorted(registry, corpus_docs,
     doc = corpus_docs[0]
     cfg = PipelineConfig(arm=ABLATION_ARMS["enhanced_rag_knowledge"])
     kb = build_document_kb(doc, offline_providers, cfg)
-    records = extract_document(doc, registry, kb, offline_providers, cfg)
+    (result,) = run_corpus([doc], registry, offline_providers, cfg, [cfg.arm],
+                           source_kb=lambda d, c: kb)
+    assert result.errors == {}
+    records = result.records[cfg.arm.config_id]
     covered = {r.indicator_id for r in records}
     assert covered == {s.id for s in registry.indicators}
     keys = [(r.indicator_id, r.topic) for r in records]
     assert keys == sorted(keys)
     assert all(r.doc_id == doc.doc_id for r in records)
+
+
+def test_run_corpus_calls_its_stages_by_module_name(registry, corpus_docs, offline_providers,
+                                                   monkeypatch):
+    # a tracer that wraps `pipeline.extract_document` and `extract_indicator` sees every call
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(pipeline, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in ("extract_document", "extract_indicator"):
+        monkeypatch.setattr(pipeline, name, counted(name))
+    list(run_corpus(corpus_docs[:2], registry, offline_providers, PipelineConfig(), ALL_ARMS))
+    assert calls == {"extract_document": 2, "extract_indicator": 2 * 3 * len(registry.indicators)}
 
 
 def test_ablation_config_is_hashable():

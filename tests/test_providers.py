@@ -713,7 +713,7 @@ def test_http_endpoint_retries_a_refused_connection(sleeps):
 
 def test_chat_401_costs_one_post(http_server, sleeps):
     from esgpipe import metadata
-    from esgpipe.agent import FLAG_PROVIDER_FAILED, answer_indicator
+    from esgpipe.agent import FLAG_PROVIDER_FAILED, extract_indicator
     from esgpipe.providers import ProviderSet
     from esgpipe.retrieval import assemble_evidence
 
@@ -725,7 +725,7 @@ def test_chat_401_costs_one_post(http_server, sleeps):
         embedder=HashEmbedder(), chat=HttpChatProvider(HttpEndpoint(f"{base}/chat", retries=2))
     )
     evidence = assemble_evidence(as_hits([]), indicator_id=spec.id)
-    records = answer_indicator("d", spec, evidence, registry, providers, True)
+    records = extract_indicator("d", spec, evidence, registry, providers, True)
     assert [r.flags for r in records] == [[FLAG_PROVIDER_FAILED]]
     excerpt = records[0].raw_reply_excerpt
     assert excerpt == f"provider at {base}/chat unreachable: HTTP 401 Unauthorized"
