@@ -523,7 +523,7 @@ def build_or_load_kb(
     cache = kb_cache_path(config, key, providers, pcfg)
     if cache.exists():
         try:
-            return kbmod.load(cache)
+            return kbmod.load(cache, providers.embedder.dim)
         except KnowledgeBaseError as exc:
             logger.warning("stale KB cache %s: %s; rebuilding", cache.name, exc)
     built = build_document_kb(load_doc(), providers, pcfg)

@@ -56,8 +56,8 @@ file fails there and never later; it ignores header keys it does not
 read. A loaded KB keeps its entries as these columns: search reads a
 hit row's fields from them (`KnowledgeBase.texts`) and makes no `Entry`,
 and `entries` makes them all on first access. A file of another format
-or version, or a malformed one, is a KnowledgeBaseError, and the KB
-cache then rebuilds it.
+or version, of another dim than its caller expects, or a malformed
+one, is a KnowledgeBaseError, and the KB cache then rebuilds it.
 """
 
 from __future__ import annotations
@@ -666,10 +666,11 @@ def _decode_sources(codes: np.ndarray, n: int) -> np.ndarray:
     return codes.astype(np.intp)
 
 
-def load(path: str | Path) -> KnowledgeBase:
+def load(path: str | Path, dim: int | None = None) -> KnowledgeBase:
     """The KB of a file `save` wrote; raises KnowledgeBaseError when the
-    file is missing, of another format or version, or malformed in any
-    part, so a KB that loads needs no further checks. No Python loop
+    file is missing, of another format or version, of a dim other than
+    `dim` (when given; checked before any section is decoded), or
+    malformed in any part, so a KB that loads needs no further checks. No Python loop
     runs per entry or stored value but the entry_id checks and sort: the
     vectors decode by their flat positions (`row * dim + index`)."""
     path = Path(path)
@@ -692,7 +693,7 @@ def load(path: str | Path) -> KnowledgeBase:
     try:
         if end < 0:
             raise KnowledgeBaseError("no newline after the header")
-        return _from_file(header, memoryview(data)[end + 1 :])
+        return _from_file(header, memoryview(data)[end + 1 :], dim)
     except (ValueError, KnowledgeBaseError) as exc:
         raise KnowledgeBaseError(f"{path}: malformed KB file: {exc}") from exc
 
@@ -701,7 +702,7 @@ _HEADER_REQUIRED = frozenset(
     {"scope", "provider_name", "dim", "counts", "table_texts", "entry_id", "sections"})
 
 
-def _from_file(header: dict, body: memoryview) -> KnowledgeBase:
+def _from_file(header: dict, body: memoryview, want_dim: int | None) -> KnowledgeBase:
     """The KB of a parsed header and the bytes after its line; raises
     KnowledgeBaseError, or ValueError for text that is not UTF-8, when
     malformed. The scope is a doc_id, so it must be a file name."""
@@ -713,6 +714,8 @@ def _from_file(header: dict, body: memoryview) -> KnowledgeBase:
     entry_ids = _read.texts(header["entry_id"], ("header", "entry_id"), E)
     n = len(entry_ids)
     dim = _read.integer(header["dim"], ("header", "dim"), E, 1)
+    if want_dim is not None and dim != want_dim:
+        raise E(f"dim {dim} is not the expected {want_dim}")
     arrays = _sections(header["sections"], body)
     codes = _decode_sources(arrays["source"], n)
     text, offsets, has_summary = _decode_text(

@@ -1433,6 +1433,27 @@ def test_older_kb_cache_is_rebuilt_once(workspace, capsys, caplog, ingested, ver
     )
 
 
+def test_a_cached_kb_of_another_dim_is_rebuilt_once(workspace, capsys, caplog):
+    # a header dim of 2**50 is refused before a matrix of that many columns is made
+    _keep_docs(workspace, {"doc00.json"})
+    cfg = _config_path(workspace)
+    out = workspace / "out"
+    assert main(["extract", "--config", cfg]) == EXIT_OK
+    cold_records = (out / "records.jsonl").read_bytes()
+    (cache,) = (out / "kb_cache").glob("*.json")
+    fresh = cache.read_bytes()
+    line, _, body = fresh.partition(b"\n")
+    cache.write_bytes(json.dumps({**json.loads(line), "dim": 2**50}).encode() + b"\n" + body)
+    (out / "records.jsonl").unlink()
+    with caplog.at_level("WARNING", logger="esgpipe.cli"):
+        assert main(["extract", "--config", cfg]) == EXIT_OK
+    warnings = [r.getMessage() for r in caplog.records if "stale KB cache" in r.getMessage()]
+    assert len(warnings) == 1
+    assert f"dim {2**50} is not the expected 256" in warnings[0]
+    assert cache.read_bytes() == fresh
+    assert (out / "records.jsonl").read_bytes() == cold_records
+
+
 # ---------------------------------------------------------------- lazy corpus
 
 
