@@ -103,17 +103,23 @@ def choice(value: object, where: tuple, error: type[Exception], enum: type[Enum]
     return member
 
 
-def integer(value: object, where: tuple, error: type[Exception], least: int | None = None) -> int:
-    """A JSON number with an integral value, as an int, at least `least`."""
+def integer(
+    value: object, where: tuple, error: type[Exception], least: int | None = None,
+    most: int | None = None,
+) -> int:
+    """A JSON number with an integral value, as an int, at least `least`
+    and at most `most`."""
     if type(value) is int:
         number = value
     elif type(value) is float and value.is_integer():
         number = int(value)
     else:
         raise _fail(where, error, "an integer", value)
-    if least is None or number >= least:
-        return number
-    raise _fail(where, error, f">= {least}", value)
+    if least is not None and number < least:
+        raise _fail(where, error, f">= {least}", value)
+    if most is not None and number > most:
+        raise _fail(where, error, f"<= {most}", value)
+    return number
 
 
 def number(

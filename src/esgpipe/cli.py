@@ -133,19 +133,21 @@ class _Key(NamedTuple):
     """A config key's type, `str`, `Path` (resolved against the config's
     directory), `int` or `float`, and what it takes when left out or
     null: `default`, that of the field it sets. A number must be finite
-    and at least `least`, or above it where `strict`."""
+    and at least `least`, or above it where `strict`; an integer at most
+    `most`, where that is given."""
 
     type: type
     default: object = None
     least: float = 0
     strict: bool = False
+    most: int | None = None
 
 
 # the keys of each provider section that set its `HttpEndpoint`
 _ENDPOINT_KEYS = {
     "url": _Key(str, ""),
     "timeout": _Key(float, HttpEndpoint.timeout, 0, strict=True),  # 0: a non-blocking socket
-    "retries": _Key(int, HttpEndpoint.retries, 0),
+    "retries": _Key(int, HttpEndpoint.retries, 0, most=10),  # backoff: 0.5 * (2**10 - 1) s at most
     "token_env": _Key(str, HttpEndpoint.token_env),
 }
 # every key of the run config, by its dotted name
@@ -164,7 +166,7 @@ _KEYS = {
     "chunking.max_chars": _Key(int, kbmod.BuildConfig.max_chars, kbmod.MIN_CHUNK_CHARS),
     "chunking.summary_sentences": _Key(int, kbmod.BuildConfig.summary_sentences, 1),
     "chunking.naive_chunk_chars": _Key(int, kbmod.BuildConfig.naive_chunk_chars, 1),
-    "providers.embedding.dim": _Key(int, DEFAULT_DIM, 1),
+    "providers.embedding.dim": _Key(int, DEFAULT_DIM, 1, most=2**16),  # 512 KiB a vector
     "providers.chat.replies": _Key(Path),
     **{f"providers.{name}.kind": _Key(str) for name in _PROVIDER_KINDS},
     **{
@@ -179,7 +181,6 @@ _NAMES = _KEYS.keys() | {key[:i] for key in _KEYS for i, char in enumerate(key) 
 
 @dataclass
 class RunConfig:
-    base_dir: Path
     registry_path: Path | None
     corpus_dir: Path | None
     output_dir: Path
@@ -222,7 +223,7 @@ def _value(key: str, value: object, base: Path, where: str) -> object:
         return None
     at = (where, *key.split("."))
     if spec.type is int:
-        return _read.integer(value, at, ConfigError, spec.least)
+        return _read.integer(value, at, ConfigError, spec.least, spec.most)
     if spec.type is float:
         return _read.number(value, at, ConfigError, spec.least, spec.strict)
     text = _read.text(value, at, ConfigError)
@@ -284,7 +285,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         )
 
     return RunConfig(
-        base_dir=base, registry_path=values["registry"], corpus_dir=values["corpus_dir"],
+        registry_path=values["registry"], corpus_dir=values["corpus_dir"],
         output_dir=values["output_dir"], mode=mode, arm=arm, labels_path=values["labels"],
         jobs=values["jobs"], rel_tol=values["value_match_rel_tol"],
         pipeline=PipelineConfig(

@@ -741,6 +741,8 @@ def test_out_of_range_retrieval_and_chunking_rejected(
         ("rerank", "timeout", -1.5, "providers.rerank.timeout must be > 0"),
         ("chat", "retries", -1, "providers.chat.retries must be >= 0"),
         ("embedding", "dim", 0, "providers.embedding.dim must be >= 1"),
+        ("embedding", "dim", 2**16 + 1, "providers.embedding.dim must be <= 65536, got 65537"),
+        ("rerank", "retries", 11, "providers.rerank.retries must be <= 10, got 11"),
         pytest.param("chat", "retries", True, "chat.retries must be an integer, got True",
                      id="chat-retries-True-malformed number: True is not a number"),
         pytest.param("embedding", "timeout", True, "embedding.timeout must be a number, got True",
@@ -855,6 +857,9 @@ def test_a_number_key_follows_the_number_rules(tmp_path, key):
         rejected.append((fraction, f"{key} must be an integer, got {fraction}"))
     if spec.strict:
         rejected.append((spec.least, bound))
+    if spec.most is not None:
+        rejected.append((spec.most + 1, f"{key} must be <= {spec.most}, got {spec.most + 1}"))
+        assert value_of(_load_with(tmp_path, key, spec.most)) == spec.most
     for value, message in rejected:
         with pytest.raises(ConfigError, match=re.escape(message)):
             _load_with(tmp_path, key, value)
