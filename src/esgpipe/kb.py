@@ -670,9 +670,10 @@ def load(path: str | Path, dim: int | None = None) -> KnowledgeBase:
     """The KB of a file `save` wrote; raises KnowledgeBaseError when the
     file is missing, of another format or version, of a dim other than
     `dim` (when given; checked before any section is decoded), or
-    malformed in any part, so a KB that loads needs no further checks. No Python loop
-    runs per entry or stored value but the entry_id checks and sort: the
-    vectors decode by their flat positions (`row * dim + index`)."""
+    malformed in any part, so a KB that loads needs no further checks.
+    No Python loop runs per entry or stored value but the entry_id checks
+    and sort: the vectors decode by their flat positions (`row * dim +
+    index`)."""
     path = Path(path)
     try:
         data = path.read_bytes()

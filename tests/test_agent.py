@@ -29,7 +29,6 @@ from esgpipe.agent import (
     ExtractionRecord,
     _excerpt,
     build_prompt,
-    extract_indicator,
     load_records,
     parse_reply,
     record_from_json,
@@ -688,22 +687,15 @@ def test_extract_undisclosed_indicator_refuses(registry, offline_providers,
 
 def test_extract_sends_a_failed_chat_call_once(registry, offline_providers, doc00_kb,
                                               sleeps):
-    spec = registry.indicator("A1.1-nox")
     chat = _FailingChat()
     providers = dataclasses.replace(offline_providers, chat=chat)
-    records = _extract(doc00_kb, spec, registry, providers)
+    records = _extract(doc00_kb, registry.indicator("A1.1-nox"), registry, providers)
     assert chat.calls == 1
     assert sleeps == []
     assert len(records) == 1
     assert records[0].disclosure is False
     assert records[0].flags == [FLAG_PROVIDER_FAILED]
     assert records[0].raw_reply_excerpt == "simulated outage"
-    # the stage itself, on the evidence of any bundle
-    evidence = assemble_evidence(as_hits([]), indicator_id=spec.id)
-    assert extract_indicator("d", spec, evidence, registry, providers, True) == [
-        dataclasses.replace(records[0], doc_id="d")
-    ]
-    assert chat.calls == 2
 
 
 def test_extract_recovers_from_transient_failure(registry, offline_providers,
