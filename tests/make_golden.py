@@ -2,7 +2,8 @@
 fixture plus one markdown report (`add_markdown`).
 
 `run(root)` runs, on a corpus written under `root` (`corpusgen.generate`,
-then the corpus's addition in `CORPORA`), these commands in turn into one output directory per `jobs` setting:
+then the corpus's addition in `CORPORA`), these commands in turn into one
+output directory per `jobs` setting:
 `ingest`, a cold `extract`, a warm `extract`, `evaluate` of the records
 that `extract` wrote, `build-kb`, `ablate` and `analyze`; then the same
 `evaluate` in an output directory of its own, which holds no records, so
@@ -38,8 +39,8 @@ from tests import corpusgen
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 MARKDOWN_ID = "doc10-md"
-# nested headings, a paragraph under each third-level one and a pipe table;
-# the mock answers two indicators from them and refuses the rest
+# nested headings, paragraphs and a pipe table; the mock answers two
+# indicators from them and refuses the rest
 MARKDOWN = """\
 # Company K Holdings ESG Report
 
@@ -158,19 +159,14 @@ def run(root: Path) -> dict[str, dict]:
     return table
 
 
-def corpus_table(corpus: str, root: Path) -> dict[str, dict]:
-    """The golden entries of `corpus`, written under the empty directory `root`."""
-    corpusgen.generate(root)
-    CORPORA[corpus](root)
-    return run(root)
-
-
 def main(argv: list[str]) -> int:
     target_dir = Path(argv[0]) if argv else GOLDEN_DIR
     target_dir.mkdir(parents=True, exist_ok=True)
     for corpus in CORPORA:
         with tempfile.TemporaryDirectory() as tmp:
-            table = corpus_table(corpus, Path(tmp))
+            corpusgen.generate(Path(tmp))
+            CORPORA[corpus](Path(tmp))
+            table = run(Path(tmp))
         target = target_dir / f"{corpus}.json"
         target.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {len(table)} entries to {target}")
