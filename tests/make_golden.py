@@ -7,7 +7,9 @@ output directory per `jobs` setting:
 `ingest`, a cold `extract`, a warm `extract`, `evaluate` of the records
 that `extract` wrote, `build-kb`, `ablate` and `analyze`; then the same
 `evaluate` in an output directory of its own, which holds no records, so
-it extracts them first. Each step's entry holds its exit code, its stdout
+it extracts them first; then `ablate` in another directory of its own,
+which holds no `kb_cache/`, so it builds every KB in memory, where the
+`ablate` after `build-kb` finds the structured KBs cached. Each step's entry holds its exit code, its stdout
 (with `root` written as `<root>`) and the sha256 of each output file the
 step created or changed in its output directory; `manifest.json`, which
 holds the run's times, is left out.
@@ -121,6 +123,7 @@ STEPS = (
     ("ablate", ("ablate",), ""),
     ("analyze", ("analyze",), ""),
     ("evaluate (fresh)", EVALUATE, "-fresh"),
+    ("ablate (cold)", ("ablate",), "-cold"),
 )
 
 
