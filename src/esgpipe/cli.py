@@ -106,6 +106,7 @@ from .providers import (
     HttpEndpoint,
     HttpReranker,
     JaccardReranker,
+    MAX_DIM,
     MockChatProvider,
     ProviderSet,
 )
@@ -166,7 +167,7 @@ _KEYS = {
     "chunking.max_chars": _Key(int, kbmod.BuildConfig.max_chars, kbmod.MIN_CHUNK_CHARS),
     "chunking.summary_sentences": _Key(int, kbmod.BuildConfig.summary_sentences, 1),
     "chunking.naive_chunk_chars": _Key(int, kbmod.BuildConfig.naive_chunk_chars, 1),
-    "providers.embedding.dim": _Key(int, DEFAULT_DIM, 1, most=2**16),  # 512 KiB a vector
+    "providers.embedding.dim": _Key(int, DEFAULT_DIM, 1, most=MAX_DIM),
     "providers.chat.replies": _Key(Path),
     **{f"providers.{name}.kind": _Key(str) for name in _PROVIDER_KINDS},
     **{

@@ -56,8 +56,9 @@ file fails there and never later; it ignores header keys it does not
 read. A loaded KB keeps its entries as these columns: search reads a
 hit row's fields from them (`KnowledgeBase.texts`) and makes no `Entry`,
 and `entries` makes them all on first access. A file of another format
-or version, of another dim than its caller expects, or a malformed
-one, is a KnowledgeBaseError, and the KB cache then rebuilds it.
+or version, of another dim than its caller expects or of one above
+`providers.MAX_DIM`, or a malformed one, is a KnowledgeBaseError, and
+the KB cache then rebuilds it.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ import numpy as np
 from . import _read
 from .docmodel import StructuredDocument, Table, outline_paths, render_table
 from .errors import KnowledgeBaseError
-from .providers import EmbeddingProvider, embed_matrix, split_sentences
+from .providers import MAX_DIM, EmbeddingProvider, embed_matrix, split_sentences
 
 logger = logging.getLogger(__name__)
 
@@ -668,9 +669,9 @@ def _decode_sources(codes: np.ndarray, n: int) -> np.ndarray:
 
 def load(path: str | Path, dim: int | None = None) -> KnowledgeBase:
     """The KB of a file `save` wrote; raises KnowledgeBaseError when the
-    file is missing, of another format or version, of a dim other than
-    `dim` (when given; checked before any section is decoded), or
-    malformed in any part, so a KB that loads needs no further checks.
+    file is missing, of another format or version, of a dim above
+    `providers.MAX_DIM` or other than `dim` (when given; both checked
+    before any section is decoded), or malformed in any part, so a KB that loads needs no further checks.
     No Python loop runs per entry or stored value but the entry_id checks
     and sort: the vectors decode by their flat positions (`row * dim +
     index`)."""
@@ -717,6 +718,8 @@ def _from_file(header: dict, body: memoryview, want_dim: int | None) -> Knowledg
     dim = _read.integer(header["dim"], ("header", "dim"), E, 1)
     if want_dim is not None and dim != want_dim:
         raise E(f"dim {dim} is not the expected {want_dim}")
+    if dim > MAX_DIM:  # whatever the caller expects: the matrix would take dim * 8 bytes a row
+        raise E(f"dim {dim} is above the largest, {MAX_DIM}")
     arrays = _sections(header["sections"], body)
     codes = _decode_sources(arrays["source"], n)
     text, offsets, has_summary = _decode_text(

@@ -59,6 +59,9 @@ _SENTENCE_END_RE = re.compile(r"([.!?])\s+")
 
 DEFAULT_TOKEN_ENV = "ESGPIPE_API_TOKEN"
 DEFAULT_DIM = 256  # `HashEmbedder`'s, and so the run config's providers.embedding.dim
+# the largest providers.embedding.dim, and the largest dim a KB file may
+# declare: 512 KiB a float64 vector
+MAX_DIM = 2**16
 
 BACKOFF_SECONDS = 0.5  # `HttpEndpoint.post` sleeps this * 2**n before resend n + 1
 

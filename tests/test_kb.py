@@ -35,7 +35,7 @@ from esgpipe.kb import (
     summarize,
     verify_anchors,
 )
-from esgpipe.providers import HashEmbedder
+from esgpipe.providers import MAX_DIM, HashEmbedder
 
 
 def make_doc(block_texts, tables=(), doc_id="d"):
@@ -1250,6 +1250,29 @@ def test_load_checks_the_dim_its_caller_expects(tmp_path, corpus_docs, embedder)
     assert load(path, embedder.dim).dim == embedder.dim
     with pytest.raises(KnowledgeBaseError, match=f"dim {embedder.dim} is not the expected 8$"):
         load(path, 8)
+
+
+def test_load_refuses_a_header_dim_above_max_dim_before_decoding(
+    tmp_path, corpus_docs, embedder, monkeypatch
+):
+    from esgpipe import kb as kbmod
+
+    path = tmp_path / "kb.json"
+    save(build(corpus_docs[0], embedder), path)
+    line, _, body = path.read_bytes().partition(b"\n")
+
+    def with_dim(dim):
+        path.write_bytes(json.dumps({**json.loads(line), "dim": dim}).encode() + b"\n" + body)
+
+    with_dim(MAX_DIM)
+    assert load(path).dim == MAX_DIM
+    with_dim(MAX_DIM + 1)
+    decoded = []
+    monkeypatch.setattr(kbmod, "_sections", lambda *args: decoded.append(args))
+    for expected in (None, MAX_DIM + 1):  # whatever the caller expects
+        with pytest.raises(KnowledgeBaseError, match=f"dim {MAX_DIM + 1} is above the largest"):
+            load(path, expected)
+    assert decoded == []
 
 
 def test_load_rejects_non_kb_file(tmp_path):
