@@ -19,9 +19,13 @@ file's bytes and, for markdown and plain text, by the name that gives
 their doc_id: a hit takes the doc_id from the cached KB and never parses
 the file, a miss parses, builds and caches it. build-kb then deletes
 the `kb_cache/` and `kb/` files of documents no longer in the corpus
-(a skipped file counts as gone). ingest and ablate parse every file, as
-they need the document itself; analyze reads only each file's top-level
-fields (`docmodel.read_fields`).
+(a skipped file counts as gone). ingest and ablate parse every file up
+front, in doc_id order: ingest writes the documents, and ablate checks
+every doc_id against the labels before any provider call, then takes
+each KB of both modes through the same cache, reading it only: a miss
+or a stale file is built in memory from the parsed document and never
+written. analyze reads only each file's top-level fields
+(`docmodel.read_fields`).
 
 extract and a fresh single-arm evaluate share `extract_arm`, which writes
 `records.jsonl`, in doc_id order. evaluate and ablate score each arm with
@@ -518,10 +522,11 @@ def build_or_load_kb(
     providers: ProviderSet,
     pcfg: PipelineConfig,
     config: RunConfig,
+    store: bool = True,
 ) -> kbmod.KnowledgeBase:
     """The KB of the corpus file with cache key `key`: loaded from
     `kb_cache/`, or, on a miss or a stale file, built from `load_doc()`
-    and cached. Only a miss parses the document."""
+    and, where `store`, cached. Only a miss parses the document."""
     cache = kb_cache_path(config, key, providers, pcfg)
     if cache.exists():
         try:
@@ -529,7 +534,8 @@ def build_or_load_kb(
         except KnowledgeBaseError as exc:
             logger.warning("stale KB cache %s: %s; rebuilding", cache.name, exc)
     built = build_document_kb(load_doc(), providers, pcfg)
-    write_atomic(cache, partial(kbmod.save, built))
+    if store:
+        write_atomic(cache, partial(kbmod.save, built))
     return built
 
 
@@ -629,12 +635,17 @@ class Corpus:
 
     def documents(self) -> list[docmodel.StructuredDocument]:
         """Every document, parsed, in doc_id order."""
+        return [item.doc for item in self.parsed()]
+
+    def parsed(self) -> list[CorpusDocument]:
+        """Every file's item with its document parsed (`doc`) and its KB
+        cache key, in doc_id order."""
         return self._sorted(docmodel.ingest)
 
     def fields(self) -> list[docmodel.DocumentFields]:
         """Every document's top-level fields (`docmodel.read_fields`),
         in doc_id order; no body is parsed."""
-        return self._sorted(docmodel.read_fields)
+        return [item.doc for item in self._sorted(docmodel.read_fields)]
 
     def sourced(self, providers: ProviderSet, pcfg: PipelineConfig) -> Iterator[CorpusDocument]:
         """Each document with its `pcfg` KB from `build_or_load_kb`, so
@@ -642,8 +653,8 @@ class Corpus:
         the KB's scope."""
         return self._read(docmodel.ingest, (providers, pcfg))
 
-    def _sorted(self, parse: Callable[[Path], Any]) -> list:
-        return sorted((item.doc for item in self._read(parse)), key=lambda d: d.doc_id)
+    def _sorted(self, parse: Callable[[Path], Any]) -> list[CorpusDocument]:
+        return sorted(self._read(parse), key=lambda item: item.doc_id)
 
     def _read(
         self,
@@ -959,13 +970,18 @@ def _run_ablation_command(
     labels = evaluation.load_labels(labels_file, registry)
     providers = build_providers(config)
     corpus = Corpus(config)
-    docs = corpus.documents()
+    items = corpus.parsed()
     _require_documents(corpus)
+
+    def source_kb(item: CorpusDocument, kb_cfg: PipelineConfig) -> kbmod.KnowledgeBase:
+        # a miss is not cached, or the benchmark's first ablate round would
+        # differ from the rounds after it (ROADMAP item 1a)
+        return build_or_load_kb(lambda: item.doc, item.key, providers, kb_cfg, config, store=False)
 
     arms = [ABLATION_ARMS[a] for a in ("benchmark", "enhanced_rag", "enhanced_rag_knowledge")]
     records_sink: dict[str, list[agent.ExtractionRecord]] = {}
     reports = evaluation.run_ablation(
-        docs,
+        items,
         registry,
         labels,
         arms,
@@ -974,6 +990,7 @@ def _run_ablation_command(
         records_sink=records_sink,
         rel_tol=config.rel_tol,
         jobs=config.jobs,
+        source_kb=source_kb,
     )
 
     out = config.output_dir

@@ -27,14 +27,13 @@ from decimal import Decimal
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from . import _read
 from .agent import ExtractionRecord
-from .docmodel import StructuredDocument
 from .errors import EvaluationError, PipelineError
 from .metadata import MetadataRegistry
-from .pipeline import AblationConfig, PipelineConfig, run_corpus
+from .pipeline import AblationConfig, KbSource, PipelineConfig, run_corpus
 from .providers import ProviderSet
 
 logger = logging.getLogger(__name__)
@@ -372,7 +371,7 @@ def evaluate_arm(
 
 
 def run_ablation(
-    docs: Sequence[StructuredDocument],
+    docs: Sequence[Any],
     registry: MetadataRegistry,
     labels_by_doc: dict[str, LabelSet],
     configs: Sequence[AblationConfig],
@@ -381,6 +380,7 @@ def run_ablation(
     records_sink: dict[str, list[ExtractionRecord]] | None = None,
     rel_tol: float | None = None,
     jobs: int = 1,
+    source_kb: KbSource | None = None,
 ) -> list[EvaluationReport]:
     """Run each arm over the corpus; one aggregate report per arm, from
     `evaluate_arm`.
@@ -388,9 +388,11 @@ def run_ablation(
     A document failing inside one arm is reported in that report's
     errors list and excluded from its means; other documents and arms
     proceed. `records_sink`, when given, receives config_id -> all
-    records. KBs are built in memory, once per document and
-    preprocessing mode. `rel_tol` is the relative tolerance for value
-    matches (None: exact); `jobs` is the number of extraction threads.
+    records. `source_kb` gives each document's KB once per preprocessing
+    mode, as in `run_corpus`: by default it builds a StructuredDocument's
+    in memory, and the CLI's reads `kb_cache/`. `rel_tol` is the relative
+    tolerance for value matches (None: exact); `jobs` is the number of
+    extraction threads.
     """
     missing = [d.doc_id for d in docs if d.doc_id not in labels_by_doc]
     if missing:
@@ -398,7 +400,8 @@ def run_ablation(
 
     cfg = base_cfg or PipelineConfig()
     outcomes: dict[str, list] = {a.config_id: [] for a in configs}
-    for result in run_corpus(docs, registry, providers, cfg, configs, jobs=jobs):
+    for result in run_corpus(docs, registry, providers, cfg, configs, jobs=jobs,
+                             source_kb=source_kb):
         for arm_id, arm_outcomes in outcomes.items():
             outcome = result.errors.get(arm_id) or result.records[arm_id]
             arm_outcomes.append((result.doc_id, outcome))

@@ -1459,6 +1459,143 @@ def test_a_cached_kb_of_another_dim_is_rebuilt_once(workspace, capsys, caplog):
     assert (out / "records.jsonl").read_bytes() == cold_records
 
 
+# ------------------------------------------------------- ablate and the cache
+
+# the fixture's embedding texts: every query of the three arms' plan, and
+# the texts of the ten documents' naive and structured KBs
+QUERY_TEXTS, NAIVE_TEXTS, STRUCTURED_TEXTS = 207, 100, 180
+
+
+@pytest.fixture()
+def embedded(monkeypatch):
+    """The number of texts of each `HashEmbedder.embed` call, in call order."""
+    from esgpipe.providers import HashEmbedder
+
+    sizes = []
+    real = HashEmbedder.embed
+
+    def counting(self, texts, out=None):
+        sizes.append(len(texts))
+        return real(self, texts, out)
+
+    monkeypatch.setattr(HashEmbedder, "embed", counting)
+    return sizes
+
+
+def _ablate_outputs(out_dir):
+    return {**_outputs(out_dir), "comparison.txt": (out_dir / "comparison.txt").read_bytes()}
+
+
+def _cold_ablate(ws, command=("ablate",)):
+    """The outputs of `command` in an output directory of its own, with no KB cache."""
+    cfg = _rewrite_config(ws, lambda raw: raw.update(output_dir="out-cold"))
+    assert main([*command, "--config", cfg]) == EXIT_OK
+    _rewrite_config(ws, lambda raw: raw.update(output_dir="out"))
+    assert not (ws / "out-cold" / "kb_cache").exists()
+    return _ablate_outputs(ws / "out-cold")
+
+
+@pytest.mark.parametrize("command", [["ablate"], ["evaluate", "--arm", "all"]])
+def test_ablate_after_build_kb_embeds_only_the_queries_and_the_naive_kbs(
+    workspace, capsys, embedded, command
+):
+    cold = _cold_ablate(workspace, command)
+    assert (len(embedded), sum(embedded)) == (21, QUERY_TEXTS + NAIVE_TEXTS + STRUCTURED_TEXTS)
+    cfg = _config_path(workspace)
+    assert main(["build-kb", "--config", cfg]) == EXIT_OK
+    embedded.clear()
+    assert main([*command, "--config", cfg]) == EXIT_OK
+    assert embedded[0] == QUERY_TEXTS  # the query plan, then one naive KB per document
+    assert (len(embedded), sum(embedded)) == (11, QUERY_TEXTS + NAIVE_TEXTS)
+    assert _ablate_outputs(workspace / "out") == cold
+
+
+def test_ablate_after_both_modes_are_cached_embeds_only_the_queries(
+    workspace, capsys, embedded, ingested
+):
+    cfg = _config_path(workspace)
+    for arm in ("enhanced_rag_knowledge", "benchmark"):
+        assert main(["build-kb", "--arm", arm, "--config", cfg]) == EXIT_OK
+    embedded.clear()
+    ingested.clear()
+    assert main(["ablate", "--config", cfg]) == EXIT_OK
+    assert embedded == [QUERY_TEXTS]
+    assert len(ingested) == 10  # each file is still parsed once, for the labels check
+
+
+def _cache_state(cache):
+    return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in sorted(cache.iterdir())}
+
+
+def test_ablate_writes_nothing_under_kb_cache(workspace, capsys):
+    _keep_docs(workspace, {"doc00.json", "doc01.json"})
+    _cold_ablate(workspace)
+    cfg = _config_path(workspace)
+    assert main(["build-kb", "--config", cfg]) == EXIT_OK
+    cache = workspace / "out" / "kb_cache"
+    before = _cache_state(cache)
+    assert len(before) == 2  # the structured KBs: the naive ones ablate builds are not kept
+    assert main(["ablate", "--config", cfg]) == EXIT_OK
+    assert _cache_state(cache) == before
+
+
+@pytest.mark.parametrize("fault", ["corrupt", "dim"])
+def test_a_stale_cached_kb_is_built_in_memory_by_ablate(workspace, capsys, caplog, fault):
+    _keep_docs(workspace, {"doc00.json", "doc01.json"})
+    cold = _cold_ablate(workspace)
+    cfg = _config_path(workspace)
+    assert main(["build-kb", "--config", cfg]) == EXIT_OK
+    stale = sorted((workspace / "out" / "kb_cache").glob("*.json"))[0]
+    line, _, body = stale.read_bytes().partition(b"\n")
+    if fault == "corrupt":
+        stale.write_bytes(line + b"\n" + body[: len(body) // 2])
+    else:
+        stale.write_bytes(json.dumps({**json.loads(line), "dim": 128}).encode() + b"\n" + body)
+    before = _cache_state(stale.parent)
+    with caplog.at_level("WARNING", logger="esgpipe.cli"):
+        assert main(["ablate", "--config", cfg]) == EXIT_OK
+    warnings = [r.getMessage() for r in caplog.records if "stale KB cache" in r.getMessage()]
+    message = {"corrupt": "malformed KB file", "dim": "dim 128 is not the expected 256"}[fault]
+    assert len(warnings) == 1 and stale.name in warnings[0] and message in warnings[0]
+    assert _cache_state(stale.parent) == before
+    assert _ablate_outputs(workspace / "out") == cold
+
+
+def test_online_ablate_after_build_kb_posts_only_the_queries_and_the_naive_kbs(workspace, capsys):
+    from esgpipe.providers import HashEmbedder
+
+    from tests.loopback import serving
+
+    docs = {"doc00.json", "doc01.json"}
+    _keep_docs(workspace, docs)
+    embedder = HashEmbedder()
+
+    def respond(path, payload):
+        if path == "/embed":
+            return 200, {"vectors": embedder.embed(payload["texts"])}
+        return 200, {"content": '{"disclosure": false}'}
+
+    def posts(server, path):
+        return [call["payload"] for call in server.calls if call["path"] == path]
+
+    runs = {}
+    with serving(respond) as (server, base):
+        cfg = _online(workspace, base)
+        runs["cold"] = _cold_ablate(workspace), posts(server, "/embed"), posts(server, "/chat")
+        assert main(["build-kb", "--config", cfg]) == EXIT_OK
+        server.calls.clear()
+        assert main(["ablate", "--config", cfg]) == EXIT_OK
+        runs["warm"] = _ablate_outputs(workspace / "out"), *(
+            posts(server, path) for path in ("/embed", "/chat")
+        )
+    (cold, cold_embeds, cold_chats), (warm, warm_embeds, warm_chats) = runs.values()
+    assert len(cold_embeds) == 1 + 2 * len(docs)
+    assert len(warm_embeds) == 1 + len(docs)  # the query plan, then each naive KB
+    assert warm_embeds[0] == cold_embeds[0]
+    assert warm_chats == cold_chats and len(warm_chats) == 3 * 70 * len(docs)
+    assert warm == cold
+
+
 # ---------------------------------------------------------------- lazy corpus
 
 
