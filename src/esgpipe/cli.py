@@ -20,12 +20,10 @@ their doc_id: a hit takes the doc_id from the cached KB and never parses
 the file, a miss parses, builds and caches it. build-kb then deletes
 the `kb_cache/` and `kb/` files of documents no longer in the corpus
 (a skipped file counts as gone). ingest and ablate parse every file up
-front, in doc_id order: ingest writes the documents, and ablate checks
-every doc_id against the labels before any provider call, then takes
-each KB of both modes through the same cache, reading it only: a miss
-or a stale file is built in memory from the parsed document and never
-written. analyze reads only each file's top-level fields
-(`docmodel.read_fields`).
+front, as they need the document itself; ablate then takes the KBs of
+both modes through the same cache, but only reads it: a miss or a stale
+file is built in memory and not written. analyze reads only each file's
+top-level fields (`docmodel.read_fields`).
 
 extract and a fresh single-arm evaluate share `extract_arm`, which writes
 `records.jsonl`, in doc_id order. evaluate and ablate score each arm with

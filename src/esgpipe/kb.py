@@ -671,7 +671,8 @@ def load(path: str | Path, dim: int | None = None) -> KnowledgeBase:
     """The KB of a file `save` wrote; raises KnowledgeBaseError when the
     file is missing, of another format or version, of a dim above
     `providers.MAX_DIM` or other than `dim` (when given; both checked
-    before any section is decoded), or malformed in any part, so a KB that loads needs no further checks.
+    before any section is decoded), or malformed in any part, so a KB
+    that loads needs no further checks.
     No Python loop runs per entry or stored value but the entry_id checks
     and sort: the vectors decode by their flat positions (`row * dim +
     index`)."""
