@@ -22,21 +22,29 @@ one chunk, and each such block's sentences (space-joined); the naive
 build packs sentences, first hard-cut to the chunk size. So no chunk
 exceeds its size but a single sentence longer than a structured chunk.
 
-The KB persists to one file (format version 5): a header line of
+The KB persists to one file (format version 6): a header line of
 compact JSON, then raw little-endian sections. The header holds the
-scalars, `table_texts`, the `entry_id` column over the entries in file
-order, and `sections`, the [item type, byte length] of each section in
-the order they follow the header line. Each integer section is stored
-at the narrowest unsigned width (`u1`, `<u2`, `<u4` or `<u8`) that
-holds its largest possible value:
+scalars, `table_texts`, `sections`, the [item type, byte length] of each
+section in the order they follow the header line, and the `entry_id`
+column over the entries in file order. That column is left out when
+every entry_id is the one a build gives (`_built_ids`: the source's
+prefix and the entry's four-digit ordinal among its source's entries,
+in file order), and `load` then derives them. Each integer section is
+stored at the narrowest unsigned width (`u1`, `<u2`, `<u4` or `<u8`)
+that holds its largest possible value:
 
 - `source` (codes in `Source` order, so `u1`): each entry's source.
 - `offsets` (width of the text length): 3 x entries + 1 non-decreasing
   offsets, in code points, from 0 to the length of the text; entry i's
-  payload_text, summary and anchor are the three pieces of the text
-  from offset 3i on.
-- `has_summary` (`u1`): 1 for an entry with a summary, 0 for one whose
-  summary is None (its piece is then empty), so None and "" differ.
+  payload_text, summary piece and anchor are the three pieces of the
+  text from offset 3i on.
+- `summary` (width of the largest code): 0 for an entry whose summary
+  is None (its piece is then empty), so None and "" differ; else a code
+  c >= 1, and the summary is the first c - 1 code points of the
+  payload_text followed by the summary piece. `save` takes the longest
+  head the two share, so a chunk's summary, its leading sentences,
+  stores only the tail where it departs from the chunk (as where a
+  newline became a space).
 - `text` (`u1`, UTF-8): every entry's three pieces, joined.
 - `indptr` (width of the count of stored values) and `indices` (width
   of dim - 1): the vectors as a CSR matrix (compressed sparse rows):
@@ -83,7 +91,7 @@ from .providers import MAX_DIM, EmbeddingProvider, embed_matrix, split_sentences
 logger = logging.getLogger(__name__)
 
 KB_FORMAT = "esg_kb"
-KB_VERSION = 5
+KB_VERSION = 6
 
 DEFAULT_CHUNK_CHARS = 1200
 DEFAULT_NAIVE_CHUNK_CHARS = 400
@@ -101,7 +109,7 @@ _MAX_DISTINCT = 1 << 16  # the most distinct values `save` codes: a code then fi
 _SECTIONS = {
     "source": _UINTS,
     "offsets": _UINTS,
-    "has_summary": _UINTS,
+    "summary": _UINTS,
     "text": ("u1",),
     "indptr": _UINTS,
     "indices": _UINTS,
@@ -117,7 +125,7 @@ class Source(Enum):
 
 
 _SOURCES = tuple(Source)  # each source at its code in the file, found by identity
-_PREFIXES = {Source.TEXT: "t", Source.OUTLINE: "o", Source.TABLE_KEYWORD: "k"}  # of a built entry_id
+_PREFIXES = ("t", "o", "k")  # of a built entry_id, at its source's code
 
 
 @dataclass
@@ -435,24 +443,60 @@ def _assemble(
     table_texts: dict[str, str] | None = None,
 ) -> KnowledgeBase:
     """The KB of each source's (anchor, payload, summary) parts, in turn:
-    one `embed_matrix` call over every payload, and entry_ids of the
-    source's prefix and the part's four-digit ordinal."""
+    one `embed_matrix` call over every payload, and the `_built_ids`."""
     matrix = embed_matrix(embedder, [payload for ps in parts.values() for _, payload, _ in ps])
     rows = iter(matrix)
+    codes = np.repeat([_SOURCES.index(s) for s in parts], [len(ps) for ps in parts.values()])
+    ids = iter(_built_ids(codes))
     entries = [
-        Entry(f"{_PREFIXES[source]}{n:04d}", source, payload, next(rows), anchor, summary)
+        Entry(next(ids), source, payload, next(rows), anchor, summary)
         for source, ps in parts.items()
-        for n, (anchor, payload, summary) in enumerate(ps)
+        for anchor, payload, summary in ps
     ]
     kb = KnowledgeBase(doc_id, embedder.name, embedder.dim, entries, table_texts, matrix)
     logger.info("built KB for %s: %s", doc_id, kb.counts())
     return kb
 
 
-def _pieces(entries: Sequence[Entry]) -> list[str]:
+def _built_ids(codes: np.ndarray) -> list[str]:
+    """The entry_id a build gives each entry of these source codes, in
+    file order: its source's prefix and its four-digit ordinal among
+    that source's entries."""
+    ids = np.empty(len(codes), dtype=object)
+    for code, prefix in enumerate(_PREFIXES):
+        rows = np.flatnonzero(codes == code)
+        ids[rows] = [f"{prefix}{n:04d}" for n in range(len(rows))]
+    return ids.tolist()
+
+
+def _summary_code(e: Entry) -> int:
+    """The `summary` code of an entry: 0 for no summary, else 1 + the
+    length of the longest head that its summary and payload_text share,
+    found by `startswith` and a binary search, at C speed."""
+    payload, summary = e.payload_text, e.summary
+    if summary is None:
+        return 0
+    if payload.startswith(summary):
+        return len(summary) + 1
+    low, high = 0, min(len(payload), len(summary) - 1)  # the shared length is in [low, high]
+    while low < high:
+        mid = (low + high + 1) // 2
+        if payload.startswith(summary[:mid]):
+            low = mid
+        else:
+            high = mid - 1
+    return low + 1
+
+
+def _pieces(entries: Sequence[Entry], summary_codes: Sequence[int]) -> list[str]:
     """The text pieces of `entries` in file order: each entry's
-    payload_text, summary ("" for None) and anchor."""
-    return [piece for e in entries for piece in (e.payload_text, e.summary or "", e.anchor)]
+    payload_text, its summary past the head that its code takes from
+    the payload ("" for None), and anchor."""
+    return [
+        piece
+        for e, code in zip(entries, summary_codes)
+        for piece in (e.payload_text, e.summary[code - 1 :] if code else "", e.anchor)
+    ]
 
 
 def _uint(largest: int) -> str:
@@ -471,19 +515,25 @@ def _sorted_distinct(patterns: np.ndarray) -> np.ndarray:
 
 def save(kb: KnowledgeBase, path: str | Path) -> None:
     """Write the KB file (byte-reproducible): the header line, then each
-    section in turn. The header's entry_id column, the text and the CSR
-    arrays go out `_SAVE_ROWS` entries at a time, so neither the file
-    nor its header, text or vector sections are held whole; a first
-    pass over the entries finds the text's offsets and byte length, and
-    one over the vector rows their counts of stored values and the
-    distinct patterns of those."""
+    section in turn. The header's entry_id column (unless it is the
+    built one), the text and the CSR arrays go out `_SAVE_ROWS` entries
+    at a time, so neither the file nor its header, text or vector
+    sections are held whole; a first pass over the entries finds their
+    summary codes and the text's offsets and byte length, and one over
+    the vector rows their counts of stored values and the distinct
+    patterns of those."""
     encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
     entries = kb.entries
-    batches = [entries[i : i + _SAVE_ROWS] for i in range(0, len(entries), _SAVE_ROWS)]
+    n = len(entries)
+    summary_codes = np.fromiter(map(_summary_code, entries), np.int64, n)
+    batches = [
+        (entries[i : i + _SAVE_ROWS], summary_codes[i : i + _SAVE_ROWS].tolist())
+        for i in range(0, n, _SAVE_ROWS)
+    ]
     lengths = [np.zeros(1, dtype=np.int64)]
     text_bytes = 0
     for batch in batches:
-        pieces = _pieces(batch)
+        pieces = _pieces(*batch)
         lengths.append(np.fromiter(map(len, pieces), np.int64, len(pieces)))
         text_bytes += len("".join(pieces).encode("utf-8"))
     offsets = np.cumsum(np.concatenate(lengths))
@@ -506,10 +556,9 @@ def save(kb: KnowledgeBase, path: str | Path) -> None:
             value_type = code
     if value_type == "<f8":
         distinct = np.zeros(0, dtype=np.uint64)
-    n = len(entries)
     types = dict(zip(_SECTIONS, (
-        _uint(len(Source) - 1), _uint(int(offsets[-1])), _uint(1), "u1",
-        _uint(nnz), _uint(kb.dim - 1), "<u8", value_type,
+        _uint(len(Source) - 1), _uint(int(offsets[-1])), _uint(int(summary_codes.max(initial=0))),
+        "u1", _uint(nnz), _uint(kb.dim - 1), "<u8", value_type,
     )))
     items = (n, len(offsets), n, text_bytes, n + 1, nnz, len(distinct), nnz)
     header = {
@@ -526,18 +575,21 @@ def save(kb: KnowledgeBase, path: str | Path) -> None:
         },
     }
     with open(path, "wb", buffering=_SAVE_BUFFER) as f:
-        f.write(encode(header)[:-1].encode("utf-8"))
-        f.write(b',"entry_id":[')
-        for i, batch in enumerate(batches):
-            f.write(b"," if i else b"")
-            f.write(encode([e.entry_id for e in batch])[1:-1].encode("utf-8"))
-        f.write(b"]}\n")
+        if kb.entry_ids == _built_ids(kb._codes):
+            f.write(encode(header).encode("utf-8"))
+        else:
+            f.write(encode(header)[:-1].encode("utf-8"))
+            f.write(b',"entry_id":[')
+            for i in range(0, n, _SAVE_ROWS):
+                f.write(b"," if i else b"")
+                f.write(encode(kb.entry_ids[i : i + _SAVE_ROWS])[1:-1].encode("utf-8"))
+            f.write(b"]}")
+        f.write(b"\n")
         f.write(kb._codes.astype(types["source"]).tobytes())
         f.write(offsets.astype(types["offsets"]).tobytes())
-        flags = (e.summary is not None for e in entries)
-        f.write(np.fromiter(flags, types["has_summary"], n).tobytes())
+        f.write(summary_codes.astype(types["summary"]).tobytes())
         for batch in batches:
-            f.write("".join(_pieces(batch)).encode("utf-8"))
+            f.write("".join(_pieces(*batch)).encode("utf-8"))
         f.write(indptr.astype(types["indptr"]).tobytes())
         # each block's column indices and values go out from one scan of
         # it, each at the end of what its section holds so far
@@ -635,10 +687,10 @@ def _decode_vectors(
 
 
 def _decode_text(
-    text: np.ndarray, offsets: np.ndarray, has_summary: np.ndarray, n: int
+    text: np.ndarray, offsets: np.ndarray, summary: np.ndarray, n: int
 ) -> tuple[str, list[int], list[int]]:
     """The text section as one str, and its offsets and the summary
-    flags as lists; raises KnowledgeBaseError, or ValueError for invalid
+    codes as lists; raises KnowledgeBaseError, or ValueError for invalid
     UTF-8, when they are malformed."""
     texts = str(text, "utf-8")
     if (
@@ -650,11 +702,14 @@ def _decode_text(
         raise KnowledgeBaseError(
             f"text offsets are not {3 * n + 1} non-decreasing offsets from 0 to {len(texts)}"
         )
-    if has_summary.shape != (n,) or (has_summary > 1).any():
-        raise KnowledgeBaseError(f"has_summary is not {n} flags of 0 or 1")
-    if (offsets[2::3] != offsets[1:-1:3])[has_summary == 0].any():
+    if summary.shape != (n,):
+        raise KnowledgeBaseError(f"{len(summary)} summary codes for {n} entries")
+    payloads = offsets[1::3].astype(np.uint64) - offsets[:-1:3]  # each payload's length
+    if (summary.astype(np.uint64) > payloads + 1).any():
+        raise KnowledgeBaseError("a summary code is past its payload's length")
+    if (offsets[2::3] != offsets[1:-1:3])[summary == 0].any():
         raise KnowledgeBaseError("an entry without a summary has summary text")
-    return texts, offsets.tolist(), has_summary.tolist()
+    return texts, offsets.tolist(), summary.tolist()
 
 
 def _decode_sources(codes: np.ndarray, n: int) -> np.ndarray:
@@ -673,9 +728,10 @@ def load(path: str | Path, dim: int | None = None) -> KnowledgeBase:
     `providers.MAX_DIM` or other than `dim` (when given; both checked
     before any section is decoded), or malformed in any part, so a KB
     that loads needs no further checks.
-    No Python loop runs per entry or stored value but the entry_id checks
-    and sort: the vectors decode by their flat positions (`row * dim +
-    index`)."""
+    No Python loop runs per entry or stored value but the entry_id
+    derivation, checks and sort: the vectors decode by their flat
+    positions (`row * dim + index`), and a summary is made only when its
+    row's texts are asked for."""
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -701,8 +757,7 @@ def load(path: str | Path, dim: int | None = None) -> KnowledgeBase:
         raise KnowledgeBaseError(f"{path}: malformed KB file: {exc}") from exc
 
 
-_HEADER_REQUIRED = frozenset(
-    {"scope", "provider_name", "dim", "counts", "table_texts", "entry_id", "sections"})
+_HEADER_REQUIRED = frozenset({"scope", "provider_name", "dim", "counts", "table_texts", "sections"})
 
 
 def _from_file(header: dict, body: memoryview, want_dim: int | None) -> KnowledgeBase:
@@ -714,17 +769,21 @@ def _from_file(header: dict, body: memoryview, want_dim: int | None) -> Knowledg
     table_texts = _read.obj(header["table_texts"], ("header", "table_texts"), E)
     for table_id, text in table_texts.items():
         _read.text(text, ("header", "table_texts", table_id), E)
-    entry_ids = _read.texts(header["entry_id"], ("header", "entry_id"), E)
-    n = len(entry_ids)
+    entry_ids = None  # unless the header holds them, the `_built_ids`
+    if "entry_id" in header:
+        entry_ids = _read.texts(header["entry_id"], ("header", "entry_id"), E)
     dim = _read.integer(header["dim"], ("header", "dim"), E, 1)
     if want_dim is not None and dim != want_dim:
         raise E(f"dim {dim} is not the expected {want_dim}")
     if dim > MAX_DIM:  # whatever the caller expects: the matrix would take dim * 8 bytes a row
         raise E(f"dim {dim} is above the largest, {MAX_DIM}")
     arrays = _sections(header["sections"], body)
+    n = len(arrays["source"] if entry_ids is None else entry_ids)
     codes = _decode_sources(arrays["source"], n)
-    text, offsets, has_summary = _decode_text(
-        arrays["text"], arrays["offsets"], arrays["has_summary"], n
+    if entry_ids is None:
+        entry_ids = _built_ids(codes)
+    text, offsets, summary_codes = _decode_text(
+        arrays["text"], arrays["offsets"], arrays["summary"], n
     )
     matrix = _decode_vectors(
         arrays["indptr"], arrays["indices"], arrays["distinct"], arrays["values"], n, dim
@@ -732,7 +791,8 @@ def _from_file(header: dict, body: memoryview, want_dim: int | None) -> Knowledg
 
     def texts(row: int) -> tuple[str, str | None, str]:
         a, b, c, d = offsets[3 * row : 3 * row + 4]
-        return text[a:b], text[b:c] if has_summary[row] else None, text[c:d]
+        code = summary_codes[row]
+        return text[a:b], text[a : a + code - 1] + text[b:c] if code else None, text[c:d]
 
     kb = KnowledgeBase.__new__(KnowledgeBase)  # the columns stand in for `__init__`'s entries
     kb._setup(

@@ -213,7 +213,8 @@ def test_a_json_file_is_read_as_json_whatever_its_text(workspace, capsys):
         assert lines[-1] == "warnings: 2 document(s) skipped"
     assert lines[0].startswith("wrote 700 records for 10 documents")
     for name in ("list.json", "prose.json"):
-        assert docmodel.name_doc_id(corpus / name, (corpus / name).read_text()) is None
+        text = (corpus / name).read_text(encoding="utf-8")
+        assert docmodel.name_doc_id(corpus / name, text) is None
 
 
 def test_undecodable_file_is_skipped(workspace, capsys):
@@ -1332,8 +1333,10 @@ def _write_older_kb(path, version):
     with a float list per entry or version 2 with the vectors in one
     base64 CSR block; version 3, a header line of compact JSON with the
     entry_id and source columns, then sections of fixed item types with
-    a doc_id text piece per entry; or version 4, today's layout without
-    the `distinct` section and with `<f8` values."""
+    a doc_id text piece per entry; version 5, today's layout with a
+    summary flag per entry instead of the codes, each summary whole in
+    the text and the header's entry_id column; or version 4, that of
+    version 5 without the `distinct` section and with `<f8` values."""
     import base64
 
     import numpy as np
@@ -1341,20 +1344,30 @@ def _write_older_kb(path, version):
     kb = kbmod.load(path)
     line, _, body = path.read_bytes().partition(b"\n")
     header = json.loads(line)
-    if version == 4:
-        specs, start, sections = header["sections"], 0, []
-        for name, (_kind, size) in list(specs.items()):
-            if name == "distinct":
-                del specs[name]
-            elif name == "values":
+    if version in (4, 5):
+        pieces = [p for e in kb.entries for p in (e.payload_text, e.summary or "", e.anchor)]
+        offsets = np.cumsum([0] + [len(p) for p in pieces])
+        width = next(k for k in ("u1", "<u2", "<u4", "<u8") if offsets[-1] <= np.iinfo(k).max)
+        start, sections = 0, {}
+        for name, (kind, size) in header["sections"].items():
+            if name == "offsets":
+                sections[name] = (width, offsets.astype(width).tobytes())
+            elif name == "summary":
+                sections["has_summary"] = ("u1", bytes(e.summary is not None for e in kb.entries))
+            elif name == "text":
+                sections[name] = ("u1", "".join(pieces).encode("utf-8"))
+            elif name == "values" and version == 4:
                 matrix = np.array([e.vector for e in kb.entries])
-                sections.append(matrix[matrix.view(np.uint64) != 0].astype("<f8").tobytes())
-                specs[name] = ["<f8", len(sections[-1])]
-            else:
-                sections.append(body[start : start + size])
+                sections[name] = ("<f8", matrix[matrix.view(np.uint64) != 0].astype("<f8").tobytes())
+            elif name != "distinct" or version == 5:
+                sections[name] = (kind, body[start : start + size])
             start += size
-        line = json.dumps({**header, "version": 4}, ensure_ascii=False, separators=(",", ":"))
-        path.write_bytes(line.encode("utf-8") + b"\n" + b"".join(sections))
+        specs = {name: [kind, len(raw)] for name, (kind, raw) in sections.items()}
+        older = {**header, "version": version, "sections": specs,
+                 "entry_id": [e.entry_id for e in kb.entries]}
+        line = json.dumps(older, ensure_ascii=False, separators=(",", ":"))
+        body = b"".join(raw for _kind, raw in sections.values())
+        path.write_bytes(line.encode("utf-8") + b"\n" + body)
         return
     data = {"format": header["format"], "version": version}
     for key in ("scope", "provider_name", "dim", "counts", "table_texts"):
@@ -1431,7 +1444,7 @@ def _assert_older_kb_cache_rebuilt_once(workspace, caplog, ingested, docs, versi
         assert (out / "records.jsonl").read_bytes() == fresh_records
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_older_kb_cache_is_rebuilt_once(workspace, capsys, caplog, ingested, version):
     _assert_older_kb_cache_rebuilt_once(
         workspace, caplog, ingested, {"doc00.json", "doc01.json"}, version

@@ -1,9 +1,11 @@
 """Knowledge base construction: chunking, keywords, persistence, anchors."""
 
 import json
+import os
 import random
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -387,7 +389,7 @@ def test_vector_dim_mismatch_rejected(corpus_docs, embedder):
 # The sections of a KB file after its header line, in file order: the
 # layout the kb module docstring documents. An integer section is at the
 # narrowest of these unsigned types that holds its largest possible value.
-SECTIONS = ["source", "offsets", "has_summary", "text", "indptr", "indices", "distinct", "values"]
+SECTIONS = ["source", "offsets", "summary", "text", "indptr", "indices", "distinct", "values"]
 UINTS = ("u1", "<u2", "<u4", "<u8")
 
 
@@ -515,7 +517,7 @@ def test_offsets_and_indptr_take_the_narrowest_width(tmp_path, size, kind):
 def test_loaded_entries_equal_the_built_ones_field_by_field(corpus_docs, embedder, tmp_path):
     widths = [_width_kb(size) for size, _kind in WIDTH_CASES]
     for kb in (build(corpus_docs[1], embedder), build_naive(corpus_docs[1], embedder),
-               _mixed_kb(40), _summaries_kb(), *widths):
+               _mixed_kb(40), _summaries_kb(), _shared_heads_kb(), *widths):
         path = tmp_path / "kb.json"
         save(kb, path)
         again = load(path)
@@ -547,7 +549,130 @@ def test_none_and_empty_summaries_stay_distinct(tmp_path):
     path = tmp_path / "kb.json"
     save(_summaries_kb(), path)
     assert [e.summary for e in load(path).entries] == [None, "", "One line.", "", None, "Émission 排放"]
-    assert read_file(path)[1]["has_summary"].tobytes() == bytes([0, 1, 1, 1, 0, 1])
+    # no summary shares a head with its payload: each is stored whole, after a code of 1
+    header, sections = read_file(path)
+    assert sections["summary"].tobytes() == bytes([0, 1, 1, 1, 0, 1])
+    pieces = str(sections["text"], "utf-8")
+    offsets = _arr(sections, "offsets")
+    assert [pieces[offsets[3 * i + 1] : offsets[3 * i + 2]] for i in range(6)] == [
+        "", "", "One line.", "", "", "Émission 排放"
+    ]
+
+
+# (payload_text, summary) pairs a summary code must carry, with the code
+# `save` gives each and the summary piece it stores: no summary, an empty
+# one, an exact head, a head whose newline the summary has as a space
+# (as in a chunk of two blocks), nothing shared, a summary longer than
+# its payload (the whole payload and a tail, or part of it), and
+# non-ASCII text, where code points and UTF-8 bytes differ.
+SHARED_HEADS = [
+    ("One. Two. Three.", None, 0, ""),
+    ("One. Two. Three.", "", 1, ""),
+    ("One. Two. Three.", "One. Two.", 10, ""),
+    ("Block one.\nBlock two. More.", "Block one. Block two.", 11, " Block two."),
+    ("Alpha beta.", "Gamma delta.", 1, "Gamma delta."),
+    ("Short.", "Short. And more after it.", 7, " And more after it."),
+    ("Short.", "Shorter than this summary.", 6, "er than this summary."),
+    ("Émissions de CO₂ 排放.\n第二", "Émissions de CO₂ 排放. 第二", 21, " 第二"),
+    ("😀 smile", "😀 smirk", 6, "rk"),
+    ("", "Summary of nothing.", 1, "Summary of nothing."),
+]
+
+
+def _shared_heads_kb():
+    """One Text entry of each of SHARED_HEADS, with the built entry_ids."""
+    entries = [
+        Entry(entry_id=f"t{i:04d}", source=Source.TEXT, payload_text=payload,
+              vector=[float(i), -0.0], anchor=f"blocks:{i}-{i}", summary=summary)
+        for i, (payload, summary, _code, _piece) in enumerate(SHARED_HEADS)
+    ]
+    return KnowledgeBase(scope="d", provider_name="p", dim=2, entries=entries)
+
+
+def test_a_summary_stores_only_the_tail_past_the_head_it_shares(tmp_path):
+    kb = _shared_heads_kb()
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    save(kb, p1)
+    header, sections = read_file(p1)
+    assert "entry_id" not in header
+    assert _arr(sections, "summary") == [code for _p, _s, code, _piece in SHARED_HEADS]
+    text, offsets = str(sections["text"], "utf-8"), _arr(sections, "offsets")
+    assert [text[offsets[3 * i + 1] : offsets[3 * i + 2]] for i in range(len(SHARED_HEADS))] == [
+        piece for _p, _s, _code, piece in SHARED_HEADS
+    ]
+    again = load(p1)
+    assert [_entry_fields(e) for e in again.entries] == [_entry_fields(e) for e in kb.entries]
+    summaries = [summary for _p, summary, _code, _piece in SHARED_HEADS]
+    assert [again.texts(i)[1] for i in range(len(SHARED_HEADS))] == summaries
+    save(again, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_a_built_kb_writes_no_entry_ids_and_any_other_ids_are_written(
+    corpus_docs, embedder, tmp_path
+):
+    from dataclasses import replace
+
+    path = tmp_path / "kb.json"
+    for kb in (build(corpus_docs[0], embedder), build_naive(corpus_docs[0], embedder)):
+        save(kb, path)
+        header, sections = read_file(path)
+        assert "entry_id" not in header
+        ids = [e.entry_id for e in kb.entries]
+        assert load(path).entry_ids == ids == built_ids(e.source for e in kb.entries)
+        # a file that holds the built ids loads to the same KB
+        path.write_bytes(file_bytes({**header, "entry_id": ids}, sections))
+        assert [_entry_fields(e) for e in load(path).entries] == [_entry_fields(e) for e in kb.entries]
+    # the test ids, and built ids out of their order, are written as they are
+    built = build(corpus_docs[0], embedder)
+    swapped = [replace(built.entries[0], entry_id="t0001"),
+               replace(built.entries[1], entry_id="t0000"), *built.entries[2:]]
+    for kb in (_summaries_kb(), KnowledgeBase("d", "p", built.dim, swapped, built.table_texts)):
+        save(kb, path)
+        ids = [e.entry_id for e in kb.entries]
+        assert read_file(path)[0]["entry_id"] == ids
+        assert load(path).entry_ids == ids
+
+
+def test_a_three_entry_kb_file_has_these_bytes(tmp_path):
+    """Every section and header key of a tiny version-6 file, so a change
+    of the format fails here with a readable diff before it moves a
+    golden digest."""
+    entries = [
+        Entry("t0000", Source.TEXT, "CO₂ fell.\nWater rose.", [1.0, 0.0], "blocks:0-1",
+              summary="CO₂ fell. Water rose."),
+        Entry("o0000", Source.OUTLINE, "Report > Emissions", [0.0, 0.5], "outline:1"),
+        Entry("k0000", Source.TABLE_KEYWORD, "Scope 1", [1.0, 0.5], "table:tbl-0"),
+    ]
+    path = tmp_path / "kb.json"
+    save(KnowledgeBase("d", "hash-2", 2, entries, {"tbl-0": "| Scope 1 | 12 |"}), path)
+    header, sections = read_file(path)
+    assert list(header) == [
+        "format", "version", "scope", "provider_name", "dim", "counts", "table_texts", "sections"
+    ]
+    assert header == {
+        "format": "esg_kb", "version": 6, "scope": "d", "provider_name": "hash-2", "dim": 2,
+        "counts": {"Text": 1, "Outline": 1, "TableKeyword": 1},
+        "table_texts": {"tbl-0": "| Scope 1 | 12 |"},
+        "sections": {
+            "source": ["u1", 3], "offsets": ["u1", 10], "summary": ["u1", 3], "text": ["u1", 90],
+            "indptr": ["u1", 4], "indices": ["u1", 4], "distinct": ["<u8", 16], "values": ["u1", 4],
+        },
+    }
+    assert {name: array.tobytes() for name, array in sections.items()} == {
+        "source": bytes([0, 1, 2]),
+        # in code points: the payload, summary piece and anchor of each entry
+        "offsets": bytes([0, 21, 33, 43, 61, 61, 70, 77, 77, 88]),
+        # the summary is the payload's first 9 code points and its piece
+        "summary": bytes([10, 0, 0]),
+        "text": "CO₂ fell.\nWater rose. Water rose.blocks:0-1"
+                "Report > Emissionsoutline:1Scope 1table:tbl-0".encode("utf-8"),
+        "indptr": bytes([0, 1, 2, 4]),
+        "indices": bytes([0, 1, 0, 1]),
+        # the bit patterns of 0.5 and 1.0, and a code into them per stored value
+        "distinct": bytes.fromhex("000000000000e03f" "000000000000f03f"),
+        "values": bytes([1, 0, 1, 0]),
+    }
 
 
 def test_search_of_a_loaded_kb_makes_entries_only_for_hit_rows(
@@ -729,7 +854,7 @@ def test_file_stores_only_nonzero_bit_patterns(tmp_path):
     path = tmp_path / "kb.json"
     save(KnowledgeBase(scope="d", provider_name="p", dim=3, entries=entries), path)
     header, sections = read_file(path)
-    assert header["version"] == KB_VERSION == 5
+    assert header["version"] == KB_VERSION == 6
     assert header["entry_id"] == ["e0", "e1", "e2"] and "source" not in header
     assert list(sections) == SECTIONS
     # three stored values: a table of three patterns and their codes would not be smaller
@@ -743,7 +868,7 @@ def test_file_stores_only_nonzero_bit_patterns(tmp_path):
     assert sections["values"].tobytes() == np.array([-0.0, 2.0, 1.0]).tobytes()
     assert sections["text"].tobytes() == b"pflat:0" * 3
     assert _arr(sections, "offsets") == [0, 1, 1, 7, 8, 8, 14, 15, 15, 21]
-    assert _arr(sections, "has_summary") == [0, 0, 0]
+    assert _arr(sections, "summary") == [0, 0, 0]
 
 
 # Bit patterns that must come back as they went in: -0.0, NaNs with
@@ -838,6 +963,31 @@ def _value_sections(values):
     return {"distinct": np.zeros(0, dtype="<u8"), "values": values}
 
 
+# the prefix of a built entry_id, by source
+PREFIXES = {Source.TEXT: "t", Source.OUTLINE: "o", Source.TABLE_KEYWORD: "k"}
+
+
+def built_ids(sources):
+    """The entry_ids a build gives entries of these sources, in file
+    order: each source's prefix and a four-digit count of that source's
+    entries before it."""
+    seen = Counter()
+    ids = []
+    for source in sources:
+        ids.append(f"{PREFIXES[source]}{seen[source]:04d}")
+        seen[source] += 1
+    return ids
+
+
+def summary_codes(entries):
+    """Each entry's summary code: 0 for no summary, else 1 + the length
+    of the longest head its summary shares with its payload_text."""
+    return [
+        0 if e.summary is None else len(os.path.commonprefix([e.payload_text, e.summary])) + 1
+        for e in entries
+    ]
+
+
 def reference_save_bytes(kb):
     """The bytes `save` writes, made in one piece: the CSR arrays row by
     row and the text of all entries at once."""
@@ -848,12 +998,16 @@ def reference_save_bytes(kb):
         indices.extend(stored.tolist())
         values.append(vec[stored])
         indptr.append(len(indices))
-    pieces = [p for e in kb.entries for p in (e.payload_text, e.summary or "", e.anchor)]
+    codes = summary_codes(kb.entries)
+    pieces = [
+        p for e, code in zip(kb.entries, codes)
+        for p in (e.payload_text, e.summary[code - 1 :] if code else "", e.anchor)
+    ]
     offsets = np.cumsum([0] + [len(p) for p in pieces])
     sections = {
         "source": _narrowest([list(Source).index(e.source) for e in kb.entries], len(Source) - 1),
         "offsets": _narrowest(offsets, offsets[-1]),
-        "has_summary": _narrowest([e.summary is not None for e in kb.entries], 1),
+        "summary": _narrowest(codes, max(codes, default=0)),
         "text": np.frombuffer("".join(pieces).encode("utf-8"), "u1"),
         "indptr": _narrowest(indptr, indptr[-1]),
         "indices": _narrowest(indices, kb.dim - 1),
@@ -868,8 +1022,10 @@ def reference_save_bytes(kb):
         "counts": kb.counts(),
         "table_texts": kb.table_texts,
         "sections": None,  # made by `file_bytes`
-        "entry_id": [e.entry_id for e in kb.entries],
     }
+    ids = [e.entry_id for e in kb.entries]
+    if ids != built_ids(e.source for e in kb.entries):
+        header["entry_id"] = ids
     return file_bytes(header, sections)
 
 
@@ -908,6 +1064,7 @@ def _save_cases(corpus_docs, embedder):
     with np.errstate(all="ignore"):
         yield "special", _special_kb(5, np.random.default_rng(5))
     yield "summaries", _summaries_kb()
+    yield "shared-heads", _shared_heads_kb()
     yield "empty", KnowledgeBase(scope="e", provider_name="p", dim=4, entries=[])
     for size, _kind in WIDTH_CASES:
         yield f"width-{size}", _width_kb(size)
@@ -1016,9 +1173,25 @@ def test_load_rejects_malformed_vector_block(corpus_docs, embedder, tmp_path, ca
 
 
 def _first_summary(h, s):
-    """The row of the first entry with a non-empty summary."""
+    """The row of the first entry with a non-empty summary piece."""
     offsets = _arr(s, "offsets")
-    return next(i for i in range(len(h["entry_id"])) if offsets[3 * i + 2] > offsets[3 * i + 1])
+    return next(i for i in range(len(s["source"])) if offsets[3 * i + 2] > offsets[3 * i + 1])
+
+
+def _payload_length(s, row):
+    offsets = _arr(s, "offsets")
+    return offsets[3 * row + 1] - offsets[3 * row]
+
+
+def _ids(s):
+    """The entry_ids of the entries of sections `s`, the built ones that
+    a built KB's file leaves out of its header."""
+    return built_ids(list(Source)[code] for code in _arr(s, "source"))
+
+
+def _with_ids(h, s, edit=lambda ids: ids):
+    """The file of `h` and `s` whose header holds `edit` of its entry_ids."""
+    return file_bytes({**h, "entry_id": edit(_ids(s))}, s)
 
 
 def _flip(seq, i, value):
@@ -1049,7 +1222,7 @@ MALFORMED_FILES = {
     ),
     "length not a multiple of its item size": (
         lambda h, s: _with_lengths(
-            h, s, offsets=s["offsets"].nbytes - 1, has_summary=s["has_summary"].nbytes + 1
+            h, s, offsets=s["offsets"].nbytes - 1, summary=s["summary"].nbytes + 1
         ),
         "section 'offsets' has length",
     ),
@@ -1126,24 +1299,41 @@ MALFORMED_FILES = {
         lambda h, s: file_bytes(h, {**s, "text": _u1(s["text"].tobytes()[:-1] + b"\xc3")}),
         "can't decode byte 0xc3",
     ),
-    "has_summary flag of 2": (_edit("has_summary", lambda v: _flip(v, 0, 2)), "has_summary is not"),
-    "has_summary too short": (_edit("has_summary", lambda v: v[:-1]), "has_summary is not"),
+    # a code c takes c - 1 code points of the payload: the first past it is its length + 2
+    "summary code past its payload": (
+        lambda h, s: _edit("summary", lambda v: _flip(v, 0, _payload_length(s, 0) + 2), "<u4")(h, s),
+        "summary code is past its payload's length",
+    ),
+    "summary code of 2**64 - 1": (
+        _edit("summary", lambda v: _flip(v, 0, 2**64 - 1), "<u8"),
+        "summary code is past its payload's length",
+    ),
+    "summary too short": (_edit("summary", lambda v: v[:-1]), "summary codes for"),
+    "summary too long": (_edit("summary", lambda v: v + [0]), "summary codes for"),
+    # a zero code beside a non-empty summary piece
     "summary text without a summary": (
-        lambda h, s: _edit("has_summary", lambda v: _flip(v, _first_summary(h, s), 0))(h, s),
+        lambda h, s: _edit("summary", lambda v: _flip(v, _first_summary(h, s), 0))(h, s),
         "without a summary has summary text",
     ),
     "duplicate entry_id": (
-        lambda h, s: file_bytes({**h, "entry_id": _flip(h["entry_id"], 1, h["entry_id"][0])}, s),
-        "duplicate entry_id",
+        lambda h, s: _with_ids(h, s, lambda ids: _flip(ids, 1, ids[0])), "duplicate entry_id"
     ),
     "entry_id not a string": (
-        lambda h, s: file_bytes({**h, "entry_id": _flip(h["entry_id"], 0, 7)}, s),
+        lambda h, s: _with_ids(h, s, lambda ids: _flip(ids, 0, 7)),
         "entry_id must be an array of strings",
     ),
     "entry_id not a list": (
         lambda h, s: file_bytes({**h, "entry_id": "t0000"}, s), "entry_id must be an array of strings"
     ),
-    "source column too short": (_edit("source", lambda v: v[:-1]), "sources for"),
+    "entry_id column too short": (lambda h, s: _with_ids(h, s, lambda ids: ids[:-1]), "sources for"),
+    "source column too short": (
+        lambda h, s: file_bytes({**h, "entry_id": _ids(s)}, {**s, "source": s["source"][:-1]}),
+        "sources for",
+    ),
+    # without a header entry_id column, the source section gives the count of entries
+    "source column too short without entry_ids": (
+        _edit("source", lambda v: v[:-1]), "text offsets are not"
+    ),
     "source code above 2": (_edit("source", lambda v: _flip(v, 1, 3)), "unknown source code 3"),
     "source code 256 in a wide section": (
         _edit("source", lambda v: _flip(v, 0, 256), "<u2"), "unknown source code 256"
@@ -1239,7 +1429,7 @@ def test_load_rejects_a_version_2_file(tmp_path):
         "counts": {"Text": 0, "Outline": 0, "TableKeyword": 0}, "summary_fallbacks": 0,
         "table_texts": {}, "entries": [],
         "vectors": {"indptr": "AAAAAA==", "indices": "", "values": ""},
-    }) + "\n")
+    }) + "\n", encoding="utf-8")
     with pytest.raises(KnowledgeBaseError, match="KB version 2 not supported"):
         load(path)
 
@@ -1277,13 +1467,13 @@ def test_load_refuses_a_header_dim_above_max_dim_before_decoding(
 
 def test_load_rejects_non_kb_file(tmp_path):
     path = tmp_path / "other.json"
-    path.write_text('{"format": "something_else", "version": 1}')
+    path.write_text('{"format": "something_else", "version": 1}', encoding="utf-8")
     with pytest.raises(KnowledgeBaseError, match="not a KB file"):
         load(path)
-    path.write_text("not json")
+    path.write_text("not json", encoding="utf-8")
     with pytest.raises(KnowledgeBaseError):
         load(path)
-    path.write_text("[1]\n")
+    path.write_text("[1]\n", encoding="utf-8")
     with pytest.raises(KnowledgeBaseError, match="not a KB file"):
         load(path)
 
