@@ -550,7 +550,7 @@ def test_none_and_empty_summaries_stay_distinct(tmp_path):
     save(_summaries_kb(), path)
     assert [e.summary for e in load(path).entries] == [None, "", "One line.", "", None, "Émission 排放"]
     # no summary shares a head with its payload: each is stored whole, after a code of 1
-    header, sections = read_file(path)
+    sections = read_file(path)[1]
     assert sections["summary"].tobytes() == bytes([0, 1, 1, 1, 0, 1])
     pieces = str(sections["text"], "utf-8")
     offsets = _arr(sections, "offsets")
@@ -930,9 +930,11 @@ def test_a_hash_embedder_kb_stores_codes(corpus_docs, embedder, tmp_path):
 
 @pytest.mark.parametrize("rows", [200, 2000])
 def test_a_dense_kb_keeps_f8_values_and_the_v4_size(tmp_path, monkeypatch, rows):
-    """Random normal vectors repeat no value: `values` stays `<f8` and the
-    file is a version-4 file but for the empty `distinct` section's entry
-    in the header. Counting stops at the first block past 2^16 patterns."""
+    """Random normal vectors repeat no value: `values` stays `<f8` and,
+    with no summaries and the entry_id column written, the file is a
+    version-4 file but for the empty `distinct` section's entry in the
+    header and the summary section's shorter name. Counting stops at
+    the first block past 2^16 patterns."""
     from esgpipe import kb as kbmod
 
     counted = []
@@ -944,8 +946,11 @@ def test_a_dense_kb_keeps_f8_values_and_the_v4_size(tmp_path, monkeypatch, rows)
     header, sections = read_file(path)
     assert header["sections"]["distinct"] == ["<u8", 0]
     assert header["sections"]["values"] == ["<f8", 8 * matrix.size]
-    v4 = file_bytes({**header, "version": 4}, {k: a for k, a in sections.items() if k != "distinct"})
-    assert len(path.read_bytes()) - len(v4) == len(b',"distinct":["<u8",0]')
+    assert _arr(sections, "summary") == [0] * rows and "entry_id" in header
+    v4_sections = {("has_summary" if k == "summary" else k): a for k, a in sections.items()}
+    del v4_sections["distinct"]
+    v4 = file_bytes({**header, "version": 4}, v4_sections)
+    assert len(path.read_bytes()) - len(v4) == len(b',"distinct":["<u8",0]') - len("has_")
     assert len(counted) == min(-(-rows // 256), 2**16 // (256 * 64) + 1)
     assert load(path).entries[0].vector.base.tobytes() == matrix.tobytes()
 
